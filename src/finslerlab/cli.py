@@ -7,7 +7,9 @@ produce byte-identical JSON reports (the timestamp field aside).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 import time
@@ -60,14 +62,24 @@ def _emit(report: dict, path: str | None):
 
 
 def _parse_complex_list(text: str) -> np.ndarray:
+    """Comma-separated finite complex numbers; a trailing ``i`` means ``j``."""
     vals = []
     for part in text.split(","):
-        part = part.strip().replace("i", "j")
-        vals.append(complex(part))
+        part = part.strip()
+        if part.endswith("i"):
+            part = part[:-1] + "j"
+        try:
+            val = complex(part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a complex number: {part!r}") from None
+        if not cmath.isfinite(val):
+            raise argparse.ArgumentTypeError(f"not a finite number: {part!r}")
+        vals.append(val)
     return np.array(vals, dtype=complex)
 
 
-def _parse_at(text: str, dim: int):
+def _parse_point(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """A point ``z=...;v=...`` as (z, v); its length is checked against the metric."""
     z = v = None
     for piece in text.split(";"):
         piece = piece.strip()
@@ -76,15 +88,61 @@ def _parse_at(text: str, dim: int):
         elif piece.startswith("v="):
             v = _parse_complex_list(piece[2:])
         else:
-            raise FinslerError(f"cannot parse point component {piece!r}")
-    if z is None or v is None or len(z) != dim or len(v) != dim:
+            raise argparse.ArgumentTypeError(f"cannot parse point component {piece!r}")
+    if z is None or v is None:
+        raise argparse.ArgumentTypeError("a point must give both z= and v=")
+    return z, v
+
+
+def _point_in_dim(point, dim: int):
+    z, v = point
+    if len(z) != dim or len(v) != dim:
         raise FinslerError(f"--at must give z and v with {dim} components each")
     return z, v
 
 
+def _positive_int(text: str) -> int:
+    val = int(text)
+    if val <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return val
+
+
+def _positive_float(text: str) -> float:
+    val = float(text)
+    if not 0 < val < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number: {text!r}")
+    return val
+
+
+def _nonnegative_float(text: str) -> float:
+    val = float(text)
+    if not 0 <= val < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a non-negative finite number: {text!r}")
+    return val
+
+
+# options whose value is a point or a complex list, which may start with '-'
+_POINT_OPTIONS = ("--at", "--at-a", "--at-b", "--from", "--dir")
+
+
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """Write ``--from -0.3+0.1i`` as ``--from=-0.3+0.1i``: argparse reads a
+    separate value that starts with '-' as an option unless it is a plain
+    negative number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _POINT_OPTIONS and arg.startswith("-") \
+                and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _points(prog, entry, args):
     if args.at:
-        return [_parse_at(args.at, prog.dim)]
+        return [_point_in_dim(args.at, prog.dim)]
     return sample_points(prog, entry, args.samples, args.seed)
 
 
@@ -261,8 +319,8 @@ def cmd_classify(args) -> int:
 
 def cmd_geodesic(args) -> int:
     prog, entry = resolve_metric(args.metric)
-    z0 = _parse_complex_list(getattr(args, "from"))
-    v0 = _parse_complex_list(args.dir)
+    z0 = getattr(args, "from")
+    v0 = args.dir
     domain = entry.domain if entry is not None else None
     path = integrate_geodesic(prog, z0, v0, args.t_max, args.dt, domain=domain)
     if args.csv:
@@ -320,8 +378,8 @@ def _write_svg(path: str, zs: np.ndarray, size: int = 480):
 def cmd_compare(args) -> int:
     progA, entryA = resolve_metric(args.metric_a)
     progB, entryB = resolve_metric(args.metric_b)
-    zA, vA = _parse_at(args.at_a, progA.dim)
-    zB, vB = _parse_at(args.at_b, progB.dim)
+    zA, vA = _point_in_dim(args.at_a, progA.dim)
+    zB, vB = _point_in_dim(args.at_b, progB.dim)
     pA = adapted_frame(progA, zA, vA)
     pB = adapted_frame(progB, zB, vB)
     rep = compare_signatures(progA, pA, progB, pB, order=args.order,
@@ -344,8 +402,8 @@ def cmd_compare(args) -> int:
 def _common(sub, metric=True):
     if metric:
         sub.add_argument("--metric", required=True, help="catalog id or metric file")
-    sub.add_argument("--at", help='point, e.g. "z=0.3+0i,0;v=1,0"')
-    sub.add_argument("--samples", type=int, default=10)
+    sub.add_argument("--at", type=_parse_point, help='point, e.g. "z=0.3+0i,0;v=1,0"')
+    sub.add_argument("--samples", type=_positive_int, default=10)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tol", type=float, default=1.0,
                      help="tolerance scale factor (check) or threshold (compare)")
@@ -384,10 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("geodesic", help="integrate a geodesic")
     s.add_argument("--metric", required=True)
-    s.add_argument("--from", required=True, help='start, e.g. "0,0"')
-    s.add_argument("--dir", required=True, help='initial direction, e.g. "1,0"')
-    s.add_argument("--t-max", type=float, default=1.0)
-    s.add_argument("--dt", type=float, default=1e-3)
+    s.add_argument("--from", required=True, type=_parse_complex_list,
+                   help='start, e.g. "0,0"')
+    s.add_argument("--dir", required=True, type=_parse_complex_list,
+                   help='initial direction, e.g. "1,0"')
+    s.add_argument("--t-max", type=_nonnegative_float, default=1.0)
+    s.add_argument("--dt", type=_positive_float, default=1e-3)
     s.add_argument("--csv")
     s.add_argument("--svg")
     s.add_argument("--json")
@@ -396,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("compare", help="signature comparison of two metrics")
     s.add_argument("--metric-a", required=True)
     s.add_argument("--metric-b", required=True)
-    s.add_argument("--at-a", required=True)
-    s.add_argument("--at-b", required=True)
+    s.add_argument("--at-a", required=True, type=_parse_point)
+    s.add_argument("--at-b", required=True, type=_parse_point)
     s.add_argument("--order", type=int, default=0)
     s.add_argument("--fiber-samples", type=int, default=0)
     s.add_argument("--seed", type=int, default=0)
@@ -409,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except FinslerError as exc:

@@ -39,7 +39,6 @@ class FrameData:
     """
 
     def __init__(self, prog: MetricProgram, z, U):
-        self.prog = prog
         self.z = np.asarray(z, dtype=complex)
         self.U = np.asarray(U, dtype=complex)
         self.n = prog.dim

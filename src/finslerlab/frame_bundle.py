@@ -63,10 +63,6 @@ class AmbientTangent:
         return float(np.sqrt(np.sum(np.abs(self.dz) ** 2) + np.sum(np.abs(self.dU) ** 2)))
 
 
-def zero_tangent(n: int) -> AmbientTangent:
-    return AmbientTangent(np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex))
-
-
 # --------------------------------------------------------------------------
 # Gram map and its directional derivative
 # --------------------------------------------------------------------------
@@ -153,12 +149,8 @@ def unpack_real(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 # frame construction and the structure group action
 # --------------------------------------------------------------------------
 
-_RETRY_SEED = None
-
-
 def _retry_unitary(n: int) -> np.ndarray:
     """Fixed generic unitary used once when the canonical seeds degenerate."""
-    global _RETRY_SEED
     rng = np.random.default_rng(20240817)
     M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(M)

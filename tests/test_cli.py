@@ -139,10 +139,40 @@ def test_at_parser_accepts_i_suffix(tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_ARGUMENTS = [
+    ["check"],  # missing --metric
+    ["geodesic", "--metric", "poincare_disc", "--from", "0", "--dir", "1", "--dt", "0"],
+    ["geodesic", "--metric", "poincare_disc", "--from", "0", "--dir", "1", "--dt", "-0.1"],
+    ["geodesic", "--metric", "poincare_disc", "--from", "0", "--dir", "1", "--t-max", "-1"],
+    ["geodesic", "--metric", "poincare_disc", "--from", "nan", "--dir", "1"],
+    ["tensors", "--metric", "poincare_disc", "--at", "z=0.5;v=inf"],
+    ["tensors", "--metric", "poincare_disc", "--at", "z=0.5;w=1"],
+    ["check", "--metric", "flat_1", "--samples", "0"],
+    ["check", "--metric", "flat_1", "--samples", "-3"],
+]
+
+
 def test_bad_arguments_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["check"])  # missing --metric
-    assert exc.value.code == 2
+    for argv in BAD_ARGUMENTS:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err, argv
+
+
+def test_point_values_may_start_with_minus(tmp_path, capsys):
+    reports = []
+    for argv in (["--from", "-0.3+0.1i", "--dir", "-1"],
+                 ["--from=-0.3+0.1i", "--dir=-1"]):
+        out = tmp_path / "g.json"
+        assert run(["geodesic", "--metric", "poincare_disc", *argv, "--t-max", "0.1",
+                    "--dt", "0.01", "--json", str(out)]) == 0
+        rep = load(out)
+        rep.pop("timestamp")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    assert reports[0]["from"] == [[-0.3, 0.1]]
     capsys.readouterr()
 
 

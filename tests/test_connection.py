@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from finslerlab.frame_bundle import (
     verify_tangent,
 )
 from finslerlab.equivalence import _haar_group_element
+from finslerlab.parallelism import extract_structure
 from finslerlab.registry import sample_points
 
 
@@ -169,3 +173,19 @@ def test_flat_lift_has_no_vertical_part(progs):
     t = horizontal_lift(prog, p, 0)
     assert np.max(np.abs(t.dU)) < 1e-14
     assert np.allclose(t.dz, p.U[:, 0])
+
+
+def test_program_freed_without_cycle_collector(entries):
+    # frame data cached on a program must not point back at it, or every
+    # program and its caches would wait for the cyclic garbage collector
+    prog = entries["poincare_ball_2"].program()
+    ref = weakref.ref(prog)
+    gc.disable()
+    try:
+        p = adapted_frame(prog, [0.1, 0.2j], [1.0, 0.5])
+        frame_data(prog, p.z, p.U)
+        extract_structure(prog, p)
+        del prog, p
+        assert ref() is None
+    finally:
+        gc.enable()

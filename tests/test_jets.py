@@ -1,7 +1,23 @@
 import numpy as np
 import pytest
 
-from finslerlab.jets import V, VBAR, Z, ZBAR, JetError, jet_space
+from finslerlab.jets import PATTERN_CACHE_SIZE, V, VBAR, Z, ZBAR, JetError, jet_space
+
+# every (n, fiber order, base order) table the catalog's reports use
+CATALOG_TABLES = [(1, 2, 0), (1, 4, 1), (2, 2, 0), (2, 3, 0), (2, 3, 1), (2, 4, 1),
+                  (2, 5, 0), (3, 2, 0), (3, 4, 1)]
+
+
+def full_table_mul(sp, a, b):
+    out = np.zeros(sp.size, dtype=complex)
+    np.add.at(out, sp._mo, a[sp._m1] * b[sp._m2])
+    return out
+
+
+def random_coefficients(rng, size, zero_share):
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    c[rng.random(size) < zero_share] = 0.0
+    return c
 
 
 def test_seed_and_arithmetic():
@@ -75,3 +91,47 @@ def test_tensor_extraction_matches_scalar_lookup():
     dz, dzb = f.fiber_tensor_dbase(1, 1)
     assert dz[0, 1, 0] == pytest.approx(f.derivative(v=(1,), vbar=(0,), z=(0,)))
     assert dzb[1, 0, 1] == pytest.approx(f.derivative(v=(0,), vbar=(1,), zbar=(1,)))
+
+
+@pytest.mark.parametrize("table", CATALOG_TABLES)
+def test_product_equals_full_table_product_exactly(table):
+    sp = jet_space(*table)
+    rng = np.random.default_rng(sum(table))
+    operands = [random_coefficients(rng, sp.size, share)
+                for share in (0.0, 0.5, 0.9, 0.99, 1.0) for _ in range(3)]
+    const = np.zeros(sp.size, dtype=complex)
+    const[0] = 1.5 - 0.5j
+    operands += [const, np.zeros(sp.size, dtype=complex)]
+    # each pair twice: once filling the pattern cache, once reading it
+    for _ in range(2):
+        for a in operands:
+            for b in operands[::4] + [const]:
+                assert np.array_equal(sp.mul(a, b), full_table_mul(sp, a, b))
+                assert np.array_equal(sp.mul(b, a), full_table_mul(sp, b, a))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("table", CATALOG_TABLES)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_product_keeps_non_finite_terms(table, bad):
+    # a non-finite coefficient times a zero is nan, so it must not be skipped
+    sp = jet_space(*table)
+    rng = np.random.default_rng(sum(table))
+    a = random_coefficients(rng, sp.size, 0.9)
+    a[sp.size - 1] = bad
+    for b in (random_coefficients(rng, sp.size, 0.9), np.zeros(sp.size, dtype=complex)):
+        for x, y in ((a, b), (b, a)):
+            got, want = sp.mul(x, y), full_table_mul(sp, x, y)
+            assert not np.all(np.isfinite(want))
+            assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_pattern_cache_is_bounded():
+    sp = jet_space(3, 4, 1)
+    rng = np.random.default_rng(5)
+    b = random_coefficients(rng, sp.size, 0.5)
+    for _ in range(PATTERN_CACHE_SIZE + 10):
+        a = random_coefficients(rng, sp.size, 0.5)
+        assert np.array_equal(sp.mul(a, b), full_table_mul(sp, a, b))
+        assert len(sp._pairs) <= PATTERN_CACHE_SIZE
