@@ -10,10 +10,8 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -94,10 +92,12 @@ def _parse_point(text: str) -> tuple[np.ndarray, np.ndarray]:
     return z, v
 
 
-def _point_in_dim(point, dim: int):
+def _point_in_dim(point, dim: int, option: str):
+    """The point of ``option``; a wrong component count is a usage error."""
     z, v = point
     if len(z) != dim or len(v) != dim:
-        raise FinslerError(f"--at must give z and v with {dim} components each")
+        raise argparse.ArgumentTypeError(
+            f"{option} must give z and v with {dim} components each")
     return z, v
 
 
@@ -142,16 +142,8 @@ def _attach_point_values(argv: list[str]) -> list[str]:
 
 def _points(prog, entry, args):
     if args.at:
-        return [_point_in_dim(args.at, prog.dim)]
+        return [_point_in_dim(args.at, prog.dim, "--at")]
     return sample_points(prog, entry, args.samples, args.seed)
-
-
-def _thread_map(fn, items):
-    workers = int(os.environ.get("FINSLERLAB_THREADS", "1"))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +185,7 @@ def cmd_check(args) -> int:
                               for i in range(2 * prog.dim))
         return out
 
-    per_point = _thread_map(point_block, points)
+    per_point = [point_block(zv) for zv in points]
     add("homogeneity_identities", max(b["homogeneity"] for b in per_point), 1e-8 * scale)
     lev = min(b["levi_min_eig"] for b in per_point)
     checks.append({"name": "levi_strong_pseudoconvexity", "residual": float(lev),
@@ -378,8 +370,8 @@ def _write_svg(path: str, zs: np.ndarray, size: int = 480):
 def cmd_compare(args) -> int:
     progA, entryA = resolve_metric(args.metric_a)
     progB, entryB = resolve_metric(args.metric_b)
-    zA, vA = _point_in_dim(args.at_a, progA.dim)
-    zB, vB = _point_in_dim(args.at_b, progB.dim)
+    zA, vA = _point_in_dim(args.at_a, progA.dim, "--at-a")
+    zB, vB = _point_in_dim(args.at_b, progB.dim, "--at-b")
     pA = adapted_frame(progA, zA, vA)
     pB = adapted_frame(progB, zB, vB)
     rep = compare_signatures(progA, pA, progB, pB, order=args.order,
@@ -472,6 +464,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
+    except argparse.ArgumentTypeError as exc:
+        ap.error(str(exc))  # exits 2, as for any other malformed argument
     except FinslerError as exc:
         diag = {"error": str(exc), "type": type(exc).__name__,
                 "command": getattr(args, "command", None)}

@@ -18,13 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .finsler_forms import frame_contract
 from .frame_bundle import (
     AmbientTangent,
     BundlePoint,
     DegenerateMetricError,
+    central_difference,
     gram_derivative,
 )
 from .metric_dsl import MetricProgram
+
+# relative step of the chart-coordinate central difference in covariant_derivative
+COVARIANT_STEP = 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -51,12 +56,7 @@ class FrameData:
         key = (p, q)
         hit = self._C.get(key)
         if hit is None:
-            t = self.jet.fiber_tensor(p, q)
-            for _ in range(p):
-                t = np.tensordot(t, self.U, axes=(0, 0))
-            for _ in range(q):
-                t = np.tensordot(t, np.conj(self.U), axes=(0, 0))
-            self._C[key] = hit = t
+            self._C[key] = hit = frame_contract(self.jet.fiber_tensor(p, q), p, q, self.U)
         return hit
 
     @property
@@ -106,13 +106,7 @@ class FrameData:
 def frame_data(prog: MetricProgram, z, U) -> FrameData:
     z = np.asarray(z, dtype=complex)
     U = np.asarray(U, dtype=complex)
-    cache = prog._cache
-    key = ("framedata", z.tobytes(), U.tobytes())
-    hit = cache.get(key)
-    if hit is None:
-        hit = FrameData(prog, z, U)
-        cache[key] = hit
-    return hit
+    return prog.memo(("framedata", z.tobytes(), U.tobytes()), lambda: FrameData(prog, z, U))
 
 
 # --------------------------------------------------------------------------
@@ -191,24 +185,18 @@ def horizontal_lift(prog: MetricProgram, p: BundlePoint, direction) -> AmbientTa
     return AmbientTangent(dz=p.U @ w, dU=p.U @ fd.E_matrix(w))
 
 
-def covariant_derivative(prog: MetricProgram, p: BundlePoint, w, Y,
-                         dY=None, step: float = 1e-6) -> np.ndarray:
+def covariant_derivative(prog: MetricProgram, p: BundlePoint, w, Y) -> np.ndarray:
     """Covariant derivative of the vector field Y along the direction whose
     frame components are w, at the fiber reference direction encoded by p.
 
     Y maps chart coordinates to the holomorphic components of a real
-    vector field; dY, if given, is its directional derivative callable
-    (z, dz) -> dY.  Output is the component vector of the derivative.
+    vector field.  Output is the component vector of the derivative.
     """
     w = np.asarray(w, dtype=complex)
     U = p.U
     dz = U @ w
-    if dY is not None:
-        DYdz = np.asarray(dY(p.z, dz), dtype=complex)
-    else:
-        h = step * max(1.0, float(np.max(np.abs(p.z))))
-        DYdz = (np.asarray(Y(p.z + h * dz), dtype=complex)
-                - np.asarray(Y(p.z - h * dz), dtype=complex)) / (2 * h)
+    h = COVARIANT_STEP * max(1.0, float(np.max(np.abs(p.z))))
+    DYdz = central_difference(lambda z: np.asarray(Y(z), dtype=complex), p.z, dz, h)
     fd = frame_data(prog, p.z, p.U)
     Yz = np.asarray(Y(p.z), dtype=complex)
     return DYdz - U @ fd.E_matrix(w) @ np.linalg.solve(U, Yz)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_bundle import BundlePoint, pack_real, unpack_real, AmbientTangent
+from .frame_bundle import NESTED_STEP, BundlePoint, along
 from .metric_dsl import FinslerError, MetricProgram
 from .parallelism import _bracket_table, _real_field_matrix
 
@@ -36,23 +36,18 @@ def structure_coefficients(prog: MetricProgram, z, U) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _tier(prog: MetricProgram, z, U, k: int, step: float) -> np.ndarray:
+def _along_fields(fn, z, U, fields: np.ndarray) -> list:
+    """Central differences of fn(z, U) along each packed-real field column."""
+    return [along(fn, z, U, xm, NESTED_STEP * (1.0 + np.linalg.norm(xm)))
+            for xm in fields.T]
+
+
+def _tier(prog: MetricProgram, z, U, k: int) -> np.ndarray:
     """All k-th derivatives of the structure coefficients along the fields."""
     if k == 0:
         return structure_coefficients(prog, z, U)
-    fields = _real_field_matrix(prog, z, U)
-    base = pack_real(AmbientTangent(np.asarray(z, dtype=complex),
-                                    np.asarray(U, dtype=complex)))
-    n = prog.dim
-    out = []
-    for margin in range(fields.shape[1]):
-        xm = fields[:, margin]
-        h = step * (1.0 + np.linalg.norm(xm))
-        zp, Up = unpack_real(base + h * xm, n)
-        zm, Um = unpack_real(base - h * xm, n)
-        out.append((_tier(prog, zp, Up, k - 1, step)
-                    - _tier(prog, zm, Um, k - 1, step)) / (2 * h))
-    return np.concatenate(out)
+    return np.concatenate(_along_fields(lambda z2, U2: _tier(prog, z2, U2, k - 1),
+                                        z, U, _real_field_matrix(prog, z, U)))
 
 
 @dataclass
@@ -68,12 +63,11 @@ class Signature:
         return float(np.max(np.abs(self.vector - other.vector)))
 
 
-def signature(prog: MetricProgram, p: BundlePoint, order: int = 0,
-              step: float = 1e-4) -> Signature:
+def signature(prog: MetricProgram, p: BundlePoint, order: int = 0) -> Signature:
     """Invariant signature at a bundle point up to the given derivative order."""
     if order > 2:
         raise FinslerError("signature derivative order is limited to 2")
-    tiers = [_tier(prog, p.z, p.U, k, step) for k in range(order + 1)]
+    tiers = [_tier(prog, p.z, p.U, k) for k in range(order + 1)]
     return Signature(order=order, dim=prog.dim, tiers=tiers,
                      vector=np.concatenate(tiers))
 
@@ -87,8 +81,7 @@ class RegularityReport:
 
 
 def regularity(prog: MetricProgram, p: BundlePoint, alpha_max: int = 2,
-               step: float = 1e-4, sv_tol: float = 1e-4,
-               noise_floor: float = 1e-2) -> RegularityReport:
+               sv_tol: float = 1e-4, noise_floor: float = 1e-2) -> RegularityReport:
     """Numerical rank of the invariant families along the parallelism,
     with early stop at rank stabilization.
 
@@ -100,20 +93,12 @@ def regularity(prog: MetricProgram, p: BundlePoint, alpha_max: int = 2,
     if alpha_max > 2:
         raise FinslerError("regularity order is limited to 2")
     fields = _real_field_matrix(prog, p.z, p.U)
-    base = pack_real(AmbientTangent(p.z, p.U))
-    n = prog.dim
 
     def jac_rank(alpha: int) -> int:
-        rows = []
-        for margin in range(fields.shape[1]):
-            xm = fields[:, margin]
-            h = step * (1.0 + np.linalg.norm(xm))
-            zp, Up = unpack_real(base + h * xm, n)
-            zm, Um = unpack_real(base - h * xm, n)
-            vp = np.concatenate([_tier(prog, zp, Up, k, step) for k in range(alpha + 1)])
-            vm = np.concatenate([_tier(prog, zm, Um, k, step) for k in range(alpha + 1)])
-            rows.append((vp - vm) / (2 * h))
-        mat = np.array(rows)
+        def tiers(z, U):
+            return np.concatenate([_tier(prog, z, U, k) for k in range(alpha + 1)])
+
+        mat = np.array(_along_fields(tiers, p.z, p.U, fields))
         sv = np.linalg.svd(mat, compute_uv=False)
         cut = max(sv_tol * sv[0], noise_floor)
         return int(np.sum(sv > cut))

@@ -34,6 +34,16 @@ def contract(tensor: np.ndarray, unbarred, barred) -> complex:
     return complex(out)
 
 
+def frame_contract(t: np.ndarray, p: int, q: int, U: np.ndarray) -> np.ndarray:
+    """Contract the p holomorphic slots of a (p, q) fiber tensor with the
+    columns of U and its q conjugate slots with their conjugates."""
+    for _ in range(p):
+        t = np.tensordot(t, U, axes=(0, 0))
+    for _ in range(q):
+        t = np.tensordot(t, np.conj(U), axes=(0, 0))
+    return t
+
+
 def raw_fiber_tensors(prog: MetricProgram, z, v, max_order: int = 4) -> dict:
     """All coordinate fiber tensors d^p_v d^q_vbar F^2 with p+q <= max_order."""
     jet = prog.jet_unchecked(z, v, max_order, 0)
@@ -90,13 +100,7 @@ def forms_at(prog: MetricProgram, z, v, frame=None, max_order: int = 4) -> Finsl
     if np.linalg.matrix_rank(frame) < n:
         raise FinslerError("frame columns are linearly dependent")
     raw = raw_fiber_tensors(prog, z, v, max_order)
-    comp = {}
-    for (p, q), t in raw.items():
-        for _ in range(p):
-            t = np.tensordot(t, frame, axes=(0, 0))
-        for _ in range(q):
-            t = np.tensordot(t, np.conj(frame), axes=(0, 0))
-        comp[(p, q)] = t
+    comp = {pq: frame_contract(t, *pq, frame) for pq, t in raw.items()}
     return FinslerForms(z=z, v=v, frame=frame, comp=comp)
 
 

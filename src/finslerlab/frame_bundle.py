@@ -145,6 +145,34 @@ def unpack_real(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return dz, dU
 
 
+def complexify(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
+    """Complexified stack (dz, dzbar, dU, dUbar) of an ambient tangent."""
+    return np.concatenate([dz, np.conj(dz), dU.ravel(), np.conj(dU).ravel()])
+
+
+# --------------------------------------------------------------------------
+# derivatives along fields
+# --------------------------------------------------------------------------
+
+# Relative steps of the differences along the parallelism fields.  NESTED_STEP,
+# for signature tiers, regularity ranks and horizontal-lift derivatives, is
+# larger: it differentiates central differences, whose noise it amplifies less.
+FIELD_STEP = 1e-5
+NESTED_STEP = 1e-4
+
+
+def central_difference(fn, x0, dx, h):
+    """(fn(x0 + h dx) - fn(x0 - h dx)) / 2h; the caller chooses the step h."""
+    return (fn(x0 + h * dx) - fn(x0 - h * dx)) / (2 * h)
+
+
+def along(fn, z, U, x: np.ndarray, h: float):
+    """Central difference of fn(z, U) along the packed-real ambient direction x."""
+    n = len(z)
+    return central_difference(lambda y: fn(*unpack_real(y, n)),
+                              pack_real(AmbientTangent(z, U)), x, h)
+
+
 # --------------------------------------------------------------------------
 # frame construction and the structure group action
 # --------------------------------------------------------------------------
@@ -155,6 +183,21 @@ def _retry_unitary(n: int) -> np.ndarray:
     M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(M)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def _orthonormalize(G: np.ndarray, cols, w: np.ndarray, tol: float):
+    """One Gram-Schmidt step in the pairing x G conj(y): w made orthogonal to
+    the orthonormal cols and normalized, or None when its pivot falls below tol."""
+
+    def pair(x, y):
+        return complex(x @ G @ np.conj(y))
+
+    for c in cols:
+        w = w - pair(w, c) * c
+    pivot = pair(w, w).real
+    if pivot <= 0 or np.sqrt(max(pivot, 0.0)) < tol:
+        return None
+    return w / np.sqrt(pivot)
 
 
 def adapted_frame(prog: MetricProgram, z, v, pivot_tol: float = 1e-8) -> BundlePoint:
@@ -174,10 +217,6 @@ def adapted_frame(prog: MetricProgram, z, v, pivot_tol: float = 1e-8) -> BundleP
     e0 = v / prog.norm(z, v)
     jet = prog.jet_unchecked(z, e0, 2, 0)
     G = jet.fiber_tensor(1, 1)
-
-    def pair(x, y):
-        return complex(x @ G @ np.conj(y))
-
     for attempt in range(2):
         seeds = [np.eye(n, dtype=complex)[:, k] for k in range(n)]
         if attempt == 1:
@@ -187,13 +226,9 @@ def adapted_frame(prog: MetricProgram, z, v, pivot_tol: float = 1e-8) -> BundleP
         for seed in seeds:
             if len(cols) == n:
                 break
-            w = seed.astype(complex)
-            for c in cols:
-                w = w - pair(w, c) * c
-            pivot = pair(w, w).real
-            if pivot <= 0 or np.sqrt(max(pivot, 0.0)) < pivot_tol:
+            w = _orthonormalize(G, cols, seed.astype(complex), pivot_tol)
+            if w is None:
                 continue
-            w = w / np.sqrt(pivot)
             k = int(np.argmax(np.abs(w)))
             w = w * (np.conj(w[k]) / abs(w[k]))
             cols.append(w)
@@ -214,19 +249,12 @@ def reproject_frame(prog: MetricProgram, z, U) -> BundlePoint:
     e0 = U[:, 0] / prog.norm(z, U[:, 0])
     jet = prog.jet_unchecked(z, e0, 2, 0)
     G = jet.fiber_tensor(1, 1)
-
-    def pair(x, y):
-        return complex(x @ G @ np.conj(y))
-
     cols = [e0]
     for a in range(1, n):
-        w = U[:, a].copy()
-        for c in cols:
-            w = w - pair(w, c) * c
-        pivot = pair(w, w).real
-        if pivot <= 0 or np.sqrt(max(pivot, 0.0)) < 1e-10:
+        w = _orthonormalize(G, cols, U[:, a], 1e-10)
+        if w is None:
             raise DegenerateMetricError("frame re-projection pivot breakdown")
-        cols.append(w / np.sqrt(pivot))
+        cols.append(w)
     return BundlePoint(z=z.copy(), U=np.column_stack(cols))
 
 

@@ -19,6 +19,7 @@ from .frame_bundle import (
     AmbientTangent,
     BundlePoint,
     adapted_frame,
+    complexify,
     gram_matrix,
     reproject_frame,
 )
@@ -362,8 +363,7 @@ def complex_geodesic_check(prog: MetricProgram, curve, samples,
             pm = adapted_frame(prog, curve(w - h * direction), deriv(w - h * direction))
             dz = (pp.z - pm.z) / (2 * h)
             dU = (pp.U - pm.U) / (2 * h)
-            X = np.concatenate([dz, np.conj(dz), dU.ravel(), np.conj(dU).ravel()])
-            wmat = cf.varpi(X)
+            wmat = cf.varpi(complexify(dz, dU))
             for lam in range(1, n):
                 max_pi = max(max_pi, abs(wmat[lam, 0]), abs(wmat[0, lam]))
         # induced metric g(w) = F^2(curve(w), curve'(w)); its Gauss curvature
@@ -406,12 +406,11 @@ def geodesic_condition_residuals(prog: MetricProgram, path: GeodesicPath,
         U = frames[i] @ g
         dz = (zs[i + 1] - zs[i - 1]) / (ts[i + 1] - ts[i - 1])
         dU = (frames[i + 1] - frames[i - 1]) / (ts[i + 1] - ts[i - 1]) @ g
-        X = np.concatenate([dz, np.conj(dz), dU.ravel(), np.conj(dU).ravel()])
         fd = frame_data(prog, zs[i], U)
         cf = _Coframe(fd)
         th = np.linalg.inv(U) @ dz
         thb = np.conj(np.linalg.inv(U)) @ np.conj(dz)
-        return fd, cf.varpi(X), th, thb
+        return fd, cf.varpi(complexify(dz, dU)), th, thb
 
     cache = {i: theta_values(i) for i in idx}
     for i in idx:

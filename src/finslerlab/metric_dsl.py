@@ -227,6 +227,7 @@ class MetricProgram:
 
     MAX_FIBER_ORDER = 4
     MAX_BASE_ORDER = 1
+    MEMO_LIMIT = 4096
 
     def __init__(self, source: MetricSource, root):
         self.source = source
@@ -298,6 +299,18 @@ class MetricProgram:
 
     # -- jets -------------------------------------------------------------------
 
+    def memo(self, key, build):
+        """The value cached under key, or build() stored there.  Jets, frame
+        data and bracket tables share this cache; it is cleared whole when it
+        holds more than MEMO_LIMIT entries, so it never exceeds MEMO_LIMIT + 1."""
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = build()
+            if len(self._cache) > self.MEMO_LIMIT:
+                self._cache.clear()
+            self._cache[key] = hit
+        return hit
+
     def _eval_jet_node(self, node, zj, vj, space):
         op = node[0]
         if op == "num":
@@ -323,23 +336,21 @@ class MetricProgram:
         if not np.any(v):
             raise EvaluationError("jets are undefined at v = 0 (homogeneous metrics are "
                                   "non-smooth on the zero section)")
-        key = (z.tobytes(), v.tobytes(), fiber_order, base_order)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        space = jet_space(self.dim, fiber_order, base_order)
-        zj = [space.variable(Z, k, z[k]) for k in range(self.dim)]
-        vj = [space.variable(V, k, v[k]) for k in range(self.dim)]
-        try:
-            out = self._eval_jet_node(self._root, zj, vj, space)
-        except JetError as exc:
-            raise EvaluationError(str(exc)) from exc
-        if not np.all(np.isfinite(out.c)):
-            raise EvaluationError("jet coefficients are non-finite (pole of the expression)")
-        if len(self._cache) > 4096:
-            self._cache.clear()
-        self._cache[key] = out
-        return out
+
+        def build():
+            space = jet_space(self.dim, fiber_order, base_order)
+            zj = [space.variable(Z, k, z[k]) for k in range(self.dim)]
+            vj = [space.variable(V, k, v[k]) for k in range(self.dim)]
+            try:
+                out = self._eval_jet_node(self._root, zj, vj, space)
+            except JetError as exc:
+                raise EvaluationError(str(exc)) from exc
+            if not np.all(np.isfinite(out.c)):
+                raise EvaluationError(
+                    "jet coefficients are non-finite (pole of the expression)")
+            return out
+
+        return self.memo((z.tobytes(), v.tobytes(), fiber_order, base_order), build)
 
     def jet(self, z, v, fiber_order: int = 4, base_order: int = 1) -> Jet:
         """Mixed Wirtinger jet of F^2 at (z, v).

@@ -17,13 +17,18 @@ normalization factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .connection import FrameData, frame_data
 from .frame_bundle import (
+    FIELD_STEP,
+    NESTED_STEP,
     AmbientTangent,
     BundlePoint,
+    along,
+    complexify,
     pack_real,
     unpack_real,
     verify_tangent,
@@ -121,12 +126,6 @@ def _real_field_matrix(prog: MetricProgram, z, U) -> np.ndarray:
     fd = frame_data(prog, z, U)
     cols = [pack_real(field_tangent(fd, lab)) for lab in labels_real(prog.dim)]
     return np.array(cols).T
-
-
-def _complexify(vec: np.ndarray, n: int) -> np.ndarray:
-    """Real ambient tangent -> complexified stack (dz, dzbar, dU, dUbar)."""
-    dz, dU = unpack_real(np.asarray(vec, dtype=float), n)
-    return np.concatenate([dz, np.conj(dz), dU.ravel(), np.conj(dU).ravel()])
 
 
 def _complex_basis(fd: FrameData) -> np.ndarray:
@@ -241,22 +240,12 @@ def parallelism_at(prog: MetricProgram, p: BundlePoint,
                             max_tangency=float(worst))
 
 
-def _jacobians(prog: MetricProgram, z, U, step: float = 1e-5) -> np.ndarray:
+def _jacobians(prog: MetricProgram, z, U) -> np.ndarray:
     """Finite-difference Jacobians of all field columns; shape (D, N, D)."""
-    n = prog.dim
-    p0 = pack_real(AmbientTangent(np.asarray(z, dtype=complex),
-                                  np.asarray(U, dtype=complex)))
-    D = len(p0)
-    cols = []
-    for k in range(D):
-        h = step * (1.0 + abs(p0[k]))
-        e = np.zeros(D)
-        e[k] = h
-        zp, Up = unpack_real(p0 + e, n)
-        zm, Um = unpack_real(p0 - e, n)
-        fp = _real_field_matrix(prog, zp, Up)
-        fm = _real_field_matrix(prog, zm, Um)
-        cols.append((fp - fm) / (2 * h))
+    p0 = pack_real(AmbientTangent(z, U))
+    fields = partial(_real_field_matrix, prog)
+    cols = [along(fields, z, U, e, FIELD_STEP * (1.0 + abs(p0[k])))
+            for k, e in enumerate(np.eye(len(p0)))]
     return np.stack(cols, axis=-1)  # (D, N, D): d field_m / d coord_k
 
 
@@ -266,17 +255,15 @@ def _bracket_table(prog: MetricProgram, p: BundlePoint) -> tuple[np.ndarray, np.
     Returns (values, brackets): values[:, m] is field m at p, and
     brackets[a, b] = J_b @ X_a - J_a @ X_b in packed-real coordinates.
     """
-    key = ("brackets", p.key())
-    hit = prog._cache.get(key)
-    if hit is not None:
-        return hit
-    vals = _real_field_matrix(prog, p.z, p.U)
-    jac = _jacobians(prog, p.z, p.U)
-    # jac[:, m, k] = d(field m)/d(coord k); bracket = DY.X - DX.Y
-    br = np.einsum("imk,kj->jmi", jac, vals) - np.einsum("imk,kj->mji", jac, vals)
-    out = (vals, br)
-    prog._cache[key] = out
-    return out
+
+    def build():
+        vals = _real_field_matrix(prog, p.z, p.U)
+        jac = _jacobians(prog, p.z, p.U)
+        # jac[:, m, k] = d(field m)/d(coord k); bracket = DY.X - DX.Y
+        br = np.einsum("imk,kj->jmi", jac, vals) - np.einsum("imk,kj->mji", jac, vals)
+        return vals, br
+
+    return prog.memo(("brackets", p.key()), build)
 
 
 def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
@@ -340,7 +327,7 @@ def extract_structure(prog: MetricProgram, p: BundlePoint,
     br_complexified = np.empty(br.shape[:2] + (basis.shape[0],), dtype=complex)
     for a in range(br.shape[0]):
         for b in range(br.shape[1]):
-            br_complexified[a, b] = _complexify(br[a, b], n)
+            br_complexified[a, b] = complexify(*unpack_real(br[a, b], n))
     brc = np.einsum("ax,by,xyd->abd", K, K, br_complexified)
 
     sol, *_ = np.linalg.lstsq(basis, brc.reshape(N * N, -1).T, rcond=None)
@@ -462,8 +449,12 @@ def closed_form_Q(prog: MetricProgram, p: BundlePoint) -> np.ndarray:
     """Q from the quartic form: the vertical curvature has the closed form
     HH_{mubar rhobar sig lam} - sum_nu H_{nu mubar rhobar} H_{sig lam nubar}
     (the nu = 0 term reproduces the quadratic-form product)."""
-    fd = frame_data(prog, p.z, p.U)
-    n = prog.dim
+    return _vertical_curvature(frame_data(prog, p.z, p.U))
+
+
+def _vertical_curvature(fd: FrameData) -> np.ndarray:
+    """Q[rho-1, sig-1, lam-1, mu-1] of closed_form_Q from the frame forms of fd."""
+    n = fd.n
     C22 = fd.C(2, 2)
     C21 = fd.C(2, 1)
     C12 = fd.C(1, 2)
@@ -631,8 +622,7 @@ def _form_tables(prog: MetricProgram, z, U):
 # structure equations
 # --------------------------------------------------------------------------
 
-def structure_equation_residuals(prog: MetricProgram, p: BundlePoint,
-                                 step: float = 1e-5) -> dict:
+def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     """Residuals of the first-order identities satisfied by the coframe.
 
     Both sides of the torsion and curvature equations are evaluated on all
@@ -647,19 +637,16 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint,
     K = _complex_combination_matrix(n)
     vals, br = _bracket_table(prog, p)
 
-    # displaced form tables along each real field
-    TH_pm, W_pm = [], []
-    for mreal in range(vals.shape[1]):
-        xm = vals[:, mreal]
-        h = step * (1.0 + np.linalg.norm(xm))
-        zp, Up = unpack_real(pack_real(AmbientTangent(p.z, p.U)) + h * xm, n)
-        zm_, Um = unpack_real(pack_real(AmbientTangent(p.z, p.U)) - h * xm, n)
-        _, _, _, THp, _, Wp = _form_tables(prog, zp, Up)
-        _, _, _, THm, _, Wm = _form_tables(prog, zm_, Um)
-        TH_pm.append((THp - THm) / (2 * h))
-        W_pm.append((Wp - Wm) / (2 * h))
-    dTH_r = np.stack(TH_pm, axis=0)    # (Nreal, n, N): D_m theta^a(basis_i)
-    dW_r = np.stack(W_pm, axis=0)      # (Nreal, n, n, N)
+    def tables(z, U):
+        # theta values in row 0, varpi values below
+        _, _, _, TH, _, W = _form_tables(prog, z, U)
+        return np.concatenate([TH[None], W])
+
+    # form tables differentiated along each real field
+    d = [along(tables, p.z, p.U, xm, FIELD_STEP * (1.0 + np.linalg.norm(xm)))
+         for xm in vals.T]
+    dTH_r = np.stack([dm[0] for dm in d], axis=0)   # (Nreal, n, N): D_m theta^a(basis_i)
+    dW_r = np.stack([dm[1:] for dm in d], axis=0)   # (Nreal, n, n, N)
 
     # complex-direction derivatives: X_x(f) = sum_m K[x, m] D_m f
     dTH_c = np.einsum("xm,mai->xai", K, dTH_r)
@@ -667,8 +654,8 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint,
 
     # complex brackets and their form values at p
     brc = np.einsum("xm,yk,mkd->xyd", K, K,
-                    np.stack([[_complexify(br[a, b], n) for b in range(br.shape[1])]
-                              for a in range(br.shape[0])]))
+                    np.stack([[complexify(*unpack_real(br[a, b], n))
+                               for b in range(br.shape[1])] for a in range(br.shape[0])]))
     TH_br = np.zeros((n, N, N), dtype=complex)
     W_br = np.zeros((n, n, N, N), dtype=complex)
     for x in range(N):
@@ -776,16 +763,13 @@ def _pi_phi_forms(prog, p, fd, TH, THb, W):
                     Pi[lam, mu] += -cH * w2(W[0, rho], TH[g]) \
                         - cHb * w2(W[rho, 0], THb[g])
                     pi_norm = max(pi_norm, abs(cH), abs(cHb))
-    C22 = fd.C(2, 2)
-    C21 = fd.C(2, 1)
-    C12 = fd.C(1, 2)
+    Q = _vertical_curvature(fd)
     phi_norm = 0.0
     for lam in range(1, n):
         for mu in range(1, n):
             for rho in range(1, n):
                 for sig in range(1, n):
-                    k4 = C22[mu, rho, lam, sig] - sum(
-                        C12[nu, lam, sig] * C21[mu, rho, nu] for nu in range(n))
+                    k4 = Q[sig - 1, mu - 1, rho - 1, lam - 1]
                     Phi[lam, mu] += k4 * w2(W[rho, 0], W[0, sig])
                     phi_norm = max(phi_norm, abs(k4))
     return Pi, Phi, pi_norm, phi_norm
@@ -820,27 +804,24 @@ def _vertical_subspace_residual(fd, basis, cf) -> float:
 # Bianchi identities
 # --------------------------------------------------------------------------
 
-def _lift_derivative_of(prog: MetricProgram, p: BundlePoint, func,
-                        step: float = 1e-4):
+def _lift_derivative_of(prog: MetricProgram, p: BundlePoint, func):
     """Derivatives of a matrix-valued point function along the 2n horizontal
     lifts; returns (holomorphic, antiholomorphic) arrays with leading index g."""
     n = prog.dim
     fd = frame_data(prog, p.z, p.U)
-    base = pack_real(AmbientTangent(p.z, p.U))
     d_real = []
     for i in range(2 * n):
         t = field_tangent(fd, ("f", i))
-        h = step * (1.0 + t.norm())
-        zp, Up = unpack_real(base + h * pack_real(t), n)
-        zm, Um = unpack_real(base - h * pack_real(t), n)
-        d_real.append((func(zp, Up) - func(zm, Um)) / (2 * h))
+        # t.norm(), not the norm of pack_real(t): the two differ in the last bit
+        # at some points, and the step sets every bit of the reports
+        h = NESTED_STEP * (1.0 + t.norm())
+        d_real.append(along(func, p.z, p.U, pack_real(t), h))
     hol = np.array([0.5 * (d_real[2 * g] - 1j * d_real[2 * g + 1]) for g in range(n)])
     anti = np.array([0.5 * (d_real[2 * g] + 1j * d_real[2 * g + 1]) for g in range(n)])
     return hol, anti
 
 
-def bianchi_residuals(prog: MetricProgram, p: BundlePoint,
-                      step: float = 1e-4) -> dict:
+def bianchi_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     """Residuals of the differential identities tying the torsion, the
     curvature and their horizontal derivatives.  Derivatives of the
     curvature come from finite differences of the bracket extraction, so
@@ -854,7 +835,7 @@ def bianchi_residuals(prog: MetricProgram, p: BundlePoint,
 
     dT_h, dT_a = _lift_derivative_of(prog, p, lambda z, U: frame_data(prog, z, U).torsion)
     dR_h, dR_a = _lift_derivative_of(
-        prog, p, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw, step=step)
+        prog, p, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
     d12_h = np.array([_complex_lift_derivative(prog, p, g, (1, 2)) for g in range(n)])
     d21_a = np.array([_complex_lift_derivative(prog, p, g, (2, 1), conj_dir=True)
                       for g in range(n)])

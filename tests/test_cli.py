@@ -149,6 +149,10 @@ BAD_ARGUMENTS = [
     ["tensors", "--metric", "poincare_disc", "--at", "z=0.5;w=1"],
     ["check", "--metric", "flat_1", "--samples", "0"],
     ["check", "--metric", "flat_1", "--samples", "-3"],
+    # point component counts are checked against the metric's dimension
+    ["tensors", "--metric", "poincare_disc", "--at", "z=0.5,1;v=1"],
+    ["compare", "--metric-a", "poincare_ball_2", "--metric-b", "poincare_ball_2",
+     "--at-a", "z=0.1;v=1", "--at-b", "z=0.1,0.2;v=1,0.5"],
 ]
 
 

@@ -189,3 +189,17 @@ def test_program_freed_without_cycle_collector(entries):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_program_cache_is_bounded(entries):
+    # jets and frame data share one per-program cache that is cleared whole
+    # when over 4096 entries; a frame-data insert right after its jet's insert
+    # must not take it past 4097
+    prog = entries["poincare_disc"].program()
+    U = np.eye(1, dtype=complex)
+    sizes = []
+    for k in range(2100):
+        frame_data(prog, [1e-4 * k], U)
+        sizes.append(len(prog._cache))
+    assert 4096 <= max(sizes) <= 4097
+    assert sizes[-1] < 4096  # cleared on the way
