@@ -31,6 +31,8 @@ from .parallelism import (
 )
 from .registry import catalog, resolve_metric, sample_points
 
+SVG_SIZE = 480  # width and height of the geodesic plot, in pixels
+
 
 def _jsonify(obj):
     if isinstance(obj, complex):
@@ -170,6 +172,8 @@ def cmd_check(args) -> int:
         checks.append({"name": name, "residual": float(residual),
                        "tolerance": float(tol), "pass": bool(residual < tol)})
 
+    frames = []  # one adapted frame per point, built once
+
     def point_block(zv):
         z, v = zv
         out = {}
@@ -178,6 +182,7 @@ def cmd_check(args) -> int:
         out["levi_min_eig"] = float(np.min(rep.eigenvalues)) if rep.eigenvalues.size \
             else 1.0
         p = adapted_frame(prog, z, v)
+        frames.append(p)
         out["gram"] = gram_residual(prog, p)
         cm = solve_connection(prog, p)
         out["closed_form_gap"] = cm.closed_form_gap
@@ -196,17 +201,14 @@ def cmd_check(args) -> int:
         1e-8 * scale)
 
     se_tol = (1e-5 if herm else 1e-4) * scale
-    se_pts = points[:max(1, min(3, len(points)))]
     sigma0 = 0.0
-    for z, v in se_pts:
-        p = adapted_frame(prog, z, v)
+    for p in frames[:max(1, min(3, len(points)))]:
         r = structure_equation_residuals(prog, p)
         sigma0 = max(sigma0, r["finsler_norms"]["sigma0"])
         add("structure_equations", max(r["eq529"], r["eq533"], r["eq534"],
                                        r["eq535"], r["eq536"]), se_tol)
         add("bracket_decomposition", r["decomposition_residual"], 1e-5 * scale)
-    for z, v in points[:max(1, min(2, len(points)))]:
-        p = adapted_frame(prog, z, v)
+    for p in frames[:max(1, min(2, len(points)))]:
         b = bianchi_residuals(prog, p)
         add("bianchi_identities", max(b.values()), 1e-3 * scale)
 
@@ -343,7 +345,8 @@ def cmd_geodesic(args) -> int:
     return 0
 
 
-def _write_svg(path: str, zs: np.ndarray, size: int = 480):
+def _write_svg(path: str, zs: np.ndarray):
+    size = SVG_SIZE
     xs, ys = zs.real, zs.imag
     span = max(np.ptp(xs), np.ptp(ys), 1e-9)
     pad = 0.1 * span
@@ -391,9 +394,8 @@ def cmd_compare(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
-def _common(sub, metric=True):
-    if metric:
-        sub.add_argument("--metric", required=True, help="catalog id or metric file")
+def _common(sub):
+    sub.add_argument("--metric", required=True, help="catalog id or metric file")
     sub.add_argument("--at", type=_parse_point, help='point, e.g. "z=0.3+0i,0;v=1,0"')
     sub.add_argument("--samples", type=_positive_int, default=10)
     sub.add_argument("--seed", type=int, default=0)

@@ -13,9 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_bundle import NESTED_STEP, BundlePoint, along
+from .frame_bundle import NESTED_STEP, BundlePoint, along, group_act, haar_unitary
 from .metric_dsl import FinslerError, MetricProgram
 from .parallelism import _bracket_table, _real_field_matrix
+
+# Singular values count toward a regularity rank when above SV_TOL * sigma_max
+# and above the absolute NOISE_FLOOR; the floor absorbs the finite-difference
+# noise of iterated derivative tiers, which would otherwise fabricate rank on
+# metrics whose invariants are constant.
+SV_TOL = 1e-4
+NOISE_FLOOR = 1e-2
 
 
 def structure_coefficients(prog: MetricProgram, z, U) -> np.ndarray:
@@ -36,18 +43,14 @@ def structure_coefficients(prog: MetricProgram, z, U) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _along_fields(fn, z, U, fields: np.ndarray) -> list:
-    """Central differences of fn(z, U) along each packed-real field column."""
-    return [along(fn, z, U, xm, NESTED_STEP * (1.0 + np.linalg.norm(xm)))
-            for xm in fields.T]
-
-
 def _tier(prog: MetricProgram, z, U, k: int) -> np.ndarray:
-    """All k-th derivatives of the structure coefficients along the fields."""
+    """All k-th derivatives of the structure coefficients along the fields,
+    field by field: block m is the derivative of tier k - 1 along field m."""
     if k == 0:
         return structure_coefficients(prog, z, U)
-    return np.concatenate(_along_fields(lambda z2, U2: _tier(prog, z2, U2, k - 1),
-                                        z, U, _real_field_matrix(prog, z, U)))
+    return np.concatenate([along(lambda z2, U2: _tier(prog, z2, U2, k - 1), z, U, xm,
+                                 NESTED_STEP * (1.0 + np.linalg.norm(xm)))
+                           for xm in _real_field_matrix(prog, z, U).T])
 
 
 @dataclass
@@ -80,28 +83,21 @@ class RegularityReport:
     rank: int | None
 
 
-def regularity(prog: MetricProgram, p: BundlePoint, alpha_max: int = 2,
-               sv_tol: float = 1e-4, noise_floor: float = 1e-2) -> RegularityReport:
+def regularity(prog: MetricProgram, p: BundlePoint, alpha_max: int = 2) -> RegularityReport:
     """Numerical rank of the invariant families along the parallelism,
-    with early stop at rank stabilization.
-
-    Singular values count when above sv_tol * sigma_max AND above the
-    absolute noise floor; the floor absorbs the finite-difference noise of
-    iterated derivative tiers, which would otherwise fabricate rank on
-    metrics whose invariants are constant.
-    """
+    with early stop at rank stabilization."""
     if alpha_max > 2:
         raise FinslerError("regularity order is limited to 2")
-    fields = _real_field_matrix(prog, p.z, p.U)
+    N = _real_field_matrix(prog, p.z, p.U).shape[1]
+    tiers: list = []  # tiers[k] = _tier(k + 1) at p, computed once when first needed
 
     def jac_rank(alpha: int) -> int:
-        def tiers(z, U):
-            return np.concatenate([_tier(prog, z, U, k) for k in range(alpha + 1)])
-
-        mat = np.array(_along_fields(tiers, p.z, p.U, fields))
-        sv = np.linalg.svd(mat, compute_uv=False)
-        cut = max(sv_tol * sv[0], noise_floor)
-        return int(np.sum(sv > cut))
+        # row m: the derivative of tiers 0..alpha along field m, which is the
+        # m-th block of tier k + 1 for each k
+        while len(tiers) <= alpha:
+            tiers.append(_tier(prog, p.z, p.U, len(tiers) + 1).reshape(N, -1))
+        sv = np.linalg.svd(np.hstack(tiers[:alpha + 1]), compute_uv=False)
+        return int(np.sum(sv > max(SV_TOL * sv[0], NOISE_FLOOR)))
 
     ranks = [jac_rank(0)]
     for alpha in range(1, alpha_max + 1):
@@ -117,9 +113,7 @@ def _haar_group_element(n: int, rng) -> np.ndarray:
     g = np.zeros((n, n), dtype=complex)
     g[0, 0] = np.exp(1j * rng.uniform(0, 2 * np.pi))
     if n > 1:
-        M = rng.standard_normal((n - 1, n - 1)) + 1j * rng.standard_normal((n - 1, n - 1))
-        Q, R = np.linalg.qr(M)
-        g[1:, 1:] = Q * (np.diag(R) / np.abs(np.diag(R)))
+        g[1:, 1:] = haar_unitary(n - 1, rng)
     return g
 
 
@@ -142,8 +136,6 @@ def compare(progA: MetricProgram, pA: BundlePoint,
     best = sigA.distance(sigB)
     best_g = None
     rng = np.random.default_rng(seed)
-    from .frame_bundle import group_act
-
     for _ in range(fiber_samples):
         g = _haar_group_element(progA.dim, rng)
         sigBg = signature(progB, group_act(pB, g), order)

@@ -14,6 +14,10 @@ import numpy as np
 
 from .metric_dsl import EvaluationError, FinslerError, MetricProgram
 
+HOMOGENEITY_SEED = 0  # seed of the six random directions of homogeneity_identities
+LEVI_TOL = 1e-10  # Levi eigenvalues above this are positive, below -LEVI_TOL negative
+HERMITIAN_TOL = 1e-8  # a cubic fiber form below this at every sample point is zero
+
 
 def bar(k: int) -> int:
     """Barred (conjugate) version of index k; involutive."""
@@ -123,7 +127,7 @@ def _nested(raw, xs) -> complex:
     return total
 
 
-def homogeneity_identities(prog: MetricProgram, z, v, directions=None, seed=0) -> dict:
+def homogeneity_identities(prog: MetricProgram, z, v) -> dict:
     """Residuals of the Euler/rotation identities satisfied by any metric
     with F(lambda v) = |lambda| F(v).
 
@@ -133,10 +137,8 @@ def homogeneity_identities(prog: MetricProgram, z, v, directions=None, seed=0) -
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     n = prog.dim
-    if directions is None:
-        rng = np.random.default_rng(seed)
-        directions = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                      for _ in range(6)]
+    rng = np.random.default_rng(HOMOGENEITY_SEED)
+    directions = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(6)]
     raw = {}
     jet = prog.jet_unchecked(z, v, 5, 0)
     for p in range(6):
@@ -209,7 +211,7 @@ class LeviReport:
     basis: np.ndarray  # columns span the maximal complex tangent distribution
 
 
-def levi_check(prog: MetricProgram, z, v, tol: float = 1e-10) -> LeviReport:
+def levi_check(prog: MetricProgram, z, v) -> LeviReport:
     """Eigenvalues of the Levi form of the indicatrix along its maximal
     complex tangent distribution at v/F(v)."""
     z = np.asarray(z, dtype=complex)
@@ -233,16 +235,16 @@ def levi_check(prog: MetricProgram, z, v, tol: float = 1e-10) -> LeviReport:
     gmix = jet.fiber_tensor(1, 1)
     levi = np.conj(basis).T @ gmix @ basis
     eig = np.linalg.eigvalsh(0.5 * (levi + np.conj(levi).T))
-    if np.min(eig) > tol:
+    if np.min(eig) > LEVI_TOL:
         verdict = "strongly-pseudoconvex"
-    elif np.min(np.abs(eig)) > tol:
+    elif np.min(np.abs(eig)) > LEVI_TOL:
         verdict = "non-degenerate"
     else:
         verdict = "degenerate"
     return LeviReport(eigenvalues=eig, verdict=verdict, basis=basis)
 
 
-def hermitian_test(prog: MetricProgram, points, tol: float = 1e-8):
+def hermitian_test(prog: MetricProgram, points):
     """True iff the cubic fiber form vanishes on all sample points.
 
     Returns (is_hermitian, witness); the witness is (z, v, indices, value)
@@ -260,7 +262,7 @@ def hermitian_test(prog: MetricProgram, points, tol: float = 1e-8):
             if abs(val) > worst[0]:
                 indices = tuple(idx[:p]) + tuple(bar(i) for i in idx[p:])
                 worst = (abs(val), (np.asarray(z), np.asarray(v), indices, complex(val)))
-    if worst[0] < tol:
+    if worst[0] < HERMITIAN_TOL:
         return True, None
     return False, worst[1]
 

@@ -15,8 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finsler_forms import levi_check
+from .finsler_forms import forms_at, levi_check
 from .metric_dsl import FinslerError, MetricProgram
+
+KERNEL_REL_TOL = 1e-6  # singular values below this * sigma_max span the tangency kernel
+PIVOT_TOL = 1e-8  # a Gram-Schmidt pivot below this skips its seed
+GROUP_TOL = 1e-10  # largest deviation of a group element from block-diagonal unitary
 
 
 class DegenerateMetricError(FinslerError):
@@ -113,8 +117,7 @@ def verify_tangent(prog: MetricProgram, p: BundlePoint, t: AmbientTangent) -> fl
     return float(np.max(np.abs(gram_derivative(prog, p.z, p.U, t.dz, t.dU))))
 
 
-def tangency_kernel_dimension(prog: MetricProgram, p: BundlePoint,
-                              rel_tol: float = 1e-6) -> int:
+def tangency_kernel_dimension(prog: MetricProgram, p: BundlePoint) -> int:
     """Real dimension of the kernel of the Gram-derivative map at p.
 
     Equals the dimension of the frame bundle, n^2 + 2n, when the metric is
@@ -131,7 +134,7 @@ def tangency_kernel_dimension(prog: MetricProgram, p: BundlePoint,
         cols.append(np.concatenate([gd.real.ravel(), gd.imag.ravel()]))
     mat = np.array(cols).T
     sv = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(sv > rel_tol * sv[0]))
+    rank = int(np.sum(sv > KERNEL_REL_TOL * sv[0]))
     return dim_amb - rank
 
 
@@ -177,9 +180,8 @@ def along(fn, z, U, x: np.ndarray, h: float):
 # frame construction and the structure group action
 # --------------------------------------------------------------------------
 
-def _retry_unitary(n: int) -> np.ndarray:
-    """Fixed generic unitary used once when the canonical seeds degenerate."""
-    rng = np.random.default_rng(20240817)
+def haar_unitary(n: int, rng) -> np.ndarray:
+    """Haar-random n x n unitary: QR of a complex Gaussian, phases fixed by diag(R)."""
     M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(M)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
@@ -200,7 +202,7 @@ def _orthonormalize(G: np.ndarray, cols, w: np.ndarray, tol: float):
     return w / np.sqrt(pivot)
 
 
-def adapted_frame(prog: MetricProgram, z, v, pivot_tol: float = 1e-8) -> BundlePoint:
+def adapted_frame(prog: MetricProgram, z, v) -> BundlePoint:
     """Deterministic adapted unitary frame with e_0 = v / F(v).
 
     Remaining columns come from projecting the canonical basis against the
@@ -220,13 +222,14 @@ def adapted_frame(prog: MetricProgram, z, v, pivot_tol: float = 1e-8) -> BundleP
     for attempt in range(2):
         seeds = [np.eye(n, dtype=complex)[:, k] for k in range(n)]
         if attempt == 1:
-            Q = _retry_unitary(n)
+            # a fixed generic unitary, used once when the canonical seeds degenerate
+            Q = haar_unitary(n, np.random.default_rng(20240817))
             seeds = [Q[:, k] for k in range(n)]
         cols = [e0]
         for seed in seeds:
             if len(cols) == n:
                 break
-            w = _orthonormalize(G, cols, seed.astype(complex), pivot_tol)
+            w = _orthonormalize(G, cols, seed.astype(complex), PIVOT_TOL)
             if w is None:
                 continue
             k = int(np.argmax(np.abs(w)))
@@ -258,7 +261,7 @@ def reproject_frame(prog: MetricProgram, z, U) -> BundlePoint:
     return BundlePoint(z=z.copy(), U=np.column_stack(cols))
 
 
-def group_act(p: BundlePoint, g: np.ndarray, tol: float = 1e-10) -> BundlePoint:
+def group_act(p: BundlePoint, g: np.ndarray) -> BundlePoint:
     """Right action of diag(e^{i phi}, B) with B in U_{n-1}."""
     g = np.asarray(g, dtype=complex)
     n = p.n
@@ -267,7 +270,7 @@ def group_act(p: BundlePoint, g: np.ndarray, tol: float = 1e-10) -> BundlePoint:
     dev = max(np.max(np.abs(np.conj(g).T @ g - np.eye(n))),
               np.max(np.abs(g[0, 1:])) if n > 1 else 0.0,
               np.max(np.abs(g[1:, 0])) if n > 1 else 0.0)
-    if dev > tol:
+    if dev > GROUP_TOL:
         raise FinslerError(f"group element is not block-diagonal unitary (deviation {dev:.2e})")
     return BundlePoint(z=p.z.copy(), U=p.U @ g)
 
@@ -278,26 +281,29 @@ def fundamental_field(p: BundlePoint, A: np.ndarray) -> AmbientTangent:
     return AmbientTangent(dz=np.zeros(p.n, dtype=complex), dU=p.U @ A)
 
 
+def vertical_relations_residual(oh, oa, C20, C21, C12) -> float:
+    """Max residual of the linear relations that cut out the vertical algebra,
+    for the holomorphic and antiholomorphic slots oh, oa of a generator
+    (oa = conj(oh) for a real one), with C20, C21, C12 the frame components
+    of the (2,0), (2,1) and (1,2) fiber forms."""
+    n = len(oh)
+    worst = abs(oh[0, 0] + oa[0, 0])
+    for lam in range(1, n):
+        r = oh[0, lam] + oa[lam, 0] + sum(C20[lam, nu] * oh[nu, 0] for nu in range(n))
+        worst = max(worst, abs(r))
+        for mu in range(1, n):
+            # cubic-form corrections from the motion of the fiber point
+            r = oh[lam, mu] + oa[mu, lam] \
+                + sum(C21[mu, nu, lam] * oh[nu, 0] for nu in range(n)) \
+                + sum(C12[mu, lam, nu] * oa[nu, 0] for nu in range(n))
+            worst = max(worst, abs(r))
+    return float(worst)
+
+
 def vertical_membership(prog: MetricProgram, p: BundlePoint, A: np.ndarray) -> float:
     """Max residual of the defining equations of the algebraic vertical
     subspace at p, for the candidate generator A."""
-    from .finsler_forms import forms_at
-
     A = np.asarray(A, dtype=complex)
-    n = p.n
     forms = forms_at(prog, p.z, p.e0, p.U, max_order=3)
-    hp = forms.h_pure
-    C21 = forms.comp[(2, 1)]
-    C12 = forms.comp[(1, 2)]
-    res = abs(A[0, 0] + np.conj(A[0, 0]))
-    for lam in range(1, n):
-        r = A[0, lam] + np.conj(A[lam, 0])
-        r += sum(A[g, 0] * hp[lam, g] for g in range(n))
-        res = max(res, abs(r))
-        for mu in range(1, n):
-            r = A[mu, lam] + np.conj(A[lam, mu])
-            # cubic-form corrections from the motion of the fiber point
-            r += sum(A[g, 0] * C21[lam, g, mu] for g in range(n))
-            r += sum(np.conj(A[g, 0]) * C12[lam, mu, g] for g in range(n))
-            res = max(res, abs(r))
-    return float(res)
+    return vertical_relations_residual(A, np.conj(A), forms.h_pure,
+                                       forms.comp[(2, 1)], forms.comp[(1, 2)])

@@ -18,6 +18,7 @@ from .finsler_forms import hermitian_test
 from .frame_bundle import (
     AmbientTangent,
     BundlePoint,
+    DegenerateMetricError,
     adapted_frame,
     complexify,
     gram_matrix,
@@ -26,11 +27,25 @@ from .frame_bundle import (
 from .metric_dsl import FinslerError, MetricProgram
 from .parallelism import (
     HSC_NORMALIZATION,
+    _Coframe,
     _complex_lift_derivative,
     _lift_derivative_of,
     extract_structure,
     field_tangent,
 )
+
+GRAM_TOL = 1e-6  # Gram drift above which an RK4 step is halved and retried
+# classify counts the geodesic torsion, the spread of the sampled holomorphic
+# sectional curvatures and their off-diagonal components as zero below these
+TORSION_TOL = 1e-5
+SPREAD_TOL = 1e-4
+OFF_DIAGONAL_TOL = 1e-5
+# Steps of the complex differences along a curve.  The curvature stencil
+# uses its own, larger step: it divides twice by the step and would
+# otherwise amplify the derivative roundoff.
+CURVE_STEP = 1e-5
+CURVATURE_STEP = 3e-3
+RESIDUAL_STRIDE = 10  # path samples between the points the residuals visit
 
 
 class IntegrationError(FinslerError):
@@ -63,8 +78,6 @@ def spray_coefficients(fd) -> np.ndarray:
     try:
         return np.linalg.solve(lhs, np.conj(tvec) - np.conj(H) @ tvec)
     except np.linalg.LinAlgError as exc:
-        from .frame_bundle import DegenerateMetricError
-
         raise DegenerateMetricError(
             "geodesic correction solve is singular (degenerate pairing)") from exc
 
@@ -100,7 +113,7 @@ class GeodesicPath:
 
 
 def integrate_geodesic(prog: MetricProgram, z0, v0, t_max: float, dt: float,
-                       domain=None, gram_tol: float = 1e-6) -> GeodesicPath:
+                       domain=None) -> GeodesicPath:
     """Classical 4th-order one-step integration of the geodesic field with
     per-step frame re-projection.  Time is arc length: the path leaves z0
     in direction v0/F(v0) at unit speed."""
@@ -133,7 +146,7 @@ def integrate_geodesic(prog: MetricProgram, z0, v0, t_max: float, dt: float,
             zn = z + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
             Un = U + h / 6 * (k1U + 2 * k2U + 2 * k3U + k4U)
             gram = float(np.linalg.norm(gram_matrix(prog, zn, Un) - np.eye(n)))
-            if gram <= gram_tol:
+            if gram <= GRAM_TOL:
                 break
             h *= 0.5
         else:
@@ -201,8 +214,7 @@ class ClassificationReport:
         }
 
 
-def classify(prog: MetricProgram, points, torsion_tol: float = 1e-5,
-             spread_tol: float = 1e-4, off_tol: float = 1e-5) -> ClassificationReport:
+def classify(prog: MetricProgram, points) -> ClassificationReport:
     """Pointwise classification from structure functions at sample points.
 
     ``points`` is a list of (z, v) pairs.  Curvature values are reported in
@@ -224,8 +236,8 @@ def classify(prog: MetricProgram, points, torsion_tol: float = 1e-5,
         for lam in range(1, n):
             max_off = max(max_off, abs(sf.R[lam, 0, 0, 0]), abs(sf.R[0, lam, 0, 0]))
     spread = float(np.max(hsc_vals) - np.min(hsc_vals)) if hsc_vals else 0.0
-    torsion_free = max_T < torsion_tol
-    constant = spread < spread_tol and max_off < off_tol
+    torsion_free = max_T < TORSION_TOL
+    constant = spread < SPREAD_TOL and max_off < OFF_DIAGONAL_TOL
     c = float(np.mean(hsc_vals)) if hsc_vals else None
     witnesses = {"hermitian_witness": None if witness is None else {
         "z": witness[0].tolist(), "v": witness[1].tolist(),
@@ -324,8 +336,7 @@ def e_manifold_closed_forms(prog: MetricProgram, p: BundlePoint, c: float) -> di
 # holomorphic curves as candidate complex geodesics
 # --------------------------------------------------------------------------
 
-def complex_geodesic_check(prog: MetricProgram, curve, samples,
-                           h: float = 1e-5, curvature_step: float = 3e-3) -> dict:
+def complex_geodesic_check(prog: MetricProgram, curve, samples) -> dict:
     """Totally-geodesic test of a holomorphic curve.
 
     ``curve`` maps a complex parameter w to chart coordinates; its
@@ -333,11 +344,9 @@ def complex_geodesic_check(prog: MetricProgram, curve, samples,
     adapted frame with first vector tangent to the curve is built, and the
     report collects the geodesic torsion components and the off-diagonal
     connection-form values along the curve section, together with the
-    Gaussian curvature of the induced metric.  The curvature stencil uses
-    its own, larger step: it divides twice by the step and would otherwise
-    amplify the derivative roundoff.
+    Gaussian curvature of the induced metric.
     """
-    from .parallelism import _Coframe
+    h = CURVE_STEP
 
     def deriv(w, hd=h):
         return (np.asarray(curve(w + hd)) - np.asarray(curve(w - hd))) / (2 * hd)
@@ -368,9 +377,9 @@ def complex_geodesic_check(prog: MetricProgram, curve, samples,
                 max_pi = max(max_pi, abs(wmat[lam, 0]), abs(wmat[0, lam]))
         # induced metric g(w) = F^2(curve(w), curve'(w)); its Gauss curvature
         def logg(wv):
-            return np.log(prog.eval(curve(wv), deriv(wv, curvature_step)))
+            return np.log(prog.eval(curve(wv), deriv(wv, CURVATURE_STEP)))
         # K = -(2/g) d_w d_wbar log g, with 4 d_w d_wbar = flat laplacian
-        hc = curvature_step
+        hc = CURVATURE_STEP
         lap = (logg(w + hc) + logg(w - hc) + logg(w + 1j * hc) + logg(w - 1j * hc)
                - 4 * logg(w)) / (hc * hc)
         g = prog.eval(z, v)
@@ -385,7 +394,7 @@ def complex_geodesic_check(prog: MetricProgram, curve, samples,
 
 
 def geodesic_condition_residuals(prog: MetricProgram, path: GeodesicPath,
-                                 gauge=None, stride: int = 10) -> dict:
+                                 gauge=None) -> dict:
     """Stationarity conditions evaluated along a lift of the integrated curve.
 
     Any constant structure-group element is a legitimate gauge: the first
@@ -393,12 +402,10 @@ def geodesic_condition_residuals(prog: MetricProgram, path: GeodesicPath,
     for one lift of a geodesic iff they vanish for all of them, which this
     evaluator lets the tests assert directly.
     """
-    from .parallelism import _Coframe
-
     n = prog.dim
     g = np.eye(n, dtype=complex) if gauge is None else np.asarray(gauge, dtype=complex)
     ts, zs, frames = path.ts, path.zs, path.frames
-    idx = range(1, len(ts) - 1, stride)
+    idx = range(1, len(ts) - 1, RESIDUAL_STRIDE)
     worst_A = 0.0
     worst_BC = 0.0
 
@@ -416,10 +423,9 @@ def geodesic_condition_residuals(prog: MetricProgram, path: GeodesicPath,
     for i in idx:
         fd, w, th, thb = cache[i]
         # d theta^0bar / dt by finite differences of neighbouring samples
-        if i - stride in cache and i + stride in cache:
-            tb_p = cache[i + stride][3][0]
-            tb_m = cache[i - stride][3][0]
-            dtb = (tb_p - tb_m) / (ts[i + stride] - ts[i - stride])
+        ip, im = i + RESIDUAL_STRIDE, i - RESIDUAL_STRIDE
+        if im in cache and ip in cache:
+            dtb = (cache[ip][3][0] - cache[im][3][0]) / (ts[ip] - ts[im])
         else:
             continue
         worst_A = max(worst_A, abs(w[0, 0] * thb[0] - dtb))

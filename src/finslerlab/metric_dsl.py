@@ -9,15 +9,17 @@ Grammar (whitespace insignificant)::
     func   := conj | re | im | abs2 | sqrt
     ident  := z1..zn | v1..vn
 
-A compiled program evaluates F^2 and its mixed Wirtinger jets, treating
-v, vbar, z, zbar as independent differentiation variables.  Two backends are
-available: forward-mode jet arithmetic on the expression tree (primary) and
-central finite differences (oracle).
+The parser compiles F^2 once into a postorder tape on which equal
+subexpressions share one entry.  A compiled program evaluates F^2 and its
+mixed Wirtinger jets, treating v, vbar, z, zbar as independent
+differentiation variables.  Two backends are available: forward-mode jet
+arithmetic on the tape (primary) and central finite differences (oracle).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,10 @@ import numpy as np
 from .jets import V, VBAR, Z, ZBAR, Jet, JetError, jet_space
 
 FUNCTIONS = ("conj", "re", "im", "abs2", "sqrt")
+# Parentheses, function calls and unary minus nested deeper than this are a
+# syntax error: the parser recurses once per level and must stay well inside
+# Python's recursion limit.
+MAX_NESTING = 100
 
 
 class FinslerError(Exception):
@@ -105,14 +111,21 @@ def _tokenize(src: str) -> list[Token]:
     return tokens
 
 
-# expression nodes: tuples ('num', value) | ('var', kind, index) |
-# ('+'|'-'|'*'|'/', a, b) | ('neg', a) | ('pow', a, int) | (func, a)
+# tape entries: ('num', value) | ('var', kind, index) | ('neg', a) |
+# ('+'|'-'|'*'|'/', a, b) | ('pow', a, int) | (func, a), where a and b are
+# indices of earlier entries
 
 class _Parser:
     def __init__(self, tokens: list[Token], dim: int):
         self.tokens = tokens
         self.pos = 0
         self.dim = dim
+        self.depth = 0
+        self.tape: dict[tuple, int] = {}  # entry -> its index, in tape order
+
+    def emit(self, *entry) -> int:
+        """Index of the tape entry (op, *args), appended if it is new."""
+        return self.tape.setdefault(entry, len(self.tape))
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -128,28 +141,28 @@ class _Parser:
             raise MetricSyntaxError(f"expected {text!r}, found {t.text or 'end of input'!r}",
                                     t.line, t.column)
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> tuple:
+        self.expr()
         t = self.peek()
         if t.kind != "end":
             raise MetricSyntaxError(f"unexpected trailing input {t.text!r}", t.line, t.column)
-        return node
+        return tuple(self.tape)
 
-    def expr(self):
+    def expr(self) -> int:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.next().text
-            node = (op, node, self.term())
+            node = self.emit(op, node, self.term())
         return node
 
-    def term(self):
+    def term(self) -> int:
         node = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next().text
-            node = (op, node, self.factor())
+            node = self.emit(op, node, self.factor())
         return node
 
-    def factor(self):
+    def factor(self) -> int:
         node = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             t = self.next()
@@ -157,37 +170,39 @@ class _Parser:
             if e.kind != "num" or not e.text.isdigit():
                 raise MetricSyntaxError("exponent must be an unsigned integer",
                                         e.line if e.kind != "end" else t.line, e.column)
-            node = ("pow", node, int(e.text))
+            node = self.emit("pow", node, int(e.text))
         return node
 
-    def atom(self):
+    def atom(self) -> int:
         t = self.next()
         if t.kind == "num":
-            return ("num", float(t.text))
-        if t.kind == "op" and t.text == "-":
-            return ("neg", self.atom())
-        if t.kind == "op" and t.text == "(":
+            return self.emit("num", float(t.text))
+        if t.kind == "ident" and t.text not in FUNCTIONS:
+            name, k = t.text, t.text[1:]
+            if name[:1] not in ("z", "v") or not k.isdigit():
+                raise MetricSyntaxError(f"unknown identifier {name!r}", t.line, t.column)
+            if not 1 <= int(k) <= self.dim:
+                raise MetricSyntaxError(f"variable {name!r} exceeds chart dimension {self.dim}",
+                                        t.line, t.column)
+            return self.emit("var", Z if name[0] == "z" else V, int(k) - 1)
+        if t.kind != "ident" and not (t.kind == "op" and t.text in "-("):
+            raise MetricSyntaxError(f"unexpected token {t.text or 'end of input'!r}",
+                                    t.line, t.column)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise MetricSyntaxError(f"expression nested deeper than {MAX_NESTING} levels",
+                                    t.line, t.column)
+        if t.text == "-":
+            node = self.emit("neg", self.atom())
+        elif t.text == "(":
             node = self.expr()
             self.expect_op(")")
-            return node
-        if t.kind == "ident":
-            name = t.text
-            if name in FUNCTIONS:
-                self.expect_op("(")
-                node = self.expr()
-                self.expect_op(")")
-                return (name, node)
-            if name[:1] in ("z", "v") and name[1:].isdigit():
-                k = int(name[1:])
-                if not 1 <= k <= self.dim:
-                    raise MetricSyntaxError(
-                        f"variable {name!r} exceeds chart dimension {self.dim}",
-                        t.line, t.column)
-                kind = Z if name[0] == "z" else V
-                return ("var", kind, k - 1)
-            raise MetricSyntaxError(f"unknown identifier {name!r}", t.line, t.column)
-        raise MetricSyntaxError(f"unexpected token {t.text or 'end of input'!r}",
-                                t.line, t.column)
+        else:
+            self.expect_op("(")
+            node = self.emit(t.text, self.expr())
+            self.expect_op(")")
+        self.depth -= 1
+        return node
 
 
 # --------------------------------------------------------------------------
@@ -218,6 +233,27 @@ class MetricSource:
         return MetricSource(dim, lines[1].split("=", 1)[1].strip())
 
 
+def _divide(a, b):
+    if b == 0:
+        raise EvaluationError("division by zero (pole of the metric expression)")
+    return a / b
+
+
+def _sqrt(a):
+    if a == 0:
+        raise EvaluationError("sqrt at a zero of its argument (non-smooth point)")
+    return complex(np.sqrt(a))
+
+
+# what each non-leaf op does to complex scalars; jets share the operators
+_SCALAR_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": _divide, "pow": operator.pow, "conj": np.conj,
+               "re": lambda a: complex(a.real), "im": lambda a: complex(a.imag),
+               "abs2": lambda a: a * np.conj(a), "sqrt": _sqrt}
+_JET_OPS = {**_SCALAR_OPS, "/": operator.truediv, "pow": Jet.pow_int, "conj": Jet.conj,
+            "re": Jet.real, "im": Jet.imag, "abs2": Jet.abs2, "sqrt": Jet.sqrt}
+
+
 class MetricProgram:
     """Compiled chart metric: evaluates F^2 and its mixed Wirtinger jets.
 
@@ -229,55 +265,39 @@ class MetricProgram:
     MAX_BASE_ORDER = 1
     MEMO_LIMIT = 4096
 
-    def __init__(self, source: MetricSource, root):
+    def __init__(self, source: MetricSource, tape: tuple):
         self.source = source
         self.dim = source.dim
-        self._root = root
+        self._tape = tape
         self._cache: dict = {}
 
-    # -- scalar evaluation ----------------------------------------------------
+    def _run(self, ops: dict, leaf):
+        """Value of F^2: leaf(entry) for 'num' and 'var' entries, ops[op] of
+        the operand values for the others, in tape order."""
+        vals = []
+        for entry in self._tape:
+            op = entry[0]
+            if op == "num" or op == "var":
+                vals.append(leaf(entry))
+            elif op == "pow":
+                vals.append(ops[op](vals[entry[1]], entry[2]))
+            elif len(entry) == 3:
+                vals.append(ops[op](vals[entry[1]], vals[entry[2]]))
+            else:
+                vals.append(ops[op](vals[entry[1]]))
+        return vals[-1]
 
-    def _eval_node(self, node, z, v):
-        op = node[0]
-        if op == "num":
-            return complex(node[1])
-        if op == "var":
-            return complex(v[node[2]] if node[1] == V else z[node[2]])
-        if op == "neg":
-            return -self._eval_node(node[1], z, v)
-        if op == "+":
-            return self._eval_node(node[1], z, v) + self._eval_node(node[2], z, v)
-        if op == "-":
-            return self._eval_node(node[1], z, v) - self._eval_node(node[2], z, v)
-        if op == "*":
-            return self._eval_node(node[1], z, v) * self._eval_node(node[2], z, v)
-        if op == "/":
-            den = self._eval_node(node[2], z, v)
-            if den == 0:
-                raise EvaluationError("division by zero (pole of the metric expression)")
-            return self._eval_node(node[1], z, v) / den
-        if op == "pow":
-            return self._eval_node(node[1], z, v) ** node[2]
-        a = self._eval_node(node[1], z, v)
-        if op == "conj":
-            return np.conj(a)
-        if op == "re":
-            return complex(a.real)
-        if op == "im":
-            return complex(a.imag)
-        if op == "abs2":
-            return a * np.conj(a)
-        if op == "sqrt":
-            if a == 0:
-                raise EvaluationError("sqrt at a zero of its argument (non-smooth point)")
-            return complex(np.sqrt(a))
-        raise AssertionError(op)
+    # -- scalar evaluation ----------------------------------------------------
 
     def eval_complex(self, z, v) -> complex:
         """F^2 as evaluated, before the reality check."""
         z = np.asarray(z, dtype=complex)
         v = np.asarray(v, dtype=complex)
-        val = self._eval_node(self._root, z, v)
+
+        def leaf(entry):  # ('num', x) or ('var', kind, k)
+            return complex(entry[1] if entry[0] == "num" else (v if entry[1] == V else z)[entry[2]])
+
+        val = self._run(_SCALAR_OPS, leaf)
         if not np.isfinite(val):
             raise EvaluationError("metric expression evaluated to a non-finite value")
         return val
@@ -311,24 +331,6 @@ class MetricProgram:
             self._cache[key] = hit
         return hit
 
-    def _eval_jet_node(self, node, zj, vj, space):
-        op = node[0]
-        if op == "num":
-            return space.const(node[1])
-        if op == "var":
-            return vj[node[2]] if node[1] == V else zj[node[2]]
-        if op == "neg":
-            return -self._eval_jet_node(node[1], zj, vj, space)
-        if op in "+-*/":
-            a = self._eval_jet_node(node[1], zj, vj, space)
-            b = self._eval_jet_node(node[2], zj, vj, space)
-            return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__, "/": a.__truediv__}[op](b)
-        if op == "pow":
-            return self._eval_jet_node(node[1], zj, vj, space).pow_int(node[2])
-        a = self._eval_jet_node(node[1], zj, vj, space)
-        return {"conj": a.conj, "re": a.real, "im": a.imag,
-                "abs2": a.abs2, "sqrt": a.sqrt}[op]()
-
     def jet_unchecked(self, z, v, fiber_order: int, base_order: int) -> Jet:
         """Jet table without the public order cap (internal use)."""
         z = np.asarray(z, dtype=complex)
@@ -339,10 +341,14 @@ class MetricProgram:
 
         def build():
             space = jet_space(self.dim, fiber_order, base_order)
-            zj = [space.variable(Z, k, z[k]) for k in range(self.dim)]
-            vj = [space.variable(V, k, v[k]) for k in range(self.dim)]
+
+            def leaf(entry):  # ('num', x) or ('var', kind, k)
+                if entry[0] == "num":
+                    return space.const(entry[1])
+                return space.variable(*entry[1:], (v if entry[1] == V else z)[entry[2]])
+
             try:
-                out = self._eval_jet_node(self._root, zj, vj, space)
+                out = self._run(_JET_OPS, leaf)
             except JetError as exc:
                 raise EvaluationError(str(exc)) from exc
             if not np.all(np.isfinite(out.c)):
@@ -374,20 +380,15 @@ class MetricProgram:
         ``richardson`` the step-h and step-h/2 estimates are combined to
         cancel the leading truncation term.
         """
-        if richardson:
-            f_h = self.fd_derivative(z, v, v_idx, vbar_idx, z_idx, zbar_idx,
-                                     step=step, richardson=False)
-            order = len(v_idx) + len(vbar_idx) + len(z_idx) + len(zbar_idx)
-            if step is None:
-                step = {0: 1e-5, 1: 1e-5, 2: 1e-4, 3: 2e-3, 4: 6e-3}.get(order, 6e-3)
-            f_h2 = self.fd_derivative(z, v, v_idx, vbar_idx, z_idx, zbar_idx,
-                                      step=step / 2, richardson=False)
-            return (4.0 * f_h2 - f_h) / 3.0
-        z = np.asarray(z, dtype=complex)
-        v = np.asarray(v, dtype=complex)
         order = len(v_idx) + len(vbar_idx) + len(z_idx) + len(zbar_idx)
         if step is None:
             step = {0: 1e-5, 1: 1e-5, 2: 1e-4, 3: 2e-3, 4: 6e-3}.get(order, 6e-3)
+        if richardson:
+            f_h = self.fd_derivative(z, v, v_idx, vbar_idx, z_idx, zbar_idx, step)
+            f_h2 = self.fd_derivative(z, v, v_idx, vbar_idx, z_idx, zbar_idx, step / 2)
+            return (4.0 * f_h2 - f_h) / 3.0
+        z = np.asarray(z, dtype=complex)
+        v = np.asarray(v, dtype=complex)
         # absolute steps fixed from the base point, so halving the step
         # rescales the whole stencil exactly (Richardson needs this)
         hv = [step * max(1.0, abs(x)) for x in v]
@@ -419,9 +420,8 @@ def parse_metric(src: MetricSource) -> MetricProgram:
     """Compile a metric source into an evaluator; deterministic."""
     if src.dim < 1:
         raise MetricSyntaxError("dim must be a positive integer", 1, 1)
-    tokens = _tokenize(src.f2_expr)
-    root = _Parser(tokens, src.dim).parse()
-    return MetricProgram(src, root)
+    tape = _Parser(_tokenize(src.f2_expr), src.dim).parse()
+    return MetricProgram(src, tape)
 
 
 def load_metric(path) -> MetricProgram:

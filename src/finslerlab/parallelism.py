@@ -32,10 +32,16 @@ from .frame_bundle import (
     pack_real,
     unpack_real,
     verify_tangent,
+    vertical_relations_residual,
 )
 from .metric_dsl import FinslerError, MetricProgram
 
 HSC_NORMALIZATION = 2.0  # reported curvature = raw bracket coefficient * this
+# largest Gram derivative along a parallelism field, and along a bracket
+# relative to its norm, that still counts as tangent to the bundle
+FIELD_TANGENCY_TOL = 1e-6
+BRACKET_TANGENCY_TOL = 1e-5
+DECOMPOSITION_TOL = 1e-5  # largest relative residual of a bracket decomposition
 
 
 def _unit(n: int, r: int, c: int) -> np.ndarray:
@@ -222,14 +228,13 @@ class ParallelismBasis:
     max_tangency: float
 
 
-def parallelism_at(prog: MetricProgram, p: BundlePoint,
-                   tangency_tol: float = 1e-6) -> ParallelismBasis:
+def parallelism_at(prog: MetricProgram, p: BundlePoint) -> ParallelismBasis:
     """Assemble the parallelism at p, with tangency and independence checks."""
     fd = frame_data(prog, p.z, p.U)
     labs = labels_real(prog.dim)
     tangents = {lab: field_tangent(fd, lab) for lab in labs}
     worst = max(verify_tangent(prog, p, t) for t in tangents.values())
-    if worst > tangency_tol:
+    if worst > FIELD_TANGENCY_TOL:
         raise FinslerError(
             f"parallelism field fails tangency ({worst:.2e}); jets inaccurate "
             "or the point is not an adapted frame")
@@ -267,7 +272,7 @@ def _bracket_table(prog: MetricProgram, p: BundlePoint) -> tuple[np.ndarray, np.
 
 
 def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
-                p: BundlePoint, tangency_tol: float = 1e-5) -> AmbientTangent:
+                p: BundlePoint) -> AmbientTangent:
     """Numerical Lie bracket of two parallelism fields at p."""
     labs = labels_real(prog.dim)
     vals, br = _bracket_table(prog, p)
@@ -276,7 +281,7 @@ def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
     t = AmbientTangent(dz, dU)
     res = verify_tangent(prog, p, t)
     scale = max(1.0, t.norm())
-    if res > tangency_tol * scale:
+    if res > BRACKET_TANGENCY_TOL * scale:
         raise FinslerError(f"bracket is not tangent to the bundle ({res:.2e})")
     return t
 
@@ -310,8 +315,7 @@ class StructureFunctions:
         return HSC_NORMALIZATION * self.R_raw
 
 
-def extract_structure(prog: MetricProgram, p: BundlePoint,
-                      residual_tol: float = 1e-5) -> StructureFunctions:
+def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions:
     """Decompose all parallelism brackets and read off the structure functions."""
     n = prog.dim
     m = n - 1
@@ -335,7 +339,7 @@ def extract_structure(prog: MetricProgram, p: BundlePoint,
     resid = brc - np.einsum("abi,di->abd", coeff, basis)
     scale = np.maximum(1.0, np.linalg.norm(brc, axis=2))
     worst = float(np.max(np.linalg.norm(resid, axis=2) / scale))
-    if worst > residual_tol:
+    if worst > DECOMPOSITION_TOL:
         raise FinslerError(f"bracket decomposition residual {worst:.2e} exceeds tolerance")
 
     def C(*lab):
@@ -778,26 +782,11 @@ def _pi_phi_forms(prog, p, fd, TH, THb, W):
 def _vertical_subspace_residual(fd, basis, cf) -> float:
     """Residual of the linear relations cutting out the vertical algebra,
     evaluated on every parallelism field."""
-    n = fd.n
-    C20 = fd.C(2, 0)
-    C21 = fd.C(2, 1)
-    C12 = fd.C(1, 2)
-    worst = 0.0
-    for i in range(basis.shape[1]):
-        oh, oa = cf.omega(basis[:, i])
-        # on real fields omega_a = conj(omega_h); on complex combinations the
-        # antiholomorphic slot realizes the conjugate-form values
-        worst = max(worst, abs(oh[0, 0] + oa[0, 0]))
-        for lam in range(1, n):
-            r = oh[0, lam] + oa[lam, 0] + sum(C20[lam, nu] * oh[nu, 0]
-                                              for nu in range(n))
-            worst = max(worst, abs(r))
-            for mu in range(1, n):
-                r = oh[lam, mu] + oa[mu, lam] \
-                    + sum(C21[mu, nu, lam] * oh[nu, 0] for nu in range(n)) \
-                    + sum(C12[mu, lam, nu] * oa[nu, 0] for nu in range(n))
-                worst = max(worst, abs(r))
-    return float(worst)
+    C20, C21, C12 = fd.C(2, 0), fd.C(2, 1), fd.C(1, 2)
+    # on real fields omega_a = conj(omega_h); on complex combinations the
+    # antiholomorphic slot realizes the conjugate-form values
+    return max((vertical_relations_residual(*cf.omega(basis[:, i]), C20, C21, C12)
+                for i in range(basis.shape[1])), default=0.0)
 
 
 # --------------------------------------------------------------------------

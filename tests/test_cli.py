@@ -100,7 +100,19 @@ def test_connection_and_tensors(tmp_path, capsys):
     t = load(out2)["points"][0]
     h = np.array(t["h_mixed"])  # [[re, im] entries]
     assert h[0, 0, 0] == pytest.approx(1.0)
+    # a metric file whose F2 is a flat sum of 1,200 terms
+    long_fm = tmp_path / "long.fm"
+    long_fm.write_text(long_metric_file(0))
+    assert run(["tensors", "--metric", str(long_fm), "--at", "z=0.1;v=1",
+                "--json", str(out2)]) == 0
+    t = load(out2)["points"][0]
+    assert t["frame"][0][0][0] == pytest.approx(1 / np.sqrt(1200))
     capsys.readouterr()
+
+
+def long_metric_file(depth: int) -> str:
+    """dim = 1 and F2 = 1,200 abs2(v1) terms in `depth` parentheses."""
+    return f"dim = 1\nF2 = {'(' * depth}{' + '.join(['abs2(v1)'] * 1200)}{')' * depth}\n"
 
 
 def test_geodesic_csv_svg(tmp_path, capsys):
@@ -186,6 +198,15 @@ def test_numerical_failure_exit_3(capsys):
     code = run(["check", "--metric", "no_such_metric"])
     assert code == 3
     capsys.readouterr()
+
+
+def test_deeply_nested_metric_file_exit_3(tmp_path, capsys):
+    deep_fm = tmp_path / "deep.fm"
+    deep_fm.write_text(long_metric_file(400))
+    assert run(["tensors", "--metric", str(deep_fm), "--at", "z=0.1;v=1"]) == 3
+    err = capsys.readouterr().err
+    assert json.loads(err)["type"] == "MetricSyntaxError"
+    assert "Traceback" not in err
 
 
 def test_threads_env_does_not_change_results(tmp_path, capsys, monkeypatch):

@@ -173,3 +173,52 @@ def test_fd_backend_conjugation_symmetry(progs):
     a = prog.fd_derivative(z, v, v_idx=(0,), vbar_idx=(1,))
     b = prog.fd_derivative(z, v, v_idx=(1,), vbar_idx=(0,))
     assert abs(a - np.conj(b)) < 1e-10
+
+
+def test_long_flat_sum_evaluates():
+    # a flat sum is a left-leaning tree 1,200 deep; evaluation must not recurse
+    prog = parse_metric(MetricSource(1, " + ".join(["abs2(v1)"] * 1200)))
+    v = 0.6 - 0.3j
+    assert prog.eval([0.1], [v]) == pytest.approx(1200 * abs(v) ** 2, rel=1e-12)
+    jet = prog.jet([0.1], [v], 4, 1)
+    assert np.all(np.isfinite(jet.c))
+    assert jet.derivative(v=(0,), vbar=(0,)) == pytest.approx(1200.0)
+
+
+def test_repeated_subexpression_evaluated_once(monkeypatch):
+    from finslerlab.jets import JetSpace
+
+    calls = []
+    mul = JetSpace.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(JetSpace, "mul", counted)
+    prog = parse_metric(MetricSource(1, "abs2(v1) + abs2(v1)"))
+    for k, v in enumerate((1.0, 0.5 + 0.2j, -0.3j)):
+        jet = prog.jet([0.2], [v], 2, 0)
+        assert len(calls) == k + 1  # one product per evaluation, for abs2
+    assert jet.value == pytest.approx(2 * 0.09)
+
+
+def test_nesting_cap():
+    from finslerlab.metric_dsl import MAX_NESTING
+
+    def parens(depth):
+        return "(" * depth + "v1" + ")" * depth
+
+    def calls(depth):
+        return "re(" * depth + "v1" + ")" * depth
+
+    for src in (parens(MAX_NESTING), "-" * MAX_NESTING + "v1", calls(MAX_NESTING)):
+        assert parse_metric(MetricSource(1, src)).eval([0], [0.5]) == 0.5
+    # the offending token opens level MAX_NESTING + 1
+    for src, column in ((parens(MAX_NESTING + 1), MAX_NESTING + 1),
+                        (parens(400), MAX_NESTING + 1),
+                        ("-" * 400 + "v1", MAX_NESTING + 1),
+                        (calls(400), 3 * MAX_NESTING + 1)):
+        with pytest.raises(MetricSyntaxError, match="nested deeper") as err:
+            parse_metric(MetricSource(1, src))
+        assert (err.value.line, err.value.column) == (1, column)
