@@ -94,20 +94,28 @@ def _parse_point(text: str) -> tuple[np.ndarray, np.ndarray]:
     return z, v
 
 
-def _point_in_dim(point, dim: int, option: str):
-    """The point of ``option``; a wrong component count is a usage error."""
+def _point_of(point, prog, entry, option: str):
+    """The point of ``option``: a wrong component count is a usage error, a
+    base point outside the domain of a catalog metric a domain failure."""
     z, v = point
-    if len(z) != dim or len(v) != dim:
+    if len(z) != prog.dim or len(v) != prog.dim:
         raise argparse.ArgumentTypeError(
-            f"{option} must give z and v with {dim} components each")
+            f"{option} must give z and v with {prog.dim} components each")
+    if entry is not None and not entry.domain(z):
+        raise FinslerError(f"{option} base point lies outside the domain of {entry.id}")
     return z, v
 
 
-def _positive_int(text: str) -> int:
-    val = int(text)
-    if val <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
-    return val
+def _int_in(lo: int, hi: float = math.inf):
+    """Argument type: an integer in [lo, hi]."""
+
+    def parse(text: str) -> int:
+        val = int(text)
+        if not lo <= val <= hi:
+            raise argparse.ArgumentTypeError(f"must be an integer in [{lo}, {hi}]: {text!r}")
+        return val
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -144,7 +152,7 @@ def _attach_point_values(argv: list[str]) -> list[str]:
 
 def _points(prog, entry, args):
     if args.at:
-        return [_point_in_dim(args.at, prog.dim, "--at")]
+        return [_point_of(args.at, prog, entry, "--at")]
     return sample_points(prog, entry, args.samples, args.seed)
 
 
@@ -373,8 +381,8 @@ def _write_svg(path: str, zs: np.ndarray):
 def cmd_compare(args) -> int:
     progA, entryA = resolve_metric(args.metric_a)
     progB, entryB = resolve_metric(args.metric_b)
-    zA, vA = _point_in_dim(args.at_a, progA.dim, "--at-a")
-    zB, vB = _point_in_dim(args.at_b, progB.dim, "--at-b")
+    zA, vA = _point_of(args.at_a, progA, entryA, "--at-a")
+    zB, vB = _point_of(args.at_b, progB, entryB, "--at-b")
     pA = adapted_frame(progA, zA, vA)
     pB = adapted_frame(progB, zB, vB)
     rep = compare_signatures(progA, pA, progB, pB, order=args.order,
@@ -397,9 +405,9 @@ def cmd_compare(args) -> int:
 def _common(sub):
     sub.add_argument("--metric", required=True, help="catalog id or metric file")
     sub.add_argument("--at", type=_parse_point, help='point, e.g. "z=0.3+0i,0;v=1,0"')
-    sub.add_argument("--samples", type=_positive_int, default=10)
+    sub.add_argument("--samples", type=_int_in(1), default=10)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=1.0,
+    sub.add_argument("--tol", type=_positive_float, default=1.0,
                      help="tolerance scale factor (check) or threshold (compare)")
     sub.add_argument("--json", help="write the JSON report to this path")
 
@@ -452,10 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--metric-b", required=True)
     s.add_argument("--at-a", required=True, type=_parse_point)
     s.add_argument("--at-b", required=True, type=_parse_point)
-    s.add_argument("--order", type=int, default=0)
-    s.add_argument("--fiber-samples", type=int, default=0)
+    s.add_argument("--order", type=_int_in(0, 2), default=0)
+    s.add_argument("--fiber-samples", type=_int_in(0), default=0)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--tol", type=float, default=1e-3)
+    s.add_argument("--tol", type=_positive_float, default=1e-3)
     s.add_argument("--json")
     s.set_defaults(fn=cmd_compare)
     return ap

@@ -15,7 +15,7 @@ import numpy as np
 
 from .frame_bundle import NESTED_STEP, BundlePoint, along, group_act, haar_unitary
 from .metric_dsl import FinslerError, MetricProgram
-from .parallelism import _bracket_table, _real_field_matrix
+from .parallelism import _bracket_table, _real_field_matrix, labels_real
 
 # Singular values count toward a regularity rank when above SV_TOL * sigma_max
 # and above the absolute NOISE_FLOOR; the floor absorbs the finite-difference
@@ -53,6 +53,12 @@ def _tier(prog: MetricProgram, z, U, k: int) -> np.ndarray:
                            for xm in _real_field_matrix(prog, z, U).T])
 
 
+def _base_tier(prog: MetricProgram, p: BundlePoint, k: int) -> np.ndarray:
+    """_tier at a bundle point, computed once per program for signature and
+    regularity alike."""
+    return prog.memo(("tier", k, p.key()), lambda: _tier(prog, p.z, p.U, k))
+
+
 @dataclass
 class Signature:
     order: int
@@ -70,7 +76,7 @@ def signature(prog: MetricProgram, p: BundlePoint, order: int = 0) -> Signature:
     """Invariant signature at a bundle point up to the given derivative order."""
     if order > 2:
         raise FinslerError("signature derivative order is limited to 2")
-    tiers = [_tier(prog, p.z, p.U, k) for k in range(order + 1)]
+    tiers = [_base_tier(prog, p, k) for k in range(order + 1)]
     return Signature(order=order, dim=prog.dim, tiers=tiers,
                      vector=np.concatenate(tiers))
 
@@ -88,14 +94,14 @@ def regularity(prog: MetricProgram, p: BundlePoint, alpha_max: int = 2) -> Regul
     with early stop at rank stabilization."""
     if alpha_max > 2:
         raise FinslerError("regularity order is limited to 2")
-    N = _real_field_matrix(prog, p.z, p.U).shape[1]
+    N = len(labels_real(prog.dim))
     tiers: list = []  # tiers[k] = _tier(k + 1) at p, computed once when first needed
 
     def jac_rank(alpha: int) -> int:
         # row m: the derivative of tiers 0..alpha along field m, which is the
         # m-th block of tier k + 1 for each k
         while len(tiers) <= alpha:
-            tiers.append(_tier(prog, p.z, p.U, len(tiers) + 1).reshape(N, -1))
+            tiers.append(_base_tier(prog, p, len(tiers) + 1).reshape(N, -1))
         sv = np.linalg.svd(np.hstack(tiers[:alpha + 1]), compute_uv=False)
         return int(np.sum(sv > max(SV_TOL * sv[0], NOISE_FLOOR)))
 

@@ -29,9 +29,10 @@ from .parallelism import (
     HSC_NORMALIZATION,
     _Coframe,
     _complex_lift_derivative,
+    _field_stack,
+    _first_lift,
     _lift_derivative_of,
     extract_structure,
-    field_tangent,
 )
 
 GRAM_TOL = 1e-6  # Gram drift above which an RK4 step is halved and retried
@@ -87,13 +88,15 @@ def geodesic_spray(prog: MetricProgram, p: BundlePoint) -> AmbientTangent:
     vertical correction solving the energy-stationarity conditions."""
     fd = frame_data(prog, p.z, p.U)
     n = prog.dim
-    G = field_tangent(fd, ("f", 0))
+    G = _first_lift(fd)
     a = spray_coefficients(fd)
-    for lam in range(1, n):
-        if a[lam - 1] == 0:
-            continue
-        G = G + field_tangent(fd, ("e", 2 * lam)).scale(float(a[lam - 1].real))
-        G = G + field_tangent(fd, ("e", 2 * lam + 1)).scale(float(a[lam - 1].imag))
+    corrected = [lam for lam in range(1, n) if a[lam - 1] != 0]
+    if corrected:
+        _, dz, dU = _field_stack(fd)
+    for lam in corrected:
+        j = 2 * n + 2 * lam - 2  # the vertical pair e_{2 lam}, e_{2 lam + 1}
+        G = G + AmbientTangent(dz[j], dU[j]).scale(float(a[lam - 1].real))
+        G = G + AmbientTangent(dz[j + 1], dU[j + 1]).scale(float(a[lam - 1].imag))
     return G
 
 

@@ -87,9 +87,7 @@ class JetSpace:
         self._m2 = np.asarray(i2, dtype=np.intp)
         self._mo = np.asarray(iout, dtype=np.intp)
         self._sparse = len(iout) >= SPARSE_MIN_PAIRS
-        # (nonzero pattern of a, of b) -> the table's pairs that both cover;
-        # an entry depends on its key alone, so threads racing on a miss can
-        # at worst build it twice
+        # (nonzero pattern of a, of b) -> the table's pairs that both cover
         self._pairs: dict = {}
 
         # conjugation permutation: swap v<->vbar and z<->zbar blocks

@@ -2,10 +2,13 @@
 
 The parallelism consists of the 2n horizontal lifts, the 2(n-1) Webster-type
 vertical fields, the fiber rotation generator and a fixed skew-Hermitian
-basis of the block algebra acting on e_1..e_{n-1}.  Lie brackets are
-computed numerically from finite-difference Jacobians of the fields in
-ambient coordinates; their components in the parallelism basis are the
-structure functions, the complete local isometry invariants.
+basis of the block algebra acting on e_1..e_{n-1}.  All of them, and the
+complexified basis, are built in one place, ``_field_stack``: each field is
+U @ G for a generator G of one stack, formed with one matmul (the geodesic
+spray reads f_0 alone through ``_first_lift``, with the same arithmetic).
+Lie brackets are computed numerically from finite-difference Jacobians of
+the fields in ambient coordinates; their components in the parallelism
+basis are the structure functions, the complete local isometry invariants.
 
 Convention anchor: curvature components are extracted raw from brackets and
 additionally reported in the holomorphic-sectional-curvature normalization
@@ -17,7 +20,7 @@ normalization factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from .frame_bundle import (
     AmbientTangent,
     BundlePoint,
     along,
-    complexify,
     pack_real,
     unpack_real,
     verify_tangent,
@@ -52,14 +54,10 @@ def _unit(n: int, r: int, c: int) -> np.ndarray:
 
 def u_block_basis(n: int) -> list[np.ndarray]:
     """Fixed basis of the skew-Hermitian algebra on the e_1..e_{n-1} block."""
-    mats = [1j * _unit(n, lam, lam) for lam in range(1, n)]
-    for lam in range(1, n):
-        for mu in range(lam + 1, n):
-            mats.append(_unit(n, lam, mu) - _unit(n, mu, lam))
-    for lam in range(1, n):
-        for mu in range(lam + 1, n):
-            mats.append(1j * (_unit(n, lam, mu) + _unit(n, mu, lam)))
-    return mats
+    pairs = [(lam, mu) for lam in range(1, n) for mu in range(lam + 1, n)]
+    return ([1j * _unit(n, lam, lam) for lam in range(1, n)]
+            + [_unit(n, lam, mu) - _unit(n, mu, lam) for lam, mu in pairs]
+            + [1j * (_unit(n, lam, mu) + _unit(n, mu, lam)) for lam, mu in pairs])
 
 
 def labels_real(n: int) -> list[tuple]:
@@ -84,133 +82,146 @@ def labels_complex(n: int) -> list[tuple]:
 # the parallelism fields
 # --------------------------------------------------------------------------
 
-def _vertical_BC(fd: FrameData, lam: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generator pair of the Webster-type vertical field for index lam.
+@cache
+def _stack_layout(n: int):
+    """Per-n constants of the generator stack of _field_stack.
 
-    B carries the metric-dependent corrections (pure quadratic and cubic
-    form coefficients); C is the constant conjugate part.
-    """
-    n = fd.n
-    C20 = fd.C(2, 0)
-    C21 = fd.C(2, 1)
-    B = _unit(n, lam, 0)
-    for mu in range(1, n):
-        B[0, mu] -= C20[mu, lam]
-        for nu in range(1, n):
-            B[nu, mu] -= C21[mu, lam, nu]
-    C = -_unit(n, 0, lam)
-    return B, C
+    Slots 0..N-1 (N = n^2 + 2n) generate the real fields of labels_real:
+    E_g w_g (w_g = 1, i) for the lifts f_{2g}, f_{2g+1}; B + C and i(B - C)
+    for e_{2 lam}, e_{2 lam + 1}; T; the u-block basis.  Then come E_g,
+    B_lam, C_lam and the units E_{rho sig} of the complexified basis; B_lam
+    is E_{lam 0} less the pure quadratic and cubic form corrections, and
+    C_lam = -E_{0 lam}.  Returns the stack with its constant slots filled
+    (B_lam with its unit), the frame components w of the 2n lifts, and the
+    (slot, column) pairs of the complexified basis: its dU part from the
+    holomorphic pairs, its dUbar part conjugates of the antiholomorphic
+    ones, the last m^2 of those negated."""
+    m = n - 1
+    N = n * n + 2 * n
+    E0, B0, C0, V0 = N, N + n, N + n + m, N + n + 2 * m  # first slot of each family
+    t = 2 * n + 2 * m
+    a, lam, rs = np.arange(n), np.arange(m), np.arange(m * m)
+
+    def stacked(mats):
+        return np.array(mats, dtype=complex).reshape(-1, n, n)
+
+    stack = np.zeros((V0 + m * m, n, n), dtype=complex)
+    stack[t] = 1j * _unit(n, 0, 0)
+    stack[t + 1:N] = stacked(u_block_basis(n))
+    stack[B0:C0] = stacked([_unit(n, k, 0) for k in range(1, n)])
+    stack[C0:V0] = stacked([-_unit(n, 0, k) for k in range(1, n)])
+    stack[V0:] = stacked([_unit(n, r, s) for r in range(1, n) for s in range(1, n)])
+    w = np.zeros((2 * n, n, 1), dtype=complex)
+    w[2 * a, a] = 1.0
+    w[2 * a + 1, a] = 1j
+    sr = rs % m * m + rs // m  # offset of E_{sig rho} for the offset rs of E_{rho sig}
+    cols = np.r_[2 * n + lam, t - m + lam, t, t + 1 + rs]
+    hol = (np.r_[E0 + a, B0 + lam, C0 + lam, t, V0 + rs], np.r_[a, cols])
+    anti = (np.r_[E0 + a, C0 + lam, B0 + lam, t, V0 + sr], np.r_[n + a, cols])
+    stack.flags.writeable = w.flags.writeable = False
+    return stack, w, hol, anti
 
 
-def field_tangent(fd: FrameData, label: tuple) -> AmbientTangent:
-    """Value of one parallelism field at the point of fd (any ambient point)."""
-    n = fd.n
-    U = fd.U
-    kind = label[0]
-    if kind == "f":
-        i = label[1]
-        gam, odd = divmod(i, 2)
-        w = np.zeros(n, dtype=complex)
-        w[gam] = 1j if odd else 1.0
-        return AmbientTangent(U @ w, U @ (fd.E[:, :, gam] * w[gam]))
-    if kind == "e":
-        a = label[1]
-        lam, odd = divmod(a, 2)
-        B, C = _vertical_BC(fd, lam)
-        A = 1j * (B - C) if odd else B + C
-        return AmbientTangent(np.zeros(n, dtype=complex), U @ A)
-    if kind == "t":
-        return AmbientTangent(np.zeros(n, dtype=complex), U @ (1j * _unit(n, 0, 0)))
-    if kind == "u":
-        A = u_block_basis(n)[label[1]]
-        return AmbientTangent(np.zeros(n, dtype=complex), U @ A)
-    raise FinslerError(f"unknown field label {label!r}")
+_PHASES = np.array([1.0, 1j])[:, None, None]  # w_g of the lifts f_{2g}, f_{2g + 1}
+
+
+def _field_stack(fd: FrameData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parallelism fields at the point of fd, all built here.
+
+    Returns (G, dz, P): the generator stack G, dz, and the products
+    P = U @ G, formed in one matmul.  Real field j of labels_real is the
+    ambient tangent (dz[j], P[j]); the slots after those feed
+    _complex_fields."""
+    n, m = fd.n, fd.n - 1
+    N = n * n + 2 * n
+    stack, w, _, _ = _stack_layout(n)
+    G = stack.copy()
+    E = fd.E.transpose(2, 0, 1)  # E[g] = E_g
+    np.multiply(E[:, None], _PHASES, out=G[:2 * n].reshape(n, 2, n, n))
+    G[N:N + n] = E
+    if m:
+        corr = np.zeros((m, n, n), dtype=complex)
+        corr[:, 0, 1:] = fd.C(2, 0)[1:, 1:].T
+        corr[:, 1:, 1:] = fd.C(2, 1)[1:, 1:, 1:].transpose(1, 2, 0)
+        B = G[N + n:N + n + m] - corr
+        C = G[N + n + m:N + n + 2 * m]
+        G[2 * n:2 * n + 2 * m:2] = B + C
+        G[2 * n + 1:2 * n + 2 * m:2] = 1j * (B - C)
+        G[N + n:N + n + m] = B
+    dz = np.zeros((N, n), dtype=complex)
+    # U w as matrix-vector products: a matrix product can differ in the sign
+    # of a zero, which the least-squares solves downstream propagate
+    np.matmul(fd.U, w, out=dz[:2 * n, :, None])
+    return G, dz, np.matmul(fd.U, G)
+
+
+def _first_lift(fd: FrameData) -> AmbientTangent:
+    """The real field f_0 alone, as _field_stack builds it: all the geodesic
+    spray needs where its vertical correction vanishes, always at n = 1."""
+    w = _stack_layout(fd.n)[1][0]
+    return AmbientTangent(np.matmul(fd.U, w)[:, 0],
+                          np.matmul(fd.U, fd.E[:, :, 0] * _PHASES[0]))
+
+
+def _packed(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
+    """The fields (dz[j], dU[j]) as packed-real columns (pack_real of each),
+    laid out as the transpose of the fields stacked as rows."""
+    flat = dU[:len(dz)].reshape(len(dz), -1)
+    return np.hstack([dz.real, dz.imag, flat.real, flat.imag]).T
 
 
 def _real_field_matrix(prog: MetricProgram, z, U) -> np.ndarray:
     """All parallelism fields at (z, U), packed as real columns."""
-    fd = frame_data(prog, z, U)
-    cols = [pack_real(field_tangent(fd, lab)) for lab in labels_real(prog.dim)]
-    return np.array(cols).T
+    return _packed(*_field_stack(frame_data(prog, z, U))[1:])
 
 
-def _complex_basis(fd: FrameData) -> np.ndarray:
-    """Columns: complexified basis fields in the order of labels_complex."""
+def _complex_fields(fd: FrameData) -> np.ndarray:
+    """Columns: complexified basis fields (dz, dzbar, dU, dUbar) in the order
+    of labels_complex."""
     n = fd.n
-    U = fd.U
-    Ub = np.conj(U)
-    zc = np.zeros(n, dtype=complex)
-    zU = np.zeros((n, n), dtype=complex)
-
-    def stack(dzh, dza, dUh, dUa):
-        return np.concatenate([dzh, dza, dUh.ravel(), dUa.ravel()])
-
-    cols = []
-    for a in range(n):
-        M = fd.E[:, :, a]
-        cols.append(stack(U[:, a], zc, U @ M, zU))
-    for a in range(n):
-        M = fd.E[:, :, a]
-        cols.append(stack(zc, Ub[:, a], zU, np.conj(U @ M)))
-    BCs = [_vertical_BC(fd, lam) for lam in range(1, n)]
-    for B, C in BCs:
-        cols.append(stack(zc, zc, U @ B, np.conj(U @ C)))
-    for B, C in BCs:
-        cols.append(stack(zc, zc, U @ C, np.conj(U @ B)))
-    T = 1j * _unit(n, 0, 0)
-    cols.append(stack(zc, zc, U @ T, np.conj(U @ T)))
-    for rho in range(1, n):
-        for sig in range(1, n):
-            cols.append(stack(zc, zc, U @ _unit(n, rho, sig),
-                              -np.conj(U @ _unit(n, sig, rho))))
-    return np.array(cols).T
+    N = n * n + 2 * n
+    _, _, P = _field_stack(fd)
+    _, _, (hs, hc), (as_, ac) = _stack_layout(n)
+    D = 2 * n + n * n  # first row of the dUbar part
+    rows = np.zeros((N, D + n * n), dtype=complex)
+    rows[:n, :n] = fd.U.T
+    rows[n:2 * n, n:2 * n] = np.conj(fd.U).T
+    rows[hc, 2 * n:D] = P[hs].reshape(N - n, n * n)
+    anti = np.conj(P[as_]).reshape(N - n, n * n)
+    k = N - n - (n - 1) ** 2  # the block units, whose dUbar part is -conj(U E_{sig rho})
+    anti[k:] = -anti[k:]
+    rows[ac, D:] = anti
+    return rows.T
 
 
+@cache
 def _complex_combination_matrix(n: int) -> np.ndarray:
     """K with complex_field_i = sum_j K[i, j] * real_field_j (constant)."""
-    rl = labels_real(n)
-    cl = labels_complex(n)
-    pos = {lab: j for j, lab in enumerate(rl)}
     m = n - 1
-    K = np.zeros((len(cl), len(rl)), dtype=complex)
-    # indices of the u-basis families
-    diag = {lam: pos[("u", lam - 1)] for lam in range(1, n)}
-    skew, isym = {}, {}
-    k = m
-    for lam in range(1, n):
-        for mu in range(lam + 1, n):
-            skew[(lam, mu)] = pos[("u", k)]
-            k += 1
-    for lam in range(1, n):
-        for mu in range(lam + 1, n):
-            isym[(lam, mu)] = pos[("u", k)]
-            k += 1
-    for i, lab in enumerate(cl):
-        kind = lab[0]
-        if kind == "eh":
-            K[i, pos[("f", 2 * lab[1])]] = 0.5
-            K[i, pos[("f", 2 * lab[1] + 1)]] = -0.5j
-        elif kind == "ehb":
-            K[i, pos[("f", 2 * lab[1])]] = 0.5
-            K[i, pos[("f", 2 * lab[1] + 1)]] = 0.5j
-        elif kind == "ev":
-            K[i, pos[("e", 2 * lab[1])]] = 0.5
-            K[i, pos[("e", 2 * lab[1] + 1)]] = -0.5j
-        elif kind == "evb":
-            K[i, pos[("e", 2 * lab[1])]] = 0.5
-            K[i, pos[("e", 2 * lab[1] + 1)]] = 0.5j
-        elif kind == "t":
-            K[i, pos[("t",)]] = 1.0
-        elif kind == "V":
-            rho, sig = lab[1], lab[2]
-            if rho == sig:
-                K[i, diag[rho]] = -1j
-            elif rho < sig:
-                K[i, skew[(rho, sig)]] = 0.5
-                K[i, isym[(rho, sig)]] = -0.5j
-            else:
-                K[i, skew[(sig, rho)]] = -0.5
-                K[i, isym[(sig, rho)]] = -0.5j
+    N = n * n + 2 * n
+    t = 2 * n + 2 * m
+    K = np.zeros((N, N), dtype=complex)
+    # pair j: the real fields 2j, 2j + 1 (lifts f, then vertical e) give the
+    # rows eh_j, ehb_j for j < n, else ev_lam, evb_lam with lam = j - n + 1
+    j = np.arange(n + m)
+    hol = j + n * (j >= n)
+    anti = hol + np.where(j < n, n, m)
+    K[hol, 2 * j] = K[anti, 2 * j] = 0.5
+    K[hol, 2 * j + 1] = -0.5j
+    K[anti, 2 * j + 1] = 0.5j
+    K[t, t] = 1.0
+    # V(rho, sig) in the u-block basis: i E_rr, then for r < s the families
+    # E_rs - E_sr and i (E_rs + E_sr), in the order of u_block_basis
+    d = np.arange(m)
+    r, s = np.triu_indices(m, 1)
+    skew = t + 1 + m + np.arange(len(r))
+    isym = skew + len(r)
+    K[t + 1 + d * m + d, t + 1 + d] = -1j
+    K[t + 1 + r * m + s, skew] = 0.5
+    K[t + 1 + r * m + s, isym] = -0.5j
+    K[t + 1 + s * m + r, skew] = -0.5
+    K[t + 1 + s * m + r, isym] = -0.5j
+    K.flags.writeable = False
     return K
 
 
@@ -230,15 +241,15 @@ class ParallelismBasis:
 
 def parallelism_at(prog: MetricProgram, p: BundlePoint) -> ParallelismBasis:
     """Assemble the parallelism at p, with tangency and independence checks."""
-    fd = frame_data(prog, p.z, p.U)
+    _, dz, dU = _field_stack(frame_data(prog, p.z, p.U))
     labs = labels_real(prog.dim)
-    tangents = {lab: field_tangent(fd, lab) for lab in labs}
+    tangents = {lab: AmbientTangent(dz[j], dU[j]) for j, lab in enumerate(labs)}
     worst = max(verify_tangent(prog, p, t) for t in tangents.values())
     if worst > FIELD_TANGENCY_TOL:
         raise FinslerError(
             f"parallelism field fails tangency ({worst:.2e}); jets inaccurate "
             "or the point is not an adapted frame")
-    mat = np.array([pack_real(tangents[lab]) for lab in labs]).T
+    mat = _packed(dz, dU)
     sv = np.linalg.svd(mat, compute_uv=False)
     return ParallelismBasis(point=p, labels=labs, tangents=tangents, matrix=mat,
                             min_singular_ratio=float(sv[-1] / sv[0]),
@@ -275,10 +286,9 @@ def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
                 p: BundlePoint) -> AmbientTangent:
     """Numerical Lie bracket of two parallelism fields at p."""
     labs = labels_real(prog.dim)
-    vals, br = _bracket_table(prog, p)
+    _, br = _bracket_table(prog, p)
     a, b = labs.index(tuple(label_x)), labs.index(tuple(label_y))
-    dz, dU = unpack_real(br[a, b], prog.dim)
-    t = AmbientTangent(dz, dU)
+    t = AmbientTangent(*unpack_real(br[a, b], prog.dim))
     res = verify_tangent(prog, p, t)
     scale = max(1.0, t.norm())
     if res > BRACKET_TANGENCY_TOL * scale:
@@ -315,24 +325,32 @@ class StructureFunctions:
         return HSC_NORMALIZATION * self.R_raw
 
 
+def _sup(*arrays) -> float:
+    """Largest modulus of the entries of the arrays; 0 when there are none."""
+    return float(np.max(np.abs(np.concatenate([a.ravel() for a in arrays])), initial=0.0))
+
+
+def _complex_brackets(prog: MetricProgram, p: BundlePoint) -> np.ndarray:
+    """Brackets of the complexified basis fields at p, [x, y] stacked as
+    (dz, dzbar, dU, dUbar): complex-bilinear combinations of the real ones."""
+    n = prog.dim
+    K = _complex_combination_matrix(n)
+    _, br = _bracket_table(prog, p)
+    D = 2 * n + n * n  # packed real: dz.real, dz.imag, dU.real, dU.imag
+    dz = br[..., :n] + 1j * br[..., n:2 * n]
+    dU = br[..., 2 * n:D] + 1j * br[..., D:]
+    return np.einsum("ax,by,xyd->abd", K, K,
+                     np.concatenate([dz, np.conj(dz), dU, np.conj(dU)], axis=-1))
+
+
 def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions:
     """Decompose all parallelism brackets and read off the structure functions."""
     n = prog.dim
     m = n - 1
     fd = frame_data(prog, p.z, p.U)
-    vals, br = _bracket_table(prog, p)
-    K = _complex_combination_matrix(n)
-    cl = labels_complex(n)
-    cpos = {lab: i for i, lab in enumerate(cl)}
-    basis = _complex_basis(fd)
-    N = len(cl)
-
-    # complexified real brackets, then complex-bilinear combinations
-    br_complexified = np.empty(br.shape[:2] + (basis.shape[0],), dtype=complex)
-    for a in range(br.shape[0]):
-        for b in range(br.shape[1]):
-            br_complexified[a, b] = complexify(*unpack_real(br[a, b], n))
-    brc = np.einsum("ax,by,xyd->abd", K, K, br_complexified)
+    basis = _complex_fields(fd)
+    N = basis.shape[1]
+    brc = _complex_brackets(prog, p)
 
     sol, *_ = np.linalg.lstsq(basis, brc.reshape(N * N, -1).T, rcond=None)
     coeff = sol.T.reshape(N, N, N)  # coeff[a, b, i]: bracket (a,b) on basis i
@@ -342,96 +360,51 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     if worst > DECOMPOSITION_TOL:
         raise FinslerError(f"bracket decomposition residual {worst:.2e} exceeds tolerance")
 
-    def C(*lab):
-        return coeff[cpos[lab[0]], cpos[lab[1]]]
-
+    # the basis in the order of labels_complex: eh, ehb, ev, evb, t, V
+    t = 2 * n + 2 * m
+    eh, ehb, ev, evb, V = (slice(0, n), slice(n, 2 * n), slice(2 * n, t - m),
+                           slice(t - m, t), slice(t + 1, N))
+    d = np.arange(m)
     checks = {}
 
     # torsion from holomorphic-holomorphic brackets
-    T = np.zeros((n, n, n), dtype=complex)
-    horiz_purity = 0.0
-    for b in range(n):
-        for g in range(n):
-            c = C(("eh", b), ("eh", g))
-            for a in range(n):
-                T[a, b, g] = -c[cpos[("eh", a)]]
-            other = np.delete(c, [cpos[("eh", a2)] for a2 in range(n)])
-            horiz_purity = max(horiz_purity, float(np.max(np.abs(other), initial=0.0)))
-    checks["holomorphic_bracket_purity"] = horiz_purity
-    checks["torsion_vs_connection"] = float(np.max(np.abs(T - fd.torsion)))
+    c = coeff[eh, eh]  # c[b, g, i]
+    T = -np.ascontiguousarray(c[:, :, eh].transpose(2, 0, 1))
+    checks["holomorphic_bracket_purity"] = _sup(c[:, :, n:])
+    checks["torsion_vs_connection"] = _sup(T - fd.torsion)
 
     # curvature from mixed horizontal brackets
+    c = coeff[eh, ehb]
     R = np.zeros((n, n, n, n), dtype=complex)
-    mixed_purity = 0.0
-    for b in range(n):
-        for g in range(n):
-            c = C(("eh", b), ("ehb", g))
-            R[0, 0, b, g] = c[cpos[("t",)]] / 1j
-            for lam in range(1, n):
-                R[lam, 0, b, g] = -c[cpos[("ev", lam)]]
-                R[0, lam, b, g] = c[cpos[("evb", lam)]]
-                for sig in range(1, n):
-                    R[lam, sig, b, g] = -c[cpos[("V", lam, sig)]]
-            mixed_purity = max(mixed_purity, float(np.max(np.abs(
-                [c[cpos[("eh", a)]] for a in range(n)]
-                + [c[cpos[("ehb", a)]] for a in range(n)]), initial=0.0)))
-    checks["mixed_bracket_purity"] = mixed_purity
+    R[0, 0] = c[:, :, t] / 1j
+    R[1:, 0] = -c[:, :, ev].transpose(2, 0, 1)
+    R[0, 1:] = c[:, :, evb].transpose(2, 0, 1)
+    R[1:, 1:] = -c[:, :, V].reshape(n, n, m, m).transpose(2, 3, 0, 1)
+    checks["mixed_bracket_purity"] = _sup(c[:, :, :2 * n])
 
-    # rotation generator relations
-    rot = 0.0
-    for b in range(n):
-        c = C(("t",), ("eh", b))
-        expect = np.zeros(N, dtype=complex)
-        if b == 0:
-            expect[cpos[("eh", 0)]] = 1j
-        rot = max(rot, float(np.max(np.abs(c - expect))))
-    checks["rotation_horizontal"] = rot
+    # rotation generator relations: [t, e_0-hat] = i e_0-hat, [t, e_lam-hat] = 0
+    expect = np.zeros((n, N), dtype=complex)
+    expect[0, 0] = 1j
+    checks["rotation_horizontal"] = _sup(coeff[t, eh] - expect)
 
     # vertical algebra: Q from mixed vertical brackets
-    Q = np.zeros((m, m, m, m), dtype=complex)
-    vert_zero = 0.0
-    vert_t = 0.0
-    for mu in range(1, n):
-        for nu in range(1, n):
-            vert_zero = max(vert_zero, float(np.max(np.abs(C(("ev", mu), ("ev", nu))),
-                                                    initial=0.0)))
-            c = C(("ev", mu), ("evb", nu))
-            vert_t = max(vert_t, abs(c[cpos[("t",)]] + 1j * (mu == nu)))
-            for rho in range(1, n):
-                for sig in range(1, n):
-                    Q[rho - 1, sig - 1, mu - 1, nu - 1] = (
-                        c[cpos[("V", rho, sig)]] + (rho == mu) * (sig == nu))
-    checks["vertical_holomorphic_brackets"] = vert_zero
-    checks["vertical_mixed_t_coefficient"] = vert_t
+    c = coeff[ev, evb]  # c[mu, nu, i]
+    checks["vertical_holomorphic_brackets"] = _sup(coeff[ev, ev])
+    checks["vertical_mixed_t_coefficient"] = _sup(c[:, :, t] + 1j * np.eye(m))
+    Q = np.ascontiguousarray(c[:, :, V].reshape(m, m, m, m).transpose(2, 3, 0, 1)
+                             + np.eye(m * m).reshape(m, m, m, m))
 
-    q0 = 0.0
-    for nu in range(1, n):
-        c = C(("t",), ("ev", nu))
-        expect = np.zeros(N, dtype=complex)
-        expect[cpos[("ev", nu)]] = -1j
-        q0 = max(q0, float(np.max(np.abs(c - expect))))
-    checks["rotation_vertical"] = q0  # includes Q^rho_{sig 0 nu} = 0
+    expect = np.zeros((m, N), dtype=complex)
+    expect[d, 2 * n + d] = -1j
+    checks["rotation_vertical"] = _sup(coeff[t, ev] - expect)  # includes Q^rho_{sig 0 nu} = 0
 
     # mixed vertical-horizontal brackets: P families
-    P_h = np.zeros((m, m, n), dtype=complex)
-    P_H = np.zeros((m, m, m, n), dtype=complex)
-    p_zero = 0.0
-    for rho in range(1, n):
-        for g in range(n):
-            c = C(("evb", rho), ("eh", g))
-            # leading horizontal part: -delta_{rho g} e0_hat
-            expect_h = np.zeros(n, dtype=complex)
-            if rho == g:
-                expect_h[0] = -1.0
-            p_zero = max(p_zero, float(np.max(np.abs(
-                [c[cpos[("eh", a)]] - expect_h[a] for a in range(n)]))))
-            p_zero = max(p_zero, abs(c[cpos[("t",)]]))
-            for nu in range(1, n):
-                P_h[nu - 1, rho - 1, g] = c[cpos[("ev", nu)]]
-                p_zero = max(p_zero, abs(c[cpos[("evb", nu)]]))
-                for sig in range(1, n):
-                    P_H[nu - 1, sig - 1, rho - 1, g] = c[cpos[("V", nu, sig)]]
-    checks["vanishing_P_families"] = p_zero
+    c = coeff[evb, eh]  # c[rho, g, i]
+    expect = np.zeros((m, n, n), dtype=complex)
+    expect[d, d + 1, 0] = -1.0  # leading horizontal part: -delta_{rho g} e0_hat
+    checks["vanishing_P_families"] = _sup(c[:, :, eh] - expect, c[:, :, t], c[:, :, evb])
+    P_h = np.ascontiguousarray(c[:, :, ev].transpose(2, 0, 1))
+    P_H = np.ascontiguousarray(c[:, :, V].reshape(m, n, m, m).transpose(2, 3, 0, 1))
 
     C20 = fd.C(2, 0)
     C21 = fd.C(2, 1)
@@ -441,7 +414,7 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
         residual=worst, checks=checks,
     )
     # record the embedding of the complex block basis in the real fields
-    sf.u_embedding = K[[cpos[("V", r, s)] for r in range(1, n) for s in range(1, n)], :]
+    sf.u_embedding = _complex_combination_matrix(n)[N - m * m:].copy()
     return sf
 
 
@@ -515,11 +488,9 @@ def _complex_lift_derivative(prog: MetricProgram, p: BundlePoint, g: int,
                              pq: tuple[int, int], conj_dir: bool = False):
     """Derivative of a frame form along the holomorphic lift e_g-hat
     (or its conjugate), as a complex combination of real derivatives."""
-    fd = frame_data(prog, p.z, p.U)
-    t0 = field_tangent(fd, ("f", 2 * g))
-    t1 = field_tangent(fd, ("f", 2 * g + 1))
-    d0 = form_derivative(prog, p.z, p.U, t0.dz, t0.dU, pq)
-    d1 = form_derivative(prog, p.z, p.U, t1.dz, t1.dU, pq)
+    _, dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+    d0 = form_derivative(prog, p.z, p.U, dz[2 * g], dU[2 * g], pq)
+    d1 = form_derivative(prog, p.z, p.U, dz[2 * g + 1], dU[2 * g + 1], pq)
     return 0.5 * (d0 + 1j * d1) if conj_dir else 0.5 * (d0 - 1j * d1)
 
 
@@ -534,19 +505,13 @@ def closed_form_P(prog: MetricProgram, p: BundlePoint):
     assert agreement on a non-Hermitian metric with base dependence.
     """
     n = prog.dim
-    m = n - 1
     # lift_g(conj f) = conj(conj-lift_g(f))
     d20c = np.array([np.conj(_complex_lift_derivative(prog, p, g, (2, 0), conj_dir=True))
-                     for g in range(n)])
-    d12 = np.array([_complex_lift_derivative(prog, p, g, (1, 2)) for g in range(n)])
-    P_h = np.zeros((m, m, n), dtype=complex)
-    P_H = np.zeros((m, m, m, n), dtype=complex)
-    for nu in range(1, n):
-        for rho in range(1, n):
-            for g in range(n):
-                P_h[nu - 1, rho - 1, g] = -d20c[g][nu, rho]
-                for sig in range(1, n):
-                    P_H[nu - 1, sig - 1, rho - 1, g] = -d12[g][sig, nu, rho]
+                     for g in range(n)])  # [g, nu, rho]
+    d12 = np.array([_complex_lift_derivative(prog, p, g, (1, 2))
+                    for g in range(n)])  # [g, sig, nu, rho]
+    P_h = -np.ascontiguousarray(d20c[:, 1:, 1:].transpose(1, 2, 0))
+    P_H = -np.ascontiguousarray(d12[:, 1:, 1:, 1:].transpose(2, 1, 3, 0))
     return P_h, P_H
 
 
@@ -569,14 +534,9 @@ class _Coframe:
         self.Uinv = np.linalg.inv(fd.U)
         self.Ubinv = np.conj(self.Uinv)
         self.M = fd.E  # M[:, :, g]
-        C21 = fd.C(2, 1)
         # varpi correction entries: corr[a, b, lam] multiplies omega[lam, 0]
-        n = self.n
-        corr = np.zeros((n, n, n), dtype=complex)
-        for a in range(1, n):
-            for b in range(1, n):
-                corr[a, b, :] = C21[b, :, a]
-        self.corr = corr
+        self.corr = np.zeros((self.n,) * 3, dtype=complex)
+        self.corr[1:, 1:] = fd.C(2, 1)[1:, :, 1:].transpose(2, 0, 1)
 
     def theta(self, X: np.ndarray):
         dzh, dza, _, _ = _split_stack(X, self.n)
@@ -595,12 +555,9 @@ class _Coframe:
         oh, oa = self.omega(X)
         n = self.n
         w = np.zeros((n, n), dtype=complex)
-        w[0, 0] = oh[0, 0]
-        for lam in range(1, n):
-            w[lam, 0] = oh[lam, 0]
-            w[0, lam] = -oa[lam, 0]
-        if n > 1:
-            w[1:, 1:] = oh[1:, 1:] + np.einsum("abl,l->ab", self.corr[1:, 1:, :], oh[:, 0])
+        w[:, 0] = oh[:, 0]
+        w[0, 1:] = -oa[1:, 0]
+        w[1:, 1:] = oh[1:, 1:] + np.einsum("abl,l->ab", self.corr[1:, 1:, :], oh[:, 0])
         return w
 
 
@@ -608,16 +565,13 @@ def _form_tables(prog: MetricProgram, z, U):
     """theta / varpi values of every complexified basis field at (z, U)."""
     fd = frame_data(prog, z, U)
     cf = _Coframe(fd)
-    basis = _complex_basis(fd)
+    basis = _complex_fields(fd)
     N = basis.shape[1]
     n = fd.n
-    TH = np.zeros((n, N), dtype=complex)
-    THb = np.zeros((n, N), dtype=complex)
+    TH, THb = np.zeros((2, n, N), dtype=complex)
     W = np.zeros((n, n, N), dtype=complex)
     for i in range(N):
-        th, tb = cf.theta(basis[:, i])
-        TH[:, i] = th
-        THb[:, i] = tb
+        TH[:, i], THb[:, i] = cf.theta(basis[:, i])
         W[:, :, i] = cf.varpi(basis[:, i])
     return fd, cf, basis, TH, THb, W
 
@@ -637,9 +591,9 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     n = prog.dim
     sf = extract_structure(prog, p)
     fd0, cf0, basis0, TH0, THb0, W0 = _form_tables(prog, p.z, p.U)
-    N = len(labels_complex(n))
+    N = basis0.shape[1]
     K = _complex_combination_matrix(n)
-    vals, br = _bracket_table(prog, p)
+    vals, _ = _bracket_table(prog, p)
 
     def tables(z, U):
         # theta values in row 0, varpi values below
@@ -657,9 +611,7 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     dW_c = np.einsum("xm,mabi->xabi", K, dW_r)
 
     # complex brackets and their form values at p
-    brc = np.einsum("xm,yk,mkd->xyd", K, K,
-                    np.stack([[complexify(*unpack_real(br[a, b], n))
-                               for b in range(br.shape[1])] for a in range(br.shape[0])]))
+    brc = _complex_brackets(prog, p)
     TH_br = np.zeros((n, N, N), dtype=complex)
     W_br = np.zeros((n, n, N, N), dtype=complex)
     for x in range(N):
@@ -681,13 +633,11 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     C21 = fd0.C(2, 1)
     theta_wedge = wedge(TH0, TH0)      # theta^b ^ theta^g
     Theta = 0.5 * np.einsum("abg,bgij->aij", sf.T, theta_wedge)
-    Sigma = np.zeros((n, N, N), dtype=complex)
-    if n > 1:
-        # H_{abar mu lam} = C21[mu, lam, a]; contraction over mu, lam >= 1
-        w_lam0 = W0[1:, 0, :]          # varpi[lam, 0] values
-        sw = np.einsum("li,mj->lmij", w_lam0, TH0[1:, :]) \
-            - np.einsum("lj,mi->lmij", w_lam0, TH0[1:, :])
-        Sigma = np.einsum("mla,lmij->aij", C21[1:, 1:, :], sw)
+    # H_{abar mu lam} = C21[mu, lam, a]; contraction over mu, lam >= 1
+    w_lam0 = W0[1:, 0, :]              # varpi[lam, 0] values
+    sw = np.einsum("li,mj->lmij", w_lam0, TH0[1:, :]) \
+        - np.einsum("lj,mi->lmij", w_lam0, TH0[1:, :])
+    Sigma = np.einsum("mla,lmij->aij", C21[1:, 1:, :], sw)
     lhs533 = dTH + _wedge_matrix_vector(W0, TH0)
     eq533 = float(np.max(np.abs(lhs533 - Theta - Sigma)))
 
@@ -698,9 +648,8 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     lhsW = dW + _wedge_matrix_matrix(W0)
     resW = lhsW - Omega - Pi - Phi
     eq534 = float(np.max(np.abs(resW[0, 0])))
-    eq535 = float(np.max(np.abs(resW[1:, 0]))) if n > 1 else 0.0
-    eq535 = max(eq535, float(np.max(np.abs(resW[0, 1:]))) if n > 1 else 0.0)
-    eq536 = float(np.max(np.abs(resW[1:, 1:]))) if n > 1 else 0.0
+    eq535 = _sup(resW[1:, 0], resW[0, 1:])
+    eq536 = _sup(resW[1:, 1:])
 
     # omega skew-symmetry of the curvature 2-form family
     skew = float(np.max(np.abs(sf.R_raw - np.conj(np.transpose(sf.R_raw, (1, 0, 3, 2))))))
@@ -709,8 +658,8 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     eq529 = _vertical_subspace_residual(fd0, basis0, cf0)
 
     C20 = fd0.C(2, 0)
-    sigma0 = float(np.max(np.abs(C20[1:, 1:]))) if n > 1 else 0.0
-    sigma = float(np.max(np.abs(C21[1:, 1:, :]))) if n > 1 else 0.0
+    sigma0 = _sup(C20[1:, 1:])
+    sigma = _sup(C21[1:, 1:, :])
     return {
         "eq529": eq529,
         "eq533": eq533,
@@ -797,10 +746,10 @@ def _lift_derivative_of(prog: MetricProgram, p: BundlePoint, func):
     """Derivatives of a matrix-valued point function along the 2n horizontal
     lifts; returns (holomorphic, antiholomorphic) arrays with leading index g."""
     n = prog.dim
-    fd = frame_data(prog, p.z, p.U)
+    _, dz, dU = _field_stack(frame_data(prog, p.z, p.U))
     d_real = []
     for i in range(2 * n):
-        t = field_tangent(fd, ("f", i))
+        t = AmbientTangent(dz[i], dU[i])
         # t.norm(), not the norm of pack_real(t): the two differ in the last bit
         # at some points, and the step sets every bit of the reports
         h = NESTED_STEP * (1.0 + t.norm())

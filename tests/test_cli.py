@@ -165,6 +165,15 @@ BAD_ARGUMENTS = [
     ["tensors", "--metric", "poincare_disc", "--at", "z=0.5,1;v=1"],
     ["compare", "--metric-a", "poincare_ball_2", "--metric-b", "poincare_ball_2",
      "--at-a", "z=0.1;v=1", "--at-b", "z=0.1,0.2;v=1,0.5"],
+    # signature order 0..2, fiber samples >= 0, tolerances positive and finite
+    ["compare", "--metric-a", "poincare_disc", "--metric-b", "poincare_disc",
+     "--at-a", "z=0.1;v=1", "--at-b", "z=0.2;v=1", "--order", "-1"],
+    ["compare", "--metric-a", "poincare_disc", "--metric-b", "poincare_disc",
+     "--at-a", "z=0.1;v=1", "--at-b", "z=0.2;v=1", "--order", "3"],
+    ["compare", "--metric-a", "poincare_disc", "--metric-b", "poincare_disc",
+     "--at-a", "z=0.1;v=1", "--at-b", "z=0.2;v=1", "--fiber-samples", "-2"],
+    ["check", "--metric", "flat_1", "--samples", "1", "--tol", "0"],
+    ["check", "--metric", "flat_1", "--samples", "1", "--tol", "nan"],
 ]
 
 
@@ -197,6 +206,20 @@ def test_numerical_failure_exit_3(capsys):
     assert code == 3
     code = run(["check", "--metric", "no_such_metric"])
     assert code == 3
+    capsys.readouterr()
+
+
+def test_point_outside_catalog_domain_exit_3(tmp_path, capsys):
+    for argv in (["connection", "--metric", "poincare_disc", "--at", "z=2;v=1"],
+                 ["compare", "--metric-a", "poincare_ball_2", "--metric-b", "poincare_ball_2",
+                  "--at-a", "z=0.1,0;v=1,0", "--at-b", "z=0.7,0.7;v=1,0"]):
+        assert run(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert "outside the domain" in json.loads(err)["error"], argv
+    # a metric file has no catalog domain
+    disc_fm = tmp_path / "disc.fm"
+    disc_fm.write_text("dim = 1\nF2 = abs2(v1)/(1 - abs2(z1))^2\n")
+    assert run(["connection", "--metric", str(disc_fm), "--at", "z=2;v=1"]) == 0
     capsys.readouterr()
 
 

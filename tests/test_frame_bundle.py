@@ -13,7 +13,7 @@ from finslerlab.frame_bundle import (
     verify_tangent,
 )
 from finslerlab.metric_dsl import FinslerError
-from finslerlab.parallelism import _vertical_BC, u_block_basis
+from finslerlab.parallelism import _field_stack, u_block_basis
 from finslerlab.connection import frame_data
 from finslerlab.registry import sample_points
 
@@ -104,14 +104,15 @@ def test_vertical_generators_are_members(progs):
     # equations of the vertical algebra at every adapted frame
     prog = progs["l4_finsler"]
     p = adapted_frame(prog, [0.1, -0.2], [1.0, 0.7 + 0.2j])
-    fd = frame_data(prog, p.z, p.U)
-    B, C = _vertical_BC(fd, 1)
-    for A in (B + C, 1j * (B - C)):
+    G, _, _ = _field_stack(frame_data(prog, p.z, p.U))
+    # generator slots of the real fields e_2, e_3, t and the block basis
+    e2, e3, T, *block = G[4:8]
+    for A in (e2, e3):
         assert vertical_membership(prog, p, A) < 1e-10
-    for A in u_block_basis(2):
+    assert np.array_equal(block, u_block_basis(2))
+    for A in block:
         assert vertical_membership(prog, p, A) < 1e-10
-    T = np.zeros((2, 2), dtype=complex)
-    T[0, 0] = 1j
+    assert np.array_equal(T, [[1j, 0], [0, 0]])
     assert vertical_membership(prog, p, T) < 1e-10
 
 

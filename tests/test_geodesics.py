@@ -22,10 +22,12 @@ def test_spray_is_horizontal_for_kaehler(progs):
     prog = progs["poincare_ball_2"]
     p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.4])
     from finslerlab.connection import frame_data
-    from finslerlab.parallelism import field_tangent
+    from finslerlab.frame_bundle import AmbientTangent
+    from finslerlab.parallelism import _field_stack
 
     G = geodesic_spray(prog, p)
-    f0 = field_tangent(frame_data(prog, p.z, p.U), ("f", 0))
+    _, dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+    f0 = AmbientTangent(dz[0], dU[0])
     assert (G - f0).norm() < 1e-9
 
 

@@ -3,9 +3,13 @@ import pytest
 
 from finslerlab import MetricSource, parse_metric
 from finslerlab.connection import frame_data
-from finslerlab.frame_bundle import adapted_frame, fundamental_field, unpack_real
+from finslerlab.frame_bundle import adapted_frame, complexify, fundamental_field, unpack_real
 from finslerlab.parallelism import (
     _bracket_table,
+    _complex_combination_matrix,
+    _complex_fields,
+    _field_stack,
+    _first_lift,
     bianchi_residuals,
     closed_form_P,
     closed_form_Q,
@@ -25,6 +29,43 @@ def twisted():
     # non-Hermitian with base dependence: exercises every structure function
     return parse_metric(MetricSource(
         2, "sqrt(abs2(v1)^2 + abs2(v2)^2) + abs2(z1)*abs2(v2)/2"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_complex_basis_combines_real_fields(progs, twisted, n):
+    # the complexified basis is K applied to the complexified real fields;
+    # extract_structure decomposes the K-combinations of the real brackets in
+    # that basis.  Every metric of dimension 1 is Hermitian.
+    prog, z, v = {
+        1: (progs["poincare_disc"], [0.3 - 0.2j], [0.6 + 0.8j]),
+        2: (twisted, [0.4 + 0.1j, -0.2 + 0.3j], [1.0, 0.7 + 0.2j]),
+        3: (parse_metric(MetricSource(
+            3, "sqrt(abs2(v1)^2 + abs2(v2)^2 + abs2(v3)^2) + abs2(z1)*abs2(v2)/2")),
+            [0.2 + 0.1j, -0.1, 0.3j], [1.0, 0.8 - 0.3j, 0.6 + 0.5j]),
+    }[n]
+    p = adapted_frame(prog, z, v)
+    fd = frame_data(prog, p.z, p.U)
+    _, dz, dU = _field_stack(fd)
+    real = np.array([complexify(dz[j], dU[j]) for j in range(len(dz))])
+    K = _complex_combination_matrix(n)
+    assert np.max(np.abs(K @ real - _complex_fields(fd).T)) <= 1e-14
+
+
+def test_first_lift_is_the_stack_row(progs):
+    # the geodesic spray's shortcut to f_0 equals the field stack's row bit
+    # for bit, also off the bundle (the spray is called at Runge-Kutta stages)
+    for mid, z, v in [("poincare_disc", [0.3 - 0.2j], [0.6 + 0.8j]),
+                      ("flat_2", [0, 0], [1, 0]),
+                      ("l4_finsler", [0.1, 0.2], [1.0, 0.8]),
+                      ("poincare_ball_3", [0.1, 0.2j, -0.1], [1.0, 0.4, 0.2 - 0.1j])]:
+        prog = progs[mid]
+        p = adapted_frame(prog, z, v)
+        for U in (p.U, p.U + 1e-3 * (1 + 1j)):
+            fd = frame_data(prog, p.z, U)
+            _, dz, dU = _field_stack(fd)
+            f0 = _first_lift(fd)
+            assert f0.dz.tobytes() == dz[0].tobytes(), mid
+            assert f0.dU.tobytes() == dU[0].tobytes(), mid
 
 
 def test_basis_n1_has_three_fields(progs):
