@@ -56,7 +56,12 @@ def _tier(prog: MetricProgram, z, U, k: int) -> np.ndarray:
 def _base_tier(prog: MetricProgram, p: BundlePoint, k: int) -> np.ndarray:
     """_tier at a bundle point, computed once per program for signature and
     regularity alike."""
-    return prog.memo(("tier", k, p.key()), lambda: _tier(prog, p.z, p.U, k))
+    def build():
+        tier = _tier(prog, p.z, p.U, k)
+        tier.flags.writeable = False  # shared by every later call at p
+        return tier
+
+    return prog.memo(("tier", k, p.key()), build)
 
 
 @dataclass

@@ -30,7 +30,6 @@ from .parallelism import (
     _Coframe,
     _complex_lift_derivative,
     _field_stack,
-    _first_lift,
     _lift_derivative_of,
     extract_structure,
 )
@@ -88,12 +87,12 @@ def geodesic_spray(prog: MetricProgram, p: BundlePoint) -> AmbientTangent:
     vertical correction solving the energy-stationarity conditions."""
     fd = frame_data(prog, p.z, p.U)
     n = prog.dim
-    G = _first_lift(fd)
+    dz, dU = _field_stack(fd)
+    G = AmbientTangent(dz[0], dU[0])
     a = spray_coefficients(fd)
-    corrected = [lam for lam in range(1, n) if a[lam - 1] != 0]
-    if corrected:
-        _, dz, dU = _field_stack(fd)
-    for lam in corrected:
+    for lam in range(1, n):
+        if a[lam - 1] == 0:
+            continue
         j = 2 * n + 2 * lam - 2  # the vertical pair e_{2 lam}, e_{2 lam + 1}
         G = G + AmbientTangent(dz[j], dU[j]).scale(float(a[lam - 1].real))
         G = G + AmbientTangent(dz[j + 1], dU[j + 1]).scale(float(a[lam - 1].imag))

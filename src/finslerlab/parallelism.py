@@ -4,11 +4,11 @@ The parallelism consists of the 2n horizontal lifts, the 2(n-1) Webster-type
 vertical fields, the fiber rotation generator and a fixed skew-Hermitian
 basis of the block algebra acting on e_1..e_{n-1}.  All of them, and the
 complexified basis, are built in one place, ``_field_stack``: each field is
-U @ G for a generator G of one stack, formed with one matmul (the geodesic
-spray reads f_0 alone through ``_first_lift``, with the same arithmetic).
-Lie brackets are computed numerically from finite-difference Jacobians of
-the fields in ambient coordinates; their components in the parallelism
-basis are the structure functions, the complete local isometry invariants.
+U @ G for a generator G of the stack ``_generators`` forms, all products
+taken in one matmul.  Lie brackets are computed numerically from
+finite-difference Jacobians of the fields in ambient coordinates; their
+components in the parallelism basis are the structure functions, the
+complete local isometry invariants.
 
 Convention anchor: curvature components are extracted raw from brackets and
 additionally reported in the holomorphic-sectional-curvature normalization
@@ -31,6 +31,7 @@ from .frame_bundle import (
     AmbientTangent,
     BundlePoint,
     along,
+    complexify,
     pack_real,
     unpack_real,
     verify_tangent,
@@ -54,10 +55,14 @@ def _unit(n: int, r: int, c: int) -> np.ndarray:
 
 def u_block_basis(n: int) -> list[np.ndarray]:
     """Fixed basis of the skew-Hermitian algebra on the e_1..e_{n-1} block."""
-    pairs = [(lam, mu) for lam in range(1, n) for mu in range(lam + 1, n)]
-    return ([1j * _unit(n, lam, lam) for lam in range(1, n)]
-            + [_unit(n, lam, mu) - _unit(n, mu, lam) for lam, mu in pairs]
-            + [1j * (_unit(n, lam, mu) + _unit(n, mu, lam)) for lam, mu in pairs])
+    mats = [1j * _unit(n, lam, lam) for lam in range(1, n)]
+    for lam in range(1, n):
+        for mu in range(lam + 1, n):
+            mats.append(_unit(n, lam, mu) - _unit(n, mu, lam))
+    for lam in range(1, n):
+        for mu in range(lam + 1, n):
+            mats.append(1j * (_unit(n, lam, mu) + _unit(n, mu, lam)))
+    return mats
 
 
 def labels_real(n: int) -> list[tuple]:
@@ -83,8 +88,8 @@ def labels_complex(n: int) -> list[tuple]:
 # --------------------------------------------------------------------------
 
 @cache
-def _stack_layout(n: int):
-    """Per-n constants of the generator stack of _field_stack.
+def _stack_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-n constants of the generator stack of _generators.
 
     Slots 0..N-1 (N = n^2 + 2n) generate the real fields of labels_real:
     E_g w_g (w_g = 1, i) for the lifts f_{2g}, f_{2g+1}; B + C and i(B - C)
@@ -92,15 +97,11 @@ def _stack_layout(n: int):
     B_lam, C_lam and the units E_{rho sig} of the complexified basis; B_lam
     is E_{lam 0} less the pure quadratic and cubic form corrections, and
     C_lam = -E_{0 lam}.  Returns the stack with its constant slots filled
-    (B_lam with its unit), the frame components w of the 2n lifts, and the
-    (slot, column) pairs of the complexified basis: its dU part from the
-    holomorphic pairs, its dUbar part conjugates of the antiholomorphic
-    ones, the last m^2 of those negated."""
+    (B_lam with its unit) and the frame components w of the 2n lifts."""
     m = n - 1
     N = n * n + 2 * n
-    E0, B0, C0, V0 = N, N + n, N + n + m, N + n + 2 * m  # first slot of each family
+    B0, C0, V0 = N + n, N + n + m, N + n + 2 * m  # first slot of each family
     t = 2 * n + 2 * m
-    a, lam, rs = np.arange(n), np.arange(m), np.arange(m * m)
 
     def stacked(mats):
         return np.array(mats, dtype=complex).reshape(-1, n, n)
@@ -111,31 +112,24 @@ def _stack_layout(n: int):
     stack[B0:C0] = stacked([_unit(n, k, 0) for k in range(1, n)])
     stack[C0:V0] = stacked([-_unit(n, 0, k) for k in range(1, n)])
     stack[V0:] = stacked([_unit(n, r, s) for r in range(1, n) for s in range(1, n)])
+    a = np.arange(n)
     w = np.zeros((2 * n, n, 1), dtype=complex)
     w[2 * a, a] = 1.0
     w[2 * a + 1, a] = 1j
-    sr = rs % m * m + rs // m  # offset of E_{sig rho} for the offset rs of E_{rho sig}
-    cols = np.r_[2 * n + lam, t - m + lam, t, t + 1 + rs]
-    hol = (np.r_[E0 + a, B0 + lam, C0 + lam, t, V0 + rs], np.r_[a, cols])
-    anti = (np.r_[E0 + a, C0 + lam, B0 + lam, t, V0 + sr], np.r_[n + a, cols])
     stack.flags.writeable = w.flags.writeable = False
-    return stack, w, hol, anti
+    return stack, w
 
 
 _PHASES = np.array([1.0, 1j])[:, None, None]  # w_g of the lifts f_{2g}, f_{2g + 1}
 
 
-def _field_stack(fd: FrameData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The parallelism fields at the point of fd, all built here.
-
-    Returns (G, dz, P): the generator stack G, dz, and the products
-    P = U @ G, formed in one matmul.  Real field j of labels_real is the
-    ambient tangent (dz[j], P[j]); the slots after those feed
-    _complex_fields."""
+def _generators(fd: FrameData) -> np.ndarray:
+    """The generator stack G at the point of fd, laid out as _stack_layout
+    describes: the slots of the real fields first, then those of the
+    complexified basis."""
     n, m = fd.n, fd.n - 1
     N = n * n + 2 * n
-    stack, w, _, _ = _stack_layout(n)
-    G = stack.copy()
+    G = _stack_layout(n)[0].copy()
     E = fd.E.transpose(2, 0, 1)  # E[g] = E_g
     np.multiply(E[:, None], _PHASES, out=G[:2 * n].reshape(n, 2, n, n))
     G[N:N + n] = E
@@ -148,19 +142,21 @@ def _field_stack(fd: FrameData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         G[2 * n:2 * n + 2 * m:2] = B + C
         G[2 * n + 1:2 * n + 2 * m:2] = 1j * (B - C)
         G[N + n:N + n + m] = B
-    dz = np.zeros((N, n), dtype=complex)
+    return G
+
+
+def _field_stack(fd: FrameData) -> tuple[np.ndarray, np.ndarray]:
+    """The parallelism fields at the point of fd, all built here.
+
+    Returns (dz, P) with P = U @ G for the stack G of _generators, formed in
+    one matmul.  Real field j of labels_real is the ambient tangent
+    (dz[j], P[j]); the slots after those feed _complex_fields."""
+    n = fd.n
+    dz = np.zeros((n * n + 2 * n, n), dtype=complex)
     # U w as matrix-vector products: a matrix product can differ in the sign
     # of a zero, which the least-squares solves downstream propagate
-    np.matmul(fd.U, w, out=dz[:2 * n, :, None])
-    return G, dz, np.matmul(fd.U, G)
-
-
-def _first_lift(fd: FrameData) -> AmbientTangent:
-    """The real field f_0 alone, as _field_stack builds it: all the geodesic
-    spray needs where its vertical correction vanishes, always at n = 1."""
-    w = _stack_layout(fd.n)[1][0]
-    return AmbientTangent(np.matmul(fd.U, w)[:, 0],
-                          np.matmul(fd.U, fd.E[:, :, 0] * _PHASES[0]))
+    np.matmul(fd.U, _stack_layout(n)[1], out=dz[:2 * n, :, None])
+    return dz, np.matmul(fd.U, _generators(fd))
 
 
 def _packed(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
@@ -172,25 +168,33 @@ def _packed(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
 
 def _real_field_matrix(prog: MetricProgram, z, U) -> np.ndarray:
     """All parallelism fields at (z, U), packed as real columns."""
-    return _packed(*_field_stack(frame_data(prog, z, U))[1:])
+    return _packed(*_field_stack(frame_data(prog, z, U)))
 
 
 def _complex_fields(fd: FrameData) -> np.ndarray:
     """Columns: complexified basis fields (dz, dzbar, dU, dUbar) in the order
-    of labels_complex."""
-    n = fd.n
+    of labels_complex: eh, ehb, ev, evb, t, V."""
+    n, m = fd.n, fd.n - 1
     N = n * n + 2 * n
-    _, _, P = _field_stack(fd)
-    _, _, (hs, hc), (as_, ac) = _stack_layout(n)
+    t = 2 * n + 2 * m
+    _, P = _field_stack(fd)
+    P = P.reshape(-1, n * n)
+    # the slots after the real fields: U E_g, then U B_lam and U C_lam, then U E_rs
+    E, BC, V = P[N:N + n], P[N + n:N + n + 2 * m], P[N + n + 2 * m:]
     D = 2 * n + n * n  # first row of the dUbar part
     rows = np.zeros((N, D + n * n), dtype=complex)
     rows[:n, :n] = fd.U.T
     rows[n:2 * n, n:2 * n] = np.conj(fd.U).T
-    rows[hc, 2 * n:D] = P[hs].reshape(N - n, n * n)
-    anti = np.conj(P[as_]).reshape(N - n, n * n)
-    k = N - n - (n - 1) ** 2  # the block units, whose dUbar part is -conj(U E_{sig rho})
-    anti[k:] = -anti[k:]
-    rows[ac, D:] = anti
+    hol, anti = rows[:, 2 * n:D], rows[:, D:]
+    hol[:n] = E
+    anti[n:2 * n] = np.conj(E)
+    hol[2 * n:t] = BC
+    anti[2 * n:t] = np.conj(np.roll(BC, m, axis=0))  # ev takes conj(U C), evb conj(U B)
+    hol[t] = P[t]
+    anti[t] = np.conj(P[t])
+    hol[t + 1:] = V
+    Vt = V.reshape(m, m, n * n).transpose(1, 0, 2).reshape(-1, n * n)  # U E_sr in slot rs
+    anti[t + 1:] = -np.conj(Vt)
     return rows.T
 
 
@@ -241,7 +245,7 @@ class ParallelismBasis:
 
 def parallelism_at(prog: MetricProgram, p: BundlePoint) -> ParallelismBasis:
     """Assemble the parallelism at p, with tangency and independence checks."""
-    _, dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+    dz, dU = _field_stack(frame_data(prog, p.z, p.U))
     labs = labels_real(prog.dim)
     tangents = {lab: AmbientTangent(dz[j], dU[j]) for j, lab in enumerate(labs)}
     worst = max(verify_tangent(prog, p, t) for t in tangents.values())
@@ -286,9 +290,10 @@ def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
                 p: BundlePoint) -> AmbientTangent:
     """Numerical Lie bracket of two parallelism fields at p."""
     labs = labels_real(prog.dim)
-    _, br = _bracket_table(prog, p)
+    vals, br = _bracket_table(prog, p)
     a, b = labs.index(tuple(label_x)), labs.index(tuple(label_y))
-    t = AmbientTangent(*unpack_real(br[a, b], prog.dim))
+    dz, dU = unpack_real(br[a, b], prog.dim)
+    t = AmbientTangent(dz, dU)
     res = verify_tangent(prog, p, t)
     scale = max(1.0, t.norm())
     if res > BRACKET_TANGENCY_TOL * scale:
@@ -330,17 +335,10 @@ def _sup(*arrays) -> float:
     return float(np.max(np.abs(np.concatenate([a.ravel() for a in arrays])), initial=0.0))
 
 
-def _complex_brackets(prog: MetricProgram, p: BundlePoint) -> np.ndarray:
-    """Brackets of the complexified basis fields at p, [x, y] stacked as
-    (dz, dzbar, dU, dUbar): complex-bilinear combinations of the real ones."""
-    n = prog.dim
-    K = _complex_combination_matrix(n)
-    _, br = _bracket_table(prog, p)
-    D = 2 * n + n * n  # packed real: dz.real, dz.imag, dU.real, dU.imag
-    dz = br[..., :n] + 1j * br[..., n:2 * n]
-    dU = br[..., 2 * n:D] + 1j * br[..., D:]
-    return np.einsum("ax,by,xyd->abd", K, K,
-                     np.concatenate([dz, np.conj(dz), dU, np.conj(dU)], axis=-1))
+def _scalar_sup(*arrays) -> float:
+    """_sup with abs() of each complex scalar, which can differ from np.abs
+    of an array in the last bit; two of the reported checks are defined so."""
+    return float(max((abs(x) for a in arrays for x in a.flat), default=0.0))
 
 
 def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions:
@@ -348,9 +346,17 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     n = prog.dim
     m = n - 1
     fd = frame_data(prog, p.z, p.U)
+    vals, br = _bracket_table(prog, p)
+    K = _complex_combination_matrix(n)
     basis = _complex_fields(fd)
     N = basis.shape[1]
-    brc = _complex_brackets(prog, p)
+
+    # complexified real brackets, then complex-bilinear combinations
+    br_complexified = np.empty(br.shape[:2] + (basis.shape[0],), dtype=complex)
+    for a in range(br.shape[0]):
+        for b in range(br.shape[1]):
+            br_complexified[a, b] = complexify(*unpack_real(br[a, b], n))
+    brc = np.einsum("ax,by,xyd->abd", K, K, br_complexified)
 
     sol, *_ = np.linalg.lstsq(basis, brc.reshape(N * N, -1).T, rcond=None)
     coeff = sol.T.reshape(N, N, N)  # coeff[a, b, i]: bracket (a,b) on basis i
@@ -390,7 +396,7 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     # vertical algebra: Q from mixed vertical brackets
     c = coeff[ev, evb]  # c[mu, nu, i]
     checks["vertical_holomorphic_brackets"] = _sup(coeff[ev, ev])
-    checks["vertical_mixed_t_coefficient"] = _sup(c[:, :, t] + 1j * np.eye(m))
+    checks["vertical_mixed_t_coefficient"] = _scalar_sup(c[:, :, t] + 1j * np.eye(m))
     Q = np.ascontiguousarray(c[:, :, V].reshape(m, m, m, m).transpose(2, 3, 0, 1)
                              + np.eye(m * m).reshape(m, m, m, m))
 
@@ -402,7 +408,8 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     c = coeff[evb, eh]  # c[rho, g, i]
     expect = np.zeros((m, n, n), dtype=complex)
     expect[d, d + 1, 0] = -1.0  # leading horizontal part: -delta_{rho g} e0_hat
-    checks["vanishing_P_families"] = _sup(c[:, :, eh] - expect, c[:, :, t], c[:, :, evb])
+    checks["vanishing_P_families"] = max(_sup(c[:, :, eh] - expect),
+                                         _scalar_sup(c[:, :, t], c[:, :, evb]))
     P_h = np.ascontiguousarray(c[:, :, ev].transpose(2, 0, 1))
     P_H = np.ascontiguousarray(c[:, :, V].reshape(m, n, m, m).transpose(2, 3, 0, 1))
 
@@ -414,7 +421,7 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
         residual=worst, checks=checks,
     )
     # record the embedding of the complex block basis in the real fields
-    sf.u_embedding = _complex_combination_matrix(n)[N - m * m:].copy()
+    sf.u_embedding = K[N - m * m:].copy()
     return sf
 
 
@@ -488,7 +495,7 @@ def _complex_lift_derivative(prog: MetricProgram, p: BundlePoint, g: int,
                              pq: tuple[int, int], conj_dir: bool = False):
     """Derivative of a frame form along the holomorphic lift e_g-hat
     (or its conjugate), as a complex combination of real derivatives."""
-    _, dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+    dz, dU = _field_stack(frame_data(prog, p.z, p.U))
     d0 = form_derivative(prog, p.z, p.U, dz[2 * g], dU[2 * g], pq)
     d1 = form_derivative(prog, p.z, p.U, dz[2 * g + 1], dU[2 * g + 1], pq)
     return 0.5 * (d0 + 1j * d1) if conj_dir else 0.5 * (d0 - 1j * d1)
@@ -505,13 +512,19 @@ def closed_form_P(prog: MetricProgram, p: BundlePoint):
     assert agreement on a non-Hermitian metric with base dependence.
     """
     n = prog.dim
+    m = n - 1
     # lift_g(conj f) = conj(conj-lift_g(f))
     d20c = np.array([np.conj(_complex_lift_derivative(prog, p, g, (2, 0), conj_dir=True))
-                     for g in range(n)])  # [g, nu, rho]
-    d12 = np.array([_complex_lift_derivative(prog, p, g, (1, 2))
-                    for g in range(n)])  # [g, sig, nu, rho]
-    P_h = -np.ascontiguousarray(d20c[:, 1:, 1:].transpose(1, 2, 0))
-    P_H = -np.ascontiguousarray(d12[:, 1:, 1:, 1:].transpose(2, 1, 3, 0))
+                     for g in range(n)])
+    d12 = np.array([_complex_lift_derivative(prog, p, g, (1, 2)) for g in range(n)])
+    P_h = np.zeros((m, m, n), dtype=complex)
+    P_H = np.zeros((m, m, m, n), dtype=complex)
+    for nu in range(1, n):
+        for rho in range(1, n):
+            for g in range(n):
+                P_h[nu - 1, rho - 1, g] = -d20c[g][nu, rho]
+                for sig in range(1, n):
+                    P_H[nu - 1, sig - 1, rho - 1, g] = -d12[g][sig, nu, rho]
     return P_h, P_H
 
 
@@ -534,9 +547,14 @@ class _Coframe:
         self.Uinv = np.linalg.inv(fd.U)
         self.Ubinv = np.conj(self.Uinv)
         self.M = fd.E  # M[:, :, g]
+        C21 = fd.C(2, 1)
         # varpi correction entries: corr[a, b, lam] multiplies omega[lam, 0]
-        self.corr = np.zeros((self.n,) * 3, dtype=complex)
-        self.corr[1:, 1:] = fd.C(2, 1)[1:, :, 1:].transpose(2, 0, 1)
+        n = self.n
+        corr = np.zeros((n, n, n), dtype=complex)
+        for a in range(1, n):
+            for b in range(1, n):
+                corr[a, b, :] = C21[b, :, a]
+        self.corr = corr
 
     def theta(self, X: np.ndarray):
         dzh, dza, _, _ = _split_stack(X, self.n)
@@ -555,9 +573,12 @@ class _Coframe:
         oh, oa = self.omega(X)
         n = self.n
         w = np.zeros((n, n), dtype=complex)
-        w[:, 0] = oh[:, 0]
-        w[0, 1:] = -oa[1:, 0]
-        w[1:, 1:] = oh[1:, 1:] + np.einsum("abl,l->ab", self.corr[1:, 1:, :], oh[:, 0])
+        w[0, 0] = oh[0, 0]
+        for lam in range(1, n):
+            w[lam, 0] = oh[lam, 0]
+            w[0, lam] = -oa[lam, 0]
+        if n > 1:
+            w[1:, 1:] = oh[1:, 1:] + np.einsum("abl,l->ab", self.corr[1:, 1:, :], oh[:, 0])
         return w
 
 
@@ -568,10 +589,13 @@ def _form_tables(prog: MetricProgram, z, U):
     basis = _complex_fields(fd)
     N = basis.shape[1]
     n = fd.n
-    TH, THb = np.zeros((2, n, N), dtype=complex)
+    TH = np.zeros((n, N), dtype=complex)
+    THb = np.zeros((n, N), dtype=complex)
     W = np.zeros((n, n, N), dtype=complex)
     for i in range(N):
-        TH[:, i], THb[:, i] = cf.theta(basis[:, i])
+        th, tb = cf.theta(basis[:, i])
+        TH[:, i] = th
+        THb[:, i] = tb
         W[:, :, i] = cf.varpi(basis[:, i])
     return fd, cf, basis, TH, THb, W
 
@@ -591,9 +615,9 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     n = prog.dim
     sf = extract_structure(prog, p)
     fd0, cf0, basis0, TH0, THb0, W0 = _form_tables(prog, p.z, p.U)
-    N = basis0.shape[1]
+    N = len(labels_complex(n))
     K = _complex_combination_matrix(n)
-    vals, _ = _bracket_table(prog, p)
+    vals, br = _bracket_table(prog, p)
 
     def tables(z, U):
         # theta values in row 0, varpi values below
@@ -611,7 +635,9 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     dW_c = np.einsum("xm,mabi->xabi", K, dW_r)
 
     # complex brackets and their form values at p
-    brc = _complex_brackets(prog, p)
+    brc = np.einsum("xm,yk,mkd->xyd", K, K,
+                    np.stack([[complexify(*unpack_real(br[a, b], n))
+                               for b in range(br.shape[1])] for a in range(br.shape[0])]))
     TH_br = np.zeros((n, N, N), dtype=complex)
     W_br = np.zeros((n, n, N, N), dtype=complex)
     for x in range(N):
@@ -633,11 +659,13 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     C21 = fd0.C(2, 1)
     theta_wedge = wedge(TH0, TH0)      # theta^b ^ theta^g
     Theta = 0.5 * np.einsum("abg,bgij->aij", sf.T, theta_wedge)
-    # H_{abar mu lam} = C21[mu, lam, a]; contraction over mu, lam >= 1
-    w_lam0 = W0[1:, 0, :]              # varpi[lam, 0] values
-    sw = np.einsum("li,mj->lmij", w_lam0, TH0[1:, :]) \
-        - np.einsum("lj,mi->lmij", w_lam0, TH0[1:, :])
-    Sigma = np.einsum("mla,lmij->aij", C21[1:, 1:, :], sw)
+    Sigma = np.zeros((n, N, N), dtype=complex)
+    if n > 1:
+        # H_{abar mu lam} = C21[mu, lam, a]; contraction over mu, lam >= 1
+        w_lam0 = W0[1:, 0, :]          # varpi[lam, 0] values
+        sw = np.einsum("li,mj->lmij", w_lam0, TH0[1:, :]) \
+            - np.einsum("lj,mi->lmij", w_lam0, TH0[1:, :])
+        Sigma = np.einsum("mla,lmij->aij", C21[1:, 1:, :], sw)
     lhs533 = dTH + _wedge_matrix_vector(W0, TH0)
     eq533 = float(np.max(np.abs(lhs533 - Theta - Sigma)))
 
@@ -648,8 +676,9 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     lhsW = dW + _wedge_matrix_matrix(W0)
     resW = lhsW - Omega - Pi - Phi
     eq534 = float(np.max(np.abs(resW[0, 0])))
-    eq535 = _sup(resW[1:, 0], resW[0, 1:])
-    eq536 = _sup(resW[1:, 1:])
+    eq535 = float(np.max(np.abs(resW[1:, 0]))) if n > 1 else 0.0
+    eq535 = max(eq535, float(np.max(np.abs(resW[0, 1:]))) if n > 1 else 0.0)
+    eq536 = float(np.max(np.abs(resW[1:, 1:]))) if n > 1 else 0.0
 
     # omega skew-symmetry of the curvature 2-form family
     skew = float(np.max(np.abs(sf.R_raw - np.conj(np.transpose(sf.R_raw, (1, 0, 3, 2))))))
@@ -658,8 +687,8 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     eq529 = _vertical_subspace_residual(fd0, basis0, cf0)
 
     C20 = fd0.C(2, 0)
-    sigma0 = _sup(C20[1:, 1:])
-    sigma = _sup(C21[1:, 1:, :])
+    sigma0 = float(np.max(np.abs(C20[1:, 1:]))) if n > 1 else 0.0
+    sigma = float(np.max(np.abs(C21[1:, 1:, :]))) if n > 1 else 0.0
     return {
         "eq529": eq529,
         "eq533": eq533,
@@ -746,7 +775,7 @@ def _lift_derivative_of(prog: MetricProgram, p: BundlePoint, func):
     """Derivatives of a matrix-valued point function along the 2n horizontal
     lifts; returns (holomorphic, antiholomorphic) arrays with leading index g."""
     n = prog.dim
-    _, dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+    dz, dU = _field_stack(frame_data(prog, p.z, p.U))
     d_real = []
     for i in range(2 * n):
         t = AmbientTangent(dz[i], dU[i])

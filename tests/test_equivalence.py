@@ -114,6 +114,19 @@ def test_same_metric_same_point_matches(progs):
     assert rep["verdict"] == "match"
 
 
+def test_base_point_tiers_are_shared_and_read_only(progs):
+    # signature and regularity share the tiers at a point through the program
+    # memo, so editing a signature's tier in place must fail, not leak
+    prog = progs["poincare_ball_2"]
+    p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.3])
+    s = signature(prog, p, order=1)
+    assert s.tiers[1] is signature(prog, p, order=1).tiers[1]
+    with pytest.raises(ValueError):
+        s.tiers[0][0] = 1.0
+    with pytest.raises(ValueError):
+        s.tiers[1][0] = 1.0
+
+
 def test_fiber_search_recovers_rotated_frame(progs):
     from finslerlab.frame_bundle import group_act
 

@@ -13,7 +13,7 @@ from finslerlab.frame_bundle import (
     verify_tangent,
 )
 from finslerlab.metric_dsl import FinslerError
-from finslerlab.parallelism import _field_stack, u_block_basis
+from finslerlab.parallelism import _generators, u_block_basis
 from finslerlab.connection import frame_data
 from finslerlab.registry import sample_points
 
@@ -104,7 +104,7 @@ def test_vertical_generators_are_members(progs):
     # equations of the vertical algebra at every adapted frame
     prog = progs["l4_finsler"]
     p = adapted_frame(prog, [0.1, -0.2], [1.0, 0.7 + 0.2j])
-    G, _, _ = _field_stack(frame_data(prog, p.z, p.U))
+    G = _generators(frame_data(prog, p.z, p.U))
     # generator slots of the real fields e_2, e_3, t and the block basis
     e2, e3, T, *block = G[4:8]
     for A in (e2, e3):

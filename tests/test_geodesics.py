@@ -26,7 +26,7 @@ def test_spray_is_horizontal_for_kaehler(progs):
     from finslerlab.parallelism import _field_stack
 
     G = geodesic_spray(prog, p)
-    _, dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+    dz, dU = _field_stack(frame_data(prog, p.z, p.U))
     f0 = AmbientTangent(dz[0], dU[0])
     assert (G - f0).norm() < 1e-9
 

@@ -9,7 +9,6 @@ from finslerlab.parallelism import (
     _complex_combination_matrix,
     _complex_fields,
     _field_stack,
-    _first_lift,
     bianchi_residuals,
     closed_form_P,
     closed_form_Q,
@@ -45,27 +44,10 @@ def test_complex_basis_combines_real_fields(progs, twisted, n):
     }[n]
     p = adapted_frame(prog, z, v)
     fd = frame_data(prog, p.z, p.U)
-    _, dz, dU = _field_stack(fd)
+    dz, dU = _field_stack(fd)
     real = np.array([complexify(dz[j], dU[j]) for j in range(len(dz))])
     K = _complex_combination_matrix(n)
     assert np.max(np.abs(K @ real - _complex_fields(fd).T)) <= 1e-14
-
-
-def test_first_lift_is_the_stack_row(progs):
-    # the geodesic spray's shortcut to f_0 equals the field stack's row bit
-    # for bit, also off the bundle (the spray is called at Runge-Kutta stages)
-    for mid, z, v in [("poincare_disc", [0.3 - 0.2j], [0.6 + 0.8j]),
-                      ("flat_2", [0, 0], [1, 0]),
-                      ("l4_finsler", [0.1, 0.2], [1.0, 0.8]),
-                      ("poincare_ball_3", [0.1, 0.2j, -0.1], [1.0, 0.4, 0.2 - 0.1j])]:
-        prog = progs[mid]
-        p = adapted_frame(prog, z, v)
-        for U in (p.U, p.U + 1e-3 * (1 + 1j)):
-            fd = frame_data(prog, p.z, U)
-            _, dz, dU = _field_stack(fd)
-            f0 = _first_lift(fd)
-            assert f0.dz.tobytes() == dz[0].tobytes(), mid
-            assert f0.dU.tobytes() == dU[0].tobytes(), mid
 
 
 def test_basis_n1_has_three_fields(progs):
