@@ -15,14 +15,15 @@ import time
 
 import numpy as np
 
-from .connection import horizontal_lift, solve_connection
+from .connection import frame_data, solve_connection
 from .equivalence import compare as compare_signatures
 from .equivalence import regularity
 from .finsler_forms import forms_at, hermitian_test, homogeneity_identities, levi_check
-from .frame_bundle import BundlePoint, adapted_frame, gram_residual, verify_tangent
+from .frame_bundle import AmbientTangent, BundlePoint, adapted_frame, gram_residual, verify_tangent
 from .geodesics import classify, integrate_geodesic
 from .metric_dsl import FinslerError
 from .parallelism import (
+    _field_stack,
     bianchi_residuals,
     closed_form_P,
     closed_form_Q,
@@ -194,8 +195,10 @@ def cmd_check(args) -> int:
         out["gram"] = gram_residual(prog, p)
         cm = solve_connection(prog, p)
         out["closed_form_gap"] = cm.closed_form_gap
-        out["tangency"] = max(verify_tangent(prog, p, horizontal_lift(prog, p, i))
-                              for i in range(2 * prog.dim))
+        # the 2n horizontal lifts, as the parallelism builds them
+        dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+        lifts = slice(0, 2 * prog.dim)
+        out["tangency"] = verify_tangent(prog, p, AmbientTangent(dz[lifts], dU[lifts]))
         return out
 
     per_point = [point_block(zv) for zv in points]
@@ -406,7 +409,7 @@ def _common(sub):
     sub.add_argument("--metric", required=True, help="catalog id or metric file")
     sub.add_argument("--at", type=_parse_point, help='point, e.g. "z=0.3+0i,0;v=1,0"')
     sub.add_argument("--samples", type=_int_in(1), default=10)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_int_in(0), default=0)
     sub.add_argument("--tol", type=_positive_float, default=1.0,
                      help="tolerance scale factor (check) or threshold (compare)")
     sub.add_argument("--json", help="write the JSON report to this path")
@@ -462,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--at-b", required=True, type=_parse_point)
     s.add_argument("--order", type=_int_in(0, 2), default=0)
     s.add_argument("--fiber-samples", type=_int_in(0), default=0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_int_in(0), default=0)
     s.add_argument("--tol", type=_positive_float, default=1e-3)
     s.add_argument("--json")
     s.set_defaults(fn=cmd_compare)

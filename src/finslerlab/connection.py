@@ -9,7 +9,9 @@ of the real direction with frame components w is
 E is computed two ways: a direct least-squares solve of the tangency
 conditions (authoritative) and the closed form obtained by eliminating the
 conjugate unknowns from those same conditions; both agree at adapted
-frames, which the tests assert.
+frames, which the tests assert.  The tangency conditions are derivatives of
+the (1, 1) frame form, frame_bundle.gram_derivative, taken by the one form
+derivative below this module, finsler_forms.form_derivative.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .frame_bundle import (
     BundlePoint,
     DegenerateMetricError,
     central_difference,
-    gram_derivative,
+    gram_rows,
 )
 from .metric_dsl import MetricProgram
 
@@ -119,7 +121,7 @@ class ConnectionMap:
 
     E: np.ndarray  # (n, n, n): [row, column, direction]
     closed_form_gap: float  # max |E_lsq - E_closed|
-    min_singular_ratio: float  # smallest sigma_min/sigma_max over directions
+    min_singular_ratio: float  # sigma_min/sigma_max of the system, one for all directions
     residual: float  # tangency residual of the solved lifts
 
 
@@ -131,44 +133,35 @@ def solve_connection(prog: MetricProgram, p: BundlePoint) -> ConnectionMap:
     full-rank real-linear system whose unique solution is the connection.
     """
     n = p.n
+    nn = n * n
     z, U = p.z, p.U
+    # one stacked Gram derivative: the vertical responses to U D and U (i D)
+    # for the units D, which do not depend on the direction, then the flat
+    # lifts U[:, g] and i U[:, g] of the real directions of each e_g
+    units = np.eye(nn, dtype=complex).reshape(nn, n, n)
+    dz = np.zeros((2 * nn + 2 * n, n), dtype=complex)
+    dz[2 * nn:] = np.concatenate([U.T, 1j * U.T])
+    dU = np.zeros((2 * nn + 2 * n, n, n), dtype=complex)
+    dU[:2 * nn] = np.matmul(U, np.concatenate([units, 1j * units]))
+    rows = gram_rows(prog, z, U, dz, dU)
+    resp1, resp2 = rows[:nn], rows[nn:2 * nn]
+    # column k holds the real part of M_g[k], column nn + k its imaginary part
+    A = np.block([[resp1, resp2], [resp2, -resp1]]).T
     E = np.zeros((n, n, n), dtype=complex)
-    min_ratio = np.inf
     worst_res = 0.0
-    units = [np.zeros((n, n), dtype=complex) for _ in range(n * n)]
-    for k in range(n * n):
-        units[k][divmod(k, n)] = 1.0
-
-    def rows(mat: np.ndarray) -> np.ndarray:
-        return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
-
-    # vertical responses are direction-independent; compute once
-    resp1 = [rows(gram_derivative(prog, z, U, np.zeros(n), U @ D)) for D in units]
-    resp2 = [rows(gram_derivative(prog, z, U, np.zeros(n), U @ (1j * D))) for D in units]
-
     for g in range(n):
-        cols = []
-        for k in range(n * n):
-            cols.append(np.concatenate([resp1[k], resp2[k]]))   # real part of M_g[k]
-        for k in range(n * n):
-            cols.append(np.concatenate([resp2[k], -resp1[k]]))  # imag part of M_g[k]
-        A = np.array(cols).T
-        b1 = rows(gram_derivative(prog, z, U, U[:, g], np.zeros((n, n))))
-        b2 = rows(gram_derivative(prog, z, U, 1j * U[:, g], np.zeros((n, n))))
-        b = -np.concatenate([b1, b2])
+        b = -np.concatenate([rows[2 * nn + g], rows[2 * nn + n + g]])
         x, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
-        if rank < 2 * n * n:
+        if rank < 2 * nn:
             raise DegenerateMetricError(
                 "singular tangency system: the metric degenerates at this point")
-        min_ratio = min(min_ratio, sv[-1] / sv[0])
-        M = (x[:n * n] + 1j * x[n * n:]).reshape(n, n)
-        E[:, :, g] = M
+        E[:, :, g] = (x[:nn] + 1j * x[nn:]).reshape(n, n)
         worst_res = max(worst_res, float(np.max(np.abs(A @ x - b))))
 
     fd = frame_data(prog, z, U)
     gap = float(np.max(np.abs(E - fd.E)))
     return ConnectionMap(E=E, closed_form_gap=gap,
-                         min_singular_ratio=float(min_ratio), residual=worst_res)
+                         min_singular_ratio=float(sv[-1] / sv[0]), residual=worst_res)
 
 
 def horizontal_lift(prog: MetricProgram, p: BundlePoint, direction) -> AmbientTangent:

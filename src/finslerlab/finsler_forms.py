@@ -4,6 +4,7 @@ The quadratic, cubic and quartic fiber forms are the order-2, 3, 4 jets of
 F^2 in the fiber variables, contracted with frame vectors.  An index is an
 integer 0..n-1 for a holomorphic slot, or ``bar(k)`` for the conjugate slot;
 values only depend on the multiset of indices of each type (total symmetry).
+form_derivative differentiates a frame-contracted form along ambient tangents.
 """
 
 from __future__ import annotations
@@ -46,6 +47,51 @@ def frame_contract(t: np.ndarray, p: int, q: int, U: np.ndarray) -> np.ndarray:
     for _ in range(q):
         t = np.tensordot(t, np.conj(U), axes=(0, 0))
     return t
+
+
+def form_derivative(jet, U: np.ndarray, pq: tuple[int, int], dz, dU) -> np.ndarray:
+    """Derivatives of the frame-contracted (p, q) fiber form
+    frame_contract(jet.fiber_tensor(p, q), p, q, U) along K real ambient
+    tangents (dz[k], dU[k]) at (z, U), where jet is the jet of F^2 at
+    (z, U[:, 0]) with fiber order at least p + q + 1 and base order 1.
+
+    dz has shape (K, n) and dU shape (K, n, n); returns shape
+    (K,) + (n,) * (p + q).  Each direction takes the matrix-vector and
+    matrix products a single direction would (np.matmul over the stack, not
+    one product of the stack), so direction k of a stack is bit-identical
+    to that direction alone.
+    """
+    p, q = pq
+    dz = np.asarray(dz, dtype=complex)
+    dU = np.asarray(dU, dtype=complex)
+    K, n = dz.shape
+    frame = [U] * p + [np.conj(U)] * q
+
+    def contract(t, s=0):
+        # slots s.. of the stack t, shape (K,) + (n,) * (p + q), contracted
+        # with their frame matrices in frame_contract's order
+        for M in frame[s:]:
+            t = np.matmul(np.moveaxis(t, 1, -1).reshape(K, -1, n), M).reshape(t.shape)
+        return t
+
+    def contract_first(vecs, t):
+        # t contracted in its first slot with each vector of the stack vecs
+        return np.matmul(vecs[:, None], t.reshape(n, -1)).reshape((K,) + (n,) * (p + q))
+
+    TZ, TZb = jet.fiber_tensor_dbase(p, q)
+    out = contract(np.einsum("sk,k...->s...", dz, TZ)
+                   + np.einsum("sk,k...->s...", np.conj(dz), TZb))
+    # the motion of the fiber point e_0 = U[:, 0]
+    de0 = dU[:, :, 0]
+    out = out + contract(contract_first(de0, jet.fiber_tensor(p + 1, q)))
+    t_up = np.moveaxis(jet.fiber_tensor(p, q + 1), p, 0)  # a conjugate slot first
+    out = out + contract(contract_first(np.conj(de0), t_up))
+    # the motion of the frame, one slot at a time
+    raw = jet.fiber_tensor(p, q)
+    for s, dM in enumerate([dU] * p + [np.conj(dU)] * q):
+        head = np.moveaxis(frame_contract(raw, min(s, p), max(s - p, 0), U), 0, -1)
+        out = out + contract(np.matmul(head.reshape(-1, n), dM).reshape(out.shape), s + 1)
+    return out
 
 
 def raw_fiber_tensors(prog: MetricProgram, z, v, max_order: int = 4) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finsler_forms import forms_at, levi_check
+from .finsler_forms import form_derivative, forms_at, levi_check
 from .metric_dsl import FinslerError, MetricProgram
 
 KERNEL_REL_TOL = 1e-6  # singular values below this * sigma_max span the tangency kernel
@@ -86,34 +86,30 @@ def gram_residual(prog: MetricProgram, p: BundlePoint) -> float:
 
 
 def gram_derivative(prog: MetricProgram, z, U, dz, dU) -> np.ndarray:
-    """Directional derivative of the Gram map along the ambient tangent.
+    """Directional derivative of the Gram map along the ambient tangent
+    (dz, dU), or along each tangent of a stack: dz of shape (K, n) and dU
+    of shape (K, n, n) give shape (K, n, n).
 
     Valid at any (z, U) with invertible U; vanishes exactly on tangents to
-    the bundle of adapted frames.
+    the bundle of adapted frames.  The Gram map is the (1, 1) frame form.
     """
-    z = np.asarray(z, dtype=complex)
     U = np.asarray(U, dtype=complex)
-    dz = np.asarray(dz, dtype=complex)
-    dU = np.asarray(dU, dtype=complex)
-    e0 = U[:, 0]
-    jet = prog.jet_unchecked(z, e0, 3, 1)
-    T11 = jet.fiber_tensor(1, 1)
-    T21 = jet.fiber_tensor(2, 1)
-    T12 = jet.fiber_tensor(1, 2)
-    TZ, TZb = jet.fiber_tensor_dbase(1, 1)
-    Ub = np.conj(U)
+    n = len(U)
+    jet = prog.jet_unchecked(z, U[:, 0], 4, 1)  # the jet FrameData holds
+    out = form_derivative(jet, U, (1, 1), np.reshape(dz, (-1, n)), np.reshape(dU, (-1, n, n)))
+    return out[0] if np.ndim(dz) == 1 else out
 
-    base = np.einsum("k,kij->ij", dz, TZ) + np.einsum("k,kij->ij", np.conj(dz), TZb)
-    de0 = dU[:, 0]
-    fiber = np.tensordot(de0, T21, axes=(0, 0)) \
-        + np.moveaxis(np.tensordot(np.conj(de0), T12, axes=(0, 1)), 0, 0)
-    out = U.T @ (base + fiber) @ Ub
-    out += dU.T @ T11 @ Ub + U.T @ T11 @ np.conj(dU)
-    return out
+
+def gram_rows(prog: MetricProgram, z, U, dz, dU) -> np.ndarray:
+    """The Gram derivative along each of K stacked tangents as a real row,
+    the real parts of its entries, then the imaginary parts: shape (K, 2 n^2)."""
+    gd = gram_derivative(prog, z, U, dz, dU).reshape(len(dz), -1)
+    return np.concatenate([gd.real, gd.imag], axis=1)
 
 
 def verify_tangent(prog: MetricProgram, p: BundlePoint, t: AmbientTangent) -> float:
-    """Max-abs derivative of the Gram map along t; ~0 iff t is tangent."""
+    """Max-abs derivative of the Gram map along t, or along every tangent
+    of a stacked t; ~0 iff tangent."""
     return float(np.max(np.abs(gram_derivative(prog, p.z, p.U, t.dz, t.dU))))
 
 
@@ -125,14 +121,7 @@ def tangency_kernel_dimension(prog: MetricProgram, p: BundlePoint) -> int:
     """
     n = p.n
     dim_amb = 2 * n + 2 * n * n
-    cols = []
-    for r in range(dim_amb):
-        vec = np.zeros(dim_amb)
-        vec[r] = 1.0
-        dz, dU = unpack_real(vec, n)
-        gd = gram_derivative(prog, p.z, p.U, dz, dU)
-        cols.append(np.concatenate([gd.real.ravel(), gd.imag.ravel()]))
-    mat = np.array(cols).T
+    mat = gram_rows(prog, p.z, p.U, *unpack_real(np.eye(dim_amb), n)).T
     sv = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(sv > KERNEL_REL_TOL * sv[0]))
     return dim_amb - rank
@@ -143,9 +132,10 @@ def pack_real(t: AmbientTangent) -> np.ndarray:
 
 
 def unpack_real(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    dz = vec[:n] + 1j * vec[n:2 * n]
-    dU = (vec[2 * n:2 * n + n * n] + 1j * vec[2 * n + n * n:]).reshape(n, n)
-    return dz, dU
+    """(dz, dU) of a packed-real vector, or of each row of a stack of them."""
+    dz = vec[..., :n] + 1j * vec[..., n:2 * n]
+    dU = vec[..., 2 * n:2 * n + n * n] + 1j * vec[..., 2 * n + n * n:]
+    return dz, dU.reshape(vec.shape[:-1] + (n, n))
 
 
 def complexify(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:

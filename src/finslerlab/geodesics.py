@@ -91,8 +91,6 @@ def geodesic_spray(prog: MetricProgram, p: BundlePoint) -> AmbientTangent:
     G = AmbientTangent(dz[0], dU[0])
     a = spray_coefficients(fd)
     for lam in range(1, n):
-        if a[lam - 1] == 0:
-            continue
         j = 2 * n + 2 * lam - 2  # the vertical pair e_{2 lam}, e_{2 lam + 1}
         G = G + AmbientTangent(dz[j], dU[j]).scale(float(a[lam - 1].real))
         G = G + AmbientTangent(dz[j + 1], dU[j + 1]).scale(float(a[lam - 1].imag))

@@ -8,7 +8,10 @@ U @ G for a generator G of the stack ``_generators`` forms, all products
 taken in one matmul.  Lie brackets are computed numerically from
 finite-difference Jacobians of the fields in ambient coordinates; their
 components in the parallelism basis are the structure functions, the
-complete local isometry invariants.
+complete local isometry invariants.  The closed forms of the P families
+differentiate the (2, 0), (1, 2) and (2, 1) frame forms along the lifts
+with finsler_forms.form_derivative, the derivative the connection's
+tangency conditions take of the (1, 1) form.
 
 Convention anchor: curvature components are extracted raw from brackets and
 additionally reported in the holomorphic-sectional-curvature normalization
@@ -25,6 +28,7 @@ from functools import cache, partial
 import numpy as np
 
 from .connection import FrameData, frame_data
+from .finsler_forms import form_derivative
 from .frame_bundle import (
     FIELD_STEP,
     NESTED_STEP,
@@ -248,7 +252,7 @@ def parallelism_at(prog: MetricProgram, p: BundlePoint) -> ParallelismBasis:
     dz, dU = _field_stack(frame_data(prog, p.z, p.U))
     labs = labels_real(prog.dim)
     tangents = {lab: AmbientTangent(dz[j], dU[j]) for j, lab in enumerate(labs)}
-    worst = max(verify_tangent(prog, p, t) for t in tangents.values())
+    worst = verify_tangent(prog, p, AmbientTangent(dz, dU[:len(dz)]))
     if worst > FIELD_TANGENCY_TOL:
         raise FinslerError(
             f"parallelism field fails tangency ({worst:.2e}); jets inaccurate "
@@ -454,50 +458,13 @@ def _vertical_curvature(fd: FrameData) -> np.ndarray:
     return Q
 
 
-def form_derivative(prog: MetricProgram, z, U, dz, dU, pq: tuple[int, int]) -> np.ndarray:
-    """Directional derivative of the frame-contracted (p, q) fiber form
-    along the real ambient tangent (dz, dU)."""
-    fd = frame_data(prog, z, U)
-    pdeg, qdeg = pq
-    n = prog.dim
-    Uc = np.conj(fd.U)
-    dz = np.asarray(dz, dtype=complex)
-    dU = np.asarray(dU, dtype=complex)
-
-    def contract(t, left=None, pos=None):
-        # contract tensor slots with frame columns, substituting `left`
-        # (an n x n matrix) at slot `pos`
-        for s in range(pdeg):
-            mat = left if (pos == s and left is not None) else fd.U
-            t = np.tensordot(t, mat, axes=(0, 0))
-        for s in range(qdeg):
-            mat = left if (pos == pdeg + s and left is not None) else Uc
-            t = np.tensordot(t, mat, axes=(0, 0))
-        return t
-
-    TZ, TZb = fd.jet.fiber_tensor_dbase(pdeg, qdeg)
-    out = contract(np.einsum("k,k...->...", dz, TZ)
-                   + np.einsum("k,k...->...", np.conj(dz), TZb))
-    de0 = dU[:, 0]
-    out = out + contract(np.tensordot(de0, fd.jet.fiber_tensor(pdeg + 1, qdeg),
-                                      axes=(0, 0)))
-    t_up = fd.jet.fiber_tensor(pdeg, qdeg + 1)
-    out = out + contract(np.tensordot(np.conj(de0), t_up, axes=(0, pdeg)))
-    raw = fd.jet.fiber_tensor(pdeg, qdeg)
-    for s in range(pdeg):
-        out = out + contract(raw, left=dU, pos=s)
-    for s in range(qdeg):
-        out = out + contract(raw, left=np.conj(dU), pos=pdeg + s)
-    return out
-
-
 def _complex_lift_derivative(prog: MetricProgram, p: BundlePoint, g: int,
                              pq: tuple[int, int], conj_dir: bool = False):
     """Derivative of a frame form along the holomorphic lift e_g-hat
     (or its conjugate), as a complex combination of real derivatives."""
-    dz, dU = _field_stack(frame_data(prog, p.z, p.U))
-    d0 = form_derivative(prog, p.z, p.U, dz[2 * g], dU[2 * g], pq)
-    d1 = form_derivative(prog, p.z, p.U, dz[2 * g + 1], dU[2 * g + 1], pq)
+    fd = frame_data(prog, p.z, p.U)
+    dz, dU = _field_stack(fd)
+    d0, d1 = form_derivative(fd.jet, fd.U, pq, dz[2 * g:2 * g + 2], dU[2 * g:2 * g + 2])
     return 0.5 * (d0 + 1j * d1) if conj_dir else 0.5 * (d0 - 1j * d1)
 
 

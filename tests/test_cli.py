@@ -174,6 +174,10 @@ BAD_ARGUMENTS = [
      "--at-a", "z=0.1;v=1", "--at-b", "z=0.2;v=1", "--fiber-samples", "-2"],
     ["check", "--metric", "flat_1", "--samples", "1", "--tol", "0"],
     ["check", "--metric", "flat_1", "--samples", "1", "--tol", "nan"],
+    # seeds are non-negative
+    ["check", "--metric", "poincare_disc", "--samples", "1", "--seed", "-1"],
+    ["compare", "--metric-a", "poincare_disc", "--metric-b", "poincare_disc",
+     "--at-a", "z=0.1;v=1", "--at-b", "z=0.2;v=1", "--fiber-samples", "0", "--seed", "-3"],
 ]
 
 

@@ -3,12 +3,15 @@ import pytest
 
 from finslerlab.finsler_forms import (
     bar,
+    form_derivative,
     forms_at,
+    frame_contract,
     hermitian_test,
     homogeneity_identities,
     levi_check,
     recover_hermitian_metric,
 )
+from finslerlab.frame_bundle import adapted_frame, gram_derivative
 from finslerlab.registry import sample_points
 
 
@@ -135,3 +138,43 @@ def test_hermitian_metric_recovery_is_fiber_independent(progs):
     m1 = recover_hermitian_metric(prog, [0, 0], [1.0, 0.5])
     m2 = recover_hermitian_metric(prog, [0, 0], [0.5, 1.0])
     assert np.max(np.abs(m1 - m2)) > 1e-2
+
+
+@pytest.mark.parametrize("metric_id, z, v", [
+    ("l4_finsler", [0.1, 0.2], [1.0, 0.8]),
+    ("poincare_ball_3", [0.1 + 0.2j, -0.3, 0.15j], [1.0, 0.5 - 0.2j, 0.3]),
+])
+def test_form_derivative_matches_central_difference(progs, metric_id, z, v):
+    """The stacked derivative of each frame form equals a central difference
+    of the form at displaced (z, U), and each of its directions equals the
+    same direction alone, bit for bit."""
+    prog = progs[metric_id]
+    n = prog.dim
+    rng = np.random.default_rng(11)
+    U0 = adapted_frame(prog, z, v).U
+    tilt = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    K = 4
+    dz = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+    dU = rng.standard_normal((K, n, n)) + 1j * rng.standard_normal((K, n, n))
+    h = 1e-5
+    for U in (U0, U0 + 0.1 * tilt):  # an adapted frame, then a non-adapted U
+        jet = prog.jet_unchecked(z, U[:, 0], 4, 1)
+        for p, q in ((1, 1), (2, 0), (2, 1), (1, 2)):
+            def form(zz, UU):
+                raw = prog.jet_unchecked(zz, UU[:, 0], p + q, 0).fiber_tensor(p, q)
+                return frame_contract(raw, p, q, UU)
+
+            stacked = form_derivative(jet, U, (p, q), dz, dU)
+            assert stacked.shape == (K,) + (n,) * (p + q)
+            for k in range(K):
+                diff = (form(z + h * dz[k], U + h * dU[k])
+                        - form(z - h * dz[k], U - h * dU[k])) / (2 * h)
+                # relative, or absolute where the form vanishes (Hermitian (2, 0))
+                err = np.max(np.abs(stacked[k] - diff)) / max(1.0, np.max(np.abs(diff)))
+                assert err < 1e-7, (p, q, k, err)
+                alone = form_derivative(jet, U, (p, q), dz[k:k + 1], dU[k:k + 1])
+                assert np.array_equal(alone[0], stacked[k])
+        # the Gram derivative is the (1, 1) case, stacked or one tangent at a time
+        gd = gram_derivative(prog, z, U, dz, dU)
+        assert np.array_equal(gd, form_derivative(jet, U, (1, 1), dz, dU))
+        assert np.array_equal(gram_derivative(prog, z, U, dz[1], dU[1]), gd[1])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import finslerlab.metric_dsl as metric_dsl
+from finslerlab.cli import main
 from finslerlab.frame_bundle import (
     BundlePoint,
     adapted_frame,
@@ -140,6 +142,25 @@ def test_bundle_dimension(progs, metric_id, z, v):
     p = adapted_frame(prog, z, v)
     n = prog.dim
     assert tangency_kernel_dimension(prog, p) == n * n + 2 * n
+
+
+def test_no_jet_of_fiber_order_3_and_base_order_1(entries, monkeypatch, capsys):
+    """Tangency, the connection solve and the structure functions all read
+    the jet(4, 1) that the frame data holds; none evaluates a jet(3, 1)."""
+    orders = []
+    real = metric_dsl.jet_space
+
+    def counted(n, fiber_order, base_order):
+        orders.append((n, fiber_order, base_order))
+        return real(n, fiber_order, base_order)
+
+    monkeypatch.setattr(metric_dsl, "jet_space", counted)
+    assert main(["check", "--metric", "l4_finsler", "--samples", "1"]) == 0
+    capsys.readouterr()
+    prog = entries["poincare_ball_2"].program()  # a fresh program: no cached jets
+    tangency_kernel_dimension(prog, adapted_frame(prog, [0.2, 0.1], [1.0, 0.4]))
+    assert (2, 4, 1) in orders
+    assert not [o for o in orders if o[1:] == (3, 1)]
 
 
 def test_phase_rotation_equivariance(progs):
