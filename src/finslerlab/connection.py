@@ -12,6 +12,8 @@ conjugate unknowns from those same conditions; both agree at adapted
 frames, which the tests assert.  The tangency conditions are derivatives of
 the (1, 1) frame form, frame_bundle.gram_derivative, taken by the one form
 derivative below this module, finsler_forms.form_derivative.
+frame_derivatives differentiates E exactly, through its back-substitution,
+for the parallelism's brackets.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finsler_forms import frame_contract
+from .finsler_forms import form_derivative, frame_contract, tensor_derivative
 from .frame_bundle import (
     AmbientTangent,
     BundlePoint,
@@ -81,16 +83,11 @@ class FrameData:
         g: direction); the 0-column block solves first, the rest follows by
         back-substitution through the cubic form."""
         if self._E is None:
-            n = self.n
-            Dh = self.holomorphic_gram_derivative()
-            C21 = self.C(2, 1)
-            E = np.zeros((n, n, n), dtype=complex)
-            for g in range(n):
-                E[:, 0, g] = -Dh[g, 0, :]
-                for a in range(1, n):
-                    # H_{a bbar zeta} = C21[a, zeta, b]
-                    E[:, a, g] = -Dh[g, a, :] - np.einsum(
-                        "z,zb->b", E[:, 0, g], C21[a, :, :])
+            # E[r, a, g] = -Dh[g, a, r] - [a > 0] sum_z E[z, 0, g] C21[a, z, r],
+            # with H_{a rbar zeta} = C21[a, zeta, r]
+            E = -self.holomorphic_gram_derivative().transpose(2, 1, 0)
+            if self.n > 1:
+                E[:, 1:] -= np.einsum("zg,azr->rag", E[:, 0], self.C(2, 1)[1:])
             self._E = E
         return self._E
 
@@ -109,6 +106,31 @@ def frame_data(prog: MetricProgram, z, U) -> FrameData:
     z = np.asarray(z, dtype=complex)
     U = np.asarray(U, dtype=complex)
     return prog.memo(("framedata", z.tobytes(), U.tobytes()), lambda: FrameData(prog, z, U))
+
+
+def frame_derivatives(prog: MetricProgram, fd: FrameData, dz, dU):
+    """Exact derivatives of E, C(2, 0) and C(2, 1) of fd along K stacked
+    real ambient tangents, dz of shape (K, n) and dU of shape (K, n, n).
+
+    Returns (dE, dC20, dC21) with a leading direction axis.  dE is the
+    derivative of FrameData.E's back-substitution.  Its Dh term reads the
+    jet(4, 1) of fd and one jet(2, 2) at the same point, whose second base
+    derivatives of the (1, 1) tensor no jet(4, 1) holds.
+    """
+    jet, U = fd.jet, fd.U
+    dC20 = form_derivative(jet, U, (2, 0), dz, dU)
+    dC21 = form_derivative(jet, U, (2, 1), dz, dU)
+    # Dh = frame_contract(TZ, 2, 1, U), TZ[k, i, j] = d_z_k d_v_i d_vbar_j F^2
+    TZ = jet.fiber_tensor_dbase(1, 1)[0]
+    dfiber = (np.moveaxis(jet.fiber_tensor_dbase(2, 1)[0], 1, 0),
+              np.moveaxis(jet.fiber_tensor_dbase(1, 2)[0], 2, 0))
+    jet2 = prog.jet_unchecked(fd.z, U[:, 0], 2, 2)
+    dDh = tensor_derivative(U, (2, 1), TZ, jet2.fiber_tensor_dbase2(1, 1), dfiber, dz, dU)
+    # the derivative of E's back-substitution, term by term
+    dE = -dDh.transpose(0, 3, 2, 1)
+    dE[:, :, 1:] -= (np.einsum("kzg,azr->krag", dE[:, :, 0], fd.C(2, 1)[1:])
+                     + np.einsum("zg,kazr->krag", fd.E[:, 0], dC21[:, 1:]))
+    return dE, dC20, dC21
 
 
 # --------------------------------------------------------------------------
@@ -147,16 +169,14 @@ def solve_connection(prog: MetricProgram, p: BundlePoint) -> ConnectionMap:
     resp1, resp2 = rows[:nn], rows[nn:2 * nn]
     # column k holds the real part of M_g[k], column nn + k its imaginary part
     A = np.block([[resp1, resp2], [resp2, -resp1]]).T
-    E = np.zeros((n, n, n), dtype=complex)
-    worst_res = 0.0
-    for g in range(n):
-        b = -np.concatenate([rows[2 * nn + g], rows[2 * nn + n + g]])
-        x, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
-        if rank < 2 * nn:
-            raise DegenerateMetricError(
-                "singular tangency system: the metric degenerates at this point")
-        E[:, :, g] = (x[:nn] + 1j * x[nn:]).reshape(n, n)
-        worst_res = max(worst_res, float(np.max(np.abs(A @ x - b))))
+    # one right-hand side per direction g, all solved with one factorization
+    b = -np.concatenate([rows[2 * nn:2 * nn + n], rows[2 * nn + n:]], axis=1).T
+    x, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
+    if rank < 2 * nn:
+        raise DegenerateMetricError(
+            "singular tangency system: the metric degenerates at this point")
+    E = (x[:nn] + 1j * x[nn:]).T.reshape(n, n, n).transpose(1, 2, 0)
+    worst_res = float(np.max(np.abs(A @ x - b)))
 
     fd = frame_data(prog, z, U)
     gap = float(np.max(np.abs(E - fd.E)))

@@ -4,7 +4,9 @@ The quadratic, cubic and quartic fiber forms are the order-2, 3, 4 jets of
 F^2 in the fiber variables, contracted with frame vectors.  An index is an
 integer 0..n-1 for a holomorphic slot, or ``bar(k)`` for the conjugate slot;
 values only depend on the multiset of indices of each type (total symmetry).
-form_derivative differentiates a frame-contracted form along ambient tangents.
+form_derivative differentiates a frame-contracted form along ambient tangents;
+tensor_derivative, which it calls, does the same for any frame-contracted
+tensor given with its base and fiber derivatives.
 """
 
 from __future__ import annotations
@@ -56,10 +58,27 @@ def form_derivative(jet, U: np.ndarray, pq: tuple[int, int], dz, dU) -> np.ndarr
     (z, U[:, 0]) with fiber order at least p + q + 1 and base order 1.
 
     dz has shape (K, n) and dU shape (K, n, n); returns shape
-    (K,) + (n,) * (p + q).  Each direction takes the matrix-vector and
-    matrix products a single direction would (np.matmul over the stack, not
-    one product of the stack), so direction k of a stack is bit-identical
-    to that direction alone.
+    (K,) + (n,) * (p + q).
+    """
+    p, q = pq
+    return tensor_derivative(U, pq, jet.fiber_tensor(p, q), jet.fiber_tensor_dbase(p, q),
+                             (jet.fiber_tensor(p + 1, q),
+                              np.moveaxis(jet.fiber_tensor(p, q + 1), p, 0)), dz, dU)
+
+
+def tensor_derivative(U: np.ndarray, pq: tuple[int, int], raw: np.ndarray, dbase, dfiber,
+                      dz, dU) -> np.ndarray:
+    """Derivatives of frame_contract(raw, p, q, U) along K real ambient
+    tangents (dz[k], dU[k]) at (z, U), where raw is a coordinate tensor with
+    p holomorphic slots, then q conjugate ones, that depends on the base
+    point z and the fiber point e_0 = U[:, 0].
+
+    dbase = (d_z raw, d_zbar raw) and dfiber = (d_v raw, d_vbar raw), each
+    with the derivative's index leading.  Shapes as for form_derivative.
+    Each direction takes the matrix-vector and matrix products a single
+    direction would (np.matmul over the stack, not one product of the
+    stack), so direction k of a stack is bit-identical to that direction
+    alone.
     """
     p, q = pq
     dz = np.asarray(dz, dtype=complex)
@@ -78,16 +97,14 @@ def form_derivative(jet, U: np.ndarray, pq: tuple[int, int], dz, dU) -> np.ndarr
         # t contracted in its first slot with each vector of the stack vecs
         return np.matmul(vecs[:, None], t.reshape(n, -1)).reshape((K,) + (n,) * (p + q))
 
-    TZ, TZb = jet.fiber_tensor_dbase(p, q)
+    TZ, TZb = dbase
     out = contract(np.einsum("sk,k...->s...", dz, TZ)
                    + np.einsum("sk,k...->s...", np.conj(dz), TZb))
     # the motion of the fiber point e_0 = U[:, 0]
     de0 = dU[:, :, 0]
-    out = out + contract(contract_first(de0, jet.fiber_tensor(p + 1, q)))
-    t_up = np.moveaxis(jet.fiber_tensor(p, q + 1), p, 0)  # a conjugate slot first
-    out = out + contract(contract_first(np.conj(de0), t_up))
+    out = out + contract(contract_first(de0, dfiber[0]))
+    out = out + contract(contract_first(np.conj(de0), dfiber[1]))
     # the motion of the frame, one slot at a time
-    raw = jet.fiber_tensor(p, q)
     for s, dM in enumerate([dU] * p + [np.conj(dU)] * q):
         head = np.moveaxis(frame_contract(raw, min(s, p), max(s - p, 0), U), 0, -1)
         out = out + contract(np.matmul(head.reshape(-1, n), dM).reshape(out.shape), s + 1)

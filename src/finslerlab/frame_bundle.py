@@ -139,8 +139,10 @@ def unpack_real(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def complexify(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
-    """Complexified stack (dz, dzbar, dU, dUbar) of an ambient tangent."""
-    return np.concatenate([dz, np.conj(dz), dU.ravel(), np.conj(dU).ravel()])
+    """Complexified stack (dz, dzbar, dU, dUbar) of an ambient tangent, or of
+    each tangent of a stack (leading axes on dz and dU alike)."""
+    dU = dU.reshape(dz.shape[:-1] + (-1,))
+    return np.concatenate([dz, np.conj(dz), dU, np.conj(dU)], axis=-1)
 
 
 # --------------------------------------------------------------------------

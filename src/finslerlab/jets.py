@@ -8,8 +8,10 @@ variables are independent differentiation directions (Wirtinger calculus);
 and conjugating the coefficients.
 
 Truncation is by *fiber* total degree and *base* total degree separately,
-which keeps the tables small (base order never exceeds 1 in this package,
-fiber order never exceeds 5).
+which keeps the tables small: fiber order never exceeds 5 in this package,
+and base order never exceeds 2.  Base order 2 serves one purpose, the
+second base derivatives of the (1, 1) fiber tensor, which the exact
+derivative of the connection needs; every other jet has base order 0 or 1.
 
 On the larger tables the product of finite operands visits only the pairs
 of the multiplication table whose two coefficients are both nonzero, in the
@@ -41,12 +43,11 @@ SPARSE_MIN_PAIRS = 1000
 PATTERN_CACHE_SIZE = 256
 
 
-def _monomials(nvars: int, max_deg: int):
-    """All exponent tuples over `nvars` variables with total degree <= max_deg."""
-    out = [()]
-    for _ in range(nvars):
-        out = [m + (d,) for m in out for d in range(max_deg + 1)]
-    return [m for m in out if sum(m) <= max_deg]
+def _monomials(nvars: int, max_deg: int) -> np.ndarray:
+    """All exponent rows over `nvars` variables with total degree <= max_deg,
+    in lexicographic order (the first variable most significant)."""
+    grid = np.indices((max_deg + 1,) * nvars).reshape(nvars, -1).T
+    return grid[grid.sum(axis=1) <= max_deg]
 
 
 class JetSpace:
@@ -58,49 +59,49 @@ class JetSpace:
         self.base_order = base_order
         self.max_total = fiber_order + base_order
 
+        # every fiber monomial times every base monomial, fiber part first
         fib = _monomials(2 * n, fiber_order)
         base = _monomials(2 * n, base_order)
-        self.monomials = [f + b for f in fib for b in base]
+        mono = np.hstack([np.repeat(fib, len(base), axis=0), np.tile(base, (len(fib), 1))])
+        self.monomials = list(map(tuple, mono.tolist()))
         self.size = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
+        # a monomial's code: its exponents as the digits of one integer, so the
+        # code of a product is the sum of the codes (no exponent exceeds max_total)
+        radix = (self.max_total + 1) ** np.arange(4 * n - 1, -1, -1)
+        code = mono @ radix
+        by_code = np.argsort(code)
 
-        # multiplication table as flat gather/scatter index arrays
-        fib_deg = [sum(m[: 2 * n]) for m in self.monomials]
-        base_deg = [sum(m[2 * n:]) for m in self.monomials]
-        by_deg: dict[tuple[int, int], list[int]] = {}
-        for i, m in enumerate(self.monomials):
-            by_deg.setdefault((fib_deg[i], base_deg[i]), []).append(i)
-        i1, i2, iout = [], [], []
-        for (f1, b1), idxs1 in by_deg.items():
-            for (f2, b2), idxs2 in by_deg.items():
-                if f1 + f2 > fiber_order or b1 + b2 > base_order:
-                    continue
-                for a in idxs1:
-                    ma = self.monomials[a]
-                    for b in idxs2:
-                        mb = self.monomials[b]
-                        mc = tuple(x + y for x, y in zip(ma, mb))
-                        i1.append(a)
-                        i2.append(b)
-                        iout.append(self.index[mc])
-        self._m1 = np.asarray(i1, dtype=np.intp)
-        self._m2 = np.asarray(i2, dtype=np.intp)
-        self._mo = np.asarray(iout, dtype=np.intp)
-        self._sparse = len(iout) >= SPARSE_MIN_PAIRS
+        def lookup(codes):
+            return by_code[np.searchsorted(code, codes, sorter=by_code)]
+
+        # multiplication table as flat gather/scatter index arrays: the blocks
+        # of monomials of one (fiber, base) degree in order of first
+        # appearance, every compatible pair of blocks, each pair row by row
+        fib_deg = mono[:, :2 * n].sum(axis=1)
+        base_deg = mono[:, 2 * n:].sum(axis=1)
+        deg = fib_deg * (base_order + 1) + base_deg
+        blocks = [np.flatnonzero(deg == d) for d in dict.fromkeys(deg.tolist())]
+        i1, i2 = [], []
+        for a in blocks:
+            for b in blocks:
+                if (fib_deg[a[0]] + fib_deg[b[0]] <= fiber_order
+                        and base_deg[a[0]] + base_deg[b[0]] <= base_order):
+                    i1.append(np.repeat(a, len(b)))
+                    i2.append(np.tile(b, len(a)))
+        self._m1 = np.concatenate(i1)
+        self._m2 = np.concatenate(i2)
+        self._mo = lookup(code[self._m1] + code[self._m2])
+        self._sparse = len(self._mo) >= SPARSE_MIN_PAIRS
         # (nonzero pattern of a, of b) -> the table's pairs that both cover
         self._pairs: dict = {}
 
         # conjugation permutation: swap v<->vbar and z<->zbar blocks
-        perm = []
-        for m in self.monomials:
-            a, b, c, d = m[:n], m[n:2 * n], m[2 * n:3 * n], m[3 * n:]
-            perm.append(self.index[b + a + d + c])
-        self._conj_perm = np.asarray(perm, dtype=np.intp)
+        swap = np.arange(4 * n).reshape(4, n)[[VBAR, V, ZBAR, Z]].ravel()
+        self._conj_perm = lookup(mono[:, swap] @ radix)
 
-        self._factorial = np.array(
-            [math.prod(math.factorial(e) for e in m) for m in self.monomials],
-            dtype=float,
-        )
+        factorials = np.array([math.factorial(k) for k in range(self.max_total + 1)])
+        self._factorial = np.prod(factorials[mono], axis=1).astype(float)
         self._tensor_tables: dict = {}
         # first-order slots for seeding variables
         self._linear_slot = {}
@@ -153,28 +154,28 @@ class JetSpace:
             self._pairs[key] = hit
         return hit
 
-    def tensor_table(self, p: int, q: int, base_kind: int | None = None):
+    def tensor_table(self, p: int, q: int, base: tuple = ()):
         """Gather indices and factorial weights for a (p, q) fiber tensor.
 
-        With ``base_kind`` (Z or ZBAR) the table covers the base-derivative
-        tensor with a leading base index.
+        Each kind in ``base`` (Z or ZBAR) adds a leading base index: the
+        table covers the base derivatives of the tensor, the first kind's
+        index outermost.
         """
-        key = (p, q, base_kind)
+        key = (p, q, base)
         hit = self._tensor_tables.get(key)
         if hit is not None:
             return hit
         n = self.n
-        shape = ((n,) if base_kind is not None else ()) + (n,) * (p + q)
+        nb = len(base)
+        shape = (n,) * (nb + p + q)
         pos = np.empty(shape, dtype=np.intp)
         for idx in np.ndindex(shape):
             e = [0] * (4 * n)
-            off = 0
-            if base_kind is not None:
-                e[base_kind * n + idx[0]] += 1
-                off = 1
-            for k in idx[off:off + p]:
+            for kind, k in zip(base, idx):
+                e[kind * n + k] += 1
+            for k in idx[nb:nb + p]:
                 e[V * n + k] += 1
-            for k in idx[off + p:]:
+            for k in idx[nb + p:]:
                 e[VBAR * n + k] += 1
             pos[idx] = self.index[tuple(e)]
         table = (pos, self._factorial[pos])
@@ -320,14 +321,23 @@ class Jet:
 
     def fiber_tensor(self, p: int, q: int) -> np.ndarray:
         """Tensor of partials d^p_v d^q_vbar, shape (n,)*(p+q), v-slots first."""
-        pos, fact = self.space.tensor_table(p, q)
-        return self.c[pos] * fact
+        return self._tensor(p, q, ())
 
     def fiber_tensor_dbase(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
         """Base-derivative tensors (d_z_k, d_zbar_k) of the (p, q) fiber tensor.
 
         Returns two arrays of shape (n,) + (n,)*(p+q); leading axis is k.
         """
-        pos, fact = self.space.tensor_table(p, q, Z)
-        posb, factb = self.space.tensor_table(p, q, ZBAR)
-        return self.c[pos] * fact, self.c[posb] * factb
+        return self._tensor(p, q, (Z,)), self._tensor(p, q, (ZBAR,))
+
+    def fiber_tensor_dbase2(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """Second base derivatives (d_z_l, d_zbar_l) of the d_z_k tensor of
+        fiber_tensor_dbase; needs base order 2.
+
+        Returns two arrays of shape (n, n) + (n,)*(p+q); leading axes are l, k.
+        """
+        return self._tensor(p, q, (Z, Z)), self._tensor(p, q, (ZBAR, Z))
+
+    def _tensor(self, p: int, q: int, base: tuple) -> np.ndarray:
+        pos, fact = self.space.tensor_table(p, q, base)
+        return self.c[pos] * fact

@@ -5,13 +5,15 @@ vertical fields, the fiber rotation generator and a fixed skew-Hermitian
 basis of the block algebra acting on e_1..e_{n-1}.  All of them, and the
 complexified basis, are built in one place, ``_field_stack``: each field is
 U @ G for a generator G of the stack ``_generators`` forms, all products
-taken in one matmul.  Lie brackets are computed numerically from
-finite-difference Jacobians of the fields in ambient coordinates; their
-components in the parallelism basis are the structure functions, the
-complete local isometry invariants.  The closed forms of the P families
-differentiate the (2, 0), (1, 2) and (2, 1) frame forms along the lifts
-with finsler_forms.form_derivative, the derivative the connection's
-tangency conditions take of the (1, 1) form.
+taken in one matmul.  Lie brackets come from the exact derivatives of the
+fields along each other at the point, ``_bracket_table``: G is linear in
+the connection coefficients E and the frame forms C(2, 0), C(2, 1), whose
+derivatives connection.frame_derivatives takes from the jets at the point.
+The brackets' components in the parallelism basis are the structure
+functions, the complete local isometry invariants.  The closed forms of the
+P families differentiate the (2, 0), (1, 2) and (2, 1) frame forms along
+the lifts with finsler_forms.form_derivative, the derivative the
+connection's tangency conditions take of the (1, 1) form.
 
 Convention anchor: curvature components are extracted raw from brackets and
 additionally reported in the holomorphic-sectional-curvature normalization
@@ -23,11 +25,11 @@ normalization factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
-from .connection import FrameData, frame_data
+from .connection import FrameData, frame_data, frame_derivatives
 from .finsler_forms import form_derivative
 from .frame_bundle import (
     FIELD_STEP,
@@ -131,21 +133,32 @@ def _generators(fd: FrameData) -> np.ndarray:
     """The generator stack G at the point of fd, laid out as _stack_layout
     describes: the slots of the real fields first, then those of the
     complexified basis."""
-    n, m = fd.n, fd.n - 1
+    # the frame forms enter only the vertical slots, which n = 1 lacks
+    forms = (fd.C(2, 0), fd.C(2, 1)) if fd.n > 1 else (None, None)
+    return _fill_generators(_stack_layout(fd.n)[0].copy(), fd.E, *forms)
+
+
+def _fill_generators(G: np.ndarray, E: np.ndarray, C20: np.ndarray, C21: np.ndarray):
+    """Fill the slots of the stack G, shape (..., S, n, n), that depend on
+    the point from E, C(2, 0) and C(2, 1), which carry the same leading axes;
+    G's constant slots are read and kept.  Apart from those constants the
+    stack is linear in (E, C20, C21), so a zero stack filled from their
+    derivatives is the derivative of the stack."""
+    n = E.shape[-1]
+    m = n - 1
     N = n * n + 2 * n
-    G = _stack_layout(n)[0].copy()
-    E = fd.E.transpose(2, 0, 1)  # E[g] = E_g
-    np.multiply(E[:, None], _PHASES, out=G[:2 * n].reshape(n, 2, n, n))
-    G[N:N + n] = E
+    E = np.moveaxis(E, -1, -3)  # E[..., g, :, :] = E_g
+    G[..., :2 * n, :, :] = (E[..., None, :, :] * _PHASES).reshape(E.shape[:-3] + (2 * n, n, n))
+    G[..., N:N + n, :, :] = E
     if m:
-        corr = np.zeros((m, n, n), dtype=complex)
-        corr[:, 0, 1:] = fd.C(2, 0)[1:, 1:].T
-        corr[:, 1:, 1:] = fd.C(2, 1)[1:, 1:, 1:].transpose(1, 2, 0)
-        B = G[N + n:N + n + m] - corr
-        C = G[N + n + m:N + n + 2 * m]
-        G[2 * n:2 * n + 2 * m:2] = B + C
-        G[2 * n + 1:2 * n + 2 * m:2] = 1j * (B - C)
-        G[N + n:N + n + m] = B
+        corr = np.zeros(E.shape[:-3] + (m, n, n), dtype=complex)
+        corr[..., 0, 1:] = np.swapaxes(C20[..., 1:, 1:], -1, -2)
+        corr[..., 1:, 1:] = np.moveaxis(C21[..., 1:, 1:, 1:], -3, -1)
+        B = G[..., N + n:N + n + m, :, :] - corr
+        C = G[..., N + n + m:N + n + 2 * m, :, :]
+        G[..., 2 * n:2 * n + 2 * m:2, :, :] = B + C
+        G[..., 2 * n + 1:2 * n + 2 * m:2, :, :] = 1j * (B - C)
+        G[..., N + n:N + n + m, :, :] = B
     return G
 
 
@@ -264,28 +277,31 @@ def parallelism_at(prog: MetricProgram, p: BundlePoint) -> ParallelismBasis:
                             max_tangency=float(worst))
 
 
-def _jacobians(prog: MetricProgram, z, U) -> np.ndarray:
-    """Finite-difference Jacobians of all field columns; shape (D, N, D)."""
-    p0 = pack_real(AmbientTangent(z, U))
-    fields = partial(_real_field_matrix, prog)
-    cols = [along(fields, z, U, e, FIELD_STEP * (1.0 + abs(p0[k])))
-            for k, e in enumerate(np.eye(len(p0)))]
-    return np.stack(cols, axis=-1)  # (D, N, D): d field_m / d coord_k
-
-
 def _bracket_table(prog: MetricProgram, p: BundlePoint) -> tuple[np.ndarray, np.ndarray]:
     """All pairwise brackets of the real parallelism fields at p.
 
     Returns (values, brackets): values[:, m] is field m at p, and
-    brackets[a, b] = J_b @ X_a - J_a @ X_b in packed-real coordinates.
+    brackets[a, b] = D_a X_b - D_b X_a in packed-real coordinates, where
+    D_a X_b is the exact derivative of field X_b along X_a.  A field is
+    (U w, U G) with w constant and G from (E, C20, C21), so along X_a =
+    (dz_a, dU_a) it moves by (dU_a w, dU_a G + U dG), with dG the stack
+    _fill_generators builds from the derivatives of (E, C20, C21).
     """
 
     def build():
-        vals = _real_field_matrix(prog, p.z, p.U)
-        jac = _jacobians(prog, p.z, p.U)
-        # jac[:, m, k] = d(field m)/d(coord k); bracket = DY.X - DX.Y
-        br = np.einsum("imk,kj->jmi", jac, vals) - np.einsum("imk,kj->mji", jac, vals)
-        return vals, br
+        fd = frame_data(prog, p.z, p.U)
+        dz, P = _field_stack(fd)
+        N = len(dz)
+        X = P[:N]  # the dU of each field
+        dG = _fill_generators(np.zeros((N,) + P.shape, dtype=complex),
+                              *frame_derivatives(prog, fd, dz, X))
+        # D[a, b] = D_a X_b, packed as the fields are
+        Ddz = np.zeros((N, N, fd.n), dtype=complex)
+        Ddz[:, :2 * fd.n] = np.matmul(X[:, None], _stack_layout(fd.n)[1])[..., 0]
+        DU = (np.matmul(X[:, None], _generators(fd)[:N]) + np.matmul(fd.U, dG[:, :N])
+              ).reshape(N, N, -1)
+        D = np.concatenate([Ddz.real, Ddz.imag, DU.real, DU.imag], axis=-1)
+        return _packed(dz, P), D - D.transpose(1, 0, 2)
 
     return prog.memo(("brackets", p.key()), build)
 
@@ -334,6 +350,14 @@ class StructureFunctions:
         return HSC_NORMALIZATION * self.R_raw
 
 
+def _complex_brackets(K: np.ndarray, br: np.ndarray, n: int) -> np.ndarray:
+    """brc[x, y] = sum_ab K[x, a] K[y, b] complexify(br[a, b]): the brackets
+    of the complexified basis, from the packed-real table of _bracket_table."""
+    N = len(K)
+    brx = np.matmul(K, complexify(*unpack_real(br, n)))  # contract b
+    return np.matmul(K, brx.reshape(N, -1)).reshape(brx.shape)
+
+
 def _sup(*arrays) -> float:
     """Largest modulus of the entries of the arrays; 0 when there are none."""
     return float(np.max(np.abs(np.concatenate([a.ravel() for a in arrays])), initial=0.0))
@@ -355,12 +379,7 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     basis = _complex_fields(fd)
     N = basis.shape[1]
 
-    # complexified real brackets, then complex-bilinear combinations
-    br_complexified = np.empty(br.shape[:2] + (basis.shape[0],), dtype=complex)
-    for a in range(br.shape[0]):
-        for b in range(br.shape[1]):
-            br_complexified[a, b] = complexify(*unpack_real(br[a, b], n))
-    brc = np.einsum("ax,by,xyd->abd", K, K, br_complexified)
+    brc = _complex_brackets(K, br, n)
 
     sol, *_ = np.linalg.lstsq(basis, brc.reshape(N * N, -1).T, rcond=None)
     coeff = sol.T.reshape(N, N, N)  # coeff[a, b, i]: bracket (a,b) on basis i
@@ -575,9 +594,10 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     """Residuals of the first-order identities satisfied by the coframe.
 
     Both sides of the torsion and curvature equations are evaluated on all
-    pairs of parallelism fields; exterior derivatives use central
-    finite differences along the fields.  Also reports the sup-norms of
-    the purely Finslerian torsion/curvature coefficient families.
+    pairs of parallelism fields; the brackets are exact, and the exterior
+    derivatives of the forms use central finite differences along the
+    fields.  Also reports the sup-norms of the purely Finslerian
+    torsion/curvature coefficient families.
     """
     n = prog.dim
     sf = extract_structure(prog, p)
@@ -602,9 +622,7 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     dW_c = np.einsum("xm,mabi->xabi", K, dW_r)
 
     # complex brackets and their form values at p
-    brc = np.einsum("xm,yk,mkd->xyd", K, K,
-                    np.stack([[complexify(*unpack_real(br[a, b], n))
-                               for b in range(br.shape[1])] for a in range(br.shape[0])]))
+    brc = _complex_brackets(K, br, n)
     TH_br = np.zeros((n, N, N), dtype=complex)
     W_br = np.zeros((n, n, N, N), dtype=complex)
     for x in range(N):
@@ -757,9 +775,11 @@ def _lift_derivative_of(prog: MetricProgram, p: BundlePoint, func):
 
 def bianchi_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     """Residuals of the differential identities tying the torsion, the
-    curvature and their horizontal derivatives.  Derivatives of the
-    curvature come from finite differences of the bracket extraction, so
-    the practical noise floor is around 1e-3 times the curvature scale."""
+    curvature and their horizontal derivatives.  The horizontal derivatives
+    are one central difference (NESTED_STEP) of the torsion and of the
+    curvature extracted from exact brackets, so their noise comes from that
+    outer difference alone; the bound the checks apply stays 1e-3 times the
+    curvature scale."""
     n = prog.dim
     sf = extract_structure(prog, p)
     T, R = sf.T, sf.R_raw

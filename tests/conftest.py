@@ -1,5 +1,6 @@
 import pytest
 
+from finslerlab import MetricSource, parse_metric
 from finslerlab.registry import catalog
 
 
@@ -12,3 +13,12 @@ def entries():
 def progs(entries):
     # compiled once per session so jet caches are shared across tests
     return {mid: e.program() for mid, e in entries.items()}
+
+
+@pytest.fixture(scope="session")
+def warped():
+    # non-Hermitian with a base-dependent cubic form, which no catalog metric
+    # has: the one metric here on which every term of the connection's
+    # derivative counts
+    return parse_metric(MetricSource(
+        2, "sqrt(abs2(v1)^2 + abs2(v2)^2 + abs2(z1)*abs2(v1)*abs2(v2))"))

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from finslerlab.connection import (
+    FrameData,
     covariant_derivative,
     frame_data,
+    frame_derivatives,
     horizontal_lift,
     solve_connection,
 )
@@ -203,3 +205,31 @@ def test_program_cache_is_bounded(entries):
         sizes.append(len(prog._cache))
     assert 4096 <= max(sizes) <= 4097
     assert sizes[-1] < 4096  # cleared on the way
+
+
+@pytest.mark.parametrize("mid", ["l4_finsler", "poincare_ball_3", "hermitian_nonconstant",
+                                 "warped"])
+def test_frame_derivatives_match_central_differences(progs, entries, warped, mid):
+    # along ambient tangents off the bundle too: E, C(2, 0) and C(2, 1) are
+    # formulas at any invertible U
+    if mid == "warped":
+        prog = warped
+        p = adapted_frame(prog, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j])
+    else:
+        prog = progs[mid]
+        p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=5)[0])
+    n = prog.dim
+    rng = np.random.default_rng(6)
+    dz = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    dU = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    exact = frame_derivatives(prog, frame_data(prog, p.z, p.U), dz, dU)
+    h = 1e-5
+
+    def parts(k, t):
+        fd = FrameData(prog, p.z + t * dz[k], p.U + t * dU[k])
+        return fd.E, fd.C(2, 0), fd.C(2, 1)
+
+    for k in range(len(dz)):
+        for got, plus, minus in zip(exact, parts(k, h), parts(k, -h)):
+            want = (plus - minus) / (2 * h)
+            assert np.max(np.abs(got[k] - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))

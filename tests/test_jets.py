@@ -1,11 +1,35 @@
+import math
+
 import numpy as np
 import pytest
 
 from finslerlab.jets import PATTERN_CACHE_SIZE, V, VBAR, Z, ZBAR, JetError, jet_space
 
 # every (n, fiber order, base order) table the catalog's reports use
-CATALOG_TABLES = [(1, 2, 0), (1, 4, 1), (2, 2, 0), (2, 3, 0), (2, 3, 1), (2, 4, 1),
-                  (2, 5, 0), (3, 2, 0), (3, 4, 1)]
+CATALOG_TABLES = [(1, 2, 0), (1, 2, 2), (1, 4, 1), (2, 2, 0), (2, 2, 2), (2, 3, 0),
+                  (2, 3, 1), (2, 4, 1), (2, 5, 0), (3, 2, 0), (3, 2, 2), (3, 4, 1)]
+
+
+def loop_tables(sp):
+    """The multiplication table (m1, m2, mo) of sp built pair by pair: the
+    blocks of monomials of one (fiber, base) degree in order of first
+    appearance, every compatible pair of blocks, each pair row by row."""
+    n = sp.n
+    by_deg: dict[tuple[int, int], list[int]] = {}
+    for i, m in enumerate(sp.monomials):
+        by_deg.setdefault((sum(m[:2 * n]), sum(m[2 * n:])), []).append(i)
+    i1, i2, iout = [], [], []
+    for (f1, b1), idxs1 in by_deg.items():
+        for (f2, b2), idxs2 in by_deg.items():
+            if f1 + f2 > sp.fiber_order or b1 + b2 > sp.base_order:
+                continue
+            for a in idxs1:
+                for b in idxs2:
+                    mc = tuple(x + y for x, y in zip(sp.monomials[a], sp.monomials[b]))
+                    i1.append(a)
+                    i2.append(b)
+                    iout.append(sp.index[mc])
+    return i1, i2, iout
 
 
 def full_table_mul(sp, a, b):
@@ -135,3 +159,37 @@ def test_pattern_cache_is_bounded():
         a = random_coefficients(rng, sp.size, 0.5)
         assert np.array_equal(sp.mul(a, b), full_table_mul(sp, a, b))
         assert len(sp._pairs) <= PATTERN_CACHE_SIZE
+
+
+@pytest.mark.parametrize("table", CATALOG_TABLES)
+def test_tables_equal_the_pairwise_loop(table):
+    # table order fixes the order of the product's sums, so its bits
+    sp = jet_space(*table)
+    m1, m2, mo = loop_tables(sp)
+    assert np.array_equal(sp._m1, m1)
+    assert np.array_equal(sp._m2, m2)
+    assert np.array_equal(sp._mo, mo)
+    # monomial order: fiber exponents, then base exponents, each lexicographic
+    assert sp.monomials == sorted(sp.monomials, key=lambda m: (m[:2 * sp.n], m[2 * sp.n:]))
+    assert len(set(sp.monomials)) == sp.size
+    n = sp.n
+    for i, m in enumerate(sp.monomials):
+        swapped = m[n:2 * n] + m[:n] + m[3 * n:] + m[2 * n:3 * n]
+        assert sp.monomials[sp._conj_perm[i]] == swapped
+        assert sp._factorial[i] == np.prod([math.factorial(e) for e in m])
+
+
+def test_second_base_derivatives_of_a_product():
+    # F = v1 vbar1 z1^2 zbar2 at n = 2: d_z1 d_z1 d_v1 d_vbar1 F = 2 zbar2 and
+    # d_zbar2 d_z1 d_v1 d_vbar1 F = 2 z1
+    sp = jet_space(2, 2, 2)
+    v1 = sp.variable(V, 0, 0.3 + 0.1j)
+    z1 = sp.variable(Z, 0, 0.2 - 0.4j)
+    z2 = sp.variable(Z, 1, -0.5 + 0.3j)
+    f = v1.abs2() * z1 * z1 * z2.conj()
+    zz, zbz = f.fiber_tensor_dbase2(1, 1)
+    assert zz.shape == zbz.shape == (2, 2, 2, 2)
+    assert zz[0, 0, 0, 0] == pytest.approx(2 * np.conj(-0.5 + 0.3j))
+    assert zbz[1, 0, 0, 0] == pytest.approx(2 * (0.2 - 0.4j))
+    assert zbz[0, 0, 0, 0] == 0
+    assert zz[0, 0, 0, 0] == f.derivative(v=(0,), vbar=(0,), z=(0, 0))

@@ -2,13 +2,24 @@ import numpy as np
 import pytest
 
 from finslerlab import MetricSource, parse_metric
-from finslerlab.connection import frame_data
-from finslerlab.frame_bundle import adapted_frame, complexify, fundamental_field, unpack_real
+from finslerlab.connection import FrameData, frame_data
+from finslerlab.frame_bundle import (
+    FIELD_STEP,
+    AmbientTangent,
+    adapted_frame,
+    along,
+    complexify,
+    fundamental_field,
+    pack_real,
+    unpack_real,
+)
+from finslerlab.metric_dsl import MetricProgram
 from finslerlab.parallelism import (
     _bracket_table,
     _complex_combination_matrix,
     _complex_fields,
     _field_stack,
+    _real_field_matrix,
     bianchi_residuals,
     closed_form_P,
     closed_form_Q,
@@ -259,3 +270,75 @@ def test_bracket_residual_guard(progs):
     assert np.isfinite(br).all()
     sf = extract_structure(prog, p)
     assert sf.residual < 1e-5
+
+
+def fd_bracket_table(prog, p, h, fourth_order=False):
+    """The brackets of the real fields from central-difference Jacobians of
+    the field matrix along every packed-real ambient coordinate, with step
+    h (1 + |coordinate|); with fourth_order, Richardson's combination of the
+    steps h and h / 2.  Layout as _bracket_table's."""
+    p0 = pack_real(AmbientTangent(p.z, p.U))
+
+    def jacobian(step):
+        # jac[:, m, k] = d(field m)/d(coord k)
+        return np.stack([along(lambda z, U: _real_field_matrix(prog, z, U), p.z, p.U, e,
+                               step * (1.0 + abs(p0[k])))
+                         for k, e in enumerate(np.eye(len(p0)))], axis=-1)
+
+    jac = (4 * jacobian(h / 2) - jacobian(h)) / 3 if fourth_order else jacobian(h)
+    vals = _real_field_matrix(prog, p.z, p.U)
+    # bracket[a, b] = J_b X_a - J_a X_b
+    return np.einsum("imk,kj->jmi", jac, vals) - np.einsum("imk,kj->mji", jac, vals)
+
+
+@pytest.mark.parametrize("mid", ["l4_finsler", "poincare_ball_3", "hermitian_nonconstant",
+                                 "warped"])
+def test_brackets_match_finite_difference_oracle(progs, entries, warped, mid):
+    # the exact table agrees with a fourth-order difference of the fields,
+    # and is at least ten times closer to it than the second-order
+    # difference at FIELD_STEP, which is what the brackets once were
+    if mid == "warped":
+        prog = warped
+        p = adapted_frame(prog, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j])
+    else:
+        prog = progs[mid]
+        p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=3)[0])
+    _, br = _bracket_table(prog, p)
+    scale = np.max(np.abs(br))
+    oracle = fd_bracket_table(prog, p, 1e-4, fourth_order=True)
+    exact_err = np.max(np.abs(br - oracle)) / scale
+    fd_err = np.max(np.abs(fd_bracket_table(prog, p, FIELD_STEP) - oracle)) / scale
+    assert exact_err <= 1e-7
+    assert exact_err <= 0.1 * fd_err
+
+
+def test_structure_builds_frame_data_and_jets_only_at_the_point(entries, monkeypatch):
+    prog = entries["poincare_ball_3"].program()  # a fresh program: nothing cached
+    p = adapted_frame(prog, [0.1, 0.2j, -0.1], [1.0, 0.4, 0.2j])
+    frames, jets = [], []
+    init, jet = FrameData.__init__, MetricProgram.jet_unchecked
+
+    def counted_init(self, prog, z, U):
+        frames.append((np.array(z), np.array(U)))
+        init(self, prog, z, U)
+
+    def counted_jet(self, z, v, fiber_order, base_order):
+        jets.append((np.array(z), np.array(v), fiber_order, base_order))
+        return jet(self, z, v, fiber_order, base_order)
+
+    monkeypatch.setattr(FrameData, "__init__", counted_init)
+    monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
+    extract_structure(prog, p)
+    assert len(frames) == 1
+    assert np.array_equal(frames[0][0], p.z) and np.array_equal(frames[0][1], p.U)
+    assert {j[2:] for j in jets} == {(4, 1), (2, 2)}
+    for z, v, *_ in jets:
+        assert np.array_equal(z, p.z) and np.array_equal(v, p.e0)
+
+
+@pytest.mark.parametrize("mid", ["poincare_disc", "poincare_ball_2"])
+def test_ball_curvature_to_round_off(progs, entries, mid):
+    prog = progs[mid]
+    for z, v in sample_points(prog, entries[mid], 2, seed=3):
+        sf = extract_structure(prog, adapted_frame(prog, z, v))
+        assert abs(sf.R[0, 0, 0, 0] - (-4.0)) <= 1e-11
