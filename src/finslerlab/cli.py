@@ -211,13 +211,12 @@ def cmd_check(args) -> int:
     add("connection_closed_form_gap", max(b["closed_form_gap"] for b in per_point),
         1e-8 * scale)
 
-    se_tol = (1e-5 if herm else 1e-4) * scale
     sigma0 = 0.0
     for p in frames[:max(1, min(3, len(points)))]:
         r = structure_equation_residuals(prog, p)
         sigma0 = max(sigma0, r["finsler_norms"]["sigma0"])
         add("structure_equations", max(r["eq529"], r["eq533"], r["eq534"],
-                                       r["eq535"], r["eq536"]), se_tol)
+                                       r["eq535"], r["eq536"]), 1e-10 * scale)
         add("bracket_decomposition", r["decomposition_residual"], 1e-5 * scale)
     for p in frames[:max(1, min(2, len(points)))]:
         b = bianchi_residuals(prog, p)

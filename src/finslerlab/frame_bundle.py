@@ -149,10 +149,10 @@ def complexify(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
 # derivatives along fields
 # --------------------------------------------------------------------------
 
-# Relative steps of the differences along the parallelism fields.  NESTED_STEP,
-# for signature tiers, regularity ranks and horizontal-lift derivatives, is
-# larger: it differentiates central differences, whose noise it amplifies less.
-FIELD_STEP = 1e-5
+# Relative step of the central differences along the parallelism fields: the
+# signature tiers, the regularity ranks and the curvature's derivatives along
+# the horizontal lifts.  Higher tiers difference the tiers below them, whose
+# noise a larger step amplifies less.
 NESTED_STEP = 1e-4
 
 

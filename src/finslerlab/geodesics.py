@@ -30,7 +30,7 @@ from .parallelism import (
     _Coframe,
     _complex_lift_derivative,
     _field_stack,
-    _lift_derivative_of,
+    _lift_torsion_derivative,
     extract_structure,
 )
 
@@ -242,7 +242,8 @@ def classify(prog: MetricProgram, points) -> ClassificationReport:
     witnesses = {"hermitian_witness": None if witness is None else {
         "z": witness[0].tolist(), "v": witness[1].tolist(),
         "value": [witness[3].real, witness[3].imag]},
-        "worst_torsion_point": None if worst_T_point is None else
+        # below TORSION_TOL the largest torsion is round-off, and its point says nothing
+        "worst_torsion_point": None if worst_T_point is None or torsion_free else
         [worst_T_point[0].tolist(), worst_T_point[1].tolist()]}
     return ClassificationReport(
         hermitian=herm,
@@ -320,8 +321,7 @@ def e_manifold_closed_forms(prog: MetricProgram, p: BundlePoint, c: float) -> di
         res["torsion_forms"] = tres
 
     # local identity tying curvature, the pure form and the torsion trace
-    dT_h, dT_a = _lift_derivative_of(prog, p,
-                                     lambda z, U: frame_data(prog, z, U).torsion)
+    dT_a = _lift_torsion_derivative(prog, p)[1]
     ident = 0.0
     for lam in range(1, n):
         lhs = sum(craw * abs(h[lam - 1, rho - 1]) ** 2

@@ -162,7 +162,7 @@ def test_criterion_06_structure_equations(progs, entries):
         z, v = pts[0]
         b = bianchi_residuals(prog, adapted_frame(prog, z, v))
         worst_b = max(worst_b, max(b.values()))
-    ok = worst_h < 1e-5 and worst_l4 < 1e-4 and worst_b < 1e-3
+    ok = worst_h <= 1e-12 and worst_l4 <= 1e-12 and worst_b < 1e-3
     report(6, "structure equations + Bianchi", ok,
            f"hermitian {worst_h:.1e}, l4 {worst_l4:.1e}, bianchi {worst_b:.1e}")
 

@@ -379,3 +379,15 @@ def test_classification_disc_consistency_more_metrics(progs):
     assert r["max_geodesic_torsion"] < 1e-8
     assert r["max_connection_offdiagonal"] < 1e-6
     assert r["curvature_spread"] > 0.1
+
+
+def test_torsion_witness_only_above_tolerance(progs, entries, warped):
+    # a torsion below TORSION_TOL is round-off, and so is the point where it
+    # is largest: the witness is reported only for a torsion that counts
+    rep = classify(warped, [(np.array([0.3, -0.1]), np.array([1.0, 0.5j]))])
+    assert rep.max_geodesic_torsion > 1e-2
+    assert rep.witnesses["worst_torsion_point"] == [[0.3, -0.1], [1.0, 0.5j]]
+    prog = progs["poincare_ball_2"]
+    rep = classify(prog, sample_points(prog, entries["poincare_ball_2"], 3, seed=1))
+    assert rep.geodetically_torsion_free
+    assert rep.witnesses["worst_torsion_point"] is None

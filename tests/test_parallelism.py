@@ -4,7 +4,6 @@ import pytest
 from finslerlab import MetricSource, parse_metric
 from finslerlab.connection import FrameData, frame_data
 from finslerlab.frame_bundle import (
-    FIELD_STEP,
     AmbientTangent,
     adapted_frame,
     along,
@@ -15,6 +14,7 @@ from finslerlab.frame_bundle import (
 )
 from finslerlab.metric_dsl import MetricProgram
 from finslerlab.parallelism import (
+    _Coframe,
     _bracket_table,
     _complex_combination_matrix,
     _complex_fields,
@@ -32,6 +32,8 @@ from finslerlab.parallelism import (
 )
 from finslerlab.equivalence import structure_coefficients
 from finslerlab.registry import sample_points
+
+SE_KEYS = ("eq529", "eq533", "eq534", "eq535", "eq536")
 
 
 @pytest.fixture(scope="module")
@@ -194,17 +196,38 @@ def test_structure_equations_hermitian(progs, entries):
         z, v = sample_points(prog, entries[mid], 1, seed=21)[0]
         p = adapted_frame(prog, z, v)
         r = structure_equation_residuals(prog, p)
-        assert max(r["eq529"], r["eq533"], r["eq534"], r["eq535"], r["eq536"]) < 1e-5
+        assert max(r[k] for k in SE_KEYS) <= 1e-12
         norms = r["finsler_norms"]
         assert max(norms["sigma"], norms["pi"], norms["phi"]) < 1e-6
 
 
 def test_structure_equations_quartic_norm(progs):
     prog = progs["l4_finsler"]
-    p = adapted_frame(prog, [0.1, 0.2], [1.0, 0.8])
-    r = structure_equation_residuals(prog, p)
-    assert max(r["eq529"], r["eq533"], r["eq534"], r["eq535"], r["eq536"]) < 1e-4
-    assert r["finsler_norms"]["sigma0"] > 1e-3
+    for z, v in [([0.1, 0.2], [1.0, 0.8]), ([0.3 - 0.1j, 0.2 + 0.2j], [1.0, 0.5 - 0.3j])]:
+        r = structure_equation_residuals(prog, adapted_frame(prog, z, v))
+        assert max(r[k] for k in SE_KEYS) <= 1e-12
+        assert r["finsler_norms"]["sigma0"] > 1e-3
+
+
+def test_structure_equations_oblique_forms(warped):
+    # the oblique curvature form Pi vanishes on every catalog metric; on these
+    # it does not, and at n = 3 the vertical block has more than one index,
+    # so every term and index placement of the curvature equations counts
+    twisted3 = parse_metric(MetricSource(
+        3, "sqrt(abs2(v1)^2 + abs2(v2)^2 + abs2(v3)^2) + abs2(z1)*abs2(v2)/2"))
+    for prog, z, v in [(warped, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j]),
+                       (twisted3, [0.2 + 0.1j, -0.1, 0.3j], [1.0, 0.8 - 0.3j, 0.6 + 0.5j])]:
+        p = adapted_frame(prog, z, v)
+        r = structure_equation_residuals(prog, p)
+        assert max(r[k] for k in SE_KEYS) <= 1e-12
+        # pi and phi are the largest coefficients of Pi and Phi: those of
+        # the P families and of Q
+        ph, pH = closed_form_P(prog, p)
+        norms = r["finsler_norms"]
+        assert norms["pi"] > 1e-2
+        assert norms["pi"] == pytest.approx(max(np.max(np.abs(ph)), np.max(np.abs(pH))),
+                                            rel=1e-12)
+        assert norms["phi"] == pytest.approx(np.max(np.abs(closed_form_Q(prog, p))), rel=1e-12)
 
 
 def test_bianchi_identities(progs, twisted):
@@ -218,6 +241,43 @@ def test_bianchi_identities(progs, twisted):
         p = adapted_frame(prog, z, v)
         b = bianchi_residuals(prog, p)
         assert max(b.values()) < 1e-3
+        if prog is twisted:
+            # the torsion's derivatives along the lifts are exact, so the
+            # identities that take only those hold to round-off where the
+            # torsion does not vanish
+            assert max(b["b541"], b["b542"]) <= 1e-12
+
+
+def _pairings(prog, z, U):
+    """theta, thetabar and varpi of every complexified basis field at (z, U)."""
+    fd = frame_data(prog, z, U)
+    cf = _Coframe(fd)
+    basis = _complex_fields(fd).T
+    return np.concatenate([a.ravel() for a in (*cf.theta(basis), cf.varpi(basis))])
+
+
+def test_coframe_pairings_of_the_basis_are_constant(progs, entries, twisted, warped):
+    # the coframe is dual to the parallelism: its values on the basis fields
+    # are one constant per n, on the bundle and off it, which is why the
+    # structure equations take no derivative of them
+    rng = np.random.default_rng(31)
+    ref = {}
+    cases = [(progs[mid], sample_points(progs[mid], entries[mid], 2, seed=9))
+             for mid in ("flat_1", "poincare_disc", "fubini_study_1", "flat_2",
+                         "poincare_ball_2", "hermitian_nonconstant", "l4_finsler",
+                         "poincare_ball_3", "fubini_study_2")]
+    cases += [(twisted, [([0.4 + 0.1j, -0.2 + 0.3j], [1.0, 0.7 + 0.2j])]),
+              (warped, [([0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j])])]
+    for prog, pts in cases:
+        n = prog.dim
+        for z, v in pts:
+            p = adapted_frame(prog, z, v)
+            off = p.U + 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for U in (p.U, off):
+                vals = _pairings(prog, p.z, U)
+                ref.setdefault(n, vals)
+                assert np.max(np.abs(vals - ref[n])) <= 1e-14
+    assert set(ref) == {1, 2, 3}
 
 
 def _constant_pair_block(prog, z, U):
@@ -270,6 +330,10 @@ def test_bracket_residual_guard(progs):
     assert np.isfinite(br).all()
     sf = extract_structure(prog, p)
     assert sf.residual < 1e-5
+
+
+# the relative step of the central-difference brackets this library once took
+FIELD_STEP = 1e-5
 
 
 def fd_bracket_table(prog, p, h, fourth_order=False):
@@ -329,6 +393,7 @@ def test_structure_builds_frame_data_and_jets_only_at_the_point(entries, monkeyp
     monkeypatch.setattr(FrameData, "__init__", counted_init)
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
     extract_structure(prog, p)
+    structure_equation_residuals(prog, p)
     assert len(frames) == 1
     assert np.array_equal(frames[0][0], p.z) and np.array_equal(frames[0][1], p.U)
     assert {j[2:] for j in jets} == {(4, 1), (2, 2)}
