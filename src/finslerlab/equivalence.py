@@ -15,7 +15,7 @@ import numpy as np
 
 from .frame_bundle import NESTED_STEP, BundlePoint, along, group_act, haar_unitary
 from .metric_dsl import FinslerError, MetricProgram
-from .parallelism import _bracket_table, _real_field_matrix, labels_real
+from .parallelism import _real_field_matrix, bracket_coefficients, labels_real
 
 # Singular values count toward a regularity rank when above SV_TOL * sigma_max
 # and above the absolute NOISE_FLOOR; the floor absorbs the finite-difference
@@ -32,15 +32,8 @@ def structure_coefficients(prog: MetricProgram, z, U) -> np.ndarray:
     labels_real, and for each pair all basis components i in that order.
     """
     p = BundlePoint(np.asarray(z, dtype=complex), np.asarray(U, dtype=complex))
-    vals, br = _bracket_table(prog, p)
-    N = vals.shape[1]
-    sol, *_ = np.linalg.lstsq(vals, br.reshape(N * N, -1).T, rcond=None)
-    coeff = sol.T.reshape(N, N, N)
-    out = []
-    for j in range(N):
-        for k in range(j + 1, N):
-            out.append(coeff[j, k])
-    return np.concatenate(out)
+    coeff = bracket_coefficients(prog, p)
+    return coeff[np.triu_indices(len(coeff), 1)].ravel()
 
 
 def _tier(prog: MetricProgram, z, U, k: int) -> np.ndarray:

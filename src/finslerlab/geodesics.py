@@ -271,8 +271,7 @@ def e_manifold_closed_forms(prog: MetricProgram, p: BundlePoint, c: float) -> di
     h = sf.h_vert        # (m, m) pure form block, indices 1..n-1 shifted
     fd = frame_data(prog, p.z, p.U)
     C20 = fd.C(2, 0)
-    d20b = np.array([_complex_lift_derivative(prog, p, g, (2, 0), conj_dir=True)
-                     for g in range(n)])  # conj-lift derivatives of h_pure
+    d20b = _complex_lift_derivative(prog, p, (2, 0))[1]  # conj-lift derivatives of h_pure
 
     res = {}
     res["R0000"] = abs(R[0, 0, 0, 0] - craw)

@@ -2,15 +2,19 @@
 
 The parallelism consists of the 2n horizontal lifts, the 2(n-1) Webster-type
 vertical fields, the fiber rotation generator and a fixed skew-Hermitian
-basis of the block algebra acting on e_1..e_{n-1}.  All of them, and the
-complexified basis, are built in one place, ``_field_stack``: each field is
-U @ G for a generator G of the stack ``_generators`` forms, all products
-taken in one matmul.  Lie brackets come from the exact derivatives of the
-fields along each other at the point, ``_bracket_table``: G is linear in
-the connection coefficients E and the frame forms C(2, 0), C(2, 1), whose
-derivatives connection.frame_derivatives takes from the jets at the point.
-The brackets' components in the parallelism basis are the structure
-functions, the complete local isometry invariants.  The closed forms of the
+basis of the block algebra acting on e_1..e_{n-1}.  All of them are built
+in one place, ``_field_stack``: each field is U @ G for a generator G of
+the stack ``_generators`` forms, all products taken in one matmul.  Lie
+brackets come from the exact derivatives of the fields along each other at
+the point, ``_bracket_table``: G is linear in the connection coefficients E
+and the frame forms C(2, 0), C(2, 1), whose derivatives
+connection.frame_derivatives takes from the jets at the point.  The
+brackets' components in the parallelism basis are the structure functions,
+the complete local isometry invariants; ``bracket_coefficients`` solves for
+them once, in the real fields.  The complexified basis is a second basis of
+the same parallelism, the constant combinations K of the real fields
+(``_complex_combination_matrix``), so its fields, its brackets and their
+components all come from the real side through K.  The closed forms of the
 P families differentiate the (2, 0), (1, 2) and (2, 1) frame forms along
 the lifts with finsler_forms.form_derivative, the derivative the
 connection's tangency conditions take of the (1, 1) form.  The structure
@@ -89,27 +93,26 @@ def labels_real(n: int) -> list[tuple]:
 def _stack_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-n constants of the generator stack of _generators.
 
-    Slots 0..N-1 (N = n^2 + 2n) generate the real fields of labels_real:
+    Slot j of the N = n^2 + 2n slots generates real field j of labels_real:
     E_g w_g (w_g = 1, i) for the lifts f_{2g}, f_{2g+1}; B + C and i(B - C)
-    for e_{2 lam}, e_{2 lam + 1}; T; the u-block basis.  Then come E_g,
-    B_lam, C_lam and the units E_{rho sig} of the complexified basis; B_lam
-    is E_{lam 0} less the pure quadratic and cubic form corrections, and
-    C_lam = -E_{0 lam}.  Returns the stack with its constant slots filled
-    (B_lam with its unit) and the frame components w of the 2n lifts."""
+    for e_{2 lam}, e_{2 lam + 1}, with B = E_{lam 0} less the pure quadratic
+    and cubic form corrections and C = -E_{0 lam}; T; the u-block basis.
+    Returns the stack with its constant parts filled (E_{lam 0} - E_{0 lam}
+    and i(E_{lam 0} + E_{0 lam}) in the e slots) and the frame components w
+    of the 2n lifts."""
     m = n - 1
-    N = n * n + 2 * n
-    B0, C0, V0 = N + n, N + n + m, N + n + 2 * m  # first slot of each family
     t = 2 * n + 2 * m
 
     def stacked(mats):
         return np.array(mats, dtype=complex).reshape(-1, n, n)
 
-    stack = np.zeros((V0 + m * m, n, n), dtype=complex)
+    stack = np.zeros((n * n + 2 * n, n, n), dtype=complex)
+    B = stacked([_unit(n, k, 0) for k in range(1, n)])
+    C = stacked([-_unit(n, 0, k) for k in range(1, n)])
+    stack[2 * n:t:2] = B + C
+    stack[2 * n + 1:t:2] = 1j * (B - C)
     stack[t] = 1j * _unit(n, 0, 0)
-    stack[t + 1:N] = stacked(u_block_basis(n))
-    stack[B0:C0] = stacked([_unit(n, k, 0) for k in range(1, n)])
-    stack[C0:V0] = stacked([-_unit(n, 0, k) for k in range(1, n)])
-    stack[V0:] = stacked([_unit(n, r, s) for r in range(1, n) for s in range(1, n)])
+    stack[t + 1:] = stacked(u_block_basis(n))
     a = np.arange(n)
     w = np.zeros((2 * n, n, 1), dtype=complex)
     w[2 * a, a] = 1.0
@@ -122,35 +125,30 @@ _PHASES = np.array([1.0, 1j])[:, None, None]  # w_g of the lifts f_{2g}, f_{2g +
 
 
 def _generators(fd: FrameData) -> np.ndarray:
-    """The generator stack G at the point of fd, laid out as _stack_layout
-    describes: the slots of the real fields first, then those of the
-    complexified basis."""
+    """The generator stack G at the point of fd, one slot per real field,
+    laid out as _stack_layout describes."""
     # the frame forms enter only the vertical slots, which n = 1 lacks
     forms = (fd.C(2, 0), fd.C(2, 1)) if fd.n > 1 else (None, None)
     return _fill_generators(_stack_layout(fd.n)[0].copy(), fd.E, *forms)
 
 
 def _fill_generators(G: np.ndarray, E: np.ndarray, C20: np.ndarray, C21: np.ndarray):
-    """Fill the slots of the stack G, shape (..., S, n, n), that depend on
-    the point from E, C(2, 0) and C(2, 1), which carry the same leading axes;
-    G's constant slots are read and kept.  Apart from those constants the
-    stack is linear in (E, C20, C21), so a zero stack filled from their
+    """Fill the stack G, shape (..., N, n, n), from E, C(2, 0) and C(2, 1),
+    which carry the same leading axes: the lift slots are set from E, and
+    the form corrections of B, corr and i corr, are subtracted from the
+    constant parts that G holds in the e slots.  Apart from those constants
+    the stack is linear in (E, C20, C21), so a zero stack filled from their
     derivatives is the derivative of the stack."""
     n = E.shape[-1]
     m = n - 1
-    N = n * n + 2 * n
     E = np.moveaxis(E, -1, -3)  # E[..., g, :, :] = E_g
     G[..., :2 * n, :, :] = (E[..., None, :, :] * _PHASES).reshape(E.shape[:-3] + (2 * n, n, n))
-    G[..., N:N + n, :, :] = E
     if m:
         corr = np.zeros(E.shape[:-3] + (m, n, n), dtype=complex)
         corr[..., 0, 1:] = np.swapaxes(C20[..., 1:, 1:], -1, -2)
         corr[..., 1:, 1:] = np.moveaxis(C21[..., 1:, 1:, 1:], -3, -1)
-        B = G[..., N + n:N + n + m, :, :] - corr
-        C = G[..., N + n + m:N + n + 2 * m, :, :]
-        G[..., 2 * n:2 * n + 2 * m:2, :, :] = B + C
-        G[..., 2 * n + 1:2 * n + 2 * m:2, :, :] = 1j * (B - C)
-        G[..., N + n:N + n + m, :, :] = B
+        G[..., 2 * n:2 * n + 2 * m:2, :, :] -= corr
+        G[..., 2 * n + 1:2 * n + 2 * m:2, :, :] -= 1j * corr
     return G
 
 
@@ -159,7 +157,7 @@ def _field_stack(fd: FrameData) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (dz, P) with P = U @ G for the stack G of _generators, formed in
     one matmul.  Real field j of labels_real is the ambient tangent
-    (dz[j], P[j]); the slots after those feed _complex_fields."""
+    (dz[j], P[j])."""
     n = fd.n
     dz = np.zeros((n * n + 2 * n, n), dtype=complex)
     # U w as matrix-vector products: a matrix product can differ in the sign
@@ -171,7 +169,7 @@ def _field_stack(fd: FrameData) -> tuple[np.ndarray, np.ndarray]:
 def _packed(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
     """The fields (dz[j], dU[j]) as packed-real columns (pack_real of each),
     laid out as the transpose of the fields stacked as rows."""
-    flat = dU[:len(dz)].reshape(len(dz), -1)
+    flat = dU.reshape(len(dz), -1)
     return np.hstack([dz.real, dz.imag, flat.real, flat.imag]).T
 
 
@@ -180,37 +178,15 @@ def _real_field_matrix(prog: MetricProgram, z, U) -> np.ndarray:
     return _packed(*_field_stack(frame_data(prog, z, U)))
 
 
-def _complex_fields(fd: FrameData) -> np.ndarray:
-    """Columns: complexified basis fields (dz, dzbar, dU, dUbar) in the order
-    eh_a, ehb_a (a < n), ev_lam, evb_lam (1 <= lam < n), t, V_{rho sig}
-    (1 <= rho, sig < n, row-major)."""
-    n, m = fd.n, fd.n - 1
-    N = n * n + 2 * n
-    t = 2 * n + 2 * m
-    _, P = _field_stack(fd)
-    P = P.reshape(-1, n * n)
-    # the slots after the real fields: U E_g, then U B_lam and U C_lam, then U E_rs
-    E, BC, V = P[N:N + n], P[N + n:N + n + 2 * m], P[N + n + 2 * m:]
-    D = 2 * n + n * n  # first row of the dUbar part
-    rows = np.zeros((N, D + n * n), dtype=complex)
-    rows[:n, :n] = fd.U.T
-    rows[n:2 * n, n:2 * n] = np.conj(fd.U).T
-    hol, anti = rows[:, 2 * n:D], rows[:, D:]
-    hol[:n] = E
-    anti[n:2 * n] = np.conj(E)
-    hol[2 * n:t] = BC
-    anti[2 * n:t] = np.conj(np.roll(BC, m, axis=0))  # ev takes conj(U C), evb conj(U B)
-    hol[t] = P[t]
-    anti[t] = np.conj(P[t])
-    hol[t + 1:] = V
-    Vt = V.reshape(m, m, n * n).transpose(1, 0, 2).reshape(-1, n * n)  # U E_sr in slot rs
-    anti[t + 1:] = -np.conj(Vt)
-    return rows.T
-
-
 @cache
 def _complex_combination_matrix(n: int) -> np.ndarray:
-    """K with complex_field_i = sum_j K[i, j] * real_field_j (constant)."""
+    """K with complex_field_i = sum_j K[i, j] * real_field_j (constant).
+
+    The complexified basis, in the order eh_a, ehb_a (a < n), ev_lam, evb_lam
+    (1 <= lam < n), t, V_{rho sig} (1 <= rho, sig < n, row-major), is the
+    dual frame of the coframe: theta(eh_a) = thetabar(ehb_a) = e_a,
+    varpi(ev_lam) = E_{lam 0}, varpi(evb_lam) = -E_{0 lam}, varpi(t) = i E_00,
+    varpi(V_{rho sig}) = E_{rho sig}, and every other pairing vanishes."""
     m = n - 1
     N = n * n + 2 * n
     t = 2 * n + 2 * m
@@ -239,6 +215,22 @@ def _complex_combination_matrix(n: int) -> np.ndarray:
     return K
 
 
+@cache
+def _complex_combination_inverse(n: int) -> np.ndarray:
+    """K^-1 of _complex_combination_matrix (constant).  The columns of K
+    are orthogonal, so K^-1 is K^H with row j divided by |column j|^2."""
+    K = _complex_combination_matrix(n)
+    Kinv = np.conj(K.T) / np.sum(np.abs(K) ** 2, axis=0)[:, None]
+    Kinv.flags.writeable = False
+    return Kinv
+
+
+def _complex_basis(vals: np.ndarray, n: int) -> np.ndarray:
+    """The complexified basis fields (dz, dzbar, dU, dUbar), one per row:
+    K applied to the complexified real fields, the columns of vals."""
+    return _complex_combination_matrix(n) @ complexify(*unpack_real(vals.T, n))
+
+
 # --------------------------------------------------------------------------
 # basis assembly and numerical brackets
 # --------------------------------------------------------------------------
@@ -258,7 +250,7 @@ def parallelism_at(prog: MetricProgram, p: BundlePoint) -> ParallelismBasis:
     dz, dU = _field_stack(frame_data(prog, p.z, p.U))
     labs = labels_real(prog.dim)
     tangents = {lab: AmbientTangent(dz[j], dU[j]) for j, lab in enumerate(labs)}
-    worst = verify_tangent(prog, p, AmbientTangent(dz, dU[:len(dz)]))
+    worst = verify_tangent(prog, p, AmbientTangent(dz, dU))
     if worst > FIELD_TANGENCY_TOL:
         raise FinslerError(
             f"parallelism field fails tangency ({worst:.2e}); jets inaccurate "
@@ -283,20 +275,27 @@ def _bracket_table(prog: MetricProgram, p: BundlePoint) -> tuple[np.ndarray, np.
 
     def build():
         fd = frame_data(prog, p.z, p.U)
-        dz, P = _field_stack(fd)
+        dz, X = _field_stack(fd)  # X[b] is the dU of field b
         N = len(dz)
-        X = P[:N]  # the dU of each field
-        dG = _fill_generators(np.zeros((N,) + P.shape, dtype=complex),
+        dG = _fill_generators(np.zeros((N,) + X.shape, dtype=complex),
                               *frame_derivatives(prog, fd, dz, X))
         # D[a, b] = D_a X_b, packed as the fields are
         Ddz = np.zeros((N, N, fd.n), dtype=complex)
         Ddz[:, :2 * fd.n] = np.matmul(X[:, None], _stack_layout(fd.n)[1])[..., 0]
-        DU = (np.matmul(X[:, None], _generators(fd)[:N]) + np.matmul(fd.U, dG[:, :N])
-              ).reshape(N, N, -1)
+        DU = (np.matmul(X[:, None], _generators(fd)) + np.matmul(fd.U, dG)).reshape(N, N, -1)
         D = np.concatenate([Ddz.real, Ddz.imag, DU.real, DU.imag], axis=-1)
-        return _packed(dz, P), D - D.transpose(1, 0, 2)
+        return _packed(dz, X), D - D.transpose(1, 0, 2)
 
     return prog.memo(("brackets", p.key()), build)
+
+
+def bracket_coefficients(prog: MetricProgram, p: BundlePoint) -> np.ndarray:
+    """c[a, b, i]: the component of the bracket of real fields a and b on
+    real field i at p, by least squares on the real fields."""
+    vals, br = _bracket_table(prog, p)
+    N = vals.shape[1]
+    sol, *_ = np.linalg.lstsq(vals, br.reshape(N * N, -1).T, rcond=None)
+    return sol.T.reshape(N, N, N)
 
 
 def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
@@ -343,12 +342,12 @@ class StructureFunctions:
         return HSC_NORMALIZATION * self.R_raw
 
 
-def _complex_brackets(K: np.ndarray, br: np.ndarray, n: int) -> np.ndarray:
-    """brc[x, y] = sum_ab K[x, a] K[y, b] complexify(br[a, b]): the brackets
-    of the complexified basis, from the packed-real table of _bracket_table."""
+def _carry(K: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_ab K[x, a] K[y, b] table[a, b, ...]: a table over pairs of real
+    fields carried to pairs of complexified basis fields."""
     N = len(K)
-    brx = np.matmul(K, complexify(*unpack_real(br, n)))  # contract b
-    return np.matmul(K, brx.reshape(N, -1)).reshape(brx.shape)
+    tx = np.matmul(K, table)  # contract b
+    return np.matmul(K, tx.reshape(N, -1)).reshape(tx.shape)
 
 
 def _sup(*arrays) -> float:
@@ -369,20 +368,20 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     fd = frame_data(prog, p.z, p.U)
     vals, br = _bracket_table(prog, p)
     K = _complex_combination_matrix(n)
-    basis = _complex_fields(fd)
-    N = basis.shape[1]
+    N = len(K)
+    basis = _complex_basis(vals, n)
+    brc = _carry(K, complexify(*unpack_real(br, n)))
 
-    brc = _complex_brackets(K, br, n)
-
-    sol, *_ = np.linalg.lstsq(basis, brc.reshape(N * N, -1).T, rcond=None)
-    coeff = sol.T.reshape(N, N, N)  # coeff[a, b, i]: bracket (a,b) on basis i
-    resid = brc - np.einsum("abi,di->abd", coeff, basis)
+    # coeff[x, y, j]: bracket (x, y) of the complexified basis on its field
+    # j, sum_abi K[x, a] K[y, b] c[a, b, i] K^-1[i, j] of the real components c
+    coeff = _carry(K, bracket_coefficients(prog, p) @ _complex_combination_inverse(n))
+    resid = brc - np.einsum("abi,id->abd", coeff, basis)
     scale = np.maximum(1.0, np.linalg.norm(brc, axis=2))
     worst = float(np.max(np.linalg.norm(resid, axis=2) / scale))
     if worst > DECOMPOSITION_TOL:
         raise FinslerError(f"bracket decomposition residual {worst:.2e} exceeds tolerance")
 
-    # the basis in the order of _complex_fields: eh, ehb, ev, evb, t, V
+    # the basis in the order of _complex_combination_matrix: eh, ehb, ev, evb, t, V
     t = 2 * n + 2 * m
     eh, ehb, ev, evb, V = (slice(0, n), slice(n, 2 * n), slice(2 * n, t - m),
                            slice(t - m, t), slice(t + 1, N))
@@ -470,14 +469,22 @@ def _vertical_curvature(fd: FrameData) -> np.ndarray:
     return Q
 
 
-def _complex_lift_derivative(prog: MetricProgram, p: BundlePoint, g: int,
-                             pq: tuple[int, int], conj_dir: bool = False):
-    """Derivative of a frame form along the holomorphic lift e_g-hat
-    (or its conjugate), as a complex combination of real derivatives."""
+def _complex_pairs(d: np.ndarray):
+    """(holomorphic, antiholomorphic) derivatives along e_g-hat and its
+    conjugate, leading index g, from derivatives d along the 2n real lifts
+    f_{2g} (of e_g) and f_{2g + 1} (of i e_g) stacked on the first axis."""
+    d0, d1 = d[0::2], d[1::2]
+    return 0.5 * (d0 - 1j * d1), 0.5 * (d0 + 1j * d1)
+
+
+def _complex_lift_derivative(prog: MetricProgram, p: BundlePoint, pq: tuple[int, int]):
+    """Derivatives of the (p, q) frame form along the holomorphic lifts
+    e_g-hat and their conjugates, as _complex_pairs returns them: one
+    form_derivative over the 2n lift rows of _field_stack."""
     fd = frame_data(prog, p.z, p.U)
     dz, dU = _field_stack(fd)
-    d0, d1 = form_derivative(fd.jet, fd.U, pq, dz[2 * g:2 * g + 2], dU[2 * g:2 * g + 2])
-    return 0.5 * (d0 + 1j * d1) if conj_dir else 0.5 * (d0 - 1j * d1)
+    lifts = slice(0, 2 * fd.n)
+    return _complex_pairs(form_derivative(fd.jet, fd.U, pq, dz[lifts], dU[lifts]))
 
 
 def closed_form_P(prog: MetricProgram, p: BundlePoint):
@@ -490,21 +497,10 @@ def closed_form_P(prog: MetricProgram, p: BundlePoint):
     Index placement is fixed against the bracket extraction; the tests
     assert agreement on a non-Hermitian metric with base dependence.
     """
-    n = prog.dim
-    m = n - 1
     # lift_g(conj f) = conj(conj-lift_g(f))
-    d20c = np.array([np.conj(_complex_lift_derivative(prog, p, g, (2, 0), conj_dir=True))
-                     for g in range(n)])
-    d12 = np.array([_complex_lift_derivative(prog, p, g, (1, 2)) for g in range(n)])
-    P_h = np.zeros((m, m, n), dtype=complex)
-    P_H = np.zeros((m, m, m, n), dtype=complex)
-    for nu in range(1, n):
-        for rho in range(1, n):
-            for g in range(n):
-                P_h[nu - 1, rho - 1, g] = -d20c[g][nu, rho]
-                for sig in range(1, n):
-                    P_H[nu - 1, sig - 1, rho - 1, g] = -d12[g][sig, nu, rho]
-    return P_h, P_H
+    d20c = np.conj(_complex_lift_derivative(prog, p, (2, 0))[1])[:, 1:, 1:]
+    d12 = _complex_lift_derivative(prog, p, (1, 2))[0][:, 1:, 1:, 1:]
+    return -d20c.transpose(1, 2, 0), -d12.transpose(2, 1, 3, 0)
 
 
 # --------------------------------------------------------------------------
@@ -571,11 +567,11 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     sf = extract_structure(prog, p)
     fd = frame_data(prog, p.z, p.U)
     cf = _Coframe(fd)
-    basis = _complex_fields(fd).T  # one complexified field per row
+    vals, br = _bracket_table(prog, p)
+    basis = _complex_basis(vals, n)
     TH, THb = (np.moveaxis(t, 0, -1) for t in cf.theta(basis))  # (n, N)
     W = np.moveaxis(cf.varpi(basis), 0, -1)  # (n, n, N)
-    _, br = _bracket_table(prog, p)
-    brc = _complex_brackets(_complex_combination_matrix(n), br, n)
+    brc = _carry(_complex_combination_matrix(n), complexify(*unpack_real(br, n)))
 
     # d eta (X_x, X_y) = X(eta(Y)) - Y(eta(X)) - eta([X, Y]); the coframe is
     # dual to the parallelism, so the pairings eta(X) are constants and only
@@ -647,11 +643,9 @@ def _pi_phi_forms(prog, p, fd, TH, THb, W):
     b = slice(1, n)
     # conj-lift_g(h)[lam, rho], lift_g(H_(1,2))[mu, lam, rho] and
     # conj-lift_g(H_(2,1))[mu, rho, lam], lam, mu, rho >= 1
-    d20b = np.array([_complex_lift_derivative(prog, p, g, (2, 0), conj_dir=True)
-                     for g in range(n)])[:, b, b]
-    d12 = np.array([_complex_lift_derivative(prog, p, g, (1, 2)) for g in range(n)])[:, b, b, b]
-    d21b = np.array([_complex_lift_derivative(prog, p, g, (2, 1), conj_dir=True)
-                     for g in range(n)])[:, b, b, b]
+    d20b = _complex_lift_derivative(prog, p, (2, 0))[1][:, b, b]
+    d12 = _complex_lift_derivative(prog, p, (1, 2))[0][:, b, b, b]
+    d21b = _complex_lift_derivative(prog, p, (2, 1))[1][:, b, b, b]
     # varpi[0, rho] ^ theta^g and varpi[rho, 0] ^ thetabar^g
     w0r = _wedge(W[0, b], TH)
     wr0 = _wedge(W[b, 0], THb)
@@ -691,9 +685,7 @@ def _lift_derivative_of(prog: MetricProgram, p: BundlePoint, func):
         # at some points, and the step sets every bit of the reports
         h = NESTED_STEP * (1.0 + t.norm())
         d_real.append(along(func, p.z, p.U, pack_real(t), h))
-    hol = np.array([0.5 * (d_real[2 * g] - 1j * d_real[2 * g + 1]) for g in range(n)])
-    anti = np.array([0.5 * (d_real[2 * g] + 1j * d_real[2 * g + 1]) for g in range(n)])
-    return hol, anti
+    return _complex_pairs(np.array(d_real))
 
 
 def _lift_torsion_derivative(prog: MetricProgram, p: BundlePoint):
@@ -704,9 +696,7 @@ def _lift_torsion_derivative(prog: MetricProgram, p: BundlePoint):
     dz, dU = _field_stack(fd)
     lifts = slice(0, 2 * fd.n)
     dE = frame_derivatives(prog, fd, dz[lifts], dU[lifts])[0]
-    dT = dE - np.swapaxes(dE, -1, -2)
-    d0, d1 = dT[0::2], dT[1::2]  # along the lifts of e_g and of i e_g
-    return 0.5 * (d0 - 1j * d1), 0.5 * (d0 + 1j * d1)
+    return _complex_pairs(dE - np.swapaxes(dE, -1, -2))
 
 
 def bianchi_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
@@ -727,9 +717,8 @@ def bianchi_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
     dT_h, dT_a = _lift_torsion_derivative(prog, p)
     dR_h, dR_a = _lift_derivative_of(
         prog, p, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
-    d12_h = np.array([_complex_lift_derivative(prog, p, g, (1, 2)) for g in range(n)])
-    d21_a = np.array([_complex_lift_derivative(prog, p, g, (2, 1), conj_dir=True)
-                      for g in range(n)])
+    d12_h = _complex_lift_derivative(prog, p, (1, 2))[0]
+    d21_a = _complex_lift_derivative(prog, p, (2, 1))[1]
 
     scale = max(1.0, float(np.max(np.abs(R))), float(np.max(np.abs(T))))
     r1 = r2 = r3 = r4 = 0.0

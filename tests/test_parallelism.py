@@ -16,9 +16,9 @@ from finslerlab.metric_dsl import MetricProgram
 from finslerlab.parallelism import (
     _Coframe,
     _bracket_table,
+    _carry,
+    _complex_basis,
     _complex_combination_matrix,
-    _complex_fields,
-    _field_stack,
     _real_field_matrix,
     bianchi_residuals,
     closed_form_P,
@@ -43,24 +43,11 @@ def twisted():
         2, "sqrt(abs2(v1)^2 + abs2(v2)^2) + abs2(z1)*abs2(v2)/2"))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_complex_basis_combines_real_fields(progs, twisted, n):
-    # the complexified basis is K applied to the complexified real fields;
-    # extract_structure decomposes the K-combinations of the real brackets in
-    # that basis.  Every metric of dimension 1 is Hermitian.
-    prog, z, v = {
-        1: (progs["poincare_disc"], [0.3 - 0.2j], [0.6 + 0.8j]),
-        2: (twisted, [0.4 + 0.1j, -0.2 + 0.3j], [1.0, 0.7 + 0.2j]),
-        3: (parse_metric(MetricSource(
-            3, "sqrt(abs2(v1)^2 + abs2(v2)^2 + abs2(v3)^2) + abs2(z1)*abs2(v2)/2")),
-            [0.2 + 0.1j, -0.1, 0.3j], [1.0, 0.8 - 0.3j, 0.6 + 0.5j]),
-    }[n]
-    p = adapted_frame(prog, z, v)
-    fd = frame_data(prog, p.z, p.U)
-    dz, dU = _field_stack(fd)
-    real = np.array([complexify(dz[j], dU[j]) for j in range(len(dz))])
-    K = _complex_combination_matrix(n)
-    assert np.max(np.abs(K @ real - _complex_fields(fd).T)) <= 1e-14
+@pytest.fixture(scope="module")
+def twisted3():
+    # twisted at n = 3, where the vertical block has more than one index
+    return parse_metric(MetricSource(
+        3, "sqrt(abs2(v1)^2 + abs2(v2)^2 + abs2(v3)^2) + abs2(z1)*abs2(v2)/2"))
 
 
 def test_basis_n1_has_three_fields(progs):
@@ -209,12 +196,10 @@ def test_structure_equations_quartic_norm(progs):
         assert r["finsler_norms"]["sigma0"] > 1e-3
 
 
-def test_structure_equations_oblique_forms(warped):
+def test_structure_equations_oblique_forms(warped, twisted3):
     # the oblique curvature form Pi vanishes on every catalog metric; on these
     # it does not, and at n = 3 the vertical block has more than one index,
     # so every term and index placement of the curvature equations counts
-    twisted3 = parse_metric(MetricSource(
-        3, "sqrt(abs2(v1)^2 + abs2(v2)^2 + abs2(v3)^2) + abs2(z1)*abs2(v2)/2"))
     for prog, z, v in [(warped, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j]),
                        (twisted3, [0.2 + 0.1j, -0.1, 0.3j], [1.0, 0.8 - 0.3j, 0.6 + 0.5j])]:
         p = adapted_frame(prog, z, v)
@@ -250,23 +235,48 @@ def test_bianchi_identities(progs, twisted):
 
 def _pairings(prog, z, U):
     """theta, thetabar and varpi of every complexified basis field at (z, U)."""
-    fd = frame_data(prog, z, U)
-    cf = _Coframe(fd)
-    basis = _complex_fields(fd).T
+    cf = _Coframe(frame_data(prog, z, U))
+    basis = _complex_basis(_real_field_matrix(prog, z, U), prog.dim)
     return np.concatenate([a.ravel() for a in (*cf.theta(basis), cf.varpi(basis))])
 
 
-def test_coframe_pairings_of_the_basis_are_constant(progs, entries, twisted, warped):
+def _dual_frame_table(n):
+    """The pairings of _pairings that make the complexified basis the dual
+    frame of the coframe, written out without K."""
+    m = n - 1
+    N = n * n + 2 * n
+    t = 2 * n + 2 * m  # the basis: eh_a, ehb_a, ev_lam, evb_lam, t, V_{rho sig}
+    theta = np.zeros((N, n), dtype=complex)
+    thetabar = np.zeros((N, n), dtype=complex)
+    varpi = np.zeros((N, n, n), dtype=complex)
+    for a in range(n):
+        theta[a, a] = 1.0  # theta(eh_a) = e_a
+        thetabar[n + a, a] = 1.0  # thetabar(ehb_a) = e_a
+    for lam in range(1, n):
+        varpi[2 * n + lam - 1, lam, 0] = 1.0  # varpi(ev_lam) = E_{lam 0}
+        varpi[2 * n + m + lam - 1, 0, lam] = -1.0  # varpi(evb_lam) = -E_{0 lam}
+    varpi[t, 0, 0] = 1j  # varpi(t) = i E_00
+    for rho in range(1, n):
+        for sig in range(1, n):
+            varpi[t + 1 + (rho - 1) * m + sig - 1, rho, sig] = 1.0  # varpi(V_rs) = E_rs
+    return np.concatenate([theta.ravel(), thetabar.ravel(), varpi.ravel()])
+
+
+def test_coframe_pairings_of_the_basis_are_constant(progs, entries, twisted, twisted3,
+                                                    warped):
     # the coframe is dual to the parallelism: its values on the basis fields
-    # are one constant per n, on the bundle and off it, which is why the
-    # structure equations take no derivative of them
+    # are the dual-frame table, on the bundle and off it, which is why the
+    # structure equations take no derivative of them; the table also fixes
+    # K, through which the basis is built.  Every metric of dimension 1 is
+    # Hermitian.
     rng = np.random.default_rng(31)
-    ref = {}
     cases = [(progs[mid], sample_points(progs[mid], entries[mid], 2, seed=9))
              for mid in ("flat_1", "poincare_disc", "fubini_study_1", "flat_2",
                          "poincare_ball_2", "hermitian_nonconstant", "l4_finsler",
                          "poincare_ball_3", "fubini_study_2")]
-    cases += [(twisted, [([0.4 + 0.1j, -0.2 + 0.3j], [1.0, 0.7 + 0.2j])]),
+    cases += [(progs["poincare_disc"], [([0.3 - 0.2j], [0.6 + 0.8j])]),
+              (twisted, [([0.4 + 0.1j, -0.2 + 0.3j], [1.0, 0.7 + 0.2j])]),
+              (twisted3, [([0.2 + 0.1j, -0.1, 0.3j], [1.0, 0.8 - 0.3j, 0.6 + 0.5j])]),
               (warped, [([0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j])])]
     for prog, pts in cases:
         n = prog.dim
@@ -274,10 +284,69 @@ def test_coframe_pairings_of_the_basis_are_constant(progs, entries, twisted, war
             p = adapted_frame(prog, z, v)
             off = p.U + 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             for U in (p.U, off):
-                vals = _pairings(prog, p.z, U)
-                ref.setdefault(n, vals)
-                assert np.max(np.abs(vals - ref[n])) <= 1e-14
-    assert set(ref) == {1, 2, 3}
+                assert np.max(np.abs(_pairings(prog, p.z, U) - _dual_frame_table(n))) <= 1e-14
+
+
+def _complex_solve_structure(prog, p):
+    """T, R_raw, Q, P_h and P_H of a direct complex least-squares
+    decomposition of the complexified brackets on the complexified basis,
+    read off as extract_structure reads its coefficients."""
+    n, m = prog.dim, prog.dim - 1
+    vals, br = _bracket_table(prog, p)
+    K = _complex_combination_matrix(n)
+    N = len(K)
+    brc = _carry(K, complexify(*unpack_real(br, n)))
+    sol, *_ = np.linalg.lstsq(_complex_basis(vals, n).T, brc.reshape(N * N, -1).T,
+                              rcond=None)
+    coeff = sol.T.reshape(N, N, N)
+    t = 2 * n + 2 * m
+    eh, ehb, ev, evb, V = (slice(0, n), slice(n, 2 * n), slice(2 * n, t - m),
+                           slice(t - m, t), slice(t + 1, N))
+    T = -coeff[eh, eh][:, :, eh].transpose(2, 0, 1)
+    c = coeff[eh, ehb]
+    R = np.zeros((n, n, n, n), dtype=complex)
+    R[0, 0] = c[:, :, t] / 1j
+    R[1:, 0] = -c[:, :, ev].transpose(2, 0, 1)
+    R[0, 1:] = c[:, :, evb].transpose(2, 0, 1)
+    R[1:, 1:] = -c[:, :, V].reshape(n, n, m, m).transpose(2, 3, 0, 1)
+    Q = (coeff[ev, evb][:, :, V].reshape(m, m, m, m).transpose(2, 3, 0, 1)
+         + np.eye(m * m).reshape(m, m, m, m))
+    c = coeff[evb, eh]
+    P_h = c[:, :, ev].transpose(2, 0, 1)
+    P_H = c[:, :, V].reshape(m, n, m, m).transpose(2, 3, 0, 1)
+    return T, R, Q, P_h, P_H
+
+
+@pytest.mark.parametrize("mid", ["twisted", "warped", "poincare_ball_3", "l4_finsler"])
+def test_decomposition_matches_a_complex_solve(progs, entries, twisted, warped, mid):
+    # the structure functions are the real decomposition carried to the
+    # complexified basis by K; solving in that basis directly agrees
+    if mid in ("twisted", "warped"):
+        prog, z, v = {"twisted": (twisted, [0.4 + 0.1j, -0.2 + 0.3j], [1.0, 0.7 + 0.2j]),
+                      "warped": (warped, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j])}[mid]
+    else:
+        prog = progs[mid]
+        z, v = sample_points(prog, entries[mid], 1, seed=3)[0]
+    p = adapted_frame(prog, z, v)
+    sf = extract_structure(prog, p)
+    for got, ref in zip((sf.T, sf.R_raw, sf.Q, sf.P_h, sf.P_H), _complex_solve_structure(prog, p)):
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12
+
+
+def test_extract_structure_makes_one_real_solve(twisted, monkeypatch):
+    p = adapted_frame(twisted, [0.4 + 0.1j, -0.2 + 0.3j], [1.0, 0.7 + 0.2j])
+    _bracket_table(twisted, p)  # memoized with the frame data: only the decomposition is left
+    matrices = []
+    lstsq = np.linalg.lstsq
+
+    def recorded(a, b, *args, **kwargs):
+        matrices.append(np.asarray(a))
+        return lstsq(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    extract_structure(twisted, p)
+    assert len(matrices) == 1
+    assert matrices[0].dtype == np.float64
 
 
 def _constant_pair_block(prog, z, U):
