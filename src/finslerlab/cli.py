@@ -10,6 +10,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 import time
 
@@ -33,6 +34,11 @@ from .parallelism import (
 from .registry import catalog, resolve_metric, sample_points
 
 SVG_SIZE = 480  # width and height of the geodesic plot, in pixels
+MAX_SAMPLES = 10_000  # upper bound of --samples and --fiber-samples
+
+
+class OutputError(FinslerError):
+    """A --json, --csv or --svg path that cannot be written."""
 
 
 def _jsonify(obj):
@@ -54,12 +60,23 @@ def _jsonify(obj):
     return obj
 
 
+def _write(path: str, option: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {option} {path}: {exc.strerror or exc}") from None
+
+
 def _emit(report: dict, path: str | None):
     text = json.dumps(_jsonify(report), indent=2, sort_keys=True)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write(path, "--json", text + "\n")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: drop the rest quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _parse_complex_list(text: str) -> np.ndarray:
@@ -328,19 +345,18 @@ def cmd_geodesic(args) -> int:
     domain = entry.domain if entry is not None else None
     path = integrate_geodesic(prog, z0, v0, args.t_max, args.dt, domain=domain)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            head = ["t"]
+        head = ["t"]
+        for k in range(prog.dim):
+            head += [f"Re z{k+1}", f"Im z{k+1}"]
+        lines = [",".join(head + ["F_speed", "gram_residual"])]
+        for i, t in enumerate(path.ts):
+            row = [f"{t:.10g}"]
             for k in range(prog.dim):
-                head += [f"Re z{k+1}", f"Im z{k+1}"]
-            head += ["F_speed", "gram_residual"]
-            fh.write(",".join(head) + "\n")
-            for i, t in enumerate(path.ts):
-                row = [f"{t:.10g}"]
-                for k in range(prog.dim):
-                    row += [f"{path.zs[i, k].real:.16g}", f"{path.zs[i, k].imag:.16g}"]
-                gram = gram_residual(prog, BundlePoint(path.zs[i], path.frames[i]))
-                row += [f"{path.speeds[i]:.16g}", f"{gram:.3e}"]
-                fh.write(",".join(row) + "\n")
+                row += [f"{path.zs[i, k].real:.16g}", f"{path.zs[i, k].imag:.16g}"]
+            gram = gram_residual(prog, BundlePoint(path.zs[i], path.frames[i]))
+            row += [f"{path.speeds[i]:.16g}", f"{gram:.3e}"]
+            lines.append(",".join(row))
+        _write(args.csv, "--csv", "\n".join(lines) + "\n")
     if args.svg:
         _write_svg(args.svg, path.zs[:, 0])
     report = {
@@ -370,14 +386,13 @@ def _write_svg(path: str, zs: np.ndarray):
         return size - (y - y0) * scale
 
     pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-            f'viewBox="0 0 {size} {size}">\n'
-            f'<rect width="{size}" height="{size}" fill="white" stroke="black"/>\n'
-            f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>\n'
-            f'<circle cx="{sx(xs[0]):.2f}" cy="{sy(ys[0]):.2f}" r="3" fill="black"/>\n'
-            "</svg>\n")
+    _write(path, "--svg",
+           f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+           f'viewBox="0 0 {size} {size}">\n'
+           f'<rect width="{size}" height="{size}" fill="white" stroke="black"/>\n'
+           f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>\n'
+           f'<circle cx="{sx(xs[0]):.2f}" cy="{sy(ys[0]):.2f}" r="3" fill="black"/>\n'
+           "</svg>\n")
 
 
 def cmd_compare(args) -> int:
@@ -407,7 +422,7 @@ def cmd_compare(args) -> int:
 def _common(sub):
     sub.add_argument("--metric", required=True, help="catalog id or metric file")
     sub.add_argument("--at", type=_parse_point, help='point, e.g. "z=0.3+0i,0;v=1,0"')
-    sub.add_argument("--samples", type=_int_in(1), default=10)
+    sub.add_argument("--samples", type=_int_in(1, MAX_SAMPLES), default=10)
     sub.add_argument("--seed", type=_int_in(0), default=0)
     sub.add_argument("--tol", type=_positive_float, default=1.0,
                      help="tolerance scale factor (check) or threshold (compare)")
@@ -463,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--at-a", required=True, type=_parse_point)
     s.add_argument("--at-b", required=True, type=_parse_point)
     s.add_argument("--order", type=_int_in(0, 2), default=0)
-    s.add_argument("--fiber-samples", type=_int_in(0), default=0)
+    s.add_argument("--fiber-samples", type=_int_in(0, MAX_SAMPLES), default=0)
     s.add_argument("--seed", type=_int_in(0), default=0)
     s.add_argument("--tol", type=_positive_float, default=1e-3)
     s.add_argument("--json")
@@ -475,7 +490,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(_attach_point_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        # numpy warnings stay off stderr: a non-finite value is a FinslerError
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except argparse.ArgumentTypeError as exc:
         ap.error(str(exc))  # exits 2, as for any other malformed argument
     except FinslerError as exc:

@@ -12,6 +12,8 @@ tensor given with its base and fiber derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import groupby
 
 import numpy as np
 
@@ -29,16 +31,6 @@ def bar(k: int) -> int:
 
 def is_barred(idx: int) -> bool:
     return idx < 0
-
-
-def contract(tensor: np.ndarray, unbarred, barred) -> complex:
-    """Contract a (p, q) fiber tensor with vectors (barred ones conjugated)."""
-    out = tensor
-    for x in unbarred:
-        out = np.tensordot(np.asarray(x, dtype=complex), out, axes=(0, 0))
-    for y in barred:
-        out = np.tensordot(np.conj(np.asarray(y, dtype=complex)), out, axes=(0, 0))
-    return complex(out)
 
 
 def frame_contract(t: np.ndarray, p: int, q: int, U: np.ndarray) -> np.ndarray:
@@ -175,92 +167,98 @@ def forms_at(prog: MetricProgram, z, v, frame=None, max_order: int = 4) -> Finsl
 # homogeneity identities
 # --------------------------------------------------------------------------
 
-def _nested(raw, xs) -> complex:
-    """Nested derivative of F^2 along trivially extended real vectors.
+def _nested(ids, phase=lambda unb: 1) -> list:
+    """The nested derivative of F^2 along the distinct stack rows ids, as
+    terms (phase(unb), unb, brd), one per split of ids into the rows unb of
+    the holomorphic slots and brd of the conjugate ones."""
+    unbs = [tuple(x for b, x in enumerate(ids) if mask >> b & 1) for mask in range(1 << len(ids))]
+    return [(phase(u), u, tuple(x for x in ids if x not in u)) for u in unbs]
 
-    Each x in xs is the complex component vector of a real tangent vector;
-    the value expands over holomorphic/antiholomorphic splittings.
-    """
-    k = len(xs)
-    total = 0.0 + 0.0j
-    for mask in range(1 << k):
-        unb = [xs[i] for i in range(k) if mask >> i & 1]
-        brd = [xs[i] for i in range(k) if not mask >> i & 1]
-        total += contract(raw[(len(unb), len(brd))], unb, brd)
-    return total
+
+@cache
+def _homogeneity_plan():
+    """The residual rows of homogeneity_identities, each a sum of terms
+    c T_pq(A[unb], conj A[brd]).  Returns (reads, coef, row, ends): reads
+    maps (p, q) to the index rows unb + brd at which T_pq is read; coef and
+    row give each reading's coefficient and residual row, in the order of
+    reads; ends splits the rows into the families g (the D that scale (b)
+    and (c)), b, c, d and e."""
+    V = 6  # the row of v in A = [d_0..d_5, v]
+    fam = {"g": [], "b": [], "c": [], "d": [], "e": []}
+    for k in range(1, 5):
+        for t in range(7 - k):
+            ids = tuple(range(t, t + k))
+            fam["g"].append(_nested(ids))
+            fam["b"].append(_nested(ids + (V,)) + [(k - 2, u, b) for _, u, b in _nested(ids)])
+            fam["c"].append(_nested(ids, lambda u: 1j * (2 * len(u) - k))
+                            + _nested(ids + (V,), lambda u: 1j if V in u else -1j))
+    for x in range(6):
+        fam["d"] += [[(1, (x, V), ())], [(1, (x,), (V,)), (-1, (x,), ())]]
+        for y, zc in ((y, (x + 2) % 6) for y in range(x + 1, 6)):
+            fam["e"] += [[(1, (x, V), (y,))], [(1, (x,), (y, V))],
+                         [(1, (x, y, V), ()), (1, (x, y), ())],
+                         [(1, (x, y), (V,)), (-1, (x, y), ())],
+                         [(1, (x, y), (zc, V))], [(1, (x, V), (y, zc))],
+                         [(1, (x, y, V), (zc,)), (1, (x, y), (zc,))],
+                         [(1, (x,), (y, zc, V)), (1, (x,), (y, zc))]]
+    rows = [row for f in fam.values() for row in f]
+    terms = sorted((((len(u), len(b)), u + b, c, r) for r, row in enumerate(rows)
+                    for c, u, b in row if c), key=lambda t: t[0])
+    reads = {pq: np.array([t[1] for t in same]) for pq, same in groupby(terms, lambda t: t[0])}
+    return (reads, np.array([t[2] for t in terms], dtype=complex),
+            np.array([t[3] for t in terms]), np.cumsum([len(f) for f in fam.values()])[:-1])
 
 
 def homogeneity_identities(prog: MetricProgram, z, v) -> dict:
     """Residuals of the Euler/rotation identities satisfied by any metric
-    with F(lambda v) = |lambda| F(v).
+    with F(lambda v) = |lambda| F(v), relative to the local scale of F^2.
 
-    Returns a dict of maximal absolute residuals, relative to the local
-    scale of F^2.
+    With six random directions d_0..d_5 (seed HOMOGENEITY_SEED) and the
+    nested derivative D(x_1..x_k) of F^2 along trivially extended real
+    tangents, the identity families are
+    (a) dF^2(v) = F^2, and the radial and rotational derivatives of F^2;
+    (b) degree: D(x_1..x_k, v) = (2 - k) D(x_1..x_k) for k <= 4;
+    (c) rotation: sum_j D(.., i x_j, ..) + D(x_1..x_k, i v) = 0;
+    (d) h(x, v) = 0 and h(x, vbar) = dF^2(x);
+    (e) the cubic and quartic forms contracted with v, against lower forms;
+    (b) and (c) relative to max(scale, |D(x_1..x_k)|).  Every term reads a
+    raw (p, q) fiber tensor at rows of A = [d_0..d_5, v] (conj A in the
+    conjugate slots), each tensor contracted once.  Phase rule: i x in a
+    holomorphic slot multiplies a term by i, in a conjugate slot by -i, so
+    no rotated vector is contracted.
     """
-    z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     n = prog.dim
     rng = np.random.default_rng(HOMOGENEITY_SEED)
-    directions = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(6)]
-    raw = {}
-    jet = prog.jet_unchecked(z, v, 5, 0)
-    for p in range(6):
-        for q in range(6 - p):
-            raw[(p, q)] = jet.fiber_tensor(p, q)
+    A = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(6)]
+                 + [v])
+    raw = raw_fiber_tensors(prog, z, v, 5)
     f2 = float(np.real(raw[(0, 0)]))
     scale = max(1.0, abs(f2))
-
-    res = {}
-    # radial and rotational derivatives of F^2 itself
-    d10 = contract(raw[(1, 0)], [v], [])
-    res["a_radial"] = abs(d10 + np.conj(d10) - 2 * f2) / scale
-    res["a_rotation"] = abs(1j * d10 - 1j * np.conj(d10)) / scale
-    res["d_radial10"] = abs(d10 - f2) / scale
-
-    # degree counting and rotation identity on nested derivatives, k <= 4
-    res_b = 0.0
-    res_c = 0.0
-    for k in range(1, 5):
-        for t in range(len(directions) - k + 1):
-            xs = directions[t:t + k]
-            g = _nested(raw, xs)
-            gscale = max(scale, abs(g))
-            res_b = max(res_b, abs(_nested(raw, xs + [v]) - (2 - k) * g) / gscale)
-            rot = sum(_nested(raw, xs[:j] + [1j * xs[j]] + xs[j + 1:])
-                      for j in range(k))
-            res_c = max(res_c, abs(rot + _nested(raw, xs + [1j * v])) / gscale)
-    res["b_degree"] = res_b
-    res["c_rotation"] = res_c
-
-    # pairings of h with the radial direction
-    res_d = 0.0
-    for x in directions:
-        res_d = max(res_d, abs(contract(raw[(2, 0)], [x, v], [])) / scale)
-        lhs = contract(raw[(1, 1)], [x], [v])
-        rhs = contract(raw[(1, 0)], [x], [])
-        res_d = max(res_d, abs(lhs - rhs) / scale)
-    res["d_pairing"] = res_d
-
-    # cubic and quartic contractions with the radial direction
-    res_e = 0.0
-    for i, x in enumerate(directions):
-        for y in directions[i + 1:]:
-            zc = directions[(i + 2) % len(directions)]
-            e21 = contract(raw[(2, 1)], [x, v], [y])
-            e12 = contract(raw[(1, 2)], [x], [y, v])
-            res_e = max(res_e, abs(e21), abs(e12))
-            h20 = contract(raw[(2, 0)], [x, y], [])
-            res_e = max(res_e, abs(contract(raw[(3, 0)], [x, y, v], []) + h20))
-            res_e = max(res_e, abs(contract(raw[(2, 1)], [x, y], [v]) - h20))
-            res_e = max(res_e, abs(contract(raw[(2, 2)], [x, y], [zc, v])))
-            res_e = max(res_e, abs(contract(raw[(2, 2)], [v, x], [y, zc])))
-            res_e = max(res_e, abs(contract(raw[(3, 1)], [v, x, y], [zc])
-                                   + contract(raw[(2, 1)], [x, y], [zc])))
-            res_e = max(res_e, abs(contract(raw[(1, 3)], [x], [y, zc, v])
-                                   + contract(raw[(1, 2)], [x], [y, zc])))
-    res["e_cubic_quartic"] = res_e / scale
+    reads, coef, row, ends = _homogeneity_plan()
+    terms = coef * np.concatenate([_read(raw[pq], pq[0], A, ix) for pq, ix in reads.items()])
+    sums = np.abs(np.bincount(row, terms.real) + 1j * np.bincount(row, terms.imag))
+    g, b, c, d, e = np.split(sums, ends)
+    d10 = complex(raw[(1, 0)] @ v)
+    res = {"a_radial": abs(d10 + np.conj(d10) - 2 * f2) / scale,
+           "a_rotation": abs(1j * d10 - 1j * np.conj(d10)) / scale,
+           "d_radial10": abs(d10 - f2) / scale,
+           "b_degree": float(np.max(b / np.maximum(scale, g))),
+           "c_rotation": float(np.max(c / np.maximum(scale, g))),
+           "d_pairing": float(np.max(d)) / scale, "e_cubic_quartic": float(np.max(e)) / scale}
     res["max"] = max(res.values())
     return res
+
+
+def _read(t: np.ndarray, p: int, A: np.ndarray, ix: np.ndarray) -> np.ndarray:
+    """t(A[i_1], .., A[i_p], conj A[i_p+1], ..) for each row i of ix: the
+    first slot contracted with the whole stack, each later one with a row."""
+    (m, k), n = ix.shape, A.shape[1]
+    stack = [A] * p + [np.conj(A)] * (k - p)
+    out = (stack[0] @ t.reshape(n, -1))[ix[:, 0]]
+    for s in range(1, k):
+        out = np.matmul(stack[s][ix[:, s], None], out.reshape(m, n, -1))[:, 0]
+    return out[:, 0]
 
 
 # --------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .parallelism import (
 )
 
 GRAM_TOL = 1e-6  # Gram drift above which an RK4 step is halved and retried
+MAX_STEPS = 1_000_000  # integrate_geodesic refuses a t_max / dt above this
 # classify counts the geodesic torsion, the spread of the sampled holomorphic
 # sectional curvatures and their off-diagonal components as zero below these
 TORSION_TOL = 1e-5
@@ -117,11 +118,13 @@ def integrate_geodesic(prog: MetricProgram, z0, v0, t_max: float, dt: float,
     """Classical 4th-order one-step integration of the geodesic field with
     per-step frame re-projection.  Time is arc length: the path leaves z0
     in direction v0/F(v0) at unit speed."""
+    if not t_max / dt <= MAX_STEPS:  # checked before any step or array is made
+        raise IntegrationError(f"t_max / dt = {t_max / dt:.3g} steps exceeds {MAX_STEPS}")
+    nsteps = int(round(t_max / dt))
     z0 = np.asarray(z0, dtype=complex)
     v0 = np.asarray(v0, dtype=complex)
     speed0 = prog.norm(z0, v0)
     p = adapted_frame(prog, z0, v0)
-    nsteps = int(round(t_max / dt))
     n = prog.dim
     ts = np.zeros(nsteps + 1)
     zs = np.zeros((nsteps + 1, n), dtype=complex)

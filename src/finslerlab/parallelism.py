@@ -152,18 +152,18 @@ def _fill_generators(G: np.ndarray, E: np.ndarray, C20: np.ndarray, C21: np.ndar
     return G
 
 
-def _field_stack(fd: FrameData) -> tuple[np.ndarray, np.ndarray]:
+def _field_stack(fd: FrameData, G: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The parallelism fields at the point of fd, all built here.
 
-    Returns (dz, P) with P = U @ G for the stack G of _generators, formed in
-    one matmul.  Real field j of labels_real is the ambient tangent
-    (dz[j], P[j])."""
+    Returns (dz, P) with P = U @ G for the stack G of _generators (passed
+    in, or built here), formed in one matmul.  Real field j of labels_real
+    is the ambient tangent (dz[j], P[j])."""
     n = fd.n
     dz = np.zeros((n * n + 2 * n, n), dtype=complex)
     # U w as matrix-vector products: a matrix product can differ in the sign
     # of a zero, which the least-squares solves downstream propagate
     np.matmul(fd.U, _stack_layout(n)[1], out=dz[:2 * n, :, None])
-    return dz, np.matmul(fd.U, _generators(fd))
+    return dz, np.matmul(fd.U, _generators(fd) if G is None else G)
 
 
 def _packed(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
@@ -275,14 +275,15 @@ def _bracket_table(prog: MetricProgram, p: BundlePoint) -> tuple[np.ndarray, np.
 
     def build():
         fd = frame_data(prog, p.z, p.U)
-        dz, X = _field_stack(fd)  # X[b] is the dU of field b
+        G = _generators(fd)
+        dz, X = _field_stack(fd, G)  # X[b] is the dU of field b
         N = len(dz)
         dG = _fill_generators(np.zeros((N,) + X.shape, dtype=complex),
                               *frame_derivatives(prog, fd, dz, X))
         # D[a, b] = D_a X_b, packed as the fields are
         Ddz = np.zeros((N, N, fd.n), dtype=complex)
         Ddz[:, :2 * fd.n] = np.matmul(X[:, None], _stack_layout(fd.n)[1])[..., 0]
-        DU = (np.matmul(X[:, None], _generators(fd)) + np.matmul(fd.U, dG)).reshape(N, N, -1)
+        DU = (np.matmul(X[:, None], G) + np.matmul(fd.U, dG)).reshape(N, N, -1)
         D = np.concatenate([Ddz.real, Ddz.imag, DU.real, DU.imag], axis=-1)
         return _packed(dz, X), D - D.transpose(1, 0, 2)
 

@@ -22,3 +22,10 @@ def warped():
     # derivative counts
     return parse_metric(MetricSource(
         2, "sqrt(abs2(v1)^2 + abs2(v2)^2 + abs2(z1)*abs2(v1)*abs2(v2))"))
+
+
+@pytest.fixture(scope="session")
+def twisted():
+    # non-Hermitian with base dependence: exercises every structure function
+    return parse_metric(MetricSource(
+        2, "sqrt(abs2(v1)^2 + abs2(v2)^2) + abs2(z1)*abs2(v2)/2"))

@@ -1,0 +1,99 @@
+"""Independent references that the library's faster code is checked against."""
+
+import numpy as np
+
+from finslerlab.finsler_forms import HOMOGENEITY_SEED
+
+
+def contract(tensor: np.ndarray, unbarred, barred) -> complex:
+    """Contract a (p, q) fiber tensor with vectors (barred ones conjugated)."""
+    out = tensor
+    for x in unbarred:
+        out = np.tensordot(np.asarray(x, dtype=complex), out, axes=(0, 0))
+    for y in barred:
+        out = np.tensordot(np.conj(np.asarray(y, dtype=complex)), out, axes=(0, 0))
+    return complex(out)
+
+
+def nested(raw, xs) -> complex:
+    """Nested derivative of F^2 along trivially extended real vectors.
+
+    Each x in xs is the complex component vector of a real tangent vector;
+    the value expands over holomorphic/antiholomorphic splittings.
+    """
+    k = len(xs)
+    total = 0.0 + 0.0j
+    for mask in range(1 << k):
+        unb = [xs[i] for i in range(k) if mask >> i & 1]
+        brd = [xs[i] for i in range(k) if not mask >> i & 1]
+        total += contract(raw[(len(unb), len(brd))], unb, brd)
+    return total
+
+
+def homogeneity_identities(prog, z, v) -> dict:
+    """finsler_forms.homogeneity_identities, one contraction per term: each
+    nested derivative, rotated vectors included, expanded over its splits."""
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    n = prog.dim
+    rng = np.random.default_rng(HOMOGENEITY_SEED)
+    directions = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(6)]
+    raw = {}
+    jet = prog.jet_unchecked(z, v, 5, 0)
+    for p in range(6):
+        for q in range(6 - p):
+            raw[(p, q)] = jet.fiber_tensor(p, q)
+    f2 = float(np.real(raw[(0, 0)]))
+    scale = max(1.0, abs(f2))
+
+    res = {}
+    # radial and rotational derivatives of F^2 itself
+    d10 = contract(raw[(1, 0)], [v], [])
+    res["a_radial"] = abs(d10 + np.conj(d10) - 2 * f2) / scale
+    res["a_rotation"] = abs(1j * d10 - 1j * np.conj(d10)) / scale
+    res["d_radial10"] = abs(d10 - f2) / scale
+
+    # degree counting and rotation identity on nested derivatives, k <= 4
+    res_b = 0.0
+    res_c = 0.0
+    for k in range(1, 5):
+        for t in range(len(directions) - k + 1):
+            xs = directions[t:t + k]
+            g = nested(raw, xs)
+            gscale = max(scale, abs(g))
+            res_b = max(res_b, abs(nested(raw, xs + [v]) - (2 - k) * g) / gscale)
+            rot = sum(nested(raw, xs[:j] + [1j * xs[j]] + xs[j + 1:])
+                      for j in range(k))
+            res_c = max(res_c, abs(rot + nested(raw, xs + [1j * v])) / gscale)
+    res["b_degree"] = res_b
+    res["c_rotation"] = res_c
+
+    # pairings of h with the radial direction
+    res_d = 0.0
+    for x in directions:
+        res_d = max(res_d, abs(contract(raw[(2, 0)], [x, v], [])) / scale)
+        lhs = contract(raw[(1, 1)], [x], [v])
+        rhs = contract(raw[(1, 0)], [x], [])
+        res_d = max(res_d, abs(lhs - rhs) / scale)
+    res["d_pairing"] = res_d
+
+    # cubic and quartic contractions with the radial direction
+    res_e = 0.0
+    for i, x in enumerate(directions):
+        for y in directions[i + 1:]:
+            zc = directions[(i + 2) % len(directions)]
+            e21 = contract(raw[(2, 1)], [x, v], [y])
+            e12 = contract(raw[(1, 2)], [x], [y, v])
+            res_e = max(res_e, abs(e21), abs(e12))
+            h20 = contract(raw[(2, 0)], [x, y], [])
+            res_e = max(res_e, abs(contract(raw[(3, 0)], [x, y, v], []) + h20))
+            res_e = max(res_e, abs(contract(raw[(2, 1)], [x, y], [v]) - h20))
+            res_e = max(res_e, abs(contract(raw[(2, 2)], [x, y], [zc, v])))
+            res_e = max(res_e, abs(contract(raw[(2, 2)], [v, x], [y, zc])))
+            res_e = max(res_e, abs(contract(raw[(3, 1)], [v, x, y], [zc])
+                                   + contract(raw[(2, 1)], [x, y], [zc])))
+            res_e = max(res_e, abs(contract(raw[(1, 3)], [x], [y, zc, v])
+                                   + contract(raw[(1, 2)], [x], [y, zc])))
+    res["e_cubic_quartic"] = res_e / scale
+    res["max"] = max(res.values())
+    return res

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslerlab.cli import main
+import finslerlab
+from finslerlab import geodesics
+from finslerlab.cli import MAX_SAMPLES, main
 
 
 def run(argv):
@@ -178,6 +185,10 @@ BAD_ARGUMENTS = [
     ["check", "--metric", "poincare_disc", "--samples", "1", "--seed", "-1"],
     ["compare", "--metric-a", "poincare_disc", "--metric-b", "poincare_disc",
      "--at-a", "z=0.1;v=1", "--at-b", "z=0.2;v=1", "--fiber-samples", "0", "--seed", "-3"],
+    # sample counts are bounded above
+    ["check", "--metric", "flat_1", "--samples", str(MAX_SAMPLES + 1)],
+    ["compare", "--metric-a", "poincare_disc", "--metric-b", "poincare_disc",
+     "--at-a", "z=0.1;v=1", "--at-b", "z=0.2;v=1", "--fiber-samples", "99999999999"],
 ]
 
 
@@ -249,3 +260,61 @@ def test_threads_env_does_not_change_results(tmp_path, capsys, monkeypatch):
     rb.pop("timestamp")
     assert ra == rb
     capsys.readouterr()
+
+
+def assert_clean_exit(code, err):
+    """The README's contract: exit 0, 2 or 3, no traceback, and a stderr that
+    is empty or one JSON diagnostic."""
+    assert code in (0, 2, 3) and "Traceback" not in err, (code, err)
+    assert not err or isinstance(json.loads(err), dict), err
+
+
+def test_closed_stdout_ends_quietly():
+    src = str(Path(finslerlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "finslerlab.cli", "list-metrics"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the report is written, as after `| head`
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert_clean_exit(proc.wait(timeout=60), err)
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensors", "--metric", "poincare_disc", "--at", "z=0.5;v=1", "--json", "{missing}/x.json"],
+    ["geodesic", "--metric", "poincare_disc", "--from", "0", "--dir", "1", "--t-max", "0.02",
+     "--dt", "0.01", "--csv", "{missing}/g.csv"],
+    ["geodesic", "--metric", "poincare_disc", "--from", "0", "--dir", "1", "--t-max", "0.02",
+     "--dt", "0.01", "--svg", "{missing}/g.svg"],
+    ["list-metrics", "--json", "{tmp}"],  # a directory
+])
+def test_unwritable_output_path_exit_3(tmp_path, capsys, argv):
+    code = run([a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert_clean_exit(code, err)
+    assert code == 3 and json.loads(err)["type"] == "OutputError"
+
+
+def test_geodesic_step_count_is_bounded_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the geodesic started before its step count was checked")
+
+    monkeypatch.setattr(geodesics, "adapted_frame", refuse)
+    for t_max, dt in (("1e6", "1e-300"), ("1e300", "1e-300"),
+                      (str((geodesics.MAX_STEPS + 1) * 1e-3), "1e-3")):
+        code = run(["geodesic", "--metric", "poincare_disc", "--from", "0", "--dir", "1",
+                    "--t-max", t_max, "--dt", dt])
+        err = capsys.readouterr().err
+        assert_clean_exit(code, err)
+        assert code == 3 and json.loads(err)["type"] == "IntegrationError", t_max
+
+
+def test_numpy_warnings_stay_off_stderr(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["structure", "--metric", "poincare_disc", "--at", "z=0;v=1e300"])
+    err = capsys.readouterr().err
+    assert_clean_exit(code, err)
+    assert code == 3 and json.loads(err)["type"] == "EvaluationError"
+    assert not caught, [str(w.message) for w in caught]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finslerlab import MetricSource, parse_metric
 from finslerlab.finsler_forms import (
     bar,
     form_derivative,
@@ -13,6 +14,8 @@ from finslerlab.finsler_forms import (
 )
 from finslerlab.frame_bundle import adapted_frame, gram_derivative
 from finslerlab.registry import sample_points
+
+import oracles
 
 
 def test_flat_forms_in_coordinate_frame(progs):
@@ -61,6 +64,56 @@ def test_hermitian_test_witness(progs):
 ])
 def test_homogeneity_identities(progs, metric_id, z, v, tol):
     assert homogeneity_identities(progs[metric_id], z, v)["max"] < tol
+
+
+def test_homogeneity_identities_match_the_loop_oracle(progs, entries, warped, twisted):
+    cases = [(prog, z, v) for mid, prog in progs.items()
+             for z, v in sample_points(prog, entries[mid], 2, seed=11)]
+    cases += [(prog, [0.3, 0.1 - 0.2j], [1.0, 0.7 + 0.4j]) for prog in (warped, twisted)]
+    for prog, z, v in cases:
+        new, old = homogeneity_identities(prog, z, v), oracles.homogeneity_identities(prog, z, v)
+        assert list(new) == list(old)
+        for key in old:
+            assert abs(new[key] - old[key]) < 1e-12, (prog.source.f2_expr, key)
+    # F^2 of no homogeneity: every family's residual is O(1), so the
+    # comparison checks each identity term by term, not only round-off
+    inhomogeneous = parse_metric(MetricSource(
+        2, "abs2(v1) + abs2(v2)^2 + abs2(z1)*abs2(v1)^3 + (v1 + conj(v2))*abs2(v2)"))
+    new = homogeneity_identities(inhomogeneous, [0.3, 0.1], [1.0, 0.7 - 0.4j])
+    old = oracles.homogeneity_identities(inhomogeneous, [0.3, 0.1], [1.0, 0.7 - 0.4j])
+    for key in old:
+        assert old[key] > 1e-3 and new[key] == pytest.approx(old[key], rel=1e-12), key
+
+
+class _MutatedJets:
+    """A program whose jets read fiber_tensor(p, q) as mutate(jet, p, q)."""
+
+    def __init__(self, prog, mutate):
+        self.prog, self.mutate, self.dim = prog, mutate, prog.dim
+
+    def jet_unchecked(self, z, v, fiber_order, base_order):
+        jet = self.prog.jet_unchecked(z, v, fiber_order, base_order)
+        return type("MutatedJet", (), {"fiber_tensor": lambda _, p, q: self.mutate(jet, p, q)})()
+
+
+MUTATIONS = {
+    "p and q swapped": lambda jet, p, q: jet.fiber_tensor(q, p),
+    "a conjugate slot dropped": lambda jet, p, q: jet.fiber_tensor(p + 1, q - 1) if q
+    else jet.fiber_tensor(p, q),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("metric_id, z, v", [
+    ("poincare_ball_2", [0.2, -0.1j], [1.0, 0.5 + 0.3j]),
+    ("l4_finsler", [0.2, 0.1], [1.0, 0.8 + 0.3j]),
+])
+def test_homogeneity_identities_catch_jet_mutations(progs, mutation, metric_id, z, v):
+    mutated = _MutatedJets(progs[metric_id], MUTATIONS[mutation])
+    res = homogeneity_identities(mutated, z, v)
+    assert res["max"] > 1e-3
+    assert res["max"] == pytest.approx(oracles.homogeneity_identities(mutated, z, v)["max"],
+                                       rel=1e-12)
 
 
 def test_levi_flat(progs):

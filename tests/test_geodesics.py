@@ -243,14 +243,6 @@ def test_speed_conservation_all_metrics(progs, entries):
         assert path.max_gram_drift < 1e-7, mid
 
 
-@pytest.fixture(scope="module")
-def twisted_geo():
-    from finslerlab import MetricSource, parse_metric
-
-    return parse_metric(MetricSource(
-        2, "sqrt(abs2(v1)^2 + abs2(v2)^2) + abs2(z1)*abs2(v2)/2"))
-
-
 def _euler_lagrange_oracle(prog, z0, v0, t_max, dt):
     """Independent geodesic integration straight from the energy density:
     d/dt (dF2/dv) = dF2/dz along (z, zdot), solved for the acceleration."""
@@ -280,9 +272,9 @@ def _euler_lagrange_oracle(prog, z0, v0, t_max, dt):
     return np.array(zs)
 
 
-def test_non_kaehler_geodesic_is_energy_critical(twisted_geo):
+def test_non_kaehler_geodesic_is_energy_critical(twisted):
     # the vertical correction has a genuinely nonzero coefficient here
-    prog = twisted_geo
+    prog = twisted
     from finslerlab.connection import frame_data
     from finslerlab.geodesics import spray_coefficients
 
@@ -303,8 +295,8 @@ def test_non_kaehler_geodesic_is_energy_critical(twisted_geo):
     assert res["A"] < 1e-6 and res["BC"] < 1e-6
 
 
-def test_spray_matches_euler_lagrange_oracle(progs, twisted_geo):
-    cases = [(twisted_geo, [0.3, 0.1], [1.0, 0.8]),
+def test_spray_matches_euler_lagrange_oracle(progs, twisted):
+    cases = [(twisted, [0.3, 0.1], [1.0, 0.8]),
              (progs["poincare_ball_2"], [0.2, 0.1], [0.6, 0.8]),
              (progs["l4_finsler"], [0.1, 0.2], [1.0, 0.8])]
     for prog, z0, v0 in cases:
@@ -339,10 +331,10 @@ def test_quartic_norm_is_flat_e_manifold(progs, entries):
     assert max(abs(k) for k in r["induced_curvatures"]) < 1e-4
 
 
-def test_twisted_metric_is_not_torsion_free(twisted_geo):
+def test_twisted_metric_is_not_torsion_free(twisted):
     pts = [(np.array([0.3, 0.1]), np.array([1.0, 0.8])),
            (np.array([0.2 + 0.1j, -0.2]), np.array([0.7, 1.0]))]
-    rep = classify(twisted_geo, pts)
+    rep = classify(twisted, pts)
     assert not rep.hermitian
     assert not rep.geodetically_torsion_free
     assert rep.max_geodesic_torsion > 1e-2

@@ -12,6 +12,7 @@ from finslerlab.frame_bundle import (
     pack_real,
     unpack_real,
 )
+from finslerlab import parallelism
 from finslerlab.metric_dsl import MetricProgram
 from finslerlab.parallelism import (
     _Coframe,
@@ -34,13 +35,6 @@ from finslerlab.equivalence import structure_coefficients
 from finslerlab.registry import sample_points
 
 SE_KEYS = ("eq529", "eq533", "eq534", "eq535", "eq536")
-
-
-@pytest.fixture(scope="module")
-def twisted():
-    # non-Hermitian with base dependence: exercises every structure function
-    return parse_metric(MetricSource(
-        2, "sqrt(abs2(v1)^2 + abs2(v2)^2) + abs2(z1)*abs2(v2)/2"))
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +462,21 @@ def test_structure_builds_frame_data_and_jets_only_at_the_point(entries, monkeyp
     assert {j[2:] for j in jets} == {(4, 1), (2, 2)}
     for z, v, *_ in jets:
         assert np.array_equal(z, p.z) and np.array_equal(v, p.e0)
+
+
+def test_bracket_table_builds_the_generator_stack_once(entries, monkeypatch):
+    prog = entries["l4_finsler"].program()  # a fresh program: no table cached
+    p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.8 + 0.3j])
+    calls = []
+    generators = parallelism._generators
+
+    def counted(fd):
+        calls.append(fd)
+        return generators(fd)
+
+    monkeypatch.setattr(parallelism, "_generators", counted)
+    _bracket_table(prog, p)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mid", ["poincare_disc", "poincare_ball_2"])
