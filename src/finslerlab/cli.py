@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import errno
 import json
 import math
 import os
@@ -64,6 +65,23 @@ def _write(path: str, option: str, text: str):
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {option} {path}: {exc.strerror or exc}") from None
+
+
+def _check_output(path: str, option: str):
+    """Fail before any work, as _write would after it, when path cannot be
+    opened for writing: a directory, or in a directory that is missing, not
+    a directory or not writable."""
+    try:
+        folder = os.path.dirname(path.rstrip(os.sep)) or "."
+        if not os.path.isdir(folder):
+            os.listdir(folder)  # raises the error open would give
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(path) or path.endswith(os.sep):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.access(folder, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
     except OSError as exc:
         raise OutputError(f"cannot write {option} {path}: {exc.strerror or exc}") from None
 
@@ -300,8 +318,8 @@ def cmd_structure(args) -> int:
     for z, v in points:
         p = adapted_frame(prog, z, v)
         sf = extract_structure(prog, p)
-        res = structure_equation_residuals(prog, p)
-        bia = bianchi_residuals(prog, p)
+        res = structure_equation_residuals(prog, p, sf)
+        bia = bianchi_residuals(prog, p, sf)
         qgap = float(np.max(np.abs(sf.Q - closed_form_Q(prog, p)))) if prog.dim > 1 else 0.0
         ph, pH = closed_form_P(prog, p)
         pgap = max(float(np.max(np.abs(sf.P_h - ph), initial=0.0)),
@@ -492,6 +510,10 @@ def main(argv=None) -> int:
     try:
         # numpy warnings stay off stderr: a non-finite value is a FinslerError
         with np.errstate(all="ignore"):
+            for option in ("json", "csv", "svg"):
+                path = getattr(args, option, None)
+                if path:
+                    _check_output(path, "--" + option)
             return args.fn(args)
     except argparse.ArgumentTypeError as exc:
         ap.error(str(exc))  # exits 2, as for any other malformed argument

@@ -13,7 +13,8 @@ frames, which the tests assert.  The tangency conditions are derivatives of
 the (1, 1) frame form, frame_bundle.gram_derivative, taken by the one form
 derivative below this module, finsler_forms.form_derivative.
 frame_derivatives differentiates E exactly, through its back-substitution,
-for the parallelism's brackets.
+for the parallelism's brackets; frame_second_derivatives differentiates it
+twice, for the derivatives of the structure coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finsler_forms import form_derivative, frame_contract, tensor_derivative
+from .finsler_forms import (
+    form_derivative,
+    frame_contract,
+    raw_derivatives,
+    tensor_derivative,
+    tensor_second_derivative,
+)
 from .frame_bundle import (
     AmbientTangent,
     BundlePoint,
@@ -30,6 +37,7 @@ from .frame_bundle import (
     central_difference,
     gram_rows,
 )
+from .jets import Z, ZBAR
 from .metric_dsl import MetricProgram
 
 # relative step of the chart-coordinate central difference in covariant_derivative
@@ -131,6 +139,42 @@ def frame_derivatives(prog: MetricProgram, fd: FrameData, dz, dU):
     dE[:, :, 1:] -= (np.einsum("kzg,azr->krag", dE[:, :, 0], fd.C(2, 1)[1:])
                      + np.einsum("zg,kazr->krag", fd.E[:, 0], dC21[:, 1:]))
     return dE, dC20, dC21
+
+
+def frame_second_derivatives(prog: MetricProgram, fd: FrameData, t1, t2, first1, first2):
+    """Exact second derivatives of E, C(2, 0) and C(2, 1) of fd along every
+    pair (j, l) of two stacks of real ambient tangents t1 = (dz1, dU1) and
+    t2 = (dz2, dU2), shaped as frame_derivatives takes them.
+
+    Returns (d2E, d2C20, d2C21) with leading axes (K1, K2).  first1 and
+    first2 are frame_derivatives along t1 and t2, which E's
+    back-substitution multiplies.  The forms' derivatives read one
+    jet(5, 2); so do Dh's, but for its second base derivatives, which read
+    one jet(2, 3).
+    """
+    U = fd.U
+    jet = prog.jet_unchecked(fd.z, U[:, 0], 5, 2)
+    d2C20 = tensor_second_derivative(U, (2, 0), fd.jet.fiber_tensor(2, 0),
+                                     *raw_derivatives(jet.partials, 2, 0), t1, t2)
+    d2C21 = tensor_second_derivative(U, (2, 1), fd.jet.fiber_tensor(2, 1),
+                                     *raw_derivatives(jet.partials, 2, 1), t1, t2)
+    jet3 = prog.jet_unchecked(fd.z, U[:, 0], 2, 3)
+
+    def partials(p, q, kinds):
+        # Dh's raw tensor TZ already carries one d_z: three base slots need base order 3
+        return (jet3 if set(kinds) <= {Z, ZBAR} else jet).partials(p, q, kinds)
+
+    TZ = fd.jet.fiber_tensor_dbase(1, 1)[0]
+    d2Dh = tensor_second_derivative(U, (2, 1), TZ, *raw_derivatives(partials, 1, 1, (Z,)),
+                                    t1, t2)
+    # FrameData.E's back-substitution differentiated twice, term by term
+    (dE1, _, dC21_1), (dE2, _, dC21_2) = first1, first2
+    d2E = -d2Dh.transpose(0, 1, 4, 3, 2)
+    d2E[:, :, :, 1:] -= (np.einsum("jlzg,azr->jlrag", d2E[:, :, :, 0], fd.C(2, 1)[1:])
+                         + np.einsum("jzg,lazr->jlrag", dE1[:, :, 0], dC21_2[:, 1:])
+                         + np.einsum("lzg,jazr->jlrag", dE2[:, :, 0], dC21_1[:, 1:])
+                         + np.einsum("zg,jlazr->jlrag", fd.E[:, 0], d2C21[:, :, 1:]))
+    return d2E, d2C20, d2C21
 
 
 # --------------------------------------------------------------------------

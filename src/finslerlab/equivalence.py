@@ -5,6 +5,9 @@ along the parallelism fields form a complete local invariant family; two
 metrics can only be locally isometric through a frame match if the families
 agree.  Signatures here are frame-pointwise: a mismatch rules out an
 isometry matching the two frames, a match is necessary but not sufficient.
+The first derivatives along the fields are exact
+(parallelism.structure_derivative); each higher tier is one central
+difference of the tier below it.
 """
 
 from __future__ import annotations
@@ -13,14 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_bundle import NESTED_STEP, BundlePoint, along, group_act, haar_unitary
+from .frame_bundle import NESTED_STEP, BundlePoint, along, group_act, haar_unitary, unpack_real
 from .metric_dsl import FinslerError, MetricProgram
-from .parallelism import _real_field_matrix, bracket_coefficients, labels_real
+from .parallelism import (
+    _bracket_table,
+    _real_field_matrix,
+    bracket_coefficients,
+    labels_real,
+    structure_derivative,
+)
 
 # Singular values count toward a regularity rank when above SV_TOL * sigma_max
 # and above the absolute NOISE_FLOOR; the floor absorbs the finite-difference
-# noise of iterated derivative tiers, which would otherwise fabricate rank on
-# metrics whose invariants are constant.
+# noise of the tiers above the first, which are central differences of the
+# exact tier 1 and would otherwise fabricate rank on metrics whose invariants
+# are constant.
 SV_TOL = 1e-4
 NOISE_FLOOR = 1e-2
 
@@ -38,9 +48,17 @@ def structure_coefficients(prog: MetricProgram, z, U) -> np.ndarray:
 
 def _tier(prog: MetricProgram, z, U, k: int) -> np.ndarray:
     """All k-th derivatives of the structure coefficients along the fields,
-    field by field: block m is the derivative of tier k - 1 along field m."""
+    field by field: block m is the derivative of tier k - 1 along field m.
+    Tier 1 is exact; each higher tier is a central difference of the tier
+    below it."""
     if k == 0:
         return structure_coefficients(prog, z, U)
+    if k == 1:
+        p = BundlePoint(np.asarray(z, dtype=complex), np.asarray(U, dtype=complex))
+        fields = _bracket_table(prog, p)[0].T  # packed, one per row
+        dc = structure_derivative(prog, p, unpack_real(fields, prog.dim))
+        a, b = np.triu_indices(dc.shape[1], 1)  # the pairs of structure_coefficients
+        return dc[:, a, b].ravel()
     return np.concatenate([along(lambda z2, U2: _tier(prog, z2, U2, k - 1), z, U, xm,
                                  NESTED_STEP * (1.0 + np.linalg.norm(xm)))
                            for xm in _real_field_matrix(prog, z, U).T])

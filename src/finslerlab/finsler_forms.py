@@ -6,7 +6,9 @@ integer 0..n-1 for a holomorphic slot, or ``bar(k)`` for the conjugate slot;
 values only depend on the multiset of indices of each type (total symmetry).
 form_derivative differentiates a frame-contracted form along ambient tangents;
 tensor_derivative, which it calls, does the same for any frame-contracted
-tensor given with its base and fiber derivatives.
+tensor given with its base and fiber derivatives, and
+tensor_second_derivative takes its second derivatives along pairs of
+tangents from those that raw_derivatives reads off a jet.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from itertools import groupby
 
 import numpy as np
 
+from .jets import V, VBAR, Z, ZBAR
 from .metric_dsl import EvaluationError, FinslerError, MetricProgram
 
 HOMOGENEITY_SEED = 0  # seed of the six random directions of homogeneity_identities
@@ -77,12 +80,13 @@ def tensor_derivative(U: np.ndarray, pq: tuple[int, int], raw: np.ndarray, dbase
     dU = np.asarray(dU, dtype=complex)
     K, n = dz.shape
     frame = [U] * p + [np.conj(U)] * q
+    cycle = (0,) + tuple(range(2, p + q + 1)) + (1,)  # slot 1 of a stack moved last
 
     def contract(t, s=0):
         # slots s.. of the stack t, shape (K,) + (n,) * (p + q), contracted
         # with their frame matrices in frame_contract's order
         for M in frame[s:]:
-            t = np.matmul(np.moveaxis(t, 1, -1).reshape(K, -1, n), M).reshape(t.shape)
+            t = np.matmul(t.transpose(cycle).reshape(K, -1, n), M).reshape(t.shape)
         return t
 
     def contract_first(vecs, t):
@@ -100,6 +104,76 @@ def tensor_derivative(U: np.ndarray, pq: tuple[int, int], raw: np.ndarray, dbase
     for s, dM in enumerate([dU] * p + [np.conj(dU)] * q):
         head = np.moveaxis(frame_contract(raw, min(s, p), max(s - p, 0), U), 0, -1)
         out = out + contract(np.matmul(head.reshape(-1, n), dM).reshape(out.shape), s + 1)
+    return out
+
+
+# the jet variables (z, zbar, v, vbar) in the order of raw_derivatives' axes
+_KINDS = (Z, ZBAR, V, VBAR)
+
+
+def raw_derivatives(partials, p: int, q: int, lead: tuple = ()):
+    """(d1, d2): the first and second derivatives of the coordinate tensor
+    t = partials(p, q, lead) along the 4n jet variables (z, zbar, v, vbar),
+    of shapes (4n,) + t.shape and (4n, 4n) + t.shape.  partials is a
+    Jet.partials, or a function of the same arguments that picks the jet
+    holding each read."""
+    d1 = np.concatenate([partials(p, q, (x,) + lead) for x in _KINDS])
+    d2 = np.concatenate([np.concatenate([partials(p, q, (x, y) + lead) for y in _KINDS], axis=1)
+                         for x in _KINDS])
+    return d1, d2
+
+
+def tensor_second_derivative(U: np.ndarray, pq: tuple[int, int], raw: np.ndarray, d1, d2,
+                             t1, t2) -> np.ndarray:
+    """Second derivatives of frame_contract(raw, p, q, U) along every pair
+    (j, l) of two stacks of real ambient tangents t1 = (dz1, dU1), shapes
+    (K1, n) and (K1, n, n), and t2 = (dz2, dU2) likewise, at (z, U); raw
+    depends on z and on the fiber point e_0 = U[:, 0], with the derivatives
+    (d1, d2) that raw_derivatives returns.  Returns shape (K1, K2) +
+    (n,) * (p + q).
+
+    The terms are tensor_derivative's, differentiated once more: raw's
+    second derivative along the pair's increments of (z, zbar, e_0,
+    conj e_0) in every slot frame-contracted; its first derivative along
+    one tangent with one frame slot moved along the other; raw with two
+    distinct frame slots moved, one along each tangent.  The frame and e_0
+    are linear in U, so nothing else moves.
+    """
+    p, q = pq
+    n = len(U)
+    k = p + q
+    (dz1, dU1), (dz2, dU2) = ((np.asarray(a, dtype=complex) for a in t) for t in (t1, t2))
+    frame = [U] * p + [np.conj(U)] * q
+    # the frame slots' motions, stack 1 along the first pair axis, stack 2 along the second
+    move1 = [dU1[:, None]] * p + [np.conj(dU1[:, None])] * q
+    move2 = [dU2[None]] * p + [np.conj(dU2[None])] * q
+    cycle = (0, 1) + tuple(range(3, k + 2)) + (2,)  # the first slot moved last
+
+    def contract(t, mats):
+        # slot s of t, whose two leading axes broadcast over the pairs, with mats[s]
+        for M in mats:
+            t = np.matmul(t.transpose(cycle).reshape(t.shape[:2] + (-1, n)), M)
+            t = t.reshape(t.shape[:2] + (n,) * k)
+        return t
+
+    def increments(dz, dU):
+        de0 = dU[:, :, 0]
+        return np.concatenate([dz, np.conj(dz), de0, np.conj(de0)], axis=1)
+
+    x1, x2 = increments(dz1, dU1), increments(dz2, dU2)
+    w = len(d1)
+    r2 = np.matmul(x2, (x1 @ d2.reshape(w, -1)).reshape(len(x1), w, -1))
+    out = contract(r2.reshape((len(x1), len(x2)) + raw.shape), frame)
+    r1 = ((x1 @ d1.reshape(w, -1)).reshape((len(x1), 1) + raw.shape),
+          (x2 @ d1.reshape(w, -1)).reshape((1, len(x2)) + raw.shape))
+    for s in range(k):
+        out = out + contract(r1[0], frame[:s] + [move2[s]] + frame[s + 1:])
+        out = out + contract(r1[1], frame[:s] + [move1[s]] + frame[s + 1:])
+        for t in range(k):
+            if t != s:
+                mats = list(frame)
+                mats[s], mats[t] = move1[s], move2[t]
+                out = out + contract(raw[None, None], mats)
     return out
 
 

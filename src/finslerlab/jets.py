@@ -9,9 +9,12 @@ and conjugating the coefficients.
 
 Truncation is by *fiber* total degree and *base* total degree separately,
 which keeps the tables small: fiber order never exceeds 5 in this package,
-and base order never exceeds 2.  Base order 2 serves one purpose, the
-second base derivatives of the (1, 1) fiber tensor, which the exact
-derivative of the connection needs; every other jet has base order 0 or 1.
+and base order never exceeds 3.  Base orders 2 and 3 serve the exact
+derivatives of the connection: its first derivative reads the second base
+derivatives of the (1, 1) fiber tensor from a jet(2, 2), its second
+derivative the third ones from a jet(2, 3) and every mixed second
+derivative of the (2, 0), (2, 1) and base-differentiated (1, 1) tensors
+from a jet(5, 2).  Every other jet has base order 0 or 1.
 
 On the larger tables the product of finite operands visits only the pairs
 of the multiplication table whose two coefficients are both nonzero, in the
@@ -157,9 +160,9 @@ class JetSpace:
     def tensor_table(self, p: int, q: int, base: tuple = ()):
         """Gather indices and factorial weights for a (p, q) fiber tensor.
 
-        Each kind in ``base`` (Z or ZBAR) adds a leading base index: the
-        table covers the base derivatives of the tensor, the first kind's
-        index outermost.
+        Each kind in ``base`` (V, VBAR, Z or ZBAR) adds a leading index: the
+        table covers the derivatives of the tensor along those variables,
+        the first kind's index outermost.
         """
         key = (p, q, base)
         hit = self._tensor_tables.get(key)
@@ -321,14 +324,14 @@ class Jet:
 
     def fiber_tensor(self, p: int, q: int) -> np.ndarray:
         """Tensor of partials d^p_v d^q_vbar, shape (n,)*(p+q), v-slots first."""
-        return self._tensor(p, q, ())
+        return self.partials(p, q)
 
     def fiber_tensor_dbase(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
         """Base-derivative tensors (d_z_k, d_zbar_k) of the (p, q) fiber tensor.
 
         Returns two arrays of shape (n,) + (n,)*(p+q); leading axis is k.
         """
-        return self._tensor(p, q, (Z,)), self._tensor(p, q, (ZBAR,))
+        return self.partials(p, q, (Z,)), self.partials(p, q, (ZBAR,))
 
     def fiber_tensor_dbase2(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
         """Second base derivatives (d_z_l, d_zbar_l) of the d_z_k tensor of
@@ -336,8 +339,12 @@ class Jet:
 
         Returns two arrays of shape (n, n) + (n,)*(p+q); leading axes are l, k.
         """
-        return self._tensor(p, q, (Z, Z)), self._tensor(p, q, (ZBAR, Z))
+        return self.partials(p, q, (Z, Z)), self.partials(p, q, (ZBAR, Z))
 
-    def _tensor(self, p: int, q: int, base: tuple) -> np.ndarray:
-        pos, fact = self.space.tensor_table(p, q, base)
+    def partials(self, p: int, q: int, kinds: tuple = ()) -> np.ndarray:
+        """The (p, q) fiber tensor differentiated once along each variable
+        kind in ``kinds`` (V, VBAR, Z or ZBAR), one leading axis per kind,
+        the first kind's axis outermost: shape (n,) * (len(kinds) + p + q).
+        (Z, Z, Z) needs base order 3, (V, V) fiber order p + q + 2."""
+        pos, fact = self.space.tensor_table(p, q, kinds)
         return self.c[pos] * fact

@@ -36,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .connection import FrameData, frame_data, frame_derivatives
+from .connection import FrameData, frame_data, frame_derivatives, frame_second_derivatives
 from .finsler_forms import form_derivative
 from .frame_bundle import (
     NESTED_STEP,
@@ -277,17 +277,34 @@ def _bracket_table(prog: MetricProgram, p: BundlePoint) -> tuple[np.ndarray, np.
         fd = frame_data(prog, p.z, p.U)
         G = _generators(fd)
         dz, X = _field_stack(fd, G)  # X[b] is the dU of field b
-        N = len(dz)
-        dG = _fill_generators(np.zeros((N,) + X.shape, dtype=complex),
-                              *frame_derivatives(prog, fd, dz, X))
-        # D[a, b] = D_a X_b, packed as the fields are
-        Ddz = np.zeros((N, N, fd.n), dtype=complex)
-        Ddz[:, :2 * fd.n] = np.matmul(X[:, None], _stack_layout(fd.n)[1])[..., 0]
-        DU = (np.matmul(X[:, None], G) + np.matmul(fd.U, dG)).reshape(N, N, -1)
-        D = np.concatenate([Ddz.real, Ddz.imag, DU.real, DU.imag], axis=-1)
+        dG = _generator_derivatives(frame_derivatives(prog, fd, dz, X))
+        D = _field_derivatives(fd, G, X, dG)  # D[a, b] = D_a X_b
         return _packed(dz, X), D - D.transpose(1, 0, 2)
 
     return prog.memo(("brackets", p.key()), build)
+
+
+def _generator_derivatives(derivs) -> np.ndarray:
+    """The derivative of the generator stack along each tangent whose
+    (dE, dC20, dC21) derivs holds, any leading axes: a zero stack filled
+    from them."""
+    dE = derivs[0]
+    n = dE.shape[-1]
+    G = np.zeros(dE.shape[:-3] + (n * n + 2 * n, n, n), dtype=complex)
+    return _fill_generators(G, *derivs)
+
+
+def _field_derivatives(fd: FrameData, G: np.ndarray, dU: np.ndarray, dG: np.ndarray):
+    """D[k, b]: the derivative of field b along tangent k, packed as the
+    fields are, for K tangents with vertical parts dU (K, n, n) along which
+    the generator stack G moves by dG (K, N, n, n).  Field b is (U w_b,
+    U G_b), so it moves by (dU w_b, dU G_b + U dG_b)."""
+    n = fd.n
+    K, N = dG.shape[:2]
+    Ddz = np.zeros((K, N, n), dtype=complex)
+    Ddz[:, :2 * n] = np.matmul(dU[:, None], _stack_layout(n)[1])[..., 0]
+    DU = (np.matmul(dU[:, None], G) + np.matmul(fd.U, dG)).reshape(K, N, -1)
+    return np.concatenate([Ddz.real, Ddz.imag, DU.real, DU.imag], axis=-1)
 
 
 def bracket_coefficients(prog: MetricProgram, p: BundlePoint) -> np.ndarray:
@@ -297,6 +314,52 @@ def bracket_coefficients(prog: MetricProgram, p: BundlePoint) -> np.ndarray:
     N = vals.shape[1]
     sol, *_ = np.linalg.lstsq(vals, br.reshape(N * N, -1).T, rcond=None)
     return sol.T.reshape(N, N, N)
+
+
+def structure_derivative(prog: MetricProgram, p: BundlePoint, tangents) -> np.ndarray:
+    """dc[k, a, b, i]: the exact derivative of bracket_coefficients at p
+    along each of K real ambient tangents Y_k, stacked as tangents = (dz,
+    dU) of shapes (K, n) and (K, n, n).
+
+    With B the matrix of the real fields as columns, B c = br is consistent
+    at p and B has full column rank, so the derivative of the least-squares
+    solution (Golub and Pereyra, 1973) is dc = B^+ (D_Y br - (D_Y B) c).
+    The columns of D_Y B are D_Y X_b = J_b(Y), with J_b the derivative of
+    field b, and D_Y br[a, b] = D_Y (J_b(X_a)) - (a <-> b), where
+    D_Y (J_b(X_a)) = D^2 X_b[Y, X_a] + J_b(J_a(Y)).  The second derivative
+    of X_b = (U w_b, U G_b) along (Y, V) is (0, dU_V dG_b(Y) + dU_Y dG_b(V)
+    + U d^2 G_b(Y, V)), with d^2 G from connection.frame_second_derivatives.
+    At a point displaced off the bundle by t, where the signature's higher
+    tiers evaluate this, B c = br leaves a residual of O(t^2), and the term
+    of d(B^+) that the formula drops is of the same order.
+    """
+    fd = frame_data(prog, p.z, p.U)
+    n = fd.n
+    G = _generators(fd)
+    dz, X = _field_stack(fd, G)
+    ydz, ydU = (np.asarray(a, dtype=complex) for a in tangents)
+    N, K = len(dz), len(ydz)
+    # along the tangents and along the fields, in one stacked call
+    first = frame_derivatives(prog, fd, np.concatenate([ydz, dz]), np.concatenate([ydU, X]))
+    first_y, first_x = zip(*((d[:K], d[K:]) for d in first))
+    dG_y = _generator_derivatives(first_y)  # (K, N, n, n)
+    dG_x = _generator_derivatives(first_x)  # (N, N, n, n)
+    JY = _field_derivatives(fd, G, ydU, dG_y)  # JY[k, b] = J_b(Y_k)
+    d2G = _generator_derivatives(
+        frame_second_derivatives(prog, fd, (ydz, ydU), (dz, X), first_y, first_x))
+    # D[k, a, b] = D^2 X_b[Y_k, X_a] + J_b(J_a(Y_k))
+    DU = (np.matmul(X[None, :, None], dG_y[:, None]) + np.matmul(ydU[:, None, None], dG_x)
+          + np.matmul(fd.U, d2G)).reshape(K, N, N, -1)
+    zero = np.zeros((K, N, N, 2 * n))
+    jdz, jdU = unpack_real(JY.reshape(K * N, -1), n)
+    D = (np.concatenate([zero, DU.real, DU.imag], axis=-1)
+         + _field_derivatives(fd, G, jdU, _generator_derivatives(
+             frame_derivatives(prog, fd, jdz, jdU))).reshape(K, N, N, -1))
+    c = bracket_coefficients(prog, p).reshape(N * N, N)
+    rhs = (D - D.transpose(0, 2, 1, 3)).reshape(K, N * N, -1) - np.matmul(c, JY)
+    vals = _bracket_table(prog, p)[0]
+    dc, *_ = np.linalg.lstsq(vals, rhs.reshape(K * N * N, -1).T, rcond=None)
+    return dc.T.reshape(K, N, N, N)
 
 
 def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
@@ -555,17 +618,20 @@ class _Coframe:
 # structure equations
 # --------------------------------------------------------------------------
 
-def structure_equation_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
+def structure_equation_residuals(prog: MetricProgram, p: BundlePoint,
+                                 sf: StructureFunctions | None = None) -> dict:
     """Residuals of the first-order identities satisfied by the coframe.
 
     Both sides of the torsion and curvature equations are evaluated on all
     pairs of the complexified parallelism basis at p, from the exact
     brackets and the frame forms there, with no difference quotient.  Also
     reports the sup-norms of the purely Finslerian torsion/curvature
-    coefficient families.
+    coefficient families.  sf is extract_structure at p, extracted here
+    when not given.
     """
     n = prog.dim
-    sf = extract_structure(prog, p)
+    if sf is None:
+        sf = extract_structure(prog, p)
     fd = frame_data(prog, p.z, p.U)
     cf = _Coframe(fd)
     vals, br = _bracket_table(prog, p)
@@ -700,16 +766,19 @@ def _lift_torsion_derivative(prog: MetricProgram, p: BundlePoint):
     return _complex_pairs(dE - np.swapaxes(dE, -1, -2))
 
 
-def bianchi_residuals(prog: MetricProgram, p: BundlePoint) -> dict:
+def bianchi_residuals(prog: MetricProgram, p: BundlePoint,
+                      sf: StructureFunctions | None = None) -> dict:
     """Residuals of the differential identities tying the torsion, the
     curvature and their horizontal derivatives.  The torsion's derivatives
     along the lifts are exact, from those of the connection; the
     curvature's are one central difference (NESTED_STEP) of the curvature
     extracted from exact brackets, so the noise of b543 and b544 comes from
     that outer difference alone; the bound the checks apply stays 1e-3
-    times the curvature scale."""
+    times the curvature scale.  sf is extract_structure at p, extracted
+    here when not given."""
     n = prog.dim
-    sf = extract_structure(prog, p)
+    if sf is None:
+        sf = extract_structure(prog, p)
     T, R = sf.T, sf.R_raw
     fd = frame_data(prog, p.z, p.U)
     C12 = fd.C(1, 2)

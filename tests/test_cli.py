@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import finslerlab
-from finslerlab import geodesics
+from finslerlab import cli, geodesics, parallelism
 from finslerlab.cli import MAX_SAMPLES, main
 
 
@@ -294,6 +294,39 @@ def test_unwritable_output_path_exit_3(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert_clean_exit(code, err)
     assert code == 3 and json.loads(err)["type"] == "OutputError"
+
+
+@pytest.mark.parametrize("option", ["--json", "--csv", "--svg"])
+def test_output_path_is_checked_before_any_work(tmp_path, capsys, monkeypatch, option):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the geodesic started before its output path was checked")
+
+    monkeypatch.setattr(cli, "integrate_geodesic", refuse)
+    path = tmp_path / "missing" / "out"
+    code = run(["geodesic", "--metric", "poincare_disc", "--from", "0", "--dir", "1",
+                "--t-max", "2", "--dt", "0.001", option, str(path)])
+    err = capsys.readouterr().err
+    assert_clean_exit(code, err)
+    diag = json.loads(err)
+    assert code == 3 and diag["type"] == "OutputError"
+    assert diag["error"] == f"cannot write {option} {path}: No such file or directory"
+
+
+def test_structure_extracts_once_at_the_point(capsys, monkeypatch):
+    # the report hands its structure functions to the structure-equation and
+    # Bianchi residuals; Bianchi's displaced points extract their own
+    points = []
+    extract = parallelism.extract_structure
+
+    def counted(prog, p):
+        points.append(p.key())
+        return extract(prog, p)
+
+    monkeypatch.setattr(parallelism, "extract_structure", counted)
+    monkeypatch.setattr(cli, "extract_structure", counted)
+    assert run(["structure", "--metric", "poincare_ball_2", "--at", "z=0.1,0.2i;v=1,0.5"]) == 0
+    capsys.readouterr()
+    assert points.count(points[0]) == 1
 
 
 def test_geodesic_step_count_is_bounded_before_any_work(capsys, monkeypatch):

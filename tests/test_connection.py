@@ -9,6 +9,7 @@ from finslerlab.connection import (
     covariant_derivative,
     frame_data,
     frame_derivatives,
+    frame_second_derivatives,
     horizontal_lift,
     solve_connection,
 )
@@ -233,3 +234,37 @@ def test_frame_derivatives_match_central_differences(progs, entries, warped, mid
         for got, plus, minus in zip(exact, parts(k, h), parts(k, -h)):
             want = (plus - minus) / (2 * h)
             assert np.max(np.abs(got[k] - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("mid", ["l4_finsler", "poincare_ball_3", "hermitian_nonconstant",
+                                 "warped"])
+def test_frame_second_derivatives_match_central_differences(progs, entries, warped, mid):
+    # every pair of two stacks, off the bundle too, against a central
+    # difference of the exact first derivatives
+    if mid == "warped":
+        prog = warped
+        p = adapted_frame(prog, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j])
+    else:
+        prog = progs[mid]
+        p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=5)[0])
+    n = prog.dim
+    rng = np.random.default_rng(7)
+
+    def stack(K):
+        return (rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n)),
+                rng.standard_normal((K, n, n)) + 1j * rng.standard_normal((K, n, n)))
+
+    t1, t2 = stack(3), stack(2)
+    fd = frame_data(prog, p.z, p.U)
+    exact = frame_second_derivatives(prog, fd, t1, t2, frame_derivatives(prog, fd, *t1),
+                                     frame_derivatives(prog, fd, *t2))
+    h = 1e-5
+
+    def first(l, t):
+        return frame_derivatives(prog, FrameData(prog, p.z + t * t2[0][l], p.U + t * t2[1][l]),
+                                 *t1)
+
+    for l in range(2):
+        for got, plus, minus in zip(exact, first(l, h), first(l, -h)):
+            want = (plus - minus) / (2 * h)
+            assert np.max(np.abs(got[:, l] - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from finslerlab.connection import FrameData
 from finslerlab.equivalence import (
+    _tier,
     compare,
     regularity,
     signature,
     structure_coefficients,
 )
-from finslerlab.frame_bundle import BundlePoint, adapted_frame, gram_residual
+from finslerlab.frame_bundle import NESTED_STEP, BundlePoint, adapted_frame, along, gram_residual
+from finslerlab.metric_dsl import MetricProgram
+from finslerlab.parallelism import _real_field_matrix
 from finslerlab.registry import sample_points
 
 
@@ -25,6 +29,19 @@ def ball_automorphism(a):
         return (a - Pz - s * Qz) / (1 - za)
 
     return phi
+
+
+def ball_automorphism_jacobian(a, z):
+    """The complex Jacobian of ball_automorphism(a) at z: with N(z) = a -
+    Pz - s Qz and d(z) = 1 - <a, z>, phi = N / d and dphi = dN / d + N
+    <a, .> / d^2."""
+    a = np.asarray(a, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    P = np.outer(a, np.conj(a)) / float(np.vdot(a, a).real)
+    s = np.sqrt(1 - float(np.vdot(a, a).real))
+    d = 1 - np.vdot(a, z)
+    N = a - P @ z - s * (z - P @ z)
+    return -(P + s * (np.eye(len(a)) - P)) / d + np.outer(N, np.conj(a)) / d ** 2
 
 
 def test_flat_signature_nonconstant_part_vanishes(progs):
@@ -94,17 +111,21 @@ def test_ball_automorphism_matched_signatures(progs):
     phi = ball_automorphism(a)
     z = np.array([0.1 + 0.05j, -0.2])
     v = np.array([0.7, 0.3j])
+    dphi = ball_automorphism_jacobian(a, z)
+    # the Jacobian against a central difference, and metric invariance of
+    # the automorphism (oracles for the oracle)
     h = 1e-6
-    dphi = np.column_stack([(phi(z + h * e) - phi(z - h * e)) / (2 * h)
-                            for e in np.eye(2)])
-    # metric invariance of the automorphism (oracle for the oracle)
-    assert abs(prog.eval(z, v) - prog.eval(phi(z), dphi @ v)) < 1e-9
+    fd = np.column_stack([(phi(z + h * e) - phi(z - h * e)) / (2 * h) for e in np.eye(2)])
+    assert np.max(np.abs(dphi - fd)) < 1e-9
+    assert abs(prog.eval(z, v) - prog.eval(phi(z), dphi @ v)) < 1e-14
     pA = adapted_frame(prog, z, v)
     pB = BundlePoint(np.asarray(phi(z)), dphi @ pA.U)
-    assert gram_residual(prog, pB) < 1e-8   # pushforward frame stays adapted
+    assert gram_residual(prog, pB) < 1e-14   # pushforward frame stays adapted
     sA = signature(prog, pA, order=1)
     sB = signature(prog, pB, order=1)
-    assert sA.distance(sB) < 1e-3
+    # tier 1 is exact, so the two frames' signatures agree to round-off
+    # (5.2e-15 measured; 2.3e-7 while tier 1 was a central difference)
+    assert sA.distance(sB) < 1e-12
 
 
 def test_same_metric_same_point_matches(progs):
@@ -220,3 +241,55 @@ def test_flat_metric_matches_itself_at_two_points(progs):
     pb = adapted_frame(prog, [0.4, 0.3], [0.2, 1.0])
     rep = compare(prog, pa, prog, pb, order=1)
     assert rep["verdict"] == "match"
+
+
+@pytest.mark.parametrize("mid", ["poincare_ball_2", "l4_finsler", "hermitian_nonconstant",
+                                 "warped"])
+def test_exact_tier_1_matches_finite_difference_oracle(progs, entries, warped, mid):
+    # tier 1 agrees with a fourth-order difference of the structure
+    # coefficients along each field, and is at least ten times closer to it
+    # than the central difference at NESTED_STEP, which is what it once was
+    if mid == "warped":
+        prog = warped
+        p = adapted_frame(prog, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j])
+    else:
+        prog = progs[mid]
+        p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=3)[0])
+    exact = _tier(prog, p.z, p.U, 1)
+
+    def difference(step):
+        return np.concatenate([
+            along(lambda z, U: structure_coefficients(prog, z, U), p.z, p.U, x,
+                  step * (1.0 + np.linalg.norm(x)))
+            for x in _real_field_matrix(prog, p.z, p.U).T])
+
+    old = difference(NESTED_STEP)
+    oracle = (4 * difference(NESTED_STEP / 2) - old) / 3
+    scale = max(1.0, np.max(np.abs(oracle)))
+    exact_err = np.max(np.abs(exact - oracle)) / scale
+    assert exact_err <= 1e-7
+    assert exact_err <= 0.1 * np.max(np.abs(old - oracle)) / scale
+
+
+def test_tier_1_builds_frame_data_and_jets_only_at_the_point(entries, monkeypatch):
+    prog = entries["hermitian_nonconstant"].program()  # a fresh program: nothing cached
+    p = adapted_frame(prog, [0.1, 0.2j], [1.0, 0.4 + 0.2j])
+    frames, jets = [], []
+    init, jet = FrameData.__init__, MetricProgram.jet_unchecked
+
+    def counted_init(self, prog, z, U):
+        frames.append((np.array(z), np.array(U)))
+        init(self, prog, z, U)
+
+    def counted_jet(self, z, v, fiber_order, base_order):
+        jets.append((np.array(z), np.array(v), fiber_order, base_order))
+        return jet(self, z, v, fiber_order, base_order)
+
+    monkeypatch.setattr(FrameData, "__init__", counted_init)
+    monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
+    _tier(prog, p.z, p.U, 1)
+    assert len(frames) == 1
+    assert np.array_equal(frames[0][0], p.z) and np.array_equal(frames[0][1], p.U)
+    assert {j[2:] for j in jets} == {(4, 1), (2, 2), (5, 2), (2, 3)}
+    for z, v, *_ in jets:
+        assert np.array_equal(z, p.z) and np.array_equal(v, p.e0)

@@ -1,4 +1,4 @@
-"""Jets of base order 2 against exact Wirtinger derivatives from sympy.
+"""Jets of base order 2 and 3 against exact Wirtinger derivatives from sympy.
 
 Random rational and sqrt expressions are written twice, as metric text and
 as a sympy expression in independent symbols for z, zbar, v and vbar.  The
@@ -130,10 +130,10 @@ def jet_derivative(jet, e, n):
     return jet.derivative(v=idx[0], vbar=idx[1], z=idx[2], zbar=idx[3])
 
 
-def sampled(n, fiber_order, count, rng):
-    """count exponent vectors drawn from the jet(fiber_order, 2) table;
-    sympy's differentiation is too slow for all of every table."""
-    every = list(multi_indices(n, fiber_order, 2))
+def sampled(n, fiber_order, count, rng, base_order=2):
+    """count exponent vectors drawn from the jet(fiber_order, base_order)
+    table; sympy's differentiation is too slow for all of every table."""
+    every = list(multi_indices(n, fiber_order, base_order))
     return [every[i] for i in rng.choice(len(every), min(count, len(every)), replace=False)]
 
 
@@ -165,3 +165,37 @@ def test_second_base_accessor_matches_sympy():
             for slot in (kind * n + l, Z * n + k, V * n + i, VBAR * n + j):
                 e[slot] += 1
             assert close(got[l, k, i, j], exact(e)), (text, kind, l, k, i, j)
+
+
+def test_base_order_3_jet_matches_sympy():
+    n, seed = 1, 300
+    S, text, expr, z, v, point = case(seed, n)
+    prog = parse_metric(MetricSource(n, text))
+    exact = Exact(S, expr, point)
+    jet = prog.jet_unchecked(z, v, 2, 3)
+    samples = sampled(n, 2, 20, np.random.default_rng(seed), base_order=3)
+    assert any(sum(e[2 * n:]) == 3 for e in samples)
+    for e in samples:
+        got, want = jet_derivative(jet, e, n), exact(e)
+        assert close(got, want), (text, e, got, want)
+
+
+@pytest.mark.parametrize("orders, pq, kinds", [
+    # the three base slots of d_z (1, 1) that the connection's second derivative reads
+    ((2, 3), (1, 1), (Z, Z, Z)), ((2, 3), (1, 1), (ZBAR, Z, Z)),
+    ((2, 3), (1, 1), (ZBAR, ZBAR, Z)),
+    # and mixed fiber and base slots, read from a jet(5, 2)
+    ((5, 2), (2, 1), (V, ZBAR)), ((5, 2), (2, 0), (VBAR, V)), ((5, 2), (1, 1), (Z, VBAR, Z)),
+])
+def test_partials_match_sympy(orders, pq, kinds):
+    # partials(p, q, kinds)[k_1, .., i_1, .., j_1, ..] = d_kinds d^p_v d^q_vbar F^2
+    n = 1
+    S, text, expr, z, v, point = case(301, n)
+    prog = parse_metric(MetricSource(n, text))
+    exact = Exact(S, expr, point)
+    got = prog.jet_unchecked(z, v, *orders).partials(*pq, kinds)
+    assert got.shape == (n,) * (len(kinds) + sum(pq))
+    e = [0] * (4 * n)
+    for kind in kinds + (V,) * pq[0] + (VBAR,) * pq[1]:
+        e[kind * n] += 1
+    assert close(got.flat[0], exact(e)), (text, kinds, got.flat[0], exact(e))

@@ -7,7 +7,8 @@ from finslerlab.jets import PATTERN_CACHE_SIZE, V, VBAR, Z, ZBAR, JetError, jet_
 
 # every (n, fiber order, base order) table the catalog's reports use
 CATALOG_TABLES = [(1, 2, 0), (1, 2, 2), (1, 4, 1), (2, 2, 0), (2, 2, 2), (2, 3, 0),
-                  (2, 3, 1), (2, 4, 1), (2, 5, 0), (3, 2, 0), (3, 2, 2), (3, 4, 1)]
+                  (2, 3, 1), (2, 4, 1), (2, 5, 0), (3, 2, 0), (3, 2, 2), (3, 4, 1),
+                  (1, 2, 3), (1, 5, 2), (2, 2, 3), (2, 5, 2)]
 
 
 def loop_tables(sp):
