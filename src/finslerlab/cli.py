@@ -247,14 +247,16 @@ def cmd_check(args) -> int:
         1e-8 * scale)
 
     sigma0 = 0.0
-    for p in frames[:max(1, min(3, len(points)))]:
-        r = structure_equation_residuals(prog, p)
+    # the first three frames' structure functions, extracted once for both loops
+    sfs = [extract_structure(prog, p) for p in frames[:max(1, min(3, len(points)))]]
+    for p, sf in zip(frames, sfs):
+        r = structure_equation_residuals(prog, p, sf)
         sigma0 = max(sigma0, r["finsler_norms"]["sigma0"])
         add("structure_equations", max(r["eq529"], r["eq533"], r["eq534"],
                                        r["eq535"], r["eq536"]), 1e-10 * scale)
         add("bracket_decomposition", r["decomposition_residual"], 1e-5 * scale)
-    for p in frames[:max(1, min(2, len(points)))]:
-        b = bianchi_residuals(prog, p)
+    for p, sf in zip(frames[:max(1, min(2, len(points)))], sfs):
+        b = bianchi_residuals(prog, p, sf)
         add("bianchi_identities", max(b.values()), 1e-3 * scale)
 
     dichotomy_ok = (herm and sigma0 < 1e-6) or (not herm and sigma0 > 1e-3)

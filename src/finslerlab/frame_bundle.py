@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finsler_forms import form_derivative, forms_at, levi_check
-from .metric_dsl import FinslerError, MetricProgram
+from .jets import Jet
+from .metric_dsl import FinslerError, MetricProgram, norm_of_f2
 
 KERNEL_REL_TOL = 1e-6  # singular values below this * sigma_max span the tangency kernel
 PIVOT_TOL = 1e-8  # a Gram-Schmidt pivot below this skips its seed
@@ -71,13 +72,23 @@ class AmbientTangent:
 # Gram map and its directional derivative
 # --------------------------------------------------------------------------
 
+def gram_jet(prog: MetricProgram, z, U) -> Jet:
+    """The jet(2, 0) of F^2 at (z, U e_0): its value is F^2(z, e_0), and its
+    (1, 1) tensor, the Levi form, is 0-homogeneous in the fiber point, so
+    it is the pairing at e_0 / F(e_0) too."""
+    return prog.jet_unchecked(np.asarray(z, dtype=complex),
+                              np.asarray(U, dtype=complex)[:, 0], 2, 0)
+
+
+def frame_gram(jet: Jet, U: np.ndarray) -> np.ndarray:
+    """Gram matrix of the frame columns in the Levi form of a gram_jet."""
+    return U.T @ jet.fiber_tensor(1, 1) @ np.conj(U)
+
+
 def gram_matrix(prog: MetricProgram, z, U) -> np.ndarray:
     """Mixed-Hessian Gram matrix of the frame columns at fiber point e_0."""
-    z = np.asarray(z, dtype=complex)
     U = np.asarray(U, dtype=complex)
-    jet = prog.jet_unchecked(z, U[:, 0], 2, 0)
-    G = jet.fiber_tensor(1, 1)
-    return U.T @ G @ np.conj(U)
+    return frame_gram(gram_jet(prog, z, U), U)
 
 
 def gram_residual(prog: MetricProgram, p: BundlePoint) -> float:
@@ -232,17 +243,20 @@ def adapted_frame(prog: MetricProgram, z, v) -> BundlePoint:
     raise DegenerateMetricError("Gram-Schmidt pivot breakdown while adapting the frame")
 
 
-def reproject_frame(prog: MetricProgram, z, U) -> BundlePoint:
+def reproject_frame(prog: MetricProgram, z, U, jet: Jet | None = None) -> BundlePoint:
     """Re-orthonormalize existing frame columns (gauge-continuous projection).
 
     Used by the geodesic integrator: e_0 is renormalized to the unit fiber
-    direction and the remaining columns are re-orthonormalized in place.
+    direction by F from the value of the gram_jet at (z, U), and the
+    remaining columns are re-orthonormalized in place in its Levi form.
+    The jet is evaluated here unless the caller passes it.
     """
     z = np.asarray(z, dtype=complex)
     U = np.asarray(U, dtype=complex)
     n = prog.dim
-    e0 = U[:, 0] / prog.norm(z, U[:, 0])
-    jet = prog.jet_unchecked(z, e0, 2, 0)
+    if jet is None:
+        jet = gram_jet(prog, z, U)
+    e0 = U[:, 0] / norm_of_f2(jet.value)
     G = jet.fiber_tensor(1, 1)
     cols = [e0]
     for a in range(1, n):

@@ -9,6 +9,7 @@ metric the correction vanishes and geodesics are horizontal flows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,20 +22,23 @@ from .frame_bundle import (
     DegenerateMetricError,
     adapted_frame,
     complexify,
-    gram_matrix,
+    frame_gram,
+    gram_jet,
     reproject_frame,
 )
-from .metric_dsl import FinslerError, MetricProgram
+from .metric_dsl import FinslerError, MetricProgram, norm_of_f2
 from .parallelism import (
     HSC_NORMALIZATION,
     _Coframe,
     _complex_lift_derivative,
-    _field_stack,
     _lift_torsion_derivative,
+    _vertical_generators,
     extract_structure,
 )
 
 GRAM_TOL = 1e-6  # Gram drift above which an RK4 step is halved and retried
+MAX_HALVINGS = 3  # a step is retried as 2, 4 and 8 substeps before it is rejected
+STEP_COUNT_TOL = 1e-9  # t_max / dt this close to an integer takes equal steps
 MAX_STEPS = 1_000_000  # integrate_geodesic refuses a t_max / dt above this
 # classify counts the geodesic torsion, the spread of the sampled holomorphic
 # sectional curvatures and their off-diagonal components as zero below these
@@ -85,17 +89,21 @@ def spray_coefficients(fd) -> np.ndarray:
 
 def geodesic_spray(prog: MetricProgram, p: BundlePoint) -> AmbientTangent:
     """Unit-speed geodesic field at p: the first horizontal lift plus the
-    vertical correction solving the energy-stationarity conditions."""
+    vertical correction solving the energy-stationarity conditions.
+
+    Only the fields it uses are built: the lift f_0 = (U e_0, U E(e_0)),
+    and for n > 1 the vertical pairs e_{2 lam}, e_{2 lam + 1}, added with
+    weights Re a_lam, Im a_lam one field at a time, as the parallelism's
+    field stack would give them."""
     fd = frame_data(prog, p.z, p.U)
-    n = prog.dim
-    dz, dU = _field_stack(fd)
-    G = AmbientTangent(dz[0], dU[0])
+    dU = fd.U @ fd.E[:, :, 0]
     a = spray_coefficients(fd)
-    for lam in range(1, n):
-        j = 2 * n + 2 * lam - 2  # the vertical pair e_{2 lam}, e_{2 lam + 1}
-        G = G + AmbientTangent(dz[j], dU[j]).scale(float(a[lam - 1].real))
-        G = G + AmbientTangent(dz[j + 1], dU[j + 1]).scale(float(a[lam - 1].imag))
-    return G
+    if a.any():
+        X = fd.U @ _vertical_generators(fd)
+        for lam, w in enumerate(a):
+            dU = dU + X[2 * lam] * float(w.real)
+            dU = dU + X[2 * lam + 1] * float(w.imag)
+    return AmbientTangent(fd.U[:, 0].copy(), dU)
 
 
 @dataclass
@@ -117,15 +125,24 @@ def integrate_geodesic(prog: MetricProgram, z0, v0, t_max: float, dt: float,
                        domain=None) -> GeodesicPath:
     """Classical 4th-order one-step integration of the geodesic field with
     per-step frame re-projection.  Time is arc length: the path leaves z0
-    in direction v0/F(v0) at unit speed."""
+    in direction v0/F(v0) at unit speed and ends at t = t_max.
+
+    The steps are dt long; when t_max / dt lies further than
+    STEP_COUNT_TOL from an integer, the last one is shortened to end at
+    t_max.  A step whose Gram drift exceeds GRAM_TOL is retried as 2, 4,
+    then 8 substeps, each checked and re-projected like a step."""
     if not t_max / dt <= MAX_STEPS:  # checked before any step or array is made
         raise IntegrationError(f"t_max / dt = {t_max / dt:.3g} steps exceeds {MAX_STEPS}")
-    nsteps = int(round(t_max / dt))
+    nsteps = round(t_max / dt)
+    equal = abs(t_max / dt - nsteps) <= STEP_COUNT_TOL
+    if not equal:
+        nsteps = math.ceil(t_max / dt)
     z0 = np.asarray(z0, dtype=complex)
     v0 = np.asarray(v0, dtype=complex)
     speed0 = prog.norm(z0, v0)
     p = adapted_frame(prog, z0, v0)
     n = prog.dim
+    eye = np.eye(n)
     ts = np.zeros(nsteps + 1)
     zs = np.zeros((nsteps + 1, n), dtype=complex)
     frames = np.zeros((nsteps + 1, n, n), dtype=complex)
@@ -138,28 +155,42 @@ def integrate_geodesic(prog: MetricProgram, z0, v0, t_max: float, dt: float,
         t = geodesic_spray(prog, BundlePoint(z, U))
         return t.dz, t.dU
 
-    for k in range(nsteps):
-        z, U = p.z, p.U
-        h = dt
-        for attempt in range(4):
+    def substeps(p, h, count, t):
+        """count checked RK4 steps of h from p, which lies at time t: the
+        end frame and the largest Gram and speed drifts, or None and the
+        Gram drift that exceeds GRAM_TOL."""
+        worst_gram = worst_speed = 0.0
+        for _ in range(count):
+            z, U = p.z, p.U
             k1z, k1U = rhs(z, U)
             k2z, k2U = rhs(z + 0.5 * h * k1z, U + 0.5 * h * k1U)
             k3z, k3U = rhs(z + 0.5 * h * k2z, U + 0.5 * h * k2U)
             k4z, k4U = rhs(z + h * k3z, U + h * k3U)
             zn = z + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
             Un = U + h / 6 * (k1U + 2 * k2U + 2 * k3U + k4U)
-            gram = float(np.linalg.norm(gram_matrix(prog, zn, Un) - np.eye(n)))
-            if gram <= GRAM_TOL:
+            jet = gram_jet(prog, zn, Un)  # the one jet of the step
+            gram = float(np.linalg.norm(frame_gram(jet, Un) - eye))
+            if not gram <= GRAM_TOL:
+                return None, gram
+            if domain is not None and not domain(zn):
+                raise IntegrationError(f"geodesic left the admissible region at t={t:.3f}")
+            worst_gram = max(worst_gram, gram)
+            worst_speed = max(worst_speed, abs(norm_of_f2(jet.value) - 1.0))
+            p = reproject_frame(prog, zn, Un, jet)
+        return p, (worst_gram, worst_speed)
+
+    for k in range(nsteps):
+        h = dt if equal or k < nsteps - 1 else t_max - k * dt
+        for halvings in range(MAX_HALVINGS + 1):
+            q, drift = substeps(p, h / 2 ** halvings, 2 ** halvings, ts[k])
+            if q is not None:
                 break
-            h *= 0.5
         else:
-            raise IntegrationError(f"step rejected: Gram drift {gram:.2e} at t={ts[k]:.3f}")
-        if domain is not None and not domain(zn):
-            raise IntegrationError(f"geodesic left the admissible region at t={ts[k]:.3f}")
-        max_gram = max(max_gram, gram)
-        max_speed = max(max_speed, abs(prog.norm(zn, Un[:, 0]) - 1.0))
-        p = reproject_frame(prog, zn, Un)
-        ts[k + 1] = ts[k] + dt
+            raise IntegrationError(f"step rejected: Gram drift {drift:.2e} at t={ts[k]:.3f}")
+        p = q
+        max_gram = max(max_gram, drift[0])
+        max_speed = max(max_speed, drift[1])
+        ts[k + 1] = ts[k] + h
         zs[k + 1], frames[k + 1] = p.z, p.U
         speeds[k + 1] = prog.norm(p.z, p.U[:, 0])
     return GeodesicPath(ts=ts, zs=zs, frames=frames, speeds=speeds, speed0=speed0,

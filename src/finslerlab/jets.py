@@ -194,7 +194,7 @@ class JetSpace:
         power = None
         for k in range(1, len(coeffs)):
             power = ghat if power is None else self.mul(power, ghat)
-            if not np.any(power):
+            if not power.any():
                 break
             out = out + coeffs[k] * power
         return out

@@ -245,6 +245,22 @@ def _sqrt(a):
     return complex(np.sqrt(a))
 
 
+def real_f2(val: complex) -> float:
+    """An evaluated F^2 as a real number; raises if it is not real."""
+    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
+        raise EvaluationError(f"F^2 must be real; got imaginary part {val.imag:.3e}")
+    return val.real
+
+
+def norm_of_f2(val: complex) -> float:
+    """F = sqrt(F^2) of an evaluated F^2, after the checks of real_f2 and
+    of its sign."""
+    f2 = real_f2(val)
+    if f2 < 0:
+        raise EvaluationError(f"F^2 must be non-negative; got {f2:.3e}")
+    return math.sqrt(f2)
+
+
 # what each non-leaf op does to complex scalars; jets share the operators
 _SCALAR_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": _divide, "pow": operator.pow, "conj": np.conj,
@@ -304,18 +320,11 @@ class MetricProgram:
 
     def eval(self, z, v) -> float:
         """F^2(z, v) as a real number; raises if the expression is not real."""
-        val = self.eval_complex(z, v)
-        if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-            raise EvaluationError(
-                f"F^2 must be real; got imaginary part {val.imag:.3e}")
-        return val.real
+        return real_f2(self.eval_complex(z, v))
 
     def norm(self, z, v) -> float:
         """F(z, v) = sqrt(F^2)."""
-        f2 = self.eval(z, v)
-        if f2 < 0:
-            raise EvaluationError(f"F^2 must be non-negative; got {f2:.3e}")
-        return math.sqrt(f2)
+        return norm_of_f2(self.eval_complex(z, v))
 
     # -- jets -------------------------------------------------------------------
 
@@ -335,7 +344,7 @@ class MetricProgram:
         """Jet table without the public order cap (internal use)."""
         z = np.asarray(z, dtype=complex)
         v = np.asarray(v, dtype=complex)
-        if not np.any(v):
+        if not v.any():
             raise EvaluationError("jets are undefined at v = 0 (homogeneous metrics are "
                                   "non-smooth on the zero section)")
 
@@ -351,7 +360,7 @@ class MetricProgram:
                 out = self._run(_JET_OPS, leaf)
             except JetError as exc:
                 raise EvaluationError(str(exc)) from exc
-            if not np.all(np.isfinite(out.c)):
+            if not np.isfinite(out.c).all():
                 raise EvaluationError(
                     "jet coefficients are non-finite (pole of the expression)")
             return out

@@ -4,7 +4,9 @@ The parallelism consists of the 2n horizontal lifts, the 2(n-1) Webster-type
 vertical fields, the fiber rotation generator and a fixed skew-Hermitian
 basis of the block algebra acting on e_1..e_{n-1}.  All of them are built
 in one place, ``_field_stack``: each field is U @ G for a generator G of
-the stack ``_generators`` forms, all products taken in one matmul.  Lie
+the stack ``_generators`` forms, all products taken in one matmul (the
+geodesic spray, which needs only the first lift and the vertical pairs,
+takes the generators of those pairs from ``_vertical_generators``).  Lie
 brackets come from the exact derivatives of the fields along each other at
 the point, ``_bracket_table``: G is linear in the connection coefficients E
 and the frame forms C(2, 0), C(2, 1), whose derivatives
@@ -135,21 +137,35 @@ def _generators(fd: FrameData) -> np.ndarray:
 def _fill_generators(G: np.ndarray, E: np.ndarray, C20: np.ndarray, C21: np.ndarray):
     """Fill the stack G, shape (..., N, n, n), from E, C(2, 0) and C(2, 1),
     which carry the same leading axes: the lift slots are set from E, and
-    the form corrections of B, corr and i corr, are subtracted from the
-    constant parts that G holds in the e slots.  Apart from those constants
-    the stack is linear in (E, C20, C21), so a zero stack filled from their
-    derivatives is the derivative of the stack."""
+    _correct_vertical corrects the e slots.  Apart from the constants
+    there the stack is linear in (E, C20, C21), so a zero stack filled from
+    their derivatives is the derivative of the stack."""
     n = E.shape[-1]
-    m = n - 1
     E = np.moveaxis(E, -1, -3)  # E[..., g, :, :] = E_g
     G[..., :2 * n, :, :] = (E[..., None, :, :] * _PHASES).reshape(E.shape[:-3] + (2 * n, n, n))
-    if m:
-        corr = np.zeros(E.shape[:-3] + (m, n, n), dtype=complex)
-        corr[..., 0, 1:] = np.swapaxes(C20[..., 1:, 1:], -1, -2)
-        corr[..., 1:, 1:] = np.moveaxis(C21[..., 1:, 1:, 1:], -3, -1)
-        G[..., 2 * n:2 * n + 2 * m:2, :, :] -= corr
-        G[..., 2 * n + 1:2 * n + 2 * m:2, :, :] -= 1j * corr
+    if n > 1:
+        _correct_vertical(G[..., 2 * n:4 * n - 2, :, :], C20, C21)
     return G
+
+
+def _correct_vertical(Ge: np.ndarray, C20: np.ndarray, C21: np.ndarray):
+    """Subtract the form corrections of B, corr and i corr, from the e slots
+    Ge, shape (..., 2n - 2, n, n), which hold their constant parts."""
+    n = Ge.shape[-1]
+    corr = np.zeros(C20.shape[:-2] + (n - 1, n, n), dtype=complex)
+    corr[..., 0, 1:] = np.swapaxes(C20[..., 1:, 1:], -1, -2)
+    corr[..., 1:, 1:] = np.moveaxis(C21[..., 1:, 1:, 1:], -3, -1)
+    Ge[..., 0::2, :, :] -= corr
+    Ge[..., 1::2, :, :] -= 1j * corr
+
+
+def _vertical_generators(fd: FrameData) -> np.ndarray:
+    """The e slots of the generator stack at the point of fd alone: the
+    generators of the vertical pairs e_{2 lam}, e_{2 lam + 1}, lam = 1..n-1."""
+    n = fd.n
+    Ge = _stack_layout(n)[0][2 * n:4 * n - 2].copy()
+    _correct_vertical(Ge, fd.C(2, 0), fd.C(2, 1))
+    return Ge
 
 
 def _field_stack(fd: FrameData, G: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

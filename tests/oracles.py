@@ -2,7 +2,11 @@
 
 import numpy as np
 
+from finslerlab.connection import frame_data
 from finslerlab.finsler_forms import HOMOGENEITY_SEED
+from finslerlab.frame_bundle import AmbientTangent
+from finslerlab.geodesics import spray_coefficients
+from finslerlab.parallelism import _field_stack
 
 
 def contract(tensor: np.ndarray, unbarred, barred) -> complex:
@@ -97,3 +101,18 @@ def homogeneity_identities(prog, z, v) -> dict:
     res["e_cubic_quartic"] = res_e / scale
     res["max"] = max(res.values())
     return res
+
+
+def full_stack_spray(prog, p):
+    """geodesics.geodesic_spray from every parallelism field: row 0 of the
+    stack _field_stack builds, plus the vertical pairs e_{2 lam},
+    e_{2 lam + 1} weighted by Re a_lam and Im a_lam, one tangent at a time."""
+    fd = frame_data(prog, p.z, p.U)
+    dz, dU = _field_stack(fd)
+    G = AmbientTangent(dz[0], dU[0])
+    a = spray_coefficients(fd)
+    for lam in range(1, prog.dim):
+        j = 2 * prog.dim + 2 * lam - 2
+        G = G + AmbientTangent(dz[j], dU[j]).scale(float(a[lam - 1].real))
+        G = G + AmbientTangent(dz[j + 1], dU[j + 1]).scale(float(a[lam - 1].imag))
+    return G

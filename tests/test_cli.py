@@ -329,6 +329,24 @@ def test_structure_extracts_once_at_the_point(capsys, monkeypatch):
     assert points.count(points[0]) == 1
 
 
+def test_check_extracts_once_at_each_frame(capsys, monkeypatch):
+    # the structure-equation and Bianchi residuals of one frame share its
+    # structure functions; only Bianchi's displaced points add extractions
+    points = []
+    extract = parallelism.extract_structure
+
+    def counted(prog, p):
+        points.append(p.key())
+        return extract(prog, p)
+
+    monkeypatch.setattr(parallelism, "extract_structure", counted)
+    monkeypatch.setattr(cli, "extract_structure", counted)
+    run(["check", "--metric", "l4_finsler", "--samples", "3", "--seed", "1"])
+    capsys.readouterr()
+    assert len(points) == 19  # 3 frames + 2 x 8 displaced points
+    assert [points.count(k) for k in points[:3]] == [1, 1, 1]
+
+
 def test_geodesic_step_count_is_bounded_before_any_work(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the geodesic started before its step count was checked")

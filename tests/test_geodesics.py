@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import full_stack_spray
 
+from finslerlab import geodesics
+from finslerlab.connection import FrameData, frame_data
 from finslerlab.frame_bundle import BundlePoint, adapted_frame, group_act, reproject_frame
 from finslerlab.geodesics import (
     GeodesicPath,
@@ -12,9 +17,11 @@ from finslerlab.geodesics import (
     geodesic_condition_residuals,
     geodesic_spray,
     integrate_geodesic,
+    spray_coefficients,
 )
+from finslerlab.metric_dsl import MetricProgram
 from finslerlab.parallelism import extract_structure
-from finslerlab.registry import sample_points
+from finslerlab.registry import catalog, sample_points
 
 
 def test_spray_is_horizontal_for_kaehler(progs):
@@ -383,3 +390,128 @@ def test_torsion_witness_only_above_tolerance(progs, entries, warped):
     rep = classify(prog, sample_points(prog, entries["poincare_ball_2"], 3, seed=1))
     assert rep.geodetically_torsion_free
     assert rep.witnesses["worst_torsion_point"] is None
+
+
+def _spray_frames(prog, z, v):
+    """An adapted frame at (z, v) and a perturbed copy off the frame bundle."""
+    p = adapted_frame(prog, z, v)
+    n = prog.dim
+    rng = np.random.default_rng(13)
+    bump = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return [p, BundlePoint(p.z.copy(), p.U + 1e-3 * bump)]
+
+
+# catalog metrics at a sample point, and the fixtures, whose a != 0, at a given one
+_SPRAY_CASES = [(e.id, None) for e in catalog()] + [
+    ("warped", ([0.3, -0.1], [1.0, 0.5j])), ("twisted", ([0.3, 0.1], [1.0, 0.8]))]
+
+
+@pytest.mark.parametrize("mid, point", _SPRAY_CASES, ids=[c[0] for c in _SPRAY_CASES])
+def test_spray_matches_full_stack_oracle(progs, entries, warped, twisted, mid, point):
+    # the spray builds only the lift f_0 and the vertical pairs; the oracle
+    # combines rows of the whole field stack
+    if point is None:
+        prog = progs[mid]
+        z, v = sample_points(prog, entries[mid], 1, seed=17)[0]
+    else:
+        prog = {"warped": warped, "twisted": twisted}[mid]
+        z, v = point
+    for p in _spray_frames(prog, z, v):
+        got, want = geodesic_spray(prog, p), full_stack_spray(prog, p)
+        if prog.dim == 1:
+            assert np.array_equal(got.dz, want.dz) and np.array_equal(got.dU, want.dU)
+        else:
+            assert (got - want).norm() <= 1e-15 * want.norm()
+        if point is not None:  # the fixtures exercise the vertical correction
+            assert abs(spray_coefficients(frame_data(prog, p.z, p.U))[0]) > 1e-3
+
+
+def test_geodesic_step_work_counts(entries, monkeypatch):
+    # per RK4 step: four FrameData (one jet(4, 1) each), one jet(2, 0) at the
+    # step's end for the Gram drift, F and the re-projection, and one F
+    # evaluation for the recorded speed
+    prog = entries["poincare_disc"].program()  # a fresh program: nothing cached
+    jets, frames, evals = [], [], []
+    init, jet, eval_complex = FrameData.__init__, MetricProgram.jet_unchecked, \
+        MetricProgram.eval_complex
+
+    def counted_init(self, prog, z, U):
+        frames.append(z)
+        init(self, prog, z, U)
+
+    def counted_jet(self, z, v, fiber_order, base_order):
+        jets.append((fiber_order, base_order))
+        return jet(self, z, v, fiber_order, base_order)
+
+    def counted_eval(self, z, v):
+        evals.append(z)
+        return eval_complex(self, z, v)
+
+    monkeypatch.setattr(FrameData, "__init__", counted_init)
+    monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
+    monkeypatch.setattr(MetricProgram, "eval_complex", counted_eval)
+    path = integrate_geodesic(prog, [0.1 + 0.2j], [1.0 - 0.5j], 0.1, 0.01)
+    assert len(path.ts) == 11
+    assert len(frames) == 40
+    assert jets.count((4, 1)) == 40
+    assert jets.count((2, 0)) == 10 + 2  # + levi_check and adapted_frame
+    assert len(jets) == 52
+    assert len(evals) == 3 + 10  # speed0, levi_check and adapted_frame, then one a step
+
+
+def _disc_distance(a, z) -> float:
+    """Distance of the unit disc metric |dz|^2 / (1 - |z|^2)^2, curvature -4."""
+    return float(np.arctanh(abs((z - a) / (1 - np.conj(a) * z))))
+
+
+def test_halved_step_covers_dt(progs, monkeypatch):
+    # a step of 0.3 exceeds GRAM_TOL and is split; the substeps cover all of it
+    prog = progs["poincare_disc"]
+    calls = []
+    spray = geodesics.geodesic_spray
+
+    def counted(prog, p):
+        calls.append(p)
+        return spray(prog, p)
+
+    monkeypatch.setattr(geodesics, "geodesic_spray", counted)
+    path = integrate_geodesic(prog, [0.2], [1], 0.9, 0.3)
+    assert len(path.ts) == 4 and len(calls) > 4 * 3  # three steps, some halved
+    assert path.ts[-1] == pytest.approx(0.9, abs=1e-15)
+    # 3.5e-7 measured; before the fix the path ended at distance 0.1125
+    assert abs(_disc_distance(0.2, path.zs[-1, 0]) - 0.9) < 1e-6
+
+
+@pytest.mark.parametrize("t_max, dt, nsteps", [
+    (1.0, 0.3, 4), (0.05, 0.1, 1), (0.9, 0.3, 3), (1.0, 0.002, 500), (0.7, 0.25, 3)])
+def test_path_ends_at_t_max(progs, t_max, dt, nsteps):
+    # equal steps when t_max / dt is an integer up to 1e-9 (0.9 / 0.3 is
+    # 3.0000000000000004), otherwise a shortened last step
+    prog = progs["poincare_disc"]
+    path = integrate_geodesic(prog, [0.1j], [1 + 1j], t_max, dt)
+    assert len(path.ts) == nsteps + 1
+    assert np.allclose(np.diff(path.ts)[:-1], dt, rtol=0, atol=1e-15)
+    assert path.ts[-1] == pytest.approx(t_max, abs=1e-15)
+    assert abs(_disc_distance(0.1j, path.zs[-1, 0]) - t_max) < 1e-6
+
+
+@st.composite
+def _disc_geodesics(draw):
+    r = draw(st.floats(0.0, 0.5))
+    angle, heading = draw(st.floats(0.0, 2 * np.pi)), draw(st.floats(0.0, 2 * np.pi))
+    speed = draw(st.floats(0.2, 3.0))
+    t_max = draw(st.floats(1e-3, 1.0))
+    # dt up to 0.12: a step of 0.07 or more from |z| >= 0.5 exceeds GRAM_TOL
+    # and is halved; t_max / dt at most 200, integer or not
+    dt = draw(st.one_of(st.floats(t_max / 200, 0.12),
+                        st.integers(int(np.ceil(t_max / 0.12)), 200).map(lambda k: t_max / k)))
+    return r * np.exp(1j * angle), speed * np.exp(1j * heading), t_max, dt
+
+
+@settings(max_examples=25, deadline=None)
+@given(_disc_geodesics())
+def test_disc_geodesic_ends_at_distance_t_max(progs, case):
+    z0, v0, t_max, dt = case
+    path = integrate_geodesic(progs["poincare_disc"], [z0], [v0], t_max, dt)
+    # largest error measured over 400 random draws of this shape: 2.5e-6
+    assert abs(_disc_distance(z0, path.zs[-1, 0]) - t_max) < 5e-6
