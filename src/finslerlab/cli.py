@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from .connection import frame_data, solve_connection
+from .equivalence import Tiers, regularity
 from .equivalence import compare as compare_signatures
-from .equivalence import regularity
 from .finsler_forms import forms_at, hermitian_test, homogeneity_identities, levi_check
 from .frame_bundle import AmbientTangent, BundlePoint, adapted_frame, gram_residual, verify_tangent
 from .geodesics import classify, integrate_geodesic
@@ -130,13 +130,14 @@ def _parse_point(text: str) -> tuple[np.ndarray, np.ndarray]:
     return z, v
 
 
-def _point_of(point, prog, entry, option: str):
-    """The point of ``option``: a wrong component count is a usage error, a
-    base point outside the domain of a catalog metric a domain failure."""
+def _point_of(point, prog, entry, option: str, lists: str | None = None):
+    """The point (z, v) of ``option``: a wrong component count is a usage
+    error, a base point outside the domain of a catalog metric a domain
+    failure.  lists names z and v in the usage error."""
     z, v = point
     if len(z) != prog.dim or len(v) != prog.dim:
         raise argparse.ArgumentTypeError(
-            f"{option} must give z and v with {prog.dim} components each")
+            f"{lists or option + ' z and v'} must each have {prog.dim} components")
     if entry is not None and not entry.domain(z):
         raise FinslerError(f"{option} base point lies outside the domain of {entry.id}")
     return z, v
@@ -216,7 +217,9 @@ def cmd_check(args) -> int:
         checks.append({"name": name, "residual": float(residual),
                        "tolerance": float(tol), "pass": bool(residual < tol)})
 
-    frames = []  # one adapted frame per point, built once
+    # (adapted frame, structure functions) of the first three points; the
+    # structure functions carry the frame data the point block reads
+    frames = []
 
     def point_block(zv):
         z, v = zv
@@ -226,14 +229,19 @@ def cmd_check(args) -> int:
         out["levi_min_eig"] = float(np.min(rep.eigenvalues)) if rep.eigenvalues.size \
             else 1.0
         p = adapted_frame(prog, z, v)
-        frames.append(p)
+        if len(frames) < 3:
+            sf = extract_structure(prog, p)
+            frames.append((p, sf))
+            fd = sf.frame
+        else:
+            fd = frame_data(prog, p.z, p.U)
         out["gram"] = gram_residual(prog, p)
-        cm = solve_connection(prog, p)
+        cm = solve_connection(prog, p, fd)
         out["closed_form_gap"] = cm.closed_form_gap
         # the 2n horizontal lifts, as the parallelism builds them
-        dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+        dz, dU = _field_stack(fd)
         lifts = slice(0, 2 * prog.dim)
-        out["tangency"] = verify_tangent(prog, p, AmbientTangent(dz[lifts], dU[lifts]))
+        out["tangency"] = verify_tangent(prog, p, AmbientTangent(dz[lifts], dU[lifts]), fd.jet)
         return out
 
     per_point = [point_block(zv) for zv in points]
@@ -247,15 +255,13 @@ def cmd_check(args) -> int:
         1e-8 * scale)
 
     sigma0 = 0.0
-    # the first three frames' structure functions, extracted once for both loops
-    sfs = [extract_structure(prog, p) for p in frames[:max(1, min(3, len(points)))]]
-    for p, sf in zip(frames, sfs):
+    for p, sf in frames:
         r = structure_equation_residuals(prog, p, sf)
         sigma0 = max(sigma0, r["finsler_norms"]["sigma0"])
         add("structure_equations", max(r["eq529"], r["eq533"], r["eq534"],
                                        r["eq535"], r["eq536"]), 1e-10 * scale)
         add("bracket_decomposition", r["decomposition_residual"], 1e-5 * scale)
-    for p, sf in zip(frames[:max(1, min(2, len(points)))], sfs):
+    for p, sf in frames[:2]:
         b = bianchi_residuals(prog, p, sf)
         add("bianchi_identities", max(b.values()), 1e-3 * scale)
 
@@ -322,8 +328,8 @@ def cmd_structure(args) -> int:
         sf = extract_structure(prog, p)
         res = structure_equation_residuals(prog, p, sf)
         bia = bianchi_residuals(prog, p, sf)
-        qgap = float(np.max(np.abs(sf.Q - closed_form_Q(prog, p)))) if prog.dim > 1 else 0.0
-        ph, pH = closed_form_P(prog, p)
+        qgap = float(np.max(np.abs(sf.Q - closed_form_Q(sf.frame)))) if prog.dim > 1 else 0.0
+        ph, pH = closed_form_P(sf.frame)
         pgap = max(float(np.max(np.abs(sf.P_h - ph), initial=0.0)),
                    float(np.max(np.abs(sf.P_H - pH), initial=0.0)))
         out.append({
@@ -360,8 +366,8 @@ def cmd_classify(args) -> int:
 
 def cmd_geodesic(args) -> int:
     prog, entry = resolve_metric(args.metric)
-    z0 = getattr(args, "from")
-    v0 = args.dir
+    z0, v0 = _point_of((getattr(args, "from"), args.dir), prog, entry, "--from",
+                       "--from and --dir")
     domain = entry.domain if entry is not None else None
     path = integrate_geodesic(prog, z0, v0, args.t_max, args.dt, domain=domain)
     if args.csv:
@@ -422,10 +428,11 @@ def cmd_compare(args) -> int:
     zB, vB = _point_of(args.at_b, progB, entryB, "--at-b")
     pA = adapted_frame(progA, zA, vA)
     pB = adapted_frame(progB, zB, vB)
+    tiers_a = Tiers(progA, pA)  # read by the comparison and the regularity alike
     rep = compare_signatures(progA, pA, progB, pB, order=args.order,
                              tol=args.tol, fiber_samples=args.fiber_samples,
-                             seed=args.seed)
-    rA = regularity(progA, pA, alpha_max=min(args.order + 1, 2))
+                             seed=args.seed, tiers_a=tiers_a)
+    rA = regularity(progA, pA, alpha_max=min(args.order + 1, 2), tiers=tiers_a)
     report = {"command": "compare", "metric_a": args.metric_a,
               "metric_b": args.metric_b, "comparison": rep,
               "regularity_a": {"ranks": rA.ranks, "order": rA.order,

@@ -37,7 +37,7 @@ from .frame_bundle import (
     central_difference,
     gram_rows,
 )
-from .jets import Z, ZBAR
+from .jets import Z, ZBAR, Jet
 from .metric_dsl import MetricProgram
 
 # relative step of the chart-coordinate central difference in covariant_derivative
@@ -45,23 +45,35 @@ COVARIANT_STEP = 1e-6
 
 
 # --------------------------------------------------------------------------
-# cached per-point tensor bundle
+# what is computed at one point
 # --------------------------------------------------------------------------
 
 class FrameData:
     """Frame-contracted jets and the connection at one ambient point (z, U).
 
     Valid at any invertible U near the adapted-frame bundle; all formulas
-    restrict to the intrinsic objects on it.
+    restrict to the intrinsic objects on it.  Each jet, form and E is
+    computed at most once, so a report builds one FrameData per point and
+    hands it down to every stage that works there.
     """
 
     def __init__(self, prog: MetricProgram, z, U):
+        self.prog = prog
         self.z = np.asarray(z, dtype=complex)
         self.U = np.asarray(U, dtype=complex)
         self.n = prog.dim
-        self.jet = prog.jet_unchecked(self.z, self.U[:, 0], 4, 1)
+        self._jets: dict = {}
         self._C: dict = {}
         self._E: np.ndarray | None = None
+        self.jet = self.jet_of(4, 1)
+
+    def jet_of(self, fiber_order: int, base_order: int) -> Jet:
+        """The jet of F^2 at (z, U e_0) with these orders, evaluated once."""
+        key = (fiber_order, base_order)
+        hit = self._jets.get(key)
+        if hit is None:
+            self._jets[key] = hit = self.prog.jet_unchecked(self.z, self.U[:, 0], *key)
+        return hit
 
     def C(self, p: int, q: int) -> np.ndarray:
         """Fiber form of type (p, q) contracted with the frame columns."""
@@ -111,12 +123,11 @@ class FrameData:
 
 
 def frame_data(prog: MetricProgram, z, U) -> FrameData:
-    z = np.asarray(z, dtype=complex)
-    U = np.asarray(U, dtype=complex)
-    return prog.memo(("framedata", z.tobytes(), U.tobytes()), lambda: FrameData(prog, z, U))
+    """A new FrameData at (z, U); nothing is shared with earlier calls."""
+    return FrameData(prog, z, U)
 
 
-def frame_derivatives(prog: MetricProgram, fd: FrameData, dz, dU):
+def frame_derivatives(fd: FrameData, dz, dU):
     """Exact derivatives of E, C(2, 0) and C(2, 1) of fd along K stacked
     real ambient tangents, dz of shape (K, n) and dU of shape (K, n, n).
 
@@ -132,8 +143,8 @@ def frame_derivatives(prog: MetricProgram, fd: FrameData, dz, dU):
     TZ = jet.fiber_tensor_dbase(1, 1)[0]
     dfiber = (np.moveaxis(jet.fiber_tensor_dbase(2, 1)[0], 1, 0),
               np.moveaxis(jet.fiber_tensor_dbase(1, 2)[0], 2, 0))
-    jet2 = prog.jet_unchecked(fd.z, U[:, 0], 2, 2)
-    dDh = tensor_derivative(U, (2, 1), TZ, jet2.fiber_tensor_dbase2(1, 1), dfiber, dz, dU)
+    dDh = tensor_derivative(U, (2, 1), TZ, fd.jet_of(2, 2).fiber_tensor_dbase2(1, 1), dfiber,
+                            dz, dU)
     # the derivative of E's back-substitution, term by term
     dE = -dDh.transpose(0, 3, 2, 1)
     dE[:, :, 1:] -= (np.einsum("kzg,azr->krag", dE[:, :, 0], fd.C(2, 1)[1:])
@@ -141,7 +152,7 @@ def frame_derivatives(prog: MetricProgram, fd: FrameData, dz, dU):
     return dE, dC20, dC21
 
 
-def frame_second_derivatives(prog: MetricProgram, fd: FrameData, t1, t2, first1, first2):
+def frame_second_derivatives(fd: FrameData, t1, t2, first1, first2):
     """Exact second derivatives of E, C(2, 0) and C(2, 1) of fd along every
     pair (j, l) of two stacks of real ambient tangents t1 = (dz1, dU1) and
     t2 = (dz2, dU2), shaped as frame_derivatives takes them.
@@ -153,12 +164,12 @@ def frame_second_derivatives(prog: MetricProgram, fd: FrameData, t1, t2, first1,
     one jet(2, 3).
     """
     U = fd.U
-    jet = prog.jet_unchecked(fd.z, U[:, 0], 5, 2)
+    jet = fd.jet_of(5, 2)
     d2C20 = tensor_second_derivative(U, (2, 0), fd.jet.fiber_tensor(2, 0),
                                      *raw_derivatives(jet.partials, 2, 0), t1, t2)
     d2C21 = tensor_second_derivative(U, (2, 1), fd.jet.fiber_tensor(2, 1),
                                      *raw_derivatives(jet.partials, 2, 1), t1, t2)
-    jet3 = prog.jet_unchecked(fd.z, U[:, 0], 2, 3)
+    jet3 = fd.jet_of(2, 3)
 
     def partials(p, q, kinds):
         # Dh's raw tensor TZ already carries one d_z: three base slots need base order 3
@@ -191,16 +202,20 @@ class ConnectionMap:
     residual: float  # tangency residual of the solved lifts
 
 
-def solve_connection(prog: MetricProgram, p: BundlePoint) -> ConnectionMap:
+def solve_connection(prog: MetricProgram, p: BundlePoint,
+                     fd: FrameData | None = None) -> ConnectionMap:
     """Solve the tangency conditions for the vertical corrections.
 
     For each frame direction the corrections to the flat lifts of the two
     underlying real directions must keep the Gram map constant; this is a
     full-rank real-linear system whose unique solution is the connection.
+    fd is the frame data at p, built here when not given.
     """
+    if fd is None:
+        fd = frame_data(prog, p.z, p.U)
     n = p.n
     nn = n * n
-    z, U = p.z, p.U
+    U = p.U
     # one stacked Gram derivative: the vertical responses to U D and U (i D)
     # for the units D, which do not depend on the direction, then the flat
     # lifts U[:, g] and i U[:, g] of the real directions of each e_g
@@ -209,7 +224,7 @@ def solve_connection(prog: MetricProgram, p: BundlePoint) -> ConnectionMap:
     dz[2 * nn:] = np.concatenate([U.T, 1j * U.T])
     dU = np.zeros((2 * nn + 2 * n, n, n), dtype=complex)
     dU[:2 * nn] = np.matmul(U, np.concatenate([units, 1j * units]))
-    rows = gram_rows(prog, z, U, dz, dU)
+    rows = gram_rows(fd.jet, U, dz, dU)
     resp1, resp2 = rows[:nn], rows[nn:2 * nn]
     # column k holds the real part of M_g[k], column nn + k its imaginary part
     A = np.block([[resp1, resp2], [resp2, -resp1]]).T
@@ -221,8 +236,6 @@ def solve_connection(prog: MetricProgram, p: BundlePoint) -> ConnectionMap:
             "singular tangency system: the metric degenerates at this point")
     E = (x[:nn] + 1j * x[nn:]).T.reshape(n, n, n).transpose(1, 2, 0)
     worst_res = float(np.max(np.abs(A @ x - b)))
-
-    fd = frame_data(prog, z, U)
     gap = float(np.max(np.abs(E - fd.E)))
     return ConnectionMap(E=E, closed_form_gap=gap,
                          min_singular_ratio=float(sv[-1] / sv[0]), residual=worst_res)

@@ -16,15 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .connection import frame_data
 from .frame_bundle import NESTED_STEP, BundlePoint, along, group_act, haar_unitary, unpack_real
 from .metric_dsl import FinslerError, MetricProgram
-from .parallelism import (
-    _bracket_table,
-    _real_field_matrix,
-    bracket_coefficients,
-    labels_real,
-    structure_derivative,
-)
+from .parallelism import _bracket_table, bracket_coefficients, labels_real, structure_derivative
 
 # Singular values count toward a regularity rank when above SV_TOL * sigma_max
 # and above the absolute NOISE_FLOOR; the floor absorbs the finite-difference
@@ -41,38 +36,48 @@ def structure_coefficients(prog: MetricProgram, z, U) -> np.ndarray:
     Ordering: pairs (j, k) with j < k lexicographic in the order of
     labels_real, and for each pair all basis components i in that order.
     """
-    p = BundlePoint(np.asarray(z, dtype=complex), np.asarray(U, dtype=complex))
-    coeff = bracket_coefficients(prog, p)
-    return coeff[np.triu_indices(len(coeff), 1)].ravel()
+    return _tier(prog, z, U, 0)
 
 
 def _tier(prog: MetricProgram, z, U, k: int) -> np.ndarray:
-    """All k-th derivatives of the structure coefficients along the fields,
-    field by field: block m is the derivative of tier k - 1 along field m.
-    Tier 1 is exact; each higher tier is a central difference of the tier
-    below it."""
-    if k == 0:
-        return structure_coefficients(prog, z, U)
-    if k == 1:
-        p = BundlePoint(np.asarray(z, dtype=complex), np.asarray(U, dtype=complex))
-        fields = _bracket_table(prog, p)[0].T  # packed, one per row
-        dc = structure_derivative(prog, p, unpack_real(fields, prog.dim))
-        a, b = np.triu_indices(dc.shape[1], 1)  # the pairs of structure_coefficients
-        return dc[:, a, b].ravel()
-    return np.concatenate([along(lambda z2, U2: _tier(prog, z2, U2, k - 1), z, U, xm,
-                                 NESTED_STEP * (1.0 + np.linalg.norm(xm)))
-                           for xm in _real_field_matrix(prog, z, U).T])
+    """Tier k of the structure coefficients at (z, U), as Tiers gives it."""
+    return Tiers(prog, BundlePoint(z, U))[k]
 
 
-def _base_tier(prog: MetricProgram, p: BundlePoint, k: int) -> np.ndarray:
-    """_tier at a bundle point, computed once per program for signature and
-    regularity alike."""
-    def build():
-        tier = _tier(prog, p.z, p.U, k)
-        tier.flags.writeable = False  # shared by every later call at p
+class Tiers:
+    """The tiers at one frame.  Tier k holds all k-th derivatives of the
+    structure coefficients along the fields, field by field: block m is the
+    derivative of tier k - 1 along field m.  Tier 1 is exact; each higher
+    tier is a central difference of the tier below it.  A tier is computed
+    when first read and then kept, so that signature and regularity at the
+    same frame share it; the frame data and bracket table there are built
+    once, here."""
+
+    def __init__(self, prog: MetricProgram, p: BundlePoint):
+        self.fd = frame_data(prog, p.z, p.U)
+        self.table = _bracket_table(self.fd)
+        self._done: dict = {}
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        tier = self._done.get(k)
+        if tier is None:
+            self._done[k] = tier = self._compute(k)
+            tier.flags.writeable = False  # shared by every reader of the frame's tiers
         return tier
 
-    return prog.memo(("tier", k, p.key()), build)
+    def _compute(self, k: int) -> np.ndarray:
+        fd, table = self.fd, self.table
+        if k == 0:
+            coeff = bracket_coefficients(*table)
+            return coeff[np.triu_indices(len(coeff), 1)].ravel()
+        fields = table[0].T  # packed, one per row
+        if k == 1:
+            dc = structure_derivative(fd, table, unpack_real(fields, fd.n))
+            a, b = np.triu_indices(dc.shape[1], 1)  # the pairs of structure_coefficients
+            return dc[:, a, b].ravel()
+        return np.concatenate([along(lambda z, U: _tier(fd.prog, z, U, k - 1), fd.z, fd.U, xm,
+                                     NESTED_STEP * (1.0 + np.linalg.norm(xm)))
+                               for xm in fields])
 
 
 @dataclass
@@ -88,11 +93,15 @@ class Signature:
         return float(np.max(np.abs(self.vector - other.vector)))
 
 
-def signature(prog: MetricProgram, p: BundlePoint, order: int = 0) -> Signature:
-    """Invariant signature at a bundle point up to the given derivative order."""
+def signature(prog: MetricProgram, p: BundlePoint, order: int = 0,
+              tiers: Tiers | None = None) -> Signature:
+    """Invariant signature at a bundle point up to the given derivative
+    order, read from the frame's tiers when given."""
     if order > 2:
         raise FinslerError("signature derivative order is limited to 2")
-    tiers = [_base_tier(prog, p, k) for k in range(order + 1)]
+    if tiers is None:
+        tiers = Tiers(prog, p)
+    tiers = [tiers[k] for k in range(order + 1)]
     return Signature(order=order, dim=prog.dim, tiers=tiers,
                      vector=np.concatenate(tiers))
 
@@ -105,20 +114,22 @@ class RegularityReport:
     rank: int | None
 
 
-def regularity(prog: MetricProgram, p: BundlePoint, alpha_max: int = 2) -> RegularityReport:
+def regularity(prog: MetricProgram, p: BundlePoint, alpha_max: int = 2,
+               tiers: Tiers | None = None) -> RegularityReport:
     """Numerical rank of the invariant families along the parallelism,
-    with early stop at rank stabilization."""
+    with early stop at rank stabilization; the frame's tiers are read from
+    tiers when given."""
     if alpha_max > 2:
         raise FinslerError("regularity order is limited to 2")
     N = len(labels_real(prog.dim))
-    tiers: list = []  # tiers[k] = _tier(k + 1) at p, computed once when first needed
+    if tiers is None:
+        tiers = Tiers(prog, p)
 
     def jac_rank(alpha: int) -> int:
         # row m: the derivative of tiers 0..alpha along field m, which is the
         # m-th block of tier k + 1 for each k
-        while len(tiers) <= alpha:
-            tiers.append(_base_tier(prog, p, len(tiers) + 1).reshape(N, -1))
-        sv = np.linalg.svd(np.hstack(tiers[:alpha + 1]), compute_uv=False)
+        jac = np.hstack([tiers[k + 1].reshape(N, -1) for k in range(alpha + 1)])
+        sv = np.linalg.svd(jac, compute_uv=False)
         return int(np.sum(sv > max(SV_TOL * sv[0], NOISE_FLOOR)))
 
     ranks = [jac_rank(0)]
@@ -142,18 +153,19 @@ def _haar_group_element(n: int, rng) -> np.ndarray:
 def compare(progA: MetricProgram, pA: BundlePoint,
             progB: MetricProgram, pB: BundlePoint,
             order: int = 0, tol: float = 1e-3,
-            fiber_samples: int = 0, seed: int = 0) -> dict:
+            fiber_samples: int = 0, seed: int = 0, tiers_a: Tiers | None = None) -> dict:
     """Frame-pointwise signature comparison.
 
     A verdict of "differ" excludes a local isometry matching the two
     frames; "match" is a necessary condition only.  With fiber_samples > 0
     the frame at pB is additionally rotated through random structure-group
     elements and the best match is reported (no completeness claim).
+    tiers_a are the tiers at pA, when the caller reads them too.
     """
     if progA.dim != progB.dim:
         return {"verdict": "differ", "reason": "different chart dimensions",
                 "distance": float("inf"), "order": order}
-    sigA = signature(progA, pA, order)
+    sigA = signature(progA, pA, order, tiers_a)
     sigB = signature(progB, pB, order)
     best = sigA.distance(sigB)
     best_g = None

@@ -41,9 +41,6 @@ class BundlePoint:
     def e0(self) -> np.ndarray:
         return self.U[:, 0]
 
-    def key(self) -> bytes:
-        return self.z.tobytes() + self.U.tobytes()
-
     def copy(self) -> "BundlePoint":
         return BundlePoint(self.z.copy(), self.U.copy())
 
@@ -96,32 +93,35 @@ def gram_residual(prog: MetricProgram, p: BundlePoint) -> float:
     return float(np.linalg.norm(gram_matrix(prog, p.z, p.U) - np.eye(n)))
 
 
-def gram_derivative(prog: MetricProgram, z, U, dz, dU) -> np.ndarray:
-    """Directional derivative of the Gram map along the ambient tangent
-    (dz, dU), or along each tangent of a stack: dz of shape (K, n) and dU
-    of shape (K, n, n) give shape (K, n, n).
+def gram_derivative(jet: Jet, U, dz, dU) -> np.ndarray:
+    """Directional derivative of the Gram map at (z, U) along the ambient
+    tangent (dz, dU), or along each tangent of a stack: dz of shape (K, n)
+    and dU of shape (K, n, n) give shape (K, n, n).  jet is the jet(4, 1)
+    at (z, U e_0), the one FrameData holds.
 
     Valid at any (z, U) with invertible U; vanishes exactly on tangents to
     the bundle of adapted frames.  The Gram map is the (1, 1) frame form.
     """
     U = np.asarray(U, dtype=complex)
     n = len(U)
-    jet = prog.jet_unchecked(z, U[:, 0], 4, 1)  # the jet FrameData holds
     out = form_derivative(jet, U, (1, 1), np.reshape(dz, (-1, n)), np.reshape(dU, (-1, n, n)))
     return out[0] if np.ndim(dz) == 1 else out
 
 
-def gram_rows(prog: MetricProgram, z, U, dz, dU) -> np.ndarray:
+def gram_rows(jet: Jet, U, dz, dU) -> np.ndarray:
     """The Gram derivative along each of K stacked tangents as a real row,
     the real parts of its entries, then the imaginary parts: shape (K, 2 n^2)."""
-    gd = gram_derivative(prog, z, U, dz, dU).reshape(len(dz), -1)
+    gd = gram_derivative(jet, U, dz, dU).reshape(len(dz), -1)
     return np.concatenate([gd.real, gd.imag], axis=1)
 
 
-def verify_tangent(prog: MetricProgram, p: BundlePoint, t: AmbientTangent) -> float:
+def verify_tangent(prog: MetricProgram, p: BundlePoint, t: AmbientTangent,
+                   jet: Jet | None = None) -> float:
     """Max-abs derivative of the Gram map along t, or along every tangent
-    of a stacked t; ~0 iff tangent."""
-    return float(np.max(np.abs(gram_derivative(prog, p.z, p.U, t.dz, t.dU))))
+    of a stacked t; ~0 iff tangent.  jet is the jet(4, 1) at (z, e_0),
+    evaluated here when not given."""
+    jet = prog.jet_unchecked(p.z, p.e0, 4, 1) if jet is None else jet
+    return float(np.max(np.abs(gram_derivative(jet, p.U, t.dz, t.dU))))
 
 
 def tangency_kernel_dimension(prog: MetricProgram, p: BundlePoint) -> int:
@@ -132,7 +132,7 @@ def tangency_kernel_dimension(prog: MetricProgram, p: BundlePoint) -> int:
     """
     n = p.n
     dim_amb = 2 * n + 2 * n * n
-    mat = gram_rows(prog, p.z, p.U, *unpack_real(np.eye(dim_amb), n)).T
+    mat = gram_rows(prog.jet_unchecked(p.z, p.e0, 4, 1), p.U, *unpack_real(np.eye(dim_amb), n)).T
     sv = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(sv > KERNEL_REL_TOL * sv[0]))
     return dim_amb - rank

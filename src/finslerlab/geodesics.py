@@ -303,9 +303,9 @@ def e_manifold_closed_forms(prog: MetricProgram, p: BundlePoint, c: float) -> di
     T = sf.T
     craw = c / HSC_NORMALIZATION
     h = sf.h_vert        # (m, m) pure form block, indices 1..n-1 shifted
-    fd = frame_data(prog, p.z, p.U)
+    fd = sf.frame
     C20 = fd.C(2, 0)
-    d20b = _complex_lift_derivative(prog, p, (2, 0))[1]  # conj-lift derivatives of h_pure
+    d20b = _complex_lift_derivative(fd, (2, 0))[1]  # conj-lift derivatives of h_pure
 
     res = {}
     res["R0000"] = abs(R[0, 0, 0, 0] - craw)
@@ -354,7 +354,7 @@ def e_manifold_closed_forms(prog: MetricProgram, p: BundlePoint, c: float) -> di
         res["torsion_forms"] = tres
 
     # local identity tying curvature, the pure form and the torsion trace
-    dT_a = _lift_torsion_derivative(prog, p)[1]
+    dT_a = _lift_torsion_derivative(fd)[1]
     ident = 0.0
     for lam in range(1, n):
         lhs = sum(craw * abs(h[lam - 1, rho - 1]) ** 2

@@ -12,8 +12,7 @@ Grammar (whitespace insignificant)::
 The parser compiles F^2 once into a postorder tape on which equal
 subexpressions share one entry.  A compiled program evaluates F^2 and its
 mixed Wirtinger jets, treating v, vbar, z, zbar as independent
-differentiation variables.  Two backends are available: forward-mode jet
-arithmetic on the tape (primary) and central finite differences (oracle).
+differentiation variables, by forward-mode jet arithmetic on the tape.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import V, VBAR, Z, ZBAR, Jet, JetError, jet_space
+from .jets import V, Z, Jet, JetError, jet_space
 
 FUNCTIONS = ("conj", "re", "im", "abs2", "sqrt")
 # Parentheses, function calls and unary minus nested deeper than this are a
@@ -239,6 +238,13 @@ def _divide(a, b):
     return a / b
 
 
+def _power(a, k: int):
+    try:
+        return a ** k
+    except OverflowError:  # complex ** int raises where float arithmetic gives inf
+        raise EvaluationError("metric expression evaluated to a non-finite value") from None
+
+
 def _sqrt(a):
     if a == 0:
         raise EvaluationError("sqrt at a zero of its argument (non-smooth point)")
@@ -263,7 +269,7 @@ def norm_of_f2(val: complex) -> float:
 
 # what each non-leaf op does to complex scalars; jets share the operators
 _SCALAR_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": _divide, "pow": operator.pow, "conj": np.conj,
+               "/": _divide, "pow": _power, "conj": np.conj,
                "re": lambda a: complex(a.real), "im": lambda a: complex(a.imag),
                "abs2": lambda a: a * np.conj(a), "sqrt": _sqrt}
 _JET_OPS = {**_SCALAR_OPS, "/": operator.truediv, "pow": Jet.pow_int, "conj": Jet.conj,
@@ -273,19 +279,16 @@ _JET_OPS = {**_SCALAR_OPS, "/": operator.truediv, "pow": Jet.pow_int, "conj": Je
 class MetricProgram:
     """Compiled chart metric: evaluates F^2 and its mixed Wirtinger jets.
 
-    Instances are immutable; jet evaluation is pure.  The internal point
-    cache is transparent memoization only.
+    Instances are immutable and hold no cache; jet evaluation is pure.
     """
 
     MAX_FIBER_ORDER = 4
     MAX_BASE_ORDER = 1
-    MEMO_LIMIT = 4096
 
     def __init__(self, source: MetricSource, tape: tuple):
         self.source = source
         self.dim = source.dim
         self._tape = tape
-        self._cache: dict = {}
 
     def _run(self, ops: dict, leaf):
         """Value of F^2: leaf(entry) for 'num' and 'var' entries, ops[op] of
@@ -328,44 +331,28 @@ class MetricProgram:
 
     # -- jets -------------------------------------------------------------------
 
-    def memo(self, key, build):
-        """The value cached under key, or build() stored there.  Jets, frame
-        data and bracket tables share this cache; it is cleared whole when it
-        holds more than MEMO_LIMIT entries, so it never exceeds MEMO_LIMIT + 1."""
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = build()
-            if len(self._cache) > self.MEMO_LIMIT:
-                self._cache.clear()
-            self._cache[key] = hit
-        return hit
-
     def jet_unchecked(self, z, v, fiber_order: int, base_order: int) -> Jet:
-        """Jet table without the public order cap (internal use)."""
+        """Jet table without the public order cap (internal use); every call
+        evaluates the tape."""
         z = np.asarray(z, dtype=complex)
         v = np.asarray(v, dtype=complex)
         if not v.any():
             raise EvaluationError("jets are undefined at v = 0 (homogeneous metrics are "
                                   "non-smooth on the zero section)")
+        space = jet_space(self.dim, fiber_order, base_order)
 
-        def build():
-            space = jet_space(self.dim, fiber_order, base_order)
+        def leaf(entry):  # ('num', x) or ('var', kind, k)
+            if entry[0] == "num":
+                return space.const(entry[1])
+            return space.variable(*entry[1:], (v if entry[1] == V else z)[entry[2]])
 
-            def leaf(entry):  # ('num', x) or ('var', kind, k)
-                if entry[0] == "num":
-                    return space.const(entry[1])
-                return space.variable(*entry[1:], (v if entry[1] == V else z)[entry[2]])
-
-            try:
-                out = self._run(_JET_OPS, leaf)
-            except JetError as exc:
-                raise EvaluationError(str(exc)) from exc
-            if not np.isfinite(out.c).all():
-                raise EvaluationError(
-                    "jet coefficients are non-finite (pole of the expression)")
-            return out
-
-        return self.memo((z.tobytes(), v.tobytes(), fiber_order, base_order), build)
+        try:
+            out = self._run(_JET_OPS, leaf)
+        except JetError as exc:
+            raise EvaluationError(str(exc)) from exc
+        if not np.isfinite(out.c).all():
+            raise EvaluationError("jet coefficients are non-finite (pole of the expression)")
+        return out
 
     def jet(self, z, v, fiber_order: int = 4, base_order: int = 1) -> Jet:
         """Mixed Wirtinger jet of F^2 at (z, v).
@@ -377,52 +364,6 @@ class MetricProgram:
         if fiber_order > self.MAX_FIBER_ORDER or base_order > self.MAX_BASE_ORDER:
             raise ValueError("jet orders limited to fiber_order <= 4, base_order <= 1")
         return self.jet_unchecked(z, v, fiber_order, base_order)
-
-    # -- finite-difference oracle backend ---------------------------------------
-
-    def fd_derivative(self, z, v, v_idx=(), vbar_idx=(), z_idx=(), zbar_idx=(),
-                      step: float | None = None, richardson: bool = False) -> complex:
-        """Central-difference Wirtinger mixed partial (oracle backend).
-
-        The default step grows with total derivative order to balance
-        truncation against roundoff; pass ``step`` to override.  With
-        ``richardson`` the step-h and step-h/2 estimates are combined to
-        cancel the leading truncation term.
-        """
-        order = len(v_idx) + len(vbar_idx) + len(z_idx) + len(zbar_idx)
-        if step is None:
-            step = {0: 1e-5, 1: 1e-5, 2: 1e-4, 3: 2e-3, 4: 6e-3}.get(order, 6e-3)
-        if richardson:
-            f_h = self.fd_derivative(z, v, v_idx, vbar_idx, z_idx, zbar_idx, step)
-            f_h2 = self.fd_derivative(z, v, v_idx, vbar_idx, z_idx, zbar_idx, step / 2)
-            return (4.0 * f_h2 - f_h) / 3.0
-        z = np.asarray(z, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        # absolute steps fixed from the base point, so halving the step
-        # rescales the whole stencil exactly (Richardson needs this)
-        hv = [step * max(1.0, abs(x)) for x in v]
-        hz = [step * max(1.0, abs(x)) for x in z]
-
-        def rec(z, v, pending):
-            if not pending:
-                return self.eval_complex(z, v)
-            (kind, k), rest = pending[0], pending[1:]
-            h = hv[k] if kind in (V, VBAR) else hz[k]
-
-            def at(delta):
-                z2, v2 = z.copy(), v.copy()
-                (v2 if kind in (V, VBAR) else z2)[k] += delta
-                return rec(z2, v2, rest)
-
-            dre = (at(h) - at(-h)) / (2 * h)
-            dim_ = (at(1j * h) - at(-1j * h)) / (2 * h)
-            if kind in (V, Z):
-                return 0.5 * (dre - 1j * dim_)
-            return 0.5 * (dre + 1j * dim_)
-
-        pending = ([(V, k) for k in v_idx] + [(VBAR, k) for k in vbar_idx]
-                   + [(Z, k) for k in z_idx] + [(ZBAR, k) for k in zbar_idx])
-        return rec(z, v, tuple(pending))
 
 
 def parse_metric(src: MetricSource) -> MetricProgram:

@@ -263,10 +263,11 @@ class ParallelismBasis:
 
 def parallelism_at(prog: MetricProgram, p: BundlePoint) -> ParallelismBasis:
     """Assemble the parallelism at p, with tangency and independence checks."""
-    dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+    fd = frame_data(prog, p.z, p.U)
+    dz, dU = _field_stack(fd)
     labs = labels_real(prog.dim)
     tangents = {lab: AmbientTangent(dz[j], dU[j]) for j, lab in enumerate(labs)}
-    worst = verify_tangent(prog, p, AmbientTangent(dz, dU))
+    worst = verify_tangent(prog, p, AmbientTangent(dz, dU), fd.jet)
     if worst > FIELD_TANGENCY_TOL:
         raise FinslerError(
             f"parallelism field fails tangency ({worst:.2e}); jets inaccurate "
@@ -278,26 +279,22 @@ def parallelism_at(prog: MetricProgram, p: BundlePoint) -> ParallelismBasis:
                             max_tangency=float(worst))
 
 
-def _bracket_table(prog: MetricProgram, p: BundlePoint) -> tuple[np.ndarray, np.ndarray]:
-    """All pairwise brackets of the real parallelism fields at p.
+def _bracket_table(fd: FrameData) -> tuple[np.ndarray, np.ndarray]:
+    """All pairwise brackets of the real parallelism fields at the point of fd.
 
     Returns (values, brackets): values[:, m] is field m at p, and
     brackets[a, b] = D_a X_b - D_b X_a in packed-real coordinates, where
     D_a X_b is the exact derivative of field X_b along X_a.  A field is
     (U w, U G) with w constant and G from (E, C20, C21), so along X_a =
     (dz_a, dU_a) it moves by (dU_a w, dU_a G + U dG), with dG the stack
-    _fill_generators builds from the derivatives of (E, C20, C21).
+    _fill_generators builds from the derivatives of (E, C20, C21).  A
+    report builds it once per point and hands it on with the frame data.
     """
-
-    def build():
-        fd = frame_data(prog, p.z, p.U)
-        G = _generators(fd)
-        dz, X = _field_stack(fd, G)  # X[b] is the dU of field b
-        dG = _generator_derivatives(frame_derivatives(prog, fd, dz, X))
-        D = _field_derivatives(fd, G, X, dG)  # D[a, b] = D_a X_b
-        return _packed(dz, X), D - D.transpose(1, 0, 2)
-
-    return prog.memo(("brackets", p.key()), build)
+    G = _generators(fd)
+    dz, X = _field_stack(fd, G)  # X[b] is the dU of field b
+    dG = _generator_derivatives(frame_derivatives(fd, dz, X))
+    D = _field_derivatives(fd, G, X, dG)  # D[a, b] = D_a X_b
+    return _packed(dz, X), D - D.transpose(1, 0, 2)
 
 
 def _generator_derivatives(derivs) -> np.ndarray:
@@ -323,19 +320,20 @@ def _field_derivatives(fd: FrameData, G: np.ndarray, dU: np.ndarray, dG: np.ndar
     return np.concatenate([Ddz.real, Ddz.imag, DU.real, DU.imag], axis=-1)
 
 
-def bracket_coefficients(prog: MetricProgram, p: BundlePoint) -> np.ndarray:
+def bracket_coefficients(vals: np.ndarray, br: np.ndarray) -> np.ndarray:
     """c[a, b, i]: the component of the bracket of real fields a and b on
-    real field i at p, by least squares on the real fields."""
-    vals, br = _bracket_table(prog, p)
+    real field i, by least squares on the real fields, from the bracket
+    table (vals, br) at a point."""
     N = vals.shape[1]
     sol, *_ = np.linalg.lstsq(vals, br.reshape(N * N, -1).T, rcond=None)
     return sol.T.reshape(N, N, N)
 
 
-def structure_derivative(prog: MetricProgram, p: BundlePoint, tangents) -> np.ndarray:
-    """dc[k, a, b, i]: the exact derivative of bracket_coefficients at p
-    along each of K real ambient tangents Y_k, stacked as tangents = (dz,
-    dU) of shapes (K, n) and (K, n, n).
+def structure_derivative(fd: FrameData, table, tangents) -> np.ndarray:
+    """dc[k, a, b, i]: the exact derivative of bracket_coefficients at the
+    point of fd, whose bracket table is table, along each of K real ambient
+    tangents Y_k, stacked as tangents = (dz, dU) of shapes (K, n) and
+    (K, n, n).
 
     With B the matrix of the real fields as columns, B c = br is consistent
     at p and B has full column rank, so the derivative of the least-squares
@@ -349,20 +347,19 @@ def structure_derivative(prog: MetricProgram, p: BundlePoint, tangents) -> np.nd
     tiers evaluate this, B c = br leaves a residual of O(t^2), and the term
     of d(B^+) that the formula drops is of the same order.
     """
-    fd = frame_data(prog, p.z, p.U)
     n = fd.n
     G = _generators(fd)
     dz, X = _field_stack(fd, G)
     ydz, ydU = (np.asarray(a, dtype=complex) for a in tangents)
     N, K = len(dz), len(ydz)
     # along the tangents and along the fields, in one stacked call
-    first = frame_derivatives(prog, fd, np.concatenate([ydz, dz]), np.concatenate([ydU, X]))
+    first = frame_derivatives(fd, np.concatenate([ydz, dz]), np.concatenate([ydU, X]))
     first_y, first_x = zip(*((d[:K], d[K:]) for d in first))
     dG_y = _generator_derivatives(first_y)  # (K, N, n, n)
     dG_x = _generator_derivatives(first_x)  # (N, N, n, n)
     JY = _field_derivatives(fd, G, ydU, dG_y)  # JY[k, b] = J_b(Y_k)
     d2G = _generator_derivatives(
-        frame_second_derivatives(prog, fd, (ydz, ydU), (dz, X), first_y, first_x))
+        frame_second_derivatives(fd, (ydz, ydU), (dz, X), first_y, first_x))
     # D[k, a, b] = D^2 X_b[Y_k, X_a] + J_b(J_a(Y_k))
     DU = (np.matmul(X[None, :, None], dG_y[:, None]) + np.matmul(ydU[:, None, None], dG_x)
           + np.matmul(fd.U, d2G)).reshape(K, N, N, -1)
@@ -370,11 +367,10 @@ def structure_derivative(prog: MetricProgram, p: BundlePoint, tangents) -> np.nd
     jdz, jdU = unpack_real(JY.reshape(K * N, -1), n)
     D = (np.concatenate([zero, DU.real, DU.imag], axis=-1)
          + _field_derivatives(fd, G, jdU, _generator_derivatives(
-             frame_derivatives(prog, fd, jdz, jdU))).reshape(K, N, N, -1))
-    c = bracket_coefficients(prog, p).reshape(N * N, N)
+             frame_derivatives(fd, jdz, jdU))).reshape(K, N, N, -1))
+    c = bracket_coefficients(*table).reshape(N * N, N)
     rhs = (D - D.transpose(0, 2, 1, 3)).reshape(K, N * N, -1) - np.matmul(c, JY)
-    vals = _bracket_table(prog, p)[0]
-    dc, *_ = np.linalg.lstsq(vals, rhs.reshape(K * N * N, -1).T, rcond=None)
+    dc, *_ = np.linalg.lstsq(table[0], rhs.reshape(K * N * N, -1).T, rcond=None)
     return dc.T.reshape(K, N, N, N)
 
 
@@ -382,11 +378,12 @@ def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
                 p: BundlePoint) -> AmbientTangent:
     """Numerical Lie bracket of two parallelism fields at p."""
     labs = labels_real(prog.dim)
-    vals, br = _bracket_table(prog, p)
+    fd = frame_data(prog, p.z, p.U)
+    br = _bracket_table(fd)[1]
     a, b = labs.index(tuple(label_x)), labs.index(tuple(label_y))
     dz, dU = unpack_real(br[a, b], prog.dim)
     t = AmbientTangent(dz, dU)
-    res = verify_tangent(prog, p, t)
+    res = verify_tangent(prog, p, t, fd.jet)
     scale = max(1.0, t.norm())
     if res > BRACKET_TANGENCY_TOL * scale:
         raise FinslerError(f"bracket is not tangent to the bundle ({res:.2e})")
@@ -403,6 +400,8 @@ class StructureFunctions:
 
     ``R`` is in the holomorphic-sectional-curvature normalization
     (unit disc -> -4); ``R_raw`` is the bracket-native coefficient.
+    ``frame`` and ``table`` are the frame data and the bracket table at the
+    point, which the residuals there read as well.
     """
 
     point: BundlePoint
@@ -414,6 +413,8 @@ class StructureFunctions:
     h_vert: np.ndarray     # (m, m) pure quadratic form on the block
     H_vert: np.ndarray     # (m, m, m) cubic form H_{lam mu nubar}
     residual: float        # worst bracket-decomposition residual
+    frame: FrameData = field(repr=False)
+    table: tuple = field(repr=False)
     checks: dict = field(default_factory=dict)
     u_embedding: np.ndarray | None = None
 
@@ -446,7 +447,7 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     n = prog.dim
     m = n - 1
     fd = frame_data(prog, p.z, p.U)
-    vals, br = _bracket_table(prog, p)
+    vals, br = table = _bracket_table(fd)
     K = _complex_combination_matrix(n)
     N = len(K)
     basis = _complex_basis(vals, n)
@@ -454,7 +455,7 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
 
     # coeff[x, y, j]: bracket (x, y) of the complexified basis on its field
     # j, sum_abi K[x, a] K[y, b] c[a, b, i] K^-1[i, j] of the real components c
-    coeff = _carry(K, bracket_coefficients(prog, p) @ _complex_combination_inverse(n))
+    coeff = _carry(K, bracket_coefficients(vals, br) @ _complex_combination_inverse(n))
     resid = brc - np.einsum("abi,id->abd", coeff, basis)
     scale = np.maximum(1.0, np.linalg.norm(brc, axis=2))
     worst = float(np.max(np.linalg.norm(resid, axis=2) / scale))
@@ -513,7 +514,7 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     sf = StructureFunctions(
         point=p, T=T, R_raw=R, Q=Q, P_h=P_h, P_H=P_H,
         h_vert=C20[1:, 1:].copy(), H_vert=C21[1:, 1:, 1:].copy(),
-        residual=worst, checks=checks,
+        residual=worst, checks=checks, frame=fd, table=table,
     )
     # record the embedding of the complex block basis in the real fields
     sf.u_embedding = K[N - m * m:].copy()
@@ -524,15 +525,11 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
 # closed forms for Q and P
 # --------------------------------------------------------------------------
 
-def closed_form_Q(prog: MetricProgram, p: BundlePoint) -> np.ndarray:
-    """Q from the quartic form: the vertical curvature has the closed form
+def closed_form_Q(fd: FrameData) -> np.ndarray:
+    """Q[rho-1, sig-1, lam-1, mu-1] from the quartic form at the point of fd:
+    the vertical curvature has the closed form
     HH_{mubar rhobar sig lam} - sum_nu H_{nu mubar rhobar} H_{sig lam nubar}
     (the nu = 0 term reproduces the quadratic-form product)."""
-    return _vertical_curvature(frame_data(prog, p.z, p.U))
-
-
-def _vertical_curvature(fd: FrameData) -> np.ndarray:
-    """Q[rho-1, sig-1, lam-1, mu-1] of closed_form_Q from the frame forms of fd."""
     n = fd.n
     C22 = fd.C(2, 2)
     C21 = fd.C(2, 1)
@@ -557,18 +554,18 @@ def _complex_pairs(d: np.ndarray):
     return 0.5 * (d0 - 1j * d1), 0.5 * (d0 + 1j * d1)
 
 
-def _complex_lift_derivative(prog: MetricProgram, p: BundlePoint, pq: tuple[int, int]):
-    """Derivatives of the (p, q) frame form along the holomorphic lifts
-    e_g-hat and their conjugates, as _complex_pairs returns them: one
-    form_derivative over the 2n lift rows of _field_stack."""
-    fd = frame_data(prog, p.z, p.U)
+def _complex_lift_derivative(fd: FrameData, pq: tuple[int, int]):
+    """Derivatives of the (p, q) frame form at the point of fd along the
+    holomorphic lifts e_g-hat and their conjugates, as _complex_pairs
+    returns them: one form_derivative over the 2n lift rows of _field_stack."""
     dz, dU = _field_stack(fd)
     lifts = slice(0, 2 * fd.n)
     return _complex_pairs(form_derivative(fd.jet, fd.U, pq, dz[lifts], dU[lifts]))
 
 
-def closed_form_P(prog: MetricProgram, p: BundlePoint):
-    """The two derivative families of the structure functions:
+def closed_form_P(fd: FrameData):
+    """The two derivative families of the structure functions at the point
+    of fd:
 
         P_h[nu, rho, g]      = -lift_g(conj h_pure)[nu, rho]
         P_H[nu, sig, rho, g] = -lift_g(H_(1,2))[sig, nu, rho]
@@ -578,8 +575,8 @@ def closed_form_P(prog: MetricProgram, p: BundlePoint):
     assert agreement on a non-Hermitian metric with base dependence.
     """
     # lift_g(conj f) = conj(conj-lift_g(f))
-    d20c = np.conj(_complex_lift_derivative(prog, p, (2, 0))[1])[:, 1:, 1:]
-    d12 = _complex_lift_derivative(prog, p, (1, 2))[0][:, 1:, 1:, 1:]
+    d20c = np.conj(_complex_lift_derivative(fd, (2, 0))[1])[:, 1:, 1:]
+    d12 = _complex_lift_derivative(fd, (1, 2))[0][:, 1:, 1:, 1:]
     return -d20c.transpose(1, 2, 0), -d12.transpose(2, 1, 3, 0)
 
 
@@ -643,14 +640,14 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint,
     brackets and the frame forms there, with no difference quotient.  Also
     reports the sup-norms of the purely Finslerian torsion/curvature
     coefficient families.  sf is extract_structure at p, extracted here
-    when not given.
+    when not given; its frame data and bracket table are the ones read.
     """
     n = prog.dim
     if sf is None:
         sf = extract_structure(prog, p)
-    fd = frame_data(prog, p.z, p.U)
+    fd = sf.frame
     cf = _Coframe(fd)
-    vals, br = _bracket_table(prog, p)
+    vals, br = sf.table
     basis = _complex_basis(vals, n)
     TH, THb = (np.moveaxis(t, 0, -1) for t in cf.theta(basis))  # (n, N)
     W = np.moveaxis(cf.varpi(basis), 0, -1)  # (n, n, N)
@@ -673,7 +670,7 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint,
     # curvature equations, matrix form
     Omega = np.einsum("abgd,gi,dj->abij", sf.R_raw, TH, THb) \
         - np.einsum("abgd,gj,di->abij", sf.R_raw, TH, THb)
-    Pi, Phi, pi_norm, phi_norm = _pi_phi_forms(prog, p, fd, TH, THb, W)
+    Pi, Phi, pi_norm, phi_norm = _pi_phi_forms(fd, TH, THb, W)
     lhsW = dW + _wedge_matrix_matrix(W)
     resW = lhsW - Omega - Pi - Phi
     eq534 = float(np.max(np.abs(resW[0, 0])))
@@ -715,7 +712,7 @@ def _wedge_matrix_matrix(W):
     return (np.einsum("aci,cbj->abij", W, W) - np.einsum("acj,cbi->abij", W, W))
 
 
-def _pi_phi_forms(prog, p, fd, TH, THb, W):
+def _pi_phi_forms(fd, TH, THb, W):
     """Oblique and vertical Finsler curvature 2-forms on basis pairs."""
     n = fd.n
     N = TH.shape[1]
@@ -726,9 +723,9 @@ def _pi_phi_forms(prog, p, fd, TH, THb, W):
     b = slice(1, n)
     # conj-lift_g(h)[lam, rho], lift_g(H_(1,2))[mu, lam, rho] and
     # conj-lift_g(H_(2,1))[mu, rho, lam], lam, mu, rho >= 1
-    d20b = _complex_lift_derivative(prog, p, (2, 0))[1][:, b, b]
-    d12 = _complex_lift_derivative(prog, p, (1, 2))[0][:, b, b, b]
-    d21b = _complex_lift_derivative(prog, p, (2, 1))[1][:, b, b, b]
+    d20b = _complex_lift_derivative(fd, (2, 0))[1][:, b, b]
+    d12 = _complex_lift_derivative(fd, (1, 2))[0][:, b, b, b]
+    d21b = _complex_lift_derivative(fd, (2, 1))[1][:, b, b, b]
     # varpi[0, rho] ^ theta^g and varpi[rho, 0] ^ thetabar^g
     w0r = _wedge(W[0, b], TH)
     wr0 = _wedge(W[b, 0], THb)
@@ -737,7 +734,7 @@ def _pi_phi_forms(prog, p, fd, TH, THb, W):
     Pi[b, b] = -(np.einsum("gmlr,rgij->lmij", d12, w0r)
                  + np.einsum("gmrl,rgij->lmij", d21b, wr0))
     # Phi[lam, mu] = sum_{rho, sig} Q[sig, mu, rho, lam] varpi[rho, 0] ^ varpi[0, sig]
-    Q = _vertical_curvature(fd)
+    Q = closed_form_Q(fd)
     Phi[b, b] = np.einsum("smrl,rsij->lmij", Q, _wedge(W[b, 0], W[0, b]))
     return Pi, Phi, _scalar_sup(d20b, d12, d21b), _scalar_sup(Q)
 
@@ -756,29 +753,30 @@ def _vertical_subspace_residual(fd, basis, cf) -> float:
 # Bianchi identities
 # --------------------------------------------------------------------------
 
-def _lift_derivative_of(prog: MetricProgram, p: BundlePoint, func):
+def _lift_derivative_of(fd: FrameData, func):
     """Derivatives of a matrix-valued point function along the 2n horizontal
-    lifts; returns (holomorphic, antiholomorphic) arrays with leading index g."""
-    n = prog.dim
-    dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+    lifts at the point of fd; returns (holomorphic, antiholomorphic) arrays
+    with leading index g."""
+    n = fd.n
+    dz, dU = _field_stack(fd)
     d_real = []
     for i in range(2 * n):
         t = AmbientTangent(dz[i], dU[i])
         # t.norm(), not the norm of pack_real(t): the two differ in the last bit
         # at some points, and the step sets every bit of the reports
         h = NESTED_STEP * (1.0 + t.norm())
-        d_real.append(along(func, p.z, p.U, pack_real(t), h))
+        d_real.append(along(func, fd.z, fd.U, pack_real(t), h))
     return _complex_pairs(np.array(d_real))
 
 
-def _lift_torsion_derivative(prog: MetricProgram, p: BundlePoint):
-    """Exact derivatives of the torsion T = E - E^T along the 2n horizontal
-    lifts, from those of E; returns (holomorphic, antiholomorphic) arrays
-    with leading index g, as _lift_derivative_of does."""
-    fd = frame_data(prog, p.z, p.U)
+def _lift_torsion_derivative(fd: FrameData):
+    """Exact derivatives of the torsion T = E - E^T at the point of fd along
+    the 2n horizontal lifts, from those of E; returns (holomorphic,
+    antiholomorphic) arrays with leading index g, as _lift_derivative_of
+    does."""
     dz, dU = _field_stack(fd)
     lifts = slice(0, 2 * fd.n)
-    dE = frame_derivatives(prog, fd, dz[lifts], dU[lifts])[0]
+    dE = frame_derivatives(fd, dz[lifts], dU[lifts])[0]
     return _complex_pairs(dE - np.swapaxes(dE, -1, -2))
 
 
@@ -796,15 +794,15 @@ def bianchi_residuals(prog: MetricProgram, p: BundlePoint,
     if sf is None:
         sf = extract_structure(prog, p)
     T, R = sf.T, sf.R_raw
-    fd = frame_data(prog, p.z, p.U)
+    fd = sf.frame
     C12 = fd.C(1, 2)
     C21 = fd.C(2, 1)
 
-    dT_h, dT_a = _lift_torsion_derivative(prog, p)
+    dT_h, dT_a = _lift_torsion_derivative(fd)
     dR_h, dR_a = _lift_derivative_of(
-        prog, p, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
-    d12_h = _complex_lift_derivative(prog, p, (1, 2))[0]
-    d21_a = _complex_lift_derivative(prog, p, (2, 1))[1]
+        fd, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
+    d12_h = _complex_lift_derivative(fd, (1, 2))[0]
+    d21_a = _complex_lift_derivative(fd, (2, 1))[1]
 
     scale = max(1.0, float(np.max(np.abs(R))), float(np.max(np.abs(T))))
     r1 = r2 = r3 = r4 = 0.0

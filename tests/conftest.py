@@ -11,7 +11,8 @@ def entries():
 
 @pytest.fixture(scope="session")
 def progs(entries):
-    # compiled once per session so jet caches are shared across tests
+    # compiled once per session; a program holds no cache, so tests share
+    # only the parsed tape
     return {mid: e.program() for mid, e in entries.items()}
 
 

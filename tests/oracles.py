@@ -6,6 +6,7 @@ from finslerlab.connection import frame_data
 from finslerlab.finsler_forms import HOMOGENEITY_SEED
 from finslerlab.frame_bundle import AmbientTangent
 from finslerlab.geodesics import spray_coefficients
+from finslerlab.jets import V, VBAR, Z, ZBAR
 from finslerlab.parallelism import _field_stack
 
 
@@ -116,3 +117,49 @@ def full_stack_spray(prog, p):
         G = G + AmbientTangent(dz[j], dU[j]).scale(float(a[lam - 1].real))
         G = G + AmbientTangent(dz[j + 1], dU[j + 1]).scale(float(a[lam - 1].imag))
     return G
+
+
+def fd_derivative(prog, z, v, v_idx=(), vbar_idx=(), z_idx=(), zbar_idx=(),
+                  step: float | None = None, richardson: bool = False) -> complex:
+    """Central-difference Wirtinger mixed partial of F^2, the reference for
+    the program's jets.
+
+    The default step grows with total derivative order to balance
+    truncation against roundoff; pass ``step`` to override.  With
+    ``richardson`` the step-h and step-h/2 estimates are combined to
+    cancel the leading truncation term.
+    """
+    order = len(v_idx) + len(vbar_idx) + len(z_idx) + len(zbar_idx)
+    if step is None:
+        step = {0: 1e-5, 1: 1e-5, 2: 1e-4, 3: 2e-3, 4: 6e-3}.get(order, 6e-3)
+    if richardson:
+        f_h = fd_derivative(prog, z, v, v_idx, vbar_idx, z_idx, zbar_idx, step)
+        f_h2 = fd_derivative(prog, z, v, v_idx, vbar_idx, z_idx, zbar_idx, step / 2)
+        return (4.0 * f_h2 - f_h) / 3.0
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    # absolute steps fixed from the base point, so halving the step
+    # rescales the whole stencil exactly (Richardson needs this)
+    hv = [step * max(1.0, abs(x)) for x in v]
+    hz = [step * max(1.0, abs(x)) for x in z]
+
+    def rec(z, v, pending):
+        if not pending:
+            return prog.eval_complex(z, v)
+        (kind, k), rest = pending[0], pending[1:]
+        h = hv[k] if kind in (V, VBAR) else hz[k]
+
+        def at(delta):
+            z2, v2 = z.copy(), v.copy()
+            (v2 if kind in (V, VBAR) else z2)[k] += delta
+            return rec(z2, v2, rest)
+
+        dre = (at(h) - at(-h)) / (2 * h)
+        dim_ = (at(1j * h) - at(-1j * h)) / (2 * h)
+        if kind in (V, Z):
+            return 0.5 * (dre - 1j * dim_)
+        return 0.5 * (dre + 1j * dim_)
+
+    pending = ([(V, k) for k in v_idx] + [(VBAR, k) for k in vbar_idx]
+               + [(Z, k) for k in z_idx] + [(ZBAR, k) for k in zbar_idx])
+    return rec(z, v, tuple(pending))

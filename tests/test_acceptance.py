@@ -136,8 +136,8 @@ def test_criterion_05_bracket_relations(progs, entries):
                             sf.checks["vertical_mixed_t_coefficient"])
             if prog.dim > 1:
                 worst_closed = max(worst_closed, float(np.max(np.abs(
-                    sf.Q - closed_form_Q(prog, p)))))
-                ph, pH = closed_form_P(prog, p)
+                    sf.Q - closed_form_Q(sf.frame)))))
+                ph, pH = closed_form_P(sf.frame)
                 worst_closed = max(worst_closed,
                                    float(np.max(np.abs(sf.P_h - ph), initial=0.0)),
                                    float(np.max(np.abs(sf.P_H - pH), initial=0.0)))

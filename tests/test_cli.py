@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import finslerlab
-from finslerlab import cli, geodesics, parallelism
+from finslerlab import cli, connection, equivalence, geodesics, parallelism
 from finslerlab.cli import MAX_SAMPLES, main
 
 
@@ -216,6 +216,31 @@ def test_point_values_may_start_with_minus(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("metric, start, direction, code", [
+    ("poincare_disc", "0,0", "1", 2),
+    ("poincare_ball_2", "0", "1,0", 2),
+    ("poincare_ball_2", "0,0", "1,0,0", 2),
+    ("poincare_disc", "2", "1", 3),
+])
+def test_geodesic_start_and_direction_are_checked(capsys, metric, start, direction, code):
+    # as for --at: a wrong component count is a usage error, a start outside
+    # the catalog domain a domain failure
+    argv = ["geodesic", "--metric", metric, "--from", start, "--dir", direction,
+            "--t-max", "0.01", "--dt", "0.005"]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "usage:" in err and "components" in err
+    else:
+        got = run(argv)
+        err = capsys.readouterr().err
+        assert_clean_exit(got, err)
+        assert got == 3
+        assert json.loads(err)["error"] == \
+            f"--from base point lies outside the domain of {metric}"
+
+
 def test_numerical_failure_exit_3(capsys):
     code = run(["tensors", "--metric", "poincare_disc", "--at", "z=0;v=0"])
     assert code == 3
@@ -319,7 +344,7 @@ def test_structure_extracts_once_at_the_point(capsys, monkeypatch):
     extract = parallelism.extract_structure
 
     def counted(prog, p):
-        points.append(p.key())
+        points.append(p.z.tobytes() + p.U.tobytes())
         return extract(prog, p)
 
     monkeypatch.setattr(parallelism, "extract_structure", counted)
@@ -336,7 +361,7 @@ def test_check_extracts_once_at_each_frame(capsys, monkeypatch):
     extract = parallelism.extract_structure
 
     def counted(prog, p):
-        points.append(p.key())
+        points.append(p.z.tobytes() + p.U.tobytes())
         return extract(prog, p)
 
     monkeypatch.setattr(parallelism, "extract_structure", counted)
@@ -345,6 +370,39 @@ def test_check_extracts_once_at_each_frame(capsys, monkeypatch):
     capsys.readouterr()
     assert len(points) == 19  # 3 frames + 2 x 8 displaced points
     assert [points.count(k) for k in points[:3]] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("argv, points", [
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], 18),
+    (["structure", "--metric", "poincare_ball_3",
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], 13),
+    (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
+      "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
+      "--order", "1"], 18),
+])
+def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatch, argv,
+                                                                points):
+    # a point's frame data is built once and handed down to every stage that
+    # works there, its bracket table with it
+    frames, tables = [], []
+    init, table = connection.FrameData.__init__, parallelism._bracket_table
+
+    def counted_init(self, prog, z, U):
+        frames.append(np.asarray(z, dtype=complex).tobytes()
+                      + np.asarray(U, dtype=complex).tobytes())
+        init(self, prog, z, U)
+
+    def counted_table(fd):
+        tables.append(fd.z.tobytes() + fd.U.tobytes())
+        return table(fd)
+
+    monkeypatch.setattr(connection.FrameData, "__init__", counted_init)
+    for module in (parallelism, equivalence):
+        monkeypatch.setattr(module, "_bracket_table", counted_table)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(frames) == len(set(frames)) == points
+    assert len(tables) == len(set(tables)) == points
 
 
 def test_geodesic_step_count_is_bounded_before_any_work(capsys, monkeypatch):

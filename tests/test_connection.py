@@ -179,8 +179,8 @@ def test_flat_lift_has_no_vertical_part(progs):
 
 
 def test_program_freed_without_cycle_collector(entries):
-    # frame data cached on a program must not point back at it, or every
-    # program and its caches would wait for the cyclic garbage collector
+    # frame data points at its program, which holds no cache, so no cycle
+    # keeps a program and its points' values waiting for the cyclic collector
     prog = entries["poincare_ball_2"].program()
     ref = weakref.ref(prog)
     gc.disable()
@@ -192,20 +192,6 @@ def test_program_freed_without_cycle_collector(entries):
         assert ref() is None
     finally:
         gc.enable()
-
-
-def test_program_cache_is_bounded(entries):
-    # jets and frame data share one per-program cache that is cleared whole
-    # when over 4096 entries; a frame-data insert right after its jet's insert
-    # must not take it past 4097
-    prog = entries["poincare_disc"].program()
-    U = np.eye(1, dtype=complex)
-    sizes = []
-    for k in range(2100):
-        frame_data(prog, [1e-4 * k], U)
-        sizes.append(len(prog._cache))
-    assert 4096 <= max(sizes) <= 4097
-    assert sizes[-1] < 4096  # cleared on the way
 
 
 @pytest.mark.parametrize("mid", ["l4_finsler", "poincare_ball_3", "hermitian_nonconstant",
@@ -223,7 +209,7 @@ def test_frame_derivatives_match_central_differences(progs, entries, warped, mid
     rng = np.random.default_rng(6)
     dz = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
     dU = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
-    exact = frame_derivatives(prog, frame_data(prog, p.z, p.U), dz, dU)
+    exact = frame_derivatives(frame_data(prog, p.z, p.U), dz, dU)
     h = 1e-5
 
     def parts(k, t):
@@ -256,13 +242,12 @@ def test_frame_second_derivatives_match_central_differences(progs, entries, warp
 
     t1, t2 = stack(3), stack(2)
     fd = frame_data(prog, p.z, p.U)
-    exact = frame_second_derivatives(prog, fd, t1, t2, frame_derivatives(prog, fd, *t1),
-                                     frame_derivatives(prog, fd, *t2))
+    exact = frame_second_derivatives(fd, t1, t2, frame_derivatives(fd, *t1),
+                                     frame_derivatives(fd, *t2))
     h = 1e-5
 
     def first(l, t):
-        return frame_derivatives(prog, FrameData(prog, p.z + t * t2[0][l], p.U + t * t2[1][l]),
-                                 *t1)
+        return frame_derivatives(FrameData(prog, p.z + t * t2[0][l], p.U + t * t2[1][l]), *t1)
 
     for l in range(2):
         for got, plus, minus in zip(exact, first(l, h), first(l, -h)):

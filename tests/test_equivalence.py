@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from finslerlab import equivalence
+from finslerlab.cli import main
 from finslerlab.connection import FrameData
 from finslerlab.equivalence import (
+    Tiers,
     _tier,
     compare,
     regularity,
@@ -72,6 +75,18 @@ def test_ball_regularity_rank_zero(progs):
     assert rep.ranks[0] == 0
 
 
+def test_command_c_ranks_stabilize_at_the_isometry_dimension(progs):
+    # compare command C of the ROADMAP: hermitian_nonconstant's isometry
+    # group is 4-dimensional (z2 translations, z2 rotation, z1 rotation), so
+    # the ranks at its --at-a frame stop at 4; noisy nested differences once
+    # read [3, 4, 8] here, unstabilized
+    prog = progs["hermitian_nonconstant"]
+    p = adapted_frame(prog, [0.1, 0.2], [1.0, 0.5])
+    rep = regularity(prog, p, alpha_max=2)
+    assert rep.ranks == [3, 4, 4]
+    assert rep.stabilized and rep.order == 1 and rep.rank == 4
+
+
 def test_nonhomogeneous_metric_has_positive_rank(progs):
     # two-point oracle: the top curvature value varies with the base point
     prog = progs["hermitian_nonconstant"]
@@ -135,13 +150,29 @@ def test_same_metric_same_point_matches(progs):
     assert rep["verdict"] == "match"
 
 
-def test_base_point_tiers_are_shared_and_read_only(progs):
-    # signature and regularity share the tiers at a point through the program
-    # memo, so editing a signature's tier in place must fail, not leak
+def test_base_point_tiers_are_shared_and_read_only(progs, monkeypatch, capsys):
+    # a compare report reads frame A's tiers for the signature and for the
+    # regularity ranks alike, so tier 1 at A is computed once; a shared tier
+    # is read-only, so editing a signature's tier in place must fail, not leak
     prog = progs["poincare_ball_2"]
-    p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.3])
-    s = signature(prog, p, order=1)
-    assert s.tiers[1] is signature(prog, p, order=1).tiers[1]
+    pA = adapted_frame(prog, [0.1 + 0.2j, 0.3j], [1.0, 0.5])
+    at_a = []
+    derivative = equivalence.structure_derivative
+
+    def counted(fd, table, tangents):
+        at_a.append(np.array_equal(fd.z, pA.z) and np.array_equal(fd.U, pA.U))
+        return derivative(fd, table, tangents)
+
+    monkeypatch.setattr(equivalence, "structure_derivative", counted)
+    assert main(["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
+                 "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
+                 "--order", "1"]) == 0
+    capsys.readouterr()
+    assert len(at_a) == 18  # A and B, then regularity's tier 2: 16 displaced frames
+    assert at_a.count(True) == 1
+    tiers = Tiers(prog, pA)
+    s = signature(prog, pA, order=1, tiers=tiers)
+    assert s.tiers[1] is tiers[1]
     with pytest.raises(ValueError):
         s.tiers[0][0] = 1.0
     with pytest.raises(ValueError):

@@ -165,8 +165,8 @@ def test_closed_form_Q_and_P(progs, twisted):
                 continue
             p = adapted_frame(prog, z, v)
             sf = extract_structure(prog, p)
-            assert np.max(np.abs(sf.Q - closed_form_Q(prog, p))) < 1e-5
-            ph, pH = closed_form_P(prog, p)
+            assert np.max(np.abs(sf.Q - closed_form_Q(sf.frame))) < 1e-5
+            ph, pH = closed_form_P(sf.frame)
             assert np.max(np.abs(sf.P_h - ph)) < 1e-5
             assert np.max(np.abs(sf.P_H - pH)) < 1e-5
 
@@ -201,12 +201,13 @@ def test_structure_equations_oblique_forms(warped, twisted3):
         assert max(r[k] for k in SE_KEYS) <= 1e-12
         # pi and phi are the largest coefficients of Pi and Phi: those of
         # the P families and of Q
-        ph, pH = closed_form_P(prog, p)
+        fd = frame_data(prog, p.z, p.U)
+        ph, pH = closed_form_P(fd)
         norms = r["finsler_norms"]
         assert norms["pi"] > 1e-2
         assert norms["pi"] == pytest.approx(max(np.max(np.abs(ph)), np.max(np.abs(pH))),
                                             rel=1e-12)
-        assert norms["phi"] == pytest.approx(np.max(np.abs(closed_form_Q(prog, p))), rel=1e-12)
+        assert norms["phi"] == pytest.approx(np.max(np.abs(closed_form_Q(fd))), rel=1e-12)
 
 
 def test_bianchi_identities(progs, twisted):
@@ -286,7 +287,7 @@ def _complex_solve_structure(prog, p):
     decomposition of the complexified brackets on the complexified basis,
     read off as extract_structure reads its coefficients."""
     n, m = prog.dim, prog.dim - 1
-    vals, br = _bracket_table(prog, p)
+    vals, br = _bracket_table(frame_data(prog, p.z, p.U))
     K = _complex_combination_matrix(n)
     N = len(K)
     brc = _carry(K, complexify(*unpack_real(br, n)))
@@ -328,8 +329,8 @@ def test_decomposition_matches_a_complex_solve(progs, entries, twisted, warped, 
 
 
 def test_extract_structure_makes_one_real_solve(twisted, monkeypatch):
+    # the frame data and the bracket table make no least-squares solve
     p = adapted_frame(twisted, [0.4 + 0.1j, -0.2 + 0.3j], [1.0, 0.7 + 0.2j])
-    _bracket_table(twisted, p)  # memoized with the frame data: only the decomposition is left
     matrices = []
     lstsq = np.linalg.lstsq
 
@@ -389,7 +390,7 @@ def test_bracket_residual_guard(progs):
     # the decomposition residual doubles as a tangency audit
     prog = progs["poincare_ball_2"]
     p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.3])
-    vals, br = _bracket_table(prog, p)
+    vals, br = _bracket_table(frame_data(prog, p.z, p.U))
     assert np.isfinite(br).all()
     sf = extract_structure(prog, p)
     assert sf.residual < 1e-5
@@ -430,7 +431,7 @@ def test_brackets_match_finite_difference_oracle(progs, entries, warped, mid):
     else:
         prog = progs[mid]
         p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=3)[0])
-    _, br = _bracket_table(prog, p)
+    _, br = _bracket_table(frame_data(prog, p.z, p.U))
     scale = np.max(np.abs(br))
     oracle = fd_bracket_table(prog, p, 1e-4, fourth_order=True)
     exact_err = np.max(np.abs(br - oracle)) / scale
@@ -440,7 +441,7 @@ def test_brackets_match_finite_difference_oracle(progs, entries, warped, mid):
 
 
 def test_structure_builds_frame_data_and_jets_only_at_the_point(entries, monkeypatch):
-    prog = entries["poincare_ball_3"].program()  # a fresh program: nothing cached
+    prog = entries["poincare_ball_3"].program()
     p = adapted_frame(prog, [0.1, 0.2j, -0.1], [1.0, 0.4, 0.2j])
     frames, jets = [], []
     init, jet = FrameData.__init__, MetricProgram.jet_unchecked
@@ -455,8 +456,8 @@ def test_structure_builds_frame_data_and_jets_only_at_the_point(entries, monkeyp
 
     monkeypatch.setattr(FrameData, "__init__", counted_init)
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
-    extract_structure(prog, p)
-    structure_equation_residuals(prog, p)
+    sf = extract_structure(prog, p)
+    structure_equation_residuals(prog, p, sf)  # reads the frame data sf carries
     assert len(frames) == 1
     assert np.array_equal(frames[0][0], p.z) and np.array_equal(frames[0][1], p.U)
     assert {j[2:] for j in jets} == {(4, 1), (2, 2)}
@@ -465,7 +466,7 @@ def test_structure_builds_frame_data_and_jets_only_at_the_point(entries, monkeyp
 
 
 def test_bracket_table_builds_the_generator_stack_once(entries, monkeypatch):
-    prog = entries["l4_finsler"].program()  # a fresh program: no table cached
+    prog = entries["l4_finsler"].program()
     p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.8 + 0.3j])
     calls = []
     generators = parallelism._generators
@@ -475,7 +476,7 @@ def test_bracket_table_builds_the_generator_stack_once(entries, monkeypatch):
         return generators(fd)
 
     monkeypatch.setattr(parallelism, "_generators", counted)
-    _bracket_table(prog, p)
+    _bracket_table(frame_data(prog, p.z, p.U))
     assert len(calls) == 1
 
 
