@@ -329,7 +329,7 @@ def cmd_structure(args) -> int:
         res = structure_equation_residuals(prog, p, sf)
         bia = bianchi_residuals(prog, p, sf)
         qgap = float(np.max(np.abs(sf.Q - closed_form_Q(sf.frame)))) if prog.dim > 1 else 0.0
-        ph, pH = closed_form_P(sf.frame)
+        ph, pH = closed_form_P(sf.table)
         pgap = max(float(np.max(np.abs(sf.P_h - ph), initial=0.0)),
                    float(np.max(np.abs(sf.P_H - pH), initial=0.0)))
         out.append({

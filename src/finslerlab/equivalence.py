@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import frame_data
-from .frame_bundle import NESTED_STEP, BundlePoint, along, group_act, haar_unitary, unpack_real
+from .frame_bundle import NESTED_STEP, BundlePoint, along, group_act, haar_unitary
 from .metric_dsl import FinslerError, MetricProgram
 from .parallelism import _bracket_table, bracket_coefficients, labels_real, structure_derivative
 
@@ -68,13 +68,13 @@ class Tiers:
     def _compute(self, k: int) -> np.ndarray:
         fd, table = self.fd, self.table
         if k == 0:
-            coeff = bracket_coefficients(*table)
+            coeff = bracket_coefficients(table)
             return coeff[np.triu_indices(len(coeff), 1)].ravel()
-        fields = table[0].T  # packed, one per row
         if k == 1:
-            dc = structure_derivative(fd, table, unpack_real(fields, fd.n))
+            dc = structure_derivative(fd, table)
             a, b = np.triu_indices(dc.shape[1], 1)  # the pairs of structure_coefficients
             return dc[:, a, b].ravel()
+        fields = table.vals.T  # packed, one per row
         return np.concatenate([along(lambda z, U: _tier(fd.prog, z, U, k - 1), fd.z, fd.U, xm,
                                      NESTED_STEP * (1.0 + np.linalg.norm(xm)))
                                for xm in fields])

@@ -19,7 +19,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .jets import V, VBAR, Z, ZBAR
+from .jets import V, VBAR, Z, ZBAR, Jet
 from .metric_dsl import EvaluationError, FinslerError, MetricProgram
 
 HOMOGENEITY_SEED = 0  # seed of the six random directions of homogeneity_identities
@@ -344,6 +344,8 @@ class LeviReport:
     eigenvalues: np.ndarray  # real, length n-1
     verdict: str  # strongly-pseudoconvex | non-degenerate | degenerate
     basis: np.ndarray  # columns span the maximal complex tangent distribution
+    e0: np.ndarray  # the unit fiber point v / F(v) the form is taken at
+    jet: Jet  # the jet(2, 0) of F^2 there, which the adapted frame reads
 
 
 def levi_check(prog: MetricProgram, z, v) -> LeviReport:
@@ -363,7 +365,7 @@ def levi_check(prog: MetricProgram, z, v) -> LeviReport:
     n = prog.dim
     if n == 1:
         return LeviReport(eigenvalues=np.zeros(0), verdict="strongly-pseudoconvex",
-                          basis=np.zeros((1, 0), dtype=complex))
+                          basis=np.zeros((1, 0), dtype=complex), e0=vhat, jet=jet)
     # kernel of X -> sum X^i grad_i via SVD of the row vector
     _, _, vh = np.linalg.svd(grad[None, :])
     basis = np.conj(vh[1:]).T  # columns, orthonormal, grad . col = 0
@@ -376,7 +378,7 @@ def levi_check(prog: MetricProgram, z, v) -> LeviReport:
         verdict = "non-degenerate"
     else:
         verdict = "degenerate"
-    return LeviReport(eigenvalues=eig, verdict=verdict, basis=basis)
+    return LeviReport(eigenvalues=eig, verdict=verdict, basis=basis, e0=vhat, jet=jet)
 
 
 def hermitian_test(prog: MetricProgram, points):

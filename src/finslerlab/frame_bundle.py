@@ -210,7 +210,8 @@ def adapted_frame(prog: MetricProgram, z, v) -> BundlePoint:
 
     Remaining columns come from projecting the canonical basis against the
     mixed-Hessian pairing with Gram-Schmidt in index order; each pivot is
-    phase-normalized so its largest component is positive real.
+    phase-normalized so its largest component is positive real.  e_0 and
+    the pairing are the ones the Levi check evaluated.
     """
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -219,9 +220,8 @@ def adapted_frame(prog: MetricProgram, z, v) -> BundlePoint:
     if report.verdict != "strongly-pseudoconvex":
         raise DegenerateMetricError(
             f"Levi form is {report.verdict} at the requested point")
-    e0 = v / prog.norm(z, v)
-    jet = prog.jet_unchecked(z, e0, 2, 0)
-    G = jet.fiber_tensor(1, 1)
+    e0 = report.e0
+    G = report.jet.fiber_tensor(1, 1)
     for attempt in range(2):
         seeds = [np.eye(n, dtype=complex)[:, k] for k in range(n)]
         if attempt == 1:

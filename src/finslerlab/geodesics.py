@@ -31,7 +31,6 @@ from .parallelism import (
     HSC_NORMALIZATION,
     _Coframe,
     _complex_lift_derivative,
-    _lift_torsion_derivative,
     _vertical_generators,
     extract_structure,
 )
@@ -305,7 +304,7 @@ def e_manifold_closed_forms(prog: MetricProgram, p: BundlePoint, c: float) -> di
     h = sf.h_vert        # (m, m) pure form block, indices 1..n-1 shifted
     fd = sf.frame
     C20 = fd.C(2, 0)
-    d20b = _complex_lift_derivative(fd, (2, 0))[1]  # conj-lift derivatives of h_pure
+    d20b = _complex_lift_derivative(sf.table, (2, 0))[1]  # conj-lift derivatives of h_pure
 
     res = {}
     res["R0000"] = abs(R[0, 0, 0, 0] - craw)
@@ -354,7 +353,7 @@ def e_manifold_closed_forms(prog: MetricProgram, p: BundlePoint, c: float) -> di
         res["torsion_forms"] = tres
 
     # local identity tying curvature, the pure form and the torsion trace
-    dT_a = _lift_torsion_derivative(fd)[1]
+    dT_a = _complex_lift_derivative(sf.table, "T")[1]
     ident = 0.0
     for lam in range(1, n):
         lhs = sum(craw * abs(h[lam - 1, rho - 1]) ** 2

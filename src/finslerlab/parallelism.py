@@ -16,13 +16,17 @@ the complete local isometry invariants; ``bracket_coefficients`` solves for
 them once, in the real fields.  The complexified basis is a second basis of
 the same parallelism, the constant combinations K of the real fields
 (``_complex_combination_matrix``), so its fields, its brackets and their
-components all come from the real side through K.  The closed forms of the
-P families differentiate the (2, 0), (1, 2) and (2, 1) frame forms along
-the lifts with finsler_forms.form_derivative, the derivative the
-connection's tangency conditions take of the (1, 1) form.  The structure
-equations take no derivative at all: the coframe (theta, varpi) is dual to
-the parallelism, so its values on the basis fields are constants and its
-exterior derivative on a pair of them is minus its value on their bracket.
+components all come from the real side through K.  The bracket table,
+``FieldTable``, keeps the derivatives of (E, C(2, 0), C(2, 1)) along every
+field, and everything that differentiates along the fields reads them
+there: the exact first derivatives of the structure functions, and the
+derivatives along the lifts (rows 0..2n-1) of the torsion and of the
+(2, 0), (2, 1) and (1, 2) frame forms that the closed forms of the P
+families, the curvature equations and the Bianchi identities take.  The
+structure equations take no derivative at all: the coframe (theta, varpi)
+is dual to the parallelism, so its values on the basis fields are constants
+and its exterior derivative on a pair of them is minus its value on their
+bracket.
 
 Convention anchor: curvature components are extracted raw from brackets and
 additionally reported in the holomorphic-sectional-curvature normalization
@@ -39,7 +43,6 @@ from functools import cache
 import numpy as np
 
 from .connection import FrameData, frame_data, frame_derivatives, frame_second_derivatives
-from .finsler_forms import form_derivative
 from .frame_bundle import (
     NESTED_STEP,
     AmbientTangent,
@@ -279,22 +282,38 @@ def parallelism_at(prog: MetricProgram, p: BundlePoint) -> ParallelismBasis:
                             max_tangency=float(worst))
 
 
-def _bracket_table(fd: FrameData) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class FieldTable:
+    """The real parallelism fields at one point and their exact derivatives
+    along each other, as _bracket_table builds them."""
+
+    G: np.ndarray      # (N, n, n) the generator stack
+    dz: np.ndarray     # (N, n) field b is the ambient tangent (dz[b], X[b])
+    X: np.ndarray      # (N, n, n)
+    first: tuple       # (dE, dC20, dC21) along each field, leading axis N
+    dG: np.ndarray     # (N, N, n, n) dG[a] is the derivative of G along field a
+    D: np.ndarray      # (N, N, P) D[a, b] = D_a X_b, packed as vals
+    vals: np.ndarray   # (P, N) vals[:, m] is field m, packed real
+    br: np.ndarray     # (N, N, P) br[a, b] = D_a X_b - D_b X_a
+
+
+def _bracket_table(fd: FrameData) -> FieldTable:
     """All pairwise brackets of the real parallelism fields at the point of fd.
 
-    Returns (values, brackets): values[:, m] is field m at p, and
-    brackets[a, b] = D_a X_b - D_b X_a in packed-real coordinates, where
     D_a X_b is the exact derivative of field X_b along X_a.  A field is
     (U w, U G) with w constant and G from (E, C20, C21), so along X_a =
     (dz_a, dU_a) it moves by (dU_a w, dU_a G + U dG), with dG the stack
     _fill_generators builds from the derivatives of (E, C20, C21).  A
-    report builds it once per point and hands it on with the frame data.
+    report builds it once per point and hands it on with the frame data;
+    every derivative along the fields there is read from it.
     """
     G = _generators(fd)
     dz, X = _field_stack(fd, G)  # X[b] is the dU of field b
-    dG = _generator_derivatives(frame_derivatives(fd, dz, X))
-    D = _field_derivatives(fd, G, X, dG)  # D[a, b] = D_a X_b
-    return _packed(dz, X), D - D.transpose(1, 0, 2)
+    first = frame_derivatives(fd, dz, X)
+    dG = _generator_derivatives(first)
+    D = _field_derivatives(fd, G, X, dG)
+    return FieldTable(G=G, dz=dz, X=X, first=first, dG=dG, D=D, vals=_packed(dz, X),
+                      br=D - D.transpose(1, 0, 2))
 
 
 def _generator_derivatives(derivs) -> np.ndarray:
@@ -320,20 +339,18 @@ def _field_derivatives(fd: FrameData, G: np.ndarray, dU: np.ndarray, dG: np.ndar
     return np.concatenate([Ddz.real, Ddz.imag, DU.real, DU.imag], axis=-1)
 
 
-def bracket_coefficients(vals: np.ndarray, br: np.ndarray) -> np.ndarray:
+def bracket_coefficients(table: FieldTable) -> np.ndarray:
     """c[a, b, i]: the component of the bracket of real fields a and b on
     real field i, by least squares on the real fields, from the bracket
-    table (vals, br) at a point."""
-    N = vals.shape[1]
-    sol, *_ = np.linalg.lstsq(vals, br.reshape(N * N, -1).T, rcond=None)
+    table at a point."""
+    N = table.vals.shape[1]
+    sol, *_ = np.linalg.lstsq(table.vals, table.br.reshape(N * N, -1).T, rcond=None)
     return sol.T.reshape(N, N, N)
 
 
-def structure_derivative(fd: FrameData, table, tangents) -> np.ndarray:
+def structure_derivative(fd: FrameData, table: FieldTable) -> np.ndarray:
     """dc[k, a, b, i]: the exact derivative of bracket_coefficients at the
-    point of fd, whose bracket table is table, along each of K real ambient
-    tangents Y_k, stacked as tangents = (dz, dU) of shapes (K, n) and
-    (K, n, n).
+    point of fd, whose bracket table is table, along each real field Y_k.
 
     With B the matrix of the real fields as columns, B c = br is consistent
     at p and B has full column rank, so the derivative of the least-squares
@@ -343,35 +360,30 @@ def structure_derivative(fd: FrameData, table, tangents) -> np.ndarray:
     D_Y (J_b(X_a)) = D^2 X_b[Y, X_a] + J_b(J_a(Y)).  The second derivative
     of X_b = (U w_b, U G_b) along (Y, V) is (0, dU_V dG_b(Y) + dU_Y dG_b(V)
     + U d^2 G_b(Y, V)), with d^2 G from connection.frame_second_derivatives.
+    Along the fields, J_b(Y_k) and the derivatives of G are the table's;
+    only the derivatives along the tangents J_a(Y_k) are new first ones.
     At a point displaced off the bundle by t, where the signature's higher
     tiers evaluate this, B c = br leaves a residual of O(t^2), and the term
     of d(B^+) that the formula drops is of the same order.
     """
     n = fd.n
-    G = _generators(fd)
-    dz, X = _field_stack(fd, G)
-    ydz, ydU = (np.asarray(a, dtype=complex) for a in tangents)
-    N, K = len(dz), len(ydz)
-    # along the tangents and along the fields, in one stacked call
-    first = frame_derivatives(fd, np.concatenate([ydz, dz]), np.concatenate([ydU, X]))
-    first_y, first_x = zip(*((d[:K], d[K:]) for d in first))
-    dG_y = _generator_derivatives(first_y)  # (K, N, n, n)
-    dG_x = _generator_derivatives(first_x)  # (N, N, n, n)
-    JY = _field_derivatives(fd, G, ydU, dG_y)  # JY[k, b] = J_b(Y_k)
+    G, dz, X, dG, JY = table.G, table.dz, table.X, table.dG, table.D
+    N = len(dz)
+    fields = (dz, X)
     d2G = _generator_derivatives(
-        frame_second_derivatives(fd, (ydz, ydU), (dz, X), first_y, first_x))
-    # D[k, a, b] = D^2 X_b[Y_k, X_a] + J_b(J_a(Y_k))
-    DU = (np.matmul(X[None, :, None], dG_y[:, None]) + np.matmul(ydU[:, None, None], dG_x)
-          + np.matmul(fd.U, d2G)).reshape(K, N, N, -1)
-    zero = np.zeros((K, N, N, 2 * n))
-    jdz, jdU = unpack_real(JY.reshape(K * N, -1), n)
-    D = (np.concatenate([zero, DU.real, DU.imag], axis=-1)
-         + _field_derivatives(fd, G, jdU, _generator_derivatives(
-             frame_derivatives(fd, jdz, jdU))).reshape(K, N, N, -1))
-    c = bracket_coefficients(*table).reshape(N * N, N)
-    rhs = (D - D.transpose(0, 2, 1, 3)).reshape(K, N * N, -1) - np.matmul(c, JY)
-    dc, *_ = np.linalg.lstsq(table[0], rhs.reshape(K * N * N, -1).T, rcond=None)
-    return dc.T.reshape(K, N, N, N)
+        frame_second_derivatives(fd, fields, fields, table.first, table.first))
+    # D2[k, a, b] = D^2 X_b[Y_k, X_a] + J_b(J_a(Y_k))
+    DU = (np.matmul(X[None, :, None], dG[:, None]) + np.matmul(X[:, None, None], dG)
+          + np.matmul(fd.U, d2G)).reshape(N, N, N, -1)
+    zero = np.zeros((N, N, N, 2 * n))
+    jdz, jdU = unpack_real(JY.reshape(N * N, -1), n)
+    D2 = (np.concatenate([zero, DU.real, DU.imag], axis=-1)
+          + _field_derivatives(fd, G, jdU, _generator_derivatives(
+              frame_derivatives(fd, jdz, jdU))).reshape(N, N, N, -1))
+    c = bracket_coefficients(table).reshape(N * N, N)
+    rhs = (D2 - D2.transpose(0, 2, 1, 3)).reshape(N, N * N, -1) - np.matmul(c, JY)
+    dc, *_ = np.linalg.lstsq(table.vals, rhs.reshape(N * N * N, -1).T, rcond=None)
+    return dc.T.reshape(N, N, N, N)
 
 
 def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
@@ -379,7 +391,7 @@ def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
     """Numerical Lie bracket of two parallelism fields at p."""
     labs = labels_real(prog.dim)
     fd = frame_data(prog, p.z, p.U)
-    br = _bracket_table(fd)[1]
+    br = _bracket_table(fd).br
     a, b = labs.index(tuple(label_x)), labs.index(tuple(label_y))
     dz, dU = unpack_real(br[a, b], prog.dim)
     t = AmbientTangent(dz, dU)
@@ -401,7 +413,7 @@ class StructureFunctions:
     ``R`` is in the holomorphic-sectional-curvature normalization
     (unit disc -> -4); ``R_raw`` is the bracket-native coefficient.
     ``frame`` and ``table`` are the frame data and the bracket table at the
-    point, which the residuals there read as well.
+    point, which the residuals and closed forms there read as well.
     """
 
     point: BundlePoint
@@ -414,7 +426,7 @@ class StructureFunctions:
     H_vert: np.ndarray     # (m, m, m) cubic form H_{lam mu nubar}
     residual: float        # worst bracket-decomposition residual
     frame: FrameData = field(repr=False)
-    table: tuple = field(repr=False)
+    table: FieldTable = field(repr=False)
     checks: dict = field(default_factory=dict)
     u_embedding: np.ndarray | None = None
 
@@ -447,15 +459,15 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     n = prog.dim
     m = n - 1
     fd = frame_data(prog, p.z, p.U)
-    vals, br = table = _bracket_table(fd)
+    table = _bracket_table(fd)
     K = _complex_combination_matrix(n)
     N = len(K)
-    basis = _complex_basis(vals, n)
-    brc = _carry(K, complexify(*unpack_real(br, n)))
+    basis = _complex_basis(table.vals, n)
+    brc = _carry(K, complexify(*unpack_real(table.br, n)))
 
     # coeff[x, y, j]: bracket (x, y) of the complexified basis on its field
     # j, sum_abi K[x, a] K[y, b] c[a, b, i] K^-1[i, j] of the real components c
-    coeff = _carry(K, bracket_coefficients(vals, br) @ _complex_combination_inverse(n))
+    coeff = _carry(K, bracket_coefficients(table) @ _complex_combination_inverse(n))
     resid = brc - np.einsum("abi,id->abd", coeff, basis)
     scale = np.maximum(1.0, np.linalg.norm(brc, axis=2))
     worst = float(np.max(np.linalg.norm(resid, axis=2) / scale))
@@ -530,20 +542,8 @@ def closed_form_Q(fd: FrameData) -> np.ndarray:
     the vertical curvature has the closed form
     HH_{mubar rhobar sig lam} - sum_nu H_{nu mubar rhobar} H_{sig lam nubar}
     (the nu = 0 term reproduces the quadratic-form product)."""
-    n = fd.n
-    C22 = fd.C(2, 2)
-    C21 = fd.C(2, 1)
-    C12 = fd.C(1, 2)
-    m = n - 1
-    Q = np.zeros((m, m, m, m), dtype=complex)
-    for rho in range(1, n):
-        for sig in range(1, n):
-            for lam in range(1, n):
-                for mu in range(1, n):
-                    val = C22[sig, lam, mu, rho]
-                    val -= sum(C12[nu, mu, rho] * C21[sig, lam, nu] for nu in range(n))
-                    Q[rho - 1, sig - 1, lam - 1, mu - 1] = val
-    return Q
+    Q = fd.C(2, 2).transpose(3, 0, 1, 2) - np.einsum("umr,slu->rslm", fd.C(1, 2), fd.C(2, 1))
+    return Q[1:, 1:, 1:, 1:]
 
 
 def _complex_pairs(d: np.ndarray):
@@ -554,18 +554,26 @@ def _complex_pairs(d: np.ndarray):
     return 0.5 * (d0 - 1j * d1), 0.5 * (d0 + 1j * d1)
 
 
-def _complex_lift_derivative(fd: FrameData, pq: tuple[int, int]):
-    """Derivatives of the (p, q) frame form at the point of fd along the
-    holomorphic lifts e_g-hat and their conjugates, as _complex_pairs
-    returns them: one form_derivative over the 2n lift rows of _field_stack."""
-    dz, dU = _field_stack(fd)
-    lifts = slice(0, 2 * fd.n)
-    return _complex_pairs(form_derivative(fd.jet, fd.U, pq, dz[lifts], dU[lifts]))
+def _complex_lift_derivative(table: FieldTable, form):
+    """Derivatives along the holomorphic lifts e_g-hat and their conjugates,
+    as _complex_pairs returns them, of the (p, q) frame form for form =
+    (2, 0), (2, 1) or (1, 2), and of the torsion T = E - E^T for form = "T":
+    read off the lift rows 0..2n-1 of the table's derivatives along the
+    fields."""
+    n = table.dz.shape[1]
+    dE, d20, d21 = (d[:2 * n] for d in table.first)
+    if form == "T":
+        return _complex_pairs(dE - np.swapaxes(dE, -1, -2))
+    if form == (1, 2):
+        # F^2 is real, so C(1, 2)[a, b, c] = conj C(2, 1)[b, c, a], and so are
+        # their derivatives along real fields
+        return _complex_pairs(np.conj(d21).transpose(0, 3, 1, 2))
+    return _complex_pairs({(2, 0): d20, (2, 1): d21}[form])
 
 
-def closed_form_P(fd: FrameData):
+def closed_form_P(table: FieldTable):
     """The two derivative families of the structure functions at the point
-    of fd:
+    of the bracket table:
 
         P_h[nu, rho, g]      = -lift_g(conj h_pure)[nu, rho]
         P_H[nu, sig, rho, g] = -lift_g(H_(1,2))[sig, nu, rho]
@@ -575,8 +583,8 @@ def closed_form_P(fd: FrameData):
     assert agreement on a non-Hermitian metric with base dependence.
     """
     # lift_g(conj f) = conj(conj-lift_g(f))
-    d20c = np.conj(_complex_lift_derivative(fd, (2, 0))[1])[:, 1:, 1:]
-    d12 = _complex_lift_derivative(fd, (1, 2))[0][:, 1:, 1:, 1:]
+    d20c = np.conj(_complex_lift_derivative(table, (2, 0))[1])[:, 1:, 1:]
+    d12 = _complex_lift_derivative(table, (1, 2))[0][:, 1:, 1:, 1:]
     return -d20c.transpose(1, 2, 0), -d12.transpose(2, 1, 3, 0)
 
 
@@ -647,11 +655,11 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint,
         sf = extract_structure(prog, p)
     fd = sf.frame
     cf = _Coframe(fd)
-    vals, br = sf.table
-    basis = _complex_basis(vals, n)
+    table = sf.table
+    basis = _complex_basis(table.vals, n)
     TH, THb = (np.moveaxis(t, 0, -1) for t in cf.theta(basis))  # (n, N)
     W = np.moveaxis(cf.varpi(basis), 0, -1)  # (n, n, N)
-    brc = _carry(_complex_combination_matrix(n), complexify(*unpack_real(br, n)))
+    brc = _carry(_complex_combination_matrix(n), complexify(*unpack_real(table.br, n)))
 
     # d eta (X_x, X_y) = X(eta(Y)) - Y(eta(X)) - eta([X, Y]); the coframe is
     # dual to the parallelism, so the pairings eta(X) are constants and only
@@ -670,7 +678,7 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint,
     # curvature equations, matrix form
     Omega = np.einsum("abgd,gi,dj->abij", sf.R_raw, TH, THb) \
         - np.einsum("abgd,gj,di->abij", sf.R_raw, TH, THb)
-    Pi, Phi, pi_norm, phi_norm = _pi_phi_forms(fd, TH, THb, W)
+    Pi, Phi, pi_norm, phi_norm = _pi_phi_forms(fd, sf.table, TH, THb, W)
     lhsW = dW + _wedge_matrix_matrix(W)
     resW = lhsW - Omega - Pi - Phi
     eq534 = float(np.max(np.abs(resW[0, 0])))
@@ -712,8 +720,9 @@ def _wedge_matrix_matrix(W):
     return (np.einsum("aci,cbj->abij", W, W) - np.einsum("acj,cbi->abij", W, W))
 
 
-def _pi_phi_forms(fd, TH, THb, W):
-    """Oblique and vertical Finsler curvature 2-forms on basis pairs."""
+def _pi_phi_forms(fd, table, TH, THb, W):
+    """Oblique and vertical Finsler curvature 2-forms on basis pairs, at the
+    point of fd whose bracket table is table."""
     n = fd.n
     N = TH.shape[1]
     Pi = np.zeros((n, n, N, N), dtype=complex)
@@ -723,9 +732,9 @@ def _pi_phi_forms(fd, TH, THb, W):
     b = slice(1, n)
     # conj-lift_g(h)[lam, rho], lift_g(H_(1,2))[mu, lam, rho] and
     # conj-lift_g(H_(2,1))[mu, rho, lam], lam, mu, rho >= 1
-    d20b = _complex_lift_derivative(fd, (2, 0))[1][:, b, b]
-    d12 = _complex_lift_derivative(fd, (1, 2))[0][:, b, b, b]
-    d21b = _complex_lift_derivative(fd, (2, 1))[1][:, b, b, b]
+    d20b = _complex_lift_derivative(table, (2, 0))[1][:, b, b]
+    d12 = _complex_lift_derivative(table, (1, 2))[0][:, b, b, b]
+    d21b = _complex_lift_derivative(table, (2, 1))[1][:, b, b, b]
     # varpi[0, rho] ^ theta^g and varpi[rho, 0] ^ thetabar^g
     w0r = _wedge(W[0, b], TH)
     wr0 = _wedge(W[b, 0], THb)
@@ -753,31 +762,18 @@ def _vertical_subspace_residual(fd, basis, cf) -> float:
 # Bianchi identities
 # --------------------------------------------------------------------------
 
-def _lift_derivative_of(fd: FrameData, func):
+def _lift_derivative_of(fd: FrameData, table: FieldTable, func):
     """Derivatives of a matrix-valued point function along the 2n horizontal
-    lifts at the point of fd; returns (holomorphic, antiholomorphic) arrays
-    with leading index g."""
-    n = fd.n
-    dz, dU = _field_stack(fd)
+    lifts at the point of fd, the lift rows of its bracket table; returns
+    (holomorphic, antiholomorphic) arrays with leading index g."""
     d_real = []
-    for i in range(2 * n):
-        t = AmbientTangent(dz[i], dU[i])
+    for i in range(2 * fd.n):
+        t = AmbientTangent(table.dz[i], table.X[i])
         # t.norm(), not the norm of pack_real(t): the two differ in the last bit
         # at some points, and the step sets every bit of the reports
         h = NESTED_STEP * (1.0 + t.norm())
         d_real.append(along(func, fd.z, fd.U, pack_real(t), h))
     return _complex_pairs(np.array(d_real))
-
-
-def _lift_torsion_derivative(fd: FrameData):
-    """Exact derivatives of the torsion T = E - E^T at the point of fd along
-    the 2n horizontal lifts, from those of E; returns (holomorphic,
-    antiholomorphic) arrays with leading index g, as _lift_derivative_of
-    does."""
-    dz, dU = _field_stack(fd)
-    lifts = slice(0, 2 * fd.n)
-    dE = frame_derivatives(fd, dz[lifts], dU[lifts])[0]
-    return _complex_pairs(dE - np.swapaxes(dE, -1, -2))
 
 
 def bianchi_residuals(prog: MetricProgram, p: BundlePoint,
@@ -789,54 +785,34 @@ def bianchi_residuals(prog: MetricProgram, p: BundlePoint,
     extracted from exact brackets, so the noise of b543 and b544 comes from
     that outer difference alone; the bound the checks apply stays 1e-3
     times the curvature scale.  sf is extract_structure at p, extracted
-    here when not given."""
-    n = prog.dim
+    here when not given.  Each identity is one array over its free indices;
+    a sum over a cyclic or antisymmetric set of them is a sum of
+    transposes."""
     if sf is None:
         sf = extract_structure(prog, p)
     T, R = sf.T, sf.R_raw
-    fd = sf.frame
-    C12 = fd.C(1, 2)
+    fd, table = sf.frame, sf.table
     C21 = fd.C(2, 1)
-
-    dT_h, dT_a = _lift_torsion_derivative(fd)
+    dT_h, dT_a = _complex_lift_derivative(table, "T")
     dR_h, dR_a = _lift_derivative_of(
-        fd, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
-    d12_h = _complex_lift_derivative(fd, (1, 2))[0]
-    d21_a = _complex_lift_derivative(fd, (2, 1))[1]
+        fd, table, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
+    d12_h = _complex_lift_derivative(table, (1, 2))[0]
+    d21_a = _complex_lift_derivative(table, (2, 1))[1]
 
+    # cyclic torsion identity: W[a, b, g, d] = dT_h[b][a, g, d]
+    # + sum_e T[a, e, b] T[e, g, d], summed over the cyclic shifts of (b, g, d)
+    W = dT_h.transpose(1, 0, 2, 3) + np.einsum("aeb,egd->abgd", T, T)
+    r1 = W + W.transpose(0, 3, 1, 2) + W.transpose(0, 2, 3, 1)
+    # antisymmetrized curvature vs torsion derivative
+    M = R - np.einsum("lba,lgd->abgd", C21, R[:, 0])
+    r2 = M - M.transpose(0, 2, 1, 3) - dT_a.transpose(1, 2, 3, 0)
+    # holomorphic derivative identity, antisymmetric in (g, d)
+    H = dR_h.transpose(1, 2, 0, 3, 4) + np.einsum("gbal,lde->abgde", d12_h, R[0])
+    r3 = H - H.transpose(0, 1, 3, 2, 4) + np.einsum("abze,zgd->abgde", R, T)
+    # antiholomorphic derivative identity (conjugate mirror of the
+    # holomorphic one), antisymmetric in (d, e)
+    A = dR_a.transpose(1, 2, 3, 0, 4) + np.einsum("dbla,lge->abgde", d21_a, R[:, 0])
+    r4 = A - A.transpose(0, 1, 2, 4, 3) + np.einsum("abgz,zde->abgde", R, np.conj(T))
     scale = max(1.0, float(np.max(np.abs(R))), float(np.max(np.abs(T))))
-    r1 = r2 = r3 = r4 = 0.0
-    for a in range(n):
-        for b in range(n):
-            for g in range(n):
-                for d in range(n):
-                    # cyclic torsion identity
-                    v = (dT_h[b][a, g, d] + dT_h[g][a, d, b] + dT_h[d][a, b, g]
-                         + sum(T[a, e, b] * T[e, g, d] + T[a, e, d] * T[e, b, g]
-                               + T[a, e, g] * T[e, d, b] for e in range(n)))
-                    r1 = max(r1, abs(v))
-                    # antisymmetrized curvature vs torsion derivative
-                    v = (R[a, b, g, d] - R[a, g, b, d] - dT_a[d][a, b, g]
-                         - sum(C21[lam, b, a] * R[lam, 0, g, d]
-                               - C21[lam, g, a] * R[lam, 0, b, d]
-                               for lam in range(n)))
-                    r2 = max(r2, abs(v))
-                    for e in range(n):
-                        # holomorphic derivative identity
-                        v = (dR_h[g][a, b, d, e] - dR_h[d][a, b, g, e]
-                             + sum(R[a, b, zz, e] * T[zz, g, d] for zz in range(n))
-                             + sum(d12_h[g][b, a, lam] * R[0, lam, d, e]
-                                   - d12_h[d][b, a, lam] * R[0, lam, g, e]
-                                   for lam in range(n)))
-                        r3 = max(r3, abs(v))
-                        # antiholomorphic derivative identity (conjugate
-                        # mirror of the holomorphic one)
-                        v = (dR_a[d][a, b, g, e] - dR_a[e][a, b, g, d]
-                             + sum(R[a, b, g, zz] * np.conj(T[zz, d, e])
-                                   for zz in range(n))
-                             + sum(d21_a[d][b, lam, a] * R[lam, 0, g, e]
-                                   - d21_a[e][b, lam, a] * R[lam, 0, g, d]
-                                   for lam in range(n)))
-                        r4 = max(r4, abs(v))
-    return {"b541": r1 / scale, "b542": r2 / scale,
-            "b543": r3 / scale, "b544": r4 / scale}
+    return {key: _sup(r) / scale for key, r in zip(("b541", "b542", "b543", "b544"),
+                                                   (r1, r2, r3, r4))}

@@ -2,12 +2,18 @@
 
 import numpy as np
 
-from finslerlab.connection import frame_data
-from finslerlab.finsler_forms import HOMOGENEITY_SEED
-from finslerlab.frame_bundle import AmbientTangent
+from finslerlab.connection import frame_data, frame_derivatives
+from finslerlab.finsler_forms import HOMOGENEITY_SEED, form_derivative
+from finslerlab.frame_bundle import AmbientTangent, BundlePoint
 from finslerlab.geodesics import spray_coefficients
 from finslerlab.jets import V, VBAR, Z, ZBAR
-from finslerlab.parallelism import _field_stack
+from finslerlab.parallelism import (
+    _complex_lift_derivative,
+    _complex_pairs,
+    _field_stack,
+    _lift_derivative_of,
+    extract_structure,
+)
 
 
 def contract(tensor: np.ndarray, unbarred, barred) -> complex:
@@ -163,3 +169,82 @@ def fd_derivative(prog, z, v, v_idx=(), vbar_idx=(), z_idx=(), zbar_idx=(),
     pending = ([(V, k) for k in v_idx] + [(VBAR, k) for k in vbar_idx]
                + [(Z, k) for k in z_idx] + [(ZBAR, k) for k in zbar_idx])
     return rec(z, v, tuple(pending))
+
+
+def lift_derivatives(fd):
+    """The derivatives along the holomorphic lifts and their conjugates, as
+    parallelism._complex_lift_derivative returns them, by the direct route:
+    the lifts rebuilt by _field_stack, one form_derivative per frame form,
+    and frame_derivatives along the lifts for the torsion T = E - E^T."""
+    dz, dU = _field_stack(fd)
+    lifts = slice(0, 2 * fd.n)
+    out = {pq: _complex_pairs(form_derivative(fd.jet, fd.U, pq, dz[lifts], dU[lifts]))
+           for pq in ((2, 0), (2, 1), (1, 2))}
+    dE = frame_derivatives(fd, dz[lifts], dU[lifts])[0]
+    out["T"] = _complex_pairs(dE - np.swapaxes(dE, -1, -2))
+    return out
+
+
+def bianchi_residuals(prog, p, sf):
+    """parallelism.bianchi_residuals, one index tuple at a time: the same
+    derivatives along the lifts, each identity summed term by term."""
+    n = prog.dim
+    T, R = sf.T, sf.R_raw
+    fd, table = sf.frame, sf.table
+    C21 = fd.C(2, 1)
+    dT_h, dT_a = _complex_lift_derivative(table, "T")
+    dR_h, dR_a = _lift_derivative_of(
+        fd, table, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
+    d12_h = _complex_lift_derivative(table, (1, 2))[0]
+    d21_a = _complex_lift_derivative(table, (2, 1))[1]
+
+    scale = max(1.0, float(np.max(np.abs(R))), float(np.max(np.abs(T))))
+    r1 = r2 = r3 = r4 = 0.0
+    for a in range(n):
+        for b in range(n):
+            for g in range(n):
+                for d in range(n):
+                    # cyclic torsion identity
+                    v = (dT_h[b][a, g, d] + dT_h[g][a, d, b] + dT_h[d][a, b, g]
+                         + sum(T[a, e, b] * T[e, g, d] + T[a, e, d] * T[e, b, g]
+                               + T[a, e, g] * T[e, d, b] for e in range(n)))
+                    r1 = max(r1, abs(v))
+                    # antisymmetrized curvature vs torsion derivative
+                    v = (R[a, b, g, d] - R[a, g, b, d] - dT_a[d][a, b, g]
+                         - sum(C21[lam, b, a] * R[lam, 0, g, d]
+                               - C21[lam, g, a] * R[lam, 0, b, d]
+                               for lam in range(n)))
+                    r2 = max(r2, abs(v))
+                    for e in range(n):
+                        # holomorphic derivative identity
+                        v = (dR_h[g][a, b, d, e] - dR_h[d][a, b, g, e]
+                             + sum(R[a, b, zz, e] * T[zz, g, d] for zz in range(n))
+                             + sum(d12_h[g][b, a, lam] * R[0, lam, d, e]
+                                   - d12_h[d][b, a, lam] * R[0, lam, g, e]
+                                   for lam in range(n)))
+                        r3 = max(r3, abs(v))
+                        # antiholomorphic derivative identity
+                        v = (dR_a[d][a, b, g, e] - dR_a[e][a, b, g, d]
+                             + sum(R[a, b, g, zz] * np.conj(T[zz, d, e])
+                                   for zz in range(n))
+                             + sum(d21_a[d][b, lam, a] * R[lam, 0, g, e]
+                                   - d21_a[e][b, lam, a] * R[lam, 0, g, d]
+                                   for lam in range(n)))
+                        r4 = max(r4, abs(v))
+    return {"b541": r1 / scale, "b542": r2 / scale,
+            "b543": r3 / scale, "b544": r4 / scale}
+
+
+def closed_form_Q(fd):
+    """parallelism.closed_form_Q, one index tuple at a time."""
+    n = fd.n
+    C22, C21, C12 = fd.C(2, 2), fd.C(2, 1), fd.C(1, 2)
+    Q = np.zeros((n - 1,) * 4, dtype=complex)
+    for rho in range(1, n):
+        for sig in range(1, n):
+            for lam in range(1, n):
+                for mu in range(1, n):
+                    val = C22[sig, lam, mu, rho]
+                    val -= sum(C12[nu, mu, rho] * C21[sig, lam, nu] for nu in range(n))
+                    Q[rho - 1, sig - 1, lam - 1, mu - 1] = val
+    return Q

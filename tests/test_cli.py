@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import finslerlab
-from finslerlab import cli, connection, equivalence, geodesics, parallelism
+from finslerlab import (cli, connection, equivalence, finsler_forms, frame_bundle, geodesics,
+                        parallelism)
 from finslerlab.cli import MAX_SAMPLES, main
+from finslerlab.metric_dsl import MetricProgram
 
 
 def run(argv):
@@ -403,6 +405,51 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
     capsys.readouterr()
     assert len(frames) == len(set(frames)) == points
     assert len(tables) == len(set(tables)) == points
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["structure", "--metric", "poincare_ball_3",
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (13, 26, 13, 1)),
+    (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
+      "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
+      "--order", "1"], (36, 72, 18, 2)),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (18, 40, 20, 6)),
+])
+def test_report_work_counts(capsys, monkeypatch, argv, counts):
+    # (frame_derivatives, form_derivative, _field_stack, jet(2, 0)) calls per
+    # report.  The bracket table at a point is the only place the fields are
+    # built and differentiated along each other, and every later derivative
+    # along them (signature tier 1, the lift derivatives) reads it; check adds
+    # one field stack a point for the tangency of its lifts.  The adapted
+    # frame reads the jet(2, 0) its Levi check evaluated; check's own Levi
+    # check and Gram residual evaluate theirs
+    calls = {}
+
+    def counting(key, f):
+        def counted(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return f(*args)
+        return counted
+
+    for name, home in (("frame_derivatives", connection), ("form_derivative", finsler_forms),
+                       ("_field_stack", parallelism)):
+        counted = counting(name, getattr(home, name))
+        for module in (cli, connection, finsler_forms, frame_bundle, geodesics, parallelism,
+                       equivalence):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    jet = MetricProgram.jet_unchecked
+
+    def counted_jet(self, z, v, fiber_order, base_order):
+        if (fiber_order, base_order) == (2, 0):
+            calls["jet20"] = calls.get("jet20", 0) + 1
+        return jet(self, z, v, fiber_order, base_order)
+
+    monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
+    assert run(argv) == 0
+    capsys.readouterr()
+    keys = ("frame_derivatives", "form_derivative", "_field_stack", "jet20")
+    assert tuple(calls.get(k) for k in keys) == counts
 
 
 def test_geodesic_step_count_is_bounded_before_any_work(capsys, monkeypatch):

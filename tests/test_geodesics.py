@@ -454,9 +454,9 @@ def test_geodesic_step_work_counts(entries, monkeypatch):
     assert len(path.ts) == 11
     assert len(frames) == 40
     assert jets.count((4, 1)) == 40
-    assert jets.count((2, 0)) == 10 + 2  # + levi_check and adapted_frame
-    assert len(jets) == 52
-    assert len(evals) == 3 + 10  # speed0, levi_check and adapted_frame, then one a step
+    assert jets.count((2, 0)) == 10 + 1  # + levi_check, whose jet adapted_frame reads
+    assert len(jets) == 51
+    assert len(evals) == 2 + 10  # speed0 and levi_check, then one a step
 
 
 def _disc_distance(a, z) -> float:

@@ -20,6 +20,7 @@ from finslerlab.parallelism import (
     _carry,
     _complex_basis,
     _complex_combination_matrix,
+    _complex_lift_derivative,
     _real_field_matrix,
     bianchi_residuals,
     closed_form_P,
@@ -32,7 +33,9 @@ from finslerlab.parallelism import (
     u_block_basis,
 )
 from finslerlab.equivalence import structure_coefficients
-from finslerlab.registry import sample_points
+from finslerlab.registry import catalog, sample_points
+
+import oracles
 
 SE_KEYS = ("eq529", "eq533", "eq534", "eq535", "eq536")
 
@@ -166,7 +169,7 @@ def test_closed_form_Q_and_P(progs, twisted):
             p = adapted_frame(prog, z, v)
             sf = extract_structure(prog, p)
             assert np.max(np.abs(sf.Q - closed_form_Q(sf.frame))) < 1e-5
-            ph, pH = closed_form_P(sf.frame)
+            ph, pH = closed_form_P(sf.table)
             assert np.max(np.abs(sf.P_h - ph)) < 1e-5
             assert np.max(np.abs(sf.P_H - pH)) < 1e-5
 
@@ -202,7 +205,7 @@ def test_structure_equations_oblique_forms(warped, twisted3):
         # pi and phi are the largest coefficients of Pi and Phi: those of
         # the P families and of Q
         fd = frame_data(prog, p.z, p.U)
-        ph, pH = closed_form_P(fd)
+        ph, pH = closed_form_P(_bracket_table(fd))
         norms = r["finsler_norms"]
         assert norms["pi"] > 1e-2
         assert norms["pi"] == pytest.approx(max(np.max(np.abs(ph)), np.max(np.abs(pH))),
@@ -226,6 +229,55 @@ def test_bianchi_identities(progs, twisted):
             # identities that take only those hold to round-off where the
             # torsion does not vanish
             assert max(b["b541"], b["b542"]) <= 1e-12
+
+
+# two points of each fixture, where its vertical correction counts
+FIXTURE_POINTS = [([0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j]),
+                  ([0.4 + 0.1j, -0.2 + 0.3j], [1.0, 0.7 + 0.2j])]
+
+
+def _metric_points(progs, entries, warped, twisted, mid):
+    """(program, [(z, v), (z, v)]): two sample points of a catalog metric
+    (seed 3), or the FIXTURE_POINTS of a fixture."""
+    fixtures = {"warped": warped, "twisted": twisted}
+    if mid in fixtures:
+        return fixtures[mid], FIXTURE_POINTS
+    return progs[mid], sample_points(progs[mid], entries[mid], 2, seed=3)
+
+
+@pytest.mark.parametrize("mid", [e.id for e in catalog()] + ["warped", "twisted"])
+def test_contractions_match_the_loops(progs, entries, warped, twisted, mid):
+    # the Bianchi identities as array expressions agree with the term-by-term
+    # loop on the same derivatives (2.8e-17 measured), and the closed form of
+    # Q as one contraction is the index-by-index loop
+    prog, points = _metric_points(progs, entries, warped, twisted, mid)
+    for z, v in points:
+        p = adapted_frame(prog, z, v)
+        sf = extract_structure(prog, p)
+        got, want = bianchi_residuals(prog, p, sf), oracles.bianchi_residuals(prog, p, sf)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-15, key
+        assert np.array_equal(closed_form_Q(sf.frame), oracles.closed_form_Q(sf.frame))
+
+
+@pytest.mark.parametrize("mid", ["l4_finsler", "poincare_ball_3", "hermitian_nonconstant",
+                                 "warped", "twisted"])
+def test_lift_derivatives_read_off_the_table(progs, entries, warped, twisted, mid):
+    # the table's derivatives along the lifts are those of the direct route,
+    # which rebuilds the lifts and differentiates each form there; the
+    # (1, 2) form's come from the conjugate of the (2, 1) form's
+    prog, points = _metric_points(progs, entries, warped, twisted, mid)
+    for z, v in points:
+        p = adapted_frame(prog, z, v)
+        fd = frame_data(prog, p.z, p.U)
+        table = _bracket_table(fd)
+        direct = oracles.lift_derivatives(fd)
+        for form in ((2, 0), (2, 1), "T"):
+            for got, want in zip(_complex_lift_derivative(table, form), direct[form]):
+                assert np.array_equal(got, want), form
+        for got, want in zip(_complex_lift_derivative(table, (1, 2)), direct[(1, 2)]):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _pairings(prog, z, U):
@@ -287,11 +339,11 @@ def _complex_solve_structure(prog, p):
     decomposition of the complexified brackets on the complexified basis,
     read off as extract_structure reads its coefficients."""
     n, m = prog.dim, prog.dim - 1
-    vals, br = _bracket_table(frame_data(prog, p.z, p.U))
+    table = _bracket_table(frame_data(prog, p.z, p.U))
     K = _complex_combination_matrix(n)
     N = len(K)
-    brc = _carry(K, complexify(*unpack_real(br, n)))
-    sol, *_ = np.linalg.lstsq(_complex_basis(vals, n).T, brc.reshape(N * N, -1).T,
+    brc = _carry(K, complexify(*unpack_real(table.br, n)))
+    sol, *_ = np.linalg.lstsq(_complex_basis(table.vals, n).T, brc.reshape(N * N, -1).T,
                               rcond=None)
     coeff = sol.T.reshape(N, N, N)
     t = 2 * n + 2 * m
@@ -390,7 +442,7 @@ def test_bracket_residual_guard(progs):
     # the decomposition residual doubles as a tangency audit
     prog = progs["poincare_ball_2"]
     p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.3])
-    vals, br = _bracket_table(frame_data(prog, p.z, p.U))
+    br = _bracket_table(frame_data(prog, p.z, p.U)).br
     assert np.isfinite(br).all()
     sf = extract_structure(prog, p)
     assert sf.residual < 1e-5
@@ -431,7 +483,7 @@ def test_brackets_match_finite_difference_oracle(progs, entries, warped, mid):
     else:
         prog = progs[mid]
         p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=3)[0])
-    _, br = _bracket_table(frame_data(prog, p.z, p.U))
+    br = _bracket_table(frame_data(prog, p.z, p.U)).br
     scale = np.max(np.abs(br))
     oracle = fd_bracket_table(prog, p, 1e-4, fourth_order=True)
     exact_err = np.max(np.abs(br - oracle)) / scale
