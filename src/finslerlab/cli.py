@@ -21,11 +21,12 @@ from .connection import frame_data, solve_connection
 from .equivalence import Tiers, regularity
 from .equivalence import compare as compare_signatures
 from .finsler_forms import forms_at, hermitian_test, homogeneity_identities, levi_check
-from .frame_bundle import AmbientTangent, BundlePoint, adapted_frame, gram_residual, verify_tangent
+from .frame_bundle import BundlePoint, adapted_frame, gram_derivative, gram_residual
 from .geodesics import classify, integrate_geodesic
 from .metric_dsl import FinslerError
 from .parallelism import (
-    _field_stack,
+    _generators,
+    _stack_layout,
     bianchi_residuals,
     closed_form_P,
     closed_form_Q,
@@ -228,20 +229,20 @@ def cmd_check(args) -> int:
         rep = levi_check(prog, z, v)
         out["levi_min_eig"] = float(np.min(rep.eigenvalues)) if rep.eigenvalues.size \
             else 1.0
-        p = adapted_frame(prog, z, v)
+        p = adapted_frame(prog, z, v, rep)
         if len(frames) < 3:
             sf = extract_structure(prog, p)
             frames.append((p, sf))
             fd = sf.frame
         else:
             fd = frame_data(prog, p.z, p.U)
-        out["gram"] = gram_residual(prog, p)
+        out["gram"] = gram_residual(prog, p, fd.C(1, 1))
         cm = solve_connection(prog, p, fd)
         out["closed_form_gap"] = cm.closed_form_gap
-        # the 2n horizontal lifts, as the parallelism builds them
-        dz, dU = _field_stack(fd)
+        # the Gram derivative along the frame increments of the 2n horizontal lifts
         lifts = slice(0, 2 * prog.dim)
-        out["tangency"] = verify_tangent(prog, p, AmbientTangent(dz[lifts], dU[lifts]), fd.jet)
+        out["tangency"] = float(np.max(np.abs(gram_derivative(
+            fd.jet, _stack_layout(prog.dim)[1][lifts], _generators(fd)[lifts]))))
         return out
 
     per_point = [point_block(zv) for zv in points]
@@ -284,9 +285,9 @@ def cmd_tensors(args) -> int:
     points = _points(prog, entry, args)
     out = []
     for z, v in points:
-        p = adapted_frame(prog, z, v)
-        forms = forms_at(prog, p.z, p.e0, p.U)
         rep = levi_check(prog, z, v)
+        p = adapted_frame(prog, z, v, rep)
+        forms = forms_at(prog, p.z, p.e0, p.U)
         out.append({
             "z": z, "v": v, "frame": p.U,
             "h_mixed": forms.h_mixed, "h_pure": forms.h_pure,

@@ -9,12 +9,15 @@ of the real direction with frame components w is
 E is computed two ways: a direct least-squares solve of the tangency
 conditions (authoritative) and the closed form obtained by eliminating the
 conjugate unknowns from those same conditions; both agree at adapted
-frames, which the tests assert.  The tangency conditions are derivatives of
-the (1, 1) frame form, frame_bundle.gram_derivative, taken by the one form
-derivative below this module, finsler_forms.form_derivative.
+frames, which the tests assert.  FrameData seeds its jets in the frame, so
+E reads the frame forms and Dh off them.  The tangency conditions are
+derivatives of the (1, 1) frame form, frame_bundle.gram_derivative, taken
+by the one form derivative below this module, finsler_forms.form_derivative.
 frame_derivatives differentiates E exactly, through its back-substitution,
 for the parallelism's brackets; frame_second_derivatives differentiates it
-twice, for the derivatives of the structure coefficients.
+twice, for the derivatives of the structure coefficients.  They take
+tangents as frame increments (U^-1 dz, U^-1 dU): (w, G) for a parallelism
+field U (w, G), so none of them solves with U.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finsler_forms import (
+    first_partials,
     form_derivative,
-    frame_contract,
     raw_derivatives,
     tensor_derivative,
     tensor_second_derivative,
@@ -49,12 +52,15 @@ COVARIANT_STEP = 1e-6
 # --------------------------------------------------------------------------
 
 class FrameData:
-    """Frame-contracted jets and the connection at one ambient point (z, U).
+    """The jets and the connection at one ambient point (z, U).
 
-    Valid at any invertible U near the adapted-frame bundle; all formulas
-    restrict to the intrinsic objects on it.  Each jet, form and E is
-    computed at most once, so a report builds one FrameData per point and
-    hands it down to every stage that works there.
+    Every jet is seeded in the frame: z + U zeta and U (e_0 + xi), so its
+    fiber tensors are the frame forms C(p, q) and its zeta partials the
+    base derivatives along the frame vectors, with no contraction.  Valid
+    at any invertible U near the adapted-frame bundle; all formulas
+    restrict to the intrinsic objects on it.  Each jet and E is computed
+    at most once, so a report builds one FrameData per point and hands it
+    down to every stage that works there.
     """
 
     def __init__(self, prog: MetricProgram, z, U):
@@ -63,39 +69,27 @@ class FrameData:
         self.U = np.asarray(U, dtype=complex)
         self.n = prog.dim
         self._jets: dict = {}
-        self._C: dict = {}
         self._E: np.ndarray | None = None
         self.jet = self.jet_of(4, 1)
 
     def jet_of(self, fiber_order: int, base_order: int) -> Jet:
-        """The jet of F^2 at (z, U e_0) with these orders, evaluated once."""
+        """The jet of F^2 at (z, U e_0), seeded in the frame U, with these
+        orders, evaluated once."""
         key = (fiber_order, base_order)
         hit = self._jets.get(key)
         if hit is None:
-            self._jets[key] = hit = self.prog.jet_unchecked(self.z, self.U[:, 0], *key)
+            self._jets[key] = hit = self.prog.jet_unchecked(self.z, self.U[:, 0], *key, self.U)
         return hit
 
     def C(self, p: int, q: int) -> np.ndarray:
-        """Fiber form of type (p, q) contracted with the frame columns."""
-        key = (p, q)
-        hit = self._C.get(key)
-        if hit is None:
-            self._C[key] = hit = frame_contract(self.jet.fiber_tensor(p, q), p, q, self.U)
-        return hit
+        """Fiber form of type (p, q) on the frame columns."""
+        return self.jet.fiber_tensor(p, q)
 
     @property
-    def gram(self) -> np.ndarray:
-        return self.C(1, 1)
-
-    def holomorphic_gram_derivative(self) -> np.ndarray:
-        """Dh[g, a, b]: base derivative of the Gram entries along e_g,
-        with frame and fiber point held constant in chart coordinates."""
-        hit = self._C.get("Dh")
-        if hit is None:
-            TZ, _ = self.jet.fiber_tensor_dbase(1, 1)
-            hit = np.einsum("kg,kij,ia,jb->gab", self.U, TZ, self.U, np.conj(self.U))
-            self._C["Dh"] = hit
-        return hit
+    def Dh(self) -> np.ndarray:
+        """Dh[g, a, b]: base derivative of the Gram entries along e_g, with
+        frame and fiber point held constant in chart coordinates."""
+        return self.jet.fiber_tensor_dbase(1, 1)[0]
 
     @property
     def E(self) -> np.ndarray:
@@ -105,7 +99,7 @@ class FrameData:
         if self._E is None:
             # E[r, a, g] = -Dh[g, a, r] - [a > 0] sum_z E[z, 0, g] C21[a, z, r],
             # with H_{a rbar zeta} = C21[a, zeta, r]
-            E = -self.holomorphic_gram_derivative().transpose(2, 1, 0)
+            E = -self.Dh.transpose(2, 1, 0)
             if self.n > 1:
                 E[:, 1:] -= np.einsum("zg,azr->rag", E[:, 0], self.C(2, 1)[1:])
             self._E = E
@@ -127,24 +121,29 @@ def frame_data(prog: MetricProgram, z, U) -> FrameData:
     return FrameData(prog, z, U)
 
 
-def frame_derivatives(fd: FrameData, dz, dU):
+def _Dh_partials(fiber_jet: Jet, base_jet: Jet):
+    """Jet.partials for Dh's derivatives: base-only reads, which with Dh's
+    own d_zeta need the higher base order, from base_jet."""
+    return lambda p, q, kinds: (base_jet if set(kinds) <= {Z, ZBAR}
+                                else fiber_jet).partials(p, q, kinds)
+
+
+def frame_derivatives(fd: FrameData, delta, A):
     """Exact derivatives of E, C(2, 0) and C(2, 1) of fd along K stacked
-    real ambient tangents, dz of shape (K, n) and dU of shape (K, n, n).
+    frame increments (U^-1 dz, U^-1 dU), delta of shape (K, n) and A of
+    shape (K, n, n).
 
     Returns (dE, dC20, dC21) with a leading direction axis.  dE is the
     derivative of FrameData.E's back-substitution.  Its Dh term reads the
     jet(4, 1) of fd and one jet(2, 2) at the same point, whose second base
     derivatives of the (1, 1) tensor no jet(4, 1) holds.
     """
-    jet, U = fd.jet, fd.U
-    dC20 = form_derivative(jet, U, (2, 0), dz, dU)
-    dC21 = form_derivative(jet, U, (2, 1), dz, dU)
-    # Dh = frame_contract(TZ, 2, 1, U), TZ[k, i, j] = d_z_k d_v_i d_vbar_j F^2
-    TZ = jet.fiber_tensor_dbase(1, 1)[0]
-    dfiber = (np.moveaxis(jet.fiber_tensor_dbase(2, 1)[0], 1, 0),
-              np.moveaxis(jet.fiber_tensor_dbase(1, 2)[0], 2, 0))
-    dDh = tensor_derivative(U, (2, 1), TZ, fd.jet_of(2, 2).fiber_tensor_dbase2(1, 1), dfiber,
-                            dz, dU)
+    jet = fd.jet
+    dC20 = form_derivative(jet, (2, 0), delta, A)
+    dC21 = form_derivative(jet, (2, 1), delta, A)
+    # Dh is a (2, 1) frame tensor: its d_zeta slot moves with the frame too
+    dDh = tensor_derivative((2, 1), fd.Dh, first_partials(
+        _Dh_partials(jet, fd.jet_of(2, 2)), 1, 1, (Z,)), delta, A)
     # the derivative of E's back-substitution, term by term
     dE = -dDh.transpose(0, 3, 2, 1)
     dE[:, :, 1:] -= (np.einsum("kzg,azr->krag", dE[:, :, 0], fd.C(2, 1)[1:])
@@ -152,32 +151,24 @@ def frame_derivatives(fd: FrameData, dz, dU):
     return dE, dC20, dC21
 
 
-def frame_second_derivatives(fd: FrameData, t1, t2, first1, first2):
+def frame_second_derivatives(fd: FrameData, inc1, inc2, first1, first2):
     """Exact second derivatives of E, C(2, 0) and C(2, 1) of fd along every
-    pair (j, l) of two stacks of real ambient tangents t1 = (dz1, dU1) and
-    t2 = (dz2, dU2), shaped as frame_derivatives takes them.
+    pair (j, l) of two stacks of frame increments inc1 = (delta1, A1) and
+    inc2 = (delta2, A2), shaped as frame_derivatives takes them.
 
     Returns (d2E, d2C20, d2C21) with leading axes (K1, K2).  first1 and
-    first2 are frame_derivatives along t1 and t2, which E's
+    first2 are frame_derivatives along inc1 and inc2, which E's
     back-substitution multiplies.  The forms' derivatives read one
     jet(5, 2); so do Dh's, but for its second base derivatives, which read
     one jet(2, 3).
     """
-    U = fd.U
     jet = fd.jet_of(5, 2)
-    d2C20 = tensor_second_derivative(U, (2, 0), fd.jet.fiber_tensor(2, 0),
-                                     *raw_derivatives(jet.partials, 2, 0), t1, t2)
-    d2C21 = tensor_second_derivative(U, (2, 1), fd.jet.fiber_tensor(2, 1),
-                                     *raw_derivatives(jet.partials, 2, 1), t1, t2)
-    jet3 = fd.jet_of(2, 3)
-
-    def partials(p, q, kinds):
-        # Dh's raw tensor TZ already carries one d_z: three base slots need base order 3
-        return (jet3 if set(kinds) <= {Z, ZBAR} else jet).partials(p, q, kinds)
-
-    TZ = fd.jet.fiber_tensor_dbase(1, 1)[0]
-    d2Dh = tensor_second_derivative(U, (2, 1), TZ, *raw_derivatives(partials, 1, 1, (Z,)),
-                                    t1, t2)
+    d2C20 = tensor_second_derivative((2, 0), fd.C(2, 0), *raw_derivatives(jet.partials, 2, 0),
+                                     inc1, inc2)
+    d2C21 = tensor_second_derivative((2, 1), fd.C(2, 1), *raw_derivatives(jet.partials, 2, 1),
+                                     inc1, inc2)
+    d2Dh = tensor_second_derivative((2, 1), fd.Dh, *raw_derivatives(
+        _Dh_partials(jet, fd.jet_of(2, 3)), 1, 1, (Z,)), inc1, inc2)
     # FrameData.E's back-substitution differentiated twice, term by term
     (dE1, _, dC21_1), (dE2, _, dC21_2) = first1, first2
     d2E = -d2Dh.transpose(0, 1, 4, 3, 2)
@@ -215,16 +206,16 @@ def solve_connection(prog: MetricProgram, p: BundlePoint,
         fd = frame_data(prog, p.z, p.U)
     n = p.n
     nn = n * n
-    U = p.U
-    # one stacked Gram derivative: the vertical responses to U D and U (i D)
-    # for the units D, which do not depend on the direction, then the flat
-    # lifts U[:, g] and i U[:, g] of the real directions of each e_g
+    # one stacked Gram derivative along frame increments: the vertical
+    # responses to U D and U (i D) for the units D, which do not depend on
+    # the direction, then the flat lifts e_g and i e_g of the real
+    # directions of each e_g
     units = np.eye(nn, dtype=complex).reshape(nn, n, n)
-    dz = np.zeros((2 * nn + 2 * n, n), dtype=complex)
-    dz[2 * nn:] = np.concatenate([U.T, 1j * U.T])
-    dU = np.zeros((2 * nn + 2 * n, n, n), dtype=complex)
-    dU[:2 * nn] = np.matmul(U, np.concatenate([units, 1j * units]))
-    rows = gram_rows(fd.jet, U, dz, dU)
+    delta = np.zeros((2 * nn + 2 * n, n), dtype=complex)
+    delta[2 * nn:] = np.concatenate([np.eye(n), 1j * np.eye(n)])
+    A = np.zeros((2 * nn + 2 * n, n, n), dtype=complex)
+    A[:2 * nn] = np.concatenate([units, 1j * units])
+    rows = gram_rows(fd.jet, delta, A)
     resp1, resp2 = rows[:nn], rows[nn:2 * nn]
     # column k holds the real part of M_g[k], column nn + k its imaginary part
     A = np.block([[resp1, resp2], [resp2, -resp1]]).T

@@ -1,14 +1,18 @@
 """Multilinear fiber forms of a complex Finsler metric.
 
 The quadratic, cubic and quartic fiber forms are the order-2, 3, 4 jets of
-F^2 in the fiber variables, contracted with frame vectors.  An index is an
-integer 0..n-1 for a holomorphic slot, or ``bar(k)`` for the conjugate slot;
-values only depend on the multiset of indices of each type (total symmetry).
-form_derivative differentiates a frame-contracted form along ambient tangents;
-tensor_derivative, which it calls, does the same for any frame-contracted
-tensor given with its base and fiber derivatives, and
+F^2 in the fiber variables on frame vectors: the fiber tensors of a jet
+seeded in the frame (metric_dsl.MetricProgram.jet_unchecked).  An index is
+an integer 0..n-1 for a holomorphic slot, or ``bar(k)`` for the conjugate
+slot; values only depend on the multiset of indices of each type (total
+symmetry).  A tangent (dz, dU) at (z, U) enters the derivatives as its
+frame increments (delta, A) = (U^-1 dz, U^-1 dU), which are constants for
+the parallelism's fields.  form_derivative differentiates a frame form
+along them; tensor_derivative, which it calls, does the same for any frame
+tensor given with its first partials, as one product of the increments
+with the partials and one slot contraction with A per slot; and
 tensor_second_derivative takes its second derivatives along pairs of
-tangents from those that raw_derivatives reads off a jet.
+increments from the partials that raw_derivatives reads off a jet.
 """
 
 from __future__ import annotations
@@ -36,150 +40,112 @@ def is_barred(idx: int) -> bool:
     return idx < 0
 
 
-def frame_contract(t: np.ndarray, p: int, q: int, U: np.ndarray) -> np.ndarray:
-    """Contract the p holomorphic slots of a (p, q) fiber tensor with the
-    columns of U and its q conjugate slots with their conjugates."""
-    for _ in range(p):
-        t = np.tensordot(t, U, axes=(0, 0))
-    for _ in range(q):
-        t = np.tensordot(t, np.conj(U), axes=(0, 0))
-    return t
-
-
-def form_derivative(jet, U: np.ndarray, pq: tuple[int, int], dz, dU) -> np.ndarray:
-    """Derivatives of the frame-contracted (p, q) fiber form
-    frame_contract(jet.fiber_tensor(p, q), p, q, U) along K real ambient
-    tangents (dz[k], dU[k]) at (z, U), where jet is the jet of F^2 at
-    (z, U[:, 0]) with fiber order at least p + q + 1 and base order 1.
-
-    dz has shape (K, n) and dU shape (K, n, n); returns shape
-    (K,) + (n,) * (p + q).
-    """
-    p, q = pq
-    return tensor_derivative(U, pq, jet.fiber_tensor(p, q), jet.fiber_tensor_dbase(p, q),
-                             (jet.fiber_tensor(p + 1, q),
-                              np.moveaxis(jet.fiber_tensor(p, q + 1), p, 0)), dz, dU)
-
-
-def tensor_derivative(U: np.ndarray, pq: tuple[int, int], raw: np.ndarray, dbase, dfiber,
-                      dz, dU) -> np.ndarray:
-    """Derivatives of frame_contract(raw, p, q, U) along K real ambient
-    tangents (dz[k], dU[k]) at (z, U), where raw is a coordinate tensor with
-    p holomorphic slots, then q conjugate ones, that depends on the base
-    point z and the fiber point e_0 = U[:, 0].
-
-    dbase = (d_z raw, d_zbar raw) and dfiber = (d_v raw, d_vbar raw), each
-    with the derivative's index leading.  Shapes as for form_derivative.
-    Each direction takes the matrix-vector and matrix products a single
-    direction would (np.matmul over the stack, not one product of the
-    stack), so direction k of a stack is bit-identical to that direction
-    alone.
-    """
-    p, q = pq
-    dz = np.asarray(dz, dtype=complex)
-    dU = np.asarray(dU, dtype=complex)
-    K, n = dz.shape
-    frame = [U] * p + [np.conj(U)] * q
-    cycle = (0,) + tuple(range(2, p + q + 1)) + (1,)  # slot 1 of a stack moved last
-
-    def contract(t, s=0):
-        # slots s.. of the stack t, shape (K,) + (n,) * (p + q), contracted
-        # with their frame matrices in frame_contract's order
-        for M in frame[s:]:
-            t = np.matmul(t.transpose(cycle).reshape(K, -1, n), M).reshape(t.shape)
-        return t
-
-    def contract_first(vecs, t):
-        # t contracted in its first slot with each vector of the stack vecs
-        return np.matmul(vecs[:, None], t.reshape(n, -1)).reshape((K,) + (n,) * (p + q))
-
-    TZ, TZb = dbase
-    out = contract(np.einsum("sk,k...->s...", dz, TZ)
-                   + np.einsum("sk,k...->s...", np.conj(dz), TZb))
-    # the motion of the fiber point e_0 = U[:, 0]
-    de0 = dU[:, :, 0]
-    out = out + contract(contract_first(de0, dfiber[0]))
-    out = out + contract(contract_first(np.conj(de0), dfiber[1]))
-    # the motion of the frame, one slot at a time
-    for s, dM in enumerate([dU] * p + [np.conj(dU)] * q):
-        head = np.moveaxis(frame_contract(raw, min(s, p), max(s - p, 0), U), 0, -1)
-        out = out + contract(np.matmul(head.reshape(-1, n), dM).reshape(out.shape), s + 1)
-    return out
-
-
-# the jet variables (z, zbar, v, vbar) in the order of raw_derivatives' axes
+# the jet variables (zeta, zetabar, xi, xibar) in the order of raw_derivatives' axes
 _KINDS = (Z, ZBAR, V, VBAR)
 
 
+def first_partials(partials, p: int, q: int, lead: tuple = ()) -> np.ndarray:
+    """The derivatives of partials(p, q, lead) along the 4n jet variables,
+    stacked on a leading axis of length 4n."""
+    return np.concatenate([partials(p, q, (x,) + lead) for x in _KINDS])
+
+
 def raw_derivatives(partials, p: int, q: int, lead: tuple = ()):
-    """(d1, d2): the first and second derivatives of the coordinate tensor
-    t = partials(p, q, lead) along the 4n jet variables (z, zbar, v, vbar),
-    of shapes (4n,) + t.shape and (4n, 4n) + t.shape.  partials is a
-    Jet.partials, or a function of the same arguments that picks the jet
+    """(d1, d2): the first and second derivatives of the tensor
+    t = partials(p, q, lead) along the 4n jet variables (zeta, zetabar, xi,
+    xibar), of shapes (4n,) + t.shape and (4n, 4n) + t.shape.  partials is
+    a Jet.partials, or a function of the same arguments that picks the jet
     holding each read."""
-    d1 = np.concatenate([partials(p, q, (x,) + lead) for x in _KINDS])
-    d2 = np.concatenate([np.concatenate([partials(p, q, (x, y) + lead) for y in _KINDS], axis=1)
-                         for x in _KINDS])
-    return d1, d2
+    return (first_partials(partials, p, q, lead),
+            np.concatenate([first_partials(partials, p, q, (y,) + lead) for y in _KINDS],
+                           axis=1))
 
 
-def tensor_second_derivative(U: np.ndarray, pq: tuple[int, int], raw: np.ndarray, d1, d2,
-                             t1, t2) -> np.ndarray:
-    """Second derivatives of frame_contract(raw, p, q, U) along every pair
-    (j, l) of two stacks of real ambient tangents t1 = (dz1, dU1), shapes
-    (K1, n) and (K1, n, n), and t2 = (dz2, dU2) likewise, at (z, U); raw
-    depends on z and on the fiber point e_0 = U[:, 0], with the derivatives
-    (d1, d2) that raw_derivatives returns.  Returns shape (K1, K2) +
-    (n,) * (p + q).
+def _increments(delta, A) -> np.ndarray:
+    """The increments of the jet variables (zeta, zetabar, xi, xibar) along
+    each frame increment (delta, A): delta, its conjugate, the motion A e_0
+    of the fiber point and its conjugate."""
+    e0 = A[:, :, 0]
+    return np.concatenate([delta, np.conj(delta), e0, np.conj(e0)], axis=1)
 
-    The terms are tensor_derivative's, differentiated once more: raw's
-    second derivative along the pair's increments of (z, zbar, e_0,
-    conj e_0) in every slot frame-contracted; its first derivative along
-    one tangent with one frame slot moved along the other; raw with two
-    distinct frame slots moved, one along each tangent.  The frame and e_0
-    are linear in U, so nothing else moves.
+
+def _slot(t: np.ndarray, k: int, s: int, M: np.ndarray) -> np.ndarray:
+    """t, whose last k axes are its slots, with slot s moved by each matrix
+    of the stack M (K, n, n): sum_b t[..., b, ...] M[j, b, a] in that slot,
+    with the axis of j after t's leading axes.  Each matrix takes its own
+    matmul, so M[j] in a stack gives the bits it gives alone."""
+    ts = np.moveaxis(t, s - k, -1)
+    out = np.matmul(ts.reshape(-1, ts.shape[-1]), M).reshape((len(M),) + ts.shape)
+    return np.moveaxis(np.moveaxis(out, 0, t.ndim - k), -1, s - k)
+
+
+def _frame_mats(pq: tuple[int, int], A: np.ndarray) -> list:
+    """The motion of each slot of a (p, q) tensor: A, or conj A in a conjugate slot."""
+    return [A] * pq[0] + [np.conj(A)] * pq[1]
+
+
+def _motion(t: np.ndarray, pq: tuple[int, int], A: np.ndarray) -> np.ndarray:
+    """The frame motion of the (p, q) tensor t along each matrix of A."""
+    return sum(_slot(t, sum(pq), s, M) for s, M in enumerate(_frame_mats(pq, A)))
+
+
+def form_derivative(jet, pq: tuple[int, int], delta, A) -> np.ndarray:
+    """Derivatives of the (p, q) frame form jet.fiber_tensor(p, q) along K
+    frame increments, delta of shape (K, n) and A of shape (K, n, n), where
+    jet is the jet of F^2 seeded in the frame at (z, U), with fiber order
+    at least p + q + 1 and base order 1; shape (K,) + (n,) * (p + q).
     """
     p, q = pq
-    n = len(U)
-    k = p + q
-    (dz1, dU1), (dz2, dU2) = ((np.asarray(a, dtype=complex) for a in t) for t in (t1, t2))
-    frame = [U] * p + [np.conj(U)] * q
-    # the frame slots' motions, stack 1 along the first pair axis, stack 2 along the second
-    move1 = [dU1[:, None]] * p + [np.conj(dU1[:, None])] * q
-    move2 = [dU2[None]] * p + [np.conj(dU2[None])] * q
-    cycle = (0, 1) + tuple(range(3, k + 2)) + (2,)  # the first slot moved last
+    return tensor_derivative(pq, jet.fiber_tensor(p, q), first_partials(jet.partials, p, q),
+                             delta, A)
 
-    def contract(t, mats):
-        # slot s of t, whose two leading axes broadcast over the pairs, with mats[s]
-        for M in mats:
-            t = np.matmul(t.transpose(cycle).reshape(t.shape[:2] + (-1, n)), M)
-            t = t.reshape(t.shape[:2] + (n,) * k)
-        return t
 
-    def increments(dz, dU):
-        de0 = dU[:, :, 0]
-        return np.concatenate([dz, np.conj(dz), de0, np.conj(de0)], axis=1)
+def tensor_derivative(pq: tuple[int, int], t: np.ndarray, d1: np.ndarray, delta, A) -> np.ndarray:
+    """Derivatives of a frame tensor t with p holomorphic slots, then q
+    conjugate ones, along K frame increments (delta[k], A[k]), where d1
+    is its stack of first partials along the jet variables, as
+    first_partials returns it.
 
-    x1, x2 = increments(dz1, dU1), increments(dz2, dU2)
+    Moving (z, U) to (z + U delta, U (1 + A)) moves the jet variables by
+    _increments(delta, A) and each slot of t by A, or conj A in a
+    conjugate slot.  Each direction takes the products a single direction
+    would (np.matmul over the stack), so direction k of a stack is
+    bit-identical to that direction alone.
+    """
+    out = np.matmul(_increments(delta, A)[:, None], d1.reshape(len(d1), -1))
+    return out.reshape((len(A),) + t.shape) + _motion(t, pq, A)
+
+
+def tensor_second_derivative(pq: tuple[int, int], t: np.ndarray, d1, d2, inc1, inc2):
+    """Second derivatives of a frame tensor t, as tensor_derivative takes
+    it, with the partials (d1, d2) that raw_derivatives returns, along every
+    pair (j, l) of two stacks of frame increments inc1 = (delta1, A1),
+    shapes (K1, n) and (K1, n, n), and inc2 likewise.  Returns shape
+    (K1, K2) + t.shape.
+
+    z and U move linearly, so the terms are t's second partials along both
+    increments of the jet variables, the motion along inc2 of the first
+    derivative along inc1, and the first partials along inc2 moved along
+    inc1, less the terms of that motion that move one slot along both
+    increments, which a straight line in (z, U) never does.
+    """
+    k = t.ndim
+    (delta1, A1), (delta2, A2) = inc1, inc2
+    x1, x2 = _increments(delta1, A1), _increments(delta2, A2)
     w = len(d1)
     r2 = np.matmul(x2, (x1 @ d2.reshape(w, -1)).reshape(len(x1), w, -1))
-    out = contract(r2.reshape((len(x1), len(x2)) + raw.shape), frame)
-    r1 = ((x1 @ d1.reshape(w, -1)).reshape((len(x1), 1) + raw.shape),
-          (x2 @ d1.reshape(w, -1)).reshape((1, len(x2)) + raw.shape))
-    for s in range(k):
-        out = out + contract(r1[0], frame[:s] + [move2[s]] + frame[s + 1:])
-        out = out + contract(r1[1], frame[:s] + [move1[s]] + frame[s + 1:])
-        for t in range(k):
-            if t != s:
-                mats = list(frame)
-                mats[s], mats[t] = move1[s], move2[t]
-                out = out + contract(raw[None, None], mats)
-    return out
+    r1 = (x2 @ d1.reshape(w, -1)).reshape((len(x2),) + t.shape)
+    twice = sum(_slot(_slot(t, k, s, M1), k, s, M2)
+                for s, (M1, M2) in enumerate(zip(_frame_mats(pq, A1), _frame_mats(pq, A2))))
+    return (r2.reshape((len(x1), len(x2)) + t.shape) - twice
+            + _motion(tensor_derivative(pq, t, d1, delta1, A1), pq, A2)
+            + np.swapaxes(_motion(r1, pq, A1), 0, 1))
 
 
-def raw_fiber_tensors(prog: MetricProgram, z, v, max_order: int = 4) -> dict:
-    """All coordinate fiber tensors d^p_v d^q_vbar F^2 with p+q <= max_order."""
-    jet = prog.jet_unchecked(z, v, max_order, 0)
+def raw_fiber_tensors(prog: MetricProgram, z, v, max_order: int = 4, frame=None) -> dict:
+    """All fiber tensors d^p_v d^q_vbar F^2 with p+q <= max_order, in the
+    frame's columns (coordinate tensors without a frame)."""
+    jet = prog.jet_unchecked(z, v, max_order, 0, frame)
     return {(p, q): jet.fiber_tensor(p, q)
             for p in range(max_order + 1) for q in range(max_order + 1 - p)}
 
@@ -232,9 +198,8 @@ def forms_at(prog: MetricProgram, z, v, frame=None, max_order: int = 4) -> Finsl
     frame = np.asarray(frame, dtype=complex)
     if np.linalg.matrix_rank(frame) < n:
         raise FinslerError("frame columns are linearly dependent")
-    raw = raw_fiber_tensors(prog, z, v, max_order)
-    comp = {pq: frame_contract(t, *pq, frame) for pq, t in raw.items()}
-    return FinslerForms(z=z, v=v, frame=frame, comp=comp)
+    return FinslerForms(z=z, v=v, frame=frame,
+                        comp=raw_fiber_tensors(prog, z, v, max_order, frame))
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finsler_forms import form_derivative, forms_at, levi_check
+from .finsler_forms import LeviReport, form_derivative, forms_at, levi_check
 from .jets import Jet
 from .metric_dsl import FinslerError, MetricProgram, norm_of_f2
 
@@ -88,40 +88,53 @@ def gram_matrix(prog: MetricProgram, z, U) -> np.ndarray:
     return frame_gram(gram_jet(prog, z, U), U)
 
 
-def gram_residual(prog: MetricProgram, p: BundlePoint) -> float:
-    n = p.n
-    return float(np.linalg.norm(gram_matrix(prog, p.z, p.U) - np.eye(n)))
+def gram_residual(prog: MetricProgram, p: BundlePoint, gram: np.ndarray | None = None) -> float:
+    """Distance of the frame's Gram matrix from the identity; gram is that
+    matrix when the caller holds it (the C(1, 1) of a FrameData at p), else
+    it is evaluated here."""
+    if gram is None:
+        gram = gram_matrix(prog, p.z, p.U)
+    return float(np.linalg.norm(gram - np.eye(p.n)))
 
 
-def gram_derivative(jet: Jet, U, dz, dU) -> np.ndarray:
-    """Directional derivative of the Gram map at (z, U) along the ambient
-    tangent (dz, dU), or along each tangent of a stack: dz of shape (K, n)
-    and dU of shape (K, n, n) give shape (K, n, n).  jet is the jet(4, 1)
-    at (z, U e_0), the one FrameData holds.
+def frame_increments(U, dz, dU) -> tuple[np.ndarray, np.ndarray]:
+    """The frame increments (U^-1 dz, U^-1 dU) of ambient tangents (dz, dU),
+    one or a stack (leading axes on dz and dU alike)."""
+    U = np.asarray(U, dtype=complex)
+    return (np.linalg.solve(U, np.asarray(dz, dtype=complex)[..., None])[..., 0],
+            np.linalg.solve(U, np.asarray(dU, dtype=complex)))
+
+
+def gram_derivative(jet: Jet, delta, A) -> np.ndarray:
+    """Derivative of the Gram map at (z, U) along the frame increment
+    (delta, A), or along each increment of a stack: delta of shape (K, n)
+    and A of shape (K, n, n) give shape (K, n, n).  jet is the jet(4, 1)
+    at (z, U e_0) seeded in the frame U, the one FrameData holds.
 
     Valid at any (z, U) with invertible U; vanishes exactly on tangents to
     the bundle of adapted frames.  The Gram map is the (1, 1) frame form.
     """
-    U = np.asarray(U, dtype=complex)
-    n = len(U)
-    out = form_derivative(jet, U, (1, 1), np.reshape(dz, (-1, n)), np.reshape(dU, (-1, n, n)))
-    return out[0] if np.ndim(dz) == 1 else out
+    n = jet.space.n
+    out = form_derivative(jet, (1, 1), np.reshape(delta, (-1, n)), np.reshape(A, (-1, n, n)))
+    return out[0] if np.ndim(delta) == 1 else out
 
 
-def gram_rows(jet: Jet, U, dz, dU) -> np.ndarray:
-    """The Gram derivative along each of K stacked tangents as a real row,
-    the real parts of its entries, then the imaginary parts: shape (K, 2 n^2)."""
-    gd = gram_derivative(jet, U, dz, dU).reshape(len(dz), -1)
+def gram_rows(jet: Jet, delta, A) -> np.ndarray:
+    """The Gram derivative along each of K stacked frame increments as a
+    real row, the real parts of its entries, then the imaginary parts:
+    shape (K, 2 n^2)."""
+    gd = gram_derivative(jet, delta, A).reshape(len(delta), -1)
     return np.concatenate([gd.real, gd.imag], axis=1)
 
 
 def verify_tangent(prog: MetricProgram, p: BundlePoint, t: AmbientTangent,
                    jet: Jet | None = None) -> float:
-    """Max-abs derivative of the Gram map along t, or along every tangent
-    of a stacked t; ~0 iff tangent.  jet is the jet(4, 1) at (z, e_0),
-    evaluated here when not given."""
-    jet = prog.jet_unchecked(p.z, p.e0, 4, 1) if jet is None else jet
-    return float(np.max(np.abs(gram_derivative(jet, p.U, t.dz, t.dU))))
+    """Max-abs derivative of the Gram map along the ambient tangent t, or
+    along every tangent of a stacked t; ~0 iff tangent.  jet is the
+    frame-seeded jet(4, 1) at p, evaluated here when not given."""
+    if jet is None:
+        jet = prog.jet_unchecked(p.z, p.e0, 4, 1, p.U)
+    return float(np.max(np.abs(gram_derivative(jet, *frame_increments(p.U, t.dz, t.dU)))))
 
 
 def tangency_kernel_dimension(prog: MetricProgram, p: BundlePoint) -> int:
@@ -132,7 +145,8 @@ def tangency_kernel_dimension(prog: MetricProgram, p: BundlePoint) -> int:
     """
     n = p.n
     dim_amb = 2 * n + 2 * n * n
-    mat = gram_rows(prog.jet_unchecked(p.z, p.e0, 4, 1), p.U, *unpack_real(np.eye(dim_amb), n)).T
+    inc = frame_increments(p.U, *unpack_real(np.eye(dim_amb), n))
+    mat = gram_rows(prog.jet_unchecked(p.z, p.e0, 4, 1, p.U), *inc).T
     sv = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(sv > KERNEL_REL_TOL * sv[0]))
     return dim_amb - rank
@@ -205,18 +219,20 @@ def _orthonormalize(G: np.ndarray, cols, w: np.ndarray, tol: float):
     return w / np.sqrt(pivot)
 
 
-def adapted_frame(prog: MetricProgram, z, v) -> BundlePoint:
+def adapted_frame(prog: MetricProgram, z, v, report: LeviReport | None = None) -> BundlePoint:
     """Deterministic adapted unitary frame with e_0 = v / F(v).
 
     Remaining columns come from projecting the canonical basis against the
     mixed-Hessian pairing with Gram-Schmidt in index order; each pivot is
     phase-normalized so its largest component is positive real.  e_0 and
-    the pairing are the ones the Levi check evaluated.
+    the pairing are the ones the Levi check at (z, v) evaluated: report,
+    when the caller holds it, else one taken here.
     """
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     n = prog.dim
-    report = levi_check(prog, z, v)
+    if report is None:
+        report = levi_check(prog, z, v)
     if report.verdict != "strongly-pseudoconvex":
         raise DegenerateMetricError(
             f"Levi form is {report.verdict} at the requested point")

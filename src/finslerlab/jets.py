@@ -16,6 +16,14 @@ derivative the third ones from a jet(2, 3) and every mixed second
 derivative of the (2, 0), (2, 1) and base-differentiated (1, 1) tensors
 from a jet(5, 2).  Every other jet has base order 0 or 1.
 
+MetricProgram.jet_unchecked seeds the leaves in a frame U: z = z_0 + U zeta
+and v = U (e_0 + xi) at v_0 = U e_0, with zeta, xi the Z and V variables;
+the conjugate leaves follow from Jet.conj.  A partial along xi_a or zeta_a
+is the coordinate partial along the frame vector U e_a, so the fiber
+tensors are the frame forms, with no contraction.  U = I seeds value + x_k,
+the coordinate jet, with the same coefficients bit for bit: the coordinate
+jets (Levi check, homogeneity identities, Gram jet) share the code path.
+
 On the larger tables the product of finite operands visits only the pairs
 of the multiplication table whose two coefficients are both nonzero, in the
 table's own order.  Every skipped term is an exact zero and the remaining
@@ -42,8 +50,13 @@ V, VBAR, Z, ZBAR = 0, 1, 2, 3
 # with 350 (9.4 us either way), and won from 1,287 pairs on: (2, 5, 0)
 # went from 16 us to 11 us.  No table the package uses lies in between.
 SPARSE_MIN_PAIRS = 1000
-# nonzero-pattern pairs whose restricted tables one JetSpace keeps
-PATTERN_CACHE_SIZE = 256
+# nonzero-pattern pairs whose restricted tables one JetSpace keeps, least
+# recently used first out.  Jets seeded in a frame have round-off zeros that
+# differ from point to point, so many patterns serve one jet only; a jet of
+# the catalog's metrics uses at most 11 per table, and a larger cache mostly
+# holds stale restricted tables (about 6 MB at 256 on the n = 3 tables of
+# `structure`, 0.8 MB more peak memory at 32 than at 16).
+PATTERN_CACHE_SIZE = 16
 
 
 def _monomials(nvars: int, max_deg: int) -> np.ndarray:
@@ -106,15 +119,11 @@ class JetSpace:
         factorials = np.array([math.factorial(k) for k in range(self.max_total + 1)])
         self._factorial = np.prod(factorials[mono], axis=1).astype(float)
         self._tensor_tables: dict = {}
-        # first-order slots for seeding variables
-        self._linear_slot = {}
-        for kind in (V, VBAR, Z, ZBAR):
-            for k in range(n):
-                e = [0] * (4 * n)
-                e[kind * n + k] = 1
-                key = tuple(e)
-                if key in self.index:
-                    self._linear_slot[(kind, k)] = self.index[key]
+        # first-order slots for seeding variables, per kind whose table has them
+        unit = np.eye(4 * n, dtype=int).tolist()
+        self._linear_slots = {kind: [self.index[tuple(e)] for e in unit[kind * n:(kind + 1) * n]]
+                              for kind in (V, VBAR, Z, ZBAR)
+                              if tuple(unit[kind * n]) in self.index}
 
     # -- constructors -------------------------------------------------------
 
@@ -123,12 +132,15 @@ class JetSpace:
         c[0] = value
         return Jet(self, c)
 
-    def variable(self, kind: int, k: int, value: complex) -> "Jet":
+    def variable(self, kind: int, k: int, value: complex, frame=None) -> "Jet":
+        """Variable k of a kind (V or Z): value + sum_j frame[k, j] x_j, with
+        x the infinitesimals of that kind.  frame defaults to the identity,
+        which seeds the coordinate jet, value + x_k."""
         c = np.zeros(self.size, dtype=complex)
         c[0] = value
-        slot = self._linear_slot.get((kind, k))
-        if slot is not None:
-            c[slot] = 1.0
+        slots = self._linear_slots.get(kind)
+        if slots is not None:
+            c[slots] = np.eye(self.n)[k] if frame is None else frame[k]
         return Jet(self, c)
 
     # -- arithmetic kernels --------------------------------------------------
@@ -148,13 +160,13 @@ class JetSpace:
     def _nonzero_pairs(self, nza: np.ndarray, nzb: np.ndarray):
         """The table's pairs (in table order) with both coefficients nonzero."""
         key = (nza.tobytes(), nzb.tobytes())
-        hit = self._pairs.get(key)
+        hit = self._pairs.pop(key, None)  # reinserted last: the cache is least recently used
         if hit is None:
             keep = np.flatnonzero(nza[self._m1] & nzb[self._m2])
             hit = (self._m1[keep], self._m2[keep], self._mo[keep])
             if len(self._pairs) >= PATTERN_CACHE_SIZE:
-                self._pairs.clear()
-            self._pairs[key] = hit
+                del self._pairs[next(iter(self._pairs))]
+        self._pairs[key] = hit
         return hit
 
     def tensor_table(self, p: int, q: int, base: tuple = ()):
@@ -332,14 +344,6 @@ class Jet:
         Returns two arrays of shape (n,) + (n,)*(p+q); leading axis is k.
         """
         return self.partials(p, q, (Z,)), self.partials(p, q, (ZBAR,))
-
-    def fiber_tensor_dbase2(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """Second base derivatives (d_z_l, d_zbar_l) of the d_z_k tensor of
-        fiber_tensor_dbase; needs base order 2.
-
-        Returns two arrays of shape (n, n) + (n,)*(p+q); leading axes are l, k.
-        """
-        return self.partials(p, q, (Z, Z)), self.partials(p, q, (ZBAR, Z))
 
     def partials(self, p: int, q: int, kinds: tuple = ()) -> np.ndarray:
         """The (p, q) fiber tensor differentiated once along each variable

@@ -331,9 +331,11 @@ class MetricProgram:
 
     # -- jets -------------------------------------------------------------------
 
-    def jet_unchecked(self, z, v, fiber_order: int, base_order: int) -> Jet:
+    def jet_unchecked(self, z, v, fiber_order: int, base_order: int, frame=None) -> Jet:
         """Jet table without the public order cap (internal use); every call
-        evaluates the tape."""
+        evaluates the tape.  The leaves are seeded in the frame, z + U zeta
+        and v + U xi with U = frame, so the jet's partials are taken along
+        the columns of U; without a frame they are the coordinate partials."""
         z = np.asarray(z, dtype=complex)
         v = np.asarray(v, dtype=complex)
         if not v.any():
@@ -344,7 +346,7 @@ class MetricProgram:
         def leaf(entry):  # ('num', x) or ('var', kind, k)
             if entry[0] == "num":
                 return space.const(entry[1])
-            return space.variable(*entry[1:], (v if entry[1] == V else z)[entry[2]])
+            return space.variable(*entry[1:], (v if entry[1] == V else z)[entry[2]], frame)
 
         try:
             out = self._run(_JET_OPS, leaf)

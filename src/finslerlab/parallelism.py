@@ -103,8 +103,10 @@ def _stack_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     for e_{2 lam}, e_{2 lam + 1}, with B = E_{lam 0} less the pure quadratic
     and cubic form corrections and C = -E_{0 lam}; T; the u-block basis.
     Returns the stack with its constant parts filled (E_{lam 0} - E_{0 lam}
-    and i(E_{lam 0} + E_{0 lam}) in the e slots) and the frame components w
-    of the 2n lifts."""
+    and i(E_{lam 0} + E_{0 lam}) in the e slots) and the frame components W
+    of the fields' base parts: w_g of the 2n lifts, 0 for the rest.  Field j
+    is the ambient tangent U (W[j], G[j]): its frame increments are
+    (W[j], G[j])."""
     m = n - 1
     t = 2 * n + 2 * m
 
@@ -119,7 +121,7 @@ def _stack_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     stack[t] = 1j * _unit(n, 0, 0)
     stack[t + 1:] = stacked(u_block_basis(n))
     a = np.arange(n)
-    w = np.zeros((2 * n, n, 1), dtype=complex)
+    w = np.zeros((n * n + 2 * n, n), dtype=complex)
     w[2 * a, a] = 1.0
     w[2 * a + 1, a] = 1j
     stack.flags.writeable = w.flags.writeable = False
@@ -181,20 +183,25 @@ def _field_stack(fd: FrameData, G: np.ndarray | None = None) -> tuple[np.ndarray
     dz = np.zeros((n * n + 2 * n, n), dtype=complex)
     # U w as matrix-vector products: a matrix product can differ in the sign
     # of a zero, which the least-squares solves downstream propagate
-    np.matmul(fd.U, _stack_layout(n)[1], out=dz[:2 * n, :, None])
+    np.matmul(fd.U, _stack_layout(n)[1][:2 * n, :, None], out=dz[:2 * n, :, None])
     return dz, np.matmul(fd.U, _generators(fd) if G is None else G)
 
 
 def _packed(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
-    """The fields (dz[j], dU[j]) as packed-real columns (pack_real of each),
-    laid out as the transpose of the fields stacked as rows."""
-    flat = dU.reshape(len(dz), -1)
-    return np.hstack([dz.real, dz.imag, flat.real, flat.imag]).T
+    """Ambient tangents (dz, dU), any leading axes, as packed-real rows
+    (pack_real of each)."""
+    flat = dU.reshape(dz.shape[:-1] + (-1,))
+    return np.concatenate([dz.real, dz.imag, flat.real, flat.imag], axis=-1)
+
+
+def _packed_frame(U: np.ndarray, delta: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """_packed of the tangents with frame increments (delta, A): (U delta, U A)."""
+    return _packed(np.matmul(U, delta[..., None])[..., 0], np.matmul(U, A))
 
 
 def _real_field_matrix(prog: MetricProgram, z, U) -> np.ndarray:
     """All parallelism fields at (z, U), packed as real columns."""
-    return _packed(*_field_stack(frame_data(prog, z, U)))
+    return _packed(*_field_stack(frame_data(prog, z, U))).T
 
 
 @cache
@@ -275,7 +282,7 @@ def parallelism_at(prog: MetricProgram, p: BundlePoint) -> ParallelismBasis:
         raise FinslerError(
             f"parallelism field fails tangency ({worst:.2e}); jets inaccurate "
             "or the point is not an adapted frame")
-    mat = _packed(dz, dU)
+    mat = _packed(dz, dU).T
     sv = np.linalg.svd(mat, compute_uv=False)
     return ParallelismBasis(point=p, labels=labs, tangents=tangents, matrix=mat,
                             min_singular_ratio=float(sv[-1] / sv[0]),
@@ -292,28 +299,32 @@ class FieldTable:
     X: np.ndarray      # (N, n, n)
     first: tuple       # (dE, dC20, dC21) along each field, leading axis N
     dG: np.ndarray     # (N, N, n, n) dG[a] is the derivative of G along field a
-    D: np.ndarray      # (N, N, P) D[a, b] = D_a X_b, packed as vals
+    D: tuple           # frame increments of D[a, b] = D_a X_b, shapes (N, N, n), (N, N, n, n)
     vals: np.ndarray   # (P, N) vals[:, m] is field m, packed real
-    br: np.ndarray     # (N, N, P) br[a, b] = D_a X_b - D_b X_a
+    pinv: np.ndarray   # (N, P) the pseudo-inverse of vals
+    br: np.ndarray     # (N, N, P) br[a, b] = D_a X_b - D_b X_a, packed as vals
 
 
 def _bracket_table(fd: FrameData) -> FieldTable:
     """All pairwise brackets of the real parallelism fields at the point of fd.
 
     D_a X_b is the exact derivative of field X_b along X_a.  A field is
-    (U w, U G) with w constant and G from (E, C20, C21), so along X_a =
-    (dz_a, dU_a) it moves by (dU_a w, dU_a G + U dG), with dG the stack
-    _fill_generators builds from the derivatives of (E, C20, C21).  A
-    report builds it once per point and hands it on with the frame data;
-    every derivative along the fields there is read from it.
+    U (w, G) with w constant and G from (E, C20, C21), so along X_a, whose
+    frame increments are (w_a, G_a), it moves by U (G_a w, G_a G + dG),
+    with dG the stack _fill_generators builds from the derivatives of
+    (E, C20, C21).  A report builds it once per point and hands it on with
+    the frame data; every derivative along the fields there is read from
+    it, and every decomposition on the fields is a product with its pinv.
     """
     G = _generators(fd)
     dz, X = _field_stack(fd, G)  # X[b] is the dU of field b
-    first = frame_derivatives(fd, dz, X)
+    first = frame_derivatives(fd, _stack_layout(fd.n)[1], G)
     dG = _generator_derivatives(first)
-    D = _field_derivatives(fd, G, X, dG)
-    return FieldTable(G=G, dz=dz, X=X, first=first, dG=dG, D=D, vals=_packed(dz, X),
-                      br=D - D.transpose(1, 0, 2))
+    D = _field_derivatives(G, G, dG)
+    vals = _packed(dz, X).T
+    return FieldTable(G=G, dz=dz, X=X, first=first, dG=dG, D=D, vals=vals,
+                      pinv=np.linalg.pinv(vals),
+                      br=_packed_frame(fd.U, *(d - d.swapaxes(0, 1) for d in D)))
 
 
 def _generator_derivatives(derivs) -> np.ndarray:
@@ -326,26 +337,23 @@ def _generator_derivatives(derivs) -> np.ndarray:
     return _fill_generators(G, *derivs)
 
 
-def _field_derivatives(fd: FrameData, G: np.ndarray, dU: np.ndarray, dG: np.ndarray):
-    """D[k, b]: the derivative of field b along tangent k, packed as the
-    fields are, for K tangents with vertical parts dU (K, n, n) along which
-    the generator stack G moves by dG (K, N, n, n).  Field b is (U w_b,
-    U G_b), so it moves by (dU w_b, dU G_b + U dG_b)."""
-    n = fd.n
-    K, N = dG.shape[:2]
-    Ddz = np.zeros((K, N, n), dtype=complex)
-    Ddz[:, :2 * n] = np.matmul(dU[:, None], _stack_layout(n)[1])[..., 0]
-    DU = (np.matmul(dU[:, None], G) + np.matmul(fd.U, dG)).reshape(K, N, -1)
-    return np.concatenate([Ddz.real, Ddz.imag, DU.real, DU.imag], axis=-1)
+def _field_derivatives(G: np.ndarray, A: np.ndarray, dG: np.ndarray):
+    """The frame increments of D_k X_b, the derivative of field b along K
+    tangents with frame increments A (K, n, n), along which the generator
+    stack G moves by dG (K, N, n, n).  Field b is U (w_b, G_b), so it moves
+    by U (A w_b, A G_b + dG_b)."""
+    K, N, n = dG.shape[:3]
+    delta = np.zeros((K, N, n), dtype=complex)
+    delta[:, :2 * n] = np.matmul(A[:, None], _stack_layout(n)[1][:2 * n, :, None])[..., 0]
+    return delta, np.matmul(A[:, None], G) + dG
 
 
 def bracket_coefficients(table: FieldTable) -> np.ndarray:
     """c[a, b, i]: the component of the bracket of real fields a and b on
     real field i, by least squares on the real fields, from the bracket
     table at a point."""
-    N = table.vals.shape[1]
-    sol, *_ = np.linalg.lstsq(table.vals, table.br.reshape(N * N, -1).T, rcond=None)
-    return sol.T.reshape(N, N, N)
+    N = len(table.pinv)
+    return (table.pinv @ table.br.reshape(N * N, -1).T).T.reshape(N, N, N)
 
 
 def structure_derivative(fd: FrameData, table: FieldTable) -> np.ndarray:
@@ -357,32 +365,33 @@ def structure_derivative(fd: FrameData, table: FieldTable) -> np.ndarray:
     solution (Golub and Pereyra, 1973) is dc = B^+ (D_Y br - (D_Y B) c).
     The columns of D_Y B are D_Y X_b = J_b(Y), with J_b the derivative of
     field b, and D_Y br[a, b] = D_Y (J_b(X_a)) - (a <-> b), where
-    D_Y (J_b(X_a)) = D^2 X_b[Y, X_a] + J_b(J_a(Y)).  The second derivative
-    of X_b = (U w_b, U G_b) along (Y, V) is (0, dU_V dG_b(Y) + dU_Y dG_b(V)
-    + U d^2 G_b(Y, V)), with d^2 G from connection.frame_second_derivatives.
-    Along the fields, J_b(Y_k) and the derivatives of G are the table's;
-    only the derivatives along the tangents J_a(Y_k) are new first ones.
+    D_Y (J_b(X_a)) = D^2 X_b[Y, X_a] + J_b(J_a(Y)).  In frame increments,
+    with Y_k = U (w_k, G_k), the second derivative of X_b = U (w_b, G_b)
+    along (Y, V) is (0, A_V dG_b(Y) + A_Y dG_b(V) + d^2 G_b(Y, V)), with
+    d^2 G from connection.frame_second_derivatives, and J_a(Y_k) has the
+    frame increments (G_k w_a, G_k G_a + dG_a(Y_k)), the table's D[k, a].
+    Only the derivatives along the tangents J_a(Y_k) are new first ones.
     At a point displaced off the bundle by t, where the signature's higher
     tiers evaluate this, B c = br leaves a residual of O(t^2), and the term
     of d(B^+) that the formula drops is of the same order.
     """
     n = fd.n
-    G, dz, X, dG, JY = table.G, table.dz, table.X, table.dG, table.D
-    N = len(dz)
-    fields = (dz, X)
-    d2G = _generator_derivatives(
-        frame_second_derivatives(fd, fields, fields, table.first, table.first))
-    # D2[k, a, b] = D^2 X_b[Y_k, X_a] + J_b(J_a(Y_k))
-    DU = (np.matmul(X[None, :, None], dG[:, None]) + np.matmul(X[:, None, None], dG)
-          + np.matmul(fd.U, d2G)).reshape(N, N, N, -1)
-    zero = np.zeros((N, N, N, 2 * n))
-    jdz, jdU = unpack_real(JY.reshape(N * N, -1), n)
-    D2 = (np.concatenate([zero, DU.real, DU.imag], axis=-1)
-          + _field_derivatives(fd, G, jdU, _generator_derivatives(
-              frame_derivatives(fd, jdz, jdU))).reshape(N, N, N, -1))
+    G, dG, (Jd, JA) = table.G, table.dG, table.D
+    N = len(G)
+    fields = (_stack_layout(n)[1], G)  # their frame increments
+    d2G = _generator_derivatives(frame_second_derivatives(fd, fields, fields, table.first,
+                                                          table.first))
+    # D2[k, a, b] = D^2 X_b[Y_k, X_a] + J_b(J_a(Y_k)), in frame increments
+    inc = (Jd.reshape(N * N, n), JA.reshape(N * N, n, n))
+    d2d, d2A = (d.reshape((N, N) + d.shape[1:]) for d in _field_derivatives(
+        G, inc[1], _generator_derivatives(frame_derivatives(fd, *inc))))
+    d2A = d2A + (np.matmul(G[None, :, None], dG[:, None]) + np.matmul(G[:, None, None], dG)
+                 + d2G)
     c = bracket_coefficients(table).reshape(N * N, N)
-    rhs = (D2 - D2.transpose(0, 2, 1, 3)).reshape(N, N * N, -1) - np.matmul(c, JY)
-    dc, *_ = np.linalg.lstsq(table.vals, rhs.reshape(N * N * N, -1).T, rcond=None)
+    rhs = [(d2 - d2.swapaxes(1, 2)).reshape((N, N * N) + d2.shape[3:])
+           - np.matmul(c, d.reshape(N, N, -1)).reshape((N, N * N) + d.shape[2:])
+           for d2, d in ((d2d, Jd), (d2A, JA))]
+    dc = table.pinv @ _packed_frame(fd.U, *rhs).reshape(N * N * N, -1).T
     return dc.T.reshape(N, N, N, N)
 
 

@@ -11,9 +11,23 @@ from finslerlab.parallelism import (
     _complex_lift_derivative,
     _complex_pairs,
     _field_stack,
+    _generators,
     _lift_derivative_of,
+    _stack_layout,
     extract_structure,
 )
+
+
+def frame_contract(t: np.ndarray, p: int, q: int, U: np.ndarray, kinds: tuple = ()) -> np.ndarray:
+    """A coordinate tensor on the columns of U: the leading axes of the
+    derivatives along kinds, then the p holomorphic slots, contracted with
+    the columns of U (V, Z and holomorphic slots) or their conjugates (VBAR,
+    ZBAR and conjugate slots).  What a jet seeded in the frame U reads with
+    no contraction."""
+    for M in [U if kind in (V, Z) else np.conj(U) for kind in kinds] + [U] * p \
+            + [np.conj(U)] * q:
+        t = np.tensordot(t, M, axes=(0, 0))
+    return t
 
 
 def contract(tensor: np.ndarray, unbarred, barred) -> complex:
@@ -174,13 +188,14 @@ def fd_derivative(prog, z, v, v_idx=(), vbar_idx=(), z_idx=(), zbar_idx=(),
 def lift_derivatives(fd):
     """The derivatives along the holomorphic lifts and their conjugates, as
     parallelism._complex_lift_derivative returns them, by the direct route:
-    the lifts rebuilt by _field_stack, one form_derivative per frame form,
-    and frame_derivatives along the lifts for the torsion T = E - E^T."""
-    dz, dU = _field_stack(fd)
+    the lifts' frame increments rebuilt from a fresh generator stack, one
+    form_derivative per frame form, and frame_derivatives along the lifts
+    for the torsion T = E - E^T."""
     lifts = slice(0, 2 * fd.n)
-    out = {pq: _complex_pairs(form_derivative(fd.jet, fd.U, pq, dz[lifts], dU[lifts]))
+    W, G = _stack_layout(fd.n)[1][lifts], _generators(fd)[lifts]
+    out = {pq: _complex_pairs(form_derivative(fd.jet, pq, W, G))
            for pq in ((2, 0), (2, 1), (1, 2))}
-    dE = frame_derivatives(fd, dz[lifts], dU[lifts])[0]
+    dE = frame_derivatives(fd, W, G)[0]
     out["T"] = _complex_pairs(dE - np.swapaxes(dE, -1, -2))
     return out
 

@@ -413,16 +413,17 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
     (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
       "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
       "--order", "1"], (36, 72, 18, 2)),
-    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (18, 40, 20, 6)),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (18, 40, 18, 2)),
 ])
 def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # (frame_derivatives, form_derivative, _field_stack, jet(2, 0)) calls per
     # report.  The bracket table at a point is the only place the fields are
     # built and differentiated along each other, and every later derivative
-    # along them (signature tier 1, the lift derivatives) reads it; check adds
-    # one field stack a point for the tangency of its lifts.  The adapted
-    # frame reads the jet(2, 0) its Levi check evaluated; check's own Levi
-    # check and Gram residual evaluate theirs
+    # along them (signature tier 1, the lift derivatives) reads it; check
+    # takes the tangency of its lifts from their frame increments, with no
+    # field stack.  check evaluates one jet(2, 0) a point, in its Levi
+    # check: the adapted frame reads that report, and the Gram residual is
+    # read off the point's frame data
     calls = {}
 
     def counting(key, f):
@@ -440,10 +441,10 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
                 monkeypatch.setattr(module, name, counted)
     jet = MetricProgram.jet_unchecked
 
-    def counted_jet(self, z, v, fiber_order, base_order):
+    def counted_jet(self, z, v, fiber_order, base_order, frame=None):
         if (fiber_order, base_order) == (2, 0):
             calls["jet20"] = calls.get("jet20", 0) + 1
-        return jet(self, z, v, fiber_order, base_order)
+        return jet(self, z, v, fiber_order, base_order, frame)
 
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
     assert run(argv) == 0

@@ -16,6 +16,7 @@ from finslerlab.connection import (
 from finslerlab.frame_bundle import (
     AmbientTangent,
     adapted_frame,
+    frame_increments,
     group_act,
     verify_tangent,
 )
@@ -209,7 +210,7 @@ def test_frame_derivatives_match_central_differences(progs, entries, warped, mid
     rng = np.random.default_rng(6)
     dz = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
     dU = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
-    exact = frame_derivatives(frame_data(prog, p.z, p.U), dz, dU)
+    exact = frame_derivatives(frame_data(prog, p.z, p.U), *frame_increments(p.U, dz, dU))
     h = 1e-5
 
     def parts(k, t):
@@ -242,12 +243,16 @@ def test_frame_second_derivatives_match_central_differences(progs, entries, warp
 
     t1, t2 = stack(3), stack(2)
     fd = frame_data(prog, p.z, p.U)
-    exact = frame_second_derivatives(fd, t1, t2, frame_derivatives(fd, *t1),
-                                     frame_derivatives(fd, *t2))
+    inc1, inc2 = frame_increments(p.U, *t1), frame_increments(p.U, *t2)
+    exact = frame_second_derivatives(fd, inc1, inc2, frame_derivatives(fd, *inc1),
+                                     frame_derivatives(fd, *inc2))
     h = 1e-5
 
     def first(l, t):
-        return frame_derivatives(FrameData(prog, p.z + t * t2[0][l], p.U + t * t2[1][l]), *t1)
+        # along the same ambient tangents t1 at the displaced point
+        U = p.U + t * t2[1][l]
+        return frame_derivatives(FrameData(prog, p.z + t * t2[0][l], U),
+                                 *frame_increments(U, *t1))
 
     for l in range(2):
         for got, plus, minus in zip(exact, first(l, h), first(l, -h)):

@@ -312,15 +312,16 @@ def test_tier_1_builds_frame_data_and_jets_only_at_the_point(entries, monkeypatc
         frames.append((np.array(z), np.array(U)))
         init(self, prog, z, U)
 
-    def counted_jet(self, z, v, fiber_order, base_order):
-        jets.append((np.array(z), np.array(v), fiber_order, base_order))
-        return jet(self, z, v, fiber_order, base_order)
+    def counted_jet(self, z, v, fiber_order, base_order, frame=None):
+        jets.append((np.array(z), np.array(v), fiber_order, base_order, frame))
+        return jet(self, z, v, fiber_order, base_order, frame)
 
     monkeypatch.setattr(FrameData, "__init__", counted_init)
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
     _tier(prog, p.z, p.U, 1)
     assert len(frames) == 1
     assert np.array_equal(frames[0][0], p.z) and np.array_equal(frames[0][1], p.U)
-    assert {j[2:] for j in jets} == {(4, 1), (2, 2), (5, 2), (2, 3)}
-    for z, v, *_ in jets:
+    assert {j[2:4] for j in jets} == {(4, 1), (2, 2), (5, 2), (2, 3)}
+    for z, v, *_, frame in jets:
         assert np.array_equal(z, p.z) and np.array_equal(v, p.e0)
+        assert np.array_equal(frame, p.U)  # seeded in the frame

@@ -6,17 +6,16 @@ from finslerlab.finsler_forms import (
     bar,
     form_derivative,
     forms_at,
-    frame_contract,
     hermitian_test,
     homogeneity_identities,
     levi_check,
     recover_hermitian_metric,
 )
-from finslerlab.frame_bundle import adapted_frame, gram_derivative
+from finslerlab.frame_bundle import adapted_frame, frame_increments, gram_derivative
 from finslerlab.registry import sample_points
 
 import oracles
-from oracles import fd_derivative
+from oracles import fd_derivative, frame_contract
 
 
 def test_flat_forms_in_coordinate_frame(progs):
@@ -92,8 +91,8 @@ class _MutatedJets:
     def __init__(self, prog, mutate):
         self.prog, self.mutate, self.dim = prog, mutate, prog.dim
 
-    def jet_unchecked(self, z, v, fiber_order, base_order):
-        jet = self.prog.jet_unchecked(z, v, fiber_order, base_order)
+    def jet_unchecked(self, z, v, fiber_order, base_order, frame=None):
+        jet = self.prog.jet_unchecked(z, v, fiber_order, base_order, frame)
         return type("MutatedJet", (), {"fiber_tensor": lambda _, p, q: self.mutate(jet, p, q)})()
 
 
@@ -199,9 +198,10 @@ def test_hermitian_metric_recovery_is_fiber_independent(progs):
     ("poincare_ball_3", [0.1 + 0.2j, -0.3, 0.15j], [1.0, 0.5 - 0.2j, 0.3]),
 ])
 def test_form_derivative_matches_central_difference(progs, metric_id, z, v):
-    """The stacked derivative of each frame form equals a central difference
-    of the form at displaced (z, U), and each of its directions equals the
-    same direction alone, bit for bit."""
+    """The stacked derivative of each frame form along the frame increments
+    of ambient tangents equals a central difference of the form at
+    displaced (z, U), and each of its directions equals the same direction
+    alone, bit for bit."""
     prog = progs[metric_id]
     n = prog.dim
     rng = np.random.default_rng(11)
@@ -212,13 +212,14 @@ def test_form_derivative_matches_central_difference(progs, metric_id, z, v):
     dU = rng.standard_normal((K, n, n)) + 1j * rng.standard_normal((K, n, n))
     h = 1e-5
     for U in (U0, U0 + 0.1 * tilt):  # an adapted frame, then a non-adapted U
-        jet = prog.jet_unchecked(z, U[:, 0], 4, 1)
+        jet = prog.jet_unchecked(z, U[:, 0], 4, 1, U)
+        delta, A = frame_increments(U, dz, dU)
         for p, q in ((1, 1), (2, 0), (2, 1), (1, 2)):
             def form(zz, UU):
                 raw = prog.jet_unchecked(zz, UU[:, 0], p + q, 0).fiber_tensor(p, q)
                 return frame_contract(raw, p, q, UU)
 
-            stacked = form_derivative(jet, U, (p, q), dz, dU)
+            stacked = form_derivative(jet, (p, q), delta, A)
             assert stacked.shape == (K,) + (n,) * (p + q)
             for k in range(K):
                 diff = (form(z + h * dz[k], U + h * dU[k])
@@ -226,9 +227,9 @@ def test_form_derivative_matches_central_difference(progs, metric_id, z, v):
                 # relative, or absolute where the form vanishes (Hermitian (2, 0))
                 err = np.max(np.abs(stacked[k] - diff)) / max(1.0, np.max(np.abs(diff)))
                 assert err < 1e-7, (p, q, k, err)
-                alone = form_derivative(jet, U, (p, q), dz[k:k + 1], dU[k:k + 1])
+                alone = form_derivative(jet, (p, q), delta[k:k + 1], A[k:k + 1])
                 assert np.array_equal(alone[0], stacked[k])
         # the Gram derivative is the (1, 1) case, stacked or one tangent at a time
-        gd = gram_derivative(jet, U, dz, dU)
-        assert np.array_equal(gd, form_derivative(jet, U, (1, 1), dz, dU))
-        assert np.array_equal(gram_derivative(jet, U, dz[1], dU[1]), gd[1])
+        gd = gram_derivative(jet, delta, A)
+        assert np.array_equal(gd, form_derivative(jet, (1, 1), delta, A))
+        assert np.array_equal(gram_derivative(jet, delta[1], A[1]), gd[1])

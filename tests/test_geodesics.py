@@ -439,9 +439,9 @@ def test_geodesic_step_work_counts(entries, monkeypatch):
         frames.append(z)
         init(self, prog, z, U)
 
-    def counted_jet(self, z, v, fiber_order, base_order):
+    def counted_jet(self, z, v, fiber_order, base_order, frame=None):
         jets.append((fiber_order, base_order))
-        return jet(self, z, v, fiber_order, base_order)
+        return jet(self, z, v, fiber_order, base_order, frame)
 
     def counted_eval(self, z, v):
         evals.append(z)

@@ -151,13 +151,14 @@ def test_base_order_2_jet_matches_sympy(n, seed):
 
 
 def test_second_base_accessor_matches_sympy():
-    # fiber_tensor_dbase2(1, 1)[0][l, k, i, j] = d_z_l d_z_k d_v_i d_vbar_j F^2,
-    # and [1] has d_zbar_l in place of d_z_l
+    # partials(1, 1, (Z, Z))[l, k, i, j] = d_z_l d_z_k d_v_i d_vbar_j F^2,
+    # and (ZBAR, Z) has d_zbar_l in place of d_z_l
     n = 2
     S, text, expr, z, v, point = case(200, n)
     prog = parse_metric(MetricSource(n, text))
     exact = Exact(S, expr, point)
-    zz, zbz = prog.jet_unchecked(z, v, 2, 2).fiber_tensor_dbase2(1, 1)
+    jet = prog.jet_unchecked(z, v, 2, 2)
+    zz, zbz = jet.partials(1, 1, (Z, Z)), jet.partials(1, 1, (ZBAR, Z))
     assert zz.shape == zbz.shape == (n,) * 4
     for l, k, i, j in itertools.product(range(n), repeat=4):
         for kind, got in ((Z, zz), (ZBAR, zbz)):

@@ -162,6 +162,22 @@ def test_pattern_cache_is_bounded():
         assert len(sp._pairs) <= PATTERN_CACHE_SIZE
 
 
+def test_pattern_cache_keeps_the_recently_used():
+    # a pattern read again outlives those read before it
+    sp = jet_space(3, 4, 1)
+    sp._pairs.clear()
+    rng = np.random.default_rng(6)
+    b = random_coefficients(rng, sp.size, 0.5)
+    ops = [random_coefficients(rng, sp.size, 0.5) for _ in range(PATTERN_CACHE_SIZE + 1)]
+    keys = [(a.astype(bool).tobytes(), b.astype(bool).tobytes()) for a in ops]
+    for a in ops[:-1]:
+        sp.mul(a, b)
+    sp.mul(ops[0], b)
+    sp.mul(ops[-1], b)
+    assert keys[0] in sp._pairs and keys[1] not in sp._pairs
+    assert len(sp._pairs) == PATTERN_CACHE_SIZE
+
+
 @pytest.mark.parametrize("table", CATALOG_TABLES)
 def test_tables_equal_the_pairwise_loop(table):
     # table order fixes the order of the product's sums, so its bits
@@ -188,7 +204,7 @@ def test_second_base_derivatives_of_a_product():
     z1 = sp.variable(Z, 0, 0.2 - 0.4j)
     z2 = sp.variable(Z, 1, -0.5 + 0.3j)
     f = v1.abs2() * z1 * z1 * z2.conj()
-    zz, zbz = f.fiber_tensor_dbase2(1, 1)
+    zz, zbz = f.partials(1, 1, (Z, Z)), f.partials(1, 1, (ZBAR, Z))
     assert zz.shape == zbz.shape == (2, 2, 2, 2)
     assert zz[0, 0, 0, 0] == pytest.approx(2 * np.conj(-0.5 + 0.3j))
     assert zbz[1, 0, 0, 0] == pytest.approx(2 * (0.2 - 0.4j))

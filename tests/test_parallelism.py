@@ -381,18 +381,25 @@ def test_decomposition_matches_a_complex_solve(progs, entries, twisted, warped, 
 
 
 def test_extract_structure_makes_one_real_solve(twisted, monkeypatch):
-    # the frame data and the bracket table make no least-squares solve
+    # the frame data make no least-squares solve; the bracket table takes
+    # one real pseudo-inverse of the fields, and every decomposition on
+    # them is a product with it
     p = adapted_frame(twisted, [0.4 + 0.1j, -0.2 + 0.3j], [1.0, 0.7 + 0.2j])
-    matrices = []
-    lstsq = np.linalg.lstsq
+    matrices, solves = [], []
+    pinv, lstsq = np.linalg.pinv, np.linalg.lstsq
 
-    def recorded(a, b, *args, **kwargs):
+    def recorded(a, *args, **kwargs):
         matrices.append(np.asarray(a))
+        return pinv(a, *args, **kwargs)
+
+    def recorded_solve(a, b, *args, **kwargs):
+        solves.append(a)
         return lstsq(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    monkeypatch.setattr(np.linalg, "pinv", recorded)
+    monkeypatch.setattr(np.linalg, "lstsq", recorded_solve)
     extract_structure(twisted, p)
-    assert len(matrices) == 1
+    assert len(matrices) == 1 and not solves
     assert matrices[0].dtype == np.float64
 
 
@@ -502,9 +509,9 @@ def test_structure_builds_frame_data_and_jets_only_at_the_point(entries, monkeyp
         frames.append((np.array(z), np.array(U)))
         init(self, prog, z, U)
 
-    def counted_jet(self, z, v, fiber_order, base_order):
-        jets.append((np.array(z), np.array(v), fiber_order, base_order))
-        return jet(self, z, v, fiber_order, base_order)
+    def counted_jet(self, z, v, fiber_order, base_order, frame=None):
+        jets.append((np.array(z), np.array(v), fiber_order, base_order, frame))
+        return jet(self, z, v, fiber_order, base_order, frame)
 
     monkeypatch.setattr(FrameData, "__init__", counted_init)
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
@@ -512,9 +519,10 @@ def test_structure_builds_frame_data_and_jets_only_at_the_point(entries, monkeyp
     structure_equation_residuals(prog, p, sf)  # reads the frame data sf carries
     assert len(frames) == 1
     assert np.array_equal(frames[0][0], p.z) and np.array_equal(frames[0][1], p.U)
-    assert {j[2:] for j in jets} == {(4, 1), (2, 2)}
-    for z, v, *_ in jets:
+    assert {j[2:4] for j in jets} == {(4, 1), (2, 2)}
+    for z, v, *_, frame in jets:
         assert np.array_equal(z, p.z) and np.array_equal(v, p.e0)
+        assert np.array_equal(frame, p.U)  # seeded in the frame
 
 
 def test_bracket_table_builds_the_generator_stack_once(entries, monkeypatch):
