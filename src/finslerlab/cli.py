@@ -20,7 +20,13 @@ import numpy as np
 from .connection import frame_data, solve_connection
 from .equivalence import Tiers, regularity
 from .equivalence import compare as compare_signatures
-from .finsler_forms import forms_at, hermitian_test, homogeneity_identities, levi_check
+from .finsler_forms import (
+    cubic_form_peak,
+    forms_at,
+    hermitian_test,
+    homogeneity_identities,
+    levi_check,
+)
 from .frame_bundle import BundlePoint, adapted_frame, gram_derivative, gram_residual
 from .geodesics import classify, integrate_geodesic
 from .metric_dsl import FinslerError
@@ -211,7 +217,6 @@ def cmd_check(args) -> int:
     prog, entry = resolve_metric(args.metric)
     points = _points(prog, entry, args)
     scale = args.tol
-    herm, _ = hermitian_test(prog, points)
     checks = []
 
     def add(name, residual, tol):
@@ -225,7 +230,11 @@ def cmd_check(args) -> int:
     def point_block(zv):
         z, v = zv
         out = {}
-        out["homogeneity"] = homogeneity_identities(prog, z, v)["max"]
+        # one jet(5, 0) a point serves the homogeneity identities and the
+        # Hermitian test, which reads its cubic tensors
+        jet = prog.jet_unchecked(z, v, 5, 0)
+        out["homogeneity"] = homogeneity_identities(prog, z, v, jet)["max"]
+        out["cubic_peak"] = cubic_form_peak(jet)
         rep = levi_check(prog, z, v)
         out["levi_min_eig"] = float(np.min(rep.eigenvalues)) if rep.eigenvalues.size \
             else 1.0
@@ -246,6 +255,7 @@ def cmd_check(args) -> int:
         return out
 
     per_point = [point_block(zv) for zv in points]
+    herm, _ = hermitian_test(prog, points, [b["cubic_peak"] for b in per_point])
     add("homogeneity_identities", max(b["homogeneity"] for b in per_point), 1e-8 * scale)
     lev = min(b["levi_min_eig"] for b in per_point)
     checks.append({"name": "levi_strong_pseudoconvexity", "residual": float(lev),
@@ -264,7 +274,7 @@ def cmd_check(args) -> int:
         add("bracket_decomposition", r["decomposition_residual"], 1e-5 * scale)
     for p, sf in frames[:2]:
         b = bianchi_residuals(prog, p, sf)
-        add("bianchi_identities", max(b.values()), 1e-3 * scale)
+        add("bianchi_identities", max(b.values()), 1e-10 * scale)
 
     dichotomy_ok = (herm and sigma0 < 1e-6) or (not herm and sigma0 > 1e-3)
     checks.append({"name": "hermitian_dichotomy", "residual": float(sigma0),

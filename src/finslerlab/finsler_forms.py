@@ -145,7 +145,11 @@ def tensor_second_derivative(pq: tuple[int, int], t: np.ndarray, d1, d2, inc1, i
 def raw_fiber_tensors(prog: MetricProgram, z, v, max_order: int = 4, frame=None) -> dict:
     """All fiber tensors d^p_v d^q_vbar F^2 with p+q <= max_order, in the
     frame's columns (coordinate tensors without a frame)."""
-    jet = prog.jet_unchecked(z, v, max_order, 0, frame)
+    return fiber_tensors(prog.jet_unchecked(z, v, max_order, 0, frame), max_order)
+
+
+def fiber_tensors(jet: Jet, max_order: int) -> dict:
+    """(p, q) -> the (p, q) fiber tensor of jet, for p + q <= max_order."""
     return {(p, q): jet.fiber_tensor(p, q)
             for p in range(max_order + 1) for q in range(max_order + 1 - p)}
 
@@ -248,7 +252,7 @@ def _homogeneity_plan():
             np.array([t[3] for t in terms]), np.cumsum([len(f) for f in fam.values()])[:-1])
 
 
-def homogeneity_identities(prog: MetricProgram, z, v) -> dict:
+def homogeneity_identities(prog: MetricProgram, z, v, jet: Jet | None = None) -> dict:
     """Residuals of the Euler/rotation identities satisfied by any metric
     with F(lambda v) = |lambda| F(v), relative to the local scale of F^2.
 
@@ -264,14 +268,15 @@ def homogeneity_identities(prog: MetricProgram, z, v) -> dict:
     raw (p, q) fiber tensor at rows of A = [d_0..d_5, v] (conj A in the
     conjugate slots), each tensor contracted once.  Phase rule: i x in a
     holomorphic slot multiplies a term by i, in a conjugate slot by -i, so
-    no rotated vector is contracted.
+    no rotated vector is contracted.  jet is the coordinate jet(5, 0) of
+    F^2 at (z, v), evaluated here when not given.
     """
     v = np.asarray(v, dtype=complex)
     n = prog.dim
     rng = np.random.default_rng(HOMOGENEITY_SEED)
     A = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(6)]
                  + [v])
-    raw = raw_fiber_tensors(prog, z, v, 5)
+    raw = raw_fiber_tensors(prog, z, v, 5) if jet is None else fiber_tensors(jet, 5)
     f2 = float(np.real(raw[(0, 0)]))
     scale = max(1.0, abs(f2))
     reads, coef, row, ends = _homogeneity_plan()
@@ -346,24 +351,39 @@ def levi_check(prog: MetricProgram, z, v) -> LeviReport:
     return LeviReport(eigenvalues=eig, verdict=verdict, basis=basis, e0=vhat, jet=jet)
 
 
-def hermitian_test(prog: MetricProgram, points):
+def cubic_form_peak(jet: Jet) -> tuple:
+    """(modulus, indices, value) of the largest component of the (3, 0) and
+    (2, 1) fiber tensors of jet, a coordinate jet of fiber order >= 3 at
+    its point, the (3, 0) tensor's on a tie; modulus 0 and indices None
+    when both vanish.  Barred indices are marked as bar() marks them."""
+    peak = (0.0, None, 0j)
+    for (p, q) in ((3, 0), (2, 1)):
+        t = jet.fiber_tensor(p, q)
+        idx = np.unravel_index(np.argmax(np.abs(t)), t.shape)
+        val = t[idx]
+        if abs(val) > peak[0]:
+            peak = (abs(val), tuple(idx[:p]) + tuple(bar(i) for i in idx[p:]), complex(val))
+    return peak
+
+
+def hermitian_test(prog: MetricProgram, points, peaks=None):
     """True iff the cubic fiber form vanishes on all sample points.
 
     Returns (is_hermitian, witness); the witness is (z, v, indices, value)
-    for the largest offending component, or None.
+    for the largest offending component, or None.  peaks[i] is
+    cubic_form_peak at points[i]; without them each point's is read off a
+    jet(3, 0) evaluated here.  A jet of higher fiber order at the point
+    holds the same cubic tensors bit for bit, so its peak gives the same
+    verdict and witness.
     """
     if not points:
         raise FinslerError("hermitian_test requires a nonempty sample set")
+    if peaks is None:
+        peaks = [cubic_form_peak(prog.jet_unchecked(z, v, 3, 0)) for z, v in points]
     worst = (0.0, None)
-    for z, v in points:
-        raw = raw_fiber_tensors(prog, z, v, 3)
-        for (p, q) in ((3, 0), (2, 1)):
-            t = raw[(p, q)]
-            idx = np.unravel_index(np.argmax(np.abs(t)), t.shape)
-            val = t[idx]
-            if abs(val) > worst[0]:
-                indices = tuple(idx[:p]) + tuple(bar(i) for i in idx[p:])
-                worst = (abs(val), (np.asarray(z), np.asarray(v), indices, complex(val)))
+    for (z, v), (modulus, indices, val) in zip(points, peaks):
+        if modulus > worst[0]:
+            worst = (modulus, (np.asarray(z), np.asarray(v), indices, val))
     if worst[0] < HERMITIAN_TOL:
         return True, None
     return False, worst[1]

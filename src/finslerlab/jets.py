@@ -16,6 +16,17 @@ derivative the third ones from a jet(2, 3) and every mixed second
 derivative of the (2, 0), (2, 1) and base-differentiated (1, 1) tensors
 from a jet(5, 2).  Every other jet has base order 0 or 1.
 
+Two tables are also truncated by *total* degree, as in a truncated
+power-series algebra (Berz 1999, ch. 2), because no reader needs more
+(TOTAL_DEGREE_CAP): the jet(5, 2) keeps total degree 5, which covers the
+(2, 1) tensor and the base-differentiated (1, 1) tensor with two more
+derivatives of any kind, and the jet(4, 1) keeps total degree 4, which
+covers C(2, 2) and the base derivatives of the (2, 1) and (1, 2) tensors.
+A product's coefficient at a kept monomial sums only pairs of kept
+monomials, in the same table order as without the cap, so every value read
+off a capped jet is bit for bit the uncapped one; the series of inv and
+sqrt stop at the cap, where their further powers vanish.
+
 MetricProgram.jet_unchecked seeds the leaves in a frame U: z = z_0 + U zeta
 and v = U (e_0 + xi) at v_0 = U e_0, with zeta, xi the Z and V variables;
 the conjugate leaves follow from Jet.conj.  A partial along xi_a or zeta_a
@@ -25,11 +36,14 @@ the coordinate jet, with the same coefficients bit for bit: the coordinate
 jets (Levi check, homogeneity identities, Gram jet) share the code path.
 
 On the larger tables the product of finite operands visits only the pairs
-of the multiplication table whose two coefficients are both nonzero, in the
-table's own order.  Every skipped term is an exact zero and the remaining
-terms are summed in the same order as over the full table, so the product,
-and every report built on it, is bit-for-bit what the full-table product
-gives.
+of the multiplication table whose two monomials lie in classes where the
+operands hold a nonzero, in the table's own order; a monomial's class is
+its degree in each variable kind.  Every skipped term is an exact zero,
+every extra term visited is one too, and the terms are summed in the same
+order as over the full table, so the product, and every report built on
+it, is bit-for-bit what the full-table product gives.  These restricted
+tables are built from the pairs of degree blocks the full table is made
+of, and the full table itself is never held.
 """
 
 from __future__ import annotations
@@ -43,27 +57,36 @@ import numpy as np
 # variable kinds, in the order their exponent blocks appear in a monomial
 V, VBAR, Z, ZBAR = 0, 1, 2, 3
 
+# (fiber order, base order) -> the total degree a table of those orders
+# keeps; any other table keeps fiber order + base order, every monomial.
+TOTAL_DEGREE_CAP = {(5, 2): 5, (4, 1): 4}
+
 # Tables with fewer product pairs than this multiply over the whole table:
-# there, looking up the operands' nonzero pattern costs more than the
+# there, looking up the operands' class pattern costs more than the
 # skipped pairs save.  On operands recorded from reports, restricting lost
 # 1-3 us per product on the tables under 200 pairs, nothing on (1, 4, 1)
 # with 350 (9.4 us either way), and won from 1,287 pairs on: (2, 5, 0)
 # went from 16 us to 11 us.  No table the package uses lies in between.
 SPARSE_MIN_PAIRS = 1000
-# nonzero-pattern pairs whose restricted tables one JetSpace keeps, least
-# recently used first out.  Jets seeded in a frame have round-off zeros that
-# differ from point to point, so many patterns serve one jet only; a jet of
-# the catalog's metrics uses at most 11 per table, and a larger cache mostly
-# holds stale restricted tables (about 6 MB at 256 on the n = 3 tables of
-# `structure`, 0.8 MB more peak memory at 32 than at 16).
+# class patterns whose restricted tables one JetSpace keeps, least
+# recently used first out.  A pattern records which monomial classes hold a
+# nonzero, so the round-off zeros of frame-seeded jets, which differ from
+# point to point, do not make a new pattern: over 40 reports of
+# `structure` at n = 3, each table met 9-11 patterns.
 PATTERN_CACHE_SIZE = 16
 
 
 def _monomials(nvars: int, max_deg: int) -> np.ndarray:
     """All exponent rows over `nvars` variables with total degree <= max_deg,
-    in lexicographic order (the first variable most significant)."""
-    grid = np.indices((max_deg + 1,) * nvars).reshape(nvars, -1).T
-    return grid[grid.sum(axis=1) <= max_deg]
+    in lexicographic order (the first variable most significant), built one
+    variable at a time from the last, so nothing beyond the rows is held."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(nvars):
+        deg = rows.sum(axis=1)
+        tails = [rows[deg <= max_deg - e] for e in range(max_deg + 1)]
+        rows = np.hstack([np.repeat(np.arange(max_deg + 1), [len(t) for t in tails])[:, None],
+                          np.vstack(tails)])
+    return rows
 
 
 class JetSpace:
@@ -73,57 +96,94 @@ class JetSpace:
         self.n = n
         self.fiber_order = fiber_order
         self.base_order = base_order
-        self.max_total = fiber_order + base_order
+        self.max_total = TOTAL_DEGREE_CAP.get((fiber_order, base_order),
+                                              fiber_order + base_order)
 
-        # every fiber monomial times every base monomial, fiber part first
+        # every fiber monomial times every base monomial whose total degree
+        # is kept, fiber part first
         fib = _monomials(2 * n, fiber_order)
         base = _monomials(2 * n, base_order)
-        mono = np.hstack([np.repeat(fib, len(base), axis=0), np.tile(base, (len(fib), 1))])
-        self.monomials = list(map(tuple, mono.tolist()))
-        self.size = len(self.monomials)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
+        fi, bi = np.nonzero(fib.sum(axis=1)[:, None] + base.sum(axis=1) <= self.max_total)
+        mono = np.hstack([fib[fi], base[bi]])
+        self.size = len(mono)
         # a monomial's code: its exponents as the digits of one integer, so the
         # code of a product is the sum of the codes (no exponent exceeds max_total)
-        radix = (self.max_total + 1) ** np.arange(4 * n - 1, -1, -1)
-        code = mono @ radix
-        by_code = np.argsort(code)
+        self._radix = (self.max_total + 1) ** np.arange(4 * n - 1, -1, -1)
+        self._code = mono @ self._radix
+        self._by_code = np.argsort(self._code)
 
-        def lookup(codes):
-            return by_code[np.searchsorted(code, codes, sorter=by_code)]
-
-        # multiplication table as flat gather/scatter index arrays: the blocks
-        # of monomials of one (fiber, base) degree in order of first
-        # appearance, every compatible pair of blocks, each pair row by row
+        # the multiplication table as pairs of index blocks: the blocks of
+        # monomials of one (fiber, base) degree in order of first appearance,
+        # every pair of blocks whose product is kept; _table spells the pairs
+        # out as flat gather/scatter index arrays, each pair row by row
         fib_deg = mono[:, :2 * n].sum(axis=1)
         base_deg = mono[:, 2 * n:].sum(axis=1)
         deg = fib_deg * (base_order + 1) + base_deg
         blocks = [np.flatnonzero(deg == d) for d in dict.fromkeys(deg.tolist())]
-        i1, i2 = [], []
+        self._block_pairs = []
         for a in blocks:
             for b in blocks:
-                if (fib_deg[a[0]] + fib_deg[b[0]] <= fiber_order
-                        and base_deg[a[0]] + base_deg[b[0]] <= base_order):
-                    i1.append(np.repeat(a, len(b)))
-                    i2.append(np.tile(b, len(a)))
-        self._m1 = np.concatenate(i1)
-        self._m2 = np.concatenate(i2)
-        self._mo = lookup(code[self._m1] + code[self._m2])
-        self._sparse = len(self._mo) >= SPARSE_MIN_PAIRS
-        # (nonzero pattern of a, of b) -> the table's pairs that both cover
+                f, s = fib_deg[a[0]] + fib_deg[b[0]], base_deg[a[0]] + base_deg[b[0]]
+                if f <= fiber_order and s <= base_order and f + s <= self.max_total:
+                    self._block_pairs.append((a, b))
+        self._sparse = sum(len(a) * len(b) for a, b in self._block_pairs) >= SPARSE_MIN_PAIRS
+        # a sparse table's products run over restricted tables, built from
+        # the block pairs, so its full table is never held
+        self._full = None if self._sparse else self._table(self._block_pairs)
+        # each monomial's class, its degree in each kind V, VBAR, Z, ZBAR;
+        # a class lies within one block
+        kind_deg = mono.reshape(-1, 4, n).sum(axis=2)
+        _, self._class = np.unique(kind_deg @ self._radix[-4:], return_inverse=True)
+        self._classes = int(self._class.max()) + 1
+        # (class pattern of a, of b) -> the table's pairs that both cover
         self._pairs: dict = {}
 
         # conjugation permutation: swap v<->vbar and z<->zbar blocks
         swap = np.arange(4 * n).reshape(4, n)[[VBAR, V, ZBAR, Z]].ravel()
-        self._conj_perm = lookup(mono[:, swap] @ radix)
+        self._conj_perm = self._lookup(mono[:, swap] @ self._radix)
 
         factorials = np.array([math.factorial(k) for k in range(self.max_total + 1)])
         self._factorial = np.prod(factorials[mono], axis=1).astype(float)
         self._tensor_tables: dict = {}
         # first-order slots for seeding variables, per kind whose table has them
-        unit = np.eye(4 * n, dtype=int).tolist()
-        self._linear_slots = {kind: [self.index[tuple(e)] for e in unit[kind * n:(kind + 1) * n]]
+        unit = np.eye(4 * n, dtype=int)
+        self._linear_slots = {kind: self.slots(unit[kind * n:(kind + 1) * n])
                               for kind in (V, VBAR, Z, ZBAR)
-                              if tuple(unit[kind * n]) in self.index}
+                              if (base_order if kind in (Z, ZBAR) else fiber_order)}
+
+    def _table(self, block_pairs) -> tuple:
+        """(m1, m2, mo): the pairs of monomials of each pair of index blocks,
+        row by row, block pair after block pair, and their products' slots."""
+        m1 = np.concatenate([np.repeat(a, len(b)) for a, b in block_pairs])
+        m2 = np.concatenate([np.tile(b, len(a)) for a, b in block_pairs])
+        return m1, m2, self._lookup(self._code[m1] + self._code[m2])
+
+    def full_table(self) -> tuple:
+        """(m1, m2, mo): the whole multiplication table, pair k adding
+        c[m1[k]] * c'[m2[k]] to the product's slot mo[k], in the order the
+        product sums them."""
+        return self._table(self._block_pairs) if self._full is None else self._full
+
+    def _lookup(self, codes: np.ndarray) -> np.ndarray:
+        """The slots of monomials with these codes, which the table holds."""
+        return self._by_code[np.searchsorted(self._code, codes, sorter=self._by_code)]
+
+    def slots(self, exponents) -> np.ndarray:
+        """The slots of exponent rows (shape (..., 4 n), kinds in the order
+        V, VBAR, Z, ZBAR); KeyError if the table lacks one of them."""
+        exponents = np.asarray(exponents)
+        codes = exponents @ self._radix
+        pos = np.searchsorted(self._code, codes, sorter=self._by_code)
+        slot = self._by_code[np.minimum(pos, self.size - 1)]
+        if exponents.size and exponents.max() > self.max_total \
+                or not np.array_equal(self._code[slot], codes):
+            raise KeyError("monomial outside the jet truncation")
+        return slot
+
+    @property
+    def exponents(self) -> np.ndarray:
+        """The exponent rows of the monomials, in table order."""
+        return self._code[:, None] // self._radix % (self.max_total + 1)
 
     # -- constructors -------------------------------------------------------
 
@@ -150,20 +210,32 @@ class JetSpace:
         # A non-finite coefficient times a zero is nan, not a skippable zero.
         # An inf or nan in either operand makes the dot product non-finite
         # (so does overflow, which only costs the full table).
-        if self._sparse and cmath.isfinite(a.dot(b)):
-            m1, m2, mo = self._nonzero_pairs(a.astype(bool), b.astype(bool))
+        if not self._sparse:
+            m1, m2, mo = self._full
+        elif cmath.isfinite(a.dot(b)):
+            m1, m2, mo = self._class_pairs(self._pattern(a), self._pattern(b))
         else:
-            m1, m2, mo = self._m1, self._m2, self._mo
+            m1, m2, mo = self.full_table()
         np.add.at(out, mo, a[m1] * b[m2])
         return out
 
-    def _nonzero_pairs(self, nza: np.ndarray, nzb: np.ndarray):
-        """The table's pairs (in table order) with both coefficients nonzero."""
-        key = (nza.tobytes(), nzb.tobytes())
+    def _pattern(self, c: np.ndarray) -> np.ndarray:
+        """Which monomial classes hold a nonzero coefficient of c."""
+        hit = np.zeros(self._classes, dtype=bool)
+        hit[self._class[c.astype(bool)]] = True
+        return hit
+
+    def _class_pairs(self, pa: np.ndarray, pb: np.ndarray):
+        """The table's pairs (in table order) whose first monomial lies in a
+        class of pattern pa and whose second lies in one of pb: a superset
+        of the pairs with both coefficients nonzero."""
+        key = (pa.tobytes(), pb.tobytes())
         hit = self._pairs.pop(key, None)  # reinserted last: the cache is least recently used
         if hit is None:
-            keep = np.flatnonzero(nza[self._m1] & nzb[self._m2])
-            hit = (self._m1[keep], self._m2[keep], self._mo[keep])
+            # the table restricted to a product of classes is, block pair by
+            # block pair, the product of the blocks restricted
+            cls = self._class
+            hit = self._table([(a[pa[cls[a]]], b[pb[cls[b]]]) for a, b in self._block_pairs])
             if len(self._pairs) >= PATTERN_CACHE_SIZE:
                 del self._pairs[next(iter(self._pairs))]
         self._pairs[key] = hit
@@ -181,18 +253,13 @@ class JetSpace:
         if hit is not None:
             return hit
         n = self.n
-        nb = len(base)
-        shape = (n,) * (nb + p + q)
-        pos = np.empty(shape, dtype=np.intp)
-        for idx in np.ndindex(shape):
-            e = [0] * (4 * n)
-            for kind, k in zip(base, idx):
-                e[kind * n + k] += 1
-            for k in idx[nb:nb + p]:
-                e[V * n + k] += 1
-            for k in idx[nb + p:]:
-                e[VBAR * n + k] += 1
-            pos[idx] = self.index[tuple(e)]
+        shape = (n,) * (len(base) + p + q)
+        rows = np.arange(n ** len(shape))
+        idx = np.indices(shape).reshape(len(shape), len(rows))  # one column per tensor entry
+        e = np.zeros((len(rows), 4 * n), dtype=np.intp)
+        for s, kind in enumerate(base + (V,) * p + (VBAR,) * q):
+            e[rows, kind * n + idx[s]] += 1
+        pos = self.slots(e).reshape(shape)
         table = (pos, self._factorial[pos])
         self._tensor_tables[key] = table
         return table
@@ -328,10 +395,10 @@ class Jet:
         for kind, idxs in ((V, v), (VBAR, vbar), (Z, z), (ZBAR, zbar)):
             for k in idxs:
                 e[kind * n + k] += 1
-        key = tuple(e)
-        idx = self.space.index.get(key)
-        if idx is None:
-            raise KeyError(f"derivative order outside jet truncation: {key}")
+        try:
+            idx = self.space.slots(e)
+        except KeyError:
+            raise KeyError(f"derivative order outside jet truncation: {tuple(e)}") from None
         return complex(self.c[idx] * self.space._factorial[idx])
 
     def fiber_tensor(self, p: int, q: int) -> np.ndarray:

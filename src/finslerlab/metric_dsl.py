@@ -267,6 +267,14 @@ def norm_of_f2(val: complex) -> float:
     return math.sqrt(f2)
 
 
+def _operands(entry: tuple) -> tuple:
+    """The tape indices a tape entry reads."""
+    op = entry[0]
+    if op == "num" or op == "var":
+        return ()
+    return entry[1:2] if op == "pow" else entry[1:]
+
+
 # what each non-leaf op does to complex scalars; jets share the operators
 _SCALAR_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": _divide, "pow": _power, "conj": np.conj,
@@ -289,12 +297,20 @@ class MetricProgram:
         self.source = source
         self.dim = source.dim
         self._tape = tape
+        # _dead[i]: the entries whose last reader is entry i, which _run
+        # drops once i is computed, so a jet evaluation holds only the
+        # values a later entry still reads
+        last = {j: i for i, entry in enumerate(tape) for j in _operands(entry)}
+        dead = [[] for _ in tape]
+        for j, i in last.items():
+            dead[i].append(j)
+        self._dead = tuple(map(tuple, dead))
 
     def _run(self, ops: dict, leaf):
         """Value of F^2: leaf(entry) for 'num' and 'var' entries, ops[op] of
         the operand values for the others, in tape order."""
         vals = []
-        for entry in self._tape:
+        for entry, dead in zip(self._tape, self._dead):
             op = entry[0]
             if op == "num" or op == "var":
                 vals.append(leaf(entry))
@@ -304,6 +320,8 @@ class MetricProgram:
                 vals.append(ops[op](vals[entry[1]], vals[entry[2]]))
             else:
                 vals.append(ops[op](vals[entry[1]]))
+            for j in dead:
+                vals[j] = None
         return vals[-1]
 
     # -- scalar evaluation ----------------------------------------------------
@@ -361,7 +379,10 @@ class MetricProgram:
 
         Fiber order <= 4 and base order <= 1; the table covers every mixed
         partial d^a_v d^b_vbar d^c_z d^d_zbar with a+b <= fiber_order and
-        c+d <= base_order.
+        c+d <= base_order, except that the jet(4, 1), the default, holds
+        total order a+b+c+d <= 4 only (jets.TOTAL_DEGREE_CAP): every fiber
+        partial up to order 4 and the base derivatives of those up to
+        order 3.  Jet.derivative raises KeyError outside the table.
         """
         if fiber_order > self.MAX_FIBER_ORDER or base_order > self.MAX_BASE_ORDER:
             raise ValueError("jet orders limited to fiber_order <= 4, base_order <= 1")

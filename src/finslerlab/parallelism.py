@@ -23,6 +23,10 @@ there: the exact first derivatives of the structure functions, and the
 derivatives along the lifts (rows 0..2n-1) of the torsion and of the
 (2, 0), (2, 1) and (1, 2) frame forms that the closed forms of the P
 families, the curvature equations and the Bianchi identities take.  The
+curvature is a fixed linear image of the structure coefficients
+(_complex_coefficients, then _raw_curvature), so the Bianchi identities
+take its derivatives along the lifts from the lift rows of the structure
+functions' exact first derivatives, with no difference quotient.  The
 structure equations take no derivative at all: the coframe (theta, varpi)
 is dual to the parallelism, so its values on the basis fields are constants
 and its exterior derivative on a pair of them is minus its value on their
@@ -44,12 +48,9 @@ import numpy as np
 
 from .connection import FrameData, frame_data, frame_derivatives, frame_second_derivatives
 from .frame_bundle import (
-    NESTED_STEP,
     AmbientTangent,
     BundlePoint,
-    along,
     complexify,
-    pack_real,
     unpack_real,
     verify_tangent,
     vertical_relations_residual,
@@ -356,9 +357,10 @@ def bracket_coefficients(table: FieldTable) -> np.ndarray:
     return (table.pinv @ table.br.reshape(N * N, -1).T).T.reshape(N, N, N)
 
 
-def structure_derivative(fd: FrameData, table: FieldTable) -> np.ndarray:
+def structure_derivative(fd: FrameData, table: FieldTable, rows: int | None = None) -> np.ndarray:
     """dc[k, a, b, i]: the exact derivative of bracket_coefficients at the
-    point of fd, whose bracket table is table, along each real field Y_k.
+    point of fd, whose bracket table is table, along each real field Y_k,
+    k < rows (every field when rows is None).
 
     With B the matrix of the real fields as columns, B c = br is consistent
     at p and B has full column rank, so the derivative of the least-squares
@@ -376,23 +378,26 @@ def structure_derivative(fd: FrameData, table: FieldTable) -> np.ndarray:
     of d(B^+) that the formula drops is of the same order.
     """
     n = fd.n
-    G, dG, (Jd, JA) = table.G, table.dG, table.D
+    G, dG = table.G, table.dG
     N = len(G)
+    r = N if rows is None else rows
+    Jd, JA = (d[:r] for d in table.D)
     fields = (_stack_layout(n)[1], G)  # their frame increments
-    d2G = _generator_derivatives(frame_second_derivatives(fd, fields, fields, table.first,
-                                                          table.first))
+    d2G = _generator_derivatives(frame_second_derivatives(
+        fd, tuple(f[:r] for f in fields), fields, tuple(d[:r] for d in table.first),
+        table.first))
     # D2[k, a, b] = D^2 X_b[Y_k, X_a] + J_b(J_a(Y_k)), in frame increments
-    inc = (Jd.reshape(N * N, n), JA.reshape(N * N, n, n))
-    d2d, d2A = (d.reshape((N, N) + d.shape[1:]) for d in _field_derivatives(
+    inc = (Jd.reshape(r * N, n), JA.reshape(r * N, n, n))
+    d2d, d2A = (d.reshape((r, N) + d.shape[1:]) for d in _field_derivatives(
         G, inc[1], _generator_derivatives(frame_derivatives(fd, *inc))))
-    d2A = d2A + (np.matmul(G[None, :, None], dG[:, None]) + np.matmul(G[:, None, None], dG)
+    d2A = d2A + (np.matmul(G[None, :, None], dG[:r, None]) + np.matmul(G[:r, None, None], dG)
                  + d2G)
     c = bracket_coefficients(table).reshape(N * N, N)
-    rhs = [(d2 - d2.swapaxes(1, 2)).reshape((N, N * N) + d2.shape[3:])
-           - np.matmul(c, d.reshape(N, N, -1)).reshape((N, N * N) + d.shape[2:])
+    rhs = [(d2 - d2.swapaxes(1, 2)).reshape((r, N * N) + d2.shape[3:])
+           - np.matmul(c, d.reshape(r, N, -1)).reshape((r, N * N) + d.shape[2:])
            for d2, d in ((d2d, Jd), (d2A, JA))]
-    dc = table.pinv @ _packed_frame(fd.U, *rhs).reshape(N * N * N, -1).T
-    return dc.T.reshape(N, N, N, N)
+    dc = table.pinv @ _packed_frame(fd.U, *rhs).reshape(r * N * N, -1).T
+    return dc.T.reshape(r, N, N, N)
 
 
 def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
@@ -463,6 +468,37 @@ def _scalar_sup(*arrays) -> float:
     return float(max((abs(x) for a in arrays for x in a.flat), default=0.0))
 
 
+def _complex_coefficients(c: np.ndarray, n: int) -> np.ndarray:
+    """coeff[x, y, j]: the component of the bracket of complexified basis
+    fields x and y on field j, sum_abi K[x, a] K[y, b] c[a, b, i] K^-1[i, j]
+    of the real components c[a, b, i].  Linear in c."""
+    return _carry(_complex_combination_matrix(n), c @ _complex_combination_inverse(n))
+
+
+def _basis_blocks(n: int):
+    """(eh, ehb, ev, evb, t, V): the slices of the complexified basis in the
+    order of _complex_combination_matrix, and the index t of its rotation
+    generator."""
+    m = n - 1
+    t = 2 * n + 2 * m
+    return (slice(0, n), slice(n, 2 * n), slice(2 * n, t - m), slice(t - m, t), t,
+            slice(t + 1, None))
+
+
+def _raw_curvature(coeff: np.ndarray, n: int) -> np.ndarray:
+    """R_raw[a, b, g, d], read off the mixed horizontal brackets [eh_g, ehb_d]
+    of the complexified coefficients coeff.  Linear in coeff."""
+    m = n - 1
+    eh, ehb, ev, evb, t, V = _basis_blocks(n)
+    c = coeff[eh, ehb]
+    R = np.zeros((n, n, n, n), dtype=complex)
+    R[0, 0] = c[:, :, t] / 1j
+    R[1:, 0] = -c[:, :, ev].transpose(2, 0, 1)
+    R[0, 1:] = c[:, :, evb].transpose(2, 0, 1)
+    R[1:, 1:] = -c[:, :, V].reshape(n, n, m, m).transpose(2, 3, 0, 1)
+    return R
+
+
 def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions:
     """Decompose all parallelism brackets and read off the structure functions."""
     n = prog.dim
@@ -474,19 +510,14 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     basis = _complex_basis(table.vals, n)
     brc = _carry(K, complexify(*unpack_real(table.br, n)))
 
-    # coeff[x, y, j]: bracket (x, y) of the complexified basis on its field
-    # j, sum_abi K[x, a] K[y, b] c[a, b, i] K^-1[i, j] of the real components c
-    coeff = _carry(K, bracket_coefficients(table) @ _complex_combination_inverse(n))
+    coeff = _complex_coefficients(bracket_coefficients(table), n)
     resid = brc - np.einsum("abi,id->abd", coeff, basis)
     scale = np.maximum(1.0, np.linalg.norm(brc, axis=2))
     worst = float(np.max(np.linalg.norm(resid, axis=2) / scale))
     if worst > DECOMPOSITION_TOL:
         raise FinslerError(f"bracket decomposition residual {worst:.2e} exceeds tolerance")
 
-    # the basis in the order of _complex_combination_matrix: eh, ehb, ev, evb, t, V
-    t = 2 * n + 2 * m
-    eh, ehb, ev, evb, V = (slice(0, n), slice(n, 2 * n), slice(2 * n, t - m),
-                           slice(t - m, t), slice(t + 1, N))
+    eh, ehb, ev, evb, t, V = _basis_blocks(n)
     d = np.arange(m)
     checks = {}
 
@@ -496,14 +527,8 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     checks["holomorphic_bracket_purity"] = _sup(c[:, :, n:])
     checks["torsion_vs_connection"] = _sup(T - fd.torsion)
 
-    # curvature from mixed horizontal brackets
-    c = coeff[eh, ehb]
-    R = np.zeros((n, n, n, n), dtype=complex)
-    R[0, 0] = c[:, :, t] / 1j
-    R[1:, 0] = -c[:, :, ev].transpose(2, 0, 1)
-    R[0, 1:] = c[:, :, evb].transpose(2, 0, 1)
-    R[1:, 1:] = -c[:, :, V].reshape(n, n, m, m).transpose(2, 3, 0, 1)
-    checks["mixed_bracket_purity"] = _sup(c[:, :, :2 * n])
+    R = _raw_curvature(coeff, n)
+    checks["mixed_bracket_purity"] = _sup(coeff[eh, ehb, :2 * n])
 
     # rotation generator relations: [t, e_0-hat] = i e_0-hat, [t, e_lam-hat] = 0
     expect = np.zeros((n, N), dtype=complex)
@@ -771,40 +796,36 @@ def _vertical_subspace_residual(fd, basis, cf) -> float:
 # Bianchi identities
 # --------------------------------------------------------------------------
 
-def _lift_derivative_of(fd: FrameData, table: FieldTable, func):
-    """Derivatives of a matrix-valued point function along the 2n horizontal
-    lifts at the point of fd, the lift rows of its bracket table; returns
-    (holomorphic, antiholomorphic) arrays with leading index g."""
-    d_real = []
-    for i in range(2 * fd.n):
-        t = AmbientTangent(table.dz[i], table.X[i])
-        # t.norm(), not the norm of pack_real(t): the two differ in the last bit
-        # at some points, and the step sets every bit of the reports
-        h = NESTED_STEP * (1.0 + t.norm())
-        d_real.append(along(func, fd.z, fd.U, pack_real(t), h))
-    return _complex_pairs(np.array(d_real))
+def _lift_derivative_of(fd: FrameData, table: FieldTable):
+    """Derivatives of the raw curvature R_raw along the 2n horizontal lifts
+    at the point of fd, whose bracket table is table.  R_raw is linear in
+    the structure coefficients, so they are its map from them
+    (_complex_coefficients, then _raw_curvature) applied to the lift rows of
+    structure_derivative.  Returns (holomorphic, antiholomorphic) arrays
+    with leading index g."""
+    n = fd.n
+    dc = structure_derivative(fd, table, rows=2 * n)
+    return _complex_pairs(np.array([_raw_curvature(_complex_coefficients(d, n), n)
+                                    for d in dc]))
 
 
 def bianchi_residuals(prog: MetricProgram, p: BundlePoint,
                       sf: StructureFunctions | None = None) -> dict:
     """Residuals of the differential identities tying the torsion, the
-    curvature and their horizontal derivatives.  The torsion's derivatives
-    along the lifts are exact, from those of the connection; the
-    curvature's are one central difference (NESTED_STEP) of the curvature
-    extracted from exact brackets, so the noise of b543 and b544 comes from
-    that outer difference alone; the bound the checks apply stays 1e-3
-    times the curvature scale.  sf is extract_structure at p, extracted
-    here when not given.  Each identity is one array over its free indices;
-    a sum over a cyclic or antisymmetric set of them is a sum of
-    transposes."""
+    curvature and their horizontal derivatives.  Every derivative along the
+    lifts is exact: the torsion's from those of the connection, the
+    curvature's from the exact derivatives of the structure coefficients
+    (_lift_derivative_of), so all four residuals are round-off.  sf is
+    extract_structure at p, extracted here when not given.  Each identity
+    is one array over its free indices; a sum over a cyclic or
+    antisymmetric set of them is a sum of transposes."""
     if sf is None:
         sf = extract_structure(prog, p)
     T, R = sf.T, sf.R_raw
     fd, table = sf.frame, sf.table
     C21 = fd.C(2, 1)
     dT_h, dT_a = _complex_lift_derivative(table, "T")
-    dR_h, dR_a = _lift_derivative_of(
-        fd, table, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
+    dR_h, dR_a = _lift_derivative_of(fd, table)
     d12_h = _complex_lift_derivative(table, (1, 2))[0]
     d21_a = _complex_lift_derivative(table, (2, 1))[1]
 

@@ -4,6 +4,7 @@ import pytest
 from finslerlab import MetricSource, parse_metric
 from finslerlab.finsler_forms import (
     bar,
+    cubic_form_peak,
     form_derivative,
     forms_at,
     hermitian_test,
@@ -55,6 +56,28 @@ def test_hermitian_test_witness(progs):
     z, v, indices, value = witness
     assert abs(value) > 1e-3
     assert len(indices) == 3
+
+
+@pytest.mark.parametrize("mid", ["l4_finsler", "poincare_ball_3", "hermitian_nonconstant",
+                                 "fubini_study_2", "warped", "twisted"])
+def test_hermitian_test_reads_the_homogeneity_jet(progs, entries, warped, twisted, mid):
+    # check hands the Hermitian test the peaks of its jet(5, 0): the cubic
+    # tensors there are those of the jet(3, 0) bit for bit, so the verdict and
+    # the witness are too
+    prog = {"warped": warped, "twisted": twisted}.get(mid) or progs[mid]
+    entry = entries["l4_finsler" if mid in ("warped", "twisted") else mid]
+    pts = sample_points(prog, entry, 4, seed=5)
+    peaks = []
+    for z, v in pts:
+        jet3, jet5 = (prog.jet_unchecked(z, v, k, 0) for k in (3, 5))
+        for pq in ((3, 0), (2, 1)):
+            assert np.array_equal(jet5.fiber_tensor(*pq), jet3.fiber_tensor(*pq))
+        peaks.append(cubic_form_peak(jet5))
+        assert peaks[-1] == cubic_form_peak(jet3)
+    (ok5, w5), (ok3, w3) = hermitian_test(prog, pts, peaks), hermitian_test(prog, pts)
+    assert ok5 == ok3 and (w5 is None) == (w3 is None)
+    if w3 is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(w5, w3))
 
 
 @pytest.mark.parametrize("metric_id, z, v, tol", [

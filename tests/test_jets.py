@@ -1,41 +1,63 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from finslerlab.jets import PATTERN_CACHE_SIZE, V, VBAR, Z, ZBAR, JetError, jet_space
+from finslerlab import jets
+from finslerlab.jets import PATTERN_CACHE_SIZE, V, VBAR, Z, ZBAR, JetError, JetSpace, jet_space
 
 # every (n, fiber order, base order) table the catalog's reports use
 CATALOG_TABLES = [(1, 2, 0), (1, 2, 2), (1, 4, 1), (2, 2, 0), (2, 2, 2), (2, 3, 0),
                   (2, 3, 1), (2, 4, 1), (2, 5, 0), (3, 2, 0), (3, 2, 2), (3, 4, 1),
-                  (1, 2, 3), (1, 5, 2), (2, 2, 3), (2, 5, 2)]
+                  (1, 2, 3), (1, 5, 2), (2, 2, 3), (2, 5, 2), (3, 2, 3), (3, 5, 2)]
+# the tables TOTAL_DEGREE_CAP truncates, and the cap each keeps
+CAPPED = {(1, 4, 1): 4, (2, 4, 1): 4, (3, 4, 1): 4, (1, 5, 2): 5, (2, 5, 2): 5, (3, 5, 2): 5}
 
 
-def loop_tables(sp):
+def loop_monomials(n, fiber_order, base_order, total):
+    """The exponent tuples of fiber degree <= fiber_order, base degree <=
+    base_order and total degree <= total, fiber exponents then base
+    exponents, each lexicographic, enumerated one by one."""
+    def upto(k, deg):
+        return [m for m in itertools.product(range(deg + 1), repeat=k) if sum(m) <= deg]
+
+    return [f + b for f in upto(2 * n, fiber_order) for b in upto(2 * n, base_order)
+            if sum(f) + sum(b) <= total]
+
+
+def loop_tables(sp, total):
     """The multiplication table (m1, m2, mo) of sp built pair by pair: the
     blocks of monomials of one (fiber, base) degree in order of first
-    appearance, every compatible pair of blocks, each pair row by row."""
+    appearance, every pair of blocks whose product stays within the fiber,
+    base and total degrees, each pair row by row."""
     n = sp.n
+    monomials = loop_monomials(n, sp.fiber_order, sp.base_order, total)
+    index = {m: i for i, m in enumerate(monomials)}
     by_deg: dict[tuple[int, int], list[int]] = {}
-    for i, m in enumerate(sp.monomials):
+    for i, m in enumerate(monomials):
         by_deg.setdefault((sum(m[:2 * n]), sum(m[2 * n:])), []).append(i)
     i1, i2, iout = [], [], []
     for (f1, b1), idxs1 in by_deg.items():
         for (f2, b2), idxs2 in by_deg.items():
-            if f1 + f2 > sp.fiber_order or b1 + b2 > sp.base_order:
+            if f1 + f2 > sp.fiber_order or b1 + b2 > sp.base_order \
+                    or f1 + f2 + b1 + b2 > total:
                 continue
             for a in idxs1:
                 for b in idxs2:
-                    mc = tuple(x + y for x, y in zip(sp.monomials[a], sp.monomials[b]))
+                    mc = tuple(x + y for x, y in zip(monomials[a], monomials[b]))
                     i1.append(a)
                     i2.append(b)
-                    iout.append(sp.index[mc])
+                    iout.append(index[mc])
     return i1, i2, iout
 
 
-def full_table_mul(sp, a, b):
+def full_table_mul(sp, a, b, table=None):
+    """The product over sp's whole table, or over table when given (the
+    full table, built once by a caller that multiplies many times)."""
+    m1, m2, mo = sp.full_table() if table is None else table
     out = np.zeros(sp.size, dtype=complex)
-    np.add.at(out, sp._mo, a[sp._m1] * b[sp._m2])
+    np.add.at(out, mo, a[m1] * b[m2])
     return out
 
 
@@ -127,12 +149,13 @@ def test_product_equals_full_table_product_exactly(table):
     const = np.zeros(sp.size, dtype=complex)
     const[0] = 1.5 - 0.5j
     operands += [const, np.zeros(sp.size, dtype=complex)]
+    full = sp.full_table()
     # each pair twice: once filling the pattern cache, once reading it
     for _ in range(2):
         for a in operands:
             for b in operands[::4] + [const]:
-                assert np.array_equal(sp.mul(a, b), full_table_mul(sp, a, b))
-                assert np.array_equal(sp.mul(b, a), full_table_mul(sp, b, a))
+                assert np.array_equal(sp.mul(a, b), full_table_mul(sp, a, b, full))
+                assert np.array_equal(sp.mul(b, a), full_table_mul(sp, b, a, full))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -152,12 +175,22 @@ def test_product_keeps_non_finite_terms(table, bad):
             assert np.array_equal(got, want, equal_nan=True)
 
 
+def class_operands(rng, sp, count):
+    """count operands, operand j nonzero on every monomial of classes 0 and
+    j + 1 and zero elsewhere: each one has its own class pattern."""
+    ops = []
+    for j in range(count):
+        c = random_coefficients(rng, sp.size, 0.0)
+        c[~np.isin(sp._class, (0, j + 1))] = 0.0
+        ops.append(c)
+    return ops
+
+
 def test_pattern_cache_is_bounded():
     sp = jet_space(3, 4, 1)
     rng = np.random.default_rng(5)
     b = random_coefficients(rng, sp.size, 0.5)
-    for _ in range(PATTERN_CACHE_SIZE + 10):
-        a = random_coefficients(rng, sp.size, 0.5)
+    for a in class_operands(rng, sp, PATTERN_CACHE_SIZE + 10):
         assert np.array_equal(sp.mul(a, b), full_table_mul(sp, a, b))
         assert len(sp._pairs) <= PATTERN_CACHE_SIZE
 
@@ -168,8 +201,9 @@ def test_pattern_cache_keeps_the_recently_used():
     sp._pairs.clear()
     rng = np.random.default_rng(6)
     b = random_coefficients(rng, sp.size, 0.5)
-    ops = [random_coefficients(rng, sp.size, 0.5) for _ in range(PATTERN_CACHE_SIZE + 1)]
-    keys = [(a.astype(bool).tobytes(), b.astype(bool).tobytes()) for a in ops]
+    ops = class_operands(rng, sp, PATTERN_CACHE_SIZE + 1)
+    keys = [(sp._pattern(a).tobytes(), sp._pattern(b).tobytes()) for a in ops]
+    assert len(set(keys)) == len(keys)
     for a in ops[:-1]:
         sp.mul(a, b)
     sp.mul(ops[0], b)
@@ -178,22 +212,70 @@ def test_pattern_cache_keeps_the_recently_used():
     assert len(sp._pairs) == PATTERN_CACHE_SIZE
 
 
+def test_pattern_is_blind_to_zeros_within_a_class():
+    # operands that differ only in which coefficients of a class vanish share
+    # one restricted table, and the product over it is still exact
+    sp = jet_space(3, 4, 1)
+    sp._pairs.clear()
+    rng = np.random.default_rng(7)
+    b = random_coefficients(rng, sp.size, 0.0)
+    ops = [random_coefficients(rng, sp.size, 0.3) for _ in range(8)]
+    first = np.unique(sp._class, return_index=True)[1]  # one monomial of each class
+    for a in ops:
+        a[first] = 1.0
+    assert len({a.astype(bool).tobytes() for a in ops}) == len(ops)
+    for a in ops:
+        assert np.array_equal(sp.mul(a, b), full_table_mul(sp, a, b))
+    assert len(sp._pairs) == 1
+
+
 @pytest.mark.parametrize("table", CATALOG_TABLES)
 def test_tables_equal_the_pairwise_loop(table):
-    # table order fixes the order of the product's sums, so its bits
+    # table order fixes the order of the product's sums, so its bits; a
+    # capped table holds the monomials of total degree <= its cap
     sp = jet_space(*table)
-    m1, m2, mo = loop_tables(sp)
-    assert np.array_equal(sp._m1, m1)
-    assert np.array_equal(sp._m2, m2)
-    assert np.array_equal(sp._mo, mo)
+    total = CAPPED.get(table, table[1] + table[2])
+    assert sp.max_total == total
+    for got, want in zip(sp.full_table(), loop_tables(sp, total)):
+        assert np.array_equal(got, want)
     # monomial order: fiber exponents, then base exponents, each lexicographic
-    assert sp.monomials == sorted(sp.monomials, key=lambda m: (m[:2 * sp.n], m[2 * sp.n:]))
-    assert len(set(sp.monomials)) == sp.size
+    monomials = [tuple(m) for m in sp.exponents.tolist()]
+    assert monomials == loop_monomials(sp.n, *table[1:], total)
+    assert np.array_equal(sp.slots(sp.exponents), np.arange(sp.size))
     n = sp.n
-    for i, m in enumerate(sp.monomials):
+    for i, m in enumerate(monomials):
         swapped = m[n:2 * n] + m[:n] + m[3 * n:] + m[2 * n:3 * n]
-        assert sp.monomials[sp._conj_perm[i]] == swapped
+        assert monomials[sp._conj_perm[i]] == swapped
         assert sp._factorial[i] == np.prod([math.factorial(e) for e in m])
+
+
+@pytest.mark.parametrize("table", sorted(CAPPED))
+def test_capped_table_is_the_uncapped_one_filtered(table, monkeypatch):
+    # the capped table is the uncapped one restricted to the pairs whose
+    # product is kept, in the same order: a kept coefficient sums the same
+    # terms in the same order, so it has the same bits
+    capped = jet_space(*table)
+    monkeypatch.delitem(jets.TOTAL_DEGREE_CAP, table[1:])
+    full = JetSpace(*table)
+    slot = full.slots(capped.exponents)  # each capped monomial's uncapped slot
+    full_table = full.full_table()
+    kept = np.flatnonzero(full.exponents[full_table[2]].sum(axis=1) <= capped.max_total)
+    for got, want in zip(capped.full_table(), full_table):
+        assert np.array_equal(slot[got], want[kept])
+    rng = np.random.default_rng(sum(table))
+    for share in (0.0, 0.5, 0.9):
+        a, b = (random_coefficients(rng, full.size, share) for _ in range(2))
+        assert np.array_equal(capped.mul(a[slot], b[slot]), full.mul(a, b)[slot])
+
+
+def test_capped_jet_reads_outside_the_cap_raise():
+    sp = jet_space(2, 4, 1)
+    f = sp.variable(V, 0, 0.4 + 0.2j).abs2() * sp.variable(Z, 1, 0.3)
+    assert f.derivative(v=(0, 0), vbar=(1,), z=(0,)) == 0.0
+    with pytest.raises(KeyError):
+        f.derivative(v=(0, 0), vbar=(1, 1), z=(0,))
+    with pytest.raises(KeyError):
+        f.partials(3, 1, (Z,))
 
 
 def test_second_base_derivatives_of_a_product():

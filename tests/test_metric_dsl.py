@@ -204,6 +204,28 @@ def test_repeated_subexpression_evaluated_once(monkeypatch):
     assert jet.value == pytest.approx(2 * 0.09)
 
 
+@pytest.mark.parametrize("src", ["abs2(v1) + abs2(v1)", "v1 * v1 - conj(v1)^3 / (2 + abs2(z1))",
+                                 "sqrt(abs2(v1)^2 + abs2(v2)^2) + abs2(z1)*abs2(v2)/2"])
+def test_tape_drops_each_value_after_its_last_reader(src):
+    # an entry's value is dropped right after the last entry that reads it,
+    # and the values of F^2 and of its jets are unchanged by the drops
+    from finslerlab.metric_dsl import _operands
+
+    prog = parse_metric(MetricSource(2, src))
+    tape, dead = prog._tape, prog._dead
+    dropped = [j for d in dead for j in d]
+    assert sorted(dropped) == list(range(len(tape) - 1))  # each once; F^2 is kept
+    for i, d in enumerate(dead):
+        for j in d:
+            assert j in _operands(tape[i])
+            assert not any(j in _operands(e) for e in tape[i + 1:])
+    z, v = [0.2 - 0.1j, 0.3], [0.7, 0.4 + 0.5j]
+    kept = parse_metric(MetricSource(2, src))
+    kept._dead = ((),) * len(tape)
+    assert prog.eval_complex(z, v) == kept.eval_complex(z, v)
+    assert np.array_equal(prog.jet(z, v, 4, 1).c, kept.jet(z, v, 4, 1).c)
+
+
 def test_nesting_cap():
     from finslerlab.metric_dsl import MAX_NESTING
 
