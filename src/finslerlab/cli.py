@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import errno
+import functools
 import json
 import math
 import os
@@ -223,9 +224,9 @@ def cmd_check(args) -> int:
         checks.append({"name": name, "residual": float(residual),
                        "tolerance": float(tol), "pass": bool(residual < tol)})
 
-    # (adapted frame, structure functions) of the first three points; the
-    # structure functions carry the frame data the point block reads
-    frames = []
+    # the structure functions of the first three points, which carry the
+    # frame data the point block reads
+    structures = []
 
     def point_block(zv):
         z, v = zv
@@ -239,9 +240,9 @@ def cmd_check(args) -> int:
         out["levi_min_eig"] = float(np.min(rep.eigenvalues)) if rep.eigenvalues.size \
             else 1.0
         p = adapted_frame(prog, z, v, rep)
-        if len(frames) < 3:
+        if len(structures) < 3:
             sf = extract_structure(prog, p)
-            frames.append((p, sf))
+            structures.append(sf)
             fd = sf.frame
         else:
             fd = frame_data(prog, p.z, p.U)
@@ -266,14 +267,14 @@ def cmd_check(args) -> int:
         1e-8 * scale)
 
     sigma0 = 0.0
-    for p, sf in frames:
-        r = structure_equation_residuals(prog, p, sf)
+    for sf in structures:
+        r = structure_equation_residuals(sf)
         sigma0 = max(sigma0, r["finsler_norms"]["sigma0"])
         add("structure_equations", max(r["eq529"], r["eq533"], r["eq534"],
                                        r["eq535"], r["eq536"]), 1e-10 * scale)
         add("bracket_decomposition", r["decomposition_residual"], 1e-5 * scale)
-    for p, sf in frames[:2]:
-        b = bianchi_residuals(prog, p, sf)
+    for sf in structures[:2]:
+        b = bianchi_residuals(sf)
         add("bianchi_identities", max(b.values()), 1e-10 * scale)
 
     dichotomy_ok = (herm and sigma0 < 1e-6) or (not herm and sigma0 > 1e-3)
@@ -337,8 +338,8 @@ def cmd_structure(args) -> int:
     for z, v in points:
         p = adapted_frame(prog, z, v)
         sf = extract_structure(prog, p)
-        res = structure_equation_residuals(prog, p, sf)
-        bia = bianchi_residuals(prog, p, sf)
+        res = structure_equation_residuals(sf)
+        bia = bianchi_residuals(sf)
         qgap = float(np.max(np.abs(sf.Q - closed_form_Q(sf.frame)))) if prog.dim > 1 else 0.0
         ph, pH = closed_form_P(sf.table)
         pgap = max(float(np.max(np.abs(sf.P_h - ph), initial=0.0)),
@@ -467,7 +468,10 @@ def _common(sub):
     sub.add_argument("--json", help="write the JSON report to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so every call of main can share it."""
     ap = argparse.ArgumentParser(
         prog="finslerlab",
         description="Invariants of strongly pseudoconvex complex Finsler metrics")

@@ -36,10 +36,6 @@ def bar(k: int) -> int:
     return ~k
 
 
-def is_barred(idx: int) -> bool:
-    return idx < 0
-
-
 # the jet variables (zeta, zetabar, xi, xibar) in the order of raw_derivatives' axes
 _KINDS = (Z, ZBAR, V, VBAR)
 
@@ -164,10 +160,6 @@ class FinslerForms:
     comp: dict = field(repr=False)  # (p, q) -> frame-contracted tensor
 
     @property
-    def n(self) -> int:
-        return len(self.z)
-
-    @property
     def h_mixed(self) -> np.ndarray:
         """Hermitian matrix h(e_a, conj(e_b))."""
         return self.comp[(1, 1)]
@@ -176,20 +168,6 @@ class FinslerForms:
     def h_pure(self) -> np.ndarray:
         """Symmetric matrix h(e_a, e_b); vanishes iff F comes from a Hermitian metric."""
         return self.comp[(2, 0)]
-
-    def _lookup(self, indices) -> complex:
-        unb = tuple(sorted(i for i in indices if not is_barred(i)))
-        brd = tuple(sorted(~i for i in indices if is_barred(i)))
-        t = self.comp[(len(unb), len(brd))]
-        return complex(t[unb + brd]) if unb + brd else complex(t)
-
-    def H(self, a, b, c) -> complex:
-        """Cubic form component; use bar(k) for conjugate indices."""
-        return self._lookup((a, b, c))
-
-    def HH(self, a, b, c, d) -> complex:
-        """Quartic form component; use bar(k) for conjugate indices."""
-        return self._lookup((a, b, c, d))
 
 
 def forms_at(prog: MetricProgram, z, v, frame=None, max_order: int = 4) -> FinslerForms:
@@ -387,12 +365,3 @@ def hermitian_test(prog: MetricProgram, points, peaks=None):
     if worst[0] < HERMITIAN_TOL:
         return True, None
     return False, worst[1]
-
-
-def recover_hermitian_metric(prog: MetricProgram, z, v) -> np.ndarray:
-    """The candidate Hermitian metric matrix g_ij = d^2 F^2 / dv^i dvbar^j.
-
-    For metrics with vanishing cubic form this is independent of v.
-    """
-    jet = prog.jet_unchecked(z, v, 2, 0)
-    return jet.fiber_tensor(1, 1)

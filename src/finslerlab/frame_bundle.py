@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finsler_forms import LeviReport, form_derivative, forms_at, levi_check
+from .finsler_forms import LeviReport, form_derivative, levi_check
 from .jets import Jet
 from .metric_dsl import FinslerError, MetricProgram, norm_of_f2
 
-KERNEL_REL_TOL = 1e-6  # singular values below this * sigma_max span the tangency kernel
 PIVOT_TOL = 1e-8  # a Gram-Schmidt pivot below this skips its seed
 GROUP_TOL = 1e-10  # largest deviation of a group element from block-diagonal unitary
 
@@ -41,9 +40,6 @@ class BundlePoint:
     def e0(self) -> np.ndarray:
         return self.U[:, 0]
 
-    def copy(self) -> "BundlePoint":
-        return BundlePoint(self.z.copy(), self.U.copy())
-
 
 @dataclass
 class AmbientTangent:
@@ -51,18 +47,6 @@ class AmbientTangent:
 
     dz: np.ndarray
     dU: np.ndarray
-
-    def __add__(self, other):
-        return AmbientTangent(self.dz + other.dz, self.dU + other.dU)
-
-    def __sub__(self, other):
-        return AmbientTangent(self.dz - other.dz, self.dU - other.dU)
-
-    def scale(self, a: float) -> "AmbientTangent":
-        return AmbientTangent(a * self.dz, a * self.dU)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.dz) ** 2) + np.sum(np.abs(self.dU) ** 2)))
 
 
 # --------------------------------------------------------------------------
@@ -135,21 +119,6 @@ def verify_tangent(prog: MetricProgram, p: BundlePoint, t: AmbientTangent,
     if jet is None:
         jet = prog.jet_unchecked(p.z, p.e0, 4, 1, p.U)
     return float(np.max(np.abs(gram_derivative(jet, *frame_increments(p.U, t.dz, t.dU)))))
-
-
-def tangency_kernel_dimension(prog: MetricProgram, p: BundlePoint) -> int:
-    """Real dimension of the kernel of the Gram-derivative map at p.
-
-    Equals the dimension of the frame bundle, n^2 + 2n, when the metric is
-    strongly pseudoconvex.
-    """
-    n = p.n
-    dim_amb = 2 * n + 2 * n * n
-    inc = frame_increments(p.U, *unpack_real(np.eye(dim_amb), n))
-    mat = gram_rows(prog.jet_unchecked(p.z, p.e0, 4, 1, p.U), *inc).T
-    sv = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(sv > KERNEL_REL_TOL * sv[0]))
-    return dim_amb - rank
 
 
 def pack_real(t: AmbientTangent) -> np.ndarray:
@@ -297,12 +266,6 @@ def group_act(p: BundlePoint, g: np.ndarray) -> BundlePoint:
     return BundlePoint(z=p.z.copy(), U=p.U @ g)
 
 
-def fundamental_field(p: BundlePoint, A: np.ndarray) -> AmbientTangent:
-    """Vertical tangent generated by the matrix Lie-algebra element A."""
-    A = np.asarray(A, dtype=complex)
-    return AmbientTangent(dz=np.zeros(p.n, dtype=complex), dU=p.U @ A)
-
-
 def vertical_relations_residual(oh, oa, C20, C21, C12) -> float:
     """Max residual of the linear relations that cut out the vertical algebra,
     for the holomorphic and antiholomorphic slots oh, oa of a generator
@@ -320,12 +283,3 @@ def vertical_relations_residual(oh, oa, C20, C21, C12) -> float:
                 + sum(C12[mu, lam, nu] * oa[nu, 0] for nu in range(n))
             worst = max(worst, abs(r))
     return float(worst)
-
-
-def vertical_membership(prog: MetricProgram, p: BundlePoint, A: np.ndarray) -> float:
-    """Max residual of the defining equations of the algebraic vertical
-    subspace at p, for the candidate generator A."""
-    A = np.asarray(A, dtype=complex)
-    forms = forms_at(prog, p.z, p.e0, p.U, max_order=3)
-    return vertical_relations_residual(A, np.conj(A), forms.h_pure,
-                                       forms.comp[(2, 1)], forms.comp[(1, 2)])

@@ -384,23 +384,6 @@ class Jet:
     def value(self) -> complex:
         return complex(self.c[0])
 
-    def derivative(self, v=(), vbar=(), z=(), zbar=()) -> complex:
-        """Mixed partial d^|v|_v d^|vbar|_vbar d^|z|_z d^|zbar|_zbar at the point.
-
-        Each argument lists variable indices with multiplicity, e.g.
-        ``derivative(v=(0, 0), vbar=(1,))`` is d^3/dv1^2 dvbar2.
-        """
-        n = self.space.n
-        e = [0] * (4 * n)
-        for kind, idxs in ((V, v), (VBAR, vbar), (Z, z), (ZBAR, zbar)):
-            for k in idxs:
-                e[kind * n + k] += 1
-        try:
-            idx = self.space.slots(e)
-        except KeyError:
-            raise KeyError(f"derivative order outside jet truncation: {tuple(e)}") from None
-        return complex(self.c[idx] * self.space._factorial[idx])
-
     def fiber_tensor(self, p: int, q: int) -> np.ndarray:
         """Tensor of partials d^p_v d^q_vbar, shape (n,)*(p+q), v-slots first."""
         return self.partials(p, q)

@@ -382,7 +382,7 @@ class MetricProgram:
         c+d <= base_order, except that the jet(4, 1), the default, holds
         total order a+b+c+d <= 4 only (jets.TOTAL_DEGREE_CAP): every fiber
         partial up to order 4 and the base derivatives of those up to
-        order 3.  Jet.derivative raises KeyError outside the table.
+        order 3.  Jet.partials raises KeyError outside the table.
         """
         if fiber_order > self.MAX_FIBER_ORDER or base_order > self.MAX_BASE_ORDER:
             raise ValueError("jet orders limited to fiber_order <= 4, base_order <= 1")

@@ -6,7 +6,7 @@ basis of the block algebra acting on e_1..e_{n-1}.  All of them are built
 in one place, ``_field_stack``: each field is U @ G for a generator G of
 the stack ``_generators`` forms, all products taken in one matmul (the
 geodesic spray, which needs only the first lift and the vertical pairs,
-takes the generators of those pairs from ``_vertical_generators``).  Lie
+takes the generators of those pairs from the same stack).  Lie
 brackets come from the exact derivatives of the fields along each other at
 the point, ``_bracket_table``: G is linear in the connection coefficients E
 and the frame forms C(2, 0), C(2, 1), whose derivatives
@@ -30,7 +30,9 @@ functions' exact first derivatives, with no difference quotient.  The
 structure equations take no derivative at all: the coframe (theta, varpi)
 is dual to the parallelism, so its values on the basis fields are constants
 and its exterior derivative on a pair of them is minus its value on their
-bracket.
+bracket.  The coframe reads a tangent's frame increments (delta, A) with
+no inverse of the frame: theta = delta and omega = A - E(delta), and the
+fields and their brackets are in frame increments in the bracket table.
 
 Convention anchor: curvature components are extracted raw from brackets and
 additionally reported in the holomorphic-sectional-curvature normalization
@@ -47,21 +49,10 @@ from functools import cache
 import numpy as np
 
 from .connection import FrameData, frame_data, frame_derivatives, frame_second_derivatives
-from .frame_bundle import (
-    AmbientTangent,
-    BundlePoint,
-    complexify,
-    unpack_real,
-    verify_tangent,
-    vertical_relations_residual,
-)
+from .frame_bundle import BundlePoint, complexify, unpack_real, vertical_relations_residual
 from .metric_dsl import FinslerError, MetricProgram
 
 HSC_NORMALIZATION = 2.0  # reported curvature = raw bracket coefficient * this
-# largest Gram derivative along a parallelism field, and along a bracket
-# relative to its norm, that still counts as tangent to the bundle
-FIELD_TANGENCY_TOL = 1e-6
-BRACKET_TANGENCY_TOL = 1e-5
 DECOMPOSITION_TOL = 1e-5  # largest relative residual of a bracket decomposition
 
 
@@ -165,15 +156,6 @@ def _correct_vertical(Ge: np.ndarray, C20: np.ndarray, C21: np.ndarray):
     Ge[..., 1::2, :, :] -= 1j * corr
 
 
-def _vertical_generators(fd: FrameData) -> np.ndarray:
-    """The e slots of the generator stack at the point of fd alone: the
-    generators of the vertical pairs e_{2 lam}, e_{2 lam + 1}, lam = 1..n-1."""
-    n = fd.n
-    Ge = _stack_layout(n)[0][2 * n:4 * n - 2].copy()
-    _correct_vertical(Ge, fd.C(2, 0), fd.C(2, 1))
-    return Ge
-
-
 def _field_stack(fd: FrameData, G: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The parallelism fields at the point of fd, all built here.
 
@@ -259,36 +241,8 @@ def _complex_basis(vals: np.ndarray, n: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# basis assembly and numerical brackets
+# the bracket table
 # --------------------------------------------------------------------------
-
-@dataclass
-class ParallelismBasis:
-    point: BundlePoint
-    labels: list
-    tangents: dict
-    matrix: np.ndarray  # real columns
-    min_singular_ratio: float
-    max_tangency: float
-
-
-def parallelism_at(prog: MetricProgram, p: BundlePoint) -> ParallelismBasis:
-    """Assemble the parallelism at p, with tangency and independence checks."""
-    fd = frame_data(prog, p.z, p.U)
-    dz, dU = _field_stack(fd)
-    labs = labels_real(prog.dim)
-    tangents = {lab: AmbientTangent(dz[j], dU[j]) for j, lab in enumerate(labs)}
-    worst = verify_tangent(prog, p, AmbientTangent(dz, dU), fd.jet)
-    if worst > FIELD_TANGENCY_TOL:
-        raise FinslerError(
-            f"parallelism field fails tangency ({worst:.2e}); jets inaccurate "
-            "or the point is not an adapted frame")
-    mat = _packed(dz, dU).T
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return ParallelismBasis(point=p, labels=labs, tangents=tangents, matrix=mat,
-                            min_singular_ratio=float(sv[-1] / sv[0]),
-                            max_tangency=float(worst))
-
 
 @dataclass(frozen=True)
 class FieldTable:
@@ -296,8 +250,6 @@ class FieldTable:
     along each other, as _bracket_table builds them."""
 
     G: np.ndarray      # (N, n, n) the generator stack
-    dz: np.ndarray     # (N, n) field b is the ambient tangent (dz[b], X[b])
-    X: np.ndarray      # (N, n, n)
     first: tuple       # (dE, dC20, dC21) along each field, leading axis N
     dG: np.ndarray     # (N, N, n, n) dG[a] is the derivative of G along field a
     D: tuple           # frame increments of D[a, b] = D_a X_b, shapes (N, N, n), (N, N, n, n)
@@ -318,12 +270,11 @@ def _bracket_table(fd: FrameData) -> FieldTable:
     it, and every decomposition on the fields is a product with its pinv.
     """
     G = _generators(fd)
-    dz, X = _field_stack(fd, G)  # X[b] is the dU of field b
     first = frame_derivatives(fd, _stack_layout(fd.n)[1], G)
     dG = _generator_derivatives(first)
     D = _field_derivatives(G, G, dG)
-    vals = _packed(dz, X).T
-    return FieldTable(G=G, dz=dz, X=X, first=first, dG=dG, D=D, vals=vals,
+    vals = _packed(*_field_stack(fd, G)).T
+    return FieldTable(G=G, first=first, dG=dG, D=D, vals=vals,
                       pinv=np.linalg.pinv(vals),
                       br=_packed_frame(fd.U, *(d - d.swapaxes(0, 1) for d in D)))
 
@@ -398,22 +349,6 @@ def structure_derivative(fd: FrameData, table: FieldTable, rows: int | None = No
            for d2, d in ((d2d, Jd), (d2A, JA))]
     dc = table.pinv @ _packed_frame(fd.U, *rhs).reshape(r * N * N, -1).T
     return dc.T.reshape(r, N, N, N)
-
-
-def lie_bracket(prog: MetricProgram, label_x: tuple, label_y: tuple,
-                p: BundlePoint) -> AmbientTangent:
-    """Numerical Lie bracket of two parallelism fields at p."""
-    labs = labels_real(prog.dim)
-    fd = frame_data(prog, p.z, p.U)
-    br = _bracket_table(fd).br
-    a, b = labs.index(tuple(label_x)), labs.index(tuple(label_y))
-    dz, dU = unpack_real(br[a, b], prog.dim)
-    t = AmbientTangent(dz, dU)
-    res = verify_tangent(prog, p, t, fd.jet)
-    scale = max(1.0, t.norm())
-    if res > BRACKET_TANGENCY_TOL * scale:
-        raise FinslerError(f"bracket is not tangent to the bundle ({res:.2e})")
-    return t
 
 
 # --------------------------------------------------------------------------
@@ -594,7 +529,7 @@ def _complex_lift_derivative(table: FieldTable, form):
     (2, 0), (2, 1) or (1, 2), and of the torsion T = E - E^T for form = "T":
     read off the lift rows 0..2n-1 of the table's derivatives along the
     fields."""
-    n = table.dz.shape[1]
+    n = table.G.shape[-1]
     dE, d20, d21 = (d[:2 * n] for d in table.first)
     if form == "T":
         return _complex_pairs(dE - np.swapaxes(dE, -1, -2))
@@ -626,80 +561,61 @@ def closed_form_P(table: FieldTable):
 # the dual coframe
 # --------------------------------------------------------------------------
 
-def _split_stack(X: np.ndarray, n: int):
-    """(dz, dzbar, dU, dUbar) of complexified tangents stacked on leading axes."""
-    lead = X.shape[:-1]
-    return (X[..., :n], X[..., n:2 * n],
-            X[..., 2 * n:2 * n + n * n].reshape(lead + (n, n)),
-            X[..., 2 * n + n * n:].reshape(lead + (n, n)))
+def _coframe(fd: FrameData, X: np.ndarray):
+    """(theta, thetabar, omega, omegabar) on complexified frame increments
+    X = (delta, deltabar, A, Abar), one or a stack on leading axes.  On
+    frame increments the coframe needs no inverse of the frame: theta is
+    delta and omega is A - E(delta), and likewise in the conjugate slots."""
+    n = fd.n
+    th, tb = X[..., :n], X[..., n:2 * n]
+    A = X[..., 2 * n:].reshape(X.shape[:-1] + (2, n, n))
+    oh = A[..., 0, :, :] - np.einsum("abg,...g->...ab", fd.E, th)
+    oa = A[..., 1, :, :] - np.einsum("abg,...g->...ab", np.conj(fd.E), tb)
+    return th, tb, oh, oa
 
 
-class _Coframe:
-    """theta / omega / varpi evaluated on complexified ambient tangents, one
-    tangent or a stack of them on leading axes."""
-
-    def __init__(self, fd: FrameData):
-        self.n = fd.n
-        self.Uinv = np.linalg.inv(fd.U)
-        self.Ubinv = np.conj(self.Uinv)
-        self.M = fd.E  # M[:, :, g]
-        # varpi correction entries: corr[a-1, b-1, lam] = C21[b, lam, a]
-        # multiplies omega[lam, 0]
-        self.corr = np.transpose(fd.C(2, 1), (2, 0, 1))[1:, 1:]
-
-    def theta(self, X: np.ndarray):
-        dzh, dza, _, _ = _split_stack(X, self.n)
-        return (np.matmul(self.Uinv, dzh[..., None])[..., 0],
-                np.matmul(self.Ubinv, dza[..., None])[..., 0])
-
-    def omega(self, X: np.ndarray):
-        _, _, dUh, dUa = _split_stack(X, self.n)
-        th, ta = self.theta(X)
-        oh = np.matmul(self.Uinv, dUh) - np.einsum("abg,...g->...ab", self.M, th)
-        oa = np.matmul(self.Ubinv, dUa) - np.einsum("abg,...g->...ab", np.conj(self.M), ta)
-        return oh, oa
-
-    def varpi(self, X: np.ndarray) -> np.ndarray:
-        """Holomorphic skew-Hermitianized connection matrix on X."""
-        oh, oa = self.omega(X)
-        w = np.zeros(oh.shape, dtype=complex)
-        w[..., :, 0] = oh[..., :, 0]
-        w[..., 0, 1:] = -oa[..., 1:, 0]
-        w[..., 1:, 1:] = oh[..., 1:, 1:] + np.einsum("abl,...l->...ab", self.corr, oh[..., :, 0])
-        return w
+def _varpi(fd: FrameData, oh: np.ndarray, oa: np.ndarray) -> np.ndarray:
+    """The holomorphic skew-Hermitianized connection matrix varpi from the
+    connection forms omega, omegabar that _coframe returns."""
+    # corr[a-1, b-1, lam] = C21[b, lam, a] multiplies omega[lam, 0]
+    corr = np.transpose(fd.C(2, 1), (2, 0, 1))[1:, 1:]
+    w = np.zeros(oh.shape, dtype=complex)
+    w[..., :, 0] = oh[..., :, 0]
+    w[..., 0, 1:] = -oa[..., 1:, 0]
+    w[..., 1:, 1:] = oh[..., 1:, 1:] + np.einsum("abl,...l->...ab", corr, oh[..., :, 0])
+    return w
 
 
 # --------------------------------------------------------------------------
 # structure equations
 # --------------------------------------------------------------------------
 
-def structure_equation_residuals(prog: MetricProgram, p: BundlePoint,
-                                 sf: StructureFunctions | None = None) -> dict:
+def structure_equation_residuals(sf: StructureFunctions) -> dict:
     """Residuals of the first-order identities satisfied by the coframe.
 
     Both sides of the torsion and curvature equations are evaluated on all
-    pairs of the complexified parallelism basis at p, from the exact
-    brackets and the frame forms there, with no difference quotient.  Also
+    pairs of the complexified parallelism basis at the point of sf, from the
+    exact brackets and the frame forms there, with no difference quotient.
+    The basis and the brackets are read in frame increments off the bracket
+    table sf carries, so the coframe takes no inverse of the frame.  Also
     reports the sup-norms of the purely Finslerian torsion/curvature
-    coefficient families.  sf is extract_structure at p, extracted here
-    when not given; its frame data and bracket table are the ones read.
+    coefficient families.
     """
-    n = prog.dim
-    if sf is None:
-        sf = extract_structure(prog, p)
-    fd = sf.frame
-    cf = _Coframe(fd)
-    table = sf.table
-    basis = _complex_basis(table.vals, n)
-    TH, THb = (np.moveaxis(t, 0, -1) for t in cf.theta(basis))  # (n, N)
-    W = np.moveaxis(cf.varpi(basis), 0, -1)  # (n, n, N)
-    brc = _carry(_complex_combination_matrix(n), complexify(*unpack_real(table.br, n)))
+    fd, table = sf.frame, sf.table
+    n = fd.n
+    K = _complex_combination_matrix(n)
+    basis = K @ complexify(_stack_layout(n)[1], table.G)
+    brc = _carry(K, complexify(*(d - d.swapaxes(0, 1) for d in table.D)))
+    th, thb, oh, oa = _coframe(fd, basis)
+    TH, THb = th.T, thb.T  # (n, N)
+    W = np.moveaxis(_varpi(fd, oh, oa), 0, -1)  # (n, n, N)
 
     # d eta (X_x, X_y) = X(eta(Y)) - Y(eta(X)) - eta([X, Y]); the coframe is
     # dual to the parallelism, so the pairings eta(X) are constants and only
     # the bracket term is left
-    dTH = -np.moveaxis(cf.theta(brc)[0], -1, 0)  # (n, N, N)
-    dW = -np.moveaxis(cf.varpi(brc), (-2, -1), (0, 1))  # (n, n, N, N)
+    bth, _, boh, boa = _coframe(fd, brc)
+    dTH = -np.moveaxis(bth, -1, 0)  # (n, N, N)
+    dW = -np.moveaxis(_varpi(fd, boh, boa), (-2, -1), (0, 1))  # (n, n, N, N)
 
     # torsion equation
     C21 = fd.C(2, 1)
@@ -723,7 +639,7 @@ def structure_equation_residuals(prog: MetricProgram, p: BundlePoint,
     skew = float(np.max(np.abs(sf.R_raw - np.conj(np.transpose(sf.R_raw, (1, 0, 3, 2))))))
 
     # structure-group linear relations on the connection form
-    eq529 = _vertical_subspace_residual(fd, basis, cf)
+    eq529 = _vertical_subspace_residual(fd, oh, oa)
 
     C20 = fd.C(2, 0)
     return {
@@ -782,14 +698,14 @@ def _pi_phi_forms(fd, table, TH, THb, W):
     return Pi, Phi, _scalar_sup(d20b, d12, d21b), _scalar_sup(Q)
 
 
-def _vertical_subspace_residual(fd, basis, cf) -> float:
+def _vertical_subspace_residual(fd, oh, oa) -> float:
     """Residual of the linear relations cutting out the vertical algebra,
-    evaluated on every parallelism field (one per row of basis)."""
+    evaluated on the connection forms oh, oa of every parallelism field."""
     C20, C21, C12 = fd.C(2, 0), fd.C(2, 1), fd.C(1, 2)
     # on real fields omega_a = conj(omega_h); on complex combinations the
     # antiholomorphic slot realizes the conjugate-form values
-    return max((vertical_relations_residual(oh, oa, C20, C21, C12)
-                for oh, oa in zip(*cf.omega(basis))), default=0.0)
+    return max((vertical_relations_residual(h, a, C20, C21, C12)
+                for h, a in zip(oh, oa)), default=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -809,18 +725,15 @@ def _lift_derivative_of(fd: FrameData, table: FieldTable):
                                     for d in dc]))
 
 
-def bianchi_residuals(prog: MetricProgram, p: BundlePoint,
-                      sf: StructureFunctions | None = None) -> dict:
+def bianchi_residuals(sf: StructureFunctions) -> dict:
     """Residuals of the differential identities tying the torsion, the
     curvature and their horizontal derivatives.  Every derivative along the
     lifts is exact: the torsion's from those of the connection, the
     curvature's from the exact derivatives of the structure coefficients
     (_lift_derivative_of), so all four residuals are round-off.  sf is
-    extract_structure at p, extracted here when not given.  Each identity
-    is one array over its free indices; a sum over a cyclic or
-    antisymmetric set of them is a sum of transposes."""
-    if sf is None:
-        sf = extract_structure(prog, p)
+    extract_structure at the point, whose frame data and bracket table are
+    the ones read.  Each identity is one array over its free indices; a sum
+    over a cyclic or antisymmetric set of them is a sum of transposes."""
     T, R = sf.T, sf.R_raw
     fd, table = sf.frame, sf.table
     C21 = fd.C(2, 1)

@@ -101,13 +101,6 @@ def catalog() -> list[CatalogEntry]:
     return entries
 
 
-def get_entry(metric_id: str) -> CatalogEntry:
-    for e in catalog():
-        if e.id == metric_id:
-            return e
-    raise FinslerError(f"unknown catalog metric {metric_id!r}")
-
-
 def resolve_metric(ref: str):
     """Catalog id or metric-file path -> (program, entry-or-None)."""
     import os

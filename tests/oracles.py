@@ -4,17 +4,65 @@ import numpy as np
 
 from finslerlab.connection import frame_data, frame_derivatives
 from finslerlab.finsler_forms import HOMOGENEITY_SEED, form_derivative
-from finslerlab.frame_bundle import NESTED_STEP, AmbientTangent, along, pack_real
+from finslerlab.frame_bundle import (
+    NESTED_STEP,
+    AmbientTangent,
+    adapted_frame,
+    along,
+    complexify,
+    frame_increments,
+    gram_rows,
+    pack_real,
+    unpack_real,
+)
 from finslerlab.geodesics import spray_coefficients
 from finslerlab.jets import V, VBAR, Z, ZBAR
+from finslerlab.metric_dsl import FinslerError
 from finslerlab.parallelism import (
+    HSC_NORMALIZATION,
+    _coframe,
     _complex_lift_derivative,
     _complex_pairs,
     _field_stack,
     _generators,
     _lift_derivative_of,
     _stack_layout,
+    _varpi,
+    extract_structure,
 )
+
+KERNEL_REL_TOL = 1e-6  # singular values below this * sigma_max span the tangency kernel
+# Steps of the complex differences along a curve in complex_geodesic_check.
+# The curvature stencil uses its own, larger step: it divides twice by the
+# step and would otherwise amplify the derivative roundoff.
+CURVE_STEP = 1e-5
+CURVATURE_STEP = 3e-3
+RESIDUAL_STRIDE = 10  # path samples between the points geodesic_condition_residuals visits
+
+
+def tangent_norm(dz, dU) -> float:
+    """The Euclidean norm of the ambient tangent (dz, dU)."""
+    return float(np.sqrt(np.sum(np.abs(dz) ** 2) + np.sum(np.abs(dU) ** 2)))
+
+
+def derivative(jet, v=(), vbar=(), z=(), zbar=()) -> complex:
+    """The mixed partial d^|v|_v d^|vbar|_vbar d^|z|_z d^|zbar|_zbar of a jet
+    at its point, one coefficient read by its exponents.
+
+    Each argument lists variable indices with multiplicity, e.g.
+    ``derivative(jet, v=(0, 0), vbar=(1,))`` is d^3/dv1^2 dvbar2.  KeyError
+    outside the jet's truncation.
+    """
+    n = jet.space.n
+    e = [0] * (4 * n)
+    for kind, idxs in ((V, v), (VBAR, vbar), (Z, z), (ZBAR, zbar)):
+        for k in idxs:
+            e[kind * n + k] += 1
+    try:
+        idx = jet.space.slots(e)
+    except KeyError:
+        raise KeyError(f"derivative order outside jet truncation: {tuple(e)}") from None
+    return complex(jet.c[idx] * jet.space._factorial[idx])
 
 
 def frame_contract(t: np.ndarray, p: int, q: int, U: np.ndarray, kinds: tuple = ()) -> np.ndarray:
@@ -129,13 +177,13 @@ def full_stack_spray(prog, p):
     e_{2 lam + 1} weighted by Re a_lam and Im a_lam, one tangent at a time."""
     fd = frame_data(prog, p.z, p.U)
     dz, dU = _field_stack(fd)
-    G = AmbientTangent(dz[0], dU[0])
+    gz, gU = dz[0], dU[0]
     a = spray_coefficients(fd)
     for lam in range(1, prog.dim):
         j = 2 * prog.dim + 2 * lam - 2
-        G = G + AmbientTangent(dz[j], dU[j]).scale(float(a[lam - 1].real))
-        G = G + AmbientTangent(dz[j + 1], dU[j + 1]).scale(float(a[lam - 1].imag))
-    return G
+        for k, w in ((j, float(a[lam - 1].real)), (j + 1, float(a[lam - 1].imag))):
+            gz, gU = gz + w * dz[k], gU + w * dU[k]
+    return AmbientTangent(gz, gU)
 
 
 def fd_derivative(prog, z, v, v_idx=(), vbar_idx=(), z_idx=(), zbar_idx=(),
@@ -206,11 +254,11 @@ def lift_difference_of(fd, table, func):
     residuals once took for the curvature, the accuracy reference for the
     exact _lift_derivative_of.  Returns (holomorphic, antiholomorphic)
     arrays with leading index g."""
+    dz, X = _field_stack(fd, table.G)
     d_real = []
     for i in range(2 * fd.n):
-        t = AmbientTangent(table.dz[i], table.X[i])
-        h = NESTED_STEP * (1.0 + t.norm())
-        d_real.append(along(func, fd.z, fd.U, pack_real(t), h))
+        h = NESTED_STEP * (1.0 + tangent_norm(dz[i], X[i]))
+        d_real.append(along(func, fd.z, fd.U, pack_real(AmbientTangent(dz[i], X[i])), h))
     return _complex_pairs(np.array(d_real))
 
 
@@ -276,3 +324,267 @@ def closed_form_Q(fd):
                     val -= sum(C12[nu, mu, rho] * C21[sig, lam, nu] for nu in range(n))
                     Q[rho - 1, sig - 1, lam - 1, mu - 1] = val
     return Q
+
+
+def tangency_kernel_dimension(prog, p) -> int:
+    """Real dimension of the kernel of the Gram-derivative map at p, from the
+    Gram derivative along every packed-real ambient coordinate direction.
+
+    Equals the dimension of the frame bundle, n^2 + 2n, when the metric is
+    strongly pseudoconvex.
+    """
+    n = p.n
+    dim_amb = 2 * n + 2 * n * n
+    inc = frame_increments(p.U, *unpack_real(np.eye(dim_amb), n))
+    mat = gram_rows(prog.jet_unchecked(p.z, p.e0, 4, 1, p.U), *inc).T
+    sv = np.linalg.svd(mat, compute_uv=False)
+    rank = int(np.sum(sv > KERNEL_REL_TOL * sv[0]))
+    return dim_amb - rank
+
+
+# --------------------------------------------------------------------------
+# the coframe on ambient tangents
+# --------------------------------------------------------------------------
+
+def _split_stack(X: np.ndarray, n: int):
+    """(dz, dzbar, dU, dUbar) of complexified tangents stacked on leading axes."""
+    lead = X.shape[:-1]
+    return (X[..., :n], X[..., n:2 * n],
+            X[..., 2 * n:2 * n + n * n].reshape(lead + (n, n)),
+            X[..., 2 * n + n * n:].reshape(lead + (n, n)))
+
+
+class Coframe:
+    """theta / omega / varpi evaluated on complexified ambient tangents, one
+    tangent or a stack of them on leading axes, through the inverse of the
+    frame: the reference for parallelism._coframe, which reads them off
+    frame increments."""
+
+    def __init__(self, fd):
+        self.n = fd.n
+        self.Uinv = np.linalg.inv(fd.U)
+        self.Ubinv = np.conj(self.Uinv)
+        self.M = fd.E  # M[:, :, g]
+        # varpi correction entries: corr[a-1, b-1, lam] = C21[b, lam, a]
+        # multiplies omega[lam, 0]
+        self.corr = np.transpose(fd.C(2, 1), (2, 0, 1))[1:, 1:]
+
+    def theta(self, X: np.ndarray):
+        dzh, dza, _, _ = _split_stack(X, self.n)
+        return (np.matmul(self.Uinv, dzh[..., None])[..., 0],
+                np.matmul(self.Ubinv, dza[..., None])[..., 0])
+
+    def omega(self, X: np.ndarray):
+        _, _, dUh, dUa = _split_stack(X, self.n)
+        th, ta = self.theta(X)
+        oh = np.matmul(self.Uinv, dUh) - np.einsum("abg,...g->...ab", self.M, th)
+        oa = np.matmul(self.Ubinv, dUa) - np.einsum("abg,...g->...ab", np.conj(self.M), ta)
+        return oh, oa
+
+    def varpi(self, X: np.ndarray) -> np.ndarray:
+        """Holomorphic skew-Hermitianized connection matrix on X."""
+        oh, oa = self.omega(X)
+        w = np.zeros(oh.shape, dtype=complex)
+        w[..., :, 0] = oh[..., :, 0]
+        w[..., 0, 1:] = -oa[..., 1:, 0]
+        w[..., 1:, 1:] = oh[..., 1:, 1:] + np.einsum("abl,...l->...ab", self.corr, oh[..., :, 0])
+        return w
+
+
+# --------------------------------------------------------------------------
+# energy, E-manifold closed forms and complex geodesics
+# --------------------------------------------------------------------------
+
+def energy(prog, ts, zs, dzs) -> float:
+    """Energy integral of a sampled curve (trapezoid rule)."""
+    vals = np.array([prog.eval(z, dz) for z, dz in zip(zs, dzs)])
+    return float(np.trapezoid(vals, ts))
+
+
+def energy_first_variation(prog, path, perturbation, s: float = 1e-4) -> float:
+    """Central-difference derivative of the energy under a fixed-endpoint
+    variation.  ``perturbation`` maps t to the complex displacement vector;
+    its time derivative is taken by finite differences on the sample grid."""
+    ts = path.ts
+    W = np.array([np.asarray(perturbation(t), dtype=complex) for t in ts])
+    if np.max(np.abs(W[0])) > 1e-12 or np.max(np.abs(W[-1])) > 1e-12:
+        raise FinslerError("perturbation must vanish at both endpoints")
+    Wdot = np.gradient(W, ts, axis=0)
+    dz = path.frames[:, :, 0]  # the unit-speed velocity is the first frame vector
+    e_plus = energy(prog, ts, path.zs + s * W, dz + s * Wdot)
+    e_minus = energy(prog, ts, path.zs - s * W, dz - s * Wdot)
+    return (e_plus - e_minus) / (2 * s)
+
+
+def e_manifold_closed_forms(prog, p, c: float) -> dict:
+    """Residuals of the closed-form torsion/curvature expressions valid on
+    manifolds with complex geodesics in every direction and constant
+    holomorphic sectional curvature c (given in the -4 normalization;
+    identities are checked in the bracket normalization)."""
+    n = prog.dim
+    sf = extract_structure(prog, p)
+    R = sf.R_raw
+    T = sf.T
+    craw = c / HSC_NORMALIZATION
+    h = sf.h_vert        # (m, m) pure form block, indices 1..n-1 shifted
+    fd = sf.frame
+    C20 = fd.C(2, 0)
+    d20b = _complex_lift_derivative(sf.table, (2, 0))[1]  # conj-lift derivatives of h_pure
+
+    res = {}
+    res["R0000"] = abs(R[0, 0, 0, 0] - craw)
+    van = 0.0
+    for lam in range(1, n):
+        van = max(van, abs(R[lam, 0, 0, 0]), abs(R[0, lam, 0, 0]),
+                  abs(R[0, 0, lam, 0]), abs(R[0, 0, 0, lam]))
+    res["vanishing_components"] = van
+
+    r_h = r_mix = r_block = 0.0
+    hbar = np.conj(h)
+    hhbar = h @ hbar if n > 1 else np.zeros((0, 0))
+    for lam in range(1, n):
+        for mu in range(1, n):
+            l, m_ = lam - 1, mu - 1
+            r_h = max(r_h, abs(R[0, lam, mu, 0] - craw * h[l, m_]))
+            r_h = max(r_h, abs(R[lam, 0, 0, mu] - craw * hbar[l, m_]))
+            r_mix = max(r_mix, abs(R[0, lam, 0, mu]
+                                   - craw / 2 * ((lam == mu) + hhbar[l, m_])))
+            r_mix = max(r_mix, abs(R[lam, 0, mu, 0]
+                                   - craw / 2 * ((lam == mu) + np.conj(hhbar[l, m_]))))
+            r_mix = max(r_mix, abs(R[0, 0, lam, mu]
+                                   - craw / 2 * ((lam == mu) - hhbar[m_, l])))
+            deriv = sum(d20b[0][mu, nu] * np.conj(d20b[0][lam, nu])
+                        for nu in range(1, n))
+            r_block = max(r_block, abs(R[lam, mu, 0, 0]
+                                       - craw / 2 * ((lam == mu)
+                                                     - sum(h[nu - 1, m_] * hbar[nu - 1, l]
+                                                           for nu in range(1, n)))
+                                       + deriv))
+    res["R_h_pairing"] = r_h
+    res["R_mixed"] = r_mix
+    res["R_block"] = r_block
+
+    if abs(craw) > 1e-12:
+        tres = float(np.max(np.abs(T[0, :, :])))
+        for lam in range(1, n):
+            for g in range(n):
+                pred = -sum(np.conj(d20b[0][lam, nu]) * C20[nu, g]
+                            for nu in range(1, n))
+                tres = max(tres, abs(T[lam, 0, g] - pred))
+                for b in range(1, n):
+                    pred = (sum(np.conj(d20b[g][lam, nu]) * C20[nu, b] for nu in range(1, n))
+                            - sum(np.conj(d20b[b][lam, nu]) * C20[nu, g] for nu in range(1, n)))
+                    tres = max(tres, abs(T[lam, b, g] - pred))
+        res["torsion_forms"] = tres
+
+    # local identity tying curvature, the pure form and the torsion trace
+    dT_a = _complex_lift_derivative(sf.table, "T")[1]
+    ident = 0.0
+    for lam in range(1, n):
+        lhs = sum(craw * abs(h[lam - 1, rho - 1]) ** 2
+                  + abs(d20b[0][lam, rho]) ** 2 for rho in range(1, n))
+        ident = max(ident, abs(lhs - dT_a[0][lam, 0, lam]))
+    res["local_identity"] = float(ident)
+    res["max"] = float(max(res.values()))
+    return res
+
+
+def complex_geodesic_check(prog, curve, samples) -> dict:
+    """Totally-geodesic test of a holomorphic curve.
+
+    ``curve`` maps a complex parameter w to chart coordinates; its
+    derivative is taken by complex finite differences.  At each sample the
+    adapted frame with first vector tangent to the curve is built, and the
+    report collects the geodesic torsion components and the off-diagonal
+    connection-form values along the curve section, together with the
+    Gaussian curvature of the induced metric.
+    """
+    h = CURVE_STEP
+
+    def deriv(w, hd=h):
+        return (np.asarray(curve(w + hd)) - np.asarray(curve(w - hd))) / (2 * hd)
+
+    max_T = 0.0
+    max_pi = 0.0
+    curvatures = []
+    for w in samples:
+        w = complex(w)
+        z = np.asarray(curve(w), dtype=complex)
+        v = deriv(w)
+        if np.max(np.abs(v)) < 1e-10:
+            raise FinslerError(f"degenerate curve derivative at w={w}")
+        p = adapted_frame(prog, z, v)
+        fd = frame_data(prog, p.z, p.U)
+        n = prog.dim
+        T = fd.torsion
+        max_T = max(max_T, max((abs(T[0, lam, 0]) for lam in range(1, n)), default=0.0))
+        # derivative of the adapted-frame section along the curve parameter
+        for direction in (1.0, 1.0j):
+            pp = adapted_frame(prog, curve(w + h * direction), deriv(w + h * direction))
+            pm = adapted_frame(prog, curve(w - h * direction), deriv(w - h * direction))
+            dz = (pp.z - pm.z) / (2 * h)
+            dU = (pp.U - pm.U) / (2 * h)
+            _, _, oh, oa = _coframe(fd, complexify(*frame_increments(p.U, dz, dU)))
+            wmat = _varpi(fd, oh, oa)
+            for lam in range(1, n):
+                max_pi = max(max_pi, abs(wmat[lam, 0]), abs(wmat[0, lam]))
+        # induced metric g(w) = F^2(curve(w), curve'(w)); its Gauss curvature
+        def logg(wv):
+            return np.log(prog.eval(curve(wv), deriv(wv, CURVATURE_STEP)))
+        # K = -(2/g) d_w d_wbar log g, with 4 d_w d_wbar = flat laplacian
+        hc = CURVATURE_STEP
+        lap = (logg(w + hc) + logg(w - hc) + logg(w + 1j * hc) + logg(w - 1j * hc)
+               - 4 * logg(w)) / (hc * hc)
+        g = prog.eval(z, v)
+        curvatures.append(float(-2.0 * (lap / 4.0) / g))
+    spread = float(np.max(curvatures) - np.min(curvatures)) if curvatures else 0.0
+    return {
+        "max_geodesic_torsion": float(max_T),
+        "max_connection_offdiagonal": float(max_pi),
+        "induced_curvatures": curvatures,
+        "curvature_spread": spread,
+    }
+
+
+def geodesic_condition_residuals(prog, path, gauge=None) -> dict:
+    """Stationarity conditions evaluated along a lift of the integrated curve.
+
+    Any constant structure-group element is a legitimate gauge: the first
+    frame vector stays on the ray of the velocity.  The conditions vanish
+    for one lift of a geodesic iff they vanish for all of them, which this
+    evaluator lets the tests assert directly.
+    """
+    n = prog.dim
+    g = np.eye(n, dtype=complex) if gauge is None else np.asarray(gauge, dtype=complex)
+    ts, zs, frames = path.ts, path.zs, path.frames
+    idx = range(1, len(ts) - 1, RESIDUAL_STRIDE)
+    worst_A = 0.0
+    worst_BC = 0.0
+
+    def theta_values(i):
+        U = frames[i] @ g
+        dz = (zs[i + 1] - zs[i - 1]) / (ts[i + 1] - ts[i - 1])
+        dU = (frames[i + 1] - frames[i - 1]) / (ts[i + 1] - ts[i - 1]) @ g
+        fd = frame_data(prog, zs[i], U)
+        th, thb, oh, oa = _coframe(fd, complexify(*frame_increments(U, dz, dU)))
+        return fd, _varpi(fd, oh, oa), th, thb
+
+    cache = {i: theta_values(i) for i in idx}
+    for i in idx:
+        fd, w, th, thb = cache[i]
+        # d theta^0bar / dt by finite differences of neighbouring samples
+        ip, im = i + RESIDUAL_STRIDE, i - RESIDUAL_STRIDE
+        if im in cache and ip in cache:
+            dtb = (cache[ip][3][0] - cache[im][3][0]) / (ts[ip] - ts[im])
+        else:
+            continue
+        worst_A = max(worst_A, abs(w[0, 0] * thb[0] - dtb))
+        T = fd.torsion
+        H = fd.C(2, 0)
+        for lam in range(1, n):
+            # stationarity of the energy couples the two off-diagonal blocks
+            # of the connection matrix through the pure quadratic form
+            b = (w[0, lam] + T[0, lam, 0] * th[0]
+                 - sum(H[lam, mu] * w[mu, 0] for mu in range(1, n)))
+            worst_BC = max(worst_BC, abs(b))
+    return {"A": worst_A, "BC": worst_BC}

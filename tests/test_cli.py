@@ -203,6 +203,36 @@ def test_bad_arguments_exit_2(capsys):
         assert "usage:" in err and "Traceback" not in err, argv
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # main builds its parser once per process: a report, a usage error and
+    # another subcommand, in that order, each give the exit code and output
+    # they give with a parser built for them alone
+    calls = [["structure", "--metric", "poincare_disc", "--at", "z=0.1+0.2i;v=1"],
+             ["check", "--metric", "poincare_disc", "--samples", "0"],
+             ["tensors", "--metric", "poincare_ball_2", "--samples", "1", "--seed", "2"]]
+
+    def outcome(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        rep = json.loads(out) if out else None
+        if rep is not None:
+            rep.pop("timestamp")
+        return code, rep, err
+
+    shared = [outcome(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in shared] == [0, 2, 0]
+    assert "usage:" in shared[1][2]
+    assert shared == fresh
+
+
 def test_point_values_may_start_with_minus(tmp_path, capsys):
     reports = []
     for argv in (["--from", "-0.3+0.1i", "--dir", "-1"],

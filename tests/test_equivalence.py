@@ -146,7 +146,7 @@ def test_ball_automorphism_matched_signatures(progs):
 def test_same_metric_same_point_matches(progs):
     prog = progs["poincare_ball_2"]
     p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.3])
-    rep = compare(prog, p, prog, p.copy(), order=1)
+    rep = compare(prog, p, prog, BundlePoint(p.z.copy(), p.U.copy()), order=1)
     assert rep["verdict"] == "match"
 
 

@@ -4,20 +4,33 @@ import pytest
 import finslerlab.metric_dsl as metric_dsl
 from finslerlab.cli import main
 from finslerlab.frame_bundle import (
+    AmbientTangent,
     BundlePoint,
     adapted_frame,
-    fundamental_field,
     gram_matrix,
     gram_residual,
     group_act,
-    tangency_kernel_dimension,
-    vertical_membership,
+    vertical_relations_residual,
     verify_tangent,
 )
 from finslerlab.metric_dsl import FinslerError
-from finslerlab.parallelism import _generators, u_block_basis
+from finslerlab.parallelism import _field_stack, _generators, labels_real, u_block_basis
 from finslerlab.connection import frame_data
 from finslerlab.registry import sample_points
+from oracles import tangency_kernel_dimension
+
+
+def vertical_membership(prog, p, A):
+    """Max residual of the defining equations of the algebraic vertical
+    subspace at p for the candidate generator A, from the frame forms of
+    the frame data at p."""
+    fd = frame_data(prog, p.z, p.U)
+    return vertical_relations_residual(A, np.conj(A), fd.C(2, 0), fd.C(2, 1), fd.C(1, 2))
+
+
+def vertical_tangent(p, A):
+    """The vertical tangent (0, U A) generated by the Lie-algebra element A."""
+    return AmbientTangent(np.zeros(p.n, dtype=complex), p.U @ np.asarray(A, dtype=complex))
 
 
 def test_flat_frames_are_canonical(progs):
@@ -66,15 +79,16 @@ def test_group_action_rejects_non_unitary(progs):
 
 
 def test_fundamental_field(progs):
-    prog = progs["flat_2"]
-    p = adapted_frame(prog, [0, 0], [1, 0])
-    t = fundamental_field(p, np.zeros((2, 2)))
-    assert t.norm() == 0
+    # the rotation field t of the parallelism is the vertical tangent
+    # (0, U A) of the generator A = i E_00
+    prog = progs["l4_finsler"]
+    p = adapted_frame(prog, [0.1, 0.2], [1.0, 0.8])
+    dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+    j = labels_real(2).index(("t",))
     A = np.zeros((2, 2), dtype=complex)
     A[0, 0] = 1j
-    t = fundamental_field(p, A)
-    assert np.allclose(t.dU, p.U @ A)
-    assert np.allclose(t.dz, 0)
+    assert np.array_equal(dz[j], vertical_tangent(p, A).dz)
+    assert np.allclose(dU[j], vertical_tangent(p, A).dU, rtol=0, atol=1e-15)
 
 
 def test_vertical_membership_unitary_algebra(progs, entries):
@@ -123,11 +137,11 @@ def test_tangency_of_vertical_members(progs):
     p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.3])
     A = np.array([[1j, 0.3 + 0.1j], [-0.3 + 0.1j, -0.5j]])  # in u(2)
     assert vertical_membership(prog, p, A) < 1e-10
-    assert verify_tangent(prog, p, fundamental_field(p, A)) < 1e-8
+    assert verify_tangent(prog, p, vertical_tangent(p, A)) < 1e-8
     # a generator violating the membership equations is not tangent
     E00 = np.zeros((2, 2), dtype=complex)
     E00[0, 0] = 1.0
-    res = verify_tangent(prog, p, fundamental_field(p, E00))
+    res = verify_tangent(prog, p, vertical_tangent(p, E00))
     assert res > 1.0
 
 

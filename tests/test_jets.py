@@ -6,6 +6,7 @@ import pytest
 
 from finslerlab import jets
 from finslerlab.jets import PATTERN_CACHE_SIZE, V, VBAR, Z, ZBAR, JetError, JetSpace, jet_space
+from oracles import derivative
 
 # every (n, fiber order, base order) table the catalog's reports use
 CATALOG_TABLES = [(1, 2, 0), (1, 2, 2), (1, 4, 1), (2, 2, 0), (2, 2, 2), (2, 3, 0),
@@ -73,9 +74,9 @@ def test_seed_and_arithmetic():
     v2 = sp.variable(V, 1, -0.25j)
     prod = v1 * v2
     assert prod.value == pytest.approx((1.5 + 0.5j) * (-0.25j))
-    assert prod.derivative(v=(0,)) == pytest.approx(-0.25j)
-    assert prod.derivative(v=(0, 1)) == pytest.approx(1.0)
-    assert prod.derivative(v=(0, 0)) == 0.0
+    assert derivative(prod, v=(0,)) == pytest.approx(-0.25j)
+    assert derivative(prod, v=(0, 1)) == pytest.approx(1.0)
+    assert derivative(prod, v=(0, 0)) == 0.0
 
 
 def test_conjugation_swaps_variable_classes():
@@ -83,16 +84,16 @@ def test_conjugation_swaps_variable_classes():
     v = sp.variable(V, 0, 2.0 + 1.0j)
     z = sp.variable(Z, 0, 0.25)
     f = v.conj() * z
-    assert f.derivative(vbar=(0,), z=(0,)) == pytest.approx(1.0)
-    assert f.derivative(v=(0,), z=(0,)) == 0.0
+    assert derivative(f, vbar=(0,), z=(0,)) == pytest.approx(1.0)
+    assert derivative(f, v=(0,), z=(0,)) == 0.0
 
 
 def test_abs2_hessian_is_one():
     sp = jet_space(1, 2, 0)
     v = sp.variable(V, 0, 0.3 - 0.7j)
     f = v.abs2()
-    assert f.derivative(v=(0,), vbar=(0,)) == pytest.approx(1.0)
-    assert f.derivative(v=(0, 0)) == 0.0
+    assert derivative(f, v=(0,), vbar=(0,)) == pytest.approx(1.0)
+    assert derivative(f, v=(0, 0)) == 0.0
 
 
 def test_inverse_and_sqrt_series():
@@ -134,10 +135,10 @@ def test_tensor_extraction_matches_scalar_lookup():
     v2 = sp.variable(V, 1, -0.3 + 0.9j)
     f = (v1.abs2() + v2.abs2()).pow_int(2)
     t = f.fiber_tensor(2, 1)
-    assert t[0, 1, 1] == pytest.approx(f.derivative(v=(0, 1), vbar=(1,)))
+    assert t[0, 1, 1] == pytest.approx(derivative(f, v=(0, 1), vbar=(1,)))
     dz, dzb = f.fiber_tensor_dbase(1, 1)
-    assert dz[0, 1, 0] == pytest.approx(f.derivative(v=(1,), vbar=(0,), z=(0,)))
-    assert dzb[1, 0, 1] == pytest.approx(f.derivative(v=(0,), vbar=(1,), zbar=(1,)))
+    assert dz[0, 1, 0] == pytest.approx(derivative(f, v=(1,), vbar=(0,), z=(0,)))
+    assert dzb[1, 0, 1] == pytest.approx(derivative(f, v=(0,), vbar=(1,), zbar=(1,)))
 
 
 @pytest.mark.parametrize("table", CATALOG_TABLES)
@@ -271,9 +272,9 @@ def test_capped_table_is_the_uncapped_one_filtered(table, monkeypatch):
 def test_capped_jet_reads_outside_the_cap_raise():
     sp = jet_space(2, 4, 1)
     f = sp.variable(V, 0, 0.4 + 0.2j).abs2() * sp.variable(Z, 1, 0.3)
-    assert f.derivative(v=(0, 0), vbar=(1,), z=(0,)) == 0.0
+    assert derivative(f, v=(0, 0), vbar=(1,), z=(0,)) == 0.0
     with pytest.raises(KeyError):
-        f.derivative(v=(0, 0), vbar=(1, 1), z=(0,))
+        derivative(f, v=(0, 0), vbar=(1, 1), z=(0,))
     with pytest.raises(KeyError):
         f.partials(3, 1, (Z,))
 
@@ -291,4 +292,4 @@ def test_second_base_derivatives_of_a_product():
     assert zz[0, 0, 0, 0] == pytest.approx(2 * np.conj(-0.5 + 0.3j))
     assert zbz[1, 0, 0, 0] == pytest.approx(2 * (0.2 - 0.4j))
     assert zbz[0, 0, 0, 0] == 0
-    assert zz[0, 0, 0, 0] == f.derivative(v=(0,), vbar=(0,), z=(0, 0))
+    assert zz[0, 0, 0, 0] == derivative(f, v=(0,), vbar=(0,), z=(0, 0))

@@ -9,28 +9,30 @@ from finslerlab.frame_bundle import (
     adapted_frame,
     along,
     complexify,
-    fundamental_field,
     pack_real,
     unpack_real,
+    verify_tangent,
 )
 from finslerlab import parallelism
 from finslerlab.metric_dsl import MetricProgram
 from finslerlab.parallelism import (
-    _Coframe,
     _bracket_table,
     _carry,
+    _coframe,
     _complex_basis,
     _complex_combination_matrix,
     _complex_lift_derivative,
+    _field_stack,
+    _generators,
     _lift_derivative_of,
     _real_field_matrix,
+    _stack_layout,
+    _varpi,
     bianchi_residuals,
     closed_form_P,
     closed_form_Q,
     extract_structure,
     labels_real,
-    lie_bracket,
-    parallelism_at,
     structure_derivative,
     structure_equation_residuals,
     u_block_basis,
@@ -50,13 +52,24 @@ def twisted3():
         3, "sqrt(abs2(v1)^2 + abs2(v2)^2 + abs2(v3)^2) + abs2(z1)*abs2(v2)/2"))
 
 
+def _parallelism(prog, p):
+    """The parallelism fields at p as the field stack builds them: (dz, dU),
+    one field per label of labels_real, the ratio of the extreme singular
+    values of their packed-real matrix and their largest Gram derivative."""
+    fd = frame_data(prog, p.z, p.U)
+    dz, dU = _field_stack(fd)
+    assert len(dz) == len(labels_real(prog.dim))
+    sv = np.linalg.svd(_real_field_matrix(prog, p.z, p.U), compute_uv=False)
+    return dz, dU, sv[-1] / sv[0], verify_tangent(prog, p, AmbientTangent(dz, dU), fd.jet)
+
+
 def test_basis_n1_has_three_fields(progs):
     prog = progs["poincare_disc"]
     p = adapted_frame(prog, [0.3], [1.0])
-    basis = parallelism_at(prog, p)
-    assert len(basis.labels) == 3
-    assert basis.min_singular_ratio > 1e-6
-    assert basis.max_tangency < 1e-8
+    dz, _, ratio, tangency = _parallelism(prog, p)
+    assert len(dz) == 3
+    assert ratio > 1e-6
+    assert tangency < 1e-8
 
 
 def test_flat_vertical_field_matrix(progs):
@@ -64,13 +77,13 @@ def test_flat_vertical_field_matrix(progs):
     # antisymmetric pair
     prog = progs["flat_2"]
     p = adapted_frame(prog, [0, 0], [1.0, 0.0])
-    basis = parallelism_at(prog, p)
-    t = basis.tangents[("e", 2)]
+    dz, dU, *_ = _parallelism(prog, p)
+    j = labels_real(2).index(("e", 2))
     expect = np.zeros((2, 2), dtype=complex)
     expect[1, 0] = 1.0
     expect[0, 1] = -1.0
-    assert np.allclose(t.dU, p.U @ expect, atol=1e-14)
-    assert np.allclose(t.dz, 0)
+    assert np.allclose(dU[j], p.U @ expect, atol=1e-14)
+    assert np.allclose(dz[j], 0)
 
 
 @pytest.mark.parametrize("metric_id, z, v, expected_dim", [
@@ -81,9 +94,10 @@ def test_flat_vertical_field_matrix(progs):
 def test_basis_rank(progs, metric_id, z, v, expected_dim):
     prog = progs[metric_id]
     p = adapted_frame(prog, z, v)
-    basis = parallelism_at(prog, p)
-    assert len(basis.labels) == expected_dim
-    assert basis.min_singular_ratio > 1e-6
+    dz, _, ratio, tangency = _parallelism(prog, p)
+    assert len(dz) == expected_dim
+    assert ratio > 1e-6
+    assert tangency < 1e-8
 
 
 def test_block_bracket_is_matrix_commutator(progs):
@@ -94,19 +108,21 @@ def test_block_bracket_is_matrix_commutator(progs):
     # [t, E] for the single block generator: commutator of the generators
     t_mat = np.zeros((2, 2), dtype=complex)
     t_mat[0, 0] = 1j
-    br = lie_bracket(prog, ("t",), ("u", 0), p)
-    comm = fundamental_field(p, t_mat @ mats[0] - mats[0] @ t_mat)
-    assert np.max(np.abs(br.dU - comm.dU)) < 1e-7
-    assert np.max(np.abs(br.dz)) < 1e-9
+    labs = labels_real(2)
+    br = _bracket_table(frame_data(prog, p.z, p.U)).br[labs.index(("t",)), labs.index(("u", 0))]
+    dz, dU = unpack_real(br, 2)
+    # the vertical field of the commutator is (0, U [t, E])
+    assert np.max(np.abs(dU - p.U @ (t_mat @ mats[0] - mats[0] @ t_mat))) < 1e-7
+    assert np.max(np.abs(dz)) < 1e-9
 
 
 def test_flat_horizontal_brackets_vanish(progs):
     prog = progs["flat_2"]
     p = adapted_frame(prog, [0.1, 0.3], [1.0, 0.5])
+    br = _bracket_table(frame_data(prog, p.z, p.U)).br
     for i in range(4):
         for j in range(i + 1, 4):
-            br = lie_bracket(prog, ("f", i), ("f", j), p)
-            assert br.norm() < 1e-9
+            assert oracles.tangent_norm(*unpack_real(br[i, j], 2)) < 1e-9
 
 
 def test_rotation_bracket_values(progs):
@@ -182,7 +198,7 @@ def test_structure_equations_hermitian(progs, entries):
         prog = progs[mid]
         z, v = sample_points(prog, entries[mid], 1, seed=21)[0]
         p = adapted_frame(prog, z, v)
-        r = structure_equation_residuals(prog, p)
+        r = structure_equation_residuals(extract_structure(prog, p))
         assert max(r[k] for k in SE_KEYS) <= 1e-12
         norms = r["finsler_norms"]
         assert max(norms["sigma"], norms["pi"], norms["phi"]) < 1e-6
@@ -191,7 +207,7 @@ def test_structure_equations_hermitian(progs, entries):
 def test_structure_equations_quartic_norm(progs):
     prog = progs["l4_finsler"]
     for z, v in [([0.1, 0.2], [1.0, 0.8]), ([0.3 - 0.1j, 0.2 + 0.2j], [1.0, 0.5 - 0.3j])]:
-        r = structure_equation_residuals(prog, adapted_frame(prog, z, v))
+        r = structure_equation_residuals(extract_structure(prog, adapted_frame(prog, z, v)))
         assert max(r[k] for k in SE_KEYS) <= 1e-12
         assert r["finsler_norms"]["sigma0"] > 1e-3
 
@@ -203,7 +219,7 @@ def test_structure_equations_oblique_forms(warped, twisted3):
     for prog, z, v in [(warped, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j]),
                        (twisted3, [0.2 + 0.1j, -0.1, 0.3j], [1.0, 0.8 - 0.3j, 0.6 + 0.5j])]:
         p = adapted_frame(prog, z, v)
-        r = structure_equation_residuals(prog, p)
+        r = structure_equation_residuals(extract_structure(prog, p))
         assert max(r[k] for k in SE_KEYS) <= 1e-12
         # pi and phi are the largest coefficients of Pi and Phi: those of
         # the P families and of Q
@@ -225,7 +241,7 @@ def test_bianchi_identities(progs, twisted):
     ]
     for prog, z, v in cases:
         p = adapted_frame(prog, z, v)
-        b = bianchi_residuals(prog, p)
+        b = bianchi_residuals(extract_structure(prog, p))
         # every derivative along the lifts is exact, the curvature's too
         assert max(b.values()) <= 1e-12
 
@@ -253,7 +269,7 @@ def test_contractions_match_the_loops(progs, entries, warped, twisted, mid):
     for z, v in points:
         p = adapted_frame(prog, z, v)
         sf = extract_structure(prog, p)
-        got, want = bianchi_residuals(prog, p, sf), oracles.bianchi_residuals(prog, p, sf)
+        got, want = bianchi_residuals(sf), oracles.bianchi_residuals(prog, p, sf)
         assert got.keys() == want.keys()
         for key in want:
             assert abs(got[key] - want[key]) <= 1e-15, key
@@ -267,7 +283,7 @@ def test_curvature_identities_hold_to_round_off(progs, entries, warped, twisted,
     # measured; 3.1e-7 when they were one central difference)
     prog, points = _metric_points(progs, entries, warped, twisted, mid)
     for z, v in points:
-        b = bianchi_residuals(prog, adapted_frame(prog, z, v))
+        b = bianchi_residuals(extract_structure(prog, adapted_frame(prog, z, v)))
         assert max(b["b543"], b["b544"]) <= 1e-12
 
 
@@ -323,11 +339,19 @@ def test_lift_derivatives_read_off_the_table(progs, entries, warped, twisted, mi
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _increment_basis(fd):
+    """The complexified basis at the point of fd in frame increments, K
+    applied to the complexified frame increments (w, G) of the real fields."""
+    return _complex_combination_matrix(fd.n) @ complexify(_stack_layout(fd.n)[1],
+                                                          _generators(fd))
+
+
 def _pairings(prog, z, U):
-    """theta, thetabar and varpi of every complexified basis field at (z, U)."""
-    cf = _Coframe(frame_data(prog, z, U))
-    basis = _complex_basis(_real_field_matrix(prog, z, U), prog.dim)
-    return np.concatenate([a.ravel() for a in (*cf.theta(basis), cf.varpi(basis))])
+    """theta, thetabar and varpi of every complexified basis field at (z, U),
+    read off its frame increments as the structure equations read them."""
+    fd = frame_data(prog, z, U)
+    th, thb, oh, oa = _coframe(fd, _increment_basis(fd))
+    return np.concatenate([a.ravel() for a in (th, thb, _varpi(fd, oh, oa))])
 
 
 def _dual_frame_table(n):
@@ -375,6 +399,47 @@ def test_coframe_pairings_of_the_basis_are_constant(progs, entries, twisted, twi
             off = p.U + 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             for U in (p.U, off):
                 assert np.max(np.abs(_pairings(prog, p.z, U) - _dual_frame_table(n))) <= 1e-14
+
+
+@pytest.mark.parametrize("mid", ["poincare_ball_3", "fubini_study_2", "hermitian_nonconstant",
+                                 "l4_finsler", "poincare_disc", "warped", "twisted"])
+def test_increment_coframe_matches_the_inverse_frame_oracle(progs, entries, warped, twisted,
+                                                           mid):
+    # theta, thetabar and varpi read off frame increments (theta = delta,
+    # omega = A - E(delta)) are those the inverse frame reads off the
+    # ambient tangents, on the basis and on the brackets (at most 2.9e-16
+    # relative measured on every catalog metric and both fixtures)
+    prog, points = _metric_points(progs, entries, warped, twisted, mid)
+    n = prog.dim
+    K = _complex_combination_matrix(n)
+    for z, v in points:
+        sf = extract_structure(prog, adapted_frame(prog, z, v))
+        fd, table = sf.frame, sf.table
+        ref = oracles.Coframe(fd)
+        cases = [(_increment_basis(fd), _complex_basis(table.vals, n)),
+                 (_carry(K, complexify(*(d - d.swapaxes(0, 1) for d in table.D))),
+                  _carry(K, complexify(*unpack_real(table.br, n))))]
+        for inc, amb in cases:
+            th, thb, oh, oa = _coframe(fd, inc)
+            for got, want in zip((th, thb, _varpi(fd, oh, oa)), (*ref.theta(amb), ref.varpi(amb))):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("mid", ["poincare_disc", "poincare_ball_3", "fubini_study_2",
+                                 "l4_finsler", "warped", "twisted"])
+def test_brackets_are_tangent_to_the_bundle(progs, entries, warped, twisted, mid):
+    # the bracket of two fields tangent to the bundle of adapted frames is
+    # tangent to it: the Gram map does not move along any bracket of the
+    # table (at most 7.5e-16 relative to the largest bracket measured)
+    prog, points = _metric_points(progs, entries, warped, twisted, mid)
+    for z, v in points:
+        p = adapted_frame(prog, z, v)
+        fd = frame_data(prog, p.z, p.U)
+        br = _bracket_table(fd).br
+        scale = max(1.0, float(np.max(np.linalg.norm(br, axis=-1))))  # packed-real norms
+        tangents = AmbientTangent(*unpack_real(br, prog.dim))
+        assert verify_tangent(prog, p, tangents, fd.jet) <= 1e-13 * scale
 
 
 def _complex_solve_structure(prog, p):
@@ -559,7 +624,7 @@ def test_structure_builds_frame_data_and_jets_only_at_the_point(entries, monkeyp
     monkeypatch.setattr(FrameData, "__init__", counted_init)
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
     sf = extract_structure(prog, p)
-    structure_equation_residuals(prog, p, sf)  # reads the frame data sf carries
+    structure_equation_residuals(sf)  # reads the frame data sf carries
     assert len(frames) == 1
     assert np.array_equal(frames[0][0], p.z) and np.array_equal(frames[0][1], p.U)
     assert {j[2:4] for j in jets} == {(4, 1), (2, 2)}

@@ -1,6 +1,7 @@
 """Property tests of the error contract: the DSL raises only FinslerError
-subclasses on any expression of the README grammar, and the cheap CLI
-commands exit 0, 1, 2 or 3 without a traceback on any fuzzed argv."""
+subclasses on any expression of the README grammar, and the CLI commands
+exit 0, 1, 2 or 3 without a traceback on any fuzzed argv: the cheap ones
+over many examples, structure and classify, which cost more, over few."""
 
 import contextlib
 import io
@@ -66,13 +67,20 @@ def test_dsl_raises_only_finsler_errors(expr, z, v):
                 pass
 
 
-# -- fuzzed argv for the cheap commands ------------------------------------------
+# -- fuzzed argv -----------------------------------------------------------------
 
 metrics = st.sampled_from(["poincare_disc", "poincare_ball_2", "flat_1", "l4_finsler",
                            "fubini_study_1"])
 components = st.sampled_from(["0", "0.2", "-0.3+0.1i", "1", "2", "1i", "0.99", "x", "nan"])
 lists = st.lists(components, min_size=1, max_size=3).map(",".join)
 at_values = st.tuples(lists, lists).map(lambda t: f"z={t[0]};v={t[1]}")
+
+
+def _samples_or_point(draw):
+    if draw(st.booleans()):
+        return ["--at", draw(at_values)]
+    return ["--samples", draw(st.sampled_from(["1", "2", "0"])),
+            "--seed", draw(st.sampled_from(["0", "3"]))]
 
 
 @st.composite
@@ -83,17 +91,20 @@ def argvs(draw):
         argv += ["--from", draw(lists), "--dir", draw(lists),
                  "--t-max", draw(st.sampled_from(["0", "0.01", "0.02", "-1"])),
                  "--dt", draw(st.sampled_from(["0.01", "0.005", "0"]))]
-    elif draw(st.booleans()):
-        argv += ["--at", draw(at_values)]
     else:
-        argv += ["--samples", draw(st.sampled_from(["1", "2", "0"])),
-                 "--seed", draw(st.sampled_from(["0", "3"]))]
+        argv += _samples_or_point(draw)
     return argv
 
 
-@SETTINGS
-@given(argvs())
-def test_cli_contract_under_fuzzed_argv(argv):
+@st.composite
+def report_argvs(draw):
+    return [draw(st.sampled_from(["structure", "classify"])), "--metric", draw(metrics),
+            *_samples_or_point(draw)]
+
+
+def assert_contract(argv):
+    """main(argv) exits 0-3 with no traceback, with a usage message on exit 2
+    and otherwise nothing on stderr but one JSON diagnostic."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -106,3 +117,15 @@ def test_cli_contract_under_fuzzed_argv(argv):
         assert "usage:" in err, (argv, err)
     else:
         assert not err or isinstance(json.loads(err), dict), (argv, err)
+
+
+@SETTINGS
+@given(argvs())
+def test_cli_contract_under_fuzzed_argv(argv):
+    assert_contract(argv)
+
+
+@settings(SETTINGS, max_examples=10)
+@given(report_argvs())
+def test_report_contract_under_fuzzed_argv(argv):
+    assert_contract(argv)

@@ -3,7 +3,7 @@ import pytest
 
 from finslerlab.finsler_forms import levi_check
 from finslerlab.metric_dsl import FinslerError
-from finslerlab.registry import catalog, get_entry, resolve_metric, sample_points
+from finslerlab.registry import catalog, resolve_metric, sample_points
 
 
 def test_catalog_ids_unique_and_compile():
@@ -24,9 +24,9 @@ def test_expected_fields_present():
         assert set(e.expected) >= {"hermitian", "kahler", "hsc", "e_manifold"}
 
 
-def test_ball_reduces_to_disc_on_axis():
-    ball = get_entry("poincare_ball_2").program()
-    disc = get_entry("poincare_disc").program()
+def test_ball_reduces_to_disc_on_axis(entries):
+    ball = entries["poincare_ball_2"].program()
+    disc = entries["poincare_disc"].program()
     z, v = 0.37, 0.9 - 0.2j
     assert ball.eval([z, 0], [v, 0]) == pytest.approx(disc.eval([z], [v]))
 
@@ -55,10 +55,10 @@ def test_sampling_deterministic_and_admissible():
                 assert e.fiber_ok(v)
 
 
-def test_quartic_norm_samples_are_strongly_pseudoconvex():
+def test_quartic_norm_samples_are_strongly_pseudoconvex(entries):
     # confirmation required before using this metric in acceptance suites:
     # the fiber predicate keeps the Levi form uniformly positive
-    e = get_entry("l4_finsler")
+    e = entries["l4_finsler"]
     prog = e.program()
     for z, v in sample_points(prog, e, 25, seed=3):
         rep = levi_check(prog, z, v)
