@@ -160,11 +160,13 @@ def compare(progA: MetricProgram, pA: BundlePoint,
     frames; "match" is a necessary condition only.  With fiber_samples > 0
     the frame at pB is additionally rotated through random structure-group
     elements and the best match is reported (no completeness claim).
-    tiers_a are the tiers at pA, when the caller reads them too.
+    tiers_a are the tiers at pA, when the caller reads them too.  Metrics
+    of different chart dimensions differ with no distance (None), since
+    their signatures have different lengths.
     """
     if progA.dim != progB.dim:
         return {"verdict": "differ", "reason": "different chart dimensions",
-                "distance": float("inf"), "order": order}
+                "distance": None, "order": order}
     sigA = signature(progA, pA, order, tiers_a)
     sigB = signature(progB, pB, order)
     best = sigA.distance(sigB)

@@ -18,15 +18,12 @@ increments from the partials that raw_derivatives reads off a jet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import groupby
 
 import numpy as np
 
 from .jets import V, VBAR, Z, ZBAR, Jet
 from .metric_dsl import EvaluationError, FinslerError, MetricProgram
 
-HOMOGENEITY_SEED = 0  # seed of the six random directions of homogeneity_identities
 LEVI_TOL = 1e-10  # Levi eigenvalues above this are positive, below -LEVI_TOL negative
 HERMITIAN_TOL = 1e-8  # a cubic fiber form below this at every sample point is zero
 
@@ -188,99 +185,32 @@ def forms_at(prog: MetricProgram, z, v, frame=None, max_order: int = 4) -> Finsl
 # homogeneity identities
 # --------------------------------------------------------------------------
 
-def _nested(ids, phase=lambda unb: 1) -> list:
-    """The nested derivative of F^2 along the distinct stack rows ids, as
-    terms (phase(unb), unb, brd), one per split of ids into the rows unb of
-    the holomorphic slots and brd of the conjugate ones."""
-    unbs = [tuple(x for b, x in enumerate(ids) if mask >> b & 1) for mask in range(1 << len(ids))]
-    return [(phase(u), u, tuple(x for x in ids if x not in u)) for u in unbs]
-
-
-@cache
-def _homogeneity_plan():
-    """The residual rows of homogeneity_identities, each a sum of terms
-    c T_pq(A[unb], conj A[brd]).  Returns (reads, coef, row, ends): reads
-    maps (p, q) to the index rows unb + brd at which T_pq is read; coef and
-    row give each reading's coefficient and residual row, in the order of
-    reads; ends splits the rows into the families g (the D that scale (b)
-    and (c)), b, c, d and e."""
-    V = 6  # the row of v in A = [d_0..d_5, v]
-    fam = {"g": [], "b": [], "c": [], "d": [], "e": []}
-    for k in range(1, 5):
-        for t in range(7 - k):
-            ids = tuple(range(t, t + k))
-            fam["g"].append(_nested(ids))
-            fam["b"].append(_nested(ids + (V,)) + [(k - 2, u, b) for _, u, b in _nested(ids)])
-            fam["c"].append(_nested(ids, lambda u: 1j * (2 * len(u) - k))
-                            + _nested(ids + (V,), lambda u: 1j if V in u else -1j))
-    for x in range(6):
-        fam["d"] += [[(1, (x, V), ())], [(1, (x,), (V,)), (-1, (x,), ())]]
-        for y, zc in ((y, (x + 2) % 6) for y in range(x + 1, 6)):
-            fam["e"] += [[(1, (x, V), (y,))], [(1, (x,), (y, V))],
-                         [(1, (x, y, V), ()), (1, (x, y), ())],
-                         [(1, (x, y), (V,)), (-1, (x, y), ())],
-                         [(1, (x, y), (zc, V))], [(1, (x, V), (y, zc))],
-                         [(1, (x, y, V), (zc,)), (1, (x, y), (zc,))],
-                         [(1, (x,), (y, zc, V)), (1, (x,), (y, zc))]]
-    rows = [row for f in fam.values() for row in f]
-    terms = sorted((((len(u), len(b)), u + b, c, r) for r, row in enumerate(rows)
-                    for c, u, b in row if c), key=lambda t: t[0])
-    reads = {pq: np.array([t[1] for t in same]) for pq, same in groupby(terms, lambda t: t[0])}
-    return (reads, np.array([t[2] for t in terms], dtype=complex),
-            np.array([t[3] for t in terms]), np.cumsum([len(f) for f in fam.values()])[:-1])
-
-
 def homogeneity_identities(prog: MetricProgram, z, v, jet: Jet | None = None) -> dict:
-    """Residuals of the Euler/rotation identities satisfied by any metric
-    with F(lambda v) = |lambda| F(v), relative to the local scale of F^2.
+    """Residuals of the Euler identities of the fiber tensors, satisfied by
+    any metric with F(lambda v) = |lambda| F(v).
 
-    With six random directions d_0..d_5 (seed HOMOGENEITY_SEED) and the
-    nested derivative D(x_1..x_k) of F^2 along trivially extended real
-    tangents, the identity families are
-    (a) dF^2(v) = F^2, and the radial and rotational derivatives of F^2;
-    (b) degree: D(x_1..x_k, v) = (2 - k) D(x_1..x_k) for k <= 4;
-    (c) rotation: sum_j D(.., i x_j, ..) + D(x_1..x_k, i v) = 0;
-    (d) h(x, v) = 0 and h(x, vbar) = dF^2(x);
-    (e) the cubic and quartic forms contracted with v, against lower forms;
-    (b) and (c) relative to max(scale, |D(x_1..x_k)|).  Every term reads a
-    raw (p, q) fiber tensor at rows of A = [d_0..d_5, v] (conj A in the
-    conjugate slots), each tensor contracted once.  Phase rule: i x in a
-    holomorphic slot multiplies a term by i, in a conjugate slot by -i, so
-    no rotated vector is contracted.  jet is the coordinate jet(5, 0) of
-    F^2 at (z, v), evaluated here when not given.
+    F^2 has bidegree (1, 1) in v, so its (p, q) fiber tensor T_pq has
+    bidegree (1 - p, 1 - q), and for every p + q <= 4
+    T_(p+1)q(v, ..) = (1 - p) T_pq and T_p(q+1)(.., vbar, ..) = (1 - q) T_pq,
+    v contracted into a holomorphic slot, vbar into a conjugate one.  Key
+    "v pq" (and "vbar pq") is the largest entry of the first identity's
+    (the second's) difference, relative to max(1, |F^2|, max |T_pq|); "max"
+    is the largest.  jet is the coordinate jet(5, 0) of F^2 at (z, v),
+    evaluated here when not given.
     """
     v = np.asarray(v, dtype=complex)
-    n = prog.dim
-    rng = np.random.default_rng(HOMOGENEITY_SEED)
-    A = np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(6)]
-                 + [v])
-    raw = raw_fiber_tensors(prog, z, v, 5) if jet is None else fiber_tensors(jet, 5)
-    f2 = float(np.real(raw[(0, 0)]))
-    scale = max(1.0, abs(f2))
-    reads, coef, row, ends = _homogeneity_plan()
-    terms = coef * np.concatenate([_read(raw[pq], pq[0], A, ix) for pq, ix in reads.items()])
-    sums = np.abs(np.bincount(row, terms.real) + 1j * np.bincount(row, terms.imag))
-    g, b, c, d, e = np.split(sums, ends)
-    d10 = complex(raw[(1, 0)] @ v)
-    res = {"a_radial": abs(d10 + np.conj(d10) - 2 * f2) / scale,
-           "a_rotation": abs(1j * d10 - 1j * np.conj(d10)) / scale,
-           "d_radial10": abs(d10 - f2) / scale,
-           "b_degree": float(np.max(b / np.maximum(scale, g))),
-           "c_rotation": float(np.max(c / np.maximum(scale, g))),
-           "d_pairing": float(np.max(d)) / scale, "e_cubic_quartic": float(np.max(e)) / scale}
+    T = raw_fiber_tensors(prog, z, v, 5) if jet is None else fiber_tensors(jet, 5)
+    f2 = abs(T[(0, 0)])
+    res = {}
+    for (p, q), t in T.items():
+        if p + q < 5:
+            scale = max(1.0, f2, np.max(np.abs(t)))
+            hol = np.tensordot(v, T[(p + 1, q)], axes=(0, 0)) - (1 - p) * t
+            con = np.tensordot(np.conj(v), T[(p, q + 1)], axes=(0, p)) - (1 - q) * t
+            res[f"v {p}{q}"] = float(np.max(np.abs(hol))) / scale
+            res[f"vbar {p}{q}"] = float(np.max(np.abs(con))) / scale
     res["max"] = max(res.values())
     return res
-
-
-def _read(t: np.ndarray, p: int, A: np.ndarray, ix: np.ndarray) -> np.ndarray:
-    """t(A[i_1], .., A[i_p], conj A[i_p+1], ..) for each row i of ix: the
-    first slot contracted with the whole stack, each later one with a row."""
-    (m, k), n = ix.shape, A.shape[1]
-    stack = [A] * p + [np.conj(A)] * (k - p)
-    out = (stack[0] @ t.reshape(n, -1))[ix[:, 0]]
-    for s in range(1, k):
-        out = np.matmul(stack[s][ix[:, s], None], out.reshape(m, n, -1))[:, 0]
-    return out[:, 0]
 
 
 # --------------------------------------------------------------------------

@@ -144,9 +144,10 @@ def complexify(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 # Relative step of the central differences along the parallelism fields: the
-# signature tiers, the regularity ranks and the curvature's derivatives along
-# the horizontal lifts.  Higher tiers difference the tiers below them, whose
-# noise a larger step amplifies less.
+# signature tiers above the first, and the regularity ranks that read them.
+# Tier 1 and the curvature's derivatives along the horizontal lifts are exact.
+# Higher tiers difference the tiers below them, whose noise a larger step
+# amplifies less.
 NESTED_STEP = 1e-4
 
 
@@ -269,17 +270,18 @@ def group_act(p: BundlePoint, g: np.ndarray) -> BundlePoint:
 def vertical_relations_residual(oh, oa, C20, C21, C12) -> float:
     """Max residual of the linear relations that cut out the vertical algebra,
     for the holomorphic and antiholomorphic slots oh, oa of a generator
-    (oa = conj(oh) for a real one), with C20, C21, C12 the frame components
-    of the (2,0), (2,1) and (1,2) fiber forms."""
-    n = len(oh)
-    worst = abs(oh[0, 0] + oa[0, 0])
-    for lam in range(1, n):
-        r = oh[0, lam] + oa[lam, 0] + sum(C20[lam, nu] * oh[nu, 0] for nu in range(n))
-        worst = max(worst, abs(r))
-        for mu in range(1, n):
-            # cubic-form corrections from the motion of the fiber point
-            r = oh[lam, mu] + oa[mu, lam] \
-                + sum(C21[mu, nu, lam] * oh[nu, 0] for nu in range(n)) \
-                + sum(C12[mu, lam, nu] * oa[nu, 0] for nu in range(n))
-            worst = max(worst, abs(r))
-    return float(worst)
+    (oa = conj(oh) for a real one), or of each generator of a stack on
+    leading axes, with C20, C21, C12 the frame components of the (2,0),
+    (2,1) and (1,2) fiber forms.  The relations are
+    oh[a, b] + oa[b, a] + corrections = 0 at (a, b) = (0, 0), (0, lam) and
+    (lam, mu), lam, mu >= 1; C20 corrects the (0, lam) ones and the cubic
+    forms the (lam, mu) ones, from the motion of the fiber point."""
+    n = oh.shape[-1]
+    h0, a0 = oh[..., :, 0], oa[..., :, 0]
+    r = oh + np.swapaxes(oa, -1, -2)
+    r[..., 0, 1:] += (h0 @ C20.T)[..., 1:]
+    r[..., 1:, 1:] += (np.einsum("mnl,...n->...lm", C21, h0)
+                       + np.einsum("mln,...n->...lm", C12, a0))[..., 1:, 1:]
+    related = np.ones((n, n), dtype=bool)
+    related[1:, 0] = False
+    return float(np.max(np.abs(r[..., related]), initial=0.0))

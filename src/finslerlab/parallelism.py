@@ -638,10 +638,12 @@ def structure_equation_residuals(sf: StructureFunctions) -> dict:
     # omega skew-symmetry of the curvature 2-form family
     skew = float(np.max(np.abs(sf.R_raw - np.conj(np.transpose(sf.R_raw, (1, 0, 3, 2))))))
 
-    # structure-group linear relations on the connection form
-    eq529 = _vertical_subspace_residual(fd, oh, oa)
-
+    # structure-group linear relations on the connection forms of every
+    # field: on real fields omega_a = conj(omega_h); on complex combinations
+    # the antiholomorphic slot realizes the conjugate-form values
     C20 = fd.C(2, 0)
+    eq529 = vertical_relations_residual(oh, oa, C20, C21, fd.C(1, 2))
+
     return {
         "eq529": eq529,
         "eq533": eq533,
@@ -696,16 +698,6 @@ def _pi_phi_forms(fd, table, TH, THb, W):
     Q = closed_form_Q(fd)
     Phi[b, b] = np.einsum("smrl,rsij->lmij", Q, _wedge(W[b, 0], W[0, b]))
     return Pi, Phi, _scalar_sup(d20b, d12, d21b), _scalar_sup(Q)
-
-
-def _vertical_subspace_residual(fd, oh, oa) -> float:
-    """Residual of the linear relations cutting out the vertical algebra,
-    evaluated on the connection forms oh, oa of every parallelism field."""
-    C20, C21, C12 = fd.C(2, 0), fd.C(2, 1), fd.C(1, 2)
-    # on real fields omega_a = conj(omega_h); on complex combinations the
-    # antiholomorphic slot realizes the conjugate-form values
-    return max((vertical_relations_residual(h, a, C20, C21, C12)
-                for h, a in zip(oh, oa)), default=0.0)
 
 
 # --------------------------------------------------------------------------

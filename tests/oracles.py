@@ -3,7 +3,7 @@
 import numpy as np
 
 from finslerlab.connection import frame_data, frame_derivatives
-from finslerlab.finsler_forms import HOMOGENEITY_SEED, form_derivative
+from finslerlab.finsler_forms import form_derivative
 from finslerlab.frame_bundle import (
     NESTED_STEP,
     AmbientTangent,
@@ -38,6 +38,7 @@ KERNEL_REL_TOL = 1e-6  # singular values below this * sigma_max span the tangenc
 CURVE_STEP = 1e-5
 CURVATURE_STEP = 3e-3
 RESIDUAL_STRIDE = 10  # path samples between the points geodesic_condition_residuals visits
+HOMOGENEITY_SEED = 0  # seed of the six random directions of homogeneity_identities
 
 
 def tangent_norm(dz, dU) -> float:
@@ -103,8 +104,19 @@ def nested(raw, xs) -> complex:
 
 
 def homogeneity_identities(prog, z, v) -> dict:
-    """finsler_forms.homogeneity_identities, one contraction per term: each
-    nested derivative, rotated vectors included, expanded over its splits."""
+    """The homogeneity identities on six random directions d_0..d_5 (seed
+    HOMOGENEITY_SEED), one contraction per term.  With the nested
+    derivative D(x_1..x_k) of F^2 along trivially extended real tangents,
+    expanded over its holomorphic/antiholomorphic splits, the families are
+    (a) dF^2(v) = F^2, and the radial and rotational derivatives of F^2;
+    (b) degree: D(x_1..x_k, v) = (2 - k) D(x_1..x_k) for k <= 4;
+    (c) rotation: sum_j D(.., i x_j, ..) + D(x_1..x_k, i v) = 0;
+    (d) h(x, v) = 0 and h(x, vbar) = dF^2(x);
+    (e) the cubic and quartic forms contracted with v, against lower forms;
+    (b) and (c) relative to max(scale, |D(x_1..x_k)|), the rest to the
+    scale max(1, |F^2|).  A second reference for
+    finsler_forms.homogeneity_identities, which checks the Euler identities
+    these families follow from."""
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     n = prog.dim
@@ -169,6 +181,50 @@ def homogeneity_identities(prog, z, v) -> dict:
     res["e_cubic_quartic"] = res_e / scale
     res["max"] = max(res.values())
     return res
+
+
+def euler_identities(prog, z, v) -> dict:
+    """finsler_forms.homogeneity_identities entry by entry: for each entry
+    of each T_pq with p + q <= 4, the sum over the index contracted with v
+    (the first holomorphic slot of T_(p+1)q) or with vbar (the first
+    conjugate slot of T_p(q+1)), against (1 - p) or (1 - q) times the entry."""
+    v = np.asarray(v, dtype=complex)
+    n = len(v)
+    jet = prog.jet_unchecked(z, v, 5, 0)
+    T = {(p, q): jet.fiber_tensor(p, q) for p in range(6) for q in range(6 - p)}
+    res = {}
+    for p in range(5):
+        for q in range(5 - p):
+            t = T[(p, q)]
+            scale = max(1.0, abs(T[(0, 0)]), np.max(np.abs(t)))
+            hol = con = 0.0
+            for idx in np.ndindex(t.shape):
+                sh = sum(v[a] * T[(p + 1, q)][(a,) + idx] for a in range(n))
+                sc = sum(np.conj(v[b]) * T[(p, q + 1)][idx[:p] + (b,) + idx[p:]]
+                         for b in range(n))
+                hol = max(hol, abs(sh - (1 - p) * t[idx]))
+                con = max(con, abs(sc - (1 - q) * t[idx]))
+            res[f"v {p}{q}"] = hol / scale
+            res[f"vbar {p}{q}"] = con / scale
+    res["max"] = max(res.values())
+    return res
+
+
+def vertical_relations_residual(oh, oa, C20, C21, C12) -> float:
+    """frame_bundle.vertical_relations_residual for one generator, one
+    relation at a time."""
+    n = len(oh)
+    worst = abs(oh[0, 0] + oa[0, 0])
+    for lam in range(1, n):
+        r = oh[0, lam] + oa[lam, 0] + sum(C20[lam, nu] * oh[nu, 0] for nu in range(n))
+        worst = max(worst, abs(r))
+        for mu in range(1, n):
+            # cubic-form corrections from the motion of the fiber point
+            r = oh[lam, mu] + oa[mu, lam] \
+                + sum(C21[mu, nu, lam] * oh[nu, 0] for nu in range(n)) \
+                + sum(C12[mu, lam, nu] * oa[nu, 0] for nu in range(n))
+            worst = max(worst, abs(r))
+    return float(worst)
 
 
 def full_stack_spray(prog, p):

@@ -153,6 +153,22 @@ def test_compare_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_compare_across_chart_dimensions_is_strict_json(capsys):
+    # RFC 8259 JSON has no Infinity: metrics of different dimensions differ
+    # with a null distance
+    code = run(["compare", "--metric-a", "poincare_disc", "--metric-b", "poincare_ball_2",
+                "--at-a", "z=0;v=1", "--at-b", "z=0,0;v=1,0"])
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rep["comparison"]["verdict"] == "differ"
+    assert rep["comparison"]["reason"] == "different chart dimensions"
+    assert rep["comparison"]["distance"] is None
+
+
 def test_at_parser_accepts_i_suffix(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert run(["tensors", "--metric", "flat_2",

@@ -94,23 +94,73 @@ def test_homogeneity_identities(progs, metric_id, z, v, tol):
     assert homogeneity_identities(progs[metric_id], z, v)["max"] < tol
 
 
-def test_homogeneity_identities_match_the_loop_oracle(progs, entries, warped, twisted):
+# F^2 of no homogeneity: every Euler identity fails at O(1), so a comparison
+# on it checks each identity entry by entry, not only round-off
+INHOMOGENEOUS = MetricSource(
+    2, "abs2(v1) + abs2(v2)^2 + abs2(z1)*abs2(v1)^3 + (v1 + conj(v2))*abs2(v2)")
+
+
+def _homogeneity_cases(progs, entries, warped, twisted):
     cases = [(prog, z, v) for mid, prog in progs.items()
              for z, v in sample_points(prog, entries[mid], 2, seed=11)]
-    cases += [(prog, [0.3, 0.1 - 0.2j], [1.0, 0.7 + 0.4j]) for prog in (warped, twisted)]
-    for prog, z, v in cases:
-        new, old = homogeneity_identities(prog, z, v), oracles.homogeneity_identities(prog, z, v)
+    return cases + [(prog, [0.3, 0.1 - 0.2j], [1.0, 0.7 + 0.4j]) for prog in (warped, twisted)]
+
+
+def test_homogeneity_identities_match_the_loop_oracle(progs, entries, warped, twisted):
+    for prog, z, v in _homogeneity_cases(progs, entries, warped, twisted):
+        new, old = homogeneity_identities(prog, z, v), oracles.euler_identities(prog, z, v)
         assert list(new) == list(old)
         for key in old:
             assert abs(new[key] - old[key]) < 1e-12, (prog.source.f2_expr, key)
-    # F^2 of no homogeneity: every family's residual is O(1), so the
-    # comparison checks each identity term by term, not only round-off
-    inhomogeneous = parse_metric(MetricSource(
-        2, "abs2(v1) + abs2(v2)^2 + abs2(z1)*abs2(v1)^3 + (v1 + conj(v2))*abs2(v2)"))
+    inhomogeneous = parse_metric(INHOMOGENEOUS)
     new = homogeneity_identities(inhomogeneous, [0.3, 0.1], [1.0, 0.7 - 0.4j])
-    old = oracles.homogeneity_identities(inhomogeneous, [0.3, 0.1], [1.0, 0.7 - 0.4j])
+    old = oracles.euler_identities(inhomogeneous, [0.3, 0.1], [1.0, 0.7 - 0.4j])
+    assert old["max"] > 1e-3
     for key in old:
-        assert old[key] > 1e-3 and new[key] == pytest.approx(old[key], rel=1e-12), key
+        assert new[key] == pytest.approx(old[key], rel=1e-12, abs=1e-12), key
+
+
+def test_homogeneity_identities_hold_on_fifty_points_a_metric(progs, entries, warped, twisted):
+    worst = max(homogeneity_identities(prog, z, v)["max"] for mid, prog in progs.items()
+                for z, v in sample_points(prog, entries[mid], 50, seed=101))
+    assert worst <= 1e-12
+    for prog in (warped, twisted):
+        for z, v in sample_points(prog, entries["l4_finsler"], 10, seed=101):
+            assert homogeneity_identities(prog, z, v)["max"] <= 1e-12
+
+
+def test_euler_and_direction_checks_agree_on_every_verdict(progs, entries, warped, twisted):
+    # the Euler identities and the five families on six random directions
+    # that follow from them pass and fail together
+    cases = _homogeneity_cases(progs, entries, warped, twisted)
+    cases.append((parse_metric(INHOMOGENEOUS), [0.3, 0.1], [1.0, 0.7 - 0.4j]))
+    for mutate in MUTATIONS.values():
+        cases += [(_MutatedJets(progs[mid], mutate), z, v) for mid, z, v in MUTATED_POINTS]
+    verdicts = []
+    for prog, z, v in cases:
+        new = homogeneity_identities(prog, z, v)["max"]
+        old = oracles.homogeneity_identities(prog, z, v)["max"]
+        assert (new <= 1e-12 and old <= 1e-12) or (new > 1e-3 and old > 1e-3), (new, old)
+        verdicts.append(new <= 1e-12)
+    assert verdicts.count(False) == 5  # the inhomogeneous metric and the four mutated jets
+
+
+@pytest.mark.parametrize("metric_id", ["poincare_disc", "poincare_ball_3", "fubini_study_2",
+                                       "hermitian_nonconstant", "l4_finsler", "warped",
+                                       "twisted"])
+def test_fiber_tensors_scale_with_their_bidegree(progs, entries, warped, twisted, metric_id):
+    # the global form of the Euler identities, read with no contraction:
+    # T_pq(z, lam v) = lam^(1 - p) conj(lam)^(1 - q) T_pq(z, v) for p + q <= 5
+    prog = {"warped": warped, "twisted": twisted}.get(metric_id) or progs[metric_id]
+    entry = entries["l4_finsler" if metric_id in ("warped", "twisted") else metric_id]
+    lam = 1.7 * np.exp(0.4j)
+    for z, v in sample_points(prog, entry, 3, seed=12):
+        jet, scaled = (prog.jet_unchecked(z, w, 5, 0) for w in (v, lam * np.asarray(v)))
+        for p in range(6):
+            for q in range(6 - p):
+                want = lam ** (1 - p) * np.conj(lam) ** (1 - q) * jet.fiber_tensor(p, q)
+                err = np.max(np.abs(scaled.fiber_tensor(p, q) - want))
+                assert err <= 1e-12 * max(1.0, np.max(np.abs(want))), (p, q, err)
 
 
 class _MutatedJets:
@@ -131,17 +181,21 @@ MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("mutation", MUTATIONS)
-@pytest.mark.parametrize("metric_id, z, v", [
+MUTATED_POINTS = [
     ("poincare_ball_2", [0.2, -0.1j], [1.0, 0.5 + 0.3j]),
     ("l4_finsler", [0.2, 0.1], [1.0, 0.8 + 0.3j]),
-])
+]
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("metric_id, z, v", MUTATED_POINTS)
 def test_homogeneity_identities_catch_jet_mutations(progs, mutation, metric_id, z, v):
     mutated = _MutatedJets(progs[metric_id], MUTATIONS[mutation])
-    res = homogeneity_identities(mutated, z, v)
+    res, ref = homogeneity_identities(mutated, z, v), oracles.euler_identities(mutated, z, v)
     assert res["max"] > 1e-3
-    assert res["max"] == pytest.approx(oracles.homogeneity_identities(mutated, z, v)["max"],
-                                       rel=1e-12)
+    assert list(res) == list(ref)
+    for key in ref:
+        assert res[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-12), key
 
 
 def test_levi_flat(progs):

@@ -17,6 +17,7 @@ from finslerlab.metric_dsl import FinslerError
 from finslerlab.parallelism import _field_stack, _generators, labels_real, u_block_basis
 from finslerlab.connection import frame_data
 from finslerlab.registry import sample_points
+import oracles
 from oracles import tangency_kernel_dimension
 
 
@@ -130,6 +131,27 @@ def test_vertical_generators_are_members(progs):
         assert vertical_membership(prog, p, A) < 1e-10
     assert np.array_equal(T, [[1j, 0], [0, 0]])
     assert vertical_membership(prog, p, T) < 1e-10
+
+
+@pytest.mark.parametrize("metric_id, z, v", [
+    ("poincare_disc", [0.3], [1.0]),
+    ("l4_finsler", [0.1, -0.2], [1.0, 0.7 + 0.2j]),
+    ("poincare_ball_3", [0.2, 0.1, -0.1], [1.0, 0.4, 0.2j]),
+])
+def test_vertical_relations_stack_matches_the_loop_oracle(progs, metric_id, z, v):
+    # generic slots oh, oa violate every relation, so each entry is compared
+    prog = progs[metric_id]
+    n = prog.dim
+    p = adapted_frame(prog, z, v)
+    fd = frame_data(prog, p.z, p.U)
+    forms = fd.C(2, 0), fd.C(2, 1), fd.C(1, 2)
+    rng = np.random.default_rng(7)
+    oh, oa = rng.standard_normal((2, 6, n, n)) + 1j * rng.standard_normal((2, 6, n, n))
+    each = [oracles.vertical_relations_residual(h, a, *forms) for h, a in zip(oh, oa)]
+    for h, a, ref in zip(oh, oa, each):
+        assert vertical_relations_residual(h, a, *forms) == pytest.approx(ref, rel=1e-13)
+    assert vertical_relations_residual(oh, oa, *forms) == pytest.approx(max(each), rel=1e-13)
+    assert vertical_relations_residual(oh[:0], oa[:0], *forms) == 0.0
 
 
 def test_tangency_of_vertical_members(progs):

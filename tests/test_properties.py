@@ -1,7 +1,9 @@
 """Property tests of the error contract: the DSL raises only FinslerError
 subclasses on any expression of the README grammar, and the CLI commands
-exit 0, 1, 2 or 3 without a traceback on any fuzzed argv: the cheap ones
-over many examples, structure and classify, which cost more, over few."""
+exit 0, 1, 2 or 3 without a traceback on any fuzzed argv, with a report
+that is strict JSON on exits 0 and 1: the cheap commands over many
+examples, structure, classify, check and compare, which cost more, over
+few."""
 
 import contextlib
 import io
@@ -102,11 +104,30 @@ def report_argvs(draw):
             *_samples_or_point(draw)]
 
 
+@st.composite
+def check_argvs(draw):
+    return ["check", "--metric", draw(metrics), *_samples_or_point(draw),
+            "--tol", draw(st.sampled_from(["1", "1e-9", "1e-30", "-1"]))]
+
+
+@st.composite
+def compare_argvs(draw):
+    return ["compare", "--metric-a", draw(metrics), "--metric-b", draw(metrics),
+            "--at-a", draw(at_values), "--at-b", draw(at_values),
+            "--order", draw(st.sampled_from(["0", "1", "3"])),
+            "--fiber-samples", draw(st.sampled_from(["0", "2"]))]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def assert_contract(argv):
     """main(argv) exits 0-3 with no traceback, with a usage message on exit 2
-    and otherwise nothing on stderr but one JSON diagnostic."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    and otherwise nothing on stderr but one JSON diagnostic; on exits 0 and
+    1 stdout is one report in strict JSON (no NaN or Infinity)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -117,6 +138,9 @@ def assert_contract(argv):
         assert "usage:" in err, (argv, err)
     else:
         assert not err or isinstance(json.loads(err), dict), (argv, err)
+    if code in (0, 1):
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert isinstance(report, dict), (argv, report)
 
 
 @SETTINGS
@@ -128,4 +152,18 @@ def test_cli_contract_under_fuzzed_argv(argv):
 @settings(SETTINGS, max_examples=10)
 @given(report_argvs())
 def test_report_contract_under_fuzzed_argv(argv):
+    assert_contract(argv)
+
+
+@settings(SETTINGS, max_examples=10)
+@given(check_argvs())
+def test_check_contract_under_fuzzed_argv(argv):
+    assert_contract(argv)
+
+
+@settings(SETTINGS, max_examples=10)
+@given(compare_argvs())
+@example(["compare", "--metric-a", "poincare_disc", "--metric-b", "poincare_ball_2",
+          "--at-a", "z=0;v=1", "--at-b", "z=0,0;v=1,0"])  # chart dimensions differ
+def test_compare_contract_under_fuzzed_argv(argv):
     assert_contract(argv)
