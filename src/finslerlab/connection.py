@@ -14,8 +14,9 @@ E reads the frame forms and Dh off them.  The tangency conditions are
 derivatives of the (1, 1) frame form, frame_bundle.gram_derivative, taken
 by the one form derivative below this module, finsler_forms.form_derivative.
 frame_derivatives differentiates E exactly, through its back-substitution,
-for the parallelism's brackets; frame_second_derivatives differentiates it
-twice, for the derivatives of the structure coefficients.  They take
+for the parallelism's brackets; frame_second_derivatives and
+frame_third_derivatives differentiate it twice and three times, for the
+first and second derivatives of the structure coefficients.  They take
 tangents as frame increments (U^-1 dz, U^-1 dU): (w, G) for a parallelism
 field U (w, G), so none of them solves with U.
 """
@@ -32,6 +33,7 @@ from .finsler_forms import (
     raw_derivatives,
     tensor_derivative,
     tensor_second_derivative,
+    tensor_third_derivative,
 )
 from .frame_bundle import (
     AmbientTangent,
@@ -177,6 +179,46 @@ def frame_second_derivatives(fd: FrameData, inc1, inc2, first1, first2):
                          + np.einsum("lzg,jazr->jlrag", dE2[:, :, 0], dC21_1[:, 1:])
                          + np.einsum("zg,jlazr->jlrag", fd.E[:, 0], d2C21[:, :, 1:]))
     return d2E, d2C20, d2C21
+
+
+def _back(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_z x[..., z, g] y[..., a, z, r], with x's leading axes, then y's,
+    then (r, a, g): a term of E's back-substitution, differentiated."""
+    lx, ly = x.ndim - 2, y.ndim - 3
+    out = np.tensordot(x, y, axes=([-2], [-2]))
+    return out.transpose(*range(lx), *range(lx + 1, lx + 1 + ly), lx + ly + 2, lx + ly + 1, lx)
+
+
+def frame_third_derivatives(fd: FrameData, inc, first, second):
+    """Exact third derivatives of E, C(2, 0) and C(2, 1) of fd along every
+    triple (i, j, l) of one stack of frame increments inc = (delta, A),
+    shaped as frame_derivatives takes them.
+
+    Returns (d3E, d3C20, d3C21) with leading axes (K, K, K).  first is
+    frame_derivatives along inc and second frame_second_derivatives along
+    (inc, inc), which E's back-substitution multiplies.  The forms'
+    derivatives read one jet(6, 3); so do Dh's, but for its fourth base
+    derivatives, which read one jet(2, 4).
+    """
+    jet = fd.jet_of(6, 3)
+    d3C20 = tensor_third_derivative((2, 0), fd.C(2, 0),
+                                    *raw_derivatives(jet.partials, 2, 0, order=3), inc)
+    d3C21 = tensor_third_derivative((2, 1), fd.C(2, 1),
+                                    *raw_derivatives(jet.partials, 2, 1, order=3), inc)
+    d3Dh = tensor_third_derivative((2, 1), fd.Dh, *raw_derivatives(
+        _Dh_partials(jet, fd.jet_of(2, 4)), 1, 1, (Z,), order=3), inc)
+    # FrameData.E's back-substitution differentiated three times, term by
+    # term (Leibniz): column 0 of E has no back-substitution.  The terms
+    # with two derivatives on one factor and one on the other are symmetric
+    # in the pair, so their three placements are cyclic shifts
+    (dE, _, dC21), (d2E, _, d2C21) = first, second
+    d3E = -d3Dh.transpose(0, 1, 2, 5, 4, 3)
+    C21 = fd.C(2, 1)[1:]
+    mixed = _back(d2E[:, :, :, 0], dC21[:, 1:]) + _back(dE[:, :, 0], d2C21[:, :, 1:])
+    d3E[:, :, :, :, 1:] -= (_back(d3E[:, :, :, :, 0], C21) + _back(fd.E[:, 0], d3C21[:, :, :, 1:])
+                            + mixed + mixed.transpose(1, 2, 0, 3, 4, 5)
+                            + mixed.transpose(2, 0, 1, 3, 4, 5))
+    return d3E, d3C20, d3C21
 
 
 # --------------------------------------------------------------------------

@@ -11,12 +11,15 @@ the parallelism's fields.  form_derivative differentiates a frame form
 along them; tensor_derivative, which it calls, does the same for any frame
 tensor given with its first partials, as one product of the increments
 with the partials and one slot contraction with A per slot; and
-tensor_second_derivative takes its second derivatives along pairs of
-increments from the partials that raw_derivatives reads off a jet.
+tensor_second_derivative and tensor_third_derivative take its second and
+third derivatives along pairs and triples of increments from the partials
+that raw_derivatives reads off a jet.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,15 +46,17 @@ def first_partials(partials, p: int, q: int, lead: tuple = ()) -> np.ndarray:
     return np.concatenate([partials(p, q, (x,) + lead) for x in _KINDS])
 
 
-def raw_derivatives(partials, p: int, q: int, lead: tuple = ()):
-    """(d1, d2): the first and second derivatives of the tensor
-    t = partials(p, q, lead) along the 4n jet variables (zeta, zetabar, xi,
-    xibar), of shapes (4n,) + t.shape and (4n, 4n) + t.shape.  partials is
-    a Jet.partials, or a function of the same arguments that picks the jet
-    holding each read."""
-    return (first_partials(partials, p, q, lead),
-            np.concatenate([first_partials(partials, p, q, (y,) + lead) for y in _KINDS],
-                           axis=1))
+def raw_derivatives(partials, p: int, q: int, lead: tuple = (), order: int = 2):
+    """(d1, .., d_order): the derivatives of the tensor t = partials(p, q,
+    lead) along the 4n jet variables (zeta, zetabar, xi, xibar), d_k of
+    shape (4n,) * k + t.shape.  partials is a Jet.partials, or a function of
+    the same arguments that picks the jet holding each read."""
+    def stack(k: int, lead: tuple) -> np.ndarray:
+        if k == 1:
+            return first_partials(partials, p, q, lead)
+        return np.concatenate([stack(k - 1, (y,) + lead) for y in _KINDS], axis=k - 1)
+
+    return tuple(stack(k, lead) for k in range(1, order + 1))
 
 
 def _increments(delta, A) -> np.ndarray:
@@ -67,19 +72,26 @@ def _slot(t: np.ndarray, k: int, s: int, M: np.ndarray) -> np.ndarray:
     of the stack M (K, n, n): sum_b t[..., b, ...] M[j, b, a] in that slot,
     with the axis of j after t's leading axes.  Each matrix takes its own
     matmul, so M[j] in a stack gives the bits it gives alone."""
-    ts = np.moveaxis(t, s - k, -1)
+    into, back = _slot_axes(t.ndim, k, s)
+    ts = t.transpose(into)
     out = np.matmul(ts.reshape(-1, ts.shape[-1]), M).reshape((len(M),) + ts.shape)
-    return np.moveaxis(np.moveaxis(out, 0, t.ndim - k), -1, s - k)
+    return out.transpose(back)
+
+
+@functools.cache
+def _slot_axes(d: int, k: int, s: int) -> tuple[tuple, tuple]:
+    """The axis orders of _slot for a d-axis t: t's with slot s last, and the
+    product's (the matrix axis first, then those) with the matrix axis after
+    t's leading axes and slot s back in its place."""
+    src = d - k + s
+    into = tuple(i for i in range(d) if i != src) + (src,)
+    pos = [1 + into.index(i) for i in range(d)]
+    return into, tuple(pos[:d - k]) + (0,) + tuple(pos[d - k:])
 
 
 def _frame_mats(pq: tuple[int, int], A: np.ndarray) -> list:
     """The motion of each slot of a (p, q) tensor: A, or conj A in a conjugate slot."""
     return [A] * pq[0] + [np.conj(A)] * pq[1]
-
-
-def _motion(t: np.ndarray, pq: tuple[int, int], A: np.ndarray) -> np.ndarray:
-    """The frame motion of the (p, q) tensor t along each matrix of A."""
-    return sum(_slot(t, sum(pq), s, M) for s, M in enumerate(_frame_mats(pq, A)))
 
 
 def form_derivative(jet, pq: tuple[int, int], delta, A) -> np.ndarray:
@@ -106,7 +118,7 @@ def tensor_derivative(pq: tuple[int, int], t: np.ndarray, d1: np.ndarray, delta,
     bit-identical to that direction alone.
     """
     out = np.matmul(_increments(delta, A)[:, None], d1.reshape(len(d1), -1))
-    return out.reshape((len(A),) + t.shape) + _motion(t, pq, A)
+    return out.reshape((len(A),) + t.shape) + _moved(t, pq, A, 1)
 
 
 def tensor_second_derivative(pq: tuple[int, int], t: np.ndarray, d1, d2, inc1, inc2):
@@ -131,8 +143,63 @@ def tensor_second_derivative(pq: tuple[int, int], t: np.ndarray, d1, d2, inc1, i
     twice = sum(_slot(_slot(t, k, s, M1), k, s, M2)
                 for s, (M1, M2) in enumerate(zip(_frame_mats(pq, A1), _frame_mats(pq, A2))))
     return (r2.reshape((len(x1), len(x2)) + t.shape) - twice
-            + _motion(tensor_derivative(pq, t, d1, delta1, A1), pq, A2)
-            + np.swapaxes(_motion(r1, pq, A1), 0, 1))
+            + _moved(tensor_derivative(pq, t, d1, delta1, A1), pq, A2, 1)
+            + np.swapaxes(_moved(r1, pq, A1, 1), 0, 1))
+
+
+def _moved(t: np.ndarray, pq: tuple[int, int], A: np.ndarray, count: int):
+    """t, whose last p + q axes are its slots, with count increments of the
+    stack A (K, n, n) moving count distinct slots, the first increment the
+    lowest slot, summed over every set of slots: shape t's leading axes,
+    then count axes of length K, then the slots.  0 when count exceeds
+    p + q."""
+    k = sum(pq)
+    mats = _frame_mats(pq, A)
+    moved = None
+    for slots in itertools.combinations(range(k), count):
+        u = t
+        for s in slots:
+            u = _slot(u, k, s, mats[s])
+        if moved is None:
+            moved = u
+        else:
+            moved += u
+    return 0 if moved is None else moved
+
+
+def tensor_third_derivative(pq: tuple[int, int], t: np.ndarray, d1, d2, d3, inc):
+    """Third derivatives of a frame tensor t, as tensor_derivative takes
+    it, with the partials (d1, d2, d3) that raw_derivatives(..., order=3)
+    returns, along every triple (i, j, l) of one stack of K frame
+    increments inc = (delta, A), shapes (K, n) and (K, n, n).  Returns shape
+    (K, K, K) + t.shape.
+
+    z and U move linearly, so each slot takes at most one of the three
+    increments: the terms are t's third partials along the three
+    increments of the jet variables; its second partials along two of them
+    with the third moving a slot; its first partials along one with the
+    other two moving two distinct slots; and t with the three moving three
+    distinct slots.  The partials are contracted with one increment at a
+    time.  The last three terms are made for one order of the increments,
+    and the sum over the six orders of the axes (i, j, l) takes each once,
+    but the second partials, symmetric in their pair, twice: they enter
+    with a half.
+    """
+    delta, A = inc
+    x = _increments(delta, A)
+    K, w = x.shape
+    f1 = (x @ d1.reshape(w, -1)).reshape((K,) + t.shape)
+    f2 = np.matmul(x, (x @ d2.reshape(w, -1)).reshape(K, w, -1)).reshape((K, K) + t.shape)
+    out = np.matmul(x, np.matmul(x, (x @ d3.reshape(w, -1)).reshape(K, w, -1))
+                    .reshape(K, K, w, -1)).reshape((K, K, K) + t.shape)
+    ordered = _moved(f2, pq, A, 1)
+    ordered *= 0.5
+    ordered += _moved(f1, pq, A, 2)
+    ordered += _moved(t, pq, A, 3)
+    slots = tuple(range(3, out.ndim))
+    for order in itertools.permutations(range(3)):
+        out += ordered.transpose(order + slots)
+    return out
 
 
 def raw_fiber_tensors(prog: MetricProgram, z, v, max_order: int = 4, frame=None) -> dict:

@@ -143,12 +143,16 @@ def complexify(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
 # derivatives along fields
 # --------------------------------------------------------------------------
 
-# Relative step of the central differences along the parallelism fields: the
-# signature tiers above the first, and the regularity ranks that read them.
-# Tier 1 and the curvature's derivatives along the horizontal lifts are exact.
-# Higher tiers difference the tiers below them, whose noise a larger step
-# amplifies less.
-NESTED_STEP = 1e-4
+# Relative step of the one central difference along the parallelism fields:
+# signature tier 3, which only the regularity ranks at alpha = 2 read, as a
+# difference of the exact tier 2.  Tiers 1 and 2 and the curvature's
+# derivatives along the horizontal lifts are exact.  The step balances the
+# difference's truncation error, which falls as its square, against tier 2's
+# round-off, which it divides: over three sample points of each catalog
+# metric, the largest noise singular value at alpha = 2 is 1.9e-6 at this
+# step, against 1.8e-5 at 3e-6 and 2.0e-2 at 1e-4, the step of the nested
+# differences that tiers 1 and 2 once were.
+NESTED_STEP = 1e-6
 
 
 def central_difference(fn, x0, dx, h):

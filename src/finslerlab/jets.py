@@ -8,20 +8,23 @@ variables are independent differentiation directions (Wirtinger calculus);
 and conjugating the coefficients.
 
 Truncation is by *fiber* total degree and *base* total degree separately,
-which keeps the tables small: fiber order never exceeds 5 in this package,
-and base order never exceeds 3.  Base orders 2 and 3 serve the exact
+which keeps the tables small: fiber order never exceeds 6 in this package,
+and base order never exceeds 4.  Base orders 2 to 4 serve the exact
 derivatives of the connection: its first derivative reads the second base
 derivatives of the (1, 1) fiber tensor from a jet(2, 2), its second
 derivative the third ones from a jet(2, 3) and every mixed second
 derivative of the (2, 0), (2, 1) and base-differentiated (1, 1) tensors
-from a jet(5, 2).  Every other jet has base order 0 or 1.
+from a jet(5, 2), and its third derivative the fourth base derivatives of
+the (1, 1) tensor from a jet(2, 4) and every other third derivative of
+those tensors from a jet(6, 3).  Every other jet has base order 0 or 1.
 
-Two tables are also truncated by *total* degree, as in a truncated
+Three tables are also truncated by *total* degree, as in a truncated
 power-series algebra (Berz 1999, ch. 2), because no reader needs more
-(TOTAL_DEGREE_CAP): the jet(5, 2) keeps total degree 5, which covers the
-(2, 1) tensor and the base-differentiated (1, 1) tensor with two more
-derivatives of any kind, and the jet(4, 1) keeps total degree 4, which
-covers C(2, 2) and the base derivatives of the (2, 1) and (1, 2) tensors.
+(TOTAL_DEGREE_CAP): the jet(6, 3) keeps total degree 6 and the jet(5, 2)
+total degree 5, which cover the (2, 1) tensor and the base-differentiated
+(1, 1) tensor with three, and two, more derivatives of any kind, and the
+jet(4, 1) keeps total degree 4, which covers C(2, 2) and the base
+derivatives of the (2, 1) and (1, 2) tensors.
 A product's coefficient at a kept monomial sums only pairs of kept
 monomials, in the same table order as without the cap, so every value read
 off a capped jet is bit for bit the uncapped one; the series of inv and
@@ -59,7 +62,7 @@ V, VBAR, Z, ZBAR = 0, 1, 2, 3
 
 # (fiber order, base order) -> the total degree a table of those orders
 # keeps; any other table keeps fiber order + base order, every monomial.
-TOTAL_DEGREE_CAP = {(5, 2): 5, (4, 1): 4}
+TOTAL_DEGREE_CAP = {(6, 3): 6, (5, 2): 5, (4, 1): 4}
 
 # Tables with fewer product pairs than this multiply over the whole table:
 # there, looking up the operands' class pattern costs more than the

@@ -19,9 +19,11 @@ the same parallelism, the constant combinations K of the real fields
 components all come from the real side through K.  The bracket table,
 ``FieldTable``, keeps the derivatives of (E, C(2, 0), C(2, 1)) along every
 field, and everything that differentiates along the fields reads them
-there: the exact first derivatives of the structure functions, and the
-derivatives along the lifts (rows 0..2n-1) of the torsion and of the
-(2, 0), (2, 1) and (1, 2) frame forms that the closed forms of the P
+there: the exact first and second derivatives of the structure
+functions (the second from the identity B c = br differentiated twice,
+with the third derivatives of (E, C(2, 0), C(2, 1)) along the fields),
+and the derivatives along the lifts (rows 0..2n-1) of the torsion and of
+the (2, 0), (2, 1) and (1, 2) frame forms that the closed forms of the P
 families, the curvature equations and the Bianchi identities take.  The
 curvature is a fixed linear image of the structure coefficients
 (_complex_coefficients, then _raw_curvature), so the Bianchi identities
@@ -48,7 +50,13 @@ from functools import cache
 
 import numpy as np
 
-from .connection import FrameData, frame_data, frame_derivatives, frame_second_derivatives
+from .connection import (
+    FrameData,
+    frame_data,
+    frame_derivatives,
+    frame_second_derivatives,
+    frame_third_derivatives,
+)
 from .frame_bundle import BundlePoint, complexify, unpack_real, vertical_relations_residual
 from .metric_dsl import FinslerError, MetricProgram
 
@@ -308,25 +316,30 @@ def bracket_coefficients(table: FieldTable) -> np.ndarray:
     return (table.pinv @ table.br.reshape(N * N, -1).T).T.reshape(N, N, N)
 
 
-def structure_derivative(fd: FrameData, table: FieldTable, rows: int | None = None) -> np.ndarray:
-    """dc[k, a, b, i]: the exact derivative of bracket_coefficients at the
-    point of fd, whose bracket table is table, along each real field Y_k,
-    k < rows (every field when rows is None).
+@dataclass(frozen=True)
+class SecondTable:
+    """The second derivatives along the fields at one point, along rows
+    Y_k, k < r, of the fields, as second_table builds them: what the first
+    derivatives of the structure functions read, and their second
+    derivatives read again."""
 
-    With B the matrix of the real fields as columns, B c = br is consistent
-    at p and B has full column rank, so the derivative of the least-squares
-    solution (Golub and Pereyra, 1973) is dc = B^+ (D_Y br - (D_Y B) c).
-    The columns of D_Y B are D_Y X_b = J_b(Y), with J_b the derivative of
-    field b, and D_Y br[a, b] = D_Y (J_b(X_a)) - (a <-> b), where
-    D_Y (J_b(X_a)) = D^2 X_b[Y, X_a] + J_b(J_a(Y)).  In frame increments,
-    with Y_k = U (w_k, G_k), the second derivative of X_b = U (w_b, G_b)
-    along (Y, V) is (0, A_V dG_b(Y) + A_Y dG_b(V) + d^2 G_b(Y, V)), with
-    d^2 G from connection.frame_second_derivatives, and J_a(Y_k) has the
-    frame increments (G_k w_a, G_k G_a + dG_a(Y_k)), the table's D[k, a].
-    Only the derivatives along the tangents J_a(Y_k) are new first ones.
-    At a point displaced off the bundle by t, where the signature's higher
-    tiers evaluate this, B c = br leaves a residual of O(t^2), and the term
-    of d(B^+) that the formula drops is of the same order.
+    second: tuple      # (d2E, d2C20, d2C21) along the pairs (Y_k, X_a), leading axes (r, N)
+    d2G: np.ndarray    # (r, N, N, n, n) d2G[k, a] is the second derivative of G along (Y_k, X_a)
+    dGD: np.ndarray    # (r N, N, n, n) the derivative of G along each D[k, a]
+    D2: tuple          # frame increments of D2[k, a, b] = Y_k (Y_a X_b), (r, N, N, n), (r, N, N, n, n)
+
+
+def second_table(fd: FrameData, table: FieldTable, rows: int | None = None) -> SecondTable:
+    """The SecondTable at the point of fd, whose bracket table is table,
+    along the fields Y_k, k < rows (every field when rows is None).
+
+    Y_k (Y_a X_b) = D^2 X_b[Y_k, X_a] + J_b(J_a(Y_k)), with J_b the
+    derivative of field b.  In frame increments, with Y_k = U (w_k, G_k),
+    the second derivative of X_b = U (w_b, G_b) along (Y, V) is
+    (0, A_V dG_b(Y) + A_Y dG_b(V) + d^2 G_b(Y, V)), with d^2 G from
+    connection.frame_second_derivatives, and J_a(Y_k) has the frame
+    increments (G_k w_a, G_k G_a + dG_a(Y_k)), the table's D[k, a].  Only
+    the derivatives along the tangents J_a(Y_k) are new first ones.
     """
     n = fd.n
     G, dG = table.G, table.dG
@@ -334,21 +347,160 @@ def structure_derivative(fd: FrameData, table: FieldTable, rows: int | None = No
     r = N if rows is None else rows
     Jd, JA = (d[:r] for d in table.D)
     fields = (_stack_layout(n)[1], G)  # their frame increments
-    d2G = _generator_derivatives(frame_second_derivatives(
-        fd, tuple(f[:r] for f in fields), fields, tuple(d[:r] for d in table.first),
-        table.first))
-    # D2[k, a, b] = D^2 X_b[Y_k, X_a] + J_b(J_a(Y_k)), in frame increments
+    second = frame_second_derivatives(fd, tuple(f[:r] for f in fields), fields,
+                                      tuple(d[:r] for d in table.first), table.first)
+    d2G = _generator_derivatives(second)
     inc = (Jd.reshape(r * N, n), JA.reshape(r * N, n, n))
-    d2d, d2A = (d.reshape((r, N) + d.shape[1:]) for d in _field_derivatives(
-        G, inc[1], _generator_derivatives(frame_derivatives(fd, *inc))))
+    dGD = _generator_derivatives(frame_derivatives(fd, *inc))
+    d2d, d2A = (d.reshape((r, N) + d.shape[1:]) for d in _field_derivatives(G, inc[1], dGD))
     d2A = d2A + (np.matmul(G[None, :, None], dG[:r, None]) + np.matmul(G[:r, None, None], dG)
                  + d2G)
+    return SecondTable(second=second, d2G=d2G, dGD=dGD, D2=(d2d, d2A))
+
+
+def structure_derivative(fd: FrameData, table: FieldTable, rows: int | None = None,
+                         second: SecondTable | None = None) -> np.ndarray:
+    """dc[k, a, b, i]: the exact derivative of bracket_coefficients at the
+    point of fd, whose bracket table is table, along each real field Y_k,
+    k < rows (every field when rows is None).  second is the second_table
+    there along those rows, built here when not given.
+
+    With B the matrix of the real fields as columns, B c = br is consistent
+    at p and B has full column rank, so the derivative of the least-squares
+    solution (Golub and Pereyra, 1973) is dc = B^+ (D_Y br - (D_Y B) c).
+    The columns of D_Y B are D_Y X_b = J_b(Y), with J_b the derivative of
+    field b, and D_Y br[a, b] = D2[k, a, b] - D2[k, b, a] with D2 of the
+    second table.  At a point displaced off the bundle by t, where the
+    signature's tier 3 evaluates this, B c = br leaves a residual of
+    O(t^2), and the term of d(B^+) that the formula drops is of the same
+    order.
+    """
+    if second is None:
+        second = second_table(fd, table, rows)
+    Jd, JA = table.D
+    N = len(Jd)
+    d2d, d2A = second.D2
+    r = len(d2d)
     c = bracket_coefficients(table).reshape(N * N, N)
     rhs = [(d2 - d2.swapaxes(1, 2)).reshape((r, N * N) + d2.shape[3:])
-           - np.matmul(c, d.reshape(r, N, -1)).reshape((r, N * N) + d.shape[2:])
+           - np.matmul(c, d[:r].reshape(r, N, -1)).reshape((r, N * N) + d.shape[2:])
            for d2, d in ((d2d, Jd), (d2A, JA))]
     dc = table.pinv @ _packed_frame(fd.U, *rhs).reshape(r * N * N, -1).T
     return dc.T.reshape(r, N, N, N)
+
+
+@cache
+def _increment_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A real basis of the frame increments (delta, A): the units of delta,
+    then of A in row-major order, then i times each; 2 (n + n^2) of them."""
+    m = n + n * n
+    units = np.concatenate([np.eye(m), 1j * np.eye(m)])
+    delta, A = np.ascontiguousarray(units[:, :n]), units[:, n:].reshape(-1, n, n)
+    delta.flags.writeable = A.flags.writeable = False
+    return delta, A
+
+
+def _increment_coordinates(delta: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The coordinates of frame increments (delta, A), any leading axes, on
+    _increment_basis: the real parts of delta and A, then the imaginary."""
+    x = np.concatenate([delta, A.reshape(delta.shape[:-1] + (-1,))], axis=-1)
+    return np.concatenate([x.real, x.imag], axis=-1)
+
+
+def _components(fd: FrameData, table: FieldTable, delta: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The components on the real fields of the tangents with frame
+    increments (delta, A), leading axes (M,): table.pinv applied to
+    _packed_frame of them, as one complex product.  pinv acts on
+    (Re dz, Im dz, Re dU, Im dU), so it is Re(Q (dz, dU)) with Q the
+    real block less i times the imaginary block, and dz = U delta,
+    dU = U A."""
+    n = fd.n
+    P = table.pinv
+    Qz = (P[:, :n] - 1j * P[:, n:2 * n]) @ fd.U
+    QU = np.einsum("xrc,rs->xsc", (P[:, 2 * n:2 * n + n * n] - 1j * P[:, 2 * n + n * n:])
+                   .reshape(-1, n, n), fd.U)
+    out = delta @ Qz.T
+    out += A.reshape(len(A), -1) @ QU.reshape(len(QU), -1).T
+    return out.real
+
+
+def structure_second_derivative(fd: FrameData, table: FieldTable, second: SecondTable,
+                                dc: np.ndarray) -> np.ndarray:
+    """d2c[m, k, p, i]: the exact second derivative Y_m (Y_k c) of
+    bracket_coefficients c[a, b, i] at the point of fd, whose bracket table
+    is table, for the pairs p = (a, b), a < b, in the order of
+    np.triu_indices, which hold all of it (c is antisymmetric in a, b).
+    second is the second_table there along every field and dc the
+    structure_derivative.
+
+    B c = br holds along the bundle, to which the fields are tangent, so it
+    can be differentiated twice along them (Golub and Pereyra, 1973):
+    Y_m Y_k c = B^+ (Y_m Y_k br - (Y_m Y_k B) c - (Y_m B) Y_k c - (Y_k B) Y_m c).
+    The columns of Y_m Y_k B are the second table's D2[m, k, b], and
+    Y_m Y_k br[a, b] = Y_m Y_k Y_a X_b - (a <-> b), where, with
+    J_k(Y_m) = D[m, k],
+
+        Y_m Y_k Y_a X_b = D^3 X_b[Y_m, Y_k, X_a] + D^2 X_b[D[m, k], X_a]
+                          + D^2 X_b[Y_k, D[m, a]] + D^2 X_b[Y_m, D[k, a]]
+                          + D X_b[D2[m, k, a]].
+
+    In frame increments the third derivative of X_b along (Y, V, Z) is
+    (0, A_Y d^2 G_b(V, Z) + A_V d^2 G_b(Y, Z) + A_Z d^2 G_b(Y, V)
+    + d^3 G_b(Y, V, Z)), with d^3 G from connection.frame_third_derivatives;
+    every second derivative is one along a pair (Y_i, D[j, l]), and with
+    the A_Z terms of the third derivative these make S[i, j, l] below.
+    The derivatives of G are real-linear in each tangent, so those along
+    the N^2 tangents D and the N^3 tangents D2 are combinations of those
+    along the 2 (n + n^2) tangents of _increment_basis.
+    """
+    n = fd.n
+    G, dG = table.G, table.dG
+    N = len(G)
+    fields = (_stack_layout(n)[1], G)
+    Jd, JA = table.D
+    d2d, d2A = second.D2
+    third = frame_third_derivatives(fd, fields, table.first, second.second)
+    basis = _increment_basis(n)
+    on_basis = frame_derivatives(fd, *basis)
+    dGb = _generator_derivatives(on_basis)  # (B, N, n, n) along the basis
+    # d^2 G along (Y_i, basis e), (N, B, N, n, n), and the coordinates of D
+    # and D2 on the basis
+    d2Gb = _generator_derivatives(frame_second_derivatives(fd, fields, basis, table.first,
+                                                          on_basis))
+    xD, x2 = _increment_coordinates(Jd, JA), _increment_coordinates(d2d, d2A)
+    YYG = second.dGD.reshape((N,) * 3 + (n, n)) + second.d2G  # [j, l, b] = Y_j (Y_l G_b)
+    a, b = np.triu_indices(N, 1)
+    c, dcp = bracket_coefficients(table)[a, b], dc[:, a, b]  # at the pairs
+    # S[i, j, l, b] = D^2 X_b[Y_i, D[j, l]] + G_i d^2 G_b(Y_j, X_l), A parts,
+    # enters Y_m Y_k Y_a X_b as S[m, k, a] + S[k, m, a] + S[a, m, k].  One
+    # field m at a time, its row S[m] and its column S[:, m] are made and
+    # Y_m Y_k c is solved for every k, so no array holds N^4 entries
+    d2c = np.empty((N, N, len(a), N))
+    for m in range(N):
+        row = (np.tensordot(G[m], YYG, axes=([1], [3])).transpose(1, 2, 3, 0, 4)
+               + np.tensordot(JA, dG[m], axes=([3], [1])).transpose(0, 1, 3, 2, 4)
+               + np.tensordot(xD, d2Gb[m], axes=([2], [0])))
+        col = (np.tensordot(G, YYG[m], axes=([2], [2])).transpose(0, 2, 3, 1, 4)
+               + np.tensordot(JA[m], dG, axes=([2], [2])).transpose(2, 0, 3, 1, 4)
+               + np.tensordot(xD[m], d2Gb, axes=([1], [1])).swapaxes(0, 1))
+        # Y_m Y_k Y_a X_b for every (k, a, b): its A part, with D X_b[D2[m,
+        # k, a]] = (d2A w_b, d2A G_b + dG_b(D2)) and the third derivative of
+        # G, and its delta part d2A w_b
+        y3A = (row + col + col.swapaxes(0, 1)
+               + np.tensordot(d2A[m], G, axes=([3], [1])).transpose(0, 1, 3, 2, 4)
+               + np.tensordot(x2[m], dGb, axes=([2], [0]))
+               + _generator_derivatives(tuple(d[m] for d in third)))
+        y3d = np.tensordot(d2A[m], fields[0], axes=([3], [1])).swapaxes(-1, -2)
+        # Y_m Y_k br less (Y_m Y_k B) c and (Y_m B) Y_k c + (Y_k B) Y_m c
+        rhs = []
+        for y3, d2, d in ((y3d, d2d[m], Jd), (y3A, d2A[m], JA)):
+            r = y3[:, a, b] - y3[:, b, a]
+            r -= np.matmul(c, d2.reshape(N, N, -1)).reshape(r.shape)
+            r -= np.matmul(dcp, d[m].reshape(N, -1)).reshape(r.shape)
+            r -= np.matmul(dcp[m], d.reshape(N, N, -1)).reshape(r.shape)
+            rhs.append(r.reshape(-1, *d.shape[2:]))
+        d2c[m] = _components(fd, table, *rhs).reshape(N, len(a), N)
+    return d2c
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 
 from finslerlab.connection import frame_data, frame_derivatives
 from finslerlab.finsler_forms import form_derivative
+from finslerlab.equivalence import _tier
 from finslerlab.frame_bundle import (
-    NESTED_STEP,
     AmbientTangent,
     adapted_frame,
     along,
@@ -26,6 +26,7 @@ from finslerlab.parallelism import (
     _field_stack,
     _generators,
     _lift_derivative_of,
+    _bracket_table,
     _stack_layout,
     _varpi,
     extract_structure,
@@ -39,6 +40,12 @@ CURVE_STEP = 1e-5
 CURVATURE_STEP = 3e-3
 RESIDUAL_STRIDE = 10  # path samples between the points geodesic_condition_residuals visits
 HOMOGENEITY_SEED = 0  # seed of the six random directions of homogeneity_identities
+# Relative step of the nested central differences along the fields that the
+# exact derivatives replaced: signature tiers 1 and 2 and the curvature's
+# derivatives along the lifts, each once a central difference of the level
+# below it.  (frame_bundle.NESTED_STEP, the step of tier 3, was this value
+# while the tiers below tier 3 were differences too.)
+NESTED_STEP = 1e-4
 
 
 def tangent_norm(dz, dU) -> float:
@@ -316,6 +323,17 @@ def lift_difference_of(fd, table, func):
         h = NESTED_STEP * (1.0 + tangent_norm(dz[i], X[i]))
         d_real.append(along(func, fd.z, fd.U, pack_real(AmbientTangent(dz[i], X[i])), h))
     return _complex_pairs(np.array(d_real))
+
+
+def difference_tier(prog, z, U, k: int, step: float = NESTED_STEP) -> np.ndarray:
+    """Signature tier k >= 1 at (z, U) by the route equivalence.Tiers once
+    took for every tier above the first: one central difference of tier
+    k - 1 along each parallelism field, at the relative step, block by
+    block; the accuracy reference for the exact tiers."""
+    fields = _bracket_table(frame_data(prog, z, U)).vals.T  # packed, one per row
+    return np.concatenate([along(lambda z, U: _tier(prog, z, U, k - 1), z, U, x,
+                                 step * (1.0 + np.linalg.norm(x)))
+                           for x in fields])
 
 
 def bianchi_residuals(prog, p, sf):

@@ -5,6 +5,8 @@ from finslerlab import equivalence
 from finslerlab.cli import main
 from finslerlab.connection import FrameData
 from finslerlab.equivalence import (
+    NOISE_FLOOR,
+    SV_TOL,
     Tiers,
     _tier,
     compare,
@@ -12,10 +14,11 @@ from finslerlab.equivalence import (
     signature,
     structure_coefficients,
 )
-from finslerlab.frame_bundle import NESTED_STEP, BundlePoint, adapted_frame, along, gram_residual
+from finslerlab.frame_bundle import BundlePoint, adapted_frame, along, gram_residual
 from finslerlab.metric_dsl import MetricProgram
-from finslerlab.parallelism import _real_field_matrix
-from finslerlab.registry import sample_points
+from finslerlab.parallelism import _real_field_matrix, bracket_coefficients, labels_real
+from finslerlab.registry import catalog, sample_points
+from oracles import NESTED_STEP, difference_tier
 
 
 def ball_automorphism(a):
@@ -87,6 +90,41 @@ def test_command_c_ranks_stabilize_at_the_isometry_dimension(progs):
     assert rep.stabilized and rep.order == 1 and rep.rank == 4
 
 
+def test_command_c_ranks_read_exact_tier_2_with_noise_below_1e_6(progs, monkeypatch):
+    # its alpha = 2 ranks read tier 3, one central difference of the exact
+    # tier 2 along the 2N fields: 2N + 1 exact tier-2 calls, and tier 1 at
+    # the frame only.  Every singular value a rank leaves out is at most
+    # 1e-6 (6.2e-9 measured; 1.9e-6 while tier 2 was a difference of tier 1)
+    prog = progs["hermitian_nonconstant"]
+    p = adapted_frame(prog, [0.1, 0.2], [1.0, 0.5])
+    N = len(labels_real(prog.dim))
+    seconds, firsts = [], []
+    compute, second = Tiers._compute, equivalence.structure_second_derivative
+
+    def at_p(fd):
+        return np.array_equal(fd.z, p.z) and np.array_equal(fd.U, p.U)
+
+    def counted_compute(self, k):
+        if k == 1:
+            firsts.append(at_p(self.fd))
+        return compute(self, k)
+
+    def counted_second(fd, table, *args):
+        seconds.append(at_p(fd))
+        return second(fd, table, *args)
+
+    monkeypatch.setattr(Tiers, "_compute", counted_compute)
+    monkeypatch.setattr(equivalence, "structure_second_derivative", counted_second)
+    tiers = Tiers(prog, p)
+    rep = regularity(prog, p, alpha_max=2, tiers=tiers)
+    assert rep.ranks == [3, 4, 4] and rep.stabilized
+    assert len(seconds) == 2 * N + 1 and seconds.count(True) == 1
+    assert firsts == [True]
+    for alpha, rank in enumerate(rep.ranks):
+        jac = np.hstack([tiers[k + 1].reshape(N, -1) for k in range(alpha + 1)])
+        assert np.all(np.linalg.svd(jac, compute_uv=False)[rank:] <= 1e-6), alpha
+
+
 def test_nonhomogeneous_metric_has_positive_rank(progs):
     # two-point oracle: the top curvature value varies with the base point
     prog = progs["hermitian_nonconstant"]
@@ -141,6 +179,9 @@ def test_ball_automorphism_matched_signatures(progs):
     # tier 1 is exact, so the two frames' signatures agree to round-off
     # (5.2e-15 measured; 2.3e-7 while tier 1 was a central difference)
     assert sA.distance(sB) < 1e-12
+    # so is tier 2 (7.4e-14 measured; 7.6e-7 while it was a central
+    # difference of tier 1)
+    assert signature(prog, pA, order=2).distance(signature(prog, pB, order=2)) < 1e-12
 
 
 def test_same_metric_same_point_matches(progs):
@@ -152,24 +193,31 @@ def test_same_metric_same_point_matches(progs):
 
 def test_base_point_tiers_are_shared_and_read_only(progs, monkeypatch, capsys):
     # a compare report reads frame A's tiers for the signature and for the
-    # regularity ranks alike, so tier 1 at A is computed once; a shared tier
-    # is read-only, so editing a signature's tier in place must fail, not leak
+    # regularity ranks alike, so tier 1 at A is computed once, and tier 2,
+    # which the ranks read, once, at A, from tier 1's second table; a shared
+    # tier is read-only, so editing a signature's tier in place must fail,
+    # not leak
     prog = progs["poincare_ball_2"]
     pA = adapted_frame(prog, [0.1 + 0.2j, 0.3j], [1.0, 0.5])
-    at_a = []
-    derivative = equivalence.structure_derivative
+    at_a = {"first": [], "second": []}
+    first, second = equivalence.structure_derivative, equivalence.structure_second_derivative
 
-    def counted(fd, table):
-        at_a.append(np.array_equal(fd.z, pA.z) and np.array_equal(fd.U, pA.U))
-        return derivative(fd, table)
+    def counted(key, f):
+        def call(fd, table, *args, **kwargs):
+            at_a[key].append(np.array_equal(fd.z, pA.z) and np.array_equal(fd.U, pA.U))
+            return f(fd, table, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(equivalence, "structure_derivative", counted)
+    monkeypatch.setattr(equivalence, "structure_derivative", counted("first", first))
+    monkeypatch.setattr(equivalence, "structure_second_derivative", counted("second", second))
     assert main(["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
                  "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
                  "--order", "1"]) == 0
     capsys.readouterr()
-    assert len(at_a) == 18  # A and B, then regularity's tier 2: 16 displaced frames
-    assert at_a.count(True) == 1
+    # A and B; until tier 2 was exact, its differences took 16 more at
+    # displaced frames
+    assert at_a["first"] == [True, False]
+    assert at_a["second"] == [True]
     tiers = Tiers(prog, pA)
     s = signature(prog, pA, order=1, tiers=tiers)
     assert s.tiers[1] is tiers[1]
@@ -325,3 +373,80 @@ def test_tier_1_builds_frame_data_and_jets_only_at_the_point(entries, monkeypatc
     for z, v, *_, frame in jets:
         assert np.array_equal(z, p.z) and np.array_equal(v, p.e0)
         assert np.array_equal(frame, p.U)  # seeded in the frame
+
+
+@pytest.mark.parametrize("mid", ["poincare_ball_2", "l4_finsler", "hermitian_nonconstant",
+                                 "warped"])
+def test_exact_tier_2_matches_finite_difference_oracle(progs, entries, warped, mid):
+    # tier 2 agrees with a fourth-order difference of the exact tier 1 along
+    # each field, and is at least ten times closer to it than the central
+    # difference at NESTED_STEP, which is what it once was
+    if mid == "warped":
+        prog = warped
+        p = adapted_frame(prog, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j])
+    else:
+        prog = progs[mid]
+        p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=3)[0])
+    exact = _tier(prog, p.z, p.U, 2)
+    old = difference_tier(prog, p.z, p.U, 2)
+    oracle = (4 * difference_tier(prog, p.z, p.U, 2, NESTED_STEP / 2) - old) / 3
+    scale = max(1.0, np.max(np.abs(oracle)))
+    exact_err = np.max(np.abs(exact - oracle)) / scale
+    assert exact_err <= 1e-7
+    assert exact_err <= 0.1 * np.max(np.abs(old - oracle)) / scale
+
+
+@pytest.mark.parametrize("mid", [e.id for e in catalog()] + ["warped"])
+def test_tier_2_satisfies_the_commutator_identity(progs, entries, warped, mid):
+    # Y_m (Y_k c) - Y_k (Y_m c) = [Y_m, Y_k] c = sum_i c[m, k, i] Y_i c, the
+    # recurrence of Fels and Olver: a check of tier 2 that its code never uses
+    prog = warped if mid == "warped" else progs[mid]
+    N = len(labels_real(prog.dim))
+    for z, v in sample_points(prog, entries.get(mid), 2, seed=3):
+        tiers = Tiers(prog, adapted_frame(prog, z, v))
+        t1, t2 = tiers[1].reshape(N, -1), tiers[2].reshape(N, N, -1)
+        c = bracket_coefficients(tiers.table)
+        gap = t2 - t2.swapaxes(0, 1) - np.einsum("mki,ix->mkx", c, t1)
+        assert np.max(np.abs(gap)) <= 1e-12 * max(1.0, np.max(np.abs(t2)))
+
+
+def test_tier_2_builds_frame_data_and_jets_only_at_the_point(entries, monkeypatch):
+    prog = entries["hermitian_nonconstant"].program()  # a fresh program: nothing cached
+    p = adapted_frame(prog, [0.1, 0.2j], [1.0, 0.4 + 0.2j])
+    frames, jets = [], []
+    init, jet = FrameData.__init__, MetricProgram.jet_unchecked
+
+    def counted_init(self, prog, z, U):
+        frames.append((np.array(z), np.array(U)))
+        init(self, prog, z, U)
+
+    def counted_jet(self, z, v, fiber_order, base_order, frame=None):
+        jets.append((np.array(z), np.array(v), fiber_order, base_order, frame))
+        return jet(self, z, v, fiber_order, base_order, frame)
+
+    monkeypatch.setattr(FrameData, "__init__", counted_init)
+    monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
+    _tier(prog, p.z, p.U, 2)
+    assert len(frames) == 1
+    assert np.array_equal(frames[0][0], p.z) and np.array_equal(frames[0][1], p.U)
+    assert {j[2:4] for j in jets} == {(4, 1), (2, 2), (5, 2), (2, 3), (6, 3), (2, 4)}
+    for z, v, *_, frame in jets:
+        assert np.array_equal(z, p.z) and np.array_equal(v, p.e0)
+        assert np.array_equal(frame, p.U)  # seeded in the frame
+
+
+@pytest.mark.parametrize("mid", [e.id for e in catalog() if e.source.dim <= 2])
+def test_noise_floor_lies_two_decades_from_both_sides(progs, entries, mid):
+    # the singular values a regularity rank drops, up to alpha = 2, lie 100
+    # times below NOISE_FLOOR, and those it counts 100 times above it (the
+    # n = 3 metrics, whose tier 3 costs 30 tier-2 calls a point, were
+    # measured alike when the floor was set)
+    prog = progs[mid]
+    N = len(labels_real(prog.dim))
+    tiers = Tiers(prog, adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=3)[0]))
+    for alpha in range(3):
+        jac = np.hstack([tiers[k + 1].reshape(N, -1) for k in range(alpha + 1)])
+        sv = np.linalg.svd(jac, compute_uv=False)
+        kept = sv > max(SV_TOL * sv[0], NOISE_FLOOR)
+        assert np.all(sv[~kept] <= NOISE_FLOOR / 100), (alpha, sv)
+        assert np.all(sv[kept] >= 100 * NOISE_FLOOR), (alpha, sv)

@@ -16,7 +16,7 @@ from finslerlab.registry import sample_points
 from oracles import frame_contract
 
 # the (fiber, base) orders of the jets a FrameData evaluates
-FRAME_JET_ORDERS = ((4, 1), (2, 2), (5, 2), (2, 3))
+FRAME_JET_ORDERS = ((4, 1), (2, 2), (5, 2), (2, 3), (6, 3), (2, 4))
 METRICS = ["poincare_disc", "l4_finsler", "hermitian_nonconstant", "poincare_ball_3", "warped"]
 
 
@@ -28,13 +28,14 @@ def _point(progs, entries, warped, mid):
 
 
 def _reads(fiber_order: int, base_order: int):
-    """Every (p, q, kinds) a jet of these orders holds, with up to three
-    derivative kinds, within its total-degree cap: a superset of the reads
-    of the package (test_reads_of_the_package_lie_in_the_tables)."""
+    """Every (p, q, kinds) a jet of these orders holds, with up to four
+    derivative kinds (Dh's d_zeta and three more), within its total-degree
+    cap: a superset of the reads of the package
+    (test_reads_of_the_package_lie_in_the_tables)."""
     total = TOTAL_DEGREE_CAP.get((fiber_order, base_order), fiber_order + base_order)
     for p in range(fiber_order + 1):
         for q in range(fiber_order + 1 - p):
-            for m in range(4):
+            for m in range(5):
                 for kinds in combinations_with_replacement((Z, ZBAR, V, VBAR), m):
                     fiber = p + q + sum(k in (V, VBAR) for k in kinds)
                     if fiber <= fiber_order and len(kinds) - (fiber - p - q) <= base_order \
@@ -115,6 +116,10 @@ def test_identity_frame_is_the_coordinate_jet(progs, entries, warped, mid):
      "--at-a", "z=0.1,0.2;v=1,0.8", "--at-b", "z=0.3,-0.1;v=1,0.5"],
     ["geodesic", "--metric", "poincare_disc", "--from", "0.1", "--dir", "1",
      "--t-max", "0.02", "--dt", "0.01"],
+    ["compare", "--metric-a", "l4_finsler", "--metric-b", "l4_finsler", "--order", "2",
+     "--at-a", "z=0.1,0.2;v=1,0.8", "--at-b", "z=0.3,-0.1;v=1,0.5"],
+    ["compare", "--metric-a", "hermitian_nonconstant", "--metric-b", "hermitian_nonconstant",
+     "--order", "1", "--at-a", "z=0.1,0.2;v=1,0.5", "--at-b", "z=0.1,-0.4;v=1,0.5"],
 ])
 def test_reads_of_the_package_lie_in_the_tables(capsys, monkeypatch, argv):
     # every tensor a report reads off a jet is among the _reads of the jet's

@@ -11,9 +11,11 @@ from oracles import derivative
 # every (n, fiber order, base order) table the catalog's reports use
 CATALOG_TABLES = [(1, 2, 0), (1, 2, 2), (1, 4, 1), (2, 2, 0), (2, 2, 2), (2, 3, 0),
                   (2, 3, 1), (2, 4, 1), (2, 5, 0), (3, 2, 0), (3, 2, 2), (3, 4, 1),
-                  (1, 2, 3), (1, 5, 2), (2, 2, 3), (2, 5, 2), (3, 2, 3), (3, 5, 2)]
+                  (1, 2, 3), (1, 5, 2), (2, 2, 3), (2, 5, 2), (3, 2, 3), (3, 5, 2),
+                  (1, 2, 4), (1, 6, 3), (2, 2, 4), (2, 6, 3), (3, 2, 4), (3, 6, 3)]
 # the tables TOTAL_DEGREE_CAP truncates, and the cap each keeps
-CAPPED = {(1, 4, 1): 4, (2, 4, 1): 4, (3, 4, 1): 4, (1, 5, 2): 5, (2, 5, 2): 5, (3, 5, 2): 5}
+CAPPED = {(1, 4, 1): 4, (2, 4, 1): 4, (3, 4, 1): 4, (1, 5, 2): 5, (2, 5, 2): 5, (3, 5, 2): 5,
+          (1, 6, 3): 6, (2, 6, 3): 6, (3, 6, 3): 6}
 
 
 def loop_monomials(n, fiber_order, base_order, total):
@@ -250,7 +252,10 @@ def test_tables_equal_the_pairwise_loop(table):
         assert sp._factorial[i] == np.prod([math.factorial(e) for e in m])
 
 
-@pytest.mark.parametrize("table", sorted(CAPPED))
+# the uncapped (3, 6, 3) table holds 8.4 million pairs, and this test peaks
+# above 1 GB with it; its capped table is checked against the loop oracle
+@pytest.mark.parametrize("table", sorted(t for t in CAPPED if t[1:] != (6, 3))
+                         + [(1, 6, 3), (2, 6, 3)])
 def test_capped_table_is_the_uncapped_one_filtered(table, monkeypatch):
     # the capped table is the uncapped one restricted to the pairs whose
     # product is kept, in the same order: a kept coefficient sums the same

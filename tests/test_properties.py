@@ -114,7 +114,7 @@ def check_argvs(draw):
 def compare_argvs(draw):
     return ["compare", "--metric-a", draw(metrics), "--metric-b", draw(metrics),
             "--at-a", draw(at_values), "--at-b", draw(at_values),
-            "--order", draw(st.sampled_from(["0", "1", "3"])),
+            "--order", draw(st.sampled_from(["0", "1", "2", "3"])),
             "--fiber-samples", draw(st.sampled_from(["0", "2"]))]
 
 
@@ -165,5 +165,7 @@ def test_check_contract_under_fuzzed_argv(argv):
 @given(compare_argvs())
 @example(["compare", "--metric-a", "poincare_disc", "--metric-b", "poincare_ball_2",
           "--at-a", "z=0;v=1", "--at-b", "z=0,0;v=1,0"])  # chart dimensions differ
+@example(["compare", "--metric-a", "poincare_ball_2", "--metric-b", "l4_finsler",
+          "--at-a", "z=0.99,0;v=1,1i", "--at-b", "z=0.2,-0.3+0.1i;v=1,0.2", "--order", "2"])
 def test_compare_contract_under_fuzzed_argv(argv):
     assert_contract(argv)
