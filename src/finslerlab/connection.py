@@ -11,35 +11,30 @@ conditions (authoritative) and the closed form obtained by eliminating the
 conjugate unknowns from those same conditions; both agree at adapted
 frames, which the tests assert.  FrameData seeds its jets in the frame, so
 E reads the frame forms and Dh off them.  The tangency conditions are
-derivatives of the (1, 1) frame form, frame_bundle.gram_derivative, taken
-by the one form derivative below this module, finsler_forms.form_derivative.
-frame_derivatives differentiates E exactly, through its back-substitution,
-for the parallelism's brackets; frame_second_derivatives and
-frame_third_derivatives differentiate it twice and three times, for the
-first and second derivatives of the structure coefficients.  They take
-tangents as frame increments (U^-1 dz, U^-1 dU): (w, G) for a parallelism
-field U (w, G), so none of them solves with U.
+derivatives of the (1, 1) frame form, finsler_forms.form_derivative.
+frame_derivatives takes the derivatives of every order of E, C(2, 0) and
+C(2, 1), along tangents given as frame increments (U^-1 dz, U^-1 dU):
+(w, G) for a parallelism field U (w, G), so none of them solves with U.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .finsler_forms import (
-    first_partials,
-    form_derivative,
+    add_symmetrized,
+    canonical_subsets,
+    groups_of,
     raw_derivatives,
     tensor_derivative,
-    tensor_second_derivative,
-    tensor_third_derivative,
 )
 from .frame_bundle import (
     AmbientTangent,
     BundlePoint,
     DegenerateMetricError,
-    central_difference,
     gram_rows,
 )
 from .jets import Z, ZBAR, Jet
@@ -72,6 +67,7 @@ class FrameData:
         self.n = prog.dim
         self._jets: dict = {}
         self._E: np.ndarray | None = None
+        self._partials: dict = {}
         self.jet = self.jet_of(4, 1)
 
     def jet_of(self, fiber_order: int, base_order: int) -> Jet:
@@ -82,6 +78,20 @@ class FrameData:
         if hit is None:
             self._jets[key] = hit = self.prog.jet_unchecked(self.z, self.U[:, 0], *key, self.U)
         return hit
+
+    def partials(self, k: int) -> tuple:
+        """((C20, d), (C21, d), (Dh, d)), each with its partials d = (d1, ..,
+        dk), read once from the jet(k + 3, k) and the jet(2, k + 1)."""
+        if k not in self._partials:
+            jet, base = self.jet_of(k + 3, k), self.jet_of(2, k + 1)
+
+            def dh(p, q, kinds):  # Dh's reads: base-only ones, which need base order k + 1
+                return (base if set(kinds) <= {Z, ZBAR} else jet).partials(p, q, kinds)
+
+            self._partials[k] = ((self.C(2, 0), raw_derivatives(jet.partials, 2, 0, order=k)),
+                                 (self.C(2, 1), raw_derivatives(jet.partials, 2, 1, order=k)),
+                                 (self.Dh, raw_derivatives(dh, 1, 1, (Z,), order=k)))
+        return self._partials[k]
 
     def C(self, p: int, q: int) -> np.ndarray:
         """Fiber form of type (p, q) on the frame columns."""
@@ -113,112 +123,87 @@ class FrameData:
         E = self.E
         return E - np.transpose(E, (0, 2, 1))
 
-    def E_matrix(self, w: np.ndarray) -> np.ndarray:
-        """Vertical correction matrix E(w) for frame components w."""
-        return np.einsum("abg,g->ab", self.E, np.asarray(w, dtype=complex))
-
 
 def frame_data(prog: MetricProgram, z, U) -> FrameData:
     """A new FrameData at (z, U); nothing is shared with earlier calls."""
     return FrameData(prog, z, U)
 
 
-def _Dh_partials(fiber_jet: Jet, base_jet: Jet):
-    """Jet.partials for Dh's derivatives: base-only reads, which with Dh's
-    own d_zeta need the higher base order, from base_jet."""
-    return lambda p, q, kinds: (base_jet if set(kinds) <= {Z, ZBAR}
-                                else fiber_jet).partials(p, q, kinds)
+# Complex entries per tensor up to which a derivative along rows of a stack
+# (Rows) is read off the one along the whole stack, which serves every chunk.
+WHOLE_ENTRIES = 1 << 18
 
 
-def frame_derivatives(fd: FrameData, delta, A):
-    """Exact derivatives of E, C(2, 0) and C(2, 1) of fd along K stacked
-    frame increments (U^-1 dz, U^-1 dU), delta of shape (K, n) and A of
-    shape (K, n, n).
+class Rows(tuple):
+    """The stack of frame increments (delta[rows], A[rows]) of a parent
+    stack (delta, A), which it remembers with the rows."""
 
-    Returns (dE, dC20, dC21) with a leading direction axis.  dE is the
-    derivative of FrameData.E's back-substitution.  Its Dh term reads the
-    jet(4, 1) of fd and one jet(2, 2) at the same point, whose second base
-    derivatives of the (1, 1) tensor no jet(4, 1) holds.
+    def __new__(cls, parent: tuple, rows):
+        rows = np.asarray(rows)
+        self = super().__new__(cls, (parent[0][rows], parent[1][rows]))
+        self.parent, self.rows = parent, rows
+        return self
+
+
+def whole(stacks, size: int):
+    """(i, stacks with the parent of stacks[i] in its place) for the first Rows
+    whose parent's derivative, size entries a tuple, is within WHOLE_ENTRIES."""
+    count = math.prod(len(s[0]) for s in stacks)
+    for i, s in enumerate(stacks):
+        if isinstance(s, Rows) and count // len(s[0]) * len(s.parent[0]) * size <= WHOLE_ENTRIES:
+            return i, tuple(stacks[:i]) + (s.parent,) + tuple(stacks[i + 1:])
+    return None
+
+
+def frame_derivatives(fd: FrameData, stacks, memo: dict | None = None):
+    """Exact derivatives (dE, dC20, dC21) of E, C(2, 0) and C(2, 1) of fd
+    along one frame increment from each of k >= 1 stacks (delta, A), shapes
+    (K_i, n) and (K_i, n, n); leading axes (K_1, .., K_k).  The forms and
+    Dh, whose d_zeta slot moves with the frame too, go through
+    tensor_derivative; dE differentiates E's back-substitution by Leibniz,
+    each split S1 + S2 of the increments putting S1 on column 0 of E and S2
+    on C(2, 1), one split per orbit of the permutations within a stack
+    passed twice.  memo keeps every derivative taken, keyed by its stacks.
     """
-    jet = fd.jet
-    dC20 = form_derivative(jet, (2, 0), delta, A)
-    dC21 = form_derivative(jet, (2, 1), delta, A)
-    # Dh is a (2, 1) frame tensor: its d_zeta slot moves with the frame too
-    dDh = tensor_derivative((2, 1), fd.Dh, first_partials(
-        _Dh_partials(jet, fd.jet_of(2, 2)), 1, 1, (Z,)), delta, A)
-    # the derivative of E's back-substitution, term by term
-    dE = -dDh.transpose(0, 3, 2, 1)
-    dE[:, :, 1:] -= (np.einsum("kzg,azr->krag", dE[:, :, 0], fd.C(2, 1)[1:])
-                     + np.einsum("zg,kazr->krag", fd.E[:, 0], dC21[:, 1:]))
+    memo = {} if memo is None else memo
+    key = tuple(map(id, stacks))
+    if key in memo:
+        return memo[key][1]
+    k, n = len(stacks), fd.n
+    read = whole(stacks, n ** 3)
+    if read is not None:
+        i, parent = read
+        memo[key] = (stacks, tuple(np.take(x, stacks[i].rows, axis=i)
+                                   for x in frame_derivatives(fd, parent, memo)))
+        return memo[key][1]
+    (t20, d20), (t21, d21), (tDh, dDh) = fd.partials(k)
+    dC20 = tensor_derivative((2, 0), t20, d20, stacks)
+    dC21 = tensor_derivative((2, 1), t21, d21, stacks)
+    lead = tuple(range(k))
+    dE = -tensor_derivative((2, 1), tDh, dDh, stacks).transpose(lead + (k + 2, k + 1, k))
+    if n > 1:
+        groups, back = groups_of(stacks), None
+
+        def along(S, j, full, base):
+            # item j of (dE, dC20, dC21) along the increments S
+            return full if len(S) == k else base[None] if not S else \
+                frame_derivatives(fd, [stacks[i] for i in S], memo)[j]
+
+        for S1, js in canonical_subsets(groups):
+            S2 = tuple(i for i in lead if i not in S1)
+            # column 0 has no back-substitution, so it is final in dE
+            E0 = along(S1, 0, dE, fd.E)[..., 0, :]
+            C = along(S2, 2, dC21, fd.C(2, 1))[..., 1:, :, :]
+            # sum_z E0[.., z, g] C[.., a, z, r], axes (S1, S2, r, a, g)
+            term = np.einsum("kzg,lazr->klrag", E0.reshape(-1, n, n), C.reshape(-1, n - 1, n, n))
+            term = term.reshape(E0.shape[:len(S1)] + C.shape[:len(S2)] + term.shape[2:])
+            term = term.transpose([(S1 + S2).index(i) for i in lead] + [k, k + 1, k + 2])
+            term /= -math.prod(math.factorial(j) * math.factorial(len(g) - j)
+                               for g, j in zip(groups, js))
+            back = term if back is None else back.__iadd__(term)
+        add_symmetrized(dE[..., 1:, :], back, groups)
+    memo[key] = (stacks, (dE, dC20, dC21))
     return dE, dC20, dC21
-
-
-def frame_second_derivatives(fd: FrameData, inc1, inc2, first1, first2):
-    """Exact second derivatives of E, C(2, 0) and C(2, 1) of fd along every
-    pair (j, l) of two stacks of frame increments inc1 = (delta1, A1) and
-    inc2 = (delta2, A2), shaped as frame_derivatives takes them.
-
-    Returns (d2E, d2C20, d2C21) with leading axes (K1, K2).  first1 and
-    first2 are frame_derivatives along inc1 and inc2, which E's
-    back-substitution multiplies.  The forms' derivatives read one
-    jet(5, 2); so do Dh's, but for its second base derivatives, which read
-    one jet(2, 3).
-    """
-    jet = fd.jet_of(5, 2)
-    d2C20 = tensor_second_derivative((2, 0), fd.C(2, 0), *raw_derivatives(jet.partials, 2, 0),
-                                     inc1, inc2)
-    d2C21 = tensor_second_derivative((2, 1), fd.C(2, 1), *raw_derivatives(jet.partials, 2, 1),
-                                     inc1, inc2)
-    d2Dh = tensor_second_derivative((2, 1), fd.Dh, *raw_derivatives(
-        _Dh_partials(jet, fd.jet_of(2, 3)), 1, 1, (Z,)), inc1, inc2)
-    # FrameData.E's back-substitution differentiated twice, term by term
-    (dE1, _, dC21_1), (dE2, _, dC21_2) = first1, first2
-    d2E = -d2Dh.transpose(0, 1, 4, 3, 2)
-    d2E[:, :, :, 1:] -= (np.einsum("jlzg,azr->jlrag", d2E[:, :, :, 0], fd.C(2, 1)[1:])
-                         + np.einsum("jzg,lazr->jlrag", dE1[:, :, 0], dC21_2[:, 1:])
-                         + np.einsum("lzg,jazr->jlrag", dE2[:, :, 0], dC21_1[:, 1:])
-                         + np.einsum("zg,jlazr->jlrag", fd.E[:, 0], d2C21[:, :, 1:]))
-    return d2E, d2C20, d2C21
-
-
-def _back(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_z x[..., z, g] y[..., a, z, r], with x's leading axes, then y's,
-    then (r, a, g): a term of E's back-substitution, differentiated."""
-    lx, ly = x.ndim - 2, y.ndim - 3
-    out = np.tensordot(x, y, axes=([-2], [-2]))
-    return out.transpose(*range(lx), *range(lx + 1, lx + 1 + ly), lx + ly + 2, lx + ly + 1, lx)
-
-
-def frame_third_derivatives(fd: FrameData, inc, first, second):
-    """Exact third derivatives of E, C(2, 0) and C(2, 1) of fd along every
-    triple (i, j, l) of one stack of frame increments inc = (delta, A),
-    shaped as frame_derivatives takes them.
-
-    Returns (d3E, d3C20, d3C21) with leading axes (K, K, K).  first is
-    frame_derivatives along inc and second frame_second_derivatives along
-    (inc, inc), which E's back-substitution multiplies.  The forms'
-    derivatives read one jet(6, 3); so do Dh's, but for its fourth base
-    derivatives, which read one jet(2, 4).
-    """
-    jet = fd.jet_of(6, 3)
-    d3C20 = tensor_third_derivative((2, 0), fd.C(2, 0),
-                                    *raw_derivatives(jet.partials, 2, 0, order=3), inc)
-    d3C21 = tensor_third_derivative((2, 1), fd.C(2, 1),
-                                    *raw_derivatives(jet.partials, 2, 1, order=3), inc)
-    d3Dh = tensor_third_derivative((2, 1), fd.Dh, *raw_derivatives(
-        _Dh_partials(jet, fd.jet_of(2, 4)), 1, 1, (Z,), order=3), inc)
-    # FrameData.E's back-substitution differentiated three times, term by
-    # term (Leibniz): column 0 of E has no back-substitution.  The terms
-    # with two derivatives on one factor and one on the other are symmetric
-    # in the pair, so their three placements are cyclic shifts
-    (dE, _, dC21), (d2E, _, d2C21) = first, second
-    d3E = -d3Dh.transpose(0, 1, 2, 5, 4, 3)
-    C21 = fd.C(2, 1)[1:]
-    mixed = _back(d2E[:, :, :, 0], dC21[:, 1:]) + _back(dE[:, :, 0], d2C21[:, :, 1:])
-    d3E[:, :, :, :, 1:] -= (_back(d3E[:, :, :, :, 0], C21) + _back(fd.E[:, 0], d3C21[:, :, :, 1:])
-                            + mixed + mixed.transpose(1, 2, 0, 3, 4, 5)
-                            + mixed.transpose(2, 0, 1, 3, 4, 5))
-    return d3E, d3C20, d3C21
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +270,7 @@ def horizontal_lift(prog: MetricProgram, p: BundlePoint, direction) -> AmbientTa
     else:
         w = np.asarray(direction, dtype=complex)
     fd = frame_data(prog, p.z, p.U)
-    return AmbientTangent(dz=p.U @ w, dU=p.U @ fd.E_matrix(w))
+    return AmbientTangent(dz=p.U @ w, dU=p.U @ np.einsum("abg,g->ab", fd.E, w))
 
 
 def covariant_derivative(prog: MetricProgram, p: BundlePoint, w, Y) -> np.ndarray:
@@ -299,7 +284,8 @@ def covariant_derivative(prog: MetricProgram, p: BundlePoint, w, Y) -> np.ndarra
     U = p.U
     dz = U @ w
     h = COVARIANT_STEP * max(1.0, float(np.max(np.abs(p.z))))
-    DYdz = central_difference(lambda z: np.asarray(Y(z), dtype=complex), p.z, dz, h)
+    DYdz = (np.asarray(Y(p.z + h * dz), dtype=complex)
+            - np.asarray(Y(p.z - h * dz), dtype=complex)) / (2 * h)
     fd = frame_data(prog, p.z, p.U)
     Yz = np.asarray(Y(p.z), dtype=complex)
-    return DYdz - U @ fd.E_matrix(w) @ np.linalg.solve(U, Yz)
+    return DYdz - U @ np.einsum("abg,g->ab", fd.E, w) @ np.linalg.solve(U, Yz)

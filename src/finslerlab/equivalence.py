@@ -5,10 +5,9 @@ along the parallelism fields form a complete local invariant family; two
 metrics can only be locally isometric through a frame match if the families
 agree.  Signatures here are frame-pointwise: a mismatch rules out an
 isometry matching the two frames, a match is necessary but not sufficient.
-The first and second derivatives along the fields are exact
-(parallelism.structure_derivative and structure_second_derivative); the
-third, which only the regularity ranks at alpha = 2 read, is one central
-difference of the exact second.
+Every derivative along the fields is exact: tier k, for every k, is order
+k of parallelism.structure_derivative at the frame, with no displaced
+point and no difference quotient.
 """
 
 from __future__ import annotations
@@ -18,27 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import frame_data
-from .frame_bundle import NESTED_STEP, BundlePoint, along, group_act, haar_unitary
+from .frame_bundle import BundlePoint, group_act, haar_unitary
 from .metric_dsl import FinslerError, MetricProgram
-from .parallelism import (
-    _bracket_table,
-    bracket_coefficients,
-    labels_real,
-    second_table,
-    structure_derivative,
-    structure_second_derivative,
-)
+from .parallelism import _bracket_table, bracket_coefficients, labels_real, structure_derivative
 
 # Singular values count toward a regularity rank when above SV_TOL * sigma_max
-# and above the absolute NOISE_FLOOR; the floor absorbs the finite-difference
-# noise of tier 3, a central difference of the exact tier 2, which the ranks
-# at alpha = 2 read and which would otherwise fabricate rank on metrics whose
-# invariants are constant.  At three sample points of each catalog metric
-# (sample_points(..., 3, seed=3)) the singular values a rank drops are at
-# most 1.9e-6, and those it counts at least 0.82: the floor is a power of
-# ten at least 100 times above the one and 100 times below the other.
+# and above the absolute NOISE_FLOOR.  Every tier is exact, so the singular
+# values a rank drops are round-off: at three sample points
+# (sample_points(..., 3, seed=3)) of each catalog metric and of two
+# non-Hermitian metrics with base dependence, up to alpha = 2, they are at
+# most 7.0e-10, and those it counts at least 0.82.  The floor is the least
+# power of ten at least 100 times above the one and 100 times below the
+# other (1e-3 while tier 3 was a central difference, 1e-2 while tier 2 was).
 SV_TOL = 1e-4
-NOISE_FLOOR = 1e-3
+NOISE_FLOOR = 1e-7
 
 
 def structure_coefficients(prog: MetricProgram, z, U) -> np.ndarray:
@@ -47,59 +39,30 @@ def structure_coefficients(prog: MetricProgram, z, U) -> np.ndarray:
     Ordering: pairs (j, k) with j < k lexicographic in the order of
     labels_real, and for each pair all basis components i in that order.
     """
-    return _tier(prog, z, U, 0)
-
-
-def _tier(prog: MetricProgram, z, U, k: int) -> np.ndarray:
-    """Tier k of the structure coefficients at (z, U), as Tiers gives it."""
-    return Tiers(prog, BundlePoint(z, U))[k]
+    return Tiers(prog, BundlePoint(z, U))[0]
 
 
 class Tiers:
     """The tiers at one frame.  Tier k holds all k-th derivatives of the
-    structure coefficients along the fields, field by field: block m is the
-    derivative of tier k - 1 along field m.  Tiers 1 and 2 are exact; tier
-    3 is one central difference of tier 2.  A tier is computed when first
-    read and then kept, so that signature and regularity at the same frame
-    share it; the frame data, bracket table and second table there are
-    built once, here, and tier 2 reads the second table and the derivative
-    that tier 1 is made of."""
+    structure coefficients along the fields, block m the derivative of tier
+    k - 1 along field m: order k of parallelism.structure_derivative.  A
+    tier is computed when first read and kept, so that signature and
+    regularity share it, and every order reads what the frame's bracket
+    table keeps."""
 
     def __init__(self, prog: MetricProgram, p: BundlePoint):
         self.fd = frame_data(prog, p.z, p.U)
         self.table = _bracket_table(self.fd)
         self._done: dict = {}
-        self._first = None
 
     def __getitem__(self, k: int) -> np.ndarray:
-        tier = self._done.get(k)
-        if tier is None:
-            self._done[k] = tier = self._compute(k)
+        if k not in self._done:
+            a, b = np.triu_indices(len(self.table.G), 1)  # the pairs of structure_coefficients
+            tier = (bracket_coefficients(self.table)[a, b] if k == 0
+                    else structure_derivative(self.fd, self.table, k)).ravel()
             tier.flags.writeable = False  # shared by every reader of the frame's tiers
-        return tier
-
-    def _derivative(self):
-        """(second, dc): the second table at the frame and structure_derivative
-        there, computed once."""
-        if self._first is None:
-            second = second_table(self.fd, self.table)
-            self._first = second, structure_derivative(self.fd, self.table, second=second)
-        return self._first
-
-    def _compute(self, k: int) -> np.ndarray:
-        fd, table = self.fd, self.table
-        N = len(table.G)
-        a, b = np.triu_indices(N, 1)  # the pairs of structure_coefficients
-        if k == 0:
-            return bracket_coefficients(table)[a, b].ravel()
-        if k == 1:
-            return self._derivative()[1][:, a, b].ravel()
-        if k == 2:
-            return structure_second_derivative(fd, table, *self._derivative()).ravel()
-        fields = table.vals.T  # packed, one per row
-        return np.concatenate([along(lambda z, U: _tier(fd.prog, z, U, k - 1), fd.z, fd.U, xm,
-                                     NESTED_STEP * (1.0 + np.linalg.norm(xm)))
-                               for xm in fields])
+            self._done[k] = tier
+        return self._done[k]
 
 
 @dataclass

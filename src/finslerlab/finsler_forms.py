@@ -7,19 +7,17 @@ an integer 0..n-1 for a holomorphic slot, or ``bar(k)`` for the conjugate
 slot; values only depend on the multiset of indices of each type (total
 symmetry).  A tangent (dz, dU) at (z, U) enters the derivatives as its
 frame increments (delta, A) = (U^-1 dz, U^-1 dU), which are constants for
-the parallelism's fields.  form_derivative differentiates a frame form
-along them; tensor_derivative, which it calls, does the same for any frame
-tensor given with its first partials, as one product of the increments
-with the partials and one slot contraction with A per slot; and
-tensor_second_derivative and tensor_third_derivative take its second and
-third derivatives along pairs and triples of increments from the partials
-that raw_derivatives reads off a jet.
+the parallelism's fields.  tensor_derivative differentiates any frame
+tensor along one increment from each of k stacks, for any k, from the
+partials that raw_derivatives reads off a jet; form_derivative is its
+first order on a frame form.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,23 +38,34 @@ def bar(k: int) -> int:
 _KINDS = (Z, ZBAR, V, VBAR)
 
 
-def first_partials(partials, p: int, q: int, lead: tuple = ()) -> np.ndarray:
-    """The derivatives of partials(p, q, lead) along the 4n jet variables,
-    stacked on a leading axis of length 4n."""
-    return np.concatenate([partials(p, q, (x,) + lead) for x in _KINDS])
-
-
 def raw_derivatives(partials, p: int, q: int, lead: tuple = (), order: int = 2):
-    """(d1, .., d_order): the derivatives of the tensor t = partials(p, q,
-    lead) along the 4n jet variables (zeta, zetabar, xi, xibar), d_k of
-    shape (4n,) * k + t.shape.  partials is a Jet.partials, or a function of
-    the same arguments that picks the jet holding each read."""
-    def stack(k: int, lead: tuple) -> np.ndarray:
-        if k == 1:
-            return first_partials(partials, p, q, lead)
-        return np.concatenate([stack(k - 1, (y,) + lead) for y in _KINDS], axis=k - 1)
+    """(d1, .., d_order): the derivatives of t = partials(p, q, lead), a
+    Jet.partials or a function like it, along the 4n jet variables (zeta,
+    zetabar, xi, xibar), d_k of shape (4n,) * k + t.shape.  Partials
+    commute: each multiset of kinds is read once and transposed into place."""
+    out = []
+    for k in range(1, order + 1):
+        d = None
+        for kinds, places in _orders(k):
+            block = partials(p, q, tuple(_KINDS[x] for x in kinds) + lead)
+            if d is None:
+                d = np.empty((4,) * k + block.shape, dtype=block.dtype)
+            for place, perm in places:
+                d[place] = block.transpose(perm + tuple(range(k, block.ndim)))
+        # the axes (kind, index) of each variable side by side, then merged
+        pairs = tuple(a for i in range(k) for a in (i, k + i))
+        out.append(d.transpose(pairs + tuple(range(2 * k, d.ndim)))
+                   .reshape((4 * d.shape[k],) * k + d.shape[2 * k:]))
+    return tuple(out)
 
-    return tuple(stack(k, lead) for k in range(1, order + 1))
+
+@functools.cache
+def _orders(k: int) -> tuple:
+    """(kinds, ((order, permutation), ..)): each sorted tuple of k kinds, with
+    its distinct orders and a permutation of its axes giving each."""
+    return tuple((kinds, tuple({tuple(kinds[i] for i in perm): perm
+                                for perm in itertools.permutations(range(k))}.items()))
+                 for kinds in itertools.combinations_with_replacement(range(4), k))
 
 
 def _increments(delta, A) -> np.ndarray:
@@ -89,11 +98,6 @@ def _slot_axes(d: int, k: int, s: int) -> tuple[tuple, tuple]:
     return into, tuple(pos[:d - k]) + (0,) + tuple(pos[d - k:])
 
 
-def _frame_mats(pq: tuple[int, int], A: np.ndarray) -> list:
-    """The motion of each slot of a (p, q) tensor: A, or conj A in a conjugate slot."""
-    return [A] * pq[0] + [np.conj(A)] * pq[1]
-
-
 def form_derivative(jet, pq: tuple[int, int], delta, A) -> np.ndarray:
     """Derivatives of the (p, q) frame form jet.fiber_tensor(p, q) along K
     frame increments, delta of shape (K, n) and A of shape (K, n, n), where
@@ -101,105 +105,95 @@ def form_derivative(jet, pq: tuple[int, int], delta, A) -> np.ndarray:
     at least p + q + 1 and base order 1; shape (K,) + (n,) * (p + q).
     """
     p, q = pq
-    return tensor_derivative(pq, jet.fiber_tensor(p, q), first_partials(jet.partials, p, q),
-                             delta, A)
+    return tensor_derivative(pq, jet.fiber_tensor(p, q),
+                             raw_derivatives(jet.partials, p, q, order=1), ((delta, A),))
 
 
-def tensor_derivative(pq: tuple[int, int], t: np.ndarray, d1: np.ndarray, delta, A) -> np.ndarray:
-    """Derivatives of a frame tensor t with p holomorphic slots, then q
-    conjugate ones, along K frame increments (delta[k], A[k]), where d1
-    is its stack of first partials along the jet variables, as
-    first_partials returns it.
+def groups_of(stacks) -> tuple:
+    """The positions of stacks grouped by object (a stack passed twice)."""
+    ids = [id(s) for s in stacks]
+    return tuple(tuple(i for i, x in enumerate(ids) if x == y) for y in dict.fromkeys(ids))
 
-    Moving (z, U) to (z + U delta, U (1 + A)) moves the jet variables by
-    _increments(delta, A) and each slot of t by A, or conj A in a
-    conjugate slot.  Each direction takes the products a single direction
-    would (np.matmul over the stack), so direction k of a stack is
-    bit-identical to that direction alone.
+
+def canonical_subsets(groups: tuple):
+    """(S, js): one subset S of the positions per orbit of the permutations
+    within groups, the first js[g] positions of each group g, largest first."""
+    for js in itertools.product(*(range(len(g), -1, -1) for g in groups)):
+        yield tuple(sorted(p for g, j in zip(groups, js) for p in g[:j])), js
+
+
+def add_symmetrized(out: np.ndarray, t: np.ndarray, groups: tuple):
+    """out += t summed over the permutations of its leading axes within groups."""
+    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
+        axes = list(range(t.ndim))
+        for g, image in zip(groups, images):
+            for a, b in zip(g, image):
+                axes[a] = b
+        out += t.transpose(axes)
+
+
+@functools.cache
+def _placements(groups: tuple, slots: int) -> tuple:
+    """The terms of tensor_derivative, one per orbit of the permutations
+    within groups: (S, R, maps, weight), S meeting the partials, R moving
+    the distinct slots of maps (increasing within a group), and weight 1 /
+    the permutations of S within groups, which fix the term."""
+    k = sum(map(len, groups))
+    out = []
+    for S, js in canonical_subsets(groups):
+        R = tuple(p for p in range(k) if p not in S)
+        maps = tuple(m for m in itertools.permutations(range(slots), len(R))
+                     if all(m[R.index(a)] < m[R.index(b)] for g in groups
+                            for a, b in zip(g, g[1:]) if a in R and b in R))
+        out.append((S, R, maps, 1.0 / math.prod(map(math.factorial, js))))
+    return tuple(out)
+
+
+def tensor_derivative(pq: tuple[int, int], t: np.ndarray, d: tuple, stacks) -> np.ndarray:
+    """Derivative of a frame tensor t with p holomorphic slots, then q
+    conjugate ones, along one frame increment from each of k stacks
+    (delta, A), shapes (K_i, n) and (K_i, n, n), from its partials d =
+    (d1, .., dk) of raw_derivatives; shape (K_1, .., K_k) + t.shape.
+
+    (z + U delta, U (1 + A)) moves the jet variables by _increments(delta,
+    A) and each slot by A (conj A in a conjugate slot), both linearly, so
+    an increment meets the partials or moves one slot, no slot two: the sum
+    over the sets S meeting the partials of d_|S| contracted with them,
+    shortest stack first, the others moving distinct slots.  It is
+    symmetric in the axes of a stack passed twice, so one placement of each
+    term is made and the transposes summed.  The first contraction takes
+    one matmul per direction: for k = 1 a direction's bits are its own.
     """
-    out = np.matmul(_increments(delta, A)[:, None], d1.reshape(len(d1), -1))
-    return out.reshape((len(A),) + t.shape) + _moved(t, pq, A, 1)
-
-
-def tensor_second_derivative(pq: tuple[int, int], t: np.ndarray, d1, d2, inc1, inc2):
-    """Second derivatives of a frame tensor t, as tensor_derivative takes
-    it, with the partials (d1, d2) that raw_derivatives returns, along every
-    pair (j, l) of two stacks of frame increments inc1 = (delta1, A1),
-    shapes (K1, n) and (K1, n, n), and inc2 likewise.  Returns shape
-    (K1, K2) + t.shape.
-
-    z and U move linearly, so the terms are t's second partials along both
-    increments of the jet variables, the motion along inc2 of the first
-    derivative along inc1, and the first partials along inc2 moved along
-    inc1, less the terms of that motion that move one slot along both
-    increments, which a straight line in (z, U) never does.
-    """
-    k = t.ndim
-    (delta1, A1), (delta2, A2) = inc1, inc2
-    x1, x2 = _increments(delta1, A1), _increments(delta2, A2)
-    w = len(d1)
-    r2 = np.matmul(x2, (x1 @ d2.reshape(w, -1)).reshape(len(x1), w, -1))
-    r1 = (x2 @ d1.reshape(w, -1)).reshape((len(x2),) + t.shape)
-    twice = sum(_slot(_slot(t, k, s, M1), k, s, M2)
-                for s, (M1, M2) in enumerate(zip(_frame_mats(pq, A1), _frame_mats(pq, A2))))
-    return (r2.reshape((len(x1), len(x2)) + t.shape) - twice
-            + _moved(tensor_derivative(pq, t, d1, delta1, A1), pq, A2, 1)
-            + np.swapaxes(_moved(r1, pq, A1, 1), 0, 1))
-
-
-def _moved(t: np.ndarray, pq: tuple[int, int], A: np.ndarray, count: int):
-    """t, whose last p + q axes are its slots, with count increments of the
-    stack A (K, n, n) moving count distinct slots, the first increment the
-    lowest slot, summed over every set of slots: shape t's leading axes,
-    then count axes of length K, then the slots.  0 when count exceeds
-    p + q."""
-    k = sum(pq)
-    mats = _frame_mats(pq, A)
-    moved = None
-    for slots in itertools.combinations(range(k), count):
+    k, slots = len(stacks), sum(pq)
+    groups = groups_of(stacks)
+    xs = [_increments(*s) for s in stacks]
+    mats = [[A] * pq[0] + [np.conj(A)] * pq[1] for _, A in stacks]  # conj A moves a conjugate slot
+    full = rest = None
+    for S, R, maps, weight in _placements(groups, slots):
         u = t
-        for s in slots:
-            u = _slot(u, k, s, mats[s])
-        if moved is None:
-            moved = u
-        else:
-            moved += u
-    return 0 if moved is None else moved
-
-
-def tensor_third_derivative(pq: tuple[int, int], t: np.ndarray, d1, d2, d3, inc):
-    """Third derivatives of a frame tensor t, as tensor_derivative takes
-    it, with the partials (d1, d2, d3) that raw_derivatives(..., order=3)
-    returns, along every triple (i, j, l) of one stack of K frame
-    increments inc = (delta, A), shapes (K, n) and (K, n, n).  Returns shape
-    (K, K, K) + t.shape.
-
-    z and U move linearly, so each slot takes at most one of the three
-    increments: the terms are t's third partials along the three
-    increments of the jet variables; its second partials along two of them
-    with the third moving a slot; its first partials along one with the
-    other two moving two distinct slots; and t with the three moving three
-    distinct slots.  The partials are contracted with one increment at a
-    time.  The last three terms are made for one order of the increments,
-    and the sum over the six orders of the axes (i, j, l) takes each once,
-    but the second partials, symmetric in their pair, twice: they enter
-    with a half.
-    """
-    delta, A = inc
-    x = _increments(delta, A)
-    K, w = x.shape
-    f1 = (x @ d1.reshape(w, -1)).reshape((K,) + t.shape)
-    f2 = np.matmul(x, (x @ d2.reshape(w, -1)).reshape(K, w, -1)).reshape((K, K) + t.shape)
-    out = np.matmul(x, np.matmul(x, (x @ d3.reshape(w, -1)).reshape(K, w, -1))
-                    .reshape(K, K, w, -1)).reshape((K, K, K) + t.shape)
-    ordered = _moved(f2, pq, A, 1)
-    ordered *= 0.5
-    ordered += _moved(f1, pq, A, 2)
-    ordered += _moved(t, pq, A, 3)
-    slots = tuple(range(3, out.ndim))
-    for order in itertools.permutations(range(3)):
-        out += ordered.transpose(order + slots)
-    return out
+        S = tuple(sorted(S, key=lambda i: len(xs[i])))
+        if S:
+            w = xs[0].shape[1]
+            u = np.matmul(xs[S[0]][:, None], d[len(S) - 1].reshape(w, -1))[:, 0]
+            for i in S[1:]:
+                u = np.matmul(xs[i], u.reshape(u.shape[:-1] + (w, -1)))
+            u = u.reshape(u.shape[:-1] + t.shape)
+        order = S + R
+        axes = [order.index(i) for i in range(k)] + list(range(k, k + slots))
+        if not R:
+            full = u.transpose(axes)
+            continue
+        if weight != 1.0:
+            u = u * weight
+        for m in maps:
+            v = u
+            for r, s in zip(R, m):
+                v = _slot(v, slots, s, mats[r][s])
+            v = v.transpose(axes)
+            rest = np.array(v) if rest is None else rest.__iadd__(v)
+    if rest is not None:
+        add_symmetrized(full, rest, groups)
+    return full
 
 
 def raw_fiber_tensors(prog: MetricProgram, z, v, max_order: int = 4, frame=None) -> dict:

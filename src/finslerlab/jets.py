@@ -8,27 +8,21 @@ variables are independent differentiation directions (Wirtinger calculus);
 and conjugating the coefficients.
 
 Truncation is by *fiber* total degree and *base* total degree separately,
-which keeps the tables small: fiber order never exceeds 6 in this package,
-and base order never exceeds 4.  Base orders 2 to 4 serve the exact
-derivatives of the connection: its first derivative reads the second base
-derivatives of the (1, 1) fiber tensor from a jet(2, 2), its second
-derivative the third ones from a jet(2, 3) and every mixed second
-derivative of the (2, 0), (2, 1) and base-differentiated (1, 1) tensors
-from a jet(5, 2), and its third derivative the fourth base derivatives of
-the (1, 1) tensor from a jet(2, 4) and every other third derivative of
-those tensors from a jet(6, 3).  Every other jet has base order 0 or 1.
+which keeps the tables small: fiber order never exceeds 7 in this package,
+and base order never exceeds 5.  The order-k derivatives of the connection
+read a jet(k + 3, k), and the base derivatives of the (1, 1) tensor one
+order higher from a jet(2, k + 1), for k = 1 to 4; every other jet has
+base order 0 or 1.
 
-Three tables are also truncated by *total* degree, as in a truncated
-power-series algebra (Berz 1999, ch. 2), because no reader needs more
-(TOTAL_DEGREE_CAP): the jet(6, 3) keeps total degree 6 and the jet(5, 2)
-total degree 5, which cover the (2, 1) tensor and the base-differentiated
-(1, 1) tensor with three, and two, more derivatives of any kind, and the
-jet(4, 1) keeps total degree 4, which covers C(2, 2) and the base
-derivatives of the (2, 1) and (1, 2) tensors.
-A product's coefficient at a kept monomial sums only pairs of kept
-monomials, in the same table order as without the cap, so every value read
-off a capped jet is bit for bit the uncapped one; the series of inv and
-sqrt stop at the cap, where their further powers vanish.
+The jets(k + 3, k) are also truncated by *total* degree k + 3, as in a
+truncated power-series algebra (Berz 1999, ch. 2), because no reader needs
+more (TOTAL_DEGREE_CAP): that covers the (2, 1) tensor and the
+base-differentiated (1, 1) tensor with k more derivatives of any kind, and
+for k = 1 C(2, 2) and the base derivatives of the (2, 1) and (1, 2)
+tensors.  A product's coefficient at a kept monomial sums only pairs of
+kept monomials, in the same table order as without the cap, so every
+value read off a capped jet is bit for bit the uncapped one; the series of
+inv and sqrt stop at the cap, where their further powers vanish.
 
 MetricProgram.jet_unchecked seeds the leaves in a frame U: z = z_0 + U zeta
 and v = U (e_0 + xi) at v_0 = U e_0, with zeta, xi the Z and V variables;
@@ -62,7 +56,7 @@ V, VBAR, Z, ZBAR = 0, 1, 2, 3
 
 # (fiber order, base order) -> the total degree a table of those orders
 # keeps; any other table keeps fiber order + base order, every monomial.
-TOTAL_DEGREE_CAP = {(6, 3): 6, (5, 2): 5, (4, 1): 4}
+TOTAL_DEGREE_CAP = {(7, 4): 7, (6, 3): 6, (5, 2): 5, (4, 1): 4}
 
 # Tables with fewer product pairs than this multiply over the whole table:
 # there, looking up the operands' class pattern costs more than the
@@ -161,12 +155,6 @@ class JetSpace:
         m2 = np.concatenate([np.tile(b, len(a)) for a, b in block_pairs])
         return m1, m2, self._lookup(self._code[m1] + self._code[m2])
 
-    def full_table(self) -> tuple:
-        """(m1, m2, mo): the whole multiplication table, pair k adding
-        c[m1[k]] * c'[m2[k]] to the product's slot mo[k], in the order the
-        product sums them."""
-        return self._table(self._block_pairs) if self._full is None else self._full
-
     def _lookup(self, codes: np.ndarray) -> np.ndarray:
         """The slots of monomials with these codes, which the table holds."""
         return self._by_code[np.searchsorted(self._code, codes, sorter=self._by_code)]
@@ -182,11 +170,6 @@ class JetSpace:
                 or not np.array_equal(self._code[slot], codes):
             raise KeyError("monomial outside the jet truncation")
         return slot
-
-    @property
-    def exponents(self) -> np.ndarray:
-        """The exponent rows of the monomials, in table order."""
-        return self._code[:, None] // self._radix % (self.max_total + 1)
 
     # -- constructors -------------------------------------------------------
 
@@ -218,7 +201,7 @@ class JetSpace:
         elif cmath.isfinite(a.dot(b)):
             m1, m2, mo = self._class_pairs(self._pattern(a), self._pattern(b))
         else:
-            m1, m2, mo = self.full_table()
+            m1, m2, mo = self._table(self._block_pairs)
         np.add.at(out, mo, a[m1] * b[m2])
         return out
 
@@ -318,10 +301,6 @@ class Jet:
         other = self._coerce(other)
         return Jet(self.space, self.c - other.c)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return Jet(self.space, other.c - self.c)
-
     def __mul__(self, other):
         other = self._coerce(other)
         return Jet(self.space, self.space.mul(self.c, other.c))
@@ -331,10 +310,6 @@ class Jet:
     def __truediv__(self, other):
         other = self._coerce(other)
         return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return other * self.inv()
 
     def inv(self) -> "Jet":
         g0 = self.c[0]

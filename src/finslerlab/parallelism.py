@@ -2,39 +2,20 @@
 
 The parallelism consists of the 2n horizontal lifts, the 2(n-1) Webster-type
 vertical fields, the fiber rotation generator and a fixed skew-Hermitian
-basis of the block algebra acting on e_1..e_{n-1}.  All of them are built
-in one place, ``_field_stack``: each field is U @ G for a generator G of
-the stack ``_generators`` forms, all products taken in one matmul (the
-geodesic spray, which needs only the first lift and the vertical pairs,
-takes the generators of those pairs from the same stack).  Lie
-brackets come from the exact derivatives of the fields along each other at
-the point, ``_bracket_table``: G is linear in the connection coefficients E
-and the frame forms C(2, 0), C(2, 1), whose derivatives
-connection.frame_derivatives takes from the jets at the point.  The
-brackets' components in the parallelism basis are the structure functions,
-the complete local isometry invariants; ``bracket_coefficients`` solves for
-them once, in the real fields.  The complexified basis is a second basis of
-the same parallelism, the constant combinations K of the real fields
-(``_complex_combination_matrix``), so its fields, its brackets and their
-components all come from the real side through K.  The bracket table,
-``FieldTable``, keeps the derivatives of (E, C(2, 0), C(2, 1)) along every
-field, and everything that differentiates along the fields reads them
-there: the exact first and second derivatives of the structure
-functions (the second from the identity B c = br differentiated twice,
-with the third derivatives of (E, C(2, 0), C(2, 1)) along the fields),
-and the derivatives along the lifts (rows 0..2n-1) of the torsion and of
-the (2, 0), (2, 1) and (1, 2) frame forms that the closed forms of the P
-families, the curvature equations and the Bianchi identities take.  The
-curvature is a fixed linear image of the structure coefficients
-(_complex_coefficients, then _raw_curvature), so the Bianchi identities
-take its derivatives along the lifts from the lift rows of the structure
-functions' exact first derivatives, with no difference quotient.  The
-structure equations take no derivative at all: the coframe (theta, varpi)
-is dual to the parallelism, so its values on the basis fields are constants
-and its exterior derivative on a pair of them is minus its value on their
-bracket.  The coframe reads a tangent's frame increments (delta, A) with
-no inverse of the frame: theta = delta and omega = A - E(delta), and the
-fields and their brackets are in frame increments in the bracket table.
+basis of the block algebra acting on e_1..e_{n-1}.  Each field is U @ G for
+a generator G of the stack ``_generators`` forms, all built in one place,
+``_field_stack``; G is linear in the connection coefficients E and the
+frame forms C(2, 0), C(2, 1).  The components of the fields' brackets
+(``_bracket_table``) in the parallelism basis, ``bracket_coefficients``,
+are the structure functions, the complete local isometry invariants; the
+complexified basis is the constant combinations K of the real fields
+(``_complex_combination_matrix``).  ``structure_derivative`` takes their
+derivatives of any order along the fields, from B c = br differentiated by
+Leibniz, and its lift rows give the curvature's for Bianchi.  The
+structure equations take no derivative: the coframe (theta, varpi) is
+dual to the parallelism, so its exterior derivative on a pair of fields is
+minus its value on their bracket, and on frame increments (delta, A) it
+needs no inverse of the frame: theta = delta and omega = A - E(delta).
 
 Convention anchor: curvature components are extracted raw from brackets and
 additionally reported in the holomorphic-sectional-curvature normalization
@@ -45,18 +26,13 @@ normalization factor.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-from .connection import (
-    FrameData,
-    frame_data,
-    frame_derivatives,
-    frame_second_derivatives,
-    frame_third_derivatives,
-)
+from .connection import FrameData, Rows, frame_data, frame_derivatives, whole
 from .frame_bundle import BundlePoint, complexify, unpack_real, vertical_relations_residual
 from .metric_dsl import FinslerError, MetricProgram
 
@@ -259,11 +235,12 @@ class FieldTable:
 
     G: np.ndarray      # (N, n, n) the generator stack
     first: tuple       # (dE, dC20, dC21) along each field, leading axis N
-    dG: np.ndarray     # (N, N, n, n) dG[a] is the derivative of G along field a
     D: tuple           # frame increments of D[a, b] = D_a X_b, shapes (N, N, n), (N, N, n, n)
     vals: np.ndarray   # (P, N) vals[:, m] is field m, packed real
     pinv: np.ndarray   # (N, P) the pseudo-inverse of vals
     br: np.ndarray     # (N, N, P) br[a, b] = D_a X_b - D_b X_a, packed as vals
+    fields: tuple      # (W, G): the frame increments of the fields, as one stack
+    cache: dict = field(default_factory=dict, repr=False, compare=False)  # structure_derivative's
 
 
 def _bracket_table(fd: FrameData) -> FieldTable:
@@ -278,19 +255,20 @@ def _bracket_table(fd: FrameData) -> FieldTable:
     it, and every decomposition on the fields is a product with its pinv.
     """
     G = _generators(fd)
-    first = frame_derivatives(fd, _stack_layout(fd.n)[1], G)
+    fields = (_stack_layout(fd.n)[1], G)
+    memo: dict = {}
+    first = frame_derivatives(fd, (fields,), memo)
     dG = _generator_derivatives(first)
     D = _field_derivatives(G, G, dG)
     vals = _packed(*_field_stack(fd, G)).T
-    return FieldTable(G=G, first=first, dG=dG, D=D, vals=vals,
-                      pinv=np.linalg.pinv(vals),
-                      br=_packed_frame(fd.U, *(d - d.swapaxes(0, 1) for d in D)))
+    return FieldTable(G=G, first=first, D=D, vals=vals, pinv=np.linalg.pinv(vals),
+                      br=_packed_frame(fd.U, *(d - d.swapaxes(0, 1) for d in D)),
+                      fields=fields, cache={"memo": memo, ("G", id(fields)): (fields, dG)})
 
 
 def _generator_derivatives(derivs) -> np.ndarray:
-    """The derivative of the generator stack along each tangent whose
-    (dE, dC20, dC21) derivs holds, any leading axes: a zero stack filled
-    from them."""
+    """The derivative of the generator stack along the tangents of derivs =
+    (dE, dC20, dC21), any leading axes: a zero stack filled from them."""
     dE = derivs[0]
     n = dE.shape[-1]
     G = np.zeros(dE.shape[:-3] + (n * n + 2 * n, n, n), dtype=complex)
@@ -316,83 +294,19 @@ def bracket_coefficients(table: FieldTable) -> np.ndarray:
     return (table.pinv @ table.br.reshape(N * N, -1).T).T.reshape(N, N, N)
 
 
-@dataclass(frozen=True)
-class SecondTable:
-    """The second derivatives along the fields at one point, along rows
-    Y_k, k < r, of the fields, as second_table builds them: what the first
-    derivatives of the structure functions read, and their second
-    derivatives read again."""
+# --------------------------------------------------------------------------
+# derivatives of every order along the fields
+# --------------------------------------------------------------------------
 
-    second: tuple      # (d2E, d2C20, d2C21) along the pairs (Y_k, X_a), leading axes (r, N)
-    d2G: np.ndarray    # (r, N, N, n, n) d2G[k, a] is the second derivative of G along (Y_k, X_a)
-    dGD: np.ndarray    # (r N, N, n, n) the derivative of G along each D[k, a]
-    D2: tuple          # frame increments of D2[k, a, b] = Y_k (Y_a X_b), (r, N, N, n), (r, N, N, n, n)
-
-
-def second_table(fd: FrameData, table: FieldTable, rows: int | None = None) -> SecondTable:
-    """The SecondTable at the point of fd, whose bracket table is table,
-    along the fields Y_k, k < rows (every field when rows is None).
-
-    Y_k (Y_a X_b) = D^2 X_b[Y_k, X_a] + J_b(J_a(Y_k)), with J_b the
-    derivative of field b.  In frame increments, with Y_k = U (w_k, G_k),
-    the second derivative of X_b = U (w_b, G_b) along (Y, V) is
-    (0, A_V dG_b(Y) + A_Y dG_b(V) + d^2 G_b(Y, V)), with d^2 G from
-    connection.frame_second_derivatives, and J_a(Y_k) has the frame
-    increments (G_k w_a, G_k G_a + dG_a(Y_k)), the table's D[k, a].  Only
-    the derivatives along the tangents J_a(Y_k) are new first ones.
-    """
-    n = fd.n
-    G, dG = table.G, table.dG
-    N = len(G)
-    r = N if rows is None else rows
-    Jd, JA = (d[:r] for d in table.D)
-    fields = (_stack_layout(n)[1], G)  # their frame increments
-    second = frame_second_derivatives(fd, tuple(f[:r] for f in fields), fields,
-                                      tuple(d[:r] for d in table.first), table.first)
-    d2G = _generator_derivatives(second)
-    inc = (Jd.reshape(r * N, n), JA.reshape(r * N, n, n))
-    dGD = _generator_derivatives(frame_derivatives(fd, *inc))
-    d2d, d2A = (d.reshape((r, N) + d.shape[1:]) for d in _field_derivatives(G, inc[1], dGD))
-    d2A = d2A + (np.matmul(G[None, :, None], dG[:r, None]) + np.matmul(G[:r, None, None], dG)
-                 + d2G)
-    return SecondTable(second=second, d2G=d2G, dGD=dGD, D2=(d2d, d2A))
-
-
-def structure_derivative(fd: FrameData, table: FieldTable, rows: int | None = None,
-                         second: SecondTable | None = None) -> np.ndarray:
-    """dc[k, a, b, i]: the exact derivative of bracket_coefficients at the
-    point of fd, whose bracket table is table, along each real field Y_k,
-    k < rows (every field when rows is None).  second is the second_table
-    there along those rows, built here when not given.
-
-    With B the matrix of the real fields as columns, B c = br is consistent
-    at p and B has full column rank, so the derivative of the least-squares
-    solution (Golub and Pereyra, 1973) is dc = B^+ (D_Y br - (D_Y B) c).
-    The columns of D_Y B are D_Y X_b = J_b(Y), with J_b the derivative of
-    field b, and D_Y br[a, b] = D2[k, a, b] - D2[k, b, a] with D2 of the
-    second table.  At a point displaced off the bundle by t, where the
-    signature's tier 3 evaluates this, B c = br leaves a residual of
-    O(t^2), and the term of d(B^+) that the formula drops is of the same
-    order.
-    """
-    if second is None:
-        second = second_table(fd, table, rows)
-    Jd, JA = table.D
-    N = len(Jd)
-    d2d, d2A = second.D2
-    r = len(d2d)
-    c = bracket_coefficients(table).reshape(N * N, N)
-    rhs = [(d2 - d2.swapaxes(1, 2)).reshape((r, N * N) + d2.shape[3:])
-           - np.matmul(c, d[:r].reshape(r, N, -1)).reshape((r, N * N) + d.shape[2:])
-           for d2, d in ((d2d, Jd), (d2A, JA))]
-    dc = table.pinv @ _packed_frame(fd.U, *rhs).reshape(r * N * N, -1).T
-    return dc.T.reshape(r, N, N, N)
+# Complex entries of the largest array of one chunk: the iterated fields are
+# taken a chunk of rows of the last field at a time, in the loop reading them.
+CHUNK_ENTRIES = 1 << 15
 
 
 @cache
 def _increment_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A real basis of the frame increments (delta, A): the units of delta,
-    then of A in row-major order, then i times each; 2 (n + n^2) of them."""
+    """A real basis of the frame increments (delta, A), 2 (n + n^2) > n^2 +
+    2n of them: the units of delta, then of A row-major, then i times each."""
     m = n + n * n
     units = np.concatenate([np.eye(m), 1j * np.eye(m)])
     delta, A = np.ascontiguousarray(units[:, :n]), units[:, n:].reshape(-1, n, n)
@@ -407,105 +321,186 @@ def _increment_coordinates(delta: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real, x.imag], axis=-1)
 
 
-def _components(fd: FrameData, table: FieldTable, delta: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """The components on the real fields of the tangents with frame
-    increments (delta, A), leading axes (M,): table.pinv applied to
-    _packed_frame of them, as one complex product.  pinv acts on
-    (Re dz, Im dz, Re dU, Im dU), so it is Re(Q (dz, dU)) with Q the
-    real block less i times the imaginary block, and dz = U delta,
-    dU = U A."""
-    n = fd.n
-    P = table.pinv
-    Qz = (P[:, :n] - 1j * P[:, n:2 * n]) @ fd.U
-    QU = np.einsum("xrc,rs->xsc", (P[:, 2 * n:2 * n + n * n] - 1j * P[:, 2 * n + n * n:])
-                   .reshape(-1, n, n), fd.U)
-    out = delta @ Qz.T
-    out += A.reshape(len(A), -1) @ QU.reshape(len(QU), -1).T
-    return out.real
+def _generator_derivative(fd: FrameData, table: FieldTable, stacks, keep: bool = True):
+    """The derivative of the generator stack along one frame increment from
+    each stack, leading axes (K_1, .., K_q), read off the whole stack's
+    along Rows, kept in the table's cache (when keep holds) but along Rows."""
+    key = ("G",) + tuple(map(id, stacks))
+    if key in table.cache:
+        return table.cache[key][1]
+    read = whole(stacks, table.G[0].size * len(table.G))
+    if read is not None:
+        i, parent = read
+        return np.take(_generator_derivative(fd, table, parent, keep), stacks[i].rows, axis=i)
+    G = _generator_derivatives(frame_derivatives(fd, stacks, table.cache["memo"]))
+    if keep and not any(isinstance(s, Rows) for s in stacks):
+        table.cache[key] = (stacks, G)
+    return G
 
 
-def structure_second_derivative(fd: FrameData, table: FieldTable, second: SecondTable,
-                                dc: np.ndarray) -> np.ndarray:
-    """d2c[m, k, p, i]: the exact second derivative Y_m (Y_k c) of
-    bracket_coefficients c[a, b, i] at the point of fd, whose bracket table
-    is table, for the pairs p = (a, b), a < b, in the order of
-    np.triu_indices, which hold all of it (c is antisymmetric in a, b).
-    second is the second_table there along every field and dc the
-    structure_derivative.
+def _field_derivative(fd: FrameData, table: FieldTable, stacks):
+    """(delta, A, order): the q-th derivative of each field X_b = U (w_b,
+    G_b) along one tangent from each of q stacks, read-only frame
+    increments with leading axes K_i in the order of the stacks, longest
+    first, so that one computation serves every order of them, and then b;
+    kept along the basis.  z and U move linearly, so U takes at most one
+    tangent: A is the derivative of G plus, for each i, A_i times the
+    derivative of G along the others; delta is A_1 w_b for q = 1 (None, 0,
+    above)."""
+    q, n = len(stacks), fd.n
+    order = sorted(range(q), key=lambda i: -len(stacks[i][0]))
+    srt = tuple(stacks[i] for i in order)
+    key = ("X",) + tuple(map(id, srt))
+    hit = table.cache.get(key)
+    if hit is None:
+        out = _generator_derivative(fd, table, srt, keep=False)
+        out = out.copy() if ("G",) + key[1:] in table.cache else out  # a kept one stays
+        for i, (_, Ai) in enumerate(srt):
+            others = srt[:i] + srt[i + 1:]
+            lower = _generator_derivative(fd, table, others) if others else table.G
+            # sum_c Ai[j, x, c] lower[.., c, y], as axes (.., j, .., b, x, y)
+            term = np.tensordot(Ai, lower, axes=([2], [q])).transpose(
+                [*range(2, i + 2), 0, *range(i + 2, q + 1), q + 1, 1, q + 2])
+            out += term
+        delta = None
+        if q == 1:
+            delta = np.zeros(out.shape[:2] + (n,), dtype=complex)
+            delta[:, :2 * n] = np.matmul(srt[0][1][:, None],
+                                         _stack_layout(n)[1][:2 * n, :, None])[..., 0]
+        hit = (srt, (delta, out))
+        # what every table contracted in reads: along the basis, but no Rows
+        if any(s is _increment_basis(n) for s in stacks) and \
+                not any(isinstance(s, Rows) for s in stacks):
+            table.cache[key] = hit
+    return hit[1] + (order,)
 
-    B c = br holds along the bundle, to which the fields are tangent, so it
-    can be differentiated twice along them (Golub and Pereyra, 1973):
-    Y_m Y_k c = B^+ (Y_m Y_k br - (Y_m Y_k B) c - (Y_m B) Y_k c - (Y_k B) Y_m c).
-    The columns of Y_m Y_k B are the second table's D2[m, k, b], and
-    Y_m Y_k br[a, b] = Y_m Y_k Y_a X_b - (a <-> b), where, with
-    J_k(Y_m) = D[m, k],
 
-        Y_m Y_k Y_a X_b = D^3 X_b[Y_m, Y_k, X_a] + D^2 X_b[D[m, k], X_a]
-                          + D^2 X_b[Y_k, D[m, a]] + D^2 X_b[Y_m, D[k, a]]
-                          + D X_b[D2[m, k, a]].
+@cache
+def _set_partitions(l: int) -> tuple:
+    """The set partitions of the positions 0..l-1, blocks increasing and in
+    the order of their first positions."""
+    if l == 0:
+        return ((),)
+    return tuple(q for p in _set_partitions(l - 1) for q in
+                 [p[:i] + (p[i] + (l - 1,),) + p[i + 1:] for i in range(len(p))]
+                 + [p + ((l - 1,),)])
 
-    In frame increments the third derivative of X_b along (Y, V, Z) is
-    (0, A_Y d^2 G_b(V, Z) + A_V d^2 G_b(Y, Z) + A_Z d^2 G_b(Y, V)
-    + d^3 G_b(Y, V, Z)), with d^3 G from connection.frame_third_derivatives;
-    every second derivative is one along a pair (Y_i, D[j, l]), and with
-    the A_Z terms of the third derivative these make S[i, j, l] below.
-    The derivatives of G are real-linear in each tangent, so those along
-    the N^2 tangents D and the N^3 tangents D2 are combinations of those
-    along the 2 (n + n^2) tangents of _increment_basis.
-    """
-    n = fd.n
-    G, dG = table.G, table.dG
-    N = len(G)
-    fields = (_stack_layout(n)[1], G)
-    Jd, JA = table.D
-    d2d, d2A = second.D2
-    third = frame_third_derivatives(fd, fields, table.first, second.second)
+
+def _chunks(N: int, entries: int, rows=None) -> list:
+    """Chunks of the rows (every one of N when None) of a table with
+    entries complex entries a row, within CHUNK_ENTRIES; [None] for all N."""
+    size = max(1, CHUNK_ENTRIES // entries)
+    if rows is None and size >= N:
+        return [None]
+    rows = list(range(N) if rows is None else rows)
+    return [rows[i:i + size] for i in range(0, len(rows), size)]
+
+
+def _iterated(fd: FrameData, table: FieldTable, l: int, rows=None) -> np.ndarray:
+    """Y_{s_l} .. Y_{s_1} X_b, field b differentiated along s_1, then ..,
+    then s_l, in the coordinates of its frame increments, axes (s_l, ..,
+    s_1, b), s_l in rows (all when None).  By Faa di Bruno it sums, over
+    the set partitions of the positions, the derivative of X_b along one
+    tangent per block (_field_derivative): the block's first field along
+    the others, a table of the level below.  A table of two levels or more
+    has more tangents than _increment_basis, and the derivative is
+    real-linear in each, so it is taken along the basis and the table's
+    coordinates contracted in.  The memo's entries along rows are dropped."""
+    N, n = table.G.shape[:2]
     basis = _increment_basis(n)
-    on_basis = frame_derivatives(fd, *basis)
-    dGb = _generator_derivatives(on_basis)  # (B, N, n, n) along the basis
-    # d^2 G along (Y_i, basis e), (N, B, N, n, n), and the coordinates of D
-    # and D2 on the basis
-    d2Gb = _generator_derivatives(frame_second_derivatives(fd, fields, basis, table.first,
-                                                          on_basis))
-    xD, x2 = _increment_coordinates(Jd, JA), _increment_coordinates(d2d, d2A)
-    YYG = second.dGD.reshape((N,) * 3 + (n, n)) + second.d2G  # [j, l, b] = Y_j (Y_l G_b)
+    chunk = table.fields if rows is None else Rows(table.fields, rows)
+    delta = A = None
+    for blocks in _set_partitions(l):
+        stacks = [basis if len(B) > 1 else chunk if l - 1 in B else table.fields
+                  for B in blocks]
+        d, a, order = _field_derivative(fd, table, stacks)
+        blocks = [blocks[i] for i in order]
+        # the basis is the longest stack, so its axes lead: contract them in
+        for j, B in enumerate(B for B in blocks if len(B) > 1):
+            x = _iterated_table(fd, table, len(B))
+            if rows is not None and l - 1 in B:
+                x = x.reshape(N, -1, x.shape[-1])[rows].reshape(-1, x.shape[-1])
+            a = np.matmul(x, a.reshape(a.shape[:j] + (len(basis[0]), -1)))
+            d = None if d is None else x @ d.reshape(len(basis[0]), -1)
+        placed = [p for B in blocks for p in reversed(B)]
+        shape = [len(chunk[0]) if p == l - 1 else N for p in placed]
+        perm = [placed.index(p) for p in range(l - 1, -1, -1)]
+        a = a.reshape(shape + [N, n, n]).transpose(perm + [l, l + 1, l + 2])
+        A = np.array(a) if A is None else A.__iadd__(a)
+        if d is not None:
+            delta = d.reshape(shape + [N, n]).transpose(perm + [l, l + 1])
+        del a, d
+    for key in [k for k in table.cache["memo"] if rows is not None and id(chunk) in k]:
+        del table.cache["memo"][key]
+    return _increment_coordinates(delta, A)
+
+
+def _iterated_table(fd: FrameData, table: FieldTable, j: int) -> np.ndarray:
+    """The coordinates of _iterated with j - 1 >= 1 derivatives, every
+    sequence, as one stack of N^j rows, kept in the table's cache."""
+    if ("W", j) not in table.cache:
+        N, n = table.G.shape[:2]
+        x = _increment_coordinates(*table.D) if j == 2 else np.concatenate(
+            [_iterated(fd, table, j - 1, rows) for rows in _chunks(N, N ** (j - 1) * (n + n * n))])
+        table.cache[("W", j)] = x.reshape(N ** j, -1)
+    return table.cache[("W", j)]
+
+
+def structure_derivative(fd: FrameData, table: FieldTable, order: int = 1,
+                         rows=None) -> np.ndarray:
+    """dc[s_k, .., s_1, p, i] = Y_{s_k} .. Y_{s_1} c: the exact order-k
+    derivative along the real fields of bracket_coefficients c[a, b, i] at
+    the point of fd, whose bracket table is table, for the pairs p = (a, b),
+    a < b, of np.triu_indices; s_k in rows (all when None).
+
+    B c = br, B the matrix of the fields, holds along the bundle, to which
+    they are tangent, and B has full column rank, so by Leibniz (Golub and
+    Pereyra, 1973), with S = (s_1, .., s_k) and S1 not empty,
+
+        Y_S c = B^+ (Y_S br - sum over S1 + S2 = S of (Y_S1 B) Y_S2 c),
+
+    with Y_S1 B the iterated fields Y_S1 X_i and Y_S br[a, b] = Y_S Y_a X_b
+    - (a <-> b) from _iterated, whose coordinates B^+ maps by one real
+    matrix.  The lower orders and every whole order are kept in the table's
+    cache; order k is taken a chunk of s_k at a time.
+    """
+    key = ("tier", order)
+    if rows is None and key in table.cache:
+        return table.cache[key]
+    N, n, k = table.G.shape[0], fd.n, order
     a, b = np.triu_indices(N, 1)
-    c, dcp = bracket_coefficients(table)[a, b], dc[:, a, b]  # at the pairs
-    # S[i, j, l, b] = D^2 X_b[Y_i, D[j, l]] + G_i d^2 G_b(Y_j, X_l), A parts,
-    # enters Y_m Y_k Y_a X_b as S[m, k, a] + S[k, m, a] + S[a, m, k].  One
-    # field m at a time, its row S[m] and its column S[:, m] are made and
-    # Y_m Y_k c is solved for every k, so no array holds N^4 entries
-    d2c = np.empty((N, N, len(a), N))
-    for m in range(N):
-        row = (np.tensordot(G[m], YYG, axes=([1], [3])).transpose(1, 2, 3, 0, 4)
-               + np.tensordot(JA, dG[m], axes=([3], [1])).transpose(0, 1, 3, 2, 4)
-               + np.tensordot(xD, d2Gb[m], axes=([2], [0])))
-        col = (np.tensordot(G, YYG[m], axes=([2], [2])).transpose(0, 2, 3, 1, 4)
-               + np.tensordot(JA[m], dG, axes=([2], [2])).transpose(2, 0, 3, 1, 4)
-               + np.tensordot(xD[m], d2Gb, axes=([1], [1])).swapaxes(0, 1))
-        # Y_m Y_k Y_a X_b for every (k, a, b): its A part, with D X_b[D2[m,
-        # k, a]] = (d2A w_b, d2A G_b + dG_b(D2)) and the third derivative of
-        # G, and its delta part d2A w_b
-        y3A = (row + col + col.swapaxes(0, 1)
-               + np.tensordot(d2A[m], G, axes=([3], [1])).transpose(0, 1, 3, 2, 4)
-               + np.tensordot(x2[m], dGb, axes=([2], [0]))
-               + _generator_derivatives(tuple(d[m] for d in third)))
-        y3d = np.tensordot(d2A[m], fields[0], axes=([3], [1])).swapaxes(-1, -2)
-        # Y_m Y_k br less (Y_m Y_k B) c and (Y_m B) Y_k c + (Y_k B) Y_m c
-        rhs = []
-        for y3, d2, d in ((y3d, d2d[m], Jd), (y3A, d2A[m], JA)):
-            r = y3[:, a, b] - y3[:, b, a]
-            r -= np.matmul(c, d2.reshape(N, N, -1)).reshape(r.shape)
-            r -= np.matmul(dcp, d[m].reshape(N, -1)).reshape(r.shape)
-            r -= np.matmul(dcp[m], d.reshape(N, N, -1)).reshape(r.shape)
-            rhs.append(r.reshape(-1, *d.shape[2:]))
-        d2c[m] = _components(fd, table, *rhs).reshape(N, len(a), N)
-    return d2c
+    tiers = [bracket_coefficients(table)[a, b]]
+    tiers += [structure_derivative(fd, table, j) for j in range(1, k)]
+    # the components of the frame increments of _increment_basis, whose
+    # coordinates are the units: the real map from coordinates to components
+    R = table.pinv @ _packed_frame(fd.U, *_increment_basis(n)).T
+    dc, done = None, 0
+    for chunk in _chunks(N, N ** (k + 1) * (n + n * n), rows):
+        x = _iterated(fd, table, k + 1, chunk)
+        rhs = x[(slice(None),) * k + (a, b)].__isub__(x[(slice(None),) * k + (b, a)])
+        del x
+        for S1 in itertools.chain.from_iterable(itertools.combinations(range(k), j)
+                                                for j in range(k, 0, -1)):
+            S2 = tuple(i for i in range(k) if i not in S1)
+            c = tiers[len(S2)] if chunk is None or k - 1 not in S2 else tiers[len(S2)][chunk]
+            x = _iterated_table(fd, table, len(S1) + 1).reshape((N,) * (len(S1) + 1) + (-1,))
+            x = x if chunk is None or k - 1 not in S1 else x[chunk]
+            # axes (S2 reversed, S1 reversed, pair, coordinate)
+            prod = np.moveaxis(np.tensordot(c, x, axes=([-1], [len(S1)])), len(S2), k)
+            placed = S2[::-1] + S1[::-1]
+            rhs -= prod.transpose([placed.index(p) for p in range(k - 1, -1, -1)] + [k, k + 1])
+            del prod
+        part = rhs @ R.T
+        del rhs
+        if dc is None:
+            dc = np.empty((len(part) if chunk is None else N if rows is None else len(rows),)
+                          + part.shape[1:])
+        dc[done:done + len(part)] = part
+        done += len(part)
+    if rows is None:
+        table.cache[key] = dc
+    return dc
 
-
-# --------------------------------------------------------------------------
-# structure function extraction
-# --------------------------------------------------------------------------
 
 @dataclass
 class StructureFunctions:
@@ -863,8 +858,11 @@ def _lift_derivative_of(fd: FrameData, table: FieldTable):
     (_complex_coefficients, then _raw_curvature) applied to the lift rows of
     structure_derivative.  Returns (holomorphic, antiholomorphic) arrays
     with leading index g."""
-    n = fd.n
-    dc = structure_derivative(fd, table, rows=2 * n)
+    n, N = fd.n, len(table.G)
+    a, b = np.triu_indices(N, 1)
+    dc = np.zeros((2 * n, N, N, N))
+    dc[:, a, b] = structure_derivative(fd, table, rows=range(2 * n))
+    dc[:, b, a] = -dc[:, a, b]
     return _complex_pairs(np.array([_raw_curvature(_complex_coefficients(d, n), n)
                                     for d in dc]))
 

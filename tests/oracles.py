@@ -4,15 +4,13 @@ import numpy as np
 
 from finslerlab.connection import frame_data, frame_derivatives
 from finslerlab.finsler_forms import form_derivative
-from finslerlab.equivalence import _tier
+from finslerlab.equivalence import Tiers
 from finslerlab.frame_bundle import (
     AmbientTangent,
+    BundlePoint,
     adapted_frame,
-    along,
     complexify,
-    frame_increments,
     gram_rows,
-    pack_real,
     unpack_real,
 )
 from finslerlab.geodesics import spray_coefficients
@@ -41,16 +39,52 @@ CURVATURE_STEP = 3e-3
 RESIDUAL_STRIDE = 10  # path samples between the points geodesic_condition_residuals visits
 HOMOGENEITY_SEED = 0  # seed of the six random directions of homogeneity_identities
 # Relative step of the nested central differences along the fields that the
-# exact derivatives replaced: signature tiers 1 and 2 and the curvature's
+# exact derivatives replaced: signature tiers 1, 2 and 3 and the curvature's
 # derivatives along the lifts, each once a central difference of the level
-# below it.  (frame_bundle.NESTED_STEP, the step of tier 3, was this value
-# while the tiers below tier 3 were differences too.)
+# below it.  (Tier 3 was last a difference of the exact tier 2 at 1e-6.)
 NESTED_STEP = 1e-4
+
+
+def frame_increments(U, dz, dU) -> tuple[np.ndarray, np.ndarray]:
+    """The frame increments (U^-1 dz, U^-1 dU) of ambient tangents (dz, dU),
+    one or a stack (leading axes on dz and dU alike)."""
+    U = np.asarray(U, dtype=complex)
+    return (np.linalg.solve(U, np.asarray(dz, dtype=complex)[..., None])[..., 0],
+            np.linalg.solve(U, np.asarray(dU, dtype=complex)))
+
+
+def pack_real(t: AmbientTangent) -> np.ndarray:
+    return np.concatenate([t.dz.real, t.dz.imag, t.dU.real.ravel(), t.dU.imag.ravel()])
+
+
+def central_difference(fn, x0, dx, h):
+    """(fn(x0 + h dx) - fn(x0 - h dx)) / 2h; the caller chooses the step h."""
+    return (fn(x0 + h * dx) - fn(x0 - h * dx)) / (2 * h)
+
+
+def along(fn, z, U, x: np.ndarray, h: float):
+    """Central difference of fn(z, U) along the packed-real ambient direction x."""
+    n = len(z)
+    return central_difference(lambda y: fn(*unpack_real(y, n)),
+                              pack_real(AmbientTangent(z, U)), x, h)
 
 
 def tangent_norm(dz, dU) -> float:
     """The Euclidean norm of the ambient tangent (dz, dU)."""
     return float(np.sqrt(np.sum(np.abs(dz) ** 2) + np.sum(np.abs(dU) ** 2)))
+
+
+def full_table(space) -> tuple:
+    """(m1, m2, mo): the whole multiplication table of a JetSpace, pair k
+    adding c[m1[k]] * c'[m2[k]] to the product's slot mo[k], in the order
+    the product sums them."""
+    return space._table(space._block_pairs) if space._full is None else space._full
+
+
+def exponents(space) -> np.ndarray:
+    """The exponent rows of the monomials of a JetSpace, in table order:
+    the digits of their codes."""
+    return space._code[:, None] // space._radix % (space.max_total + 1)
 
 
 def derivative(jet, v=(), vbar=(), z=(), zbar=()) -> complex:
@@ -305,7 +339,7 @@ def lift_derivatives(fd):
     W, G = _stack_layout(fd.n)[1][lifts], _generators(fd)[lifts]
     out = {pq: _complex_pairs(form_derivative(fd.jet, pq, W, G))
            for pq in ((2, 0), (2, 1), (1, 2))}
-    dE = frame_derivatives(fd, W, G)[0]
+    dE = frame_derivatives(fd, ((W, G),))[0]
     out["T"] = _complex_pairs(dE - np.swapaxes(dE, -1, -2))
     return out
 
@@ -325,13 +359,18 @@ def lift_difference_of(fd, table, func):
     return _complex_pairs(np.array(d_real))
 
 
+def tier(prog, z, U, k: int) -> np.ndarray:
+    """Signature tier k at the frame (z, U), as equivalence.Tiers gives it."""
+    return Tiers(prog, BundlePoint(z, U))[k]
+
+
 def difference_tier(prog, z, U, k: int, step: float = NESTED_STEP) -> np.ndarray:
     """Signature tier k >= 1 at (z, U) by the route equivalence.Tiers once
     took for every tier above the first: one central difference of tier
     k - 1 along each parallelism field, at the relative step, block by
     block; the accuracy reference for the exact tiers."""
     fields = _bracket_table(frame_data(prog, z, U)).vals.T  # packed, one per row
-    return np.concatenate([along(lambda z, U: _tier(prog, z, U, k - 1), z, U, x,
+    return np.concatenate([along(lambda z, U: tier(prog, z, U, k - 1), z, U, x,
                                  step * (1.0 + np.linalg.norm(x)))
                            for x in fields])
 

@@ -455,26 +455,32 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
 
 @pytest.mark.parametrize("argv, counts", [
     (["structure", "--metric", "poincare_ball_3",
-      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (2, 4, 1, 1)),
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (5, 9, 1, 1)),
     (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
       "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
-      "--order", "1"], (5, 10, 2, 2)),
-    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (4, 12, 2, 2)),
+      "--order", "1"], (23, 24, 2, 2)),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (10, 22, 2, 2)),
 ])
 def test_report_work_counts(capsys, monkeypatch, argv, counts):
-    # (frame_derivatives, form_derivative, _field_stack, jet(2, 0)) calls per
-    # report.  The bracket table at a point is the only place the fields are
-    # built and differentiated along each other, and every later derivative
-    # along them (signature tiers 1 and 2, the lift derivatives, the
-    # curvature's derivatives along the lifts in Bianchi) reads it, so
-    # frame_derivatives runs once for the table, once for each second table
-    # (inside structure_derivative, unless the caller holds it) and once for
-    # tier 2, along the real basis of frame increments; compare builds both
-    # frames' tables and tier 2 at frame A, with no displaced frame; check
-    # takes the tangency of its lifts from their frame increments, with no
-    # field stack.  check evaluates one jet(2, 0) a point, in its Levi
-    # check: the adapted frame reads that report, and the Gram residual is
-    # read off the point's frame data
+    # (frame_derivatives, tensor_derivative, _field_stack, jet(2, 0)) calls
+    # per report.  The bracket table at a point is the only place the fields
+    # are built and differentiated along each other, and every later
+    # derivative along them (signature tiers, the lift derivatives, the
+    # curvature's derivatives along the lifts in Bianchi) reads it or its
+    # cache, which keeps each derivative of (E, C20, C21) along a tuple of
+    # stacks: each is made once, by three tensor_derivative calls (C20, C21
+    # and Dh), and frame_derivatives is called again only where it is read
+    # off that cache.  A point's tier 1, or its lift rows in Bianchi, takes
+    # the derivatives along the fields, along the real basis of frame
+    # increments and along pairs of fields; its tier 2 adds those along a
+    # basis increment and a field, and along triples of fields.  So
+    # structure makes 3, compare 3 at each frame and 2 more for tier 2 at
+    # frame A, with no displaced frame, and check 3 at each of its two
+    # points, where one form_derivative (one tensor_derivative call) takes
+    # the tangency system and one the tangency of the lifts, from their
+    # frame increments, with no field stack.  check evaluates one jet(2, 0)
+    # a point, in its Levi check: the adapted frame reads that report, and
+    # the Gram residual is read off the point's frame data
     calls = {}
 
     def counting(key, f):
@@ -483,7 +489,7 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
             return f(*args)
         return counted
 
-    for name, home in (("frame_derivatives", connection), ("form_derivative", finsler_forms),
+    for name, home in (("frame_derivatives", connection), ("tensor_derivative", finsler_forms),
                        ("_field_stack", parallelism)):
         counted = counting(name, getattr(home, name))
         for module in (cli, connection, finsler_forms, frame_bundle, geodesics, parallelism,
@@ -500,7 +506,7 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
     assert run(argv) == 0
     capsys.readouterr()
-    keys = ("frame_derivatives", "form_derivative", "_field_stack", "jet20")
+    keys = ("frame_derivatives", "tensor_derivative", "_field_stack", "jet20")
     assert tuple(calls.get(k) for k in keys) == counts
 
 

@@ -9,20 +9,19 @@ from finslerlab.connection import (
     covariant_derivative,
     frame_data,
     frame_derivatives,
-    frame_second_derivatives,
     horizontal_lift,
     solve_connection,
 )
 from finslerlab.frame_bundle import (
     AmbientTangent,
     adapted_frame,
-    frame_increments,
     group_act,
     verify_tangent,
 )
 from finslerlab.equivalence import _haar_group_element
 from finslerlab.parallelism import extract_structure
 from finslerlab.registry import sample_points
+from oracles import frame_increments
 
 
 def test_flat_connection_vanishes(progs):
@@ -210,7 +209,7 @@ def test_frame_derivatives_match_central_differences(progs, entries, warped, mid
     rng = np.random.default_rng(6)
     dz = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
     dU = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
-    exact = frame_derivatives(frame_data(prog, p.z, p.U), *frame_increments(p.U, dz, dU))
+    exact = frame_derivatives(frame_data(prog, p.z, p.U), (frame_increments(p.U, dz, dU),))
     h = 1e-5
 
     def parts(k, t):
@@ -223,17 +222,12 @@ def test_frame_derivatives_match_central_differences(progs, entries, warped, mid
             assert np.max(np.abs(got[k] - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("mid", ["l4_finsler", "poincare_ball_3", "hermitian_nonconstant",
-                                 "warped"])
-def test_frame_second_derivatives_match_central_differences(progs, entries, warped, mid):
-    # every pair of two stacks, off the bundle too, against a central
-    # difference of the exact first derivatives
-    if mid == "warped":
-        prog = warped
-        p = adapted_frame(prog, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j])
-    else:
-        prog = progs[mid]
-        p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=5)[0])
+def _check_frame_derivative(prog, p, order):
+    """One derivative of the given order of E, C(2, 0) and C(2, 1) along a
+    tuple of stacks, off the bundle too, against a central difference of
+    the derivative one order below along the same ambient tangents, taken
+    at displaced points; at order 4 a stack is passed twice, so that the
+    symmetrised placements are checked too."""
     n = prog.dim
     rng = np.random.default_rng(7)
 
@@ -241,20 +235,45 @@ def test_frame_second_derivatives_match_central_differences(progs, entries, warp
         return (rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n)),
                 rng.standard_normal((K, n, n)) + 1j * rng.standard_normal((K, n, n)))
 
-    t1, t2 = stack(3), stack(2)
+    tangents = [stack(3)] + [stack(2)] * (order - 2)
+    last = stack(2)
     fd = frame_data(prog, p.z, p.U)
-    inc1, inc2 = frame_increments(p.U, *t1), frame_increments(p.U, *t2)
-    exact = frame_second_derivatives(fd, inc1, inc2, frame_derivatives(fd, *inc1),
-                                     frame_derivatives(fd, *inc2))
-    h = 1e-5
+    incs = {id(t): frame_increments(p.U, *t) for t in tangents}
+    exact = frame_derivatives(fd, tuple(incs[id(t)] for t in tangents)
+                              + (frame_increments(p.U, *last),))
+    # the fourth derivatives difference third ones, whose round-off the
+    # step divides, so they take a larger step and a looser bound
+    h, tol = (1e-5, 1e-7) if order < 4 else (1e-4, 1e-6)
 
-    def first(l, t):
-        # along the same ambient tangents t1 at the displaced point
-        U = p.U + t * t2[1][l]
-        return frame_derivatives(FrameData(prog, p.z + t * t2[0][l], U),
-                                 *frame_increments(U, *t1))
+    def lower(l, t):
+        # along the same ambient tangents at the displaced point
+        U = p.U + t * last[1][l]
+        here = {id(t_): frame_increments(U, *t_) for t_ in tangents}
+        return frame_derivatives(FrameData(prog, p.z + t * last[0][l], U),
+                                 tuple(here[id(t_)] for t_ in tangents))
 
     for l in range(2):
-        for got, plus, minus in zip(exact, first(l, h), first(l, -h)):
+        for got, plus, minus in zip(exact, lower(l, h), lower(l, -h)):
             want = (plus - minus) / (2 * h)
-            assert np.max(np.abs(got[:, l] - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
+            err = np.max(np.abs(np.take(got, l, axis=order - 1) - want))
+            assert err <= tol * max(1.0, np.max(np.abs(want))), (order, err)
+
+
+def _frame_at(progs, entries, warped, mid):
+    if mid == "warped":
+        return warped, adapted_frame(warped, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j])
+    prog = progs[mid]
+    return prog, adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=5)[0])
+
+
+@pytest.mark.parametrize("mid", ["l4_finsler", "poincare_ball_3", "hermitian_nonconstant",
+                                 "warped"])
+def test_frame_second_derivatives_match_central_differences(progs, entries, warped, mid):
+    _check_frame_derivative(*_frame_at(progs, entries, warped, mid), 2)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("mid", ["l4_finsler", "poincare_ball_3", "hermitian_nonconstant",
+                                 "warped"])
+def test_higher_frame_derivatives_match_central_differences(progs, entries, warped, mid, order):
+    _check_frame_derivative(*_frame_at(progs, entries, warped, mid), order)

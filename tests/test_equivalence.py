@@ -8,17 +8,17 @@ from finslerlab.equivalence import (
     NOISE_FLOOR,
     SV_TOL,
     Tiers,
-    _tier,
     compare,
     regularity,
     signature,
     structure_coefficients,
 )
-from finslerlab.frame_bundle import BundlePoint, adapted_frame, along, gram_residual
+from finslerlab.frame_bundle import BundlePoint, adapted_frame, gram_residual
+from finslerlab.jets import Jet
 from finslerlab.metric_dsl import MetricProgram
 from finslerlab.parallelism import _real_field_matrix, bracket_coefficients, labels_real
 from finslerlab.registry import catalog, sample_points
-from oracles import NESTED_STEP, difference_tier
+from oracles import NESTED_STEP, along, difference_tier, tier
 
 
 def ball_automorphism(a):
@@ -90,39 +90,35 @@ def test_command_c_ranks_stabilize_at_the_isometry_dimension(progs):
     assert rep.stabilized and rep.order == 1 and rep.rank == 4
 
 
-def test_command_c_ranks_read_exact_tier_2_with_noise_below_1e_6(progs, monkeypatch):
-    # its alpha = 2 ranks read tier 3, one central difference of the exact
-    # tier 2 along the 2N fields: 2N + 1 exact tier-2 calls, and tier 1 at
-    # the frame only.  Every singular value a rank leaves out is at most
-    # 1e-6 (6.2e-9 measured; 1.9e-6 while tier 2 was a difference of tier 1)
+def test_command_c_ranks_read_exact_tier_3_with_noise_below_1e_10(progs, monkeypatch):
+    # its alpha = 2 ranks read tier 3, order 3 of the derivative routine at
+    # the frame, as tiers 1 and 2 are: one frame, one call of each order.
+    # Every singular value a rank leaves out is at most 1e-10 (1.6e-13
+    # measured; 6.2e-9 while tier 3 was a central difference of the exact
+    # tier 2, 1.9e-6 while tier 2 was a difference of tier 1)
     prog = progs["hermitian_nonconstant"]
     p = adapted_frame(prog, [0.1, 0.2], [1.0, 0.5])
     N = len(labels_real(prog.dim))
-    seconds, firsts = [], []
-    compute, second = Tiers._compute, equivalence.structure_second_derivative
+    orders, frames = [], []
+    derivative, init = equivalence.structure_derivative, FrameData.__init__
 
-    def at_p(fd):
-        return np.array_equal(fd.z, p.z) and np.array_equal(fd.U, p.U)
+    def counted(fd, table, order=1, rows=None):
+        orders.append(order)
+        return derivative(fd, table, order, rows)
 
-    def counted_compute(self, k):
-        if k == 1:
-            firsts.append(at_p(self.fd))
-        return compute(self, k)
+    def counted_init(self, prog, z, U):
+        frames.append(1)
+        init(self, prog, z, U)
 
-    def counted_second(fd, table, *args):
-        seconds.append(at_p(fd))
-        return second(fd, table, *args)
-
-    monkeypatch.setattr(Tiers, "_compute", counted_compute)
-    monkeypatch.setattr(equivalence, "structure_second_derivative", counted_second)
+    monkeypatch.setattr(equivalence, "structure_derivative", counted)
+    monkeypatch.setattr(FrameData, "__init__", counted_init)
     tiers = Tiers(prog, p)
     rep = regularity(prog, p, alpha_max=2, tiers=tiers)
     assert rep.ranks == [3, 4, 4] and rep.stabilized
-    assert len(seconds) == 2 * N + 1 and seconds.count(True) == 1
-    assert firsts == [True]
+    assert orders == [1, 2, 3] and len(frames) == 1
     for alpha, rank in enumerate(rep.ranks):
         jac = np.hstack([tiers[k + 1].reshape(N, -1) for k in range(alpha + 1)])
-        assert np.all(np.linalg.svd(jac, compute_uv=False)[rank:] <= 1e-6), alpha
+        assert np.all(np.linalg.svd(jac, compute_uv=False)[rank:] <= 1e-10), alpha
 
 
 def test_nonhomogeneous_metric_has_positive_rank(progs):
@@ -194,30 +190,26 @@ def test_same_metric_same_point_matches(progs):
 def test_base_point_tiers_are_shared_and_read_only(progs, monkeypatch, capsys):
     # a compare report reads frame A's tiers for the signature and for the
     # regularity ranks alike, so tier 1 at A is computed once, and tier 2,
-    # which the ranks read, once, at A, from tier 1's second table; a shared
-    # tier is read-only, so editing a signature's tier in place must fail,
-    # not leak
+    # which the ranks read, once, at A, from what tier 1 left in the bracket
+    # table; a shared tier is read-only, so editing a signature's tier in
+    # place must fail, not leak
     prog = progs["poincare_ball_2"]
     pA = adapted_frame(prog, [0.1 + 0.2j, 0.3j], [1.0, 0.5])
-    at_a = {"first": [], "second": []}
-    first, second = equivalence.structure_derivative, equivalence.structure_second_derivative
+    calls = []
+    derivative = equivalence.structure_derivative
 
-    def counted(key, f):
-        def call(fd, table, *args, **kwargs):
-            at_a[key].append(np.array_equal(fd.z, pA.z) and np.array_equal(fd.U, pA.U))
-            return f(fd, table, *args, **kwargs)
-        return call
+    def counted(fd, table, order=1, rows=None):
+        calls.append((np.array_equal(fd.z, pA.z) and np.array_equal(fd.U, pA.U), order))
+        return derivative(fd, table, order, rows)
 
-    monkeypatch.setattr(equivalence, "structure_derivative", counted("first", first))
-    monkeypatch.setattr(equivalence, "structure_second_derivative", counted("second", second))
+    monkeypatch.setattr(equivalence, "structure_derivative", counted)
     assert main(["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
                  "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
                  "--order", "1"]) == 0
     capsys.readouterr()
-    # A and B; until tier 2 was exact, its differences took 16 more at
-    # displaced frames
-    assert at_a["first"] == [True, False]
-    assert at_a["second"] == [True]
+    # tier 1 at A and B, and tier 2 at A only; until tier 2 was exact, its
+    # differences took 16 more tier-1 calls at displaced frames
+    assert sorted(calls) == [(False, 1), (True, 1), (True, 2)]
     tiers = Tiers(prog, pA)
     s = signature(prog, pA, order=1, tiers=tiers)
     assert s.tiers[1] is tiers[1]
@@ -242,7 +234,8 @@ def test_fiber_search_recovers_rotated_frame(progs):
 def _pushforward_representation(prog, p, pg, g):
     """rho with (right-translation by g applied to field m at p) =
     sum_a rho[a, m] * (field a at pg); constant for the structure group."""
-    from finslerlab.frame_bundle import pack_real, unpack_real
+    from finslerlab.frame_bundle import unpack_real
+    from oracles import pack_real
     from finslerlab.parallelism import _real_field_matrix
 
     n = prog.dim
@@ -334,7 +327,7 @@ def test_exact_tier_1_matches_finite_difference_oracle(progs, entries, warped, m
     else:
         prog = progs[mid]
         p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=3)[0])
-    exact = _tier(prog, p.z, p.U, 1)
+    exact = tier(prog, p.z, p.U, 1)
 
     def difference(step):
         return np.concatenate([
@@ -366,7 +359,7 @@ def test_tier_1_builds_frame_data_and_jets_only_at_the_point(entries, monkeypatc
 
     monkeypatch.setattr(FrameData, "__init__", counted_init)
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
-    _tier(prog, p.z, p.U, 1)
+    tier(prog, p.z, p.U, 1)
     assert len(frames) == 1
     assert np.array_equal(frames[0][0], p.z) and np.array_equal(frames[0][1], p.U)
     assert {j[2:4] for j in jets} == {(4, 1), (2, 2), (5, 2), (2, 3)}
@@ -387,7 +380,7 @@ def test_exact_tier_2_matches_finite_difference_oracle(progs, entries, warped, m
     else:
         prog = progs[mid]
         p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=3)[0])
-    exact = _tier(prog, p.z, p.U, 2)
+    exact = tier(prog, p.z, p.U, 2)
     old = difference_tier(prog, p.z, p.U, 2)
     oracle = (4 * difference_tier(prog, p.z, p.U, 2, NESTED_STEP / 2) - old) / 3
     scale = max(1.0, np.max(np.abs(oracle)))
@@ -426,7 +419,7 @@ def test_tier_2_builds_frame_data_and_jets_only_at_the_point(entries, monkeypatc
 
     monkeypatch.setattr(FrameData, "__init__", counted_init)
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
-    _tier(prog, p.z, p.U, 2)
+    tier(prog, p.z, p.U, 2)
     assert len(frames) == 1
     assert np.array_equal(frames[0][0], p.z) and np.array_equal(frames[0][1], p.U)
     assert {j[2:4] for j in jets} == {(4, 1), (2, 2), (5, 2), (2, 3), (6, 3), (2, 4)}
@@ -450,3 +443,105 @@ def test_noise_floor_lies_two_decades_from_both_sides(progs, entries, mid):
         kept = sv > max(SV_TOL * sv[0], NOISE_FLOOR)
         assert np.all(sv[~kept] <= NOISE_FLOOR / 100), (alpha, sv)
         assert np.all(sv[kept] >= 100 * NOISE_FLOOR), (alpha, sv)
+
+
+@pytest.mark.parametrize("mid", ["poincare_ball_2", "l4_finsler", "hermitian_nonconstant",
+                                 "warped"])
+def test_exact_tier_3_matches_finite_difference_oracle(progs, entries, warped, mid):
+    # tier 3 agrees with a fourth-order difference of the exact tier 2 along
+    # each field, and is at least ten times closer to it than the central
+    # difference, which is what it once was
+    if mid == "warped":
+        prog = warped
+        p = adapted_frame(prog, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j])
+    else:
+        prog = progs[mid]
+        p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=3)[0])
+    exact = tier(prog, p.z, p.U, 3)
+    old = difference_tier(prog, p.z, p.U, 3)
+    oracle = (4 * difference_tier(prog, p.z, p.U, 3, NESTED_STEP / 2) - old) / 3
+    scale = max(1.0, np.max(np.abs(oracle)))
+    exact_err = np.max(np.abs(exact - oracle)) / scale
+    assert exact_err <= 1e-7
+    assert exact_err <= 0.1 * np.max(np.abs(old - oracle)) / scale
+
+
+@pytest.mark.parametrize("mid", [e.id for e in catalog() if e.source.dim <= 2]
+                         + ["warped", "twisted"])
+def test_tier_3_satisfies_the_commutator_identity(progs, entries, warped, twisted, mid):
+    # X_l X_m (X_k c) - X_m X_l (X_k c) = [X_l, X_m] (X_k c)
+    # = sum_i c[l, m, i] X_i (X_k c): the recurrence of tier 3 on tier 2,
+    # which its code never uses
+    prog = {"warped": warped, "twisted": twisted}.get(mid) or progs[mid]
+    N = len(labels_real(prog.dim))
+    for z, v in sample_points(prog, entries.get(mid), 2, seed=3):
+        tiers = Tiers(prog, adapted_frame(prog, z, v))
+        t2, t3 = tiers[2].reshape(N, N, -1), tiers[3].reshape(N, N, N, -1)
+        c = bracket_coefficients(tiers.table)
+        gap = t3 - t3.swapaxes(0, 1) - np.einsum("lmi,ikx->lmkx", c, t2)
+        assert np.max(np.abs(gap)) <= 1e-12 * max(1.0, np.max(np.abs(t3)))
+
+
+def test_tier_3_jets_are_built_only_when_it_is_read(entries, monkeypatch):
+    # order 3 reads the fourth derivatives of (E, C20, C21): one jet(7, 4)
+    # and one jet(2, 5) at the point, which tiers 1 and 2 never build
+    prog = entries["hermitian_nonconstant"].program()
+    p = adapted_frame(prog, [0.1, 0.2j], [1.0, 0.4 + 0.2j])
+    orders = []
+    jet = MetricProgram.jet_unchecked
+
+    def counted_jet(self, z, v, fiber_order, base_order, frame=None):
+        orders.append((fiber_order, base_order))
+        assert np.array_equal(z, p.z) and np.array_equal(frame, p.U)
+        return jet(self, z, v, fiber_order, base_order, frame)
+
+    monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
+    tiers = Tiers(prog, p)
+    tiers[2]
+    assert (7, 4) not in orders and (2, 5) not in orders
+    tiers[3]
+    assert orders.count((7, 4)) == 1 and orders.count((2, 5)) == 1
+
+
+def test_tier_2_reads_each_jet_partial_once(entries, monkeypatch):
+    # the third derivatives of (E, C20, C21) read the partials of C(2, 0),
+    # C(2, 1) and Dh up to order 3 from the jets of tier 2, each multiset
+    # of variable kinds once: 3 tensors x (4 + 10 + 20) reads, where reading
+    # every ordered kind tuple took 3 x (4 + 16 + 64) = 252
+    prog = entries["poincare_ball_2"].program()
+    tiers = Tiers(prog, adapted_frame(prog, [0.1 + 0.2j, 0.3j], [1.0, 0.5]))
+    tiers[1]
+    reads = []
+    partials = Jet.partials
+
+    def counted(self, p, q, kinds=()):
+        if self.space.base_order >= 3:  # the jets of tier 2: (6, 3) and (2, 4)
+            reads.append(kinds)
+        return partials(self, p, q, kinds)
+
+    monkeypatch.setattr(Jet, "partials", counted)
+    tiers[2]
+    assert len(reads) == 102
+
+
+def test_tier_2_memory_at_n_3(entries):
+    # the iterated fields are taken a row of the last field at a time,
+    # inside the loop that reads them: the traced peak of tier 2 (after
+    # tier 1) at the structure point of ROADMAP's table, with the jet tables
+    # warm, is 13.85 MB; the bound stays below the 14.7 MB measured for the
+    # per-order code it replaced
+    import tracemalloc
+
+    entry = entries["poincare_ball_3"]
+    prog = entry.program()
+    (z, v), (z2, v2) = sample_points(prog, entry, 2, seed=1)
+    Tiers(prog, adapted_frame(prog, z2, v2))[2]  # the jet tables, once
+    tiers = Tiers(prog, adapted_frame(prog, z, v))
+    tiers[1]
+    tracemalloc.start()
+    try:
+        tiers[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.3e6, peak

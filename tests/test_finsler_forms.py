@@ -10,11 +10,11 @@ from finslerlab.finsler_forms import (
     homogeneity_identities,
     levi_check,
 )
-from finslerlab.frame_bundle import adapted_frame, frame_increments, gram_derivative
+from finslerlab.frame_bundle import adapted_frame, gram_derivative
 from finslerlab.registry import sample_points
 
 import oracles
-from oracles import fd_derivative, frame_contract
+from oracles import fd_derivative, frame_contract, frame_increments
 
 
 def hermitian_metric(prog, z, v):

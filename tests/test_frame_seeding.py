@@ -13,10 +13,10 @@ from finslerlab.jets import TOTAL_DEGREE_CAP, V, VBAR, Z, ZBAR, Jet, JetSpace, j
 from finslerlab.metric_dsl import _JET_OPS
 from finslerlab.registry import sample_points
 
-from oracles import frame_contract
+from oracles import exponents, frame_contract
 
 # the (fiber, base) orders of the jets a FrameData evaluates
-FRAME_JET_ORDERS = ((4, 1), (2, 2), (5, 2), (2, 3), (6, 3), (2, 4))
+FRAME_JET_ORDERS = ((4, 1), (2, 2), (5, 2), (2, 3), (6, 3), (2, 4), (7, 4), (2, 5))
 METRICS = ["poincare_disc", "l4_finsler", "hermitian_nonconstant", "poincare_ball_3", "warped"]
 
 
@@ -28,14 +28,14 @@ def _point(progs, entries, warped, mid):
 
 
 def _reads(fiber_order: int, base_order: int):
-    """Every (p, q, kinds) a jet of these orders holds, with up to four
-    derivative kinds (Dh's d_zeta and three more), within its total-degree
+    """Every (p, q, kinds) a jet of these orders holds, with up to five
+    derivative kinds (Dh's d_zeta and four more), within its total-degree
     cap: a superset of the reads of the package
     (test_reads_of_the_package_lie_in_the_tables)."""
     total = TOTAL_DEGREE_CAP.get((fiber_order, base_order), fiber_order + base_order)
     for p in range(fiber_order + 1):
         for q in range(fiber_order + 1 - p):
-            for m in range(5):
+            for m in range(6):
                 for kinds in combinations_with_replacement((Z, ZBAR, V, VBAR), m):
                     fiber = p + q + sum(k in (V, VBAR) for k in kinds)
                     if fiber <= fiber_order and len(kinds) - (fiber - p - q) <= base_order \
@@ -58,7 +58,10 @@ def test_frame_seeded_partials_are_frame_contractions(progs, entries, warped, mi
                 got = framed.partials(p, q, kinds)
                 want = frame_contract(coord.partials(p, q, kinds), p, q, U, kinds)
                 err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
-                assert err <= 1e-13, (orders, p, q, kinds, err)
+                # the oracle's round-off grows with the axes it contracts
+                # with the tilted U; only the jet(7, 4) has seven
+                bound = 1e-13 if p + q + len(kinds) <= 6 else 3e-13
+                assert err <= bound, (orders, p, q, kinds, err)
 
 
 @pytest.mark.parametrize("mid", METRICS)
@@ -74,7 +77,7 @@ def test_capped_jets_hold_the_uncapped_values(progs, entries, warped, mid, monke
     for orders, jet in capped.items():
         full = prog.jet_unchecked(z, U[:, 0], *orders, U)
         assert full.space.size > jet.space.size
-        assert np.array_equal(jet.c, full.c[full.space.slots(jet.space.exponents)]), orders
+        assert np.array_equal(jet.c, full.c[full.space.slots(exponents(jet.space))]), orders
 
 
 def _seeded_as_coordinates(prog, z, v, fiber_order, base_order):

@@ -6,16 +6,17 @@ import pytest
 
 from finslerlab import jets
 from finslerlab.jets import PATTERN_CACHE_SIZE, V, VBAR, Z, ZBAR, JetError, JetSpace, jet_space
-from oracles import derivative
+from oracles import derivative, exponents, full_table
 
 # every (n, fiber order, base order) table the catalog's reports use
 CATALOG_TABLES = [(1, 2, 0), (1, 2, 2), (1, 4, 1), (2, 2, 0), (2, 2, 2), (2, 3, 0),
                   (2, 3, 1), (2, 4, 1), (2, 5, 0), (3, 2, 0), (3, 2, 2), (3, 4, 1),
                   (1, 2, 3), (1, 5, 2), (2, 2, 3), (2, 5, 2), (3, 2, 3), (3, 5, 2),
-                  (1, 2, 4), (1, 6, 3), (2, 2, 4), (2, 6, 3), (3, 2, 4), (3, 6, 3)]
+                  (1, 2, 4), (1, 6, 3), (2, 2, 4), (2, 6, 3), (3, 2, 4), (3, 6, 3),
+                  (1, 2, 5), (1, 7, 4), (2, 2, 5), (2, 7, 4)]
 # the tables TOTAL_DEGREE_CAP truncates, and the cap each keeps
 CAPPED = {(1, 4, 1): 4, (2, 4, 1): 4, (3, 4, 1): 4, (1, 5, 2): 5, (2, 5, 2): 5, (3, 5, 2): 5,
-          (1, 6, 3): 6, (2, 6, 3): 6, (3, 6, 3): 6}
+          (1, 6, 3): 6, (2, 6, 3): 6, (3, 6, 3): 6, (1, 7, 4): 7, (2, 7, 4): 7, (3, 7, 4): 7}
 
 
 def loop_monomials(n, fiber_order, base_order, total):
@@ -58,7 +59,7 @@ def loop_tables(sp, total):
 def full_table_mul(sp, a, b, table=None):
     """The product over sp's whole table, or over table when given (the
     full table, built once by a caller that multiplies many times)."""
-    m1, m2, mo = sp.full_table() if table is None else table
+    m1, m2, mo = full_table(sp) if table is None else table
     out = np.zeros(sp.size, dtype=complex)
     np.add.at(out, mo, a[m1] * b[m2])
     return out
@@ -152,7 +153,7 @@ def test_product_equals_full_table_product_exactly(table):
     const = np.zeros(sp.size, dtype=complex)
     const[0] = 1.5 - 0.5j
     operands += [const, np.zeros(sp.size, dtype=complex)]
-    full = sp.full_table()
+    full = full_table(sp)
     # each pair twice: once filling the pattern cache, once reading it
     for _ in range(2):
         for a in operands:
@@ -239,12 +240,12 @@ def test_tables_equal_the_pairwise_loop(table):
     sp = jet_space(*table)
     total = CAPPED.get(table, table[1] + table[2])
     assert sp.max_total == total
-    for got, want in zip(sp.full_table(), loop_tables(sp, total)):
+    for got, want in zip(full_table(sp), loop_tables(sp, total)):
         assert np.array_equal(got, want)
     # monomial order: fiber exponents, then base exponents, each lexicographic
-    monomials = [tuple(m) for m in sp.exponents.tolist()]
+    monomials = [tuple(m) for m in exponents(sp).tolist()]
     assert monomials == loop_monomials(sp.n, *table[1:], total)
-    assert np.array_equal(sp.slots(sp.exponents), np.arange(sp.size))
+    assert np.array_equal(sp.slots(exponents(sp)), np.arange(sp.size))
     n = sp.n
     for i, m in enumerate(monomials):
         swapped = m[n:2 * n] + m[:n] + m[3 * n:] + m[2 * n:3 * n]
@@ -252,26 +253,33 @@ def test_tables_equal_the_pairwise_loop(table):
         assert sp._factorial[i] == np.prod([math.factorial(e) for e in m])
 
 
-# the uncapped (3, 6, 3) table holds 8.4 million pairs, and this test peaks
-# above 1 GB with it; its capped table is checked against the loop oracle
-@pytest.mark.parametrize("table", sorted(t for t in CAPPED if t[1:] != (6, 3))
-                         + [(1, 6, 3), (2, 6, 3)])
+@pytest.mark.parametrize("table", sorted(CAPPED))
 def test_capped_table_is_the_uncapped_one_filtered(table, monkeypatch):
     # the capped table is the uncapped one restricted to the pairs whose
     # product is kept, in the same order: a kept coefficient sums the same
-    # terms in the same order, so it has the same bits
+    # terms in the same order, so it has the same bits.  A block pair's
+    # products all have one total degree, so each pair is kept whole or
+    # dropped whole, and the two tables are compared block pair by block
+    # pair, in bounded memory: the uncapped (3, 6, 3) table has 8.4 million
+    # pairs and the uncapped (3, 7, 4) one 92 million, which once held whole
+    # made this test peak at 1.16 GB
     capped = jet_space(*table)
     monkeypatch.delitem(jets.TOTAL_DEGREE_CAP, table[1:])
     full = JetSpace(*table)
-    slot = full.slots(capped.exponents)  # each capped monomial's uncapped slot
-    full_table = full.full_table()
-    kept = np.flatnonzero(full.exponents[full_table[2]].sum(axis=1) <= capped.max_total)
-    for got, want in zip(capped.full_table(), full_table):
-        assert np.array_equal(slot[got], want[kept])
-    rng = np.random.default_rng(sum(table))
-    for share in (0.0, 0.5, 0.9):
-        a, b = (random_coefficients(rng, full.size, share) for _ in range(2))
-        assert np.array_equal(capped.mul(a[slot], b[slot]), full.mul(a, b)[slot])
+    slot = full.slots(exponents(capped))  # each capped monomial's uncapped slot
+    kept = iter(capped._block_pairs)
+    degree = exponents(full).sum(axis=1)
+    for a, b in full._block_pairs:
+        if degree[a[0]] + degree[b[0]] <= capped.max_total:
+            for got, want in zip(capped._table([next(kept)]), full._table([(a, b)])):
+                assert np.array_equal(slot[got], want)
+    assert next(kept, None) is None
+    # products, where the uncapped table is small enough to multiply over
+    if sum(len(a) * len(b) for a, b in full._block_pairs) <= 10 ** 6:
+        rng = np.random.default_rng(sum(table))
+        for share in (0.0, 0.5, 0.9):
+            a, b = (random_coefficients(rng, full.size, share) for _ in range(2))
+            assert np.array_equal(capped.mul(a[slot], b[slot]), full.mul(a, b)[slot])
 
 
 def test_capped_jet_reads_outside_the_cap_raise():
