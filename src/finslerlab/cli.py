@@ -291,76 +291,65 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_tensors(args) -> int:
+def _tensors_at(prog, z, v) -> dict:
+    rep = levi_check(prog, z, v)
+    p = adapted_frame(prog, z, v, rep)
+    forms = forms_at(prog, p.z, p.e0, p.U)
+    return {
+        "z": z, "v": v, "frame": p.U,
+        "h_mixed": forms.h_mixed, "h_pure": forms.h_pure,
+        "H": forms.comp[(2, 1)], "H_pure": forms.comp[(3, 0)],
+        "HH": forms.comp[(2, 2)],
+        "levi_eigenvalues": rep.eigenvalues, "levi_verdict": rep.verdict,
+    }
+
+
+def _connection_at(prog, z, v) -> dict:
+    p = adapted_frame(prog, z, v)
+    cm = solve_connection(prog, p)
+    return {
+        "z": z, "v": v, "frame": p.U, "E": cm.E,
+        "index_legend": "E[a][b][g]: row a, column b, direction g; "
+                        "lift of frame direction w has dU = U (sum_g E[:,:,g] w^g)",
+        "closed_form_gap": cm.closed_form_gap,
+        "min_singular_ratio": cm.min_singular_ratio,
+        "solve_residual": cm.residual,
+    }
+
+
+def _structure_at(prog, z, v) -> dict:
+    p = adapted_frame(prog, z, v)
+    sf = extract_structure(prog, p)
+    res = structure_equation_residuals(sf)
+    bia = bianchi_residuals(sf)
+    qgap = float(np.max(np.abs(sf.Q - closed_form_Q(sf.frame)))) if prog.dim > 1 else 0.0
+    ph, pH = closed_form_P(sf.table)
+    pgap = max(float(np.max(np.abs(sf.P_h - ph), initial=0.0)),
+               float(np.max(np.abs(sf.P_H - pH), initial=0.0)))
+    return {
+        "point": {"z": p.z, "v": p.e0},
+        "frame": p.U,
+        "T": sf.T, "R": sf.R, "R_raw": sf.R_raw,
+        "P": {"h_derivative_family": sf.P_h, "H_derivative_family": sf.P_H},
+        "Q": sf.Q, "h_vert": sf.h_vert, "H_vert": sf.H_vert,
+        "u_embedding": sf.u_embedding,
+        "residuals": {
+            "eq529": res["eq529"], "eq533": res["eq533"], "eq534": res["eq534"],
+            "eq535": res["eq535"], "eq536": res["eq536"],
+            "bianchi": [bia["b541"], bia["b542"], bia["b543"], bia["b544"]],
+            "decomposition": sf.residual,
+            "closed_form_Q_gap": qgap, "closed_form_P_gap": pgap,
+        },
+        "finsler_norms": res["finsler_norms"],
+    }
+
+
+def cmd_points(at, args) -> int:
+    """The report of tensors, connection or structure: at(prog, z, v) of
+    each point."""
     prog, entry = resolve_metric(args.metric)
-    points = _points(prog, entry, args)
-    out = []
-    for z, v in points:
-        rep = levi_check(prog, z, v)
-        p = adapted_frame(prog, z, v, rep)
-        forms = forms_at(prog, p.z, p.e0, p.U)
-        out.append({
-            "z": z, "v": v, "frame": p.U,
-            "h_mixed": forms.h_mixed, "h_pure": forms.h_pure,
-            "H": forms.comp[(2, 1)], "H_pure": forms.comp[(3, 0)],
-            "HH": forms.comp[(2, 2)],
-            "levi_eigenvalues": rep.eigenvalues, "levi_verdict": rep.verdict,
-        })
-    _emit({"command": "tensors", "metric": args.metric, "points": out,
-           "timestamp": time.time()}, args.json)
-    return 0
-
-
-def cmd_connection(args) -> int:
-    prog, entry = resolve_metric(args.metric)
-    points = _points(prog, entry, args)
-    out = []
-    for z, v in points:
-        p = adapted_frame(prog, z, v)
-        cm = solve_connection(prog, p)
-        out.append({
-            "z": z, "v": v, "frame": p.U, "E": cm.E,
-            "index_legend": "E[a][b][g]: row a, column b, direction g; "
-                            "lift of frame direction w has dU = U (sum_g E[:,:,g] w^g)",
-            "closed_form_gap": cm.closed_form_gap,
-            "min_singular_ratio": cm.min_singular_ratio,
-            "solve_residual": cm.residual,
-        })
-    _emit({"command": "connection", "metric": args.metric, "points": out,
-           "timestamp": time.time()}, args.json)
-    return 0
-
-
-def cmd_structure(args) -> int:
-    prog, entry = resolve_metric(args.metric)
-    points = _points(prog, entry, args)
-    out = []
-    for z, v in points:
-        p = adapted_frame(prog, z, v)
-        sf = extract_structure(prog, p)
-        res = structure_equation_residuals(sf)
-        bia = bianchi_residuals(sf)
-        qgap = float(np.max(np.abs(sf.Q - closed_form_Q(sf.frame)))) if prog.dim > 1 else 0.0
-        ph, pH = closed_form_P(sf.table)
-        pgap = max(float(np.max(np.abs(sf.P_h - ph), initial=0.0)),
-                   float(np.max(np.abs(sf.P_H - pH), initial=0.0)))
-        out.append({
-            "point": {"z": p.z, "v": p.e0},
-            "frame": p.U,
-            "T": sf.T, "R": sf.R, "R_raw": sf.R_raw,
-            "P": {"h_derivative_family": sf.P_h, "H_derivative_family": sf.P_H},
-            "Q": sf.Q, "h_vert": sf.h_vert, "H_vert": sf.H_vert,
-            "u_embedding": sf.u_embedding,
-            "residuals": {
-                "eq529": res["eq529"], "eq533": res["eq533"], "eq534": res["eq534"],
-                "eq535": res["eq535"], "eq536": res["eq536"],
-                "bianchi": [bia["b541"], bia["b542"], bia["b543"], bia["b544"]],
-                "decomposition": sf.residual,
-                "closed_form_Q_gap": qgap, "closed_form_P_gap": pgap,
-            },
-            "finsler_norms": res["finsler_norms"],
-        })
-    _emit({"command": "structure", "metric": args.metric, "points": out,
+    out = [at(prog, z, v) for z, v in _points(prog, entry, args)]
+    _emit({"command": args.command, "metric": args.metric, "points": out,
            "timestamp": time.time()}, args.json)
     return 0
 
@@ -459,12 +448,11 @@ def cmd_compare(args) -> int:
 # --------------------------------------------------------------------------
 
 def _common(sub):
+    """The options of the commands that run at sample points or at --at."""
     sub.add_argument("--metric", required=True, help="catalog id or metric file")
     sub.add_argument("--at", type=_parse_point, help='point, e.g. "z=0.3+0i,0;v=1,0"')
     sub.add_argument("--samples", type=_int_in(1, MAX_SAMPLES), default=10)
     sub.add_argument("--seed", type=_int_in(0), default=0)
-    sub.add_argument("--tol", type=_positive_float, default=1.0,
-                     help="tolerance scale factor (check) or threshold (compare)")
     sub.add_argument("--json", help="write the JSON report to this path")
 
 
@@ -483,19 +471,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("check", help="run the full identity suite")
     _common(s)
+    s.add_argument("--tol", type=_positive_float, default=1.0,
+                   help="scale factor of the residual tolerances")
     s.set_defaults(fn=cmd_check)
 
-    s = sp.add_parser("tensors", help="fiber forms and Levi data at points")
-    _common(s)
-    s.set_defaults(fn=cmd_tensors)
-
-    s = sp.add_parser("connection", help="connection coefficients at points")
-    _common(s)
-    s.set_defaults(fn=cmd_connection)
-
-    s = sp.add_parser("structure", help="structure functions and residuals")
-    _common(s)
-    s.set_defaults(fn=cmd_structure)
+    for name, at, help_text in (
+            ("tensors", _tensors_at, "fiber forms and Levi data at points"),
+            ("connection", _connection_at, "connection coefficients at points"),
+            ("structure", _structure_at, "structure functions and residuals")):
+        s = sp.add_parser(name, help=help_text)
+        _common(s)
+        s.set_defaults(fn=functools.partial(cmd_points, at))
 
     s = sp.add_parser("classify", help="curvature classification report")
     _common(s)

@@ -8,6 +8,9 @@ Grammar (whitespace insignificant)::
     atom   := number | ident | func '(' expr ')' | '(' expr ')' | '-' atom
     func   := conj | re | im | abs2 | sqrt
     ident  := z1..zn | v1..vn
+    number := (digits ['.' [digits]] | '.' digits) [('e'|'E') ['+'|'-'] digits]
+
+Digits and letters are ASCII.
 
 The parser compiles F^2 once into a postorder tape on which equal
 subexpressions share one entry.  A compiled program evaluates F^2 and its
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,54 +63,31 @@ class Token:
     column: int
 
 
+# the token classes, tried in this order at each offset; numbers, identifiers
+# and the z/v indices in them are ASCII, whitespace is any str.isspace
+_TOKEN = re.compile(r"""
+    (?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[-+*/^()])
+  | (?P<space>\s+)
+  | (?P<other>.)
+""", re.VERBOSE)
+
+
 def _tokenize(src: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < len(src) and src[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < len(src) and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            if j < len(src) and src[j] in "eE":
-                k = j + 1
-                if k < len(src) and src[k] in "+-":
-                    k += 1
-                if k < len(src) and src[k].isdigit():
-                    while k < len(src) and src[k].isdigit():
-                        k += 1
-                    j = k
-            tokens.append(Token("num", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(Token("op", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise MetricSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+    line, start = 1, 0  # the current line and the offset at which it starts
+    for m in _TOKEN.finditer(src):
+        kind, text, column = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "space":
+            if "\n" in text:
+                line += text.count("\n")
+                start = m.start() + text.rindex("\n") + 1
+        elif kind == "other":
+            raise MetricSyntaxError(f"unexpected character {text!r}", line, column)
+        else:
+            tokens.append(Token(kind, text, line, column))
+    tokens.append(Token("end", "", line, len(src) - start + 1))
     return tokens
 
 
@@ -208,6 +189,11 @@ class _Parser:
 # compiled program
 # --------------------------------------------------------------------------
 
+# 'dim = <n>' on the first non-blank line, in ASCII digits, then 'F2 =' on a
+# later line; the expression runs from there to the end of the file
+_METRIC_FILE = re.compile(r"\s*dim[ \t]*=[ \t]*([0-9]+)\s*\n\s*F2[ \t]*=(.*)", re.DOTALL)
+
+
 @dataclass(frozen=True)
 class MetricSource:
     """Raw definition of a metric: chart dimension and the F^2 expression."""
@@ -217,19 +203,17 @@ class MetricSource:
 
     @staticmethod
     def from_file(path) -> "MetricSource":
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if len(lines) < 2 or not lines[0].replace(" ", "").startswith("dim="):
-            raise MetricSyntaxError("metric file must start with 'dim = <n>' then 'F2 = <expr>'", 1, 1)
         try:
-            dim = int(lines[0].split("=", 1)[1])
-        except ValueError:
-            raise MetricSyntaxError("dim must be an integer", 1, 1) from None
-        if dim < 1:
-            raise MetricSyntaxError("dim must be positive", 1, 1)
-        if not lines[1].replace(" ", "").startswith("F2="):
-            raise MetricSyntaxError("second line must be 'F2 = <expr>'", 2, 1)
-        return MetricSource(dim, lines[1].split("=", 1)[1].strip())
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FinslerError(f"cannot read metric file {path}: "
+                               f"{getattr(exc, 'strerror', None) or exc}") from None
+        head = _METRIC_FILE.match(text)
+        if head is None:
+            raise MetricSyntaxError("metric file must start with 'dim = <n>' then 'F2 = <expr>'",
+                                    1, 1)
+        return MetricSource(int(head[1]), head[2].strip())
 
 
 def _divide(a, b):

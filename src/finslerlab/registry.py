@@ -13,18 +13,14 @@ import numpy as np
 from .metric_dsl import FinslerError, MetricProgram, MetricSource, parse_metric
 
 
-def _ball_f2(n: int) -> str:
+def _space_form_f2(n: int, sign: str) -> str:
+    """F^2 = ((1 s |z|^2)|v|^2 - s |<v, z>|^2) / (1 s |z|^2)^2 with s = sign:
+    the ball for '-', the Fubini-Study chart for '+'."""
+    flip = "+" if sign == "-" else "-"
     zz = " + ".join(f"abs2(z{k})" for k in range(1, n + 1))
     vv = " + ".join(f"abs2(v{k})" for k in range(1, n + 1))
     zv = " + ".join(f"conj(z{k})*v{k}" for k in range(1, n + 1))
-    return f"((1 - ({zz}))*({vv}) + abs2({zv}))/(1 - ({zz}))^2"
-
-
-def _fs_f2(n: int) -> str:
-    zz = " + ".join(f"abs2(z{k})" for k in range(1, n + 1))
-    vv = " + ".join(f"abs2(v{k})" for k in range(1, n + 1))
-    zv = " + ".join(f"conj(z{k})*v{k}" for k in range(1, n + 1))
-    return f"((1 + ({zz}))*({vv}) - abs2({zv}))/(1 + ({zz}))^2"
+    return f"((1 {sign} ({zz}))*({vv}) {flip} abs2({zv}))/(1 {sign} ({zz}))^2"
 
 
 def _flat_f2(n: int) -> str:
@@ -74,17 +70,17 @@ def catalog() -> list[CatalogEntry]:
                      MetricSource(1, "abs2(v1)/(1 - abs2(z1))^2"),
                      {"hermitian": True, "kahler": True, "hsc": -4.0,
                       "e_manifold": True}, 0.7, _unit_ball_domain),
-        CatalogEntry("poincare_ball_2", MetricSource(2, _ball_f2(2)),
+        CatalogEntry("poincare_ball_2", MetricSource(2, _space_form_f2(2, "-")),
                      {"hermitian": True, "kahler": True, "hsc": -4.0,
                       "e_manifold": True}, 0.7, _unit_ball_domain),
-        CatalogEntry("poincare_ball_3", MetricSource(3, _ball_f2(3)),
+        CatalogEntry("poincare_ball_3", MetricSource(3, _space_form_f2(3, "-")),
                      {"hermitian": True, "kahler": True, "hsc": -4.0,
                       "e_manifold": True}, 0.6, _unit_ball_domain),
         CatalogEntry("fubini_study_1",
                      MetricSource(1, "abs2(v1)/(1 + abs2(z1))^2"),
                      {"hermitian": True, "kahler": True, "hsc": 4.0,
                       "e_manifold": True}, 0.8),
-        CatalogEntry("fubini_study_2", MetricSource(2, _fs_f2(2)),
+        CatalogEntry("fubini_study_2", MetricSource(2, _space_form_f2(2, "+")),
                      {"hermitian": True, "kahler": True, "hsc": 4.0,
                       "e_manifold": True}, 0.8),
         CatalogEntry("hermitian_nonconstant",

@@ -153,6 +153,25 @@ def test_compare_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tol_scales_check_and_thresholds_compare(capsys):
+    def report(argv):
+        assert run(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    check = ["check", "--metric", "flat_1", "--samples", "1"]
+    base, scaled = report(check), report(check + ["--tol", "4"])
+    # every tolerance is scaled but the two thresholds on non-zero quantities
+    fixed = {"levi_strong_pseudoconvexity", "hermitian_dichotomy"}
+    assert [c["tolerance"] * (1 if c["name"] in fixed else 4) for c in base["checks"]] == \
+        [c["tolerance"] for c in scaled["checks"]]
+    compare = ["compare", "--metric-a", "flat_1", "--metric-b", "poincare_disc",
+               "--at-a", "z=0;v=1", "--at-b", "z=0;v=1"]
+    default, loose = report(compare), report(compare + ["--tol", "1e6"])
+    assert default["comparison"]["tolerance"] == 1e-3
+    assert (default["comparison"]["verdict"], loose["comparison"]["verdict"]) == \
+        ("differ", "match")
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -199,6 +218,11 @@ BAD_ARGUMENTS = [
      "--at-a", "z=0.1;v=1", "--at-b", "z=0.2;v=1", "--fiber-samples", "-2"],
     ["check", "--metric", "flat_1", "--samples", "1", "--tol", "0"],
     ["check", "--metric", "flat_1", "--samples", "1", "--tol", "nan"],
+    # --tol belongs to check and compare only
+    ["tensors", "--metric", "flat_1", "--samples", "1", "--tol", "1"],
+    ["connection", "--metric", "flat_1", "--samples", "1", "--tol", "1"],
+    ["structure", "--metric", "flat_1", "--samples", "1", "--tol", "1"],
+    ["classify", "--metric", "flat_1", "--samples", "1", "--tol", "1"],
     # seeds are non-negative
     ["check", "--metric", "poincare_disc", "--samples", "1", "--seed", "-1"],
     ["compare", "--metric-a", "poincare_disc", "--metric-b", "poincare_disc",
@@ -318,6 +342,42 @@ def test_deeply_nested_metric_file_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert json.loads(err)["type"] == "MetricSyntaxError"
     assert "Traceback" not in err
+
+
+def test_continued_metric_file_is_read_whole(tmp_path, capsys):
+    # an F2 that continues on the next line is the whole expression: the
+    # disc, not the flat metric its first line would be
+    reports = []
+    for name, f2 in (("one.fm", "abs2(v1)/(1 - abs2(z1))^2"),
+                     ("two.fm", "abs2(v1)\n   / (1 - abs2(z1))^2")):
+        path = tmp_path / name
+        path.write_text(f"dim = 1\nF2 = {f2}\n")
+        assert run(["classify", "--metric", str(path), "--samples", "3", "--seed", "1"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        reports.append(rep["report"])
+    assert reports[0] == reports[1]
+    assert reports[0]["constant_hsc"]["c"] == pytest.approx(-4.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("name, content, error_type", [
+    ("a directory", None, "FinslerError"),
+    ("a 0xFF byte", b"dim = 1\nF2 = abs2(v1)\xff\n", "FinslerError"),
+    ("a superscript two", "dim = 1\nF2 = abs2(v1)\u00b2\n", "MetricSyntaxError"),
+    ("an Arabic-Indic index", "dim = 1\nF2 = abs2(v\u0661)\n", "MetricSyntaxError"),
+    ("an Arabic-Indic dim", "dim = \u0661\nF2 = abs2(v1)\n", "MetricSyntaxError"),
+    ("a trailing line", "dim = 1\nF2 = abs2(v1)\nextra = 3\n", "MetricSyntaxError"),
+])
+def test_hostile_metric_file_exit_3(tmp_path, capsys, name, content, error_type):
+    path = tmp_path / "m.fm"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code = run(["structure", "--metric", str(path), "--samples", "1"])
+    out, err = capsys.readouterr()
+    assert_clean_exit(code, err)
+    assert code == 3 and out == "", name
+    assert json.loads(err)["type"] == error_type, name
 
 
 def test_threads_env_does_not_change_results(tmp_path, capsys, monkeypatch):

@@ -3,11 +3,13 @@ import pytest
 
 from finslerlab import (
     EvaluationError,
+    FinslerError,
     MetricSource,
     MetricSyntaxError,
     load_metric,
     parse_metric,
 )
+from finslerlab.metric_dsl import _tokenize
 from oracles import derivative, fd_derivative
 
 
@@ -70,6 +72,73 @@ def test_metric_file_roundtrip(tmp_path):
     prog = load_metric(path)
     assert prog.dim == 1
     assert prog.eval([0.3], [1.0]) == pytest.approx(1 / (1 - 0.09) ** 2)
+
+
+def test_metric_file_expression_runs_to_the_end(tmp_path):
+    # the expression continues past its first line, and a stray line after it
+    # is part of the expression, so a syntax error
+    path = tmp_path / "disc.fm"
+    path.write_text("\n  dim = 1\n\nF2 = abs2(v1)\n   / (1 - abs2(z1))^2\n\n")
+    assert load_metric(path).eval([0.3], [1.0]) == pytest.approx(1 / (1 - 0.09) ** 2)
+    path.write_text("dim = 1\nF2 = abs2(v1)\nextra = 3\n")
+    with pytest.raises(MetricSyntaxError, match="unexpected character '='") as err:
+        load_metric(path)
+    assert (err.value.line, err.value.column) == (2, 7)
+    path.write_text("dim = 1\nF2 = abs2(v1)\nabs2(z1)\n")
+    with pytest.raises(MetricSyntaxError, match="trailing input 'abs2'") as err:
+        load_metric(path)
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
+@pytest.mark.parametrize("text", ["dim = \u0661\nF2 = abs2(v1)\n", "dim = 1\n",
+                                  "F2 = abs2(v1)\ndim = 1\n", "dim = 1 F2 = abs2(v1)\n"])
+def test_malformed_metric_file_header(tmp_path, text):
+    path = tmp_path / "bad.fm"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MetricSyntaxError, match="must start with 'dim = <n>'"):
+        load_metric(path)
+
+
+def test_unreadable_metric_file(tmp_path):
+    path = tmp_path / "bad.fm"
+    path.write_bytes(b"dim = 1\nF2 = abs2(v1)\xff\n")
+    for target in (path, tmp_path, tmp_path / "missing.fm"):
+        with pytest.raises(FinslerError, match=f"cannot read metric file {target}: "):
+            load_metric(target)
+
+
+def _tokens(src):
+    return [(t.kind, t.text, t.line, t.column) for t in _tokenize(src)]
+
+
+@pytest.mark.parametrize("src, tokens", [
+    ("1.", [("num", "1.", 1, 1), ("end", "", 1, 3)]),
+    (".5", [("num", ".5", 1, 1), ("end", "", 1, 3)]),
+    ("1e5", [("num", "1e5", 1, 1), ("end", "", 1, 4)]),
+    ("1e", [("num", "1", 1, 1), ("ident", "e", 1, 2), ("end", "", 1, 3)]),
+    ("1e+", [("num", "1", 1, 1), ("ident", "e", 1, 2), ("op", "+", 1, 3), ("end", "", 1, 4)]),
+    ("1.2.3", [("num", "1.2", 1, 1), ("num", ".3", 1, 4), ("end", "", 1, 6)]),
+    ("2.5E-3*z1_", [("num", "2.5E-3", 1, 1), ("op", "*", 1, 7), ("ident", "z1_", 1, 8),
+                    ("end", "", 1, 11)]),
+    # a tab or a carriage return is one column; only a newline starts a line
+    ("v1 \t\r\n\n  ", [("ident", "v1", 1, 1), ("end", "", 3, 3)]),
+    ("\n(v2\n )\n", [("op", "(", 2, 1), ("ident", "v2", 2, 2), ("op", ")", 3, 2),
+                      ("end", "", 4, 1)]),
+])
+def test_tokens(src, tokens):
+    assert _tokens(src) == tokens
+
+
+@pytest.mark.parametrize("src, char, column", [
+    ("12..", ".", 4), ("abs2(v1) # note", "#", 10), ("x = 1", "=", 3),
+    # digits and letters are ASCII: a superscript two or an Arabic-Indic one
+    # is no digit, and an accented letter is no identifier
+    ("abs2(v1)\u00b2", "\u00b2", 9), ("abs2(v\u0661)", "\u0661", 7), ("\u00e9", "\u00e9", 1),
+])
+def test_unexpected_character(src, char, column):
+    with pytest.raises(MetricSyntaxError, match=f"unexpected character {char!r}") as err:
+        _tokenize(src)
+    assert (err.value.line, err.value.column) == (1, column)
 
 
 def test_jet_order_zero_equals_eval():

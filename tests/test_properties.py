@@ -69,6 +69,20 @@ def test_dsl_raises_only_finsler_errors(expr, z, v):
                 pass
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text())
+@example("abs2(v1)\u00b2")  # a superscript two, which str.isdigit takes for a digit
+@example("abs2(v\u0661)")  # an Arabic-Indic one, which int() reads as 1
+def test_dsl_reads_any_text_or_raises_finsler_error(text):
+    # the front end raises nothing but a FinslerError on any text, and what
+    # it compiles is ASCII apart from whitespace
+    try:
+        parse_metric(MetricSource(DIM, text))
+    except FinslerError:
+        return
+    assert all(c.isascii() or c.isspace() for c in text), text
+
+
 # -- fuzzed argv -----------------------------------------------------------------
 
 metrics = st.sampled_from(["poincare_disc", "poincare_ball_2", "flat_1", "l4_finsler",
