@@ -272,7 +272,10 @@ def cmd_check(args) -> int:
         sigma0 = max(sigma0, r["finsler_norms"]["sigma0"])
         add("structure_equations", max(r["eq529"], r["eq533"], r["eq534"],
                                        r["eq535"], r["eq536"]), 1e-10 * scale)
-        add("bracket_decomposition", r["decomposition_residual"], 1e-5 * scale)
+        # the part of a bracket off the fields is round-off: at most 1.6e-14
+        # measured over the catalog, two non-Hermitian metrics with base
+        # dependence and three metrics of Levi eigenvalues down to 1e-8
+        add("bracket_decomposition", r["decomposition_residual"], 1e-11 * scale)
     for sf in structures[:2]:
         b = bianchi_residuals(sf)
         add("bianchi_identities", max(b.values()), 1e-10 * scale)

@@ -116,13 +116,6 @@ def verify_tangent(prog: MetricProgram, p: BundlePoint, t: AmbientTangent,
     return float(np.max(np.abs(gram_derivative(jet, delta, A))))
 
 
-def unpack_real(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(dz, dU) of a packed-real vector, or of each row of a stack of them."""
-    dz = vec[..., :n] + 1j * vec[..., n:2 * n]
-    dU = vec[..., 2 * n:2 * n + n * n] + 1j * vec[..., 2 * n + n * n:]
-    return dz, dU.reshape(vec.shape[:-1] + (n, n))
-
-
 def complexify(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
     """Complexified stack (dz, dzbar, dU, dUbar) of an ambient tangent, or of
     each tangent of a stack (leading axes on dz and dU alike)."""

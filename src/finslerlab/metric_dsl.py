@@ -213,7 +213,10 @@ class MetricSource:
         if head is None:
             raise MetricSyntaxError("metric file must start with 'dim = <n>' then 'F2 = <expr>'",
                                     1, 1)
-        return MetricSource(int(head[1]), head[2].strip())
+        # the expression keeps its place in the file, what precedes it
+        # blanked, so that a syntax error in it names the file's line and column
+        return MetricSource(int(head[1]),
+                            re.sub(r"[^\n]", " ", text[:head.start(2)]) + head[2].rstrip())
 
 
 def _divide(a, b):

@@ -2,20 +2,25 @@
 
 The parallelism consists of the 2n horizontal lifts, the 2(n-1) Webster-type
 vertical fields, the fiber rotation generator and a fixed skew-Hermitian
-basis of the block algebra acting on e_1..e_{n-1}.  Each field is U @ G for
-a generator G of the stack ``_generators`` forms, all built in one place,
-``_field_stack``; G is linear in the connection coefficients E and the
-frame forms C(2, 0), C(2, 1).  The components of the fields' brackets
-(``_bracket_table``) in the parallelism basis, ``bracket_coefficients``,
-are the structure functions, the complete local isometry invariants; the
-complexified basis is the constant combinations K of the real fields
-(``_complex_combination_matrix``).  ``structure_derivative`` takes their
-derivatives of any order along the fields, from B c = br differentiated by
-Leibniz, and its lift rows give the curvature's for Bianchi.  The
-structure equations take no derivative: the coframe (theta, varpi) is
-dual to the parallelism, so its exterior derivative on a pair of fields is
-minus its value on their bracket, and on frame increments (delta, A) it
-needs no inverse of the frame: theta = delta and omega = A - E(delta).
+basis of the block algebra acting on e_1..e_{n-1}.  Each field is U (w, G),
+with frame increments (w, G) for a constant w and a generator G of the
+stack ``_generators`` forms; G is linear in the connection coefficients E
+and the frame forms C(2, 0), C(2, 1).  The bracket table
+(``_bracket_table``) holds the fields and their exact brackets in frame
+increments.  The components of the brackets in the parallelism basis,
+``bracket_coefficients``, are the structure functions, the complete local
+isometry invariants.  They are the values of the coframe (theta, varpi)
+dual to the parallelism on the brackets: on frame increments (delta, A)
+the coframe needs no inverse of the frame, theta = delta and omega = A -
+E(delta), so the table's coframe matrix is the fields' left inverse and
+no decomposition solves.  The complexified basis is the constant
+combinations K of the real fields (``_complex_combination_matrix``).
+``structure_derivative`` takes the structure functions' derivatives of
+any order along the fields, from B c = br differentiated by Leibniz, and
+its lift rows give the curvature's for Bianchi.  The structure equations
+take no derivative: the coframe is dual to the parallelism, so its
+exterior derivative on a pair of fields is minus its value on their
+bracket.
 
 Convention anchor: curvature components are extracted raw from brackets and
 additionally reported in the holomorphic-sectional-curvature normalization
@@ -33,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from .connection import FrameData, Rows, frame_data, frame_derivatives, whole
-from .frame_bundle import BundlePoint, complexify, unpack_real, vertical_relations_residual
+from .frame_bundle import BundlePoint, complexify, vertical_relations_residual
 from .metric_dsl import FinslerError, MetricProgram
 
 HSC_NORMALIZATION = 2.0  # reported curvature = raw bracket coefficient * this
@@ -140,35 +145,14 @@ def _correct_vertical(Ge: np.ndarray, C20: np.ndarray, C21: np.ndarray):
     Ge[..., 1::2, :, :] -= 1j * corr
 
 
-def _field_stack(fd: FrameData, G: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The parallelism fields at the point of fd, all built here.
-
-    Returns (dz, P) with P = U @ G for the stack G of _generators (passed
-    in, or built here), formed in one matmul.  Real field j of labels_real
-    is the ambient tangent (dz[j], P[j])."""
-    n = fd.n
-    dz = np.zeros((n * n + 2 * n, n), dtype=complex)
-    # U w as matrix-vector products: a matrix product can differ in the sign
-    # of a zero, which the least-squares solves downstream propagate
-    np.matmul(fd.U, _stack_layout(n)[1][:2 * n, :, None], out=dz[:2 * n, :, None])
-    return dz, np.matmul(fd.U, _generators(fd) if G is None else G)
-
-
-def _packed(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
-    """Ambient tangents (dz, dU), any leading axes, as packed-real rows
-    (pack_real of each)."""
-    flat = dU.reshape(dz.shape[:-1] + (-1,))
-    return np.concatenate([dz.real, dz.imag, flat.real, flat.imag], axis=-1)
-
-
-def _packed_frame(U: np.ndarray, delta: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """_packed of the tangents with frame increments (delta, A): (U delta, U A)."""
-    return _packed(np.matmul(U, delta[..., None])[..., 0], np.matmul(U, A))
-
-
 def _real_field_matrix(prog: MetricProgram, z, U) -> np.ndarray:
-    """All parallelism fields at (z, U), packed as real columns."""
-    return _packed(*_field_stack(frame_data(prog, z, U))).T
+    """All parallelism fields at (z, U) as real columns: field j of
+    labels_real is the ambient tangent (U W[j], U G[j]) of _stack_layout and
+    _generators, its dz then dU, real parts, then imaginary parts."""
+    fd = frame_data(prog, z, U)
+    dz = np.matmul(fd.U, _stack_layout(fd.n)[1][..., None])[..., 0]
+    dU = np.matmul(fd.U, _generators(fd)).reshape(len(dz), -1)
+    return np.concatenate([dz.real, dz.imag, dU.real, dU.imag], axis=1).T
 
 
 @cache
@@ -218,12 +202,6 @@ def _complex_combination_inverse(n: int) -> np.ndarray:
     return Kinv
 
 
-def _complex_basis(vals: np.ndarray, n: int) -> np.ndarray:
-    """The complexified basis fields (dz, dzbar, dU, dUbar), one per row:
-    K applied to the complexified real fields, the columns of vals."""
-    return _complex_combination_matrix(n) @ complexify(*unpack_real(vals.T, n))
-
-
 # --------------------------------------------------------------------------
 # the bracket table
 # --------------------------------------------------------------------------
@@ -231,15 +209,16 @@ def _complex_basis(vals: np.ndarray, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class FieldTable:
     """The real parallelism fields at one point and their exact derivatives
-    along each other, as _bracket_table builds them."""
+    along each other, as _bracket_table builds them, all in frame
+    increments; an array over increments holds their coordinates on the
+    M = 2 (n + n^2) elements of _increment_basis."""
 
-    G: np.ndarray      # (N, n, n) the generator stack
-    first: tuple       # (dE, dC20, dC21) along each field, leading axis N
-    D: tuple           # frame increments of D[a, b] = D_a X_b, shapes (N, N, n), (N, N, n, n)
-    vals: np.ndarray   # (P, N) vals[:, m] is field m, packed real
-    pinv: np.ndarray   # (N, P) the pseudo-inverse of vals
-    br: np.ndarray     # (N, N, P) br[a, b] = D_a X_b - D_b X_a, packed as vals
-    fields: tuple      # (W, G): the frame increments of the fields, as one stack
+    G: np.ndarray        # (N, n, n) the generator stack
+    first: tuple         # (dE, dC20, dC21) along each field, leading axis N
+    D: tuple             # frame increments of D[a, b] = D_a X_b, shapes (N, N, n), (N, N, n, n)
+    coframe: np.ndarray  # (N, M) the fields' left inverse on increment coordinates (_coframe_matrix)
+    br: np.ndarray       # (N, N, M) the coordinates of br[a, b] = D_a X_b - D_b X_a
+    fields: tuple        # (W, G): the frame increments of the fields, as one stack
     cache: dict = field(default_factory=dict, repr=False, compare=False)  # structure_derivative's
 
 
@@ -252,7 +231,7 @@ def _bracket_table(fd: FrameData) -> FieldTable:
     with dG the stack _fill_generators builds from the derivatives of
     (E, C20, C21).  A report builds it once per point and hands it on with
     the frame data; every derivative along the fields there is read from
-    it, and every decomposition on the fields is a product with its pinv.
+    it, and every decomposition on the fields is a product with its coframe.
     """
     G = _generators(fd)
     fields = (_stack_layout(fd.n)[1], G)
@@ -260,9 +239,8 @@ def _bracket_table(fd: FrameData) -> FieldTable:
     first = frame_derivatives(fd, (fields,), memo)
     dG = _generator_derivatives(first)
     D = _field_derivatives(G, G, dG)
-    vals = _packed(*_field_stack(fd, G)).T
-    return FieldTable(G=G, first=first, D=D, vals=vals, pinv=np.linalg.pinv(vals),
-                      br=_packed_frame(fd.U, *(d - d.swapaxes(0, 1) for d in D)),
+    return FieldTable(G=G, first=first, D=D, coframe=_coframe_matrix(fd),
+                      br=_increment_coordinates(*(d - d.swapaxes(0, 1) for d in D)),
                       fields=fields, cache={"memo": memo, ("G", id(fields)): (fields, dG)})
 
 
@@ -288,10 +266,9 @@ def _field_derivatives(G: np.ndarray, A: np.ndarray, dG: np.ndarray):
 
 def bracket_coefficients(table: FieldTable) -> np.ndarray:
     """c[a, b, i]: the component of the bracket of real fields a and b on
-    real field i, by least squares on the real fields, from the bracket
-    table at a point."""
-    N = len(table.pinv)
-    return (table.pinv @ table.br.reshape(N * N, -1).T).T.reshape(N, N, N)
+    real field i, the coframe's value on the exact bracket, from the
+    bracket table at a point."""
+    return table.br @ table.coframe.T
 
 
 # --------------------------------------------------------------------------
@@ -454,15 +431,15 @@ def structure_derivative(fd: FrameData, table: FieldTable, order: int = 1,
     a < b, of np.triu_indices; s_k in rows (all when None).
 
     B c = br, B the matrix of the fields, holds along the bundle, to which
-    they are tangent, and B has full column rank, so by Leibniz (Golub and
-    Pereyra, 1973), with S = (s_1, .., s_k) and S1 not empty,
+    they are tangent, so by Leibniz, with S = (s_1, .., s_k) and S1 not
+    empty, and L any left inverse of B at the point,
 
-        Y_S c = B^+ (Y_S br - sum over S1 + S2 = S of (Y_S1 B) Y_S2 c),
+        Y_S c = L (Y_S br - sum over S1 + S2 = S of (Y_S1 B) Y_S2 c),
 
     with Y_S1 B the iterated fields Y_S1 X_i and Y_S br[a, b] = Y_S Y_a X_b
-    - (a <-> b) from _iterated, whose coordinates B^+ maps by one real
-    matrix.  The lower orders and every whole order are kept in the table's
-    cache; order k is taken a chunk of s_k at a time.
+    - (a <-> b) from _iterated.  L is the table's coframe, which maps their
+    coordinates to components.  The lower orders and every whole order are
+    kept in the table's cache; order k is taken a chunk of s_k at a time.
     """
     key = ("tier", order)
     if rows is None and key in table.cache:
@@ -471,9 +448,6 @@ def structure_derivative(fd: FrameData, table: FieldTable, order: int = 1,
     a, b = np.triu_indices(N, 1)
     tiers = [bracket_coefficients(table)[a, b]]
     tiers += [structure_derivative(fd, table, j) for j in range(1, k)]
-    # the components of the frame increments of _increment_basis, whose
-    # coordinates are the units: the real map from coordinates to components
-    R = table.pinv @ _packed_frame(fd.U, *_increment_basis(n)).T
     dc, done = None, 0
     for chunk in _chunks(N, N ** (k + 1) * (n + n * n), rows):
         x = _iterated(fd, table, k + 1, chunk)
@@ -490,7 +464,7 @@ def structure_derivative(fd: FrameData, table: FieldTable, order: int = 1,
             placed = S2[::-1] + S1[::-1]
             rhs -= prod.transpose([placed.index(p) for p in range(k - 1, -1, -1)] + [k, k + 1])
             del prod
-        part = rhs @ R.T
+        part = rhs @ table.coframe.T
         del rhs
         if dc is None:
             dc = np.empty((len(part) if chunk is None else N if rows is None else len(rows),)
@@ -523,7 +497,6 @@ class StructureFunctions:
     residual: float        # worst bracket-decomposition residual
     frame: FrameData = field(repr=False)
     table: FieldTable = field(repr=False)
-    checks: dict = field(default_factory=dict)
     u_embedding: np.ndarray | None = None
 
     @property
@@ -542,12 +515,6 @@ def _carry(K: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _sup(*arrays) -> float:
     """Largest modulus of the entries of the arrays; 0 when there are none."""
     return float(np.max(np.abs(np.concatenate([a.ravel() for a in arrays])), initial=0.0))
-
-
-def _scalar_sup(*arrays) -> float:
-    """_sup with abs() of each complex scalar, which can differ from np.abs
-    of an array in the last bit; two of the reported checks are defined so."""
-    return float(max((abs(x) for a in arrays for x in a.flat), default=0.0))
 
 
 def _complex_coefficients(c: np.ndarray, n: int) -> np.ndarray:
@@ -582,67 +549,41 @@ def _raw_curvature(coeff: np.ndarray, n: int) -> np.ndarray:
 
 
 def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions:
-    """Decompose all parallelism brackets and read off the structure functions."""
+    """Read the structure functions off the coframe's values on the exact
+    brackets.  The residual is the part of each bracket off the fields: br
+    less c times the fields' coordinates, relative to max(1, |br|)."""
     n = prog.dim
     m = n - 1
     fd = frame_data(prog, p.z, p.U)
     table = _bracket_table(fd)
     K = _complex_combination_matrix(n)
     N = len(K)
-    basis = _complex_basis(table.vals, n)
-    brc = _carry(K, complexify(*unpack_real(table.br, n)))
 
-    coeff = _complex_coefficients(bracket_coefficients(table), n)
-    resid = brc - np.einsum("abi,id->abd", coeff, basis)
-    scale = np.maximum(1.0, np.linalg.norm(brc, axis=2))
+    c = bracket_coefficients(table)
+    resid = table.br - c @ _increment_coordinates(*table.fields)
+    scale = np.maximum(1.0, np.linalg.norm(table.br, axis=2))
     worst = float(np.max(np.linalg.norm(resid, axis=2) / scale))
     if worst > DECOMPOSITION_TOL:
         raise FinslerError(f"bracket decomposition residual {worst:.2e} exceeds tolerance")
 
+    coeff = _complex_coefficients(c, n)
     eh, ehb, ev, evb, t, V = _basis_blocks(n)
-    d = np.arange(m)
-    checks = {}
-
-    # torsion from holomorphic-holomorphic brackets
-    c = coeff[eh, eh]  # c[b, g, i]
-    T = -np.ascontiguousarray(c[:, :, eh].transpose(2, 0, 1))
-    checks["holomorphic_bracket_purity"] = _sup(c[:, :, n:])
-    checks["torsion_vs_connection"] = _sup(T - fd.torsion)
-
-    R = _raw_curvature(coeff, n)
-    checks["mixed_bracket_purity"] = _sup(coeff[eh, ehb, :2 * n])
-
-    # rotation generator relations: [t, e_0-hat] = i e_0-hat, [t, e_lam-hat] = 0
-    expect = np.zeros((n, N), dtype=complex)
-    expect[0, 0] = 1j
-    checks["rotation_horizontal"] = _sup(coeff[t, eh] - expect)
-
-    # vertical algebra: Q from mixed vertical brackets
+    # torsion from holomorphic-holomorphic brackets, Q from mixed vertical
+    # ones, the P families from mixed vertical-horizontal ones
+    T = -np.ascontiguousarray(coeff[eh, eh][:, :, eh].transpose(2, 0, 1))
     c = coeff[ev, evb]  # c[mu, nu, i]
-    checks["vertical_holomorphic_brackets"] = _sup(coeff[ev, ev])
-    checks["vertical_mixed_t_coefficient"] = _scalar_sup(c[:, :, t] + 1j * np.eye(m))
     Q = np.ascontiguousarray(c[:, :, V].reshape(m, m, m, m).transpose(2, 3, 0, 1)
                              + np.eye(m * m).reshape(m, m, m, m))
-
-    expect = np.zeros((m, N), dtype=complex)
-    expect[d, 2 * n + d] = -1j
-    checks["rotation_vertical"] = _sup(coeff[t, ev] - expect)  # includes Q^rho_{sig 0 nu} = 0
-
-    # mixed vertical-horizontal brackets: P families
     c = coeff[evb, eh]  # c[rho, g, i]
-    expect = np.zeros((m, n, n), dtype=complex)
-    expect[d, d + 1, 0] = -1.0  # leading horizontal part: -delta_{rho g} e0_hat
-    checks["vanishing_P_families"] = max(_sup(c[:, :, eh] - expect),
-                                         _scalar_sup(c[:, :, t], c[:, :, evb]))
     P_h = np.ascontiguousarray(c[:, :, ev].transpose(2, 0, 1))
     P_H = np.ascontiguousarray(c[:, :, V].reshape(m, n, m, m).transpose(2, 3, 0, 1))
 
     C20 = fd.C(2, 0)
     C21 = fd.C(2, 1)
     sf = StructureFunctions(
-        point=p, T=T, R_raw=R, Q=Q, P_h=P_h, P_H=P_H,
+        point=p, T=T, R_raw=_raw_curvature(coeff, n), Q=Q, P_h=P_h, P_H=P_H,
         h_vert=C20[1:, 1:].copy(), H_vert=C21[1:, 1:, 1:].copy(),
-        residual=worst, checks=checks, frame=fd, table=table,
+        residual=worst, frame=fd, table=table,
     )
     # record the embedding of the complex block basis in the real fields
     sf.u_embedding = K[N - m * m:].copy()
@@ -731,6 +672,22 @@ def _varpi(fd: FrameData, oh: np.ndarray, oa: np.ndarray) -> np.ndarray:
     w[..., 0, 1:] = -oa[..., 1:, 0]
     w[..., 1:, 1:] = oh[..., 1:, 1:] + np.einsum("abl,...l->...ab", corr, oh[..., :, 0])
     return w
+
+
+def _coframe_matrix(fd: FrameData) -> np.ndarray:
+    """L[i, u]: the component on real field i of element u of
+    _increment_basis, at the point of fd; L times the coordinates of the
+    fields is the identity.  The complexified basis is the dual frame of
+    the coframe components theta, thetabar, varpi[lam, 0], -varpi[0, lam],
+    -i varpi[0, 0] and varpi[rho, sig] (_complex_combination_matrix), so
+    their values on an increment are its components on that basis, which K
+    carries to the real fields; on a real increment those are real."""
+    n = fd.n
+    th, thb, oh, oa = _coframe(fd, complexify(*_increment_basis(n)))
+    w = _varpi(fd, oh, oa)
+    eta = np.concatenate([th, thb, w[:, 1:, 0], -w[:, 0, 1:], -1j * w[:, :1, 0],
+                          w[:, 1:, 1:].reshape(len(w), -1)], axis=1)
+    return np.real(eta @ _complex_combination_matrix(n)).T
 
 
 # --------------------------------------------------------------------------
@@ -844,7 +801,7 @@ def _pi_phi_forms(fd, table, TH, THb, W):
     # Phi[lam, mu] = sum_{rho, sig} Q[sig, mu, rho, lam] varpi[rho, 0] ^ varpi[0, sig]
     Q = closed_form_Q(fd)
     Phi[b, b] = np.einsum("smrl,rsij->lmij", Q, _wedge(W[b, 0], W[0, b]))
-    return Pi, Phi, _scalar_sup(d20b, d12, d21b), _scalar_sup(Q)
+    return Pi, Phi, _sup(d20b, d12, d21b), _sup(Q)
 
 
 # --------------------------------------------------------------------------

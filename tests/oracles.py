@@ -11,22 +11,24 @@ from finslerlab.frame_bundle import (
     adapted_frame,
     complexify,
     gram_rows,
-    unpack_real,
 )
 from finslerlab.geodesics import spray_coefficients
 from finslerlab.jets import V, VBAR, Z, ZBAR
 from finslerlab.metric_dsl import FinslerError
 from finslerlab.parallelism import (
     HSC_NORMALIZATION,
+    _basis_blocks,
     _coframe,
+    _complex_coefficients,
+    _complex_combination_matrix,
     _complex_lift_derivative,
     _complex_pairs,
-    _field_stack,
     _generators,
     _lift_derivative_of,
-    _bracket_table,
     _stack_layout,
+    _sup,
     _varpi,
+    bracket_coefficients,
     extract_structure,
 )
 
@@ -51,6 +53,43 @@ def frame_increments(U, dz, dU) -> tuple[np.ndarray, np.ndarray]:
     U = np.asarray(U, dtype=complex)
     return (np.linalg.solve(U, np.asarray(dz, dtype=complex)[..., None])[..., 0],
             np.linalg.solve(U, np.asarray(dU, dtype=complex)))
+
+
+def unpack_real(vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dz, dU) of a packed-real vector, or of each row of a stack of them."""
+    dz = vec[..., :n] + 1j * vec[..., n:2 * n]
+    dU = vec[..., 2 * n:2 * n + n * n] + 1j * vec[..., 2 * n + n * n:]
+    return dz, dU.reshape(vec.shape[:-1] + (n, n))
+
+
+def packed(dz: np.ndarray, dU: np.ndarray) -> np.ndarray:
+    """Ambient tangents (dz, dU), any leading axes, as packed-real rows
+    (pack_real of each)."""
+    flat = dU.reshape(dz.shape[:-1] + (-1,))
+    return np.concatenate([dz.real, dz.imag, flat.real, flat.imag], axis=-1)
+
+
+def field_stack(fd, G=None) -> tuple[np.ndarray, np.ndarray]:
+    """The parallelism fields at the point of fd as ambient tangents: (dz,
+    P) with dz = U W and P = U G for the frame components W of
+    parallelism._stack_layout and the generator stack G (passed in, or
+    built here).  Real field j of labels_real is (dz[j], P[j])."""
+    W = _stack_layout(fd.n)[1]
+    return (np.matmul(fd.U, W[..., None])[..., 0],
+            np.matmul(fd.U, _generators(fd) if G is None else G))
+
+
+def ambient_brackets(fd, table) -> tuple[np.ndarray, np.ndarray]:
+    """The brackets of a bracket table as ambient tangents (dz, dU) = U
+    (delta, A) of their frame increments D - D^T, leading axes (a, b)."""
+    delta, A = (d - d.swapaxes(0, 1) for d in table.D)
+    return np.matmul(fd.U, delta[..., None])[..., 0], np.matmul(fd.U, A)
+
+
+def complex_basis(fd, table) -> np.ndarray:
+    """The complexified basis fields as complexified ambient tangents (dz,
+    dzbar, dU, dUbar), one per row: K applied to the real fields."""
+    return _complex_combination_matrix(fd.n) @ complexify(*field_stack(fd, table.G))
 
 
 def pack_real(t: AmbientTangent) -> np.ndarray:
@@ -270,10 +309,10 @@ def vertical_relations_residual(oh, oa, C20, C21, C12) -> float:
 
 def full_stack_spray(prog, p):
     """geodesics.geodesic_spray from every parallelism field: row 0 of the
-    stack _field_stack builds, plus the vertical pairs e_{2 lam},
+    stack field_stack builds, plus the vertical pairs e_{2 lam},
     e_{2 lam + 1} weighted by Re a_lam and Im a_lam, one tangent at a time."""
     fd = frame_data(prog, p.z, p.U)
-    dz, dU = _field_stack(fd)
+    dz, dU = field_stack(fd)
     gz, gU = dz[0], dU[0]
     a = spray_coefficients(fd)
     for lam in range(1, prog.dim):
@@ -351,7 +390,7 @@ def lift_difference_of(fd, table, func):
     residuals once took for the curvature, the accuracy reference for the
     exact _lift_derivative_of.  Returns (holomorphic, antiholomorphic)
     arrays with leading index g."""
-    dz, X = _field_stack(fd, table.G)
+    dz, X = field_stack(fd, table.G)
     d_real = []
     for i in range(2 * fd.n):
         h = NESTED_STEP * (1.0 + tangent_norm(dz[i], X[i]))
@@ -369,7 +408,7 @@ def difference_tier(prog, z, U, k: int, step: float = NESTED_STEP) -> np.ndarray
     took for every tier above the first: one central difference of tier
     k - 1 along each parallelism field, at the relative step, block by
     block; the accuracy reference for the exact tiers."""
-    fields = _bracket_table(frame_data(prog, z, U)).vals.T  # packed, one per row
+    fields = packed(*field_stack(frame_data(prog, z, U)))  # one per row
     return np.concatenate([along(lambda z, U: tier(prog, z, U, k - 1), z, U, x,
                                  step * (1.0 + np.linalg.norm(x)))
                            for x in fields])
@@ -437,6 +476,39 @@ def closed_form_Q(fd):
                     val -= sum(C12[nu, mu, rho] * C21[sig, lam, nu] for nu in range(n))
                     Q[rho - 1, sig - 1, lam - 1, mu - 1] = val
     return Q
+
+
+def structure_checks(sf) -> dict:
+    """Sup-norms of the bracket relations the structure coefficients at the
+    point of sf obey, in the complexified basis: the horizontal brackets'
+    purity, the torsion against the connection's antisymmetrization, the
+    rotation generator's brackets, the vertical algebra and the vanishing P
+    families.  Each is zero in theory."""
+    fd = sf.frame
+    n, m = fd.n, fd.n - 1
+    coeff = _complex_coefficients(bracket_coefficients(sf.table), n)
+    N = len(coeff)
+    eh, ehb, ev, evb, t, V = _basis_blocks(n)
+    d = np.arange(m)
+    checks = {}
+    checks["holomorphic_bracket_purity"] = _sup(coeff[eh, eh][:, :, n:])
+    checks["torsion_vs_connection"] = _sup(sf.T - fd.torsion)
+    checks["mixed_bracket_purity"] = _sup(coeff[eh, ehb, :2 * n])
+    # [t, e_0-hat] = i e_0-hat, [t, e_lam-hat] = 0
+    expect = np.zeros((n, N), dtype=complex)
+    expect[0, 0] = 1j
+    checks["rotation_horizontal"] = _sup(coeff[t, eh] - expect)
+    checks["vertical_holomorphic_brackets"] = _sup(coeff[ev, ev])
+    checks["vertical_mixed_t_coefficient"] = _sup(coeff[ev, evb][:, :, t] + 1j * np.eye(m))
+    expect = np.zeros((m, N), dtype=complex)
+    expect[d, 2 * n + d] = -1j
+    checks["rotation_vertical"] = _sup(coeff[t, ev] - expect)  # includes Q^rho_{sig 0 nu} = 0
+    # the leading horizontal part of [evb_rho, eh_g] is -delta_{rho g} e0_hat
+    c = coeff[evb, eh]
+    expect = np.zeros((m, n, n), dtype=complex)
+    expect[d, d + 1, 0] = -1.0
+    checks["vanishing_P_families"] = _sup(c[:, :, eh] - expect, c[:, :, t], c[:, :, evb])
+    return checks
 
 
 def tangency_kernel_dimension(prog, p) -> int:

@@ -26,7 +26,7 @@ from finslerlab.parallelism import (
     structure_equation_residuals,
 )
 from finslerlab.registry import sample_points
-from oracles import e_manifold_closed_forms, energy_first_variation
+from oracles import e_manifold_closed_forms, energy_first_variation, structure_checks
 
 HERMITIAN_IDS = ("flat_1", "flat_2", "flat_3", "poincare_disc", "poincare_ball_2",
                  "poincare_ball_3", "fubini_study_1", "fubini_study_2",
@@ -128,11 +128,12 @@ def test_criterion_05_bracket_relations(progs, entries):
         for z, v in pts:
             p = adapted_frame(prog, z, v)
             sf = extract_structure(prog, p)
+            checks = structure_checks(sf)
             worst_rel = max(worst_rel,
-                            sf.checks["rotation_horizontal"],
-                            sf.checks["rotation_vertical"],
-                            sf.checks["vertical_holomorphic_brackets"],
-                            sf.checks["vertical_mixed_t_coefficient"])
+                            checks["rotation_horizontal"],
+                            checks["rotation_vertical"],
+                            checks["vertical_holomorphic_brackets"],
+                            checks["vertical_mixed_t_coefficient"])
             if prog.dim > 1:
                 worst_closed = max(worst_closed, float(np.max(np.abs(
                     sf.Q - closed_form_Q(sf.frame)))))

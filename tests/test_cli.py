@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -55,6 +56,30 @@ def test_check_quartic_norm_reports_dichotomy(tmp_path, capsys):
     assert rep["all_pass"]
     assert rep["hermitian"] is False
     assert rep["sigma0_norm"] > 1e-3
+    capsys.readouterr()
+
+
+def test_check_fails_a_bracket_off_the_fields(tmp_path, capsys, monkeypatch):
+    # 1e-9 times an increment off the fields' span, the frame's scaling
+    # (delta, A) = (0, I) along which the Gram map moves, added to one
+    # bracket fails bracket_decomposition and no other check
+    table = parallelism._bracket_table
+
+    def displaced(fd):
+        t = table(fd)
+        off = 1e-9 * parallelism._increment_coordinates(np.zeros(fd.n), np.eye(fd.n))
+        br = t.br.copy()
+        br[0, 1] += off
+        br[1, 0] -= off
+        return dataclasses.replace(t, br=br)
+
+    monkeypatch.setattr(parallelism, "_bracket_table", displaced)
+    out = tmp_path / "check.json"
+    assert run(["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1",
+                "--json", str(out)]) == 1
+    checks = load(out)["checks"]
+    assert [c["pass"] for c in checks if c["name"] == "bracket_decomposition"] == [False] * 2
+    assert all(c["pass"] for c in checks if c["name"] != "bracket_decomposition")
     capsys.readouterr()
 
 
@@ -515,16 +540,16 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
 
 @pytest.mark.parametrize("argv, counts", [
     (["structure", "--metric", "poincare_ball_3",
-      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (5, 9, 1, 1)),
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (5, 9, 1)),
     (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
       "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
-      "--order", "1"], (23, 24, 2, 2)),
-    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (10, 22, 2, 2)),
+      "--order", "1"], (23, 24, 2)),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (10, 22, 2)),
 ])
 def test_report_work_counts(capsys, monkeypatch, argv, counts):
-    # (frame_derivatives, tensor_derivative, _field_stack, jet(2, 0)) calls
-    # per report.  The bracket table at a point is the only place the fields
-    # are built and differentiated along each other, and every later
+    # (frame_derivatives, tensor_derivative, jet(2, 0)) calls per report.
+    # The bracket table at a point is the only place the fields are built
+    # and differentiated along each other, and every later
     # derivative along them (signature tiers, the lift derivatives, the
     # curvature's derivatives along the lifts in Bianchi) reads it or its
     # cache, which keeps each derivative of (E, C20, C21) along a tuple of
@@ -549,8 +574,7 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
             return f(*args)
         return counted
 
-    for name, home in (("frame_derivatives", connection), ("tensor_derivative", finsler_forms),
-                       ("_field_stack", parallelism)):
+    for name, home in (("frame_derivatives", connection), ("tensor_derivative", finsler_forms)):
         counted = counting(name, getattr(home, name))
         for module in (cli, connection, finsler_forms, frame_bundle, geodesics, parallelism,
                        equivalence):
@@ -566,7 +590,7 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
     assert run(argv) == 0
     capsys.readouterr()
-    keys = ("frame_derivatives", "tensor_derivative", "_field_stack", "jet20")
+    keys = ("frame_derivatives", "tensor_derivative", "jet20")
     assert tuple(calls.get(k) for k in keys) == counts
 
 

@@ -234,8 +234,7 @@ def test_fiber_search_recovers_rotated_frame(progs):
 def _pushforward_representation(prog, p, pg, g):
     """rho with (right-translation by g applied to field m at p) =
     sum_a rho[a, m] * (field a at pg); constant for the structure group."""
-    from finslerlab.frame_bundle import unpack_real
-    from oracles import pack_real
+    from oracles import pack_real, unpack_real
     from finslerlab.parallelism import _real_field_matrix
 
     n = prog.dim

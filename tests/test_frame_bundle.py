@@ -14,7 +14,7 @@ from finslerlab.frame_bundle import (
     verify_tangent,
 )
 from finslerlab.metric_dsl import FinslerError
-from finslerlab.parallelism import _field_stack, _generators, labels_real, u_block_basis
+from finslerlab.parallelism import _generators, labels_real, u_block_basis
 from finslerlab.connection import frame_data
 from finslerlab.registry import sample_points
 import oracles
@@ -84,7 +84,7 @@ def test_fundamental_field(progs):
     # (0, U A) of the generator A = i E_00
     prog = progs["l4_finsler"]
     p = adapted_frame(prog, [0.1, 0.2], [1.0, 0.8])
-    dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+    dz, dU = oracles.field_stack(frame_data(prog, p.z, p.U))
     j = labels_real(2).index(("t",))
     A = np.zeros((2, 2), dtype=complex)
     A[0, 0] = 1j

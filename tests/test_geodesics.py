@@ -33,10 +33,10 @@ def test_spray_is_horizontal_for_kaehler(progs):
     prog = progs["poincare_ball_2"]
     p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.4])
     from finslerlab.connection import frame_data
-    from finslerlab.parallelism import _field_stack
+    from oracles import field_stack
 
     G = geodesic_spray(prog, p)
-    dz, dU = _field_stack(frame_data(prog, p.z, p.U))
+    dz, dU = field_stack(frame_data(prog, p.z, p.U))
     assert tangent_norm(G.dz - dz[0], G.dU - dU[0]) < 1e-9
 
 

@@ -83,11 +83,16 @@ def test_metric_file_expression_runs_to_the_end(tmp_path):
     path.write_text("dim = 1\nF2 = abs2(v1)\nextra = 3\n")
     with pytest.raises(MetricSyntaxError, match="unexpected character '='") as err:
         load_metric(path)
-    assert (err.value.line, err.value.column) == (2, 7)
+    assert (err.value.line, err.value.column) == (3, 7)
     path.write_text("dim = 1\nF2 = abs2(v1)\nabs2(z1)\n")
     with pytest.raises(MetricSyntaxError, match="trailing input 'abs2'") as err:
         load_metric(path)
-    assert (err.value.line, err.value.column) == (2, 1)
+    assert (err.value.line, err.value.column) == (3, 1)
+    # on the F2 line itself the column counts from the start of the line
+    path.write_text("\n  dim = 1\n\nF2 =  abs2(v1) $\n")
+    with pytest.raises(MetricSyntaxError, match="unexpected character '\\$'") as err:
+        load_metric(path)
+    assert (err.value.line, err.value.column) == (4, 16)
 
 
 @pytest.mark.parametrize("text", ["dim = \u0661\nF2 = abs2(v1)\n", "dim = 1\n",

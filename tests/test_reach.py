@@ -35,6 +35,9 @@ def _commands(tmp: Path) -> list[list[str]]:
         ["classify", "--metric", "hermitian_nonconstant", "--samples", "2", "--seed", "1"],
         ["geodesic", "--metric", "poincare_disc", "--from", "0", "--dir", "1", "--t-max", "0.02",
          "--dt", "0.01", "--csv", out + ".csv", "--svg", out + ".svg"],
+        # from n = 2 on, the spray reads the geodesic torsion
+        ["geodesic", "--metric", "poincare_ball_2", "--from", "0,0", "--dir", "1,0.5",
+         "--t-max", "0.02", "--dt", "0.01"],
         # ROADMAP compare A (order 2) and compare C, whose ranks read tier 3
         ["compare", "--metric-a", "l4_finsler", "--metric-b", "l4_finsler", "--order", "2",
          "--at-a", "z=0.1,0.2;v=1,0.8", "--at-b", "z=0.3,-0.1;v=1,0.5"],
