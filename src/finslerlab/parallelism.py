@@ -15,12 +15,15 @@ the coframe needs no inverse of the frame, theta = delta and omega = A -
 E(delta), so the table's coframe matrix is the fields' left inverse and
 no decomposition solves.  The complexified basis is the constant
 combinations K of the real fields (``_complex_combination_matrix``).
+The coframe is dual to the parallelism, so its exterior derivative on a
+pair of fields is minus its value on their bracket, and every structure
+function is minus a coframe value on a bracket of complexified basis
+fields: one pairing, the coframe on the real fields contracted with c
+carried to the complexified pairs by K, serves the extraction, the
+structure equations (which take no derivative) and Bianchi.
 ``structure_derivative`` takes the structure functions' derivatives of
 any order along the fields, from B c = br differentiated by Leibniz, and
-its lift rows give the curvature's for Bianchi.  The structure equations
-take no derivative: the coframe is dual to the parallelism, so its
-exterior derivative on a pair of fields is minus its value on their
-bracket.
+the pairing reads the curvature's off its lift rows.
 
 Convention anchor: curvature components are extracted raw from brackets and
 additionally reported in the holomorphic-sectional-curvature normalization
@@ -190,16 +193,6 @@ def _complex_combination_matrix(n: int) -> np.ndarray:
     K[t + 1 + s * m + r, isym] = -0.5j
     K.flags.writeable = False
     return K
-
-
-@cache
-def _complex_combination_inverse(n: int) -> np.ndarray:
-    """K^-1 of _complex_combination_matrix (constant).  The columns of K
-    are orthogonal, so K^-1 is K^H with row j divided by |column j|^2."""
-    K = _complex_combination_matrix(n)
-    Kinv = np.conj(K.T) / np.sum(np.abs(K) ** 2, axis=0)[:, None]
-    Kinv.flags.writeable = False
-    return Kinv
 
 
 # --------------------------------------------------------------------------
@@ -484,6 +477,9 @@ class StructureFunctions:
     (unit disc -> -4); ``R_raw`` is the bracket-native coefficient.
     ``frame`` and ``table`` are the frame data and the bracket table at the
     point, which the residuals and closed forms there read as well.
+    ``pairings`` is the coframe on the real fields and ``brackets`` its
+    values on the brackets of the complexified basis pairs, of which every
+    structure function is a slice; the structure equations read both.
     """
 
     point: BundlePoint
@@ -497,6 +493,8 @@ class StructureFunctions:
     residual: float        # worst bracket-decomposition residual
     frame: FrameData = field(repr=False)
     table: FieldTable = field(repr=False)
+    pairings: tuple = field(repr=False)  # (theta, thetabar, omega, omegabar, varpi), axis N
+    brackets: tuple = field(repr=False)  # (theta, varpi), axes (x, y) of the pairs
     u_embedding: np.ndarray | None = None
 
     @property
@@ -517,41 +515,22 @@ def _sup(*arrays) -> float:
     return float(np.max(np.abs(np.concatenate([a.ravel() for a in arrays])), initial=0.0))
 
 
-def _complex_coefficients(c: np.ndarray, n: int) -> np.ndarray:
-    """coeff[x, y, j]: the component of the bracket of complexified basis
-    fields x and y on field j, sum_abi K[x, a] K[y, b] c[a, b, i] K^-1[i, j]
-    of the real components c[a, b, i].  Linear in c."""
-    return _carry(_complex_combination_matrix(n), c @ _complex_combination_inverse(n))
-
-
-def _basis_blocks(n: int):
-    """(eh, ehb, ev, evb, t, V): the slices of the complexified basis in the
-    order of _complex_combination_matrix, and the index t of its rotation
-    generator."""
-    m = n - 1
-    t = 2 * n + 2 * m
-    return (slice(0, n), slice(n, 2 * n), slice(2 * n, t - m), slice(t - m, t), t,
-            slice(t + 1, None))
-
-
-def _raw_curvature(coeff: np.ndarray, n: int) -> np.ndarray:
-    """R_raw[a, b, g, d], read off the mixed horizontal brackets [eh_g, ehb_d]
-    of the complexified coefficients coeff.  Linear in coeff."""
-    m = n - 1
-    eh, ehb, ev, evb, t, V = _basis_blocks(n)
-    c = coeff[eh, ehb]
-    R = np.zeros((n, n, n, n), dtype=complex)
-    R[0, 0] = c[:, :, t] / 1j
-    R[1:, 0] = -c[:, :, ev].transpose(2, 0, 1)
-    R[0, 1:] = c[:, :, evb].transpose(2, 0, 1)
-    R[1:, 1:] = -c[:, :, V].reshape(n, n, m, m).transpose(2, 3, 0, 1)
-    return R
+def _relative(block, *terms) -> float:
+    """The largest modulus of the sum of the terms at index block, relative
+    to max(1, the largest modulus of their entries there)."""
+    parts = [t[block] for t in terms]
+    return _sup(sum(parts)) / max(1.0, _sup(*parts))
 
 
 def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions:
-    """Read the structure functions off the coframe's values on the exact
-    brackets.  The residual is the part of each bracket off the fields: br
-    less c times the fields' coordinates, relative to max(1, |br|)."""
+    """Read the structure functions off the coframe on the exact brackets:
+    each is a slice of its values on the brackets of the complexified basis
+    (in the order of _complex_combination_matrix), T = -theta on [eh, eh],
+    R_raw = -varpi on [eh, ehb], Q = varpi[1:, 1:] on [ev, evb] plus I, and
+    P_h, P_H = varpi[1:, 0], varpi[1:, 1:] on [evb, eh]: c carried to the
+    pairs by K and contracted with the coframe on the real fields.  The
+    residual is the part of each bracket off the fields: br less c times
+    the fields' coordinates, relative to max(1, |br|)."""
     n = prog.dim
     m = n - 1
     fd = frame_data(prog, p.z, p.U)
@@ -566,24 +545,24 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     if worst > DECOMPOSITION_TOL:
         raise FinslerError(f"bracket decomposition residual {worst:.2e} exceeds tolerance")
 
-    coeff = _complex_coefficients(c, n)
-    eh, ehb, ev, evb, t, V = _basis_blocks(n)
-    # torsion from holomorphic-holomorphic brackets, Q from mixed vertical
-    # ones, the P families from mixed vertical-horizontal ones
-    T = -np.ascontiguousarray(coeff[eh, eh][:, :, eh].transpose(2, 0, 1))
-    c = coeff[ev, evb]  # c[mu, nu, i]
-    Q = np.ascontiguousarray(c[:, :, V].reshape(m, m, m, m).transpose(2, 3, 0, 1)
-                             + np.eye(m * m).reshape(m, m, m, m))
-    c = coeff[evb, eh]  # c[rho, g, i]
-    P_h = np.ascontiguousarray(c[:, :, ev].transpose(2, 0, 1))
-    P_H = np.ascontiguousarray(c[:, :, V].reshape(m, n, m, m).transpose(2, 3, 0, 1))
+    th, thb, oh, oa = _coframe(fd, complexify(*table.fields))
+    w = _varpi(fd, oh, oa)
+    on = _carry(K, c @ np.concatenate([th, w.reshape(N, -1)], axis=1))
+    bth, bw = on[..., :n], on[..., n:].reshape(N, N, n, n)
+    eh, ehb, ev, evb = (slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m),
+                        slice(2 * n + m, 2 * n + 2 * m))
+    T, R_raw, Q, P_h, P_H = map(np.ascontiguousarray, (
+        -bth[eh, eh].transpose(2, 0, 1), -bw[eh, ehb].transpose(2, 3, 0, 1),
+        bw[ev, evb][..., 1:, 1:].transpose(2, 3, 0, 1) + np.eye(m * m).reshape(m, m, m, m),
+        bw[evb, eh][..., 1:, 0].transpose(2, 0, 1),
+        bw[evb, eh][..., 1:, 1:].transpose(2, 3, 0, 1)))
 
     C20 = fd.C(2, 0)
     C21 = fd.C(2, 1)
     sf = StructureFunctions(
-        point=p, T=T, R_raw=_raw_curvature(coeff, n), Q=Q, P_h=P_h, P_H=P_H,
+        point=p, T=T, R_raw=R_raw, Q=Q, P_h=P_h, P_H=P_H, brackets=(bth, bw),
         h_vert=C20[1:, 1:].copy(), H_vert=C21[1:, 1:, 1:].copy(),
-        residual=worst, frame=fd, table=table,
+        residual=worst, frame=fd, table=table, pairings=(th, thb, oh, oa, w),
     )
     # record the embedding of the complex block basis in the real fields
     sf.u_embedding = K[N - m * m:].copy()
@@ -700,53 +679,50 @@ def structure_equation_residuals(sf: StructureFunctions) -> dict:
     Both sides of the torsion and curvature equations are evaluated on all
     pairs of the complexified parallelism basis at the point of sf, from the
     exact brackets and the frame forms there, with no difference quotient.
-    The basis and the brackets are read in frame increments off the bracket
-    table sf carries, so the coframe takes no inverse of the frame.  Also
-    reports the sup-norms of the purely Finslerian torsion/curvature
-    coefficient families.
+    The coframe on the basis is K times its pairings with the real fields,
+    and on the brackets it is the values extract_structure read the
+    structure functions from, both carried by sf; no coframe is evaluated
+    here.  Each residual is relative to max(1, the largest entry of the
+    terms its equation sums).  Also reports the sup-norms of the purely
+    Finslerian torsion/curvature coefficient families.
     """
-    fd, table = sf.frame, sf.table
-    n = fd.n
-    K = _complex_combination_matrix(n)
-    basis = K @ complexify(_stack_layout(n)[1], table.G)
-    brc = _carry(K, complexify(*(d - d.swapaxes(0, 1) for d in table.D)))
-    th, thb, oh, oa = _coframe(fd, basis)
-    TH, THb = th.T, thb.T  # (n, N)
-    W = np.moveaxis(_varpi(fd, oh, oa), 0, -1)  # (n, n, N)
+    fd = sf.frame
+    K = _complex_combination_matrix(fd.n)
+    th, thb, oh, oa, w = sf.pairings
+    TH, THb = (K @ th).T, (K @ thb).T  # (n, N)
+    W = np.moveaxis(np.tensordot(K, w, 1), 0, -1)  # (n, n, N)
 
     # d eta (X_x, X_y) = X(eta(Y)) - Y(eta(X)) - eta([X, Y]); the coframe is
     # dual to the parallelism, so the pairings eta(X) are constants and only
     # the bracket term is left
-    bth, _, boh, boa = _coframe(fd, brc)
-    dTH = -np.moveaxis(bth, -1, 0)  # (n, N, N)
-    dW = -np.moveaxis(_varpi(fd, boh, boa), (-2, -1), (0, 1))  # (n, n, N, N)
+    dTH = -np.moveaxis(sf.brackets[0], -1, 0)  # (n, N, N)
+    dW = -np.moveaxis(sf.brackets[1], (-2, -1), (0, 1))  # (n, n, N, N)
 
     # torsion equation
     C21 = fd.C(2, 1)
     Theta = 0.5 * np.einsum("abg,bgij->aij", sf.T, _wedge(TH, TH))
     # H_{abar mu lam} = C21[mu, lam, a]; contraction over mu, lam >= 1
     Sigma = np.einsum("mla,lmij->aij", C21[1:, 1:, :], _wedge(W[1:, 0], TH[1:]))
-    lhs533 = dTH + _wedge_matrix_vector(W, TH)
-    eq533 = float(np.max(np.abs(lhs533 - Theta - Sigma)))
+    eq533 = _relative((), dTH, _wedge_matrix_vector(W, TH), -Theta, -Sigma)
 
     # curvature equations, matrix form
     Omega = np.einsum("abgd,gi,dj->abij", sf.R_raw, TH, THb) \
         - np.einsum("abgd,gj,di->abij", sf.R_raw, TH, THb)
     Pi, Phi, pi_norm, phi_norm = _pi_phi_forms(fd, sf.table, TH, THb, W)
-    lhsW = dW + _wedge_matrix_matrix(W)
-    resW = lhsW - Omega - Pi - Phi
-    eq534 = float(np.max(np.abs(resW[0, 0])))
-    eq535 = max(_sup(resW[1:, 0]), _sup(resW[0, 1:]))
-    eq536 = _sup(resW[1:, 1:])
+    terms = (dW, _wedge_matrix_matrix(W), -Omega, -Pi, -Phi)
+    b = slice(1, None)
+    eq534 = _relative((0, 0), *terms)
+    eq535 = max(_relative((b, 0), *terms), _relative((0, b), *terms))
+    eq536 = _relative((b, b), *terms)
 
     # omega skew-symmetry of the curvature 2-form family
     skew = float(np.max(np.abs(sf.R_raw - np.conj(np.transpose(sf.R_raw, (1, 0, 3, 2))))))
 
     # structure-group linear relations on the connection forms of every
-    # field: on real fields omega_a = conj(omega_h); on complex combinations
-    # the antiholomorphic slot realizes the conjugate-form values
+    # real field, on which omega_a = conj(omega_h); each sets omega_h +
+    # omega_a^T against the form corrections, so omega_h and omega_a scale it
     C20 = fd.C(2, 0)
-    eq529 = vertical_relations_residual(oh, oa, C20, C21, fd.C(1, 2))
+    eq529 = vertical_relations_residual(oh, oa, C20, C21, fd.C(1, 2)) / max(1.0, _sup(oh, oa))
 
     return {
         "eq529": eq529,
@@ -808,20 +784,24 @@ def _pi_phi_forms(fd, table, TH, THb, W):
 # Bianchi identities
 # --------------------------------------------------------------------------
 
-def _lift_derivative_of(fd: FrameData, table: FieldTable):
+def _lift_derivative_of(sf: StructureFunctions):
     """Derivatives of the raw curvature R_raw along the 2n horizontal lifts
-    at the point of fd, whose bracket table is table.  R_raw is linear in
-    the structure coefficients, so they are its map from them
-    (_complex_coefficients, then _raw_curvature) applied to the lift rows of
-    structure_derivative.  Returns (holomorphic, antiholomorphic) arrays
-    with leading index g."""
+    at the point of sf.  R_raw is -varpi on [eh, ehb]: the structure
+    coefficients c carried by K and contracted with the pairing, which is
+    constant along the fields, the coframe being dual to them.  So they are
+    the lift rows of structure_derivative carried and contracted alike, in
+    one einsum over the rows.  Returns (holomorphic, antiholomorphic)
+    arrays with leading index g."""
+    fd, table = sf.frame, sf.table
     n, N = fd.n, len(table.G)
+    K = _complex_combination_matrix(n)
     a, b = np.triu_indices(N, 1)
     dc = np.zeros((2 * n, N, N, N))
     dc[:, a, b] = structure_derivative(fd, table, rows=range(2 * n))
     dc[:, b, a] = -dc[:, a, b]
-    return _complex_pairs(np.array([_raw_curvature(_complex_coefficients(d, n), n)
-                                    for d in dc]))
+    # sum_abi K[g, a] K[n + d, b] dc[s, a, b, i] varpi[i, k]
+    dw = np.einsum("ga,sadk->skgd", K[:n], K[n:2 * n] @ (dc @ sf.pairings[4].reshape(N, -1)))
+    return _complex_pairs(-dw.reshape((2 * n,) + (n,) * 4))
 
 
 def bianchi_residuals(sf: StructureFunctions) -> dict:
@@ -837,7 +817,7 @@ def bianchi_residuals(sf: StructureFunctions) -> dict:
     fd, table = sf.frame, sf.table
     C21 = fd.C(2, 1)
     dT_h, dT_a = _complex_lift_derivative(table, "T")
-    dR_h, dR_a = _lift_derivative_of(fd, table)
+    dR_h, dR_a = _lift_derivative_of(sf)
     d12_h = _complex_lift_derivative(table, (1, 2))[0]
     d21_a = _complex_lift_derivative(table, (2, 1))[1]
 

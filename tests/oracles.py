@@ -17,9 +17,8 @@ from finslerlab.jets import V, VBAR, Z, ZBAR
 from finslerlab.metric_dsl import FinslerError
 from finslerlab.parallelism import (
     HSC_NORMALIZATION,
-    _basis_blocks,
+    _carry,
     _coframe,
-    _complex_coefficients,
     _complex_combination_matrix,
     _complex_lift_derivative,
     _complex_pairs,
@@ -422,7 +421,7 @@ def bianchi_residuals(prog, p, sf):
     fd, table = sf.frame, sf.table
     C21 = fd.C(2, 1)
     dT_h, dT_a = _complex_lift_derivative(table, "T")
-    dR_h, dR_a = _lift_derivative_of(fd, table)
+    dR_h, dR_a = _lift_derivative_of(sf)
     d12_h = _complex_lift_derivative(table, (1, 2))[0]
     d21_a = _complex_lift_derivative(table, (2, 1))[1]
 
@@ -486,9 +485,12 @@ def structure_checks(sf) -> dict:
     families.  Each is zero in theory."""
     fd = sf.frame
     n, m = fd.n, fd.n - 1
-    coeff = _complex_coefficients(bracket_coefficients(sf.table), n)
+    # the components on the complexified basis, c carried by K and K^-1
+    K = _complex_combination_matrix(n)
+    coeff = _carry(K, bracket_coefficients(sf.table) @ np.linalg.inv(K))
     N = len(coeff)
-    eh, ehb, ev, evb, t, V = _basis_blocks(n)
+    t = 2 * n + 2 * m
+    eh, ehb, ev, evb = slice(0, n), slice(n, 2 * n), slice(2 * n, t - m), slice(t - m, t)
     d = np.arange(m)
     checks = {}
     checks["holomorphic_bracket_purity"] = _sup(coeff[eh, eh][:, :, n:])

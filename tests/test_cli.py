@@ -59,6 +59,18 @@ def test_check_quartic_norm_reports_dichotomy(tmp_path, capsys):
     capsys.readouterr()
 
 
+def assert_check_fails_only(tmp_path, capsys, metric, name):
+    """check at two points of metric fails the check name at both and
+    passes every other check."""
+    out = tmp_path / "check.json"
+    assert run(["check", "--metric", metric, "--samples", "2", "--seed", "1",
+                "--json", str(out)]) == 1
+    checks = load(out)["checks"]
+    assert [c["pass"] for c in checks if c["name"] == name] == [False] * 2
+    assert all(c["pass"] for c in checks if c["name"] != name)
+    capsys.readouterr()
+
+
 def test_check_fails_a_bracket_off_the_fields(tmp_path, capsys, monkeypatch):
     # 1e-9 times an increment off the fields' span, the frame's scaling
     # (delta, A) = (0, I) along which the Gram map moves, added to one
@@ -74,12 +86,41 @@ def test_check_fails_a_bracket_off_the_fields(tmp_path, capsys, monkeypatch):
         return dataclasses.replace(t, br=br)
 
     monkeypatch.setattr(parallelism, "_bracket_table", displaced)
-    out = tmp_path / "check.json"
-    assert run(["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1",
-                "--json", str(out)]) == 1
-    checks = load(out)["checks"]
-    assert [c["pass"] for c in checks if c["name"] == "bracket_decomposition"] == [False] * 2
-    assert all(c["pass"] for c in checks if c["name"] != "bracket_decomposition")
+    assert_check_fails_only(tmp_path, capsys, "l4_finsler", "bracket_decomposition")
+
+
+def test_check_fails_a_vertical_curvature_off_by_1e_9(tmp_path, capsys, monkeypatch):
+    # the closed-form Q the structure equations compare, scaled by 1 + 1e-9,
+    # fails structure_equations (6.7e-10 relative measured) and no other
+    # check
+    closed = parallelism.closed_form_Q
+    monkeypatch.setattr(parallelism, "closed_form_Q", lambda fd: closed(fd) * (1 + 1e-9))
+    assert_check_fails_only(tmp_path, capsys, "l4_finsler", "structure_equations")
+
+
+def test_check_fails_curvature_lift_derivatives_off_by_1e_9(tmp_path, capsys, monkeypatch):
+    # the curvature's derivatives along the lifts times 1 + 1e-9 noise fail
+    # bianchi_identities (at least 1.3e-10 measured) and no other check; on
+    # a Kaehler metric a uniform scale keeps the symmetry they are checked
+    # for, so the noise is what breaks it
+    lift = parallelism._lift_derivative_of
+    rng = np.random.default_rng(0)
+
+    def noisy(sf):
+        return tuple(d * (1 + 1e-9 * rng.standard_normal(d.shape)) for d in lift(sf))
+
+    monkeypatch.setattr(parallelism, "_lift_derivative_of", noisy)
+    assert_check_fails_only(tmp_path, capsys, "hermitian_nonconstant", "bianchi_identities")
+
+
+@pytest.mark.parametrize("name", ["nd1", "nd2", "nd3"])
+def test_check_passes_near_degenerate_levi_forms(near_degenerate, tmp_path, capsys, name):
+    # the structure-equation residuals are relative to the terms they sum:
+    # on nd3, absolute, eq536 reached 3.8e-9 over the 20 points of this
+    # seed (|Q| up to 1.3e8) and failed check at 1.2e-10; relative, it is at
+    # most 2.6e-14
+    assert run(["check", "--metric", near_degenerate[name], "--samples", "20",
+                "--seed", "5"]) == 0
     capsys.readouterr()
 
 
@@ -540,16 +581,16 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
 
 @pytest.mark.parametrize("argv, counts", [
     (["structure", "--metric", "poincare_ball_3",
-      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (5, 9, 1)),
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (5, 9, 1, 2)),
     (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
       "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
-      "--order", "1"], (23, 24, 2)),
-    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (10, 22, 2)),
+      "--order", "1"], (23, 24, 2, 2)),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (10, 22, 2, 4)),
 ])
 def test_report_work_counts(capsys, monkeypatch, argv, counts):
-    # (frame_derivatives, tensor_derivative, jet(2, 0)) calls per report.
-    # The bracket table at a point is the only place the fields are built
-    # and differentiated along each other, and every later
+    # (frame_derivatives, tensor_derivative, jet(2, 0), _coframe) calls per
+    # report.  The bracket table at a point is the only place the fields
+    # are built and differentiated along each other, and every later
     # derivative along them (signature tiers, the lift derivatives, the
     # curvature's derivatives along the lifts in Bianchi) reads it or its
     # cache, which keeps each derivative of (E, C20, C21) along a tuple of
@@ -565,7 +606,11 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # the tangency system and one the tangency of the lifts, from their
     # frame increments, with no field stack.  check evaluates one jet(2, 0)
     # a point, in its Levi check: the adapted frame reads that report, and
-    # the Gram residual is read off the point's frame data
+    # the Gram residual is read off the point's frame data.  The coframe is
+    # evaluated twice where the structure functions are extracted, on the
+    # increment basis for the bracket table and on the real fields for the
+    # pairing every structure function is read with, and once where only
+    # the table is built: compare's two frames
     calls = {}
 
     def counting(key, f):
@@ -574,7 +619,8 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
             return f(*args)
         return counted
 
-    for name, home in (("frame_derivatives", connection), ("tensor_derivative", finsler_forms)):
+    for name, home in (("frame_derivatives", connection), ("tensor_derivative", finsler_forms),
+                       ("_coframe", parallelism)):
         counted = counting(name, getattr(home, name))
         for module in (cli, connection, finsler_forms, frame_bundle, geodesics, parallelism,
                        equivalence):
@@ -590,7 +636,7 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
     assert run(argv) == 0
     capsys.readouterr()
-    keys = ("frame_derivatives", "tensor_derivative", "jet20")
+    keys = ("frame_derivatives", "tensor_derivative", "jet20", "_coframe")
     assert tuple(calls.get(k) for k in keys) == counts
 
 

@@ -296,7 +296,7 @@ def test_curvature_lift_derivatives_match_the_central_difference(progs, entries,
     prog, points = _metric_points(progs, entries, warped, twisted, mid)
     for z, v in points:
         sf = extract_structure(prog, adapted_frame(prog, z, v))
-        exact = _lift_derivative_of(sf.frame, sf.table)
+        exact = _lift_derivative_of(sf)
         diff = oracles.lift_difference_of(
             sf.frame, sf.table, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
         scale = max(1.0, max(float(np.max(np.abs(d))) for d in exact))
