@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .connection import frame_data, solve_connection
-from .equivalence import Tiers, regularity
+from .equivalence import regularity
 from .equivalence import compare as compare_signatures
 from .finsler_forms import (
     cubic_form_peak,
@@ -32,6 +32,7 @@ from .frame_bundle import BundlePoint, adapted_frame, gram_derivative, gram_resi
 from .geodesics import classify, integrate_geodesic
 from .metric_dsl import FinslerError
 from .parallelism import (
+    _bracket_table,
     _generators,
     _stack_layout,
     bianchi_residuals,
@@ -224,8 +225,8 @@ def cmd_check(args) -> int:
         checks.append({"name": name, "residual": float(residual),
                        "tolerance": float(tol), "pass": bool(residual < tol)})
 
-    # the structure functions of the first three points, which carry the
-    # frame data the point block reads
+    # the structure functions of the first three points, whose bracket
+    # tables carry the frame data the point block reads
     structures = []
 
     def point_block(zv):
@@ -243,10 +244,13 @@ def cmd_check(args) -> int:
         if len(structures) < 3:
             sf = extract_structure(prog, p)
             structures.append(sf)
-            fd = sf.frame
+            fd = sf.table.frame
         else:
             fd = frame_data(prog, p.z, p.U)
         out["gram"] = gram_residual(prog, p, fd.C(1, 1))
+        # the pure quadratic form on the block e_1..e_{n-1}, which the
+        # Hermitian dichotomy reads at every point
+        out["sigma0"] = float(np.max(np.abs(fd.C(2, 0)[1:, 1:]), initial=0.0))
         cm = solve_connection(prog, p, fd)
         out["closed_form_gap"] = cm.closed_form_gap
         # the Gram derivative along the frame increments of the 2n horizontal lifts
@@ -266,10 +270,8 @@ def cmd_check(args) -> int:
     add("connection_closed_form_gap", max(b["closed_form_gap"] for b in per_point),
         1e-8 * scale)
 
-    sigma0 = 0.0
     for sf in structures:
         r = structure_equation_residuals(sf)
-        sigma0 = max(sigma0, r["finsler_norms"]["sigma0"])
         # these relative residuals and Bianchi's are round-off: at most
         # 2.6e-14 (structure equations), 1.6e-14 (the part of a bracket off
         # the fields) and 2.4e-14 (Bianchi) measured over the catalog, two
@@ -282,6 +284,7 @@ def cmd_check(args) -> int:
         b = bianchi_residuals(sf)
         add("bianchi_identities", max(b.values()), 1e-11 * scale)
 
+    sigma0 = max(b["sigma0"] for b in per_point)
     dichotomy_ok = (herm and sigma0 < 1e-6) or (not herm and sigma0 > 1e-3)
     checks.append({"name": "hermitian_dichotomy", "residual": float(sigma0),
                    "tolerance": 1e-6 if herm else 1e-3, "pass": bool(dichotomy_ok)})
@@ -327,7 +330,7 @@ def _structure_at(prog, z, v) -> dict:
     sf = extract_structure(prog, p)
     res = structure_equation_residuals(sf)
     bia = bianchi_residuals(sf)
-    qgap = float(np.max(np.abs(sf.Q - closed_form_Q(sf.frame)))) if prog.dim > 1 else 0.0
+    qgap = float(np.max(np.abs(sf.Q - closed_form_Q(sf.table.frame)))) if prog.dim > 1 else 0.0
     ph, pH = closed_form_P(sf.table)
     pgap = max(float(np.max(np.abs(sf.P_h - ph), initial=0.0)),
                float(np.max(np.abs(sf.P_H - pH), initial=0.0)))
@@ -434,11 +437,12 @@ def cmd_compare(args) -> int:
     zB, vB = _point_of(args.at_b, progB, entryB, "--at-b")
     pA = adapted_frame(progA, zA, vA)
     pB = adapted_frame(progB, zB, vB)
-    tiers_a = Tiers(progA, pA)  # read by the comparison and the regularity alike
+    # frame A's tiers, which the comparison and the ranks read alike
+    table_a = _bracket_table(frame_data(progA, pA.z, pA.U))
     rep = compare_signatures(progA, pA, progB, pB, order=args.order,
                              tol=args.tol, fiber_samples=args.fiber_samples,
-                             seed=args.seed, tiers_a=tiers_a)
-    rA = regularity(progA, pA, alpha_max=min(args.order + 1, 2), tiers=tiers_a)
+                             seed=args.seed, table_a=table_a)
+    rA = regularity(progA, pA, alpha_max=min(args.order + 1, 2), table=table_a)
     report = {"command": "compare", "metric_a": args.metric_a,
               "metric_b": args.metric_b, "comparison": rep,
               "regularity_a": {"ranks": rA.ranks, "order": rA.order,

@@ -15,6 +15,9 @@ derivatives of the (1, 1) frame form, finsler_forms.form_derivative.
 frame_derivatives takes the derivatives of every order of E, C(2, 0) and
 C(2, 1), along tangents given as frame increments (U^-1 dz, U^-1 dU):
 (w, G) for a parallelism field U (w, G), so none of them solves with U.
+Each one computed is kept in the frame data's memo, and frame_derivatives
+is the one place where a derivative along a chunk of rows of a stack
+(Rows) is read off the one along the whole stack.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ class FrameData:
     at any invertible U near the adapted-frame bundle; all formulas
     restrict to the intrinsic objects on it.  Each jet and E is computed
     at most once, so a report builds one FrameData per point and hands it
-    down to every stage that works there.
+    down to every stage that works there; so is each derivative that
+    frame_derivatives computes, kept in derivatives.
     """
 
     def __init__(self, prog: MetricProgram, z, U):
@@ -68,6 +72,7 @@ class FrameData:
         self._jets: dict = {}
         self._E: np.ndarray | None = None
         self._partials: dict = {}
+        self.derivatives: dict = {}  # frame_derivatives' memo, keyed by the ids of its stacks
         self.jet = self.jet_of(4, 1)
 
     def jet_of(self, fiber_order: int, base_order: int) -> Jet:
@@ -155,7 +160,7 @@ def whole(stacks, size: int):
     return None
 
 
-def frame_derivatives(fd: FrameData, stacks, memo: dict | None = None):
+def frame_derivatives(fd: FrameData, stacks):
     """Exact derivatives (dE, dC20, dC21) of E, C(2, 0) and C(2, 1) of fd
     along one frame increment from each of k >= 1 stacks (delta, A), shapes
     (K_i, n) and (K_i, n, n); leading axes (K_1, .., K_k).  The forms and
@@ -163,9 +168,11 @@ def frame_derivatives(fd: FrameData, stacks, memo: dict | None = None):
     tensor_derivative; dE differentiates E's back-substitution by Leibniz,
     each split S1 + S2 of the increments putting S1 on column 0 of E and S2
     on C(2, 1), one split per orbit of the permutations within a stack
-    passed twice.  memo keeps every derivative taken, keyed by its stacks.
+    passed twice.  A derivative along Rows is the parent's, taken whole and
+    read at the rows, when whole allows.  fd.derivatives keeps every other
+    derivative taken, keyed by its stacks, which it keeps alive.
     """
-    memo = {} if memo is None else memo
+    memo = fd.derivatives
     key = tuple(map(id, stacks))
     if key in memo:
         return memo[key][1]
@@ -173,9 +180,7 @@ def frame_derivatives(fd: FrameData, stacks, memo: dict | None = None):
     read = whole(stacks, n ** 3)
     if read is not None:
         i, parent = read
-        memo[key] = (stacks, tuple(np.take(x, stacks[i].rows, axis=i)
-                                   for x in frame_derivatives(fd, parent, memo)))
-        return memo[key][1]
+        return tuple(np.take(x, stacks[i].rows, axis=i) for x in frame_derivatives(fd, parent))
     (t20, d20), (t21, d21), (tDh, dDh) = fd.partials(k)
     dC20 = tensor_derivative((2, 0), t20, d20, stacks)
     dC21 = tensor_derivative((2, 1), t21, d21, stacks)
@@ -187,7 +192,7 @@ def frame_derivatives(fd: FrameData, stacks, memo: dict | None = None):
         def along(S, j, full, base):
             # item j of (dE, dC20, dC21) along the increments S
             return full if len(S) == k else base[None] if not S else \
-                frame_derivatives(fd, [stacks[i] for i in S], memo)[j]
+                frame_derivatives(fd, [stacks[i] for i in S])[j]
 
         for S1, js in canonical_subsets(groups):
             S2 = tuple(i for i in lead if i not in S1)

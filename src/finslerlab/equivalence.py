@@ -7,7 +7,9 @@ agree.  Signatures here are frame-pointwise: a mismatch rules out an
 isometry matching the two frames, a match is necessary but not sufficient.
 Every derivative along the fields is exact: tier k, for every k, is order
 k of parallelism.structure_derivative at the frame, with no displaced
-point and no difference quotient.
+point and no difference quotient.  The frame's bracket table keeps each
+order it has taken, read-only, so a signature and the regularity ranks
+read at one frame share its tiers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .connection import frame_data
 from .frame_bundle import BundlePoint, group_act, haar_unitary
 from .metric_dsl import FinslerError, MetricProgram
-from .parallelism import _bracket_table, bracket_coefficients, labels_real, structure_derivative
+from .parallelism import FieldTable, _bracket_table, labels_real, structure_derivative
 
 # Singular values count toward a regularity rank when above SV_TOL * sigma_max
 # and above the absolute NOISE_FLOOR.  Every tier is exact, so the singular
@@ -39,30 +41,7 @@ def structure_coefficients(prog: MetricProgram, z, U) -> np.ndarray:
     Ordering: pairs (j, k) with j < k lexicographic in the order of
     labels_real, and for each pair all basis components i in that order.
     """
-    return Tiers(prog, BundlePoint(z, U))[0]
-
-
-class Tiers:
-    """The tiers at one frame.  Tier k holds all k-th derivatives of the
-    structure coefficients along the fields, block m the derivative of tier
-    k - 1 along field m: order k of parallelism.structure_derivative.  A
-    tier is computed when first read and kept, so that signature and
-    regularity share it, and every order reads what the frame's bracket
-    table keeps."""
-
-    def __init__(self, prog: MetricProgram, p: BundlePoint):
-        self.fd = frame_data(prog, p.z, p.U)
-        self.table = _bracket_table(self.fd)
-        self._done: dict = {}
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        if k not in self._done:
-            a, b = np.triu_indices(len(self.table.G), 1)  # the pairs of structure_coefficients
-            tier = (bracket_coefficients(self.table)[a, b] if k == 0
-                    else structure_derivative(self.fd, self.table, k)).ravel()
-            tier.flags.writeable = False  # shared by every reader of the frame's tiers
-            self._done[k] = tier
-        return self._done[k]
+    return structure_derivative(_bracket_table(frame_data(prog, z, U)), 0).ravel()
 
 
 @dataclass
@@ -79,14 +58,13 @@ class Signature:
 
 
 def signature(prog: MetricProgram, p: BundlePoint, order: int = 0,
-              tiers: Tiers | None = None) -> Signature:
+              table: FieldTable | None = None) -> Signature:
     """Invariant signature at a bundle point up to the given derivative
-    order, read from the frame's tiers when given."""
+    order, read from the frame's bracket table when given."""
     if order > 2:
         raise FinslerError("signature derivative order is limited to 2")
-    if tiers is None:
-        tiers = Tiers(prog, p)
-    tiers = [tiers[k] for k in range(order + 1)]
+    table = _bracket_table(frame_data(prog, p.z, p.U)) if table is None else table
+    tiers = [structure_derivative(table, k).ravel() for k in range(order + 1)]
     return Signature(order=order, dim=prog.dim, tiers=tiers,
                      vector=np.concatenate(tiers))
 
@@ -100,20 +78,20 @@ class RegularityReport:
 
 
 def regularity(prog: MetricProgram, p: BundlePoint, alpha_max: int = 2,
-               tiers: Tiers | None = None) -> RegularityReport:
+               table: FieldTable | None = None) -> RegularityReport:
     """Numerical rank of the invariant families along the parallelism,
-    with early stop at rank stabilization; the frame's tiers are read from
-    tiers when given."""
+    with early stop at rank stabilization; the tiers are read from the
+    frame's bracket table when given."""
     if alpha_max > 2:
         raise FinslerError("regularity order is limited to 2")
     N = len(labels_real(prog.dim))
-    if tiers is None:
-        tiers = Tiers(prog, p)
+    table = _bracket_table(frame_data(prog, p.z, p.U)) if table is None else table
 
     def jac_rank(alpha: int) -> int:
         # row m: the derivative of tiers 0..alpha along field m, which is the
         # m-th block of tier k + 1 for each k
-        jac = np.hstack([tiers[k + 1].reshape(N, -1) for k in range(alpha + 1)])
+        jac = np.hstack([structure_derivative(table, k + 1).reshape(N, -1)
+                         for k in range(alpha + 1)])
         sv = np.linalg.svd(jac, compute_uv=False)
         return int(np.sum(sv > max(SV_TOL * sv[0], NOISE_FLOOR)))
 
@@ -138,21 +116,21 @@ def _haar_group_element(n: int, rng) -> np.ndarray:
 def compare(progA: MetricProgram, pA: BundlePoint,
             progB: MetricProgram, pB: BundlePoint,
             order: int = 0, tol: float = 1e-3,
-            fiber_samples: int = 0, seed: int = 0, tiers_a: Tiers | None = None) -> dict:
+            fiber_samples: int = 0, seed: int = 0, table_a: FieldTable | None = None) -> dict:
     """Frame-pointwise signature comparison.
 
     A verdict of "differ" excludes a local isometry matching the two
     frames; "match" is a necessary condition only.  With fiber_samples > 0
     the frame at pB is additionally rotated through random structure-group
     elements and the best match is reported (no completeness claim).
-    tiers_a are the tiers at pA, when the caller reads them too.  Metrics
-    of different chart dimensions differ with no distance (None), since
-    their signatures have different lengths.
+    table_a is the bracket table at pA, when the caller reads its tiers
+    too.  Metrics of different chart dimensions differ with no distance
+    (None), since their signatures have different lengths.
     """
     if progA.dim != progB.dim:
         return {"verdict": "differ", "reason": "different chart dimensions",
                 "distance": None, "order": order}
-    sigA = signature(progA, pA, order, tiers_a)
+    sigA = signature(progA, pA, order, table_a)
     sigB = signature(progB, pB, order)
     best = sigA.distance(sigB)
     best_g = None

@@ -23,7 +23,10 @@ carried to the complexified pairs by K, serves the extraction, the
 structure equations (which take no derivative) and Bianchi.
 ``structure_derivative`` takes the structure functions' derivatives of
 any order along the fields, from B c = br differentiated by Leibniz, and
-the pairing reads the curvature's off its lift rows.
+the pairing reads the curvature's off its lift rows.  Each layer has one
+owner at a point: the table carries its frame data, which keeps the
+connection's derivatives, and every derivative along the fields is read
+from the table alone, which keeps each whole order.
 
 Convention anchor: curvature components are extracted raw from brackets and
 additionally reported in the holomorphic-sectional-curvature normalization
@@ -40,7 +43,7 @@ from functools import cache
 
 import numpy as np
 
-from .connection import FrameData, Rows, frame_data, frame_derivatives, whole
+from .connection import FrameData, Rows, frame_data, frame_derivatives
 from .frame_bundle import BundlePoint, complexify, vertical_relations_residual
 from .metric_dsl import FinslerError, MetricProgram
 
@@ -204,14 +207,17 @@ class FieldTable:
     """The real parallelism fields at one point and their exact derivatives
     along each other, as _bracket_table builds them, all in frame
     increments; an array over increments holds their coordinates on the
-    M = 2 (n + n^2) elements of _increment_basis."""
+    M = 2 (n + n^2) elements of _increment_basis.  It keeps the frame data
+    at the point, and its cache keeps what structure_derivative's orders
+    share: the generator derivatives, the iterated fields along the basis
+    and every whole order, read-only."""
 
-    G: np.ndarray        # (N, n, n) the generator stack
+    frame: FrameData = field(repr=False, compare=False)
     first: tuple         # (dE, dC20, dC21) along each field, leading axis N
     D: tuple             # frame increments of D[a, b] = D_a X_b, shapes (N, N, n), (N, N, n, n)
     coframe: np.ndarray  # (N, M) the fields' left inverse on increment coordinates (_coframe_matrix)
     br: np.ndarray       # (N, N, M) the coordinates of br[a, b] = D_a X_b - D_b X_a
-    fields: tuple        # (W, G): the frame increments of the fields, as one stack
+    fields: tuple        # (W, G): the frame increments of the fields, as one stack; G (N, n, n)
     cache: dict = field(default_factory=dict, repr=False, compare=False)  # structure_derivative's
 
 
@@ -222,19 +228,18 @@ def _bracket_table(fd: FrameData) -> FieldTable:
     U (w, G) with w constant and G from (E, C20, C21), so along X_a, whose
     frame increments are (w_a, G_a), it moves by U (G_a w, G_a G + dG),
     with dG the stack _fill_generators builds from the derivatives of
-    (E, C20, C21).  A report builds it once per point and hands it on with
-    the frame data; every derivative along the fields there is read from
-    it, and every decomposition on the fields is a product with its coframe.
+    (E, C20, C21).  A report builds it once per point, and it carries the
+    frame data; every derivative along the fields there is read from it,
+    and every decomposition on the fields is a product with its coframe.
     """
     G = _generators(fd)
     fields = (_stack_layout(fd.n)[1], G)
-    memo: dict = {}
-    first = frame_derivatives(fd, (fields,), memo)
+    first = frame_derivatives(fd, (fields,))
     dG = _generator_derivatives(first)
     D = _field_derivatives(G, G, dG)
-    return FieldTable(G=G, first=first, D=D, coframe=_coframe_matrix(fd),
+    return FieldTable(frame=fd, first=first, D=D, coframe=_coframe_matrix(fd),
                       br=_increment_coordinates(*(d - d.swapaxes(0, 1) for d in D)),
-                      fields=fields, cache={"memo": memo, ("G", id(fields)): (fields, dG)})
+                      fields=fields, cache={("G", id(fields)): (fields, dG)})
 
 
 def _generator_derivatives(derivs) -> np.ndarray:
@@ -291,24 +296,21 @@ def _increment_coordinates(delta: np.ndarray, A: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real, x.imag], axis=-1)
 
 
-def _generator_derivative(fd: FrameData, table: FieldTable, stacks, keep: bool = True):
+def _generator_derivative(table: FieldTable, stacks, keep: bool = True):
     """The derivative of the generator stack along one frame increment from
-    each stack, leading axes (K_1, .., K_q), read off the whole stack's
-    along Rows, kept in the table's cache (when keep holds) but along Rows."""
+    each stack, leading axes (K_1, .., K_q), filled from the frame
+    derivatives there, kept in the table's cache (when keep holds) but
+    along Rows."""
     key = ("G",) + tuple(map(id, stacks))
     if key in table.cache:
         return table.cache[key][1]
-    read = whole(stacks, table.G[0].size * len(table.G))
-    if read is not None:
-        i, parent = read
-        return np.take(_generator_derivative(fd, table, parent, keep), stacks[i].rows, axis=i)
-    G = _generator_derivatives(frame_derivatives(fd, stacks, table.cache["memo"]))
+    G = _generator_derivatives(frame_derivatives(table.frame, stacks))
     if keep and not any(isinstance(s, Rows) for s in stacks):
         table.cache[key] = (stacks, G)
     return G
 
 
-def _field_derivative(fd: FrameData, table: FieldTable, stacks):
+def _field_derivative(table: FieldTable, stacks):
     """(delta, A, order): the q-th derivative of each field X_b = U (w_b,
     G_b) along one tangent from each of q stacks, read-only frame
     increments with leading axes K_i in the order of the stacks, longest
@@ -317,17 +319,17 @@ def _field_derivative(fd: FrameData, table: FieldTable, stacks):
     tangent: A is the derivative of G plus, for each i, A_i times the
     derivative of G along the others; delta is A_1 w_b for q = 1 (None, 0,
     above)."""
-    q, n = len(stacks), fd.n
+    q, n = len(stacks), table.frame.n
     order = sorted(range(q), key=lambda i: -len(stacks[i][0]))
     srt = tuple(stacks[i] for i in order)
     key = ("X",) + tuple(map(id, srt))
     hit = table.cache.get(key)
     if hit is None:
-        out = _generator_derivative(fd, table, srt, keep=False)
+        out = _generator_derivative(table, srt, keep=False)
         out = out.copy() if ("G",) + key[1:] in table.cache else out  # a kept one stays
         for i, (_, Ai) in enumerate(srt):
             others = srt[:i] + srt[i + 1:]
-            lower = _generator_derivative(fd, table, others) if others else table.G
+            lower = _generator_derivative(table, others) if others else table.fields[1]
             # sum_c Ai[j, x, c] lower[.., c, y], as axes (.., j, .., b, x, y)
             term = np.tensordot(Ai, lower, axes=([2], [q])).transpose(
                 [*range(2, i + 2), 0, *range(i + 2, q + 1), q + 1, 1, q + 2])
@@ -366,7 +368,7 @@ def _chunks(N: int, entries: int, rows=None) -> list:
     return [rows[i:i + size] for i in range(0, len(rows), size)]
 
 
-def _iterated(fd: FrameData, table: FieldTable, l: int, rows=None) -> np.ndarray:
+def _iterated(table: FieldTable, l: int, rows=None) -> np.ndarray:
     """Y_{s_l} .. Y_{s_1} X_b, field b differentiated along s_1, then ..,
     then s_l, in the coordinates of its frame increments, axes (s_l, ..,
     s_1, b), s_l in rows (all when None).  By Faa di Bruno it sums, over
@@ -375,19 +377,20 @@ def _iterated(fd: FrameData, table: FieldTable, l: int, rows=None) -> np.ndarray
     the others, a table of the level below.  A table of two levels or more
     has more tangents than _increment_basis, and the derivative is
     real-linear in each, so it is taken along the basis and the table's
-    coordinates contracted in.  The memo's entries along rows are dropped."""
-    N, n = table.G.shape[:2]
+    coordinates contracted in.  The frame data's derivatives along rows are
+    dropped."""
+    N, n = table.fields[1].shape[:2]
     basis = _increment_basis(n)
     chunk = table.fields if rows is None else Rows(table.fields, rows)
     delta = A = None
     for blocks in _set_partitions(l):
         stacks = [basis if len(B) > 1 else chunk if l - 1 in B else table.fields
                   for B in blocks]
-        d, a, order = _field_derivative(fd, table, stacks)
+        d, a, order = _field_derivative(table, stacks)
         blocks = [blocks[i] for i in order]
         # the basis is the longest stack, so its axes lead: contract them in
         for j, B in enumerate(B for B in blocks if len(B) > 1):
-            x = _iterated_table(fd, table, len(B))
+            x = _iterated_table(table, len(B))
             if rows is not None and l - 1 in B:
                 x = x.reshape(N, -1, x.shape[-1])[rows].reshape(-1, x.shape[-1])
             a = np.matmul(x, a.reshape(a.shape[:j] + (len(basis[0]), -1)))
@@ -400,28 +403,28 @@ def _iterated(fd: FrameData, table: FieldTable, l: int, rows=None) -> np.ndarray
         if d is not None:
             delta = d.reshape(shape + [N, n]).transpose(perm + [l, l + 1])
         del a, d
-    for key in [k for k in table.cache["memo"] if rows is not None and id(chunk) in k]:
-        del table.cache["memo"][key]
+    memo = table.frame.derivatives
+    for key in [k for k in memo if rows is not None and id(chunk) in k]:
+        del memo[key]
     return _increment_coordinates(delta, A)
 
 
-def _iterated_table(fd: FrameData, table: FieldTable, j: int) -> np.ndarray:
+def _iterated_table(table: FieldTable, j: int) -> np.ndarray:
     """The coordinates of _iterated with j - 1 >= 1 derivatives, every
     sequence, as one stack of N^j rows, kept in the table's cache."""
     if ("W", j) not in table.cache:
-        N, n = table.G.shape[:2]
+        N, n = table.fields[1].shape[:2]
         x = _increment_coordinates(*table.D) if j == 2 else np.concatenate(
-            [_iterated(fd, table, j - 1, rows) for rows in _chunks(N, N ** (j - 1) * (n + n * n))])
+            [_iterated(table, j - 1, rows) for rows in _chunks(N, N ** (j - 1) * (n + n * n))])
         table.cache[("W", j)] = x.reshape(N ** j, -1)
     return table.cache[("W", j)]
 
 
-def structure_derivative(fd: FrameData, table: FieldTable, order: int = 1,
-                         rows=None) -> np.ndarray:
+def structure_derivative(table: FieldTable, order: int = 1, rows=None) -> np.ndarray:
     """dc[s_k, .., s_1, p, i] = Y_{s_k} .. Y_{s_1} c: the exact order-k
     derivative along the real fields of bracket_coefficients c[a, b, i] at
-    the point of fd, whose bracket table is table, for the pairs p = (a, b),
-    a < b, of np.triu_indices; s_k in rows (all when None).
+    the point of the bracket table, for the pairs p = (a, b), a < b, of
+    np.triu_indices; s_k in rows (all when None).  Order 0 is c itself.
 
     B c = br, B the matrix of the fields, holds along the bundle, to which
     they are tangent, so by Leibniz, with S = (s_1, .., s_k) and S1 not
@@ -431,26 +434,26 @@ def structure_derivative(fd: FrameData, table: FieldTable, order: int = 1,
 
     with Y_S1 B the iterated fields Y_S1 X_i and Y_S br[a, b] = Y_S Y_a X_b
     - (a <-> b) from _iterated.  L is the table's coframe, which maps their
-    coordinates to components.  The lower orders and every whole order are
-    kept in the table's cache; order k is taken a chunk of s_k at a time.
+    coordinates to components.  Every whole order is kept in the table's
+    cache, read-only, and so are the lower orders each reads; order k is
+    taken a chunk of s_k at a time.
     """
     key = ("tier", order)
     if rows is None and key in table.cache:
         return table.cache[key]
-    N, n, k = table.G.shape[0], fd.n, order
+    N, n, k = len(table.fields[1]), table.frame.n, order
     a, b = np.triu_indices(N, 1)
-    tiers = [bracket_coefficients(table)[a, b]]
-    tiers += [structure_derivative(fd, table, j) for j in range(1, k)]
-    dc, done = None, 0
-    for chunk in _chunks(N, N ** (k + 1) * (n + n * n), rows):
-        x = _iterated(fd, table, k + 1, chunk)
+    tiers = [structure_derivative(table, j) for j in range(k)]
+    dc, done = (bracket_coefficients(table)[a, b] if k == 0 else None), 0
+    for chunk in _chunks(N, N ** (k + 1) * (n + n * n), rows) if k else ():
+        x = _iterated(table, k + 1, chunk)
         rhs = x[(slice(None),) * k + (a, b)].__isub__(x[(slice(None),) * k + (b, a)])
         del x
         for S1 in itertools.chain.from_iterable(itertools.combinations(range(k), j)
                                                 for j in range(k, 0, -1)):
             S2 = tuple(i for i in range(k) if i not in S1)
             c = tiers[len(S2)] if chunk is None or k - 1 not in S2 else tiers[len(S2)][chunk]
-            x = _iterated_table(fd, table, len(S1) + 1).reshape((N,) * (len(S1) + 1) + (-1,))
+            x = _iterated_table(table, len(S1) + 1).reshape((N,) * (len(S1) + 1) + (-1,))
             x = x if chunk is None or k - 1 not in S1 else x[chunk]
             # axes (S2 reversed, S1 reversed, pair, coordinate)
             prod = np.moveaxis(np.tensordot(c, x, axes=([-1], [len(S1)])), len(S2), k)
@@ -465,6 +468,7 @@ def structure_derivative(fd: FrameData, table: FieldTable, order: int = 1,
         dc[done:done + len(part)] = part
         done += len(part)
     if rows is None:
+        dc.flags.writeable = False  # shared by every reader of the table's orders
         table.cache[key] = dc
     return dc
 
@@ -475,8 +479,8 @@ class StructureFunctions:
 
     ``R`` is in the holomorphic-sectional-curvature normalization
     (unit disc -> -4); ``R_raw`` is the bracket-native coefficient.
-    ``frame`` and ``table`` are the frame data and the bracket table at the
-    point, which the residuals and closed forms there read as well.
+    ``table`` is the bracket table at the point, with its frame data, which
+    the residuals and closed forms there read as well.
     ``pairings`` is the coframe on the real fields and ``brackets`` its
     values on the brackets of the complexified basis pairs, of which every
     structure function is a slice; the structure equations read both.
@@ -491,7 +495,6 @@ class StructureFunctions:
     h_vert: np.ndarray     # (m, m) pure quadratic form on the block
     H_vert: np.ndarray     # (m, m, m) cubic form H_{lam mu nubar}
     residual: float        # worst bracket-decomposition residual
-    frame: FrameData = field(repr=False)
     table: FieldTable = field(repr=False)
     pairings: tuple = field(repr=False)  # (theta, thetabar, omega, omegabar, varpi), axis N
     brackets: tuple = field(repr=False)  # (theta, varpi), axes (x, y) of the pairs
@@ -562,7 +565,7 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     sf = StructureFunctions(
         point=p, T=T, R_raw=R_raw, Q=Q, P_h=P_h, P_H=P_H, brackets=(bth, bw),
         h_vert=C20[1:, 1:].copy(), H_vert=C21[1:, 1:, 1:].copy(),
-        residual=worst, frame=fd, table=table, pairings=(th, thb, oh, oa, w),
+        residual=worst, table=table, pairings=(th, thb, oh, oa, w),
     )
     # record the embedding of the complex block basis in the real fields
     sf.u_embedding = K[N - m * m:].copy()
@@ -596,7 +599,7 @@ def _complex_lift_derivative(table: FieldTable, form):
     (2, 0), (2, 1) or (1, 2), and of the torsion T = E - E^T for form = "T":
     read off the lift rows 0..2n-1 of the table's derivatives along the
     fields."""
-    n = table.G.shape[-1]
+    n = table.frame.n
     dE, d20, d21 = (d[:2 * n] for d in table.first)
     if form == "T":
         return _complex_pairs(dE - np.swapaxes(dE, -1, -2))
@@ -686,7 +689,7 @@ def structure_equation_residuals(sf: StructureFunctions) -> dict:
     terms its equation sums).  Also reports the sup-norms of the purely
     Finslerian torsion/curvature coefficient families.
     """
-    fd = sf.frame
+    fd = sf.table.frame
     K = _complex_combination_matrix(fd.n)
     th, thb, oh, oa, w = sf.pairings
     TH, THb = (K @ th).T, (K @ thb).T  # (n, N)
@@ -708,7 +711,7 @@ def structure_equation_residuals(sf: StructureFunctions) -> dict:
     # curvature equations, matrix form
     Omega = np.einsum("abgd,gi,dj->abij", sf.R_raw, TH, THb) \
         - np.einsum("abgd,gj,di->abij", sf.R_raw, TH, THb)
-    Pi, Phi, pi_norm, phi_norm = _pi_phi_forms(fd, sf.table, TH, THb, W)
+    Pi, Phi, pi_norm, phi_norm = _pi_phi_forms(sf.table, TH, THb, W)
     terms = (dW, _wedge_matrix_matrix(W), -Omega, -Pi, -Phi)
     b = slice(1, None)
     eq534 = _relative((0, 0), *terms)
@@ -752,9 +755,10 @@ def _wedge_matrix_matrix(W):
     return (np.einsum("aci,cbj->abij", W, W) - np.einsum("acj,cbi->abij", W, W))
 
 
-def _pi_phi_forms(fd, table, TH, THb, W):
+def _pi_phi_forms(table, TH, THb, W):
     """Oblique and vertical Finsler curvature 2-forms on basis pairs, at the
-    point of fd whose bracket table is table."""
+    point of the bracket table."""
+    fd = table.frame
     n = fd.n
     N = TH.shape[1]
     Pi = np.zeros((n, n, N, N), dtype=complex)
@@ -792,12 +796,12 @@ def _lift_derivative_of(sf: StructureFunctions):
     the lift rows of structure_derivative carried and contracted alike, in
     one einsum over the rows.  Returns (holomorphic, antiholomorphic)
     arrays with leading index g."""
-    fd, table = sf.frame, sf.table
-    n, N = fd.n, len(table.G)
+    table = sf.table
+    n, N = table.frame.n, len(table.fields[1])
     K = _complex_combination_matrix(n)
     a, b = np.triu_indices(N, 1)
     dc = np.zeros((2 * n, N, N, N))
-    dc[:, a, b] = structure_derivative(fd, table, rows=range(2 * n))
+    dc[:, a, b] = structure_derivative(table, rows=range(2 * n))
     dc[:, b, a] = -dc[:, a, b]
     # sum_abi K[g, a] K[n + d, b] dc[s, a, b, i] varpi[i, k]
     dw = np.einsum("ga,sadk->skgd", K[:n], K[n:2 * n] @ (dc @ sf.pairings[4].reshape(N, -1)))
@@ -814,8 +818,8 @@ def bianchi_residuals(sf: StructureFunctions) -> dict:
     the ones read.  Each identity is one array over its free indices; a sum
     over a cyclic or antisymmetric set of them is a sum of transposes."""
     T, R = sf.T, sf.R_raw
-    fd, table = sf.frame, sf.table
-    C21 = fd.C(2, 1)
+    table = sf.table
+    C21 = table.frame.C(2, 1)
     dT_h, dT_a = _complex_lift_derivative(table, "T")
     dR_h, dR_a = _lift_derivative_of(sf)
     d12_h = _complex_lift_derivative(table, (1, 2))[0]

@@ -1,10 +1,11 @@
 """Independent references that the library's faster code is checked against."""
 
+import re
+
 import numpy as np
 
 from finslerlab.connection import frame_data, frame_derivatives
 from finslerlab.finsler_forms import form_derivative
-from finslerlab.equivalence import Tiers
 from finslerlab.frame_bundle import (
     AmbientTangent,
     BundlePoint,
@@ -17,6 +18,7 @@ from finslerlab.jets import V, VBAR, Z, ZBAR
 from finslerlab.metric_dsl import FinslerError
 from finslerlab.parallelism import (
     HSC_NORMALIZATION,
+    _bracket_table,
     _carry,
     _coframe,
     _complex_combination_matrix,
@@ -29,6 +31,7 @@ from finslerlab.parallelism import (
     _varpi,
     bracket_coefficients,
     extract_structure,
+    structure_derivative,
 )
 
 KERNEL_REL_TOL = 1e-6  # singular values below this * sigma_max span the tangency kernel
@@ -78,17 +81,19 @@ def field_stack(fd, G=None) -> tuple[np.ndarray, np.ndarray]:
             np.matmul(fd.U, _generators(fd) if G is None else G))
 
 
-def ambient_brackets(fd, table) -> tuple[np.ndarray, np.ndarray]:
+def ambient_brackets(table) -> tuple[np.ndarray, np.ndarray]:
     """The brackets of a bracket table as ambient tangents (dz, dU) = U
     (delta, A) of their frame increments D - D^T, leading axes (a, b)."""
     delta, A = (d - d.swapaxes(0, 1) for d in table.D)
-    return np.matmul(fd.U, delta[..., None])[..., 0], np.matmul(fd.U, A)
+    U = table.frame.U
+    return np.matmul(U, delta[..., None])[..., 0], np.matmul(U, A)
 
 
-def complex_basis(fd, table) -> np.ndarray:
+def complex_basis(table) -> np.ndarray:
     """The complexified basis fields as complexified ambient tangents (dz,
     dzbar, dU, dUbar), one per row: K applied to the real fields."""
-    return _complex_combination_matrix(fd.n) @ complexify(*field_stack(fd, table.G))
+    fd = table.frame
+    return _complex_combination_matrix(fd.n) @ complexify(*field_stack(fd, table.fields[1]))
 
 
 def pack_real(t: AmbientTangent) -> np.ndarray:
@@ -382,14 +387,15 @@ def lift_derivatives(fd):
     return out
 
 
-def lift_difference_of(fd, table, func):
+def lift_difference_of(table, func):
     """Derivatives of a point function func(z, U) along the 2n horizontal
-    lifts at the point of fd, by one central difference (NESTED_STEP) along
-    the lift rows of its bracket table: the route parallelism's Bianchi
+    lifts at the point of the bracket table, by one central difference
+    (NESTED_STEP) along its lift rows: the route parallelism's Bianchi
     residuals once took for the curvature, the accuracy reference for the
     exact _lift_derivative_of.  Returns (holomorphic, antiholomorphic)
     arrays with leading index g."""
-    dz, X = field_stack(fd, table.G)
+    fd = table.frame
+    dz, X = field_stack(fd, table.fields[1])
     d_real = []
     for i in range(2 * fd.n):
         h = NESTED_STEP * (1.0 + tangent_norm(dz[i], X[i]))
@@ -397,13 +403,30 @@ def lift_difference_of(fd, table, func):
     return _complex_pairs(np.array(d_real))
 
 
+def pullback(f2: str, substitutions: dict) -> str:
+    """The DSL text of F^2 with each variable that substitutions names (z1,
+    v1, ..) replaced, whole-word and all at once, by its expression in
+    parentheses.  With phi(z) for the z entries and dphi v for the v
+    entries, it is the metric G(z, v) = F(phi(z), dphi v) pulled back by a
+    holomorphic phi, which is then an isometry from G onto F."""
+    pattern = r"\b(" + "|".join(map(re.escape, substitutions)) + r")\b"
+    return re.sub(pattern, lambda m: f"({substitutions[m.group(1)]})", f2)
+
+
+def table_at(prog, p):
+    """A new bracket table at the frame p, whose whole orders are the
+    signature tiers there."""
+    return _bracket_table(frame_data(prog, p.z, p.U))
+
+
 def tier(prog, z, U, k: int) -> np.ndarray:
-    """Signature tier k at the frame (z, U), as equivalence.Tiers gives it."""
-    return Tiers(prog, BundlePoint(z, U))[k]
+    """Signature tier k at the frame (z, U), as equivalence.signature reads
+    it: order k of structure_derivative, flattened."""
+    return structure_derivative(table_at(prog, BundlePoint(z, U)), k).ravel()
 
 
 def difference_tier(prog, z, U, k: int, step: float = NESTED_STEP) -> np.ndarray:
-    """Signature tier k >= 1 at (z, U) by the route equivalence.Tiers once
+    """Signature tier k >= 1 at (z, U) by the route the signature tiers once
     took for every tier above the first: one central difference of tier
     k - 1 along each parallelism field, at the relative step, block by
     block; the accuracy reference for the exact tiers."""
@@ -418,8 +441,8 @@ def bianchi_residuals(prog, p, sf):
     derivatives along the lifts, each identity summed term by term."""
     n = prog.dim
     T, R = sf.T, sf.R_raw
-    fd, table = sf.frame, sf.table
-    C21 = fd.C(2, 1)
+    table = sf.table
+    C21 = table.frame.C(2, 1)
     dT_h, dT_a = _complex_lift_derivative(table, "T")
     dR_h, dR_a = _lift_derivative_of(sf)
     d12_h = _complex_lift_derivative(table, (1, 2))[0]
@@ -483,7 +506,7 @@ def structure_checks(sf) -> dict:
     purity, the torsion against the connection's antisymmetrization, the
     rotation generator's brackets, the vertical algebra and the vanishing P
     families.  Each is zero in theory."""
-    fd = sf.frame
+    fd = sf.table.frame
     n, m = fd.n, fd.n - 1
     # the components on the complexified basis, c carried by K and K^-1
     K = _complex_combination_matrix(n)
@@ -614,7 +637,7 @@ def e_manifold_closed_forms(prog, p, c: float) -> dict:
     T = sf.T
     craw = c / HSC_NORMALIZATION
     h = sf.h_vert        # (m, m) pure form block, indices 1..n-1 shifted
-    fd = sf.frame
+    fd = sf.table.frame
     C20 = fd.C(2, 0)
     d20b = _complex_lift_derivative(sf.table, (2, 0))[1]  # conj-lift derivatives of h_pure
 

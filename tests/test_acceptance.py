@@ -136,7 +136,7 @@ def test_criterion_05_bracket_relations(progs, entries):
                             checks["vertical_mixed_t_coefficient"])
             if prog.dim > 1:
                 worst_closed = max(worst_closed, float(np.max(np.abs(
-                    sf.Q - closed_form_Q(sf.frame)))))
+                    sf.Q - closed_form_Q(sf.table.frame)))))
                 ph, pH = closed_form_P(sf.table)
                 worst_closed = max(worst_closed,
                                    float(np.max(np.abs(sf.P_h - ph), initial=0.0)),

@@ -47,6 +47,33 @@ def test_check_flat_passes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_reads_sigma0_at_every_sample(tmp_path, capsys, twisted):
+    # the Hermitian dichotomy reads sigma0, the largest entry of the pure
+    # quadratic form on the block e_1..e_{n-1}, at every sample, not only at
+    # the three that get structure functions: on twisted, with seed 0, the
+    # largest of ten is at sample 7 (0.499997), and the first three reach
+    # 0.499758 (sample 1)
+    from finslerlab.finsler_forms import forms_at
+    from finslerlab.frame_bundle import adapted_frame
+    from finslerlab.registry import sample_points
+
+    metric = tmp_path / "twisted.fmetric"
+    metric.write_text(f"dim = 2\nF2 = {twisted.source.f2_expr}\n", encoding="utf-8")
+    out = tmp_path / "check.json"
+    assert run(["check", "--metric", str(metric), "--samples", "10", "--seed", "0",
+                "--json", str(out)]) == 0
+    capsys.readouterr()
+    rep = load(out)
+    sigma0 = []
+    for z, v in sample_points(twisted, None, 10, 0):
+        p = adapted_frame(twisted, z, v)
+        sigma0.append(float(np.max(np.abs(forms_at(twisted, p.z, p.e0, p.U).h_pure[1:, 1:]))))
+    assert int(np.argmax(sigma0)) == 7 and max(sigma0[:3]) < max(sigma0) - 2e-4
+    assert abs(rep["sigma0_norm"] - max(sigma0)) <= 1e-12
+    dichotomy = next(c for c in rep["checks"] if c["name"] == "hermitian_dichotomy")
+    assert dichotomy["residual"] == rep["sigma0_norm"] and dichotomy["pass"]
+
+
 def test_check_quartic_norm_reports_dichotomy(tmp_path, capsys):
     out = tmp_path / "check.json"
     code = run(["check", "--metric", "l4_finsler", "--samples", "4",
@@ -571,7 +598,7 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
         return table(fd)
 
     monkeypatch.setattr(connection.FrameData, "__init__", counted_init)
-    for module in (parallelism, equivalence):
+    for module in (cli, parallelism, equivalence):
         monkeypatch.setattr(module, "_bracket_table", counted_table)
     assert run(argv) == 0
     capsys.readouterr()
@@ -581,11 +608,11 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
 
 @pytest.mark.parametrize("argv, counts", [
     (["structure", "--metric", "poincare_ball_3",
-      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (5, 9, 1, 2)),
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (8, 9, 1, 2)),
     (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
       "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
       "--order", "1"], (23, 24, 2, 2)),
-    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (10, 22, 2, 4)),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (16, 22, 2, 4)),
 ])
 def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # (frame_derivatives, tensor_derivative, jet(2, 0), _coframe) calls per
@@ -593,10 +620,15 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # are built and differentiated along each other, and every later
     # derivative along them (signature tiers, the lift derivatives, the
     # curvature's derivatives along the lifts in Bianchi) reads it or its
-    # cache, which keeps each derivative of (E, C20, C21) along a tuple of
-    # stacks: each is made once, by three tensor_derivative calls (C20, C21
-    # and Dh), and frame_derivatives is called again only where it is read
-    # off that cache.  A point's tier 1, or its lift rows in Bianchi, takes
+    # cache, and the frame data keeps each derivative of (E, C20, C21) along
+    # a tuple of stacks: each is made once, by three tensor_derivative calls
+    # (C20, C21 and Dh), and frame_derivatives is called again only where it
+    # is read off that memo.  The generator derivatives along a chunk of
+    # rows are filled from the frame derivatives along it, which are read
+    # off the memo's along the whole stack: when they stopped taking rows of
+    # whole generator derivatives, the calls that only read the memo grew
+    # from 5 to 8 (structure) and 10 to 16 (check), and tensor_derivative's
+    # stayed.  A point's tier 1, or its lift rows in Bianchi, takes
     # the derivatives along the fields, along the real basis of frame
     # increments and along pairs of fields; its tier 2 adds those along a
     # basis increment and a field, and along triples of fields.  So

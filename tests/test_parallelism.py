@@ -33,7 +33,7 @@ from finslerlab.parallelism import (
     structure_equation_residuals,
     u_block_basis,
 )
-from finslerlab.equivalence import Tiers, structure_coefficients
+from finslerlab.equivalence import structure_coefficients
 from finslerlab.registry import catalog, sample_points
 
 import oracles
@@ -108,7 +108,7 @@ def test_block_bracket_is_matrix_commutator(progs):
     labs = labels_real(2)
     fd = frame_data(prog, p.z, p.U)
     dz, dU = (x[labs.index(("t",)), labs.index(("u", 0))]
-              for x in oracles.ambient_brackets(fd, _bracket_table(fd)))
+              for x in oracles.ambient_brackets(_bracket_table(fd)))
     # the vertical field of the commutator is (0, U [t, E])
     assert np.max(np.abs(dU - p.U @ (t_mat @ mats[0] - mats[0] @ t_mat))) < 1e-7
     assert np.max(np.abs(dz)) < 1e-9
@@ -118,7 +118,7 @@ def test_flat_horizontal_brackets_vanish(progs):
     prog = progs["flat_2"]
     p = adapted_frame(prog, [0.1, 0.3], [1.0, 0.5])
     fd = frame_data(prog, p.z, p.U)
-    dz, dU = oracles.ambient_brackets(fd, _bracket_table(fd))
+    dz, dU = oracles.ambient_brackets(_bracket_table(fd))
     for i in range(4):
         for j in range(i + 1, 4):
             assert oracles.tangent_norm(dz[i, j], dU[i, j]) < 1e-9
@@ -186,7 +186,7 @@ def test_closed_form_Q_and_P(progs, twisted):
                 continue
             p = adapted_frame(prog, z, v)
             sf = extract_structure(prog, p)
-            assert np.max(np.abs(sf.Q - closed_form_Q(sf.frame))) < 1e-5
+            assert np.max(np.abs(sf.Q - closed_form_Q(sf.table.frame))) < 1e-5
             ph, pH = closed_form_P(sf.table)
             assert np.max(np.abs(sf.P_h - ph)) < 1e-5
             assert np.max(np.abs(sf.P_H - pH)) < 1e-5
@@ -272,7 +272,7 @@ def test_contractions_match_the_loops(progs, entries, warped, twisted, mid):
         assert got.keys() == want.keys()
         for key in want:
             assert abs(got[key] - want[key]) <= 1e-15, key
-        assert np.array_equal(closed_form_Q(sf.frame), oracles.closed_form_Q(sf.frame))
+        assert np.array_equal(closed_form_Q(sf.table.frame), oracles.closed_form_Q(sf.table.frame))
 
 
 @pytest.mark.parametrize("mid", [e.id for e in catalog()] + ["warped", "twisted"])
@@ -298,7 +298,7 @@ def test_curvature_lift_derivatives_match_the_central_difference(progs, entries,
         sf = extract_structure(prog, adapted_frame(prog, z, v))
         exact = _lift_derivative_of(sf)
         diff = oracles.lift_difference_of(
-            sf.frame, sf.table, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
+            sf.table, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
         scale = max(1.0, max(float(np.max(np.abs(d))) for d in exact))
         for e, d in zip(exact, diff):
             assert e.shape == d.shape == (prog.dim,) * 5
@@ -312,9 +312,8 @@ def test_structure_derivative_rows_are_its_leading_rows(progs, entries, warped, 
     prog, points = _metric_points(progs, entries, warped, twisted, mid)
     p = adapted_frame(prog, *points[0])
     fd = frame_data(prog, p.z, p.U)
-    table = _bracket_table(fd)
-    full = structure_derivative(fd, table)
-    lead = structure_derivative(fd, _bracket_table(fd), rows=range(2 * prog.dim))
+    full = structure_derivative(_bracket_table(fd))
+    lead = structure_derivative(_bracket_table(fd), rows=range(2 * prog.dim))
     assert lead.shape == (2 * prog.dim,) + full.shape[1:]
     assert np.allclose(lead, full[:2 * prog.dim], rtol=0, atol=1e-13 * np.max(np.abs(full)))
 
@@ -417,11 +416,12 @@ def test_increment_coframe_matches_the_inverse_frame_oracle(progs, entries, warp
     K = _complex_combination_matrix(n)
     for z, v in points:
         sf = extract_structure(prog, adapted_frame(prog, z, v))
-        fd, table = sf.frame, sf.table
+        table = sf.table
+        fd = table.frame
         ref = oracles.Coframe(fd)
-        cases = [(_increment_basis(fd), oracles.complex_basis(fd, table)),
+        cases = [(_increment_basis(fd), oracles.complex_basis(table)),
                  (_carry(K, complexify(*(d - d.swapaxes(0, 1) for d in table.D))),
-                  _carry(K, complexify(*oracles.ambient_brackets(fd, table))))]
+                  _carry(K, complexify(*oracles.ambient_brackets(table))))]
         for inc, amb in cases:
             th, thb, oh, oa = _coframe(fd, inc)
             for got, want in zip((th, thb, _varpi(fd, oh, oa)), (*ref.theta(amb), ref.varpi(amb))):
@@ -439,7 +439,7 @@ def test_brackets_are_tangent_to_the_bundle(progs, entries, warped, twisted, mid
     for z, v in points:
         p = adapted_frame(prog, z, v)
         fd = frame_data(prog, p.z, p.U)
-        dz, dU = oracles.ambient_brackets(fd, _bracket_table(fd))
+        dz, dU = oracles.ambient_brackets(_bracket_table(fd))
         scale = max(1.0, float(np.max(np.linalg.norm(oracles.packed(dz, dU), axis=-1))))
         assert verify_tangent(prog, p, AmbientTangent(dz, dU), fd.jet) <= 1e-13 * scale
 
@@ -449,12 +449,11 @@ def _complex_solve_structure(prog, p):
     decomposition of the complexified brackets on the complexified basis,
     read off as extract_structure reads its coefficients."""
     n, m = prog.dim, prog.dim - 1
-    fd = frame_data(prog, p.z, p.U)
-    table = _bracket_table(fd)
+    table = _bracket_table(frame_data(prog, p.z, p.U))
     K = _complex_combination_matrix(n)
     N = len(K)
-    brc = _carry(K, complexify(*oracles.ambient_brackets(fd, table)))
-    sol, *_ = np.linalg.lstsq(oracles.complex_basis(fd, table).T, brc.reshape(N * N, -1).T,
+    brc = _carry(K, complexify(*oracles.ambient_brackets(table)))
+    sol, *_ = np.linalg.lstsq(oracles.complex_basis(table).T, brc.reshape(N * N, -1).T,
                               rcond=None)
     coeff = sol.T.reshape(N, N, N)
     t = 2 * n + 2 * m
@@ -505,9 +504,9 @@ def test_extract_structure_makes_no_solve(progs, twisted, monkeypatch):
             return _f(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recorded)
     extract_structure(twisted, p)
-    tiers = Tiers(prog, pc)
+    table = oracles.table_at(prog, pc)
     for k in range(4):
-        tiers[k]
+        structure_derivative(table, k)
     assert not calls
 
 
@@ -599,7 +598,7 @@ def test_brackets_match_finite_difference_oracle(progs, entries, warped, mid):
         prog = progs[mid]
         p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=3)[0])
     fd = frame_data(prog, p.z, p.U)
-    br = oracles.packed(*oracles.ambient_brackets(fd, _bracket_table(fd)))
+    br = oracles.packed(*oracles.ambient_brackets(_bracket_table(fd)))
     scale = np.max(np.abs(br))
     oracle = fd_bracket_table(prog, p, 1e-4, fourth_order=True)
     exact_err = np.max(np.abs(br - oracle)) / scale
