@@ -10,11 +10,11 @@ import argparse
 import cmath
 import errno
 import functools
-import json
 import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -51,23 +51,88 @@ class OutputError(FinslerError):
     """A --json, --csv or --svg path that cannot be written."""
 
 
-def _jsonify(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(x) for x in obj.tolist()] if obj.dtype == complex \
-            else obj.tolist()
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    return obj
+def _json_text(obj) -> str:
+    """obj as the text of json.dumps(obj, indent=2, sort_keys=True): keys
+    taken as str(key) and sorted, strings ASCII-escaped, floats as
+    float.__repr__ or NaN, Infinity and -Infinity, numpy arrays and scalars
+    as the lists and numbers they hold, and a complex number as [re, im]."""
+    out = []
+    _put(obj, "\n", out)
+    return "".join(out)
+
+
+def _put(obj, pad: str, out: list):
+    """Append the JSON text of obj to out; pad is a newline and the
+    indentation of the line obj starts on."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _put([float(obj.real), float(obj.imag)], pad, out)
+    elif isinstance(obj, np.ndarray):
+        _put_array(obj, pad, out)
+    elif isinstance(obj, (dict, list, tuple)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        inner = pad + "  "
+        out.append("{")
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            out += (inner, encode_basestring_ascii(key), ": ")
+            _put(value, inner, out)
+            out.append(",")
+        out[-1] = pad + "}"
+    elif isinstance(obj, (list, tuple)):
+        inner = pad + "  "
+        out.append("[")
+        for item in obj:
+            out.append(inner)
+            _put(item, inner, out)
+            out.append(",")
+        out[-1] = pad + "]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    """x as JSON writes it: float.__repr__, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _put_array(a: np.ndarray, pad: str, out: list):
+    """Append the JSON text of array a: a numeric one fills the template of
+    its shape with its entries in C order, a complex one as real parts and
+    imaginary parts on a last axis of 2."""
+    if a.dtype.kind == "c":
+        a = np.stack([a.real, a.imag], axis=-1)
+    if a.dtype.kind not in "fiu":
+        _put(a.tolist(), pad, out)
+        return
+    flat = a.ravel().tolist()
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
+        flat = map(_float_text, flat)
+    out.append(_array_template(a.shape, pad) % tuple(flat))
+
+
+@functools.lru_cache(maxsize=256)
+def _array_template(shape: tuple, pad: str) -> str:
+    """The JSON text of an array of this shape whose line starts with pad,
+    with %s for each entry in C order (str of a float is its repr)."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    entry = _array_template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([entry] * shape[0]) + pad + "]"
 
 
 def _write(path: str, option: str, text: str):
@@ -96,7 +161,7 @@ def _check_output(path: str, option: str):
 
 
 def _emit(report: dict, path: str | None):
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True)
+    text = _json_text(report)
     if path:
         _write(path, "--json", text + "\n")
     try:
@@ -539,7 +604,7 @@ def main(argv=None) -> int:
     except FinslerError as exc:
         diag = {"error": str(exc), "type": type(exc).__name__,
                 "command": getattr(args, "command", None)}
-        print(json.dumps(diag, indent=2, sort_keys=True), file=sys.stderr)
+        print(_json_text(diag), file=sys.stderr)
         return 3
 
 

@@ -300,10 +300,15 @@ def _generator_derivative(table: FieldTable, stacks, keep: bool = True):
     """The derivative of the generator stack along one frame increment from
     each stack, leading axes (K_1, .., K_q), filled from the frame
     derivatives there, kept in the table's cache (when keep holds) but
-    along Rows."""
+    along Rows; along Rows whose parent's is kept, read at the rows."""
     key = ("G",) + tuple(map(id, stacks))
     if key in table.cache:
         return table.cache[key][1]
+    for i, s in enumerate(stacks):
+        if isinstance(s, Rows):
+            hit = table.cache.get(key[:i + 1] + (id(s.parent),) + key[i + 2:])
+            if hit is not None:
+                return np.take(hit[1], s.rows, axis=i)
     G = _generator_derivatives(frame_derivatives(table.frame, stacks))
     if keep and not any(isinstance(s, Rows) for s in stacks):
         table.cache[key] = (stacks, G)

@@ -1,5 +1,6 @@
 """Independent references that the library's faster code is checked against."""
 
+import json
 import re
 
 import numpy as np
@@ -798,3 +799,31 @@ def geodesic_condition_residuals(prog, path, gauge=None) -> dict:
                  - sum(H[lam, mu] * w[mu, 0] for mu in range(1, n)))
             worst_BC = max(worst_BC, abs(b))
     return {"A": worst_A, "BC": worst_BC}
+
+
+def jsonify(obj):
+    """obj with its numpy arrays and scalars made lists and Python numbers,
+    complex numbers [re, im] and dict keys str: what the CLI handed to
+    json.dumps before it wrote reports itself."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.complexfloating):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.ndarray):
+        return [jsonify(x) for x in obj.tolist()] if obj.dtype == complex \
+            else obj.tolist()
+    if isinstance(obj, dict):
+        return {str(k): jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonify(x) for x in obj]
+    return obj
+
+
+def report_json(obj) -> str:
+    """The reference text of a report: json.dumps(indent=2, sort_keys=True),
+    CPython's pure-Python encoder, of jsonify(obj)."""
+    return json.dumps(jsonify(obj), indent=2, sort_keys=True)

@@ -608,11 +608,11 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
 
 @pytest.mark.parametrize("argv, counts", [
     (["structure", "--metric", "poincare_ball_3",
-      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (8, 9, 1, 2)),
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (6, 9, 1, 2)),
     (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
       "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
       "--order", "1"], (23, 24, 2, 2)),
-    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (16, 22, 2, 4)),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (12, 22, 2, 4)),
 ])
 def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # (frame_derivatives, tensor_derivative, jet(2, 0), _coframe) calls per
@@ -624,11 +624,12 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # a tuple of stacks: each is made once, by three tensor_derivative calls
     # (C20, C21 and Dh), and frame_derivatives is called again only where it
     # is read off that memo.  The generator derivatives along a chunk of
-    # rows are filled from the frame derivatives along it, which are read
-    # off the memo's along the whole stack: when they stopped taking rows of
-    # whole generator derivatives, the calls that only read the memo grew
-    # from 5 to 8 (structure) and 10 to 16 (check), and tensor_derivative's
-    # stayed.  A point's tier 1, or its lift rows in Bianchi, takes
+    # rows are read off the kept one along the whole stack, as along the
+    # fields alone, which the bracket table keeps; else they are filled from
+    # the frame derivatives along the chunk, which are read off the memo's
+    # along the whole stack.  Reading the rows off the kept one took 2 of
+    # the frame_derivatives calls of structure (8 to 6) and 4 of check's (16
+    # to 12), and none of tensor_derivative's.  A point's tier 1, or its lift rows in Bianchi, takes
     # the derivatives along the fields, along the real basis of frame
     # increments and along pairs of fields; its tier 2 adds those along a
     # basis increment and a field, and along triples of fields.  So
@@ -670,6 +671,30 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
     capsys.readouterr()
     keys = ("frame_derivatives", "tensor_derivative", "jet20", "_coframe")
     assert tuple(calls.get(k) for k in keys) == counts
+
+
+@pytest.mark.parametrize("argv, fills", [
+    (["structure", "--metric", "poincare_ball_3",
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], 3),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], 6),
+])
+def test_report_generator_fills(capsys, monkeypatch, argv, fills):
+    # generator derivatives filled from frame derivatives per report, three
+    # a point: along the fields, along the increment basis and along (the
+    # fields, a chunk of their rows).  Along a chunk of rows of the fields
+    # alone they are read off the table's whole one, which took one fill a
+    # point (structure 4 to 3, check 8 to 6)
+    calls = []
+    fill = parallelism._generator_derivatives
+
+    def counted(derivs):
+        calls.append(derivs[0].shape)
+        return fill(derivs)
+
+    monkeypatch.setattr(parallelism, "_generator_derivatives", counted)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == fills
 
 
 def test_geodesic_step_count_is_bounded_before_any_work(capsys, monkeypatch):

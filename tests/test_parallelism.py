@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finslerlab import MetricSource, parse_metric
-from finslerlab.connection import FrameData, frame_data
+from finslerlab.connection import FrameData, Rows, frame_data, frame_derivatives
 from finslerlab.frame_bundle import (
     AmbientTangent,
     BundlePoint,
@@ -646,6 +646,24 @@ def test_bracket_table_builds_the_generator_stack_once(entries, monkeypatch):
     monkeypatch.setattr(parallelism, "_generators", counted)
     _bracket_table(frame_data(prog, p.z, p.U))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mid", ["l4_finsler", "poincare_ball_3"])
+def test_generator_derivative_along_rows_is_read_off_the_kept_one(progs, entries, monkeypatch,
+                                                                  mid):
+    # the bracket table keeps the generator derivative along the fields, so
+    # along a chunk of their rows it is read at the rows, with no fill, and
+    # bit for bit the one filled from the frame derivatives along the chunk
+    prog = progs[mid]
+    p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=2)[0])
+    table = _bracket_table(frame_data(prog, p.z, p.U))
+    chunk = Rows(table.fields, [1, 4, 5, 7])
+    filled = parallelism._generator_derivatives(frame_derivatives(table.frame, (chunk,)))
+    fills = []
+    monkeypatch.setattr(parallelism, "_generator_derivatives", fills.append)
+    read = parallelism._generator_derivative(table, (chunk,))
+    assert not fills
+    assert read.shape == filled.shape and read.tobytes() == filled.tobytes()
 
 
 @pytest.mark.parametrize("mid", ["poincare_disc", "poincare_ball_2"])
