@@ -16,8 +16,8 @@ frame_derivatives takes the derivatives of every order of E, C(2, 0) and
 C(2, 1), along tangents given as frame increments (U^-1 dz, U^-1 dU):
 (w, G) for a parallelism field U (w, G), so none of them solves with U.
 Each one computed is kept in the frame data's memo, and frame_derivatives
-is the one place where a derivative along a chunk of rows of a stack
-(Rows) is read off the one along the whole stack.
+reads a derivative along a chunk of rows of a stack (Rows) off the one
+along the whole stack.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class FrameData:
     def Dh(self) -> np.ndarray:
         """Dh[g, a, b]: base derivative of the Gram entries along e_g, with
         frame and fiber point held constant in chart coordinates."""
-        return self.jet.fiber_tensor_dbase(1, 1)[0]
+        return self.jet.partials(1, 1, (Z,))
 
     @property
     def E(self) -> np.ndarray:

@@ -366,13 +366,6 @@ class Jet:
         """Tensor of partials d^p_v d^q_vbar, shape (n,)*(p+q), v-slots first."""
         return self.partials(p, q)
 
-    def fiber_tensor_dbase(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """Base-derivative tensors (d_z_k, d_zbar_k) of the (p, q) fiber tensor.
-
-        Returns two arrays of shape (n,) + (n,)*(p+q); leading axis is k.
-        """
-        return self.partials(p, q, (Z,)), self.partials(p, q, (ZBAR,))
-
     def partials(self, p: int, q: int, kinds: tuple = ()) -> np.ndarray:
         """The (p, q) fiber tensor differentiated once along each variable
         kind in ``kinds`` (V, VBAR, Z or ZBAR), one leading axis per kind,

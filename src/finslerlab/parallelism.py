@@ -15,12 +15,12 @@ the coframe needs no inverse of the frame, theta = delta and omega = A -
 E(delta), so the table's coframe matrix is the fields' left inverse and
 no decomposition solves.  The complexified basis is the constant
 combinations K of the real fields (``_complex_combination_matrix``).
-The coframe is dual to the parallelism, so its exterior derivative on a
-pair of fields is minus its value on their bracket, and every structure
+The coframe is dual to the parallelism: on the real fields it is their
+layout (W, G0) of _stack_layout, constant, so its exterior derivative on
+a pair of fields is minus its value on their bracket, and every structure
 function is minus a coframe value on a bracket of complexified basis
-fields: one pairing, the coframe on the real fields contracted with c
-carried to the complexified pairs by K, serves the extraction, the
-structure equations (which take no derivative) and Bianchi.
+fields: one pairing, c contracted with (W, G0) and carried by K, serves
+the extraction, the structure equations and Bianchi.
 ``structure_derivative`` takes the structure functions' derivatives of
 any order along the fields, from B c = br differentiated by Leibniz, and
 the pairing reads the curvature's off its lift rows.  Each layer has one
@@ -93,7 +93,8 @@ def _stack_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     and i(E_{lam 0} + E_{0 lam}) in the e slots) and the frame components W
     of the fields' base parts: w_g of the 2n lifts, 0 for the rest.  Field j
     is the ambient tangent U (W[j], G[j]): its frame increments are
-    (W[j], G[j])."""
+    (W[j], G[j]), and the dual coframe (theta, varpi) is (W[j], G0[j]) on
+    it, G0 the stack returned."""
     m = n - 1
     t = 2 * n + 2 * m
 
@@ -213,7 +214,6 @@ class FieldTable:
     and every whole order, read-only."""
 
     frame: FrameData = field(repr=False, compare=False)
-    first: tuple         # (dE, dC20, dC21) along each field, leading axis N
     D: tuple             # frame increments of D[a, b] = D_a X_b, shapes (N, N, n), (N, N, n, n)
     coframe: np.ndarray  # (N, M) the fields' left inverse on increment coordinates (_coframe_matrix)
     br: np.ndarray       # (N, N, M) the coordinates of br[a, b] = D_a X_b - D_b X_a
@@ -234,10 +234,9 @@ def _bracket_table(fd: FrameData) -> FieldTable:
     """
     G = _generators(fd)
     fields = (_stack_layout(fd.n)[1], G)
-    first = frame_derivatives(fd, (fields,))
-    dG = _generator_derivatives(first)
+    dG = _generator_derivatives(frame_derivatives(fd, (fields,)))
     D = _field_derivatives(G, G, dG)
-    return FieldTable(frame=fd, first=first, D=D, coframe=_coframe_matrix(fd),
+    return FieldTable(frame=fd, D=D, coframe=_coframe_matrix(fd),
                       br=_increment_coordinates(*(d - d.swapaxes(0, 1) for d in D)),
                       fields=fields, cache={("G", id(fields)): (fields, dG)})
 
@@ -486,9 +485,9 @@ class StructureFunctions:
     (unit disc -> -4); ``R_raw`` is the bracket-native coefficient.
     ``table`` is the bracket table at the point, with its frame data, which
     the residuals and closed forms there read as well.
-    ``pairings`` is the coframe on the real fields and ``brackets`` its
-    values on the brackets of the complexified basis pairs, of which every
-    structure function is a slice; the structure equations read both.
+    ``brackets`` is the coframe on the brackets of the complexified basis
+    pairs, of which every structure function is a slice; the structure
+    equations read it with the coframe on the fields, their layout.
     """
 
     point: BundlePoint
@@ -501,13 +500,17 @@ class StructureFunctions:
     H_vert: np.ndarray     # (m, m, m) cubic form H_{lam mu nubar}
     residual: float        # worst bracket-decomposition residual
     table: FieldTable = field(repr=False)
-    pairings: tuple = field(repr=False)  # (theta, thetabar, omega, omegabar, varpi), axis N
     brackets: tuple = field(repr=False)  # (theta, varpi), axes (x, y) of the pairs
-    u_embedding: np.ndarray | None = None
 
     @property
     def R(self) -> np.ndarray:
         return HSC_NORMALIZATION * self.R_raw
+
+    @property
+    def u_embedding(self) -> np.ndarray:
+        """The V rows of K: the complex block basis on the real fields."""
+        K = _complex_combination_matrix(self.table.frame.n)
+        return K[len(K) - (self.table.frame.n - 1) ** 2:]
 
 
 def _carry(K: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -536,9 +539,10 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     (in the order of _complex_combination_matrix), T = -theta on [eh, eh],
     R_raw = -varpi on [eh, ehb], Q = varpi[1:, 1:] on [ev, evb] plus I, and
     P_h, P_H = varpi[1:, 0], varpi[1:, 1:] on [evb, eh]: c carried to the
-    pairs by K and contracted with the coframe on the real fields.  The
-    residual is the part of each bracket off the fields: br less c times
-    the fields' coordinates, relative to max(1, |br|)."""
+    pairs by K and contracted with the coframe on the real fields, which
+    is their layout (W, G0).  The residual is the part of each bracket off
+    the fields: br less c times the fields' coordinates, relative to
+    max(1, |br|)."""
     n = prog.dim
     m = n - 1
     fd = frame_data(prog, p.z, p.U)
@@ -553,9 +557,8 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     if worst > DECOMPOSITION_TOL:
         raise FinslerError(f"bracket decomposition residual {worst:.2e} exceeds tolerance")
 
-    th, thb, oh, oa = _coframe(fd, complexify(*table.fields))
-    w = _varpi(fd, oh, oa)
-    on = _carry(K, c @ np.concatenate([th, w.reshape(N, -1)], axis=1))
+    G0, W = _stack_layout(n)
+    on = _carry(K, c @ np.concatenate([W, G0.reshape(N, -1)], axis=1))
     bth, bw = on[..., :n], on[..., n:].reshape(N, N, n, n)
     eh, ehb, ev, evb = (slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m),
                         slice(2 * n + m, 2 * n + 2 * m))
@@ -567,14 +570,11 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
 
     C20 = fd.C(2, 0)
     C21 = fd.C(2, 1)
-    sf = StructureFunctions(
+    return StructureFunctions(
         point=p, T=T, R_raw=R_raw, Q=Q, P_h=P_h, P_H=P_H, brackets=(bth, bw),
         h_vert=C20[1:, 1:].copy(), H_vert=C21[1:, 1:, 1:].copy(),
-        residual=worst, table=table, pairings=(th, thb, oh, oa, w),
+        residual=worst, table=table,
     )
-    # record the embedding of the complex block basis in the real fields
-    sf.u_embedding = K[N - m * m:].copy()
-    return sf
 
 
 # --------------------------------------------------------------------------
@@ -602,10 +602,10 @@ def _complex_lift_derivative(table: FieldTable, form):
     """Derivatives along the holomorphic lifts e_g-hat and their conjugates,
     as _complex_pairs returns them, of the (p, q) frame form for form =
     (2, 0), (2, 1) or (1, 2), and of the torsion T = E - E^T for form = "T":
-    read off the lift rows 0..2n-1 of the table's derivatives along the
-    fields."""
+    read off the lift rows 0..2n-1 of the derivatives along the fields,
+    which the table's frame data keeps since _bracket_table took them."""
     n = table.frame.n
-    dE, d20, d21 = (d[:2 * n] for d in table.first)
+    dE, d20, d21 = (d[:2 * n] for d in table.frame.derivatives[(id(table.fields),)][1])
     if form == "T":
         return _complex_pairs(dE - np.swapaxes(dE, -1, -2))
     if form == (1, 2):
@@ -687,18 +687,19 @@ def structure_equation_residuals(sf: StructureFunctions) -> dict:
     Both sides of the torsion and curvature equations are evaluated on all
     pairs of the complexified parallelism basis at the point of sf, from the
     exact brackets and the frame forms there, with no difference quotient.
-    The coframe on the basis is K times its pairings with the real fields,
-    and on the brackets it is the values extract_structure read the
-    structure functions from, both carried by sf; no coframe is evaluated
-    here.  Each residual is relative to max(1, the largest entry of the
-    terms its equation sums).  Also reports the sup-norms of the purely
+    The coframe on the basis is K times its values on the real fields,
+    their layout (W, G0), and on the brackets it is the values
+    extract_structure read the structure functions from, carried by sf; no
+    coframe is evaluated here.  Each residual is relative to max(1, the
+    largest entry of the terms its equation sums).  Also reports the sup-norms of the purely
     Finslerian torsion/curvature coefficient families.
     """
     fd = sf.table.frame
-    K = _complex_combination_matrix(fd.n)
-    th, thb, oh, oa, w = sf.pairings
-    TH, THb = (K @ th).T, (K @ thb).T  # (n, N)
-    W = np.moveaxis(np.tensordot(K, w, 1), 0, -1)  # (n, n, N)
+    n = fd.n
+    K = _complex_combination_matrix(n)
+    G0, w = _stack_layout(n)
+    TH, THb = (K @ w).T, (K @ np.conj(w)).T  # (n, N)
+    W = np.moveaxis(np.tensordot(K, G0, 1), 0, -1)  # (n, n, N)
 
     # d eta (X_x, X_y) = X(eta(Y)) - Y(eta(X)) - eta([X, Y]); the coframe is
     # dual to the parallelism, so the pairings eta(X) are constants and only
@@ -728,9 +729,12 @@ def structure_equation_residuals(sf: StructureFunctions) -> dict:
 
     # structure-group linear relations on the connection forms of every
     # real field, on which omega_a = conj(omega_h); each sets omega_h +
-    # omega_a^T against the form corrections, so omega_h and omega_a scale it
+    # omega_a^T against the form corrections, so omega_h scales it; omega_h
+    # is the generator stack with its lift slots, E(w_g), set to 0
+    oh = sf.table.fields[1].copy()
+    oh[:2 * n] = 0
     C20 = fd.C(2, 0)
-    eq529 = vertical_relations_residual(oh, oa, C20, C21, fd.C(1, 2)) / max(1.0, _sup(oh, oa))
+    eq529 = vertical_relations_residual(oh, np.conj(oh), C20, C21, fd.C(1, 2)) / max(1.0, _sup(oh))
 
     return {
         "eq529": eq529,
@@ -796,10 +800,10 @@ def _pi_phi_forms(table, TH, THb, W):
 def _lift_derivative_of(sf: StructureFunctions):
     """Derivatives of the raw curvature R_raw along the 2n horizontal lifts
     at the point of sf.  R_raw is -varpi on [eh, ehb]: the structure
-    coefficients c carried by K and contracted with the pairing, which is
-    constant along the fields, the coframe being dual to them.  So they are
-    the lift rows of structure_derivative carried and contracted alike, in
-    one einsum over the rows.  Returns (holomorphic, antiholomorphic)
+    coefficients c carried by K and contracted with varpi on the fields,
+    the constant G0 of _stack_layout, the coframe being dual to them.  So
+    they are the lift rows of structure_derivative carried and contracted
+    alike, in one einsum over the rows.  Returns (holomorphic, antiholomorphic)
     arrays with leading index g."""
     table = sf.table
     n, N = table.frame.n, len(table.fields[1])
@@ -809,7 +813,7 @@ def _lift_derivative_of(sf: StructureFunctions):
     dc[:, a, b] = structure_derivative(table, rows=range(2 * n))
     dc[:, b, a] = -dc[:, a, b]
     # sum_abi K[g, a] K[n + d, b] dc[s, a, b, i] varpi[i, k]
-    dw = np.einsum("ga,sadk->skgd", K[:n], K[n:2 * n] @ (dc @ sf.pairings[4].reshape(N, -1)))
+    dw = np.einsum("ga,sadk->skgd", K[:n], K[n:2 * n] @ (dc @ _stack_layout(n)[0].reshape(N, -1)))
     return _complex_pairs(-dw.reshape((2 * n,) + (n,) * 4))
 
 

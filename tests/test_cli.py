@@ -608,11 +608,11 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
 
 @pytest.mark.parametrize("argv, counts", [
     (["structure", "--metric", "poincare_ball_3",
-      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (6, 9, 1, 2)),
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (6, 9, 1, 1)),
     (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
       "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
       "--order", "1"], (23, 24, 2, 2)),
-    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (12, 22, 2, 4)),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (12, 22, 2, 2)),
 ])
 def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # (frame_derivatives, tensor_derivative, jet(2, 0), _coframe) calls per
@@ -640,10 +640,12 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # frame increments, with no field stack.  check evaluates one jet(2, 0)
     # a point, in its Levi check: the adapted frame reads that report, and
     # the Gram residual is read off the point's frame data.  The coframe is
-    # evaluated twice where the structure functions are extracted, on the
-    # increment basis for the bracket table and on the real fields for the
-    # pairing every structure function is read with, and once where only
-    # the table is built: compare's two frames
+    # evaluated once a point, on the increment basis for the bracket
+    # table's coframe matrix: on the real fields it is dual to them, so
+    # the pairing every structure function is read with is their layout
+    # (_stack_layout), a constant, which took one evaluation at each
+    # extraction (structure 2 to 1, check 4 to 2); compare builds only
+    # the table at its two frames
     calls = {}
 
     def counting(key, f):

@@ -23,6 +23,7 @@ from finslerlab.geodesics import (
     integrate_geodesic,
     spray_coefficients,
 )
+from finslerlab.jets import Z, ZBAR
 from finslerlab.metric_dsl import MetricProgram
 from finslerlab.parallelism import extract_structure
 from finslerlab.registry import catalog, sample_points
@@ -263,7 +264,7 @@ def _euler_lagrange_oracle(prog, z0, v0, t_max, dt):
         jet = prog.jet_unchecked(z, v, 2, 1)
         P = jet.fiber_tensor(2, 0)
         M = jet.fiber_tensor(1, 1)
-        TZ, TZb = jet.fiber_tensor_dbase(1, 0)
+        TZ, TZb = jet.partials(1, 0, (Z,)), jet.partials(1, 0, (ZBAR,))
         Fz = np.array([derivative(jet, z=(k,)) for k in range(n)])
         b = Fz - TZ.T @ v - TZb.T @ np.conj(v)
         A = np.block([[P, M], [np.conj(M), np.conj(P)]])

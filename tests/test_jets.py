@@ -139,7 +139,7 @@ def test_tensor_extraction_matches_scalar_lookup():
     f = (v1.abs2() + v2.abs2()).pow_int(2)
     t = f.fiber_tensor(2, 1)
     assert t[0, 1, 1] == pytest.approx(derivative(f, v=(0, 1), vbar=(1,)))
-    dz, dzb = f.fiber_tensor_dbase(1, 1)
+    dz, dzb = f.partials(1, 1, (Z,)), f.partials(1, 1, (ZBAR,))
     assert dz[0, 1, 0] == pytest.approx(derivative(f, v=(1,), vbar=(0,), z=(0,)))
     assert dzb[1, 0, 1] == pytest.approx(derivative(f, v=(0,), vbar=(1,), zbar=(1,)))
 

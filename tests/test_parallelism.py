@@ -381,6 +381,10 @@ def test_coframe_pairings_of_the_basis_are_constant(progs, entries, twisted, twi
     # structure equations take no derivative of them; the table also fixes
     # K, through which the basis is built.  So the bracket table's coframe
     # matrix, read off the same pairings, is a left inverse of the fields.
+    # On the real fields the coframe is their layout: theta, thetabar and
+    # varpi are (W, conj W, G0) of _stack_layout, and omega is the
+    # generator stack with its lift slots set to 0, which the extraction,
+    # the structure equations and Bianchi read in place of evaluating it.
     # Every metric of dimension 1 is Hermitian.
     rng = np.random.default_rng(31)
     cases = [(progs[mid], sample_points(progs[mid], entries[mid], 2, seed=9))
@@ -401,6 +405,14 @@ def test_coframe_pairings_of_the_basis_are_constant(progs, entries, twisted, twi
                 table = _bracket_table(frame_data(prog, p.z, U))
                 I = table.coframe @ _increment_coordinates(*table.fields).T
                 assert np.max(np.abs(I - np.eye(len(I)))) <= 1e-14
+                G0, w = _stack_layout(n)
+                th, thb, oh, oa = _coframe(table.frame, complexify(*table.fields))
+                omega = table.fields[1].copy()
+                omega[:2 * n] = 0
+                for got, want in ((th, w), (thb, np.conj(w)),
+                                  (_varpi(table.frame, oh, oa), G0),
+                                  (oh, omega), (oa, np.conj(omega))):
+                    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("mid", ["poincare_ball_3", "fubini_study_2", "hermitian_nonconstant",
