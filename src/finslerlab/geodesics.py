@@ -86,9 +86,9 @@ def geodesic_spray(prog: MetricProgram, p: BundlePoint) -> AmbientTangent:
     field stack would give them."""
     fd = frame_data(prog, p.z, p.U)
     dU = fd.U @ fd.E[:, :, 0]
-    a = spray_coefficients(fd)
-    if a.any():
-        n = fd.n
+    n = fd.n
+    a = spray_coefficients(fd) if n > 1 else None  # n = 1 has no vertical fields
+    if a is not None and a.any():
         X = fd.U @ _generators(fd)[2 * n:4 * n - 2]
         for lam, w in enumerate(a):
             dU = dU + X[2 * lam] * float(w.real)
@@ -114,13 +114,14 @@ def integrate_geodesic(prog: MetricProgram, z0, v0, t_max: float, dt: float,
     in direction v0/F(v0) at unit speed and ends at t = t_max.
 
     The steps are dt long; when t_max / dt lies further than
-    STEP_COUNT_TOL from an integer, the last one is shortened to end at
-    t_max.  A step whose Gram drift exceeds GRAM_TOL is retried as 2, 4,
-    then 8 substeps, each checked and re-projected like a step."""
+    STEP_COUNT_TOL from a positive integer, the last one is shortened to
+    end at t_max, so a t_max / dt near 0 is one step of t_max.  A step
+    whose Gram drift exceeds GRAM_TOL is retried as 2, 4, then 8
+    substeps, each checked and re-projected like a step."""
     if not t_max / dt <= MAX_STEPS:  # checked before any step or array is made
         raise IntegrationError(f"t_max / dt = {t_max / dt:.3g} steps exceeds {MAX_STEPS}")
     nsteps = round(t_max / dt)
-    equal = abs(t_max / dt - nsteps) <= STEP_COUNT_TOL
+    equal = nsteps > 0 and abs(t_max / dt - nsteps) <= STEP_COUNT_TOL
     if not equal:
         nsteps = math.ceil(t_max / dt)
     z0 = np.asarray(z0, dtype=complex)

@@ -41,6 +41,15 @@ order as over the full table, so the product, and every report built on
 it, is bit-for-bit what the full-table product gives.  These restricted
 tables are built from the pairs of degree blocks the full table is made
 of, and the full table itself is never held.
+
+At the small orders a jet evaluation costs its count of numpy calls, not
+its arithmetic, so the arithmetic makes no call that its result does not
+need, and dropping one changes no bit: |x|^2 is one product,
+mul(c, c, conj=True), with the conjugation folded into the product's
+gather; a power by squaring starts from the base at the exponent's lowest
+set bit, not from a product by the constant 1; and the series of inv and
+sqrt evaluate their coefficients only for the terms they add, up to the
+first power that vanishes.
 """
 
 from __future__ import annotations
@@ -138,6 +147,9 @@ class JetSpace:
         # conjugation permutation: swap v<->vbar and z<->zbar blocks
         swap = np.arange(4 * n).reshape(4, n)[[VBAR, V, ZBAR, Z]].ravel()
         self._conj_perm = self._lookup(mono[:, swap] @ self._radix)
+        # a dense table's pairs with the second factor read off the conjugate
+        self._full_conj = None if self._sparse else \
+            (self._full[0], self._conj_perm[self._full[1]], self._full[2])
 
         factorials = np.array([math.factorial(k) for k in range(self.max_total + 1)])
         self._factorial = np.prod(factorials[mono], axis=1).astype(float)
@@ -186,18 +198,29 @@ class JetSpace:
         c[0] = value
         slots = self._linear_slots.get(kind)
         if slots is not None:
-            c[slots] = np.eye(self.n)[k] if frame is None else frame[k]
+            if frame is None:
+                c[slots[k]] = 1.0
+            else:
+                c[slots] = frame[k]
         return Jet(self, c)
 
     # -- arithmetic kernels --------------------------------------------------
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def mul(self, a: np.ndarray, b: np.ndarray, conj: bool = False) -> np.ndarray:
+        """The coefficients of a * b, or with conj of a * conj(b), so that
+        |x|^2 is one product.  The conjugate jet holds conj(b[_conj_perm[m]])
+        at slot m; a dense table folds the permutation into its gather (the
+        table _full_conj), a sparse one permutes b before it looks up the
+        operands' patterns.  Either way each slot sums the same terms in the
+        same order as the product by the conjugate jet, bit for bit."""
         out = np.zeros(self.size, dtype=complex)
+        if conj:
+            b = np.conj(b) if not self._sparse else np.conj(b[self._conj_perm])
         # A non-finite coefficient times a zero is nan, not a skippable zero.
         # An inf or nan in either operand makes the dot product non-finite
         # (so does overflow, which only costs the full table).
         if not self._sparse:
-            m1, m2, mo = self._full
+            m1, m2, mo = self._full_conj if conj else self._full
         elif cmath.isfinite(a.dot(b)):
             m1, m2, mo = self._class_pairs(self._pattern(a), self._pattern(b))
         else:
@@ -250,18 +273,20 @@ class JetSpace:
         self._tensor_tables[key] = table
         return table
 
-    def compose_series(self, g: np.ndarray, coeffs) -> np.ndarray:
-        """Evaluate sum_k coeffs[k] * ghat^k where ghat = g - g[0]."""
+    def compose_series(self, g: np.ndarray, coeff) -> np.ndarray:
+        """Evaluate sum_k coeff(k) * ghat^k, k <= max_total, where ghat =
+        g - g[0].  The sum stops at the first power of ghat that vanishes,
+        and coeff is called only for the terms it adds."""
         ghat = g.copy()
         ghat[0] = 0.0
         out = np.zeros(self.size, dtype=complex)
-        out[0] = coeffs[0]
+        out[0] = coeff(0)
         power = None
-        for k in range(1, len(coeffs)):
+        for k in range(1, self.max_total + 1):
             power = ghat if power is None else self.mul(power, ghat)
             if not power.any():
                 break
-            out = out + coeffs[k] * power
+            out = out + coeff(k) * power
         return out
 
 
@@ -283,13 +308,9 @@ class Jet:
         self.space = space
         self.c = c
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        return self.space.const(complex(other))
-
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Jet):  # a scalar, as a constant jet
+            other = self.space.const(complex(other))
         return Jet(self.space, self.c + other.c)
 
     __radd__ = __add__
@@ -298,38 +319,49 @@ class Jet:
         return Jet(self.space, -self.c)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Jet):
+            other = self.space.const(complex(other))
         return Jet(self.space, self.c - other.c)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Jet):
+            other = self.space.const(complex(other))
         return Jet(self.space, self.space.mul(self.c, other.c))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Jet):
+            other = self.space.const(complex(other))
         return self * other.inv()
 
     def inv(self) -> "Jet":
         g0 = self.c[0]
         if abs(g0) < 1e-300:
             raise JetError("division by an expression vanishing at the evaluation point")
-        K = self.space.max_total
-        coeffs = [(-1) ** k / g0 ** (k + 1) for k in range(K + 1)]
-        return Jet(self.space, self.space.compose_series(self.c, coeffs))
+        return Jet(self.space, self.space.compose_series(
+            self.c, lambda k: (-1) ** k / g0 ** (k + 1)))
 
     def pow_int(self, p: int) -> "Jet":
+        """The p-th power by squaring, from the base at p's lowest set bit,
+        with no product by the constant 1."""
         if p < 0:
             return self.inv().pow_int(-p)
-        result = self.space.const(1.0)
+        if p == 0:
+            return self.space.const(1.0)
         base = self
-        while p:
+        while not p & 1:
+            base = base * base
+            p >>= 1
+        result = base
+        while p > 1:
+            base = base * base
+            p >>= 1
             if p & 1:
                 result = result * base
-            base = base * base if p > 1 else base
-            p >>= 1
-        return result
+        # The product by 1 that this skips turned each -0.0 coefficient into
+        # +0.0, as + 0.0 does; a product's sums start at +0.0 and hold none.
+        return Jet(self.space, self.c + 0.0) if result is self else result
 
     def conj(self) -> "Jet":
         return Jet(self.space, np.conj(self.c[self.space._conj_perm]))
@@ -341,7 +373,7 @@ class Jet:
         return Jet(self.space, -0.5j * (self.c - np.conj(self.c[self.space._conj_perm])))
 
     def abs2(self) -> "Jet":
-        return self * self.conj()
+        return Jet(self.space, self.space.mul(self.c, self.c, conj=True))
 
     def sqrt(self) -> "Jet":
         g0 = self.c[0]
@@ -354,7 +386,7 @@ class Jet:
         for k in range(K + 1):
             coeffs.append(binom * s / g0 ** k)
             binom *= (0.5 - k) / (k + 1)
-        return Jet(self.space, self.space.compose_series(self.c, coeffs))
+        return Jet(self.space, self.space.compose_series(self.c, coeffs.__getitem__))
 
     # -- extraction ----------------------------------------------------------
 

@@ -125,6 +125,37 @@ def full_table(space) -> tuple:
     return space._table(space._block_pairs) if space._full is None else space._full
 
 
+def power_from_one(jet, p: int):
+    """jet^p for p >= 0 by squaring from the constant 1: each set bit of p,
+    lowest first, multiplies its power of jet into a product that starts at
+    const(1.0).  Its first product, by 1, turns each -0.0 coefficient into
+    +0.0."""
+    result, base = jet.space.const(1.0), jet
+    while p:
+        if p & 1:
+            result = result * base
+        base = base * base if p > 1 else base
+        p >>= 1
+    return result
+
+
+def series_from_list(space, g: np.ndarray, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] * ghat^k, ghat = g - g[0], from a list of every
+    coefficient up to the table's total degree, stopping at the first power
+    of ghat that vanishes."""
+    ghat = g.copy()
+    ghat[0] = 0.0
+    out = np.zeros(space.size, dtype=complex)
+    out[0] = coeffs[0]
+    power = None
+    for k in range(1, len(coeffs)):
+        power = ghat if power is None else space.mul(power, ghat)
+        if not power.any():
+            break
+        out = out + coeffs[k] * power
+    return out
+
+
 def exponents(space) -> np.ndarray:
     """The exponent rows of the monomials of a JetSpace, in table order:
     the digits of their codes."""

@@ -23,7 +23,7 @@ from finslerlab.geodesics import (
     integrate_geodesic,
     spray_coefficients,
 )
-from finslerlab.jets import Z, ZBAR
+from finslerlab.jets import Z, ZBAR, JetSpace
 from finslerlab.metric_dsl import MetricProgram
 from finslerlab.parallelism import extract_structure
 from finslerlab.registry import catalog, sample_points
@@ -433,11 +433,16 @@ def test_spray_matches_full_stack_oracle(progs, entries, warped, twisted, mid, p
 def test_geodesic_step_work_counts(entries, monkeypatch):
     # per RK4 step: four FrameData (one jet(4, 1) each), one jet(2, 0) at the
     # step's end for the Gram drift, F and the re-projection, and one F
-    # evaluation for the recorded speed
+    # evaluation for the recorded speed.  F^2 = abs2(v1)/(1 - abs2(z1))^2
+    # takes one jet product for each abs2, the square and the quotient, and
+    # at base order 1 one more for the reciprocal's series: 5 a jet(4, 1),
+    # 4 a jet(2, 0), 24 a step.  (A square that began with a product by the
+    # constant 1 made it 29.)
     prog = entries["poincare_disc"].program()  # a fresh program: nothing cached
-    jets, frames, evals = [], [], []
+    jets, frames, evals, products = [], [], [], []
     init, jet, eval_complex = FrameData.__init__, MetricProgram.jet_unchecked, \
         MetricProgram.eval_complex
+    mul = JetSpace.mul
 
     def counted_init(self, prog, z, U):
         frames.append(z)
@@ -451,9 +456,14 @@ def test_geodesic_step_work_counts(entries, monkeypatch):
         evals.append(z)
         return eval_complex(self, z, v)
 
+    def counted_mul(self, a, b, **kwargs):
+        products.append(self.size)
+        return mul(self, a, b, **kwargs)
+
     monkeypatch.setattr(FrameData, "__init__", counted_init)
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
     monkeypatch.setattr(MetricProgram, "eval_complex", counted_eval)
+    monkeypatch.setattr(JetSpace, "mul", counted_mul)
     path = integrate_geodesic(prog, [0.1 + 0.2j], [1.0 - 0.5j], 0.1, 0.01)
     assert len(path.ts) == 11
     assert len(frames) == 40
@@ -461,6 +471,9 @@ def test_geodesic_step_work_counts(entries, monkeypatch):
     assert jets.count((2, 0)) == 10 + 1  # + levi_check, whose jet adapted_frame reads
     assert len(jets) == 51
     assert len(evals) == 2 + 10  # speed0 and levi_check, then one a step
+    assert products.count(35) == 40 * 5  # in the jets(4, 1), of 35 coefficients
+    assert products.count(6) == 11 * 4  # in the jets(2, 0), of 6
+    assert len(products) == 4 + 10 * 24  # levi_check's jet(2, 0), then 24 a step
 
 
 def _disc_distance(a, z) -> float:
@@ -487,10 +500,12 @@ def test_halved_step_covers_dt(progs, monkeypatch):
 
 
 @pytest.mark.parametrize("t_max, dt, nsteps", [
-    (1.0, 0.3, 4), (0.05, 0.1, 1), (0.9, 0.3, 3), (1.0, 0.002, 500), (0.7, 0.25, 3)])
+    (1.0, 0.3, 4), (0.05, 0.1, 1), (0.9, 0.3, 3), (1.0, 0.002, 500), (0.7, 0.25, 3),
+    (5e-10, 1.0, 1)])
 def test_path_ends_at_t_max(progs, t_max, dt, nsteps):
-    # equal steps when t_max / dt is an integer up to 1e-9 (0.9 / 0.3 is
-    # 3.0000000000000004), otherwise a shortened last step
+    # equal steps when t_max / dt is a positive integer up to 1e-9 (0.9 / 0.3
+    # is 3.0000000000000004), otherwise a shortened last step; a t_max / dt
+    # within 1e-9 of 0 is one step of t_max, not none
     prog = progs["poincare_disc"]
     path = integrate_geodesic(prog, [0.1j], [1 + 1j], t_max, dt)
     assert len(path.ts) == nsteps + 1

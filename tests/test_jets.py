@@ -6,7 +6,7 @@ import pytest
 
 from finslerlab import jets
 from finslerlab.jets import PATTERN_CACHE_SIZE, V, VBAR, Z, ZBAR, JetError, JetSpace, jet_space
-from oracles import derivative, exponents, full_table
+from oracles import derivative, exponents, full_table, power_from_one, series_from_list
 
 # every (n, fiber order, base order) table the catalog's reports use
 CATALOG_TABLES = [(1, 2, 0), (1, 2, 2), (1, 4, 1), (2, 2, 0), (2, 2, 2), (2, 3, 0),
@@ -177,6 +177,86 @@ def test_product_keeps_non_finite_terms(table, bad):
             assert not np.all(np.isfinite(want))
             assert np.array_equal(np.isfinite(got), np.isfinite(want))
             assert np.array_equal(got, want, equal_nan=True)
+
+
+def bits(c) -> np.ndarray:
+    """The bits of complex coefficients as int64, so that equality also
+    compares the signs of zeros (and nan payloads)."""
+    return np.ascontiguousarray(c, dtype=complex).view(np.int64)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("table", CATALOG_TABLES)
+def test_product_by_a_conjugate_is_the_product_by_the_conjugate_jet(table):
+    # mul(a, b, conj=True) folds the conjugation into the gather on a dense
+    # table and permutes b on a sparse one; either way the bits are those of
+    # the product by conj(b[_conj_perm]), the conjugate jet's coefficients
+    sp = jet_space(*table)
+    rng = np.random.default_rng(sum(table) + 1)
+    operands = [random_coefficients(rng, sp.size, share)
+                for share in (0.0, 0.5, 0.9, 0.99) for _ in range(2)]
+    operands.append(np.zeros(sp.size, dtype=complex))
+    for bad in (np.inf, -np.inf, np.nan, complex(0, np.inf)):
+        c = random_coefficients(rng, sp.size, 0.9)
+        c[rng.integers(sp.size)] = bad
+        operands.append(c)
+    for a in operands:
+        for b in operands:
+            got = sp.mul(a, b, conj=True)
+            want = sp.mul(a, np.conj(b[sp._conj_perm]))
+            assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            assert np.array_equal(bits(got), bits(want))
+
+
+def signed_zero_operands(sp):
+    """Jets on sp with -0.0 coefficients (the negation of abs2's zeros) and
+    without them, seeded in coordinates and in a frame."""
+    rng = np.random.default_rng(sp.size)
+    frame = rng.standard_normal((sp.n, sp.n)) + 1j * rng.standard_normal((sp.n, sp.n))
+    v = sp.variable(V, 0, 0.4 - 0.3j)
+    vf = sp.variable(V, 0, 0.4 - 0.3j, frame)
+    z = sp.variable(Z, sp.n - 1, 0.2 + 0.1j)
+    return [-v.abs2(), -vf.abs2(), v * z.conj() + 0.5, -(vf.abs2() * (sp.const(1.0) - z.abs2()))]
+
+
+@pytest.mark.parametrize("table", [(1, 2, 0), (1, 4, 1), (2, 2, 2), (2, 5, 2), (3, 6, 3)])
+def test_power_is_the_product_from_one(table):
+    # pow_int starts from the base at the exponent's lowest set bit; its
+    # bits, signs of zeros included, are those of the product from const(1.0)
+    sp = jet_space(*table)
+    for f in signed_zero_operands(sp):
+        for p in range(6):
+            assert np.array_equal(bits(f.pow_int(p).c), bits(power_from_one(f, p).c))
+    c = signed_zero_operands(sp)[0].c
+    assert (np.signbit(c.real) & (c.real == 0)).any()  # -0.0 is met
+
+
+@pytest.mark.parametrize("table", [(1, 2, 0), (1, 4, 1), (2, 3, 0), (2, 5, 2), (3, 6, 3)])
+def test_series_evaluate_only_the_terms_they_add(table):
+    # inv and sqrt give the bits of the series summed from the list of every
+    # coefficient, which the terms after the series' break never read
+    sp = jet_space(*table)
+    K = sp.max_total
+    for f in signed_zero_operands(sp):
+        g = f + 2.0
+        g0 = g.c[0]
+        inv = [(-1) ** k / g0 ** (k + 1) for k in range(K + 1)]
+        assert np.array_equal(bits(g.inv().c), bits(series_from_list(sp, g.c, inv)))
+        s, binom, roots = np.sqrt(complex(g0)), 1.0, []
+        for k in range(K + 1):
+            roots.append(binom * s / g0 ** k)
+            binom *= (0.5 - k) / (k + 1)
+        assert np.array_equal(bits(g.sqrt().c), bits(series_from_list(sp, g.c, roots)))
+
+
+def test_series_coefficients_only_for_the_terms_added():
+    # at base order 1, ghat of 2 - |z|^2 is linear in z and zbar and its
+    # square vanishes: the series adds the terms k = 0 and 1 of its 5
+    sp = jet_space(1, 4, 1)
+    called = []
+    g = sp.const(2.0) - sp.variable(Z, 0, 0.3 + 0.1j).abs2()
+    sp.compose_series(g.c, lambda k: called.append(k) or 1.0)
+    assert sp.max_total == 4 and called == [0, 1]
 
 
 def class_operands(rng, sp, count):

@@ -266,9 +266,9 @@ def test_repeated_subexpression_evaluated_once(monkeypatch):
     calls = []
     mul = JetSpace.mul
 
-    def counted(self, a, b):
+    def counted(self, a, b, **kwargs):
         calls.append(1)
-        return mul(self, a, b)
+        return mul(self, a, b, **kwargs)
 
     monkeypatch.setattr(JetSpace, "mul", counted)
     prog = parse_metric(MetricSource(1, "abs2(v1) + abs2(v1)"))
