@@ -7,7 +7,10 @@ with frame increments (w, G) for a constant w and a generator G of the
 stack ``_generators`` forms; G is linear in the connection coefficients E
 and the frame forms C(2, 0), C(2, 1).  The bracket table
 (``_bracket_table``) holds the fields and their exact brackets in frame
-increments.  The components of the brackets in the parallelism basis,
+increments: the fields' derivatives along each other are order 1 of the
+one routine for every order (``_field_derivative``), one matmul per
+direction, so that a direction's bits do not depend on its stack.  The
+components of the brackets in the parallelism basis,
 ``bracket_coefficients``, are the structure functions, the complete local
 isometry invariants.  They are the values of the coframe (theta, varpi)
 dual to the parallelism on the brackets: on frame increments (delta, A)
@@ -38,7 +41,7 @@ normalization factor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -205,16 +208,17 @@ def _complex_combination_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldTable:
-    """The real parallelism fields at one point and their exact derivatives
-    along each other, as _bracket_table builds them, all in frame
-    increments; an array over increments holds their coordinates on the
-    M = 2 (n + n^2) elements of _increment_basis.  It keeps the frame data
-    at the point, and its cache keeps what structure_derivative's orders
-    share: the generator derivatives, the iterated fields along the basis
-    and every whole order, read-only."""
+    """The real parallelism fields at one point and their exact brackets,
+    as _bracket_table builds them, all in frame increments; an array over
+    increments holds their coordinates on the M = 2 (n + n^2) elements of
+    _increment_basis.  It keeps the frame data at the point, and its cache
+    keeps what structure_derivative's orders share: the generator
+    derivatives, the iterated fields along the basis and every whole
+    order, read-only.  The fields' derivatives along each other, D_a X_b,
+    are its first iterated fields, _iterated_table(table, 2): the q = 1
+    case of _field_derivative, one matmul per direction."""
 
     frame: FrameData = field(repr=False, compare=False)
-    D: tuple             # frame increments of D[a, b] = D_a X_b, shapes (N, N, n), (N, N, n, n)
     coframe: np.ndarray  # (N, M) the fields' left inverse on increment coordinates (_coframe_matrix)
     br: np.ndarray       # (N, N, M) the coordinates of br[a, b] = D_a X_b - D_b X_a
     fields: tuple        # (W, G): the frame increments of the fields, as one stack; G (N, n, n)
@@ -224,21 +228,22 @@ class FieldTable:
 def _bracket_table(fd: FrameData) -> FieldTable:
     """All pairwise brackets of the real parallelism fields at the point of fd.
 
-    D_a X_b is the exact derivative of field X_b along X_a.  A field is
-    U (w, G) with w constant and G from (E, C20, C21), so along X_a, whose
-    frame increments are (w_a, G_a), it moves by U (G_a w, G_a G + dG),
-    with dG the stack _fill_generators builds from the derivatives of
-    (E, C20, C21).  A report builds it once per point, and it carries the
-    frame data; every derivative along the fields there is read from it,
-    and every decomposition on the fields is a product with its coframe.
+    D_a X_b is the exact derivative of field X_b along X_a, the q = 1 case
+    of _field_derivative: a field is U (w, G) with w constant and G from
+    (E, C20, C21), so along X_a, whose frame increments are (w_a, G_a), it
+    moves by U (G_a w, G_a G + dG), with dG the generator derivative along
+    the fields, which the table keeps.  Each product there is one matmul
+    per direction, so the brackets' bits are those of each field alone.  A
+    report builds it once per point, and it carries the frame data; every
+    derivative along the fields there is read from it, and every
+    decomposition on the fields is a product with its coframe.
     """
-    G = _generators(fd)
-    fields = (_stack_layout(fd.n)[1], G)
-    dG = _generator_derivatives(frame_derivatives(fd, (fields,)))
-    D = _field_derivatives(G, G, dG)
-    return FieldTable(frame=fd, D=D, coframe=_coframe_matrix(fd),
-                      br=_increment_coordinates(*(d - d.swapaxes(0, 1) for d in D)),
-                      fields=fields, cache={("G", id(fields)): (fields, dG)})
+    fields = (_stack_layout(fd.n)[1], _generators(fd))
+    table = FieldTable(frame=fd, coframe=_coframe_matrix(fd), br=None, fields=fields)
+    _generator_derivative(table, (fields,))
+    N = len(fields[1])
+    D = _iterated_table(table, 2).reshape(N, N, -1)
+    return replace(table, br=D - D.swapaxes(0, 1))  # the same cache, with br
 
 
 def _generator_derivatives(derivs) -> np.ndarray:
@@ -248,17 +253,6 @@ def _generator_derivatives(derivs) -> np.ndarray:
     n = dE.shape[-1]
     G = np.zeros(dE.shape[:-3] + (n * n + 2 * n, n, n), dtype=complex)
     return _fill_generators(G, *derivs)
-
-
-def _field_derivatives(G: np.ndarray, A: np.ndarray, dG: np.ndarray):
-    """The frame increments of D_k X_b, the derivative of field b along K
-    tangents with frame increments A (K, n, n), along which the generator
-    stack G moves by dG (K, N, n, n).  Field b is U (w_b, G_b), so it moves
-    by U (A w_b, A G_b + dG_b)."""
-    K, N, n = dG.shape[:3]
-    delta = np.zeros((K, N, n), dtype=complex)
-    delta[:, :2 * n] = np.matmul(A[:, None], _stack_layout(n)[1][:2 * n, :, None])[..., 0]
-    return delta, np.matmul(A[:, None], G) + dG
 
 
 def bracket_coefficients(table: FieldTable) -> np.ndarray:
@@ -322,7 +316,9 @@ def _field_derivative(table: FieldTable, stacks):
     kept along the basis.  z and U move linearly, so U takes at most one
     tangent: A is the derivative of G plus, for each i, A_i times the
     derivative of G along the others; delta is A_1 w_b for q = 1 (None, 0,
-    above)."""
+    above).  At q = 1, the bracket table's order, each product is one matmul
+    per direction, as in finsler_forms.tensor_derivative: a direction's bits
+    are its own, not those of a contraction over the whole stack."""
     q, n = len(stacks), table.frame.n
     order = sorted(range(q), key=lambda i: -len(stacks[i][0]))
     srt = tuple(stacks[i] for i in order)
@@ -331,18 +327,18 @@ def _field_derivative(table: FieldTable, stacks):
     if hit is None:
         out = _generator_derivative(table, srt, keep=False)
         out = out.copy() if ("G",) + key[1:] in table.cache else out  # a kept one stays
-        for i, (_, Ai) in enumerate(srt):
-            others = srt[:i] + srt[i + 1:]
-            lower = _generator_derivative(table, others) if others else table.fields[1]
-            # sum_c Ai[j, x, c] lower[.., c, y], as axes (.., j, .., b, x, y)
-            term = np.tensordot(Ai, lower, axes=([2], [q])).transpose(
-                [*range(2, i + 2), 0, *range(i + 2, q + 1), q + 1, 1, q + 2])
-            out += term
         delta = None
         if q == 1:
+            A1 = srt[0][1]
+            out += np.matmul(A1[:, None], table.fields[1])
             delta = np.zeros(out.shape[:2] + (n,), dtype=complex)
-            delta[:, :2 * n] = np.matmul(srt[0][1][:, None],
-                                         _stack_layout(n)[1][:2 * n, :, None])[..., 0]
+            delta[:, :2 * n] = np.matmul(A1[:, None], _stack_layout(n)[1][:2 * n, :, None])[..., 0]
+        else:
+            for i, (_, Ai) in enumerate(srt):
+                lower = _generator_derivative(table, srt[:i] + srt[i + 1:])
+                # sum_c Ai[j, x, c] lower[.., c, y], as axes (.., j, .., b, x, y)
+                out += np.tensordot(Ai, lower, axes=([2], [q])).transpose(
+                    [*range(2, i + 2), 0, *range(i + 2, q + 1), q + 1, 1, q + 2])
         hit = (srt, (delta, out))
         # what every table contracted in reads: along the basis, but no Rows
         if any(s is _increment_basis(n) for s in stacks) and \
@@ -418,8 +414,8 @@ def _iterated_table(table: FieldTable, j: int) -> np.ndarray:
     sequence, as one stack of N^j rows, kept in the table's cache."""
     if ("W", j) not in table.cache:
         N, n = table.fields[1].shape[:2]
-        x = _increment_coordinates(*table.D) if j == 2 else np.concatenate(
-            [_iterated(table, j - 1, rows) for rows in _chunks(N, N ** (j - 1) * (n + n * n))])
+        x = np.concatenate([_iterated(table, j - 1, rows)
+                            for rows in _chunks(N, N ** (j - 1) * (n + n * n))])
         table.cache[("W", j)] = x.reshape(N ** j, -1)
     return table.cache[("W", j)]
 
@@ -605,7 +601,7 @@ def _complex_lift_derivative(table: FieldTable, form):
     read off the lift rows 0..2n-1 of the derivatives along the fields,
     which the table's frame data keeps since _bracket_table took them."""
     n = table.frame.n
-    dE, d20, d21 = (d[:2 * n] for d in table.frame.derivatives[(id(table.fields),)][1])
+    dE, d20, d21 = (d[:2 * n] for d in frame_derivatives(table.frame, (table.fields,)))
     if form == "T":
         return _complex_pairs(dE - np.swapaxes(dE, -1, -2))
     if form == (1, 2):

@@ -25,6 +25,7 @@ from finslerlab.parallelism import (
     _complex_combination_matrix,
     _complex_lift_derivative,
     _complex_pairs,
+    _generator_derivatives,
     _generators,
     _lift_derivative_of,
     _stack_layout,
@@ -82,10 +83,26 @@ def field_stack(fd, G=None) -> tuple[np.ndarray, np.ndarray]:
             np.matmul(fd.U, _generators(fd) if G is None else G))
 
 
+def field_derivatives(table) -> tuple[np.ndarray, np.ndarray]:
+    """The frame increments (delta, A) of D[a, b] = D_a X_b, the derivative
+    of field b along field a, leading axes (a, b), written out per
+    direction: field b is U (w_b, G_b), so along field a, whose frame
+    increments are (w_a, G_a), it moves by U (G_a w_b, G_a G_b + dG_b), dG
+    the generator stack filled from the frame derivatives along the fields.
+    The bracket table's br is the coordinates of D - D^T."""
+    W, G = table.fields
+    N, n = G.shape[:2]
+    dG = _generator_derivatives(frame_derivatives(table.frame, (table.fields,)))
+    delta = np.zeros((N, N, n), dtype=complex)
+    delta[:, :2 * n] = np.matmul(G[:, None], W[:2 * n, :, None])[..., 0]
+    return delta, np.matmul(G[:, None], G) + dG
+
+
 def ambient_brackets(table) -> tuple[np.ndarray, np.ndarray]:
     """The brackets of a bracket table as ambient tangents (dz, dU) = U
-    (delta, A) of their frame increments D - D^T, leading axes (a, b)."""
-    delta, A = (d - d.swapaxes(0, 1) for d in table.D)
+    (delta, A) of their frame increments D - D^T (field_derivatives),
+    leading axes (a, b)."""
+    delta, A = (d - d.swapaxes(0, 1) for d in field_derivatives(table))
     U = table.frame.U
     return np.matmul(U, delta[..., None])[..., 0], np.matmul(U, A)
 

@@ -608,11 +608,11 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
 
 @pytest.mark.parametrize("argv, counts", [
     (["structure", "--metric", "poincare_ball_3",
-      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (6, 9, 1, 1)),
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (14, 9, 1, 1)),
     (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
       "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
       "--order", "1"], (23, 24, 2, 2)),
-    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (12, 22, 2, 2)),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (24, 22, 2, 2)),
 ])
 def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # (frame_derivatives, tensor_derivative, jet(2, 0), _coframe) calls per
@@ -623,7 +623,11 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # cache, and the frame data keeps each derivative of (E, C20, C21) along
     # a tuple of stacks: each is made once, by three tensor_derivative calls
     # (C20, C21 and Dh), and frame_derivatives is called again only where it
-    # is read off that memo.  The generator derivatives along a chunk of
+    # is read off that memo.  _complex_lift_derivative reads the derivatives
+    # along the fields there, one call each: 8 a structure point
+    # (closed_form_P 2, the Pi forms 3, Bianchi 3) and 6 a check point
+    # (structure 6 to 14, check 12 to 24, with no more tensor_derivative
+    # calls).  The generator derivatives along a chunk of
     # rows are read off the kept one along the whole stack, as along the
     # fields alone, which the bracket table keeps; else they are filled from
     # the frame derivatives along the chunk, which are read off the memo's

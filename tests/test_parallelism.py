@@ -432,13 +432,32 @@ def test_increment_coframe_matches_the_inverse_frame_oracle(progs, entries, warp
         fd = table.frame
         ref = oracles.Coframe(fd)
         cases = [(_increment_basis(fd), oracles.complex_basis(table)),
-                 (_carry(K, complexify(*(d - d.swapaxes(0, 1) for d in table.D))),
+                 (_carry(K, complexify(*(d - d.swapaxes(0, 1)
+                                         for d in oracles.field_derivatives(table)))),
                   _carry(K, complexify(*oracles.ambient_brackets(table))))]
         for inc, amb in cases:
             th, thb, oh, oa = _coframe(fd, inc)
             for got, want in zip((th, thb, _varpi(fd, oh, oa)), (*ref.theta(amb), ref.varpi(amb))):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("mid", [e.id for e in catalog()] + ["warped", "twisted"])
+def test_brackets_are_the_per_direction_reference_bit_for_bit(progs, entries, warped, twisted,
+                                                              mid):
+    # the table's brackets are order 1 of _field_derivative, which takes one
+    # matmul per direction there, so they are the reference written out per
+    # direction in every bit (a tensordot over the whole stack moved 20 of
+    # these 36 tables)
+    fixtures = {"warped": warped, "twisted": twisted}
+    prog = fixtures[mid] if mid in fixtures else progs[mid]
+    for z, v in sample_points(prog, entries.get(mid), 3, seed=11):
+        p = adapted_frame(prog, z, v)
+        table = _bracket_table(frame_data(prog, p.z, p.U))
+        delta, A = (d - d.swapaxes(0, 1) for d in oracles.field_derivatives(table))
+        want = _increment_coordinates(delta, A)
+        assert table.br.shape == want.shape
+        assert table.br.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mid", ["poincare_disc", "poincare_ball_3", "fubini_study_2",
