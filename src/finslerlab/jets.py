@@ -26,7 +26,7 @@ inv and sqrt stop at the cap, where their further powers vanish.
 
 MetricProgram.jet_unchecked seeds the leaves in a frame U: z = z_0 + U zeta
 and v = U (e_0 + xi) at v_0 = U e_0, with zeta, xi the Z and V variables;
-the conjugate leaves follow from Jet.conj.  A partial along xi_a or zeta_a
+the conjugate leaves follow from JetSpace.conj.  A partial along xi_a or zeta_a
 is the coordinate partial along the frame vector U e_a, so the fiber
 tensors are the frame forms, with no contraction.  U = I seeds value + x_k,
 the coordinate jet, with the same coefficients bit for bit: the coordinate
@@ -43,13 +43,17 @@ tables are built from the pairs of degree blocks the full table is made
 of, and the full table itself is never held.
 
 At the small orders a jet evaluation costs its count of numpy calls, not
-its arithmetic, so the arithmetic makes no call that its result does not
-need, and dropping one changes no bit: |x|^2 is one product,
-mul(c, c, conj=True), with the conjugation folded into the product's
-gather; a power by squaring starts from the base at the exponent's lowest
-set bit, not from a product by the constant 1; and the series of inv and
-sqrt evaluate their coefficients only for the terms they add, up to the
-first power that vanishes.
+its arithmetic, so the kernels run on coefficient arrays, with no jet
+object per operation, and make no call that their result does not need;
+dropping one changes no bit.  |x|^2 is one product, mul(c, c, conj=True),
+with the conjugation folded into the product's gather; a power by squaring
+starts from the base at the exponent's lowest set bit, not from a product
+by the constant 1; the series of inv and sqrt end at the last power of
+ghat that can be nonzero (with no v leaf ghat^k has base degree >= k, with
+no z leaf fiber degree >= k), or earlier at the first that vanishes, and
+evaluate their coefficients only for the terms they add; and a jet that
+reads no variable of its table is a constant, run on two values
+(Constant), not on the table.
 """
 
 from __future__ import annotations
@@ -95,7 +99,70 @@ def _monomials(nvars: int, max_deg: int) -> np.ndarray:
     return rows
 
 
-class JetSpace:
+class Arithmetic:
+    """The kernels a jet and a constant share, on coefficient arrays.  Every
+    product goes through self.mul, looked up at each call, so a wrapper of
+    JetSpace.mul sees them all."""
+
+    def real(self, c: np.ndarray) -> np.ndarray:
+        return 0.5 * (c + self.conj(c))
+
+    def imag(self, c: np.ndarray) -> np.ndarray:
+        return -0.5j * (c - self.conj(c))
+
+    def pow_int(self, c: np.ndarray, p: int) -> np.ndarray:
+        """c^p for p >= 1 by squaring, from the base at p's lowest set bit,
+        with no product by the constant 1."""
+        base = c
+        while not p & 1:
+            base = self.mul(base, base)
+            p >>= 1
+        result = base
+        while p > 1:
+            base = self.mul(base, base)
+            p >>= 1
+            if p & 1:
+                result = self.mul(result, base)
+        # The product by 1 that this skips turned each -0.0 coefficient into
+        # +0.0, as + 0.0 does; a product's sums start at +0.0 and hold none.
+        return c + 0.0 if result is c else result
+
+    def inv(self, g: np.ndarray, terms: int) -> np.ndarray:
+        g0 = g[0]
+        if abs(g0) < 1e-300:
+            raise JetError("division by an expression vanishing at the evaluation point")
+        return self.compose_series(g, lambda k: (-1) ** k / g0 ** (k + 1), terms)
+
+    def sqrt(self, g: np.ndarray, terms: int) -> np.ndarray:
+        g0 = g[0]
+        if abs(g0) < 1e-300:
+            raise JetError("sqrt at a zero of its argument (non-smooth point)")
+        s = np.sqrt(complex(g0))
+        coeffs = []
+        binom = 1.0
+        for k in range(terms + 1):
+            coeffs.append(binom * s / g0 ** k)
+            binom *= (0.5 - k) / (k + 1)
+        return self.compose_series(g, coeffs.__getitem__, terms)
+
+    def compose_series(self, g: np.ndarray, coeff, terms: int) -> np.ndarray:
+        """Evaluate sum_k coeff(k) * ghat^k, k <= terms, where ghat = g -
+        g[0].  The sum stops early at the first power of ghat that
+        vanishes, and coeff is called only for the terms it adds."""
+        ghat = g.copy()
+        ghat[0] = 0.0
+        out = np.zeros(len(g), dtype=complex)
+        out[0] = coeff(0)
+        power = None
+        for k in range(1, terms + 1):
+            power = ghat if power is None else self.mul(power, ghat)
+            if not np.count_nonzero(power):
+                break
+            out = out + coeff(k) * power
+        return out
+
+
+class JetSpace(Arithmetic):
     """Monomial tables for jets in dimension n at given truncation orders."""
 
     def __init__(self, n: int, fiber_order: int, base_order: int):
@@ -160,6 +227,19 @@ class JetSpace:
                               for kind in (V, VBAR, Z, ZBAR)
                               if (base_order if kind in (Z, ZBAR) else fiber_order)}
 
+        # the kinds of variable the table expands in, as bits 1 << V, 1 << Z
+        self.live = (fiber_order > 0) << V | (base_order > 0) << Z
+        # the arithmetic of the jets that read none of them (Constant)
+        self.constant = Constant()
+        self._spread = np.minimum(np.arange(self.size), 1)
+        self._zeros = np.zeros(self.size, dtype=complex)
+        # the last power of ghat that a series adds, by the live kinds its
+        # operand reads: with no v, ghat^k has base degree >= k, and with no
+        # z, fiber degree >= k; a constant's ghat is 0
+        K = self.max_total
+        self.series_terms = {0: 0, 1 << V: min(K, fiber_order), 1 << Z: min(K, base_order),
+                             1 << V | 1 << Z: K}
+
     def _table(self, block_pairs) -> tuple:
         """(m1, m2, mo): the pairs of monomials of each pair of index blocks,
         row by row, block pair after block pair, and their products' slots."""
@@ -183,28 +263,37 @@ class JetSpace:
             raise KeyError("monomial outside the jet truncation")
         return slot
 
-    # -- constructors -------------------------------------------------------
+    # -- seeds ----------------------------------------------------------------
 
-    def const(self, value: complex) -> "Jet":
+    def seed(self, kind: int, k: int, value: complex, frame=None) -> np.ndarray:
+        """Variable k of a kind (V or Z) that the table expands in: value +
+        sum_j frame[k, j] x_j, with x the infinitesimals of that kind.
+        frame defaults to the identity, which seeds the coordinate jet,
+        value + x_k."""
         c = np.zeros(self.size, dtype=complex)
         c[0] = value
-        return Jet(self, c)
+        if frame is None:
+            c[self._linear_slots[kind][k]] = 1.0
+        else:
+            c[self._linear_slots[kind]] = frame[k]
+        return c
 
-    def variable(self, kind: int, k: int, value: complex, frame=None) -> "Jet":
-        """Variable k of a kind (V or Z): value + sum_j frame[k, j] x_j, with
-        x the infinitesimals of that kind.  frame defaults to the identity,
-        which seeds the coordinate jet, value + x_k."""
-        c = np.zeros(self.size, dtype=complex)
-        c[0] = value
-        slots = self._linear_slots.get(kind)
-        if slots is not None:
-            if frame is None:
-                c[slots[k]] = 1.0
-            else:
-                c[slots] = frame[k]
-        return Jet(self, c)
+    def spread(self, c: np.ndarray) -> np.ndarray:
+        """A constant's two values (see Constant) over the whole table."""
+        return c[self._spread]
+
+    def finite(self, c: np.ndarray) -> bool:
+        """Whether every coefficient is finite, in one call: each term of
+        c . 0 is a signed zero unless its coefficient is inf or nan, and
+        then it is nan, and so is the sum."""
+        return not cmath.isnan(c.dot(self._zeros))
 
     # -- arithmetic kernels --------------------------------------------------
+
+    def conj(self, c: np.ndarray) -> np.ndarray:
+        """Each variable swapped with its conjugate partner, and the
+        coefficients conjugated."""
+        return np.conj(c[self._conj_perm])
 
     def mul(self, a: np.ndarray, b: np.ndarray, conj: bool = False) -> np.ndarray:
         """The coefficients of a * b, or with conj of a * conj(b), so that
@@ -273,21 +362,30 @@ class JetSpace:
         self._tensor_tables[key] = table
         return table
 
-    def compose_series(self, g: np.ndarray, coeff) -> np.ndarray:
-        """Evaluate sum_k coeff(k) * ghat^k, k <= max_total, where ghat =
-        g - g[0].  The sum stops at the first power of ghat that vanishes,
-        and coeff is called only for the terms it adds."""
-        ghat = g.copy()
-        ghat[0] = 0.0
-        out = np.zeros(self.size, dtype=complex)
-        out[0] = coeff(0)
-        power = None
-        for k in range(1, self.max_total + 1):
-            power = ghat if power is None else self.mul(power, ghat)
-            if not power.any():
-                break
-            out = out + coeff(k) * power
-        return out
+
+class Constant(Arithmetic):
+    """The arithmetic of a jet that reads no variable its table expands in,
+    such as a subexpression of z alone at base order 0.  Such a jet holds
+    one value at slot 0 and one at every other slot, a signed zero, so it is
+    run on those two, c = (c_0, c_rest), and JetSpace.spread lays it over
+    the table where it meets a jet.  Each kernel gives at both slots the
+    bits the same kernel gives over the table, and a series stops at once
+    (JetSpace.series_terms).  Only where slot 0 is already non-finite
+    (complex arithmetic on an inf leaves an inf or a nan in every result)
+    can the table hold a nan elsewhere that c_rest does not."""
+
+    @staticmethod
+    def conj(c: np.ndarray) -> np.ndarray:
+        return np.conj(c)
+
+    @staticmethod
+    def mul(a: np.ndarray, b: np.ndarray, conj: bool = False) -> np.ndarray:
+        """JetSpace.mul on two constants: 0.0 + a_0 b_0, an array product
+        as over the table (NumPy's scalar complex product rounds
+        differently), and the other slots' sums of signed zeros, +0.0."""
+        if conj:
+            b = np.conj(b)
+        return 0.0 + a * b
 
 
 @lru_cache(maxsize=64)
@@ -307,86 +405,6 @@ class Jet:
     def __init__(self, space: JetSpace, c: np.ndarray):
         self.space = space
         self.c = c
-
-    def __add__(self, other):
-        if not isinstance(other, Jet):  # a scalar, as a constant jet
-            other = self.space.const(complex(other))
-        return Jet(self.space, self.c + other.c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.space, -self.c)
-
-    def __sub__(self, other):
-        if not isinstance(other, Jet):
-            other = self.space.const(complex(other))
-        return Jet(self.space, self.c - other.c)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            other = self.space.const(complex(other))
-        return Jet(self.space, self.space.mul(self.c, other.c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            other = self.space.const(complex(other))
-        return self * other.inv()
-
-    def inv(self) -> "Jet":
-        g0 = self.c[0]
-        if abs(g0) < 1e-300:
-            raise JetError("division by an expression vanishing at the evaluation point")
-        return Jet(self.space, self.space.compose_series(
-            self.c, lambda k: (-1) ** k / g0 ** (k + 1)))
-
-    def pow_int(self, p: int) -> "Jet":
-        """The p-th power by squaring, from the base at p's lowest set bit,
-        with no product by the constant 1."""
-        if p < 0:
-            return self.inv().pow_int(-p)
-        if p == 0:
-            return self.space.const(1.0)
-        base = self
-        while not p & 1:
-            base = base * base
-            p >>= 1
-        result = base
-        while p > 1:
-            base = base * base
-            p >>= 1
-            if p & 1:
-                result = result * base
-        # The product by 1 that this skips turned each -0.0 coefficient into
-        # +0.0, as + 0.0 does; a product's sums start at +0.0 and hold none.
-        return Jet(self.space, self.c + 0.0) if result is self else result
-
-    def conj(self) -> "Jet":
-        return Jet(self.space, np.conj(self.c[self.space._conj_perm]))
-
-    def real(self) -> "Jet":
-        return Jet(self.space, 0.5 * (self.c + np.conj(self.c[self.space._conj_perm])))
-
-    def imag(self) -> "Jet":
-        return Jet(self.space, -0.5j * (self.c - np.conj(self.c[self.space._conj_perm])))
-
-    def abs2(self) -> "Jet":
-        return Jet(self.space, self.space.mul(self.c, self.c, conj=True))
-
-    def sqrt(self) -> "Jet":
-        g0 = self.c[0]
-        if abs(g0) < 1e-300:
-            raise JetError("sqrt at a zero of its argument (non-smooth point)")
-        K = self.space.max_total
-        s = np.sqrt(complex(g0))
-        coeffs = []
-        binom = 1.0
-        for k in range(K + 1):
-            coeffs.append(binom * s / g0 ** k)
-            binom *= (0.5 - k) / (k + 1)
-        return Jet(self.space, self.space.compose_series(self.c, coeffs.__getitem__))
 
     # -- extraction ----------------------------------------------------------
 

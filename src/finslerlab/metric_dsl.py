@@ -13,13 +13,19 @@ Grammar (whitespace insignificant)::
 Digits and letters are ASCII.
 
 The parser compiles F^2 once into a postorder tape on which equal
-subexpressions share one entry.  A compiled program evaluates F^2 and its
+subexpressions share one entry, and MetricProgram records which kinds of
+variable (v, z) each entry reads.  A compiled program evaluates F^2 and its
 mixed Wirtinger jets, treating v, vbar, z, zbar as independent
-differentiation variables, by forward-mode jet arithmetic on the tape.
+differentiation variables, by forward-mode jet arithmetic on the tape: the
+kernels of jets.JetSpace on coefficient arrays.  An entry that reads no
+variable of the jet's table is a constant, run on two values
+(jets.Constant), and a series stops where the powers of an operand that
+reads no v, or no z, vanish (JetSpace.series_terms).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import re
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import V, Z, Jet, JetError, jet_space
+from .jets import V, Z, Jet, JetError, JetSpace, jet_space
 
 FUNCTIONS = ("conj", "re", "im", "abs2", "sqrt")
 # Parentheses, function calls and unary minus nested deeper than this are a
@@ -262,13 +268,11 @@ def _operands(entry: tuple) -> tuple:
     return entry[1:2] if op == "pow" else entry[1:]
 
 
-# what each non-leaf op does to complex scalars; jets share the operators
+# what each non-leaf op does to complex scalars
 _SCALAR_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": _divide, "pow": _power, "conj": np.conj,
                "re": lambda a: complex(a.real), "im": lambda a: complex(a.imag),
                "abs2": lambda a: a * np.conj(a), "sqrt": _sqrt}
-_JET_OPS = {**_SCALAR_OPS, "/": operator.truediv, "pow": Jet.pow_int, "conj": Jet.conj,
-            "re": Jet.real, "im": Jet.imag, "abs2": Jet.abs2, "sqrt": Jet.sqrt}
 
 
 class MetricProgram:
@@ -292,6 +296,16 @@ class MetricProgram:
         for j, i in last.items():
             dead[i].append(j)
         self._dead = tuple(map(tuple, dead))
+        # _reads[i]: the kinds of variable (V, Z) whose leaves entry i reads,
+        # as bits 1 << kind; a power 0 reads none, its value being 1
+        reads = []
+        for entry in tape:
+            bits = 1 << entry[1] if entry[0] == "var" else 0
+            if entry[0] != "pow" or entry[2]:
+                for j in _operands(entry):
+                    bits |= reads[j]
+            reads.append(bits)
+        self._reads = tuple(reads)
 
     def _run(self, ops: dict, leaf):
         """Value of F^2: leaf(entry) for 'num' and 'var' entries, ops[op] of
@@ -311,6 +325,57 @@ class MetricProgram:
                 vals[j] = None
         return vals[-1]
 
+    def _run_jet(self, space: JetSpace, z, v, frame) -> np.ndarray:
+        """The coefficients of the jet of F^2 on space: the tape run on
+        coefficient arrays by the kernels of space.  An entry that reads no
+        variable of the table is a constant, run by space.constant on its
+        two values and spread over the table where a jet reads it."""
+        live, constant, terms = space.live, space.constant, space.series_terms
+        reads = self._reads
+        vals = []
+        for entry, dead, kinds in zip(self._tape, self._dead, reads):
+            op = entry[0]
+            kinds &= live
+            table = space if kinds else constant
+            if op == "var":
+                x = (v if entry[1] == V else z)[entry[2]]
+                val = space.seed(entry[1], entry[2], x, frame) if kinds else \
+                    np.array((x, 0.0), dtype=complex)
+            elif op == "num":
+                val = np.array((entry[1], 0.0), dtype=complex)
+            elif op == "pow":
+                val = table.pow_int(vals[entry[1]], entry[2]) if entry[2] else \
+                    np.array((1.0, 0.0), dtype=complex)
+            elif len(entry) == 2:
+                a = vals[entry[1]]
+                if op == "abs2":
+                    val = table.mul(a, a, conj=True)
+                elif op == "neg":
+                    val = -a
+                elif op == "conj":
+                    val = table.conj(a)
+                elif op == "re":
+                    val = table.real(a)
+                elif op == "im":
+                    val = table.imag(a)
+                else:
+                    val = table.sqrt(a, terms[kinds])
+            else:
+                a, b = vals[entry[1]], vals[entry[2]]
+                if op == "/":  # a * (1/b), 1/b in b's own table
+                    b_kinds = reads[entry[2]] & live
+                    b = (space if b_kinds else constant).inv(b, terms[b_kinds])
+                if kinds:
+                    if not reads[entry[1]] & live:
+                        a = space.spread(a)
+                    if not reads[entry[2]] & live:
+                        b = space.spread(b)
+                val = a + b if op == "+" else a - b if op == "-" else table.mul(a, b)
+            vals.append(val)
+            for j in dead:
+                vals[j] = None
+        return vals[-1] if reads[-1] & live else space.spread(vals[-1])
+
     # -- scalar evaluation ----------------------------------------------------
 
     def eval_complex(self, z, v) -> complex:
@@ -322,7 +387,7 @@ class MetricProgram:
             return complex(entry[1] if entry[0] == "num" else (v if entry[1] == V else z)[entry[2]])
 
         val = self._run(_SCALAR_OPS, leaf)
-        if not np.isfinite(val):
+        if not cmath.isfinite(val):
             raise EvaluationError("metric expression evaluated to a non-finite value")
         return val
 
@@ -343,23 +408,17 @@ class MetricProgram:
         the columns of U; without a frame they are the coordinate partials."""
         z = np.asarray(z, dtype=complex)
         v = np.asarray(v, dtype=complex)
-        if not v.any():
+        if not np.count_nonzero(v):
             raise EvaluationError("jets are undefined at v = 0 (homogeneous metrics are "
                                   "non-smooth on the zero section)")
         space = jet_space(self.dim, fiber_order, base_order)
-
-        def leaf(entry):  # ('num', x) or ('var', kind, k)
-            if entry[0] == "num":
-                return space.const(entry[1])
-            return space.variable(*entry[1:], (v if entry[1] == V else z)[entry[2]], frame)
-
         try:
-            out = self._run(_JET_OPS, leaf)
+            c = self._run_jet(space, z, v, frame)
         except JetError as exc:
             raise EvaluationError(str(exc)) from exc
-        if not np.isfinite(out.c).all():
+        if not space.finite(c):
             raise EvaluationError("jet coefficients are non-finite (pole of the expression)")
-        return out
+        return Jet(space, c)
 
     def jet(self, z, v, fiber_order: int = 4, base_order: int = 1) -> Jet:
         """Mixed Wirtinger jet of F^2 at (z, v).

@@ -1,6 +1,7 @@
 """Independent references that the library's faster code is checked against."""
 
 import json
+import operator
 import re
 
 import numpy as np
@@ -15,8 +16,8 @@ from finslerlab.frame_bundle import (
     gram_rows,
 )
 from finslerlab.geodesics import spray_coefficients
-from finslerlab.jets import V, VBAR, Z, ZBAR
-from finslerlab.metric_dsl import FinslerError
+from finslerlab.jets import V, VBAR, Z, ZBAR, Jet, JetError, jet_space
+from finslerlab.metric_dsl import _SCALAR_OPS, EvaluationError, FinslerError
 from finslerlab.parallelism import (
     HSC_NORMALIZATION,
     _bracket_table,
@@ -147,13 +148,147 @@ def power_from_one(jet, p: int):
     lowest first, multiplies its power of jet into a product that starts at
     const(1.0).  Its first product, by 1, turns each -0.0 coefficient into
     +0.0."""
-    result, base = jet.space.const(1.0), jet
+    result, base = const(jet.space, 1.0), jet
     while p:
         if p & 1:
             result = result * base
         base = base * base if p > 1 else base
         p >>= 1
     return result
+
+
+# -- the reference jet evaluator: one ArithJet per tape entry ------------------
+
+def const(space, value: complex) -> "ArithJet":
+    c = np.zeros(space.size, dtype=complex)
+    c[0] = value
+    return ArithJet(space, c)
+
+
+def variable(space, kind: int, k: int, value: complex, frame=None) -> "ArithJet":
+    """Variable k of a kind (V or Z): value + sum_j frame[k, j] x_j, with
+    x the infinitesimals of that kind, or value alone where the table has
+    no order of that kind.  frame defaults to the identity."""
+    c = np.zeros(space.size, dtype=complex)
+    c[0] = value
+    slots = space._linear_slots.get(kind)
+    if slots is not None:
+        if frame is None:
+            c[slots[k]] = 1.0
+        else:
+            c[slots] = frame[k]
+    return ArithJet(space, c)
+
+
+class ArithJet(Jet):
+    """A jet with Python operators: the arithmetic MetricProgram.jet_unchecked
+    once ran on one jet object per tape entry, every operand a whole table,
+    the reference its coefficient kernels are checked against bit for bit."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if not isinstance(other, Jet):  # a scalar, as a constant jet
+            other = const(self.space, complex(other))
+        return ArithJet(self.space, self.c + other.c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ArithJet(self.space, -self.c)
+
+    def __sub__(self, other):
+        if not isinstance(other, Jet):
+            other = const(self.space, complex(other))
+        return ArithJet(self.space, self.c - other.c)
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            other = const(self.space, complex(other))
+        return ArithJet(self.space, self.space.mul(self.c, other.c))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Jet):
+            other = const(self.space, complex(other))
+        return self * other.inv()
+
+    def inv(self) -> "ArithJet":
+        g0 = self.c[0]
+        if abs(g0) < 1e-300:
+            raise JetError("division by an expression vanishing at the evaluation point")
+        inv = [(-1) ** k / g0 ** (k + 1) for k in range(self.space.max_total + 1)]
+        return ArithJet(self.space, series_from_list(self.space, self.c, inv))
+
+    def pow_int(self, p: int) -> "ArithJet":
+        """The p-th power by squaring, from the base at p's lowest set bit."""
+        if p == 0:
+            return const(self.space, 1.0)
+        base = self
+        while not p & 1:
+            base = base * base
+            p >>= 1
+        result = base
+        while p > 1:
+            base = base * base
+            p >>= 1
+            if p & 1:
+                result = result * base
+        return ArithJet(self.space, self.c + 0.0) if result is self else result
+
+    def conj(self) -> "ArithJet":
+        return ArithJet(self.space, np.conj(self.c[self.space._conj_perm]))
+
+    def real(self) -> "ArithJet":
+        return ArithJet(self.space, 0.5 * (self.c + np.conj(self.c[self.space._conj_perm])))
+
+    def imag(self) -> "ArithJet":
+        return ArithJet(self.space, -0.5j * (self.c - np.conj(self.c[self.space._conj_perm])))
+
+    def abs2(self) -> "ArithJet":
+        return ArithJet(self.space, self.space.mul(self.c, self.c, conj=True))
+
+    def sqrt(self) -> "ArithJet":
+        g0 = self.c[0]
+        if abs(g0) < 1e-300:
+            raise JetError("sqrt at a zero of its argument (non-smooth point)")
+        s = np.sqrt(complex(g0))
+        coeffs = []
+        binom = 1.0
+        for k in range(self.space.max_total + 1):
+            coeffs.append(binom * s / g0 ** k)
+            binom *= (0.5 - k) / (k + 1)
+        return ArithJet(self.space, series_from_list(self.space, self.c, coeffs))
+
+
+# what each tape op does to an ArithJet
+JET_OPS = {**_SCALAR_OPS, "/": operator.truediv, "pow": ArithJet.pow_int, "conj": ArithJet.conj,
+           "re": ArithJet.real, "im": ArithJet.imag, "abs2": ArithJet.abs2, "sqrt": ArithJet.sqrt}
+
+
+def reference_jet(prog, z, v, fiber_order: int, base_order: int, frame=None) -> Jet:
+    """prog.jet_unchecked as one ArithJet per tape entry, each leaf seeded
+    over the whole table, with the same checks and messages."""
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    if not v.any():
+        raise EvaluationError("jets are undefined at v = 0 (homogeneous metrics are "
+                              "non-smooth on the zero section)")
+    space = jet_space(prog.dim, fiber_order, base_order)
+
+    def leaf(entry):  # ('num', x) or ('var', kind, k)
+        if entry[0] == "num":
+            return const(space, entry[1])
+        return variable(space, *entry[1:], (v if entry[1] == V else z)[entry[2]], frame)
+
+    try:
+        out = prog._run(JET_OPS, leaf)
+    except JetError as exc:
+        raise EvaluationError(str(exc)) from exc
+    if not np.isfinite(out.c).all():
+        raise EvaluationError("jet coefficients are non-finite (pole of the expression)")
+    return out
 
 
 def series_from_list(space, g: np.ndarray, coeffs) -> np.ndarray:

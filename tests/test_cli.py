@@ -608,48 +608,24 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
 
 @pytest.mark.parametrize("argv, counts", [
     (["structure", "--metric", "poincare_ball_3",
-      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (14, 9, 1, 1)),
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (3, 9, 1, 1)),
     (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
       "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
-      "--order", "1"], (23, 24, 2, 2)),
-    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (24, 22, 2, 2)),
+      "--order", "1"], (8, 24, 2, 2)),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (6, 22, 2, 2)),
 ])
 def test_report_work_counts(capsys, monkeypatch, argv, counts):
-    # (frame_derivatives, tensor_derivative, jet(2, 0), _coframe) calls per
-    # report.  The bracket table at a point is the only place the fields
-    # are built and differentiated along each other, and every later
-    # derivative along them (signature tiers, the lift derivatives, the
-    # curvature's derivatives along the lifts in Bianchi) reads it or its
-    # cache, and the frame data keeps each derivative of (E, C20, C21) along
-    # a tuple of stacks: each is made once, by three tensor_derivative calls
-    # (C20, C21 and Dh), and frame_derivatives is called again only where it
-    # is read off that memo.  _complex_lift_derivative reads the derivatives
-    # along the fields there, one call each: 8 a structure point
-    # (closed_form_P 2, the Pi forms 3, Bianchi 3) and 6 a check point
-    # (structure 6 to 14, check 12 to 24, with no more tensor_derivative
-    # calls).  The generator derivatives along a chunk of
-    # rows are read off the kept one along the whole stack, as along the
-    # fields alone, which the bracket table keeps; else they are filled from
-    # the frame derivatives along the chunk, which are read off the memo's
-    # along the whole stack.  Reading the rows off the kept one took 2 of
-    # the frame_derivatives calls of structure (8 to 6) and 4 of check's (16
-    # to 12), and none of tensor_derivative's.  A point's tier 1, or its lift rows in Bianchi, takes
-    # the derivatives along the fields, along the real basis of frame
-    # increments and along pairs of fields; its tier 2 adds those along a
-    # basis increment and a field, and along triples of fields.  So
-    # structure makes 3, compare 3 at each frame and 2 more for tier 2 at
-    # frame A, with no displaced frame, and check 3 at each of its two
-    # points, where one form_derivative (one tensor_derivative call) takes
-    # the tangency system and one the tangency of the lifts, from their
-    # frame increments, with no field stack.  check evaluates one jet(2, 0)
-    # a point, in its Levi check: the adapted frame reads that report, and
-    # the Gram residual is read off the point's frame data.  The coframe is
-    # evaluated once a point, on the increment basis for the bracket
-    # table's coframe matrix: on the real fields it is dual to them, so
-    # the pairing every structure function is read with is their layout
-    # (_stack_layout), a constant, which took one evaluation at each
-    # extraction (structure 2 to 1, check 4 to 2); compare builds only
-    # the table at its two frames
+    # (frame_derivatives misses, tensor_derivative, jet(2, 0), _coframe)
+    # calls per report.  A miss takes a derivative of (E, C20, C21), the one
+    # call that reads fd.partials, by three tensor_derivative calls (C20,
+    # C21, Dh); memo hits and reads at a chunk of rows take none.  A point
+    # takes the derivatives along the fields, the increment basis and pairs
+    # of fields: 3 for structure, 3 at each of check's two points (whose two
+    # form_derivative calls a point, the tangency system and the lifts',
+    # make the other 4 tensor_derivative calls), and compare 3 at each frame
+    # and 2 more for tier 2 at frame A.  check reads one jet(2, 0) a point,
+    # in its Levi check, and the coframe is evaluated once a point, for the
+    # bracket table's coframe matrix.
     calls = {}
 
     def counting(key, f):
@@ -658,13 +634,14 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
             return f(*args)
         return counted
 
-    for name, home in (("frame_derivatives", connection), ("tensor_derivative", finsler_forms),
-                       ("_coframe", parallelism)):
+    for name, home in (("tensor_derivative", finsler_forms), ("_coframe", parallelism)):
         counted = counting(name, getattr(home, name))
         for module in (cli, connection, finsler_forms, frame_bundle, geodesics, parallelism,
                        equivalence):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(connection.FrameData, "partials",
+                        counting("frame_derivatives", connection.FrameData.partials))
     jet = MetricProgram.jet_unchecked
 
     def counted_jet(self, z, v, fiber_order, base_order, frame=None):

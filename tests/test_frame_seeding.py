@@ -1,5 +1,5 @@
 """Jets seeded in a frame: z + U zeta and U (e_0 + xi) with the conjugate
-seeds from Jet.conj.  Their partials are the coordinate partials contracted
+seeds from JetSpace.conj.  Their partials are the coordinate partials contracted
 with the frame, and U = I is the coordinate jet, bit for bit."""
 
 from itertools import combinations_with_replacement
@@ -10,10 +10,9 @@ import pytest
 from finslerlab.frame_bundle import adapted_frame
 from finslerlab import metric_dsl
 from finslerlab.jets import TOTAL_DEGREE_CAP, V, VBAR, Z, ZBAR, Jet, JetSpace, jet_space
-from finslerlab.metric_dsl import _JET_OPS
 from finslerlab.registry import sample_points
 
-from oracles import exponents, frame_contract
+from oracles import JET_OPS, const, exponents, frame_contract
 
 # the (fiber, base) orders of the jets a FrameData evaluates
 FRAME_JET_ORDERS = ((4, 1), (2, 2), (5, 2), (2, 3), (6, 3), (2, 4), (7, 4), (2, 5))
@@ -87,9 +86,9 @@ def _seeded_as_coordinates(prog, z, v, fiber_order, base_order):
 
     def leaf(entry):
         if entry[0] == "num":
-            return space.const(entry[1])
+            return const(space, entry[1])
         _, kind, k = entry
-        jet = space.const((v if kind == V else z)[k])
+        jet = const(space, (v if kind == V else z)[k])
         e = [0] * (4 * prog.dim)
         e[kind * prog.dim + k] = 1
         try:
@@ -98,7 +97,7 @@ def _seeded_as_coordinates(prog, z, v, fiber_order, base_order):
             pass
         return jet
 
-    return prog._run(_JET_OPS, leaf)
+    return prog._run(JET_OPS, leaf)
 
 
 @pytest.mark.parametrize("mid", METRICS + ["flat_3", "fubini_study_2"])

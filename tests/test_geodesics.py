@@ -434,10 +434,11 @@ def test_geodesic_step_work_counts(entries, monkeypatch):
     # per RK4 step: four FrameData (one jet(4, 1) each), one jet(2, 0) at the
     # step's end for the Gram drift, F and the re-projection, and one F
     # evaluation for the recorded speed.  F^2 = abs2(v1)/(1 - abs2(z1))^2
-    # takes one jet product for each abs2, the square and the quotient, and
-    # at base order 1 one more for the reciprocal's series: 5 a jet(4, 1),
-    # 4 a jet(2, 0), 24 a step.  (A square that began with a product by the
-    # constant 1 made it 29.)
+    # takes one jet product for each abs2, the square and the quotient, 4 a
+    # jet(4, 1): the reciprocal's series of an operand with no v stops at
+    # base order 1, with no product.  At base order 0 that operand reads no
+    # variable of the table, so it is a constant, whose abs2 and square are
+    # no table products: 2 a jet(2, 0), 18 a step.
     prog = entries["poincare_disc"].program()  # a fresh program: nothing cached
     jets, frames, evals, products = [], [], [], []
     init, jet, eval_complex = FrameData.__init__, MetricProgram.jet_unchecked, \
@@ -471,9 +472,9 @@ def test_geodesic_step_work_counts(entries, monkeypatch):
     assert jets.count((2, 0)) == 10 + 1  # + levi_check, whose jet adapted_frame reads
     assert len(jets) == 51
     assert len(evals) == 2 + 10  # speed0 and levi_check, then one a step
-    assert products.count(35) == 40 * 5  # in the jets(4, 1), of 35 coefficients
-    assert products.count(6) == 11 * 4  # in the jets(2, 0), of 6
-    assert len(products) == 4 + 10 * 24  # levi_check's jet(2, 0), then 24 a step
+    assert products.count(35) == 40 * 4  # in the jets(4, 1), of 35 coefficients
+    assert products.count(6) == 11 * 2  # in the jets(2, 0), of 6
+    assert len(products) == 2 + 10 * 18  # levi_check's jet(2, 0), then 18 a step
 
 
 def _disc_distance(a, z) -> float:
