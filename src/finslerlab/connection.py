@@ -17,7 +17,8 @@ C(2, 1), along tangents given as frame increments (U^-1 dz, U^-1 dU):
 (w, G) for a parallelism field U (w, G), so none of them solves with U.
 Each one computed is kept in the frame data's memo, and frame_derivatives
 reads a derivative along a chunk of rows of a stack (Rows) off the one
-along the whole stack.
+along the whole stack; along Rows in several places, which restrict the
+stacks to the fields a reader needs, only off a kept one.
 """
 
 from __future__ import annotations
@@ -150,13 +151,20 @@ class Rows(tuple):
         return self
 
 
-def whole(stacks, size: int):
+def whole(stacks, size: int, memo: dict):
     """(i, stacks with the parent of stacks[i] in its place) for the first Rows
-    whose parent's derivative, size entries a tuple, is within WHOLE_ENTRIES."""
+    whose parent's derivative memo keeps or, when it is the one Rows of the
+    stacks (a chunk, whose siblings read the same parent), is within
+    WHOLE_ENTRIES, size entries a tuple.  Rows in several places restrict
+    the stacks to the fields a reader needs, so their parent's is waste."""
+    views = [i for i, s in enumerate(stacks) if isinstance(s, Rows)]
     count = math.prod(len(s[0]) for s in stacks)
-    for i, s in enumerate(stacks):
-        if isinstance(s, Rows) and count // len(s[0]) * len(s.parent[0]) * size <= WHOLE_ENTRIES:
-            return i, tuple(stacks[:i]) + (s.parent,) + tuple(stacks[i + 1:])
+    for i in views:
+        s = stacks[i]
+        parent = tuple(stacks[:i]) + (s.parent,) + tuple(stacks[i + 1:])
+        if tuple(map(id, parent)) in memo or len(views) == 1 and \
+                count // len(s[0]) * len(s.parent[0]) * size <= WHOLE_ENTRIES:
+            return i, parent
     return None
 
 
@@ -168,16 +176,16 @@ def frame_derivatives(fd: FrameData, stacks):
     tensor_derivative; dE differentiates E's back-substitution by Leibniz,
     each split S1 + S2 of the increments putting S1 on column 0 of E and S2
     on C(2, 1), one split per orbit of the permutations within a stack
-    passed twice.  A derivative along Rows is the parent's, taken whole and
-    read at the rows, when whole allows.  fd.derivatives keeps every other
-    derivative taken, keyed by its stacks, which it keeps alive.
+    passed twice.  A derivative along Rows is the parent's, kept or taken
+    whole, read at the rows, when whole allows.  fd.derivatives keeps every
+    other derivative taken, keyed by its stacks, which it keeps alive.
     """
     memo = fd.derivatives
     key = tuple(map(id, stacks))
     if key in memo:
         return memo[key][1]
     k, n = len(stacks), fd.n
-    read = whole(stacks, n ** 3)
+    read = whole(stacks, n ** 3, memo)
     if read is not None:
         i, parent = read
         return tuple(np.take(x, stacks[i].rows, axis=i) for x in frame_derivatives(fd, parent))

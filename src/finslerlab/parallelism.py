@@ -25,8 +25,9 @@ function is minus a coframe value on a bracket of complexified basis
 fields: one pairing, c contracted with (W, G0) and carried by K, serves
 the extraction, the structure equations and Bianchi.
 ``structure_derivative`` takes the structure functions' derivatives of
-any order along the fields, from B c = br differentiated by Leibniz, and
-the pairing reads the curvature's off its lift rows.  Each layer has one
+any order along the fields, from B c = br differentiated by Leibniz, over
+the fields its reader names, and the pairing reads the curvature's off
+those over the lifts.  Each layer has one
 owner at a point: the table carries its frame data, which keeps the
 connection's derivatives, and every derivative along the fields is read
 from the table alone, which keeps each whole order.
@@ -358,53 +359,58 @@ def _set_partitions(l: int) -> tuple:
                  + [p + ((l - 1,),)])
 
 
-def _chunks(N: int, entries: int, rows=None) -> list:
-    """Chunks of the rows (every one of N when None) of a table with
-    entries complex entries a row, within CHUNK_ENTRIES; [None] for all N."""
+def _chunks(N: int, entries: int) -> list:
+    """Chunks of the N rows of a table with entries complex entries a row,
+    within CHUNK_ENTRIES; [None] for all N."""
     size = max(1, CHUNK_ENTRIES // entries)
-    if rows is None and size >= N:
-        return [None]
-    rows = list(range(N) if rows is None else rows)
-    return [rows[i:i + size] for i in range(0, len(rows), size)]
+    return [None] if size >= N else [range(i, min(i + size, N)) for i in range(0, N, size)]
 
 
-def _iterated(table: FieldTable, l: int, rows=None) -> np.ndarray:
+def _iterated(table: FieldTable, l: int, rows=None, fields=None) -> np.ndarray:
     """Y_{s_l} .. Y_{s_1} X_b, field b differentiated along s_1, then ..,
     then s_l, in the coordinates of its frame increments, axes (s_l, ..,
-    s_1, b), s_l in rows (all when None).  By Faa di Bruno it sums, over
+    s_1, b): every index over fields (all when None), and s_l over the
+    positions rows of them (all when None).  By Faa di Bruno it sums, over
     the set partitions of the positions, the derivative of X_b along one
     tangent per block (_field_derivative): the block's first field along
     the others, a table of the level below.  A table of two levels or more
     has more tangents than _increment_basis, and the derivative is
     real-linear in each, so it is taken along the basis and the table's
-    coordinates contracted in.  The frame data's derivatives along rows are
+    coordinates contracted in.  The fields and the rows are Rows views of
+    the table's stack, and the frame data's derivatives along them are
     dropped."""
     N, n = table.fields[1].shape[:2]
     basis = _increment_basis(n)
-    chunk = table.fields if rows is None else Rows(table.fields, rows)
+    sub = table.fields if fields is None else Rows(table.fields, fields)
+    chunk = sub if rows is None else Rows(sub, rows)
+    every = np.arange(N) if fields is None else sub.rows  # the fields' rows in the table
+    last, F = every if rows is None else every[chunk.rows], len(every)
     delta = A = None
     for blocks in _set_partitions(l):
-        stacks = [basis if len(B) > 1 else chunk if l - 1 in B else table.fields
-                  for B in blocks]
+        stacks = [basis if len(B) > 1 else chunk if l - 1 in B else sub for B in blocks]
         d, a, order = _field_derivative(table, stacks)
+        if fields is not None:  # b over the fields too
+            a = np.take(a, every, axis=len(stacks))
+            d = None if d is None else np.take(d, every, axis=1)
         blocks = [blocks[i] for i in order]
         # the basis is the longest stack, so its axes lead: contract them in
         for j, B in enumerate(B for B in blocks if len(B) > 1):
             x = _iterated_table(table, len(B))
-            if rows is not None and l - 1 in B:
-                x = x.reshape(N, -1, x.shape[-1])[rows].reshape(-1, x.shape[-1])
+            if fields is not None or rows is not None and l - 1 in B:
+                at = [last if l - 1 in B else every] + [every] * (len(B) - 1)
+                x = x.reshape((N,) * len(B) + (-1,))[np.ix_(*at)].reshape(-1, x.shape[-1])
             a = np.matmul(x, a.reshape(a.shape[:j] + (len(basis[0]), -1)))
             d = None if d is None else x @ d.reshape(len(basis[0]), -1)
         placed = [p for B in blocks for p in reversed(B)]
-        shape = [len(chunk[0]) if p == l - 1 else N for p in placed]
+        shape = [len(last) if p == l - 1 else F for p in placed]
         perm = [placed.index(p) for p in range(l - 1, -1, -1)]
-        a = a.reshape(shape + [N, n, n]).transpose(perm + [l, l + 1, l + 2])
+        a = a.reshape(shape + [F, n, n]).transpose(perm + [l, l + 1, l + 2])
         A = np.array(a) if A is None else A.__iadd__(a)
         if d is not None:
-            delta = d.reshape(shape + [N, n]).transpose(perm + [l, l + 1])
+            delta = d.reshape(shape + [F, n]).transpose(perm + [l, l + 1])
         del a, d
-    memo = table.frame.derivatives
-    for key in [k for k in memo if rows is not None and id(chunk) in k]:
+    memo, views = table.frame.derivatives, {id(chunk), id(sub)} - {id(table.fields)}
+    for key in [k for k in memo if views.intersection(k)]:
         del memo[key]
     return _increment_coordinates(delta, A)
 
@@ -420,11 +426,12 @@ def _iterated_table(table: FieldTable, j: int) -> np.ndarray:
     return table.cache[("W", j)]
 
 
-def structure_derivative(table: FieldTable, order: int = 1, rows=None) -> np.ndarray:
+def structure_derivative(table: FieldTable, order: int = 1, fields=None) -> np.ndarray:
     """dc[s_k, .., s_1, p, i] = Y_{s_k} .. Y_{s_1} c: the exact order-k
     derivative along the real fields of bracket_coefficients c[a, b, i] at
     the point of the bracket table, for the pairs p = (a, b), a < b, of
-    np.triu_indices; s_k in rows (all when None).  Order 0 is c itself.
+    np.triu_indices, every s_j, a and b over fields (positions in it; all
+    when None) and i over every field.  Order 0 is c itself.
 
     B c = br, B the matrix of the fields, holds along the bundle, to which
     they are tangent, so by Leibniz, with S = (s_1, .., s_k) and S1 not
@@ -433,28 +440,36 @@ def structure_derivative(table: FieldTable, order: int = 1, rows=None) -> np.nda
         Y_S c = L (Y_S br - sum over S1 + S2 = S of (Y_S1 B) Y_S2 c),
 
     with Y_S1 B the iterated fields Y_S1 X_i and Y_S br[a, b] = Y_S Y_a X_b
-    - (a <-> b) from _iterated.  L is the table's coframe, which maps their
+    - (a <-> b) from _iterated.  So the entries over fields read the
+    iterated fields among them, Y_S1 X_i on every i and the lower orders
+    over fields alone.  L is the table's coframe, which maps their
     coordinates to components.  Every whole order is kept in the table's
     cache, read-only, and so are the lower orders each reads; order k is
     taken a chunk of s_k at a time.
     """
     key = ("tier", order)
-    if rows is None and key in table.cache:
+    if fields is None and key in table.cache:
         return table.cache[key]
     N, n, k = len(table.fields[1]), table.frame.n, order
-    a, b = np.triu_indices(N, 1)
-    tiers = [structure_derivative(table, j) for j in range(k)]
-    dc, done = (bracket_coefficients(table)[a, b] if k == 0 else None), 0
-    for chunk in _chunks(N, N ** (k + 1) * (n + n * n), rows) if k else ():
-        x = _iterated(table, k + 1, chunk)
+    every = np.arange(N) if fields is None else np.asarray(fields)
+    F = len(every)
+    a, b = np.triu_indices(F, 1)
+    tiers = [structure_derivative(table, j, fields) for j in range(k)]
+    dc = bracket_coefficients(table)[np.ix_(every, every)][a, b] if k == 0 else None
+    done = 0
+    for chunk in _chunks(F, F ** (k + 1) * (n + n * n)) if k else ():
+        x = _iterated(table, k + 1, chunk, fields)
         rhs = x[(slice(None),) * k + (a, b)].__isub__(x[(slice(None),) * k + (b, a)])
         del x
+        last = every if chunk is None else every[chunk]
         for S1 in itertools.chain.from_iterable(itertools.combinations(range(k), j)
                                                 for j in range(k, 0, -1)):
             S2 = tuple(i for i in range(k) if i not in S1)
             c = tiers[len(S2)] if chunk is None or k - 1 not in S2 else tiers[len(S2)][chunk]
             x = _iterated_table(table, len(S1) + 1).reshape((N,) * (len(S1) + 1) + (-1,))
-            x = x if chunk is None or k - 1 not in S1 else x[chunk]
+            if fields is not None or chunk is not None and k - 1 in S1:
+                at = [last if k - 1 in S1 else every] + [every] * (len(S1) - 1)
+                x = x[np.ix_(*at)]
             # axes (S2 reversed, S1 reversed, pair, coordinate)
             prod = np.moveaxis(np.tensordot(c, x, axes=([-1], [len(S1)])), len(S2), k)
             placed = S2[::-1] + S1[::-1]
@@ -463,11 +478,10 @@ def structure_derivative(table: FieldTable, order: int = 1, rows=None) -> np.nda
         part = rhs @ table.coframe.T
         del rhs
         if dc is None:
-            dc = np.empty((len(part) if chunk is None else N if rows is None else len(rows),)
-                          + part.shape[1:])
+            dc = np.empty((F,) + part.shape[1:])
         dc[done:done + len(part)] = part
         done += len(part)
-    if rows is None:
+    if fields is None:
         dc.flags.writeable = False  # shared by every reader of the table's orders
         table.cache[key] = dc
     return dc
@@ -797,19 +811,21 @@ def _lift_derivative_of(sf: StructureFunctions):
     """Derivatives of the raw curvature R_raw along the 2n horizontal lifts
     at the point of sf.  R_raw is -varpi on [eh, ehb]: the structure
     coefficients c carried by K and contracted with varpi on the fields,
-    the constant G0 of _stack_layout, the coframe being dual to them.  So
-    they are the lift rows of structure_derivative carried and contracted
-    alike, in one einsum over the rows.  Returns (holomorphic, antiholomorphic)
-    arrays with leading index g."""
+    the constant G0 of _stack_layout, the coframe being dual to them.  K's
+    first 2n rows, eh and ehb, are zero off the lifts, so the brackets read
+    are those among the lifts, and their derivatives are structure_derivative
+    over the lifts alone, carried and contracted alike, in one einsum over
+    the rows.  Returns (holomorphic, antiholomorphic) arrays with leading
+    index g."""
     table = sf.table
     n, N = table.frame.n, len(table.fields[1])
-    K = _complex_combination_matrix(n)
-    a, b = np.triu_indices(N, 1)
-    dc = np.zeros((2 * n, N, N, N))
-    dc[:, a, b] = structure_derivative(table, rows=range(2 * n))
+    K = _complex_combination_matrix(n)[:2 * n, :2 * n]
+    a, b = np.triu_indices(2 * n, 1)
+    dc = np.zeros((2 * n, 2 * n, 2 * n, N))
+    dc[:, a, b] = structure_derivative(table, fields=range(2 * n))
     dc[:, b, a] = -dc[:, a, b]
     # sum_abi K[g, a] K[n + d, b] dc[s, a, b, i] varpi[i, k]
-    dw = np.einsum("ga,sadk->skgd", K[:n], K[n:2 * n] @ (dc @ _stack_layout(n)[0].reshape(N, -1)))
+    dw = np.einsum("ga,sadk->skgd", K[:n], K[n:] @ (dc @ _stack_layout(n)[0].reshape(N, -1)))
     return _complex_pairs(-dw.reshape((2 * n,) + (n,) * 4))
 
 

@@ -587,6 +587,23 @@ def lift_difference_of(table, func):
     return _complex_pairs(np.array(d_real))
 
 
+def lift_derivative_reference(table):
+    """Derivatives of the raw curvature along the 2n horizontal lifts at the
+    point of the bracket table, by the route parallelism's
+    _lift_derivative_of once took: the lift rows of the whole tier 1, every
+    pair of fields and every field differentiated, carried by all of K and
+    contracted with varpi on the fields.  Returns (holomorphic,
+    antiholomorphic) arrays with leading index g."""
+    n, N = table.frame.n, len(table.fields[1])
+    K = _complex_combination_matrix(n)
+    a, b = np.triu_indices(N, 1)
+    dc = np.zeros((2 * n, N, N, N))
+    dc[:, a, b] = structure_derivative(table, 1)[:2 * n]
+    dc[:, b, a] = -dc[:, a, b]
+    dw = np.einsum("ga,sadk->skgd", K[:n], K[n:2 * n] @ (dc @ _stack_layout(n)[0].reshape(N, -1)))
+    return _complex_pairs(-dw.reshape((2 * n,) + (n,) * 4))
+
+
 def pullback(f2: str, substitutions: dict) -> str:
     """The DSL text of F^2 with each variable that substitutions names (z1,
     v1, ..) replaced, whole-word and all at once, by its expression in

@@ -620,12 +620,13 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # call that reads fd.partials, by three tensor_derivative calls (C20,
     # C21, Dh); memo hits and reads at a chunk of rows take none.  A point
     # takes the derivatives along the fields, the increment basis and pairs
-    # of fields: 3 for structure, 3 at each of check's two points (whose two
-    # form_derivative calls a point, the tangency system and the lifts',
-    # make the other 4 tensor_derivative calls), and compare 3 at each frame
-    # and 2 more for tier 2 at frame A.  check reads one jet(2, 0) a point,
-    # in its Levi check, and the coframe is evaluated once a point, for the
-    # bracket table's coframe matrix.
+    # of lifts, whose order-1 derivative is read off the fields' (a table of
+    # the lifts alone took 4 for structure): 3 for structure, 3 at each of
+    # check's two points (whose two form_derivative calls a point, the
+    # tangency system and the lifts', make the other 4 tensor_derivative
+    # calls), and compare 3 at each frame and 2 more for tier 2 at frame A.
+    # check reads one jet(2, 0) a point, in its Levi check, and the coframe
+    # is evaluated once a point, for the bracket table's coframe matrix.
     calls = {}
 
     def counting(key, f):
@@ -663,10 +664,9 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
 ])
 def test_report_generator_fills(capsys, monkeypatch, argv, fills):
     # generator derivatives filled from frame derivatives per report, three
-    # a point: along the fields, along the increment basis and along (the
-    # fields, a chunk of their rows).  Along a chunk of rows of the fields
-    # alone they are read off the table's whole one, which took one fill a
-    # point (structure 4 to 3, check 8 to 6)
+    # a point: along the fields, along the increment basis and along pairs
+    # of lifts.  Along the lifts alone they are read off the table's whole
+    # one, which took one fill a point (structure 4 to 3, check 8 to 6)
     calls = []
     fill = parallelism._generator_derivatives
 
@@ -678,6 +678,26 @@ def test_report_generator_fills(capsys, monkeypatch, argv, fills):
     assert run(argv) == 0
     capsys.readouterr()
     assert len(calls) == fills
+
+
+def test_structure_report_takes_second_derivatives_along_the_lifts_only(capsys, monkeypatch):
+    # Bianchi reads the curvature's derivatives along the 2n = 6 lifts off
+    # the brackets among them, so the connection's and the forms' second
+    # derivatives are taken along pairs of lifts, 6 x 6, not 15 x 15 fields
+    shapes = []
+    derivative = connection.tensor_derivative
+
+    def recorded(pq, t, d, stacks):
+        out = derivative(pq, t, d, stacks)
+        if len(stacks) == 2:
+            shapes.append(out.shape[:2])
+        return out
+
+    monkeypatch.setattr(connection, "tensor_derivative", recorded)
+    assert run(["structure", "--metric", "poincare_ball_3",
+                "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"]) == 0
+    capsys.readouterr()
+    assert shapes == [(6, 6)] * 3
 
 
 def test_geodesic_step_count_is_bounded_before_any_work(capsys, monkeypatch):

@@ -109,10 +109,10 @@ def test_command_c_ranks_read_exact_tier_3_with_noise_below_1e_10(progs, monkeyp
     orders, frames = [], []
     derivative, init = parallelism.structure_derivative, FrameData.__init__
 
-    def counted(table, order=1, rows=None):
-        if rows is None and ("tier", order) not in table.cache:
+    def counted(table, order=1, fields=None):
+        if fields is None and ("tier", order) not in table.cache:
             orders.append(order)
-        return derivative(table, order, rows)
+        return derivative(table, order, fields)
 
     def counted_init(self, prog, z, U):
         frames.append(1)
@@ -207,11 +207,11 @@ def test_base_point_tiers_are_shared_and_read_only(progs, monkeypatch, capsys):
     calls = []
     derivative = parallelism.structure_derivative
 
-    def counted(table, order=1, rows=None):
-        if rows is None and ("tier", order) not in table.cache:
+    def counted(table, order=1, fields=None):
+        if fields is None and ("tier", order) not in table.cache:
             fd = table.frame
             calls.append((np.array_equal(fd.z, pA.z) and np.array_equal(fd.U, pA.U), order))
-        return derivative(table, order, rows)
+        return derivative(table, order, fields)
 
     for module in (equivalence, parallelism):
         monkeypatch.setattr(module, "structure_derivative", counted)

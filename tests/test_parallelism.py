@@ -37,6 +37,7 @@ from finslerlab.equivalence import structure_coefficients
 from finslerlab.registry import catalog, sample_points
 
 import oracles
+from conftest import NEAR_DEGENERATE
 from oracles import along, pack_real
 
 SE_KEYS = ("eq529", "eq533", "eq534", "eq535", "eq536")
@@ -305,17 +306,78 @@ def test_curvature_lift_derivatives_match_the_central_difference(progs, entries,
             assert np.max(np.abs(e - d)) <= 1e-6 * scale
 
 
+def _over(full: np.ndarray, k: int, fields) -> np.ndarray:
+    """Order k of structure_derivative over every field, at the entries it
+    takes over fields: the derivative indices and the pairs' fields there,
+    pairs (fields[a], fields[b]), a < b, read with their sign."""
+    N = full.shape[-1]
+    a, b = np.triu_indices(N, 1)
+    anti = np.zeros(full.shape[:k] + (N, N, N))
+    anti[(slice(None),) * k + (a, b)] = full
+    anti[(slice(None),) * k + (b, a)] = -full
+    a, b = np.triu_indices(len(fields), 1)
+    return anti[np.ix_(*[fields] * (k + 2))][(slice(None),) * k + (a, b)]
+
+
 @pytest.mark.parametrize("mid", ["poincare_ball_3", "warped"])
 def test_structure_derivative_rows_are_its_leading_rows(progs, entries, warped, twisted, mid):
-    # the lift rows Bianchi asks for, taken a chunk of rows at a time, are
-    # those of the derivative along every field, which signature tier 1 takes
+    # the derivatives over some fields, each index and pair among them, as
+    # Bianchi asks for over the lifts, are the entries there of the whole
+    # order, which the signature tiers take: tier 1 over the lifts and over
+    # an unsorted set, whose pairs come with their sign, and tier 2
     prog, points = _metric_points(progs, entries, warped, twisted, mid)
     p = adapted_frame(prog, *points[0])
-    fd = frame_data(prog, p.z, p.U)
-    full = structure_derivative(_bracket_table(fd))
-    lead = structure_derivative(_bracket_table(fd), rows=range(2 * prog.dim))
-    assert lead.shape == (2 * prog.dim,) + full.shape[1:]
-    assert np.allclose(lead, full[:2 * prog.dim], rtol=0, atol=1e-13 * np.max(np.abs(full)))
+    n = prog.dim
+    table = _bracket_table(frame_data(prog, p.z, p.U))
+    for k, fields in ((0, [5, 1, 2]), (1, range(2 * n)), (1, [5, 1, 2]), (2, [0, 3, 4])):
+        full = structure_derivative(table, k)
+        got = structure_derivative(_bracket_table(frame_data(prog, p.z, p.U)), k, fields)
+        want = _over(full, k, list(fields))
+        assert got.shape == want.shape, (k, fields)
+        assert np.allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(full))), (k, fields)
+
+
+@pytest.mark.parametrize("mid", [e.id for e in catalog()]
+                         + ["warped", "twisted"] + sorted(NEAR_DEGENERATE))
+def test_lift_derivatives_match_the_whole_tier_1(progs, entries, warped, twisted, mid):
+    # the curvature's derivatives along the lifts, from the lift pairs of
+    # structure_derivative over the lifts alone, are the full route's, the
+    # lift rows of tier 1 over every pair carried by all of K: K's lift
+    # rows are zero off the lifts (bit for bit measured)
+    fixtures = {"warped": warped, "twisted": twisted}
+    fixtures.update({name: parse_metric(MetricSource(2, f2))
+                     for name, f2 in NEAR_DEGENERATE.items()})
+    prog = fixtures[mid] if mid in fixtures else progs[mid]
+    for z, v in sample_points(prog, entries.get(mid), 3, seed=5):
+        p = adapted_frame(prog, z, v)
+        got = _lift_derivative_of(extract_structure(prog, p))
+        want = oracles.lift_derivative_reference(oracles.table_at(prog, p))
+        scale = max(1.0, max(float(np.max(np.abs(d))) for d in got))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (prog.dim,) * 5
+            assert np.max(np.abs(g - w)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("mid", ["poincare_ball_3", "l4_finsler", "twisted"])
+def test_bianchi_leaves_no_view_in_the_memos(progs, entries, warped, twisted, mid, monkeypatch):
+    # the views of the fields that the curvature's lift derivatives make
+    # are dropped from the frame data's memo when the call ends, and none
+    # enters the table's cache, so neither keeps one alive
+    prog, points = _metric_points(progs, entries, warped, twisted, mid)
+    sf = extract_structure(prog, adapted_frame(prog, *points[0]))
+    views = []
+
+    class Recorded(Rows):
+        def __new__(cls, parent, rows):
+            views.append(super().__new__(cls, parent, rows))  # held, so no id is reused
+            return views[-1]
+
+    monkeypatch.setattr(parallelism, "Rows", Recorded)
+    bianchi_residuals(sf)
+    assert views
+    made = {id(v) for v in views}
+    for memo in (sf.table.frame.derivatives, sf.table.cache):
+        assert not [key for key in memo if made.intersection(key)]
 
 
 @pytest.mark.parametrize("mid", ["l4_finsler", "poincare_ball_3", "hermitian_nonconstant",
