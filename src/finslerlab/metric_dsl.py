@@ -14,10 +14,12 @@ Digits and letters are ASCII.
 
 The parser compiles F^2 once into a postorder tape on which equal
 subexpressions share one entry, and MetricProgram records which kinds of
-variable (v, z) each entry reads.  A compiled program evaluates F^2 and its
-mixed Wirtinger jets, treating v, vbar, z, zbar as independent
+variable (v, z) each entry reads.  A compiled program evaluates the mixed
+Wirtinger jets of F^2, treating v, vbar, z, zbar as independent
 differentiation variables, by forward-mode jet arithmetic on the tape: the
-kernels of jets.JetSpace on coefficient arrays.  An entry that reads no
+kernels of jets.JetSpace on coefficient arrays.  One loop runs the tape,
+and F^2 itself is its run on the order-(0, 0) table, so it is slot 0 of
+every jet at the same point, bit for bit.  An entry that reads no
 variable of the jet's table is a constant, run on two values
 (jets.Constant), and a series stops where the powers of an operand that
 reads no v, or no z, vanish (JetSpace.series_terms).
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import re
 from dataclasses import dataclass
 
@@ -225,25 +226,6 @@ class MetricSource:
                             re.sub(r"[^\n]", " ", text[:head.start(2)]) + head[2].rstrip())
 
 
-def _divide(a, b):
-    if b == 0:
-        raise EvaluationError("division by zero (pole of the metric expression)")
-    return a / b
-
-
-def _power(a, k: int):
-    try:
-        return a ** k
-    except OverflowError:  # complex ** int raises where float arithmetic gives inf
-        raise EvaluationError("metric expression evaluated to a non-finite value") from None
-
-
-def _sqrt(a):
-    if a == 0:
-        raise EvaluationError("sqrt at a zero of its argument (non-smooth point)")
-    return complex(np.sqrt(a))
-
-
 def real_f2(val: complex) -> float:
     """An evaluated F^2 as a real number; raises if it is not real."""
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
@@ -268,13 +250,6 @@ def _operands(entry: tuple) -> tuple:
     return entry[1:2] if op == "pow" else entry[1:]
 
 
-# what each non-leaf op does to complex scalars
-_SCALAR_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": _divide, "pow": _power, "conj": np.conj,
-               "re": lambda a: complex(a.real), "im": lambda a: complex(a.imag),
-               "abs2": lambda a: a * np.conj(a), "sqrt": _sqrt}
-
-
 class MetricProgram:
     """Compiled chart metric: evaluates F^2 and its mixed Wirtinger jets.
 
@@ -288,7 +263,7 @@ class MetricProgram:
         self.source = source
         self.dim = source.dim
         self._tape = tape
-        # _dead[i]: the entries whose last reader is entry i, which _run
+        # _dead[i]: the entries whose last reader is entry i, which _run_jet
         # drops once i is computed, so a jet evaluation holds only the
         # values a later entry still reads
         last = {j: i for i, entry in enumerate(tape) for j in _operands(entry)}
@@ -306,24 +281,6 @@ class MetricProgram:
                     bits |= reads[j]
             reads.append(bits)
         self._reads = tuple(reads)
-
-    def _run(self, ops: dict, leaf):
-        """Value of F^2: leaf(entry) for 'num' and 'var' entries, ops[op] of
-        the operand values for the others, in tape order."""
-        vals = []
-        for entry, dead in zip(self._tape, self._dead):
-            op = entry[0]
-            if op == "num" or op == "var":
-                vals.append(leaf(entry))
-            elif op == "pow":
-                vals.append(ops[op](vals[entry[1]], entry[2]))
-            elif len(entry) == 3:
-                vals.append(ops[op](vals[entry[1]], vals[entry[2]]))
-            else:
-                vals.append(ops[op](vals[entry[1]]))
-            for j in dead:
-                vals[j] = None
-        return vals[-1]
 
     def _run_jet(self, space: JetSpace, z, v, frame) -> np.ndarray:
         """The coefficients of the jet of F^2 on space: the tape run on
@@ -376,17 +333,16 @@ class MetricProgram:
                 vals[j] = None
         return vals[-1] if reads[-1] & live else space.spread(vals[-1])
 
-    # -- scalar evaluation ----------------------------------------------------
+    # -- F^2: the tape's run on the order-(0, 0) table --------------------------
 
     def eval_complex(self, z, v) -> complex:
-        """F^2 as evaluated, before the reality check."""
-        z = np.asarray(z, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-
-        def leaf(entry):  # ('num', x) or ('var', kind, k)
-            return complex(entry[1] if entry[0] == "num" else (v if entry[1] == V else z)[entry[2]])
-
-        val = self._run(_SCALAR_OPS, leaf)
+        """F^2 as evaluated, before the reality check: slot 0 of every jet
+        at (z, v), bit for bit, as the tape's run on the order-(0, 0) table,
+        where each entry is a constant.  Unlike a jet it is defined at v = 0."""
+        try:
+            val = complex(self._run_jet(jet_space(self.dim, 0, 0), z, v, None)[0])
+        except JetError as exc:
+            raise EvaluationError(str(exc)) from exc
         if not cmath.isfinite(val):
             raise EvaluationError("metric expression evaluated to a non-finite value")
         return val

@@ -17,7 +17,7 @@ from finslerlab.frame_bundle import (
 )
 from finslerlab.geodesics import spray_coefficients
 from finslerlab.jets import V, VBAR, Z, ZBAR, Jet, JetError, jet_space
-from finslerlab.metric_dsl import _SCALAR_OPS, EvaluationError, FinslerError
+from finslerlab.metric_dsl import EvaluationError, FinslerError
 from finslerlab.parallelism import (
     HSC_NORMALIZATION,
     _bracket_table,
@@ -263,8 +263,25 @@ class ArithJet(Jet):
 
 
 # what each tape op does to an ArithJet
-JET_OPS = {**_SCALAR_OPS, "/": operator.truediv, "pow": ArithJet.pow_int, "conj": ArithJet.conj,
+JET_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "pow": ArithJet.pow_int, "conj": ArithJet.conj,
            "re": ArithJet.real, "im": ArithJet.imag, "abs2": ArithJet.abs2, "sqrt": ArithJet.sqrt}
+
+
+def run_tape(prog, ops: dict, leaf):
+    """F^2 by a plain loop over prog's tape, independent of its own
+    evaluator: leaf(entry) for 'num' and 'var' entries, ops[op] of the
+    operand values for the others, in tape order."""
+    vals = []
+    for entry in prog._tape:
+        op = entry[0]
+        if op == "num" or op == "var":
+            vals.append(leaf(entry))
+        elif op == "pow":
+            vals.append(ops[op](vals[entry[1]], entry[2]))
+        else:
+            vals.append(ops[op](*(vals[j] for j in entry[1:])))
+    return vals[-1]
 
 
 def reference_jet(prog, z, v, fiber_order: int, base_order: int, frame=None) -> Jet:
@@ -283,7 +300,7 @@ def reference_jet(prog, z, v, fiber_order: int, base_order: int, frame=None) -> 
         return variable(space, *entry[1:], (v if entry[1] == V else z)[entry[2]], frame)
 
     try:
-        out = prog._run(JET_OPS, leaf)
+        out = run_tape(prog, JET_OPS, leaf)
     except JetError as exc:
         raise EvaluationError(str(exc)) from exc
     if not np.isfinite(out.c).all():

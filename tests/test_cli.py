@@ -86,14 +86,14 @@ def test_check_quartic_norm_reports_dichotomy(tmp_path, capsys):
     capsys.readouterr()
 
 
-def assert_check_fails_only(tmp_path, capsys, metric, name):
-    """check at two points of metric fails the check name at both and
-    passes every other check."""
+def assert_check_fails_only(tmp_path, capsys, metric, name, entries=2):
+    """check at two points of metric fails each of the entries of the check
+    name (one a point, or one for both) and passes every other check."""
     out = tmp_path / "check.json"
     assert run(["check", "--metric", metric, "--samples", "2", "--seed", "1",
                 "--json", str(out)]) == 1
     checks = load(out)["checks"]
-    assert [c["pass"] for c in checks if c["name"] == name] == [False] * 2
+    assert [c["pass"] for c in checks if c["name"] == name] == [False] * entries
     assert all(c["pass"] for c in checks if c["name"] != name)
     capsys.readouterr()
 
@@ -138,6 +138,20 @@ def test_check_fails_curvature_lift_derivatives_off_by_1e_9(tmp_path, capsys, mo
 
     monkeypatch.setattr(parallelism, "_lift_derivative_of", noisy)
     assert_check_fails_only(tmp_path, capsys, "hermitian_nonconstant", "bianchi_identities")
+
+
+def test_check_fails_a_frame_off_by_1e_9(tmp_path, capsys, monkeypatch):
+    # the adapted frame scaled by 1 + 1e-9, so that its Gram matrix is
+    # (1 + 1e-9)^2 I, fails gram_condition (2.8e-9 at n = 2) and no other
+    # check
+    frame = cli.adapted_frame
+
+    def scaled(*args):
+        p = frame(*args)
+        return dataclasses.replace(p, U=p.U * (1 + 1e-9))
+
+    monkeypatch.setattr(cli, "adapted_frame", scaled)
+    assert_check_fails_only(tmp_path, capsys, "l4_finsler", "gram_condition", entries=1)
 
 
 @pytest.mark.parametrize("name", ["nd1", "nd2", "nd3"])
@@ -471,6 +485,24 @@ def test_hostile_metric_file_exit_3(tmp_path, capsys, name, content, error_type)
     assert_clean_exit(code, err)
     assert code == 3 and out == "", name
     assert json.loads(err)["type"] == error_type, name
+
+
+@pytest.mark.parametrize("f2, message", [
+    ("abs2(v1)/(abs2(z1) - 0.25)", "division by an expression vanishing at the evaluation point"),
+    ("abs2(v1)*sqrt(abs2(z1) - 0.25)", "sqrt at a zero of its argument (non-smooth point)"),
+])
+@pytest.mark.parametrize("argv", [["structure", "--at", "z=0.5;v=1"],
+                                  ["geodesic", "--from", "0.5", "--dir", "1"]])
+def test_exact_pole_or_sqrt_zero_exit_3(tmp_path, capsys, f2, message, argv):
+    # |z|^2 - 0.25 is exactly 0 at z = 0.5, in F^2 (geodesic) and in its jets
+    path = tmp_path / "m.fm"
+    path.write_text(f"dim = 1\nF2 = {f2}\n")
+    code = run([argv[0], "--metric", str(path), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert_clean_exit(code, err)
+    assert code == 3 and out == ""
+    assert json.loads(err)["type"] == "EvaluationError"
+    assert json.loads(err)["error"] == message
 
 
 def test_threads_env_does_not_change_results(tmp_path, capsys, monkeypatch):

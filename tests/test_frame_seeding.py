@@ -12,7 +12,7 @@ from finslerlab import metric_dsl
 from finslerlab.jets import TOTAL_DEGREE_CAP, V, VBAR, Z, ZBAR, Jet, JetSpace, jet_space
 from finslerlab.registry import sample_points
 
-from oracles import JET_OPS, const, exponents, frame_contract
+from oracles import JET_OPS, const, exponents, frame_contract, run_tape
 
 # the (fiber, base) orders of the jets a FrameData evaluates
 FRAME_JET_ORDERS = ((4, 1), (2, 2), (5, 2), (2, 3), (6, 3), (2, 4), (7, 4), (2, 5))
@@ -97,7 +97,7 @@ def _seeded_as_coordinates(prog, z, v, fiber_order, base_order):
             pass
         return jet
 
-    return prog._run(JET_OPS, leaf)
+    return run_tape(prog, JET_OPS, leaf)
 
 
 @pytest.mark.parametrize("mid", METRICS + ["flat_3", "fubini_study_2"])

@@ -181,12 +181,25 @@ def test_quartic_norm_hessian_frozen_value():
     assert abs(ad - fd) < 1e-6
 
 
+POLE = "division by an expression vanishing at the evaluation point"
+SQRT_ZERO = "sqrt at a zero of its argument (non-smooth point)"
+
+
 def test_evaluation_errors():
     prog = parse_metric(MetricSource(1, "abs2(v1)/(1 - abs2(z1))^2"))
     with pytest.raises(EvaluationError):
         prog.jet([0.2], [0.0], 2, 0)   # fiber origin
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError) as err:
         prog.eval([1.0], [1.0])        # pole of the expression
+    assert str(err.value) == POLE
+    # an exact pole and an exact zero of a sqrt, in F^2 and in its jets alike
+    for f2, message in (("abs2(v1)/(abs2(z1) - 0.25)", POLE),
+                        ("abs2(v1)*sqrt(abs2(z1) - 0.25)", SQRT_ZERO)):
+        at_zero = parse_metric(MetricSource(1, f2))
+        for evaluate in (at_zero.eval, at_zero.norm, lambda z, v: at_zero.jet(z, v, 2, 0)):
+            with pytest.raises(EvaluationError) as err:
+                evaluate([0.5], [1.0])
+            assert str(err.value) == message
     nonreal = parse_metric(MetricSource(1, "v1"))
     with pytest.raises(EvaluationError):
         nonreal.eval([0], [1.0j])

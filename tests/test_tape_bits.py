@@ -168,9 +168,26 @@ def test_a_non_finite_coefficient_raises(monkeypatch, bad, where):
                                  np.complex128(complex(0.0, np.nan))])
 def test_a_non_finite_value_raises(monkeypatch, bad):
     prog = parse_metric(MetricSource(1, "abs2(v1)"))
-    monkeypatch.setattr(prog, "_run", lambda ops, leaf: bad)
+    monkeypatch.setattr(prog, "_run_jet", lambda space, z, v, frame: np.array([bad]))
     with pytest.raises(EvaluationError) as err:
         prog.eval_complex([0.1], [0.5])
     assert str(err.value) == "metric expression evaluated to a non-finite value"
-    monkeypatch.setattr(prog, "_run", lambda ops, leaf: complex(1e308, -1e308))
+    monkeypatch.setattr(prog, "_run_jet",
+                        lambda space, z, v, frame: np.array([complex(1e308, -1e308)]))
     assert prog.eval_complex([0.1], [0.5]) == complex(1e308, -1e308)
+
+
+def test_an_overflowing_power_raises():
+    prog = parse_metric(MetricSource(1, "abs2(v1)*(1e200*v1)^2"))
+    with pytest.raises(EvaluationError) as err, np.errstate(all="ignore"):  # as the CLI runs
+        prog.eval_complex([0.1], [0.5])
+    assert str(err.value) == "metric expression evaluated to a non-finite value"
+
+
+def test_f2_is_slot_0_of_every_jet_bit_for_bit(progs, entries, warped, twisted):
+    metrics = [(progs[mid], entries[mid]) for mid in sorted(progs)]
+    for prog, entry in metrics + [(warped, None), (twisted, None)]:
+        for z, v in sample_points(prog, entry, 3, seed=7):
+            f2 = prog.eval_complex(z, v)
+            for orders in ((2, 0), (3, 0), (5, 0), (4, 1), (2, 2)):
+                assert prog.jet_unchecked(z, v, *orders).value == f2, (prog.source, orders)
