@@ -28,13 +28,11 @@ from .finsler_forms import (
     homogeneity_identities,
     levi_check,
 )
-from .frame_bundle import BundlePoint, adapted_frame, gram_derivative, gram_residual
+from .frame_bundle import BundlePoint, adapted_frame, gram_residual
 from .geodesics import classify, integrate_geodesic
 from .metric_dsl import FinslerError
 from .parallelism import (
     _bracket_table,
-    _generators,
-    _stack_layout,
     bianchi_residuals,
     closed_form_P,
     closed_form_Q,
@@ -318,10 +316,7 @@ def cmd_check(args) -> int:
         out["sigma0"] = float(np.max(np.abs(fd.C(2, 0)[1:, 1:]), initial=0.0))
         cm = solve_connection(prog, p, fd)
         out["closed_form_gap"] = cm.closed_form_gap
-        # the Gram derivative along the frame increments of the 2n horizontal lifts
-        lifts = slice(0, 2 * prog.dim)
-        out["tangency"] = float(np.max(np.abs(gram_derivative(
-            fd.jet, _stack_layout(prog.dim)[1][lifts], _generators(fd)[lifts]))))
+        out["tangency"] = cm.closed_form_tangency
         return out
 
     per_point = [point_block(zv) for zv in points]
@@ -370,9 +365,8 @@ def _tensors_at(prog, z, v) -> dict:
     forms = forms_at(prog, p.z, p.e0, p.U)
     return {
         "z": z, "v": v, "frame": p.U,
-        "h_mixed": forms.h_mixed, "h_pure": forms.h_pure,
-        "H": forms.comp[(2, 1)], "H_pure": forms.comp[(3, 0)],
-        "HH": forms.comp[(2, 2)],
+        "h_mixed": forms[(1, 1)], "h_pure": forms[(2, 0)],
+        "H": forms[(2, 1)], "H_pure": forms[(3, 0)], "HH": forms[(2, 2)],
         "levi_eigenvalues": rep.eigenvalues, "levi_verdict": rep.verdict,
     }
 
@@ -449,12 +443,13 @@ def cmd_geodesic(args) -> int:
         for k in range(prog.dim):
             head += [f"Re z{k+1}", f"Im z{k+1}"]
         lines = [",".join(head + ["F_speed", "gram_residual"])]
-        for i, t in enumerate(path.ts):
+        for t, z, U in zip(path.ts, path.zs, path.frames):
             row = [f"{t:.10g}"]
-            for k in range(prog.dim):
-                row += [f"{path.zs[i, k].real:.16g}", f"{path.zs[i, k].imag:.16g}"]
-            gram = gram_residual(prog, BundlePoint(path.zs[i], path.frames[i]))
-            row += [f"{path.speeds[i]:.16g}", f"{gram:.3e}"]
+            for zk in z:
+                row += [f"{zk.real:.16g}", f"{zk.imag:.16g}"]
+            gram = gram_residual(prog, BundlePoint(z, U))
+            # F of the row frame's first vector, ~1 in the unit-speed gauge
+            row += [f"{prog.norm(z, U[:, 0]):.16g}", f"{gram:.3e}"]
             lines.append(",".join(row))
         _write(args.csv, "--csv", "\n".join(lines) + "\n")
     if args.svg:

@@ -35,12 +35,7 @@ from .finsler_forms import (
     raw_derivatives,
     tensor_derivative,
 )
-from .frame_bundle import (
-    AmbientTangent,
-    BundlePoint,
-    DegenerateMetricError,
-    gram_rows,
-)
+from .frame_bundle import AmbientTangent, BundlePoint, DegenerateMetricError, gram_derivative
 from .jets import Z, ZBAR, Jet
 from .metric_dsl import MetricProgram
 
@@ -231,6 +226,7 @@ class ConnectionMap:
     closed_form_gap: float  # max |E_lsq - E_closed|
     min_singular_ratio: float  # sigma_min/sigma_max of the system, one for all directions
     residual: float  # tangency residual of the solved lifts
+    closed_form_tangency: float  # max |Gram derivative| along the closed-form lifts
 
 
 def solve_connection(prog: MetricProgram, p: BundlePoint,
@@ -239,8 +235,11 @@ def solve_connection(prog: MetricProgram, p: BundlePoint,
 
     For each frame direction the corrections to the flat lifts of the two
     underlying real directions must keep the Gram map constant; this is a
-    full-rank real-linear system whose unique solution is the connection.
-    fd is the frame data at p, built here when not given.
+    full-rank real-linear system A x = b whose unique solution is the
+    connection.  A x - b at the closed form fd.E is the Gram derivative
+    along the 2n closed-form lifts, the tangency of the connection that
+    every other stage reads.  fd is the frame data at p, built here when
+    not given.
     """
     if fd is None:
         fd = frame_data(prog, p.z, p.U)
@@ -249,13 +248,14 @@ def solve_connection(prog: MetricProgram, p: BundlePoint,
     # one stacked Gram derivative along frame increments: the vertical
     # responses to U D and U (i D) for the units D, which do not depend on
     # the direction, then the flat lifts e_g and i e_g of the real
-    # directions of each e_g
+    # directions of each e_g, each as a real row: real parts, then imaginary
     units = np.eye(nn, dtype=complex).reshape(nn, n, n)
     delta = np.zeros((2 * nn + 2 * n, n), dtype=complex)
     delta[2 * nn:] = np.concatenate([np.eye(n), 1j * np.eye(n)])
     A = np.zeros((2 * nn + 2 * n, n, n), dtype=complex)
     A[:2 * nn] = np.concatenate([units, 1j * units])
-    rows = gram_rows(fd.jet, delta, A)
+    gd = gram_derivative(fd.jet, delta, A).reshape(len(delta), -1)
+    rows = np.concatenate([gd.real, gd.imag], axis=1)
     resp1, resp2 = rows[:nn], rows[nn:2 * nn]
     # column k holds the real part of M_g[k], column nn + k its imaginary part
     A = np.block([[resp1, resp2], [resp2, -resp1]]).T
@@ -266,10 +266,15 @@ def solve_connection(prog: MetricProgram, p: BundlePoint,
         raise DegenerateMetricError(
             "singular tangency system: the metric degenerates at this point")
     E = (x[:nn] + 1j * x[nn:]).T.reshape(n, n, n).transpose(1, 2, 0)
-    worst_res = float(np.max(np.abs(A @ x - b)))
-    gap = float(np.max(np.abs(E - fd.E)))
-    return ConnectionMap(E=E, closed_form_gap=gap,
-                         min_singular_ratio=float(sv[-1] / sv[0]), residual=worst_res)
+    # the closed form in the layout of x; the rows of A x - b are the Gram
+    # derivative along the lift of e_g, real then imaginary parts, then
+    # along that of i e_g
+    closed = fd.E.transpose(2, 0, 1).reshape(n, nn).T
+    r = (A @ np.concatenate([closed.real, closed.imag]) - b).reshape(2, 2, nn, n)
+    return ConnectionMap(E=E, closed_form_gap=float(np.max(np.abs(E - fd.E))),
+                         min_singular_ratio=float(sv[-1] / sv[0]),
+                         residual=float(np.max(np.abs(A @ x - b))),
+                         closed_form_tangency=float(np.max(np.abs(r[:, 0] + 1j * r[:, 1]))))
 
 
 def horizontal_lift(prog: MetricProgram, p: BundlePoint, direction) -> AmbientTangent:

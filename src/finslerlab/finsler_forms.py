@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,38 +208,14 @@ def fiber_tensors(jet: Jet, max_order: int) -> dict:
             for p in range(max_order + 1) for q in range(max_order + 1 - p)}
 
 
-@dataclass
-class FinslerForms:
-    """Frame components of the fiber forms at a point (z, v)."""
-
-    z: np.ndarray
-    v: np.ndarray
-    frame: np.ndarray  # columns are the evaluation frame
-    comp: dict = field(repr=False)  # (p, q) -> frame-contracted tensor
-
-    @property
-    def h_mixed(self) -> np.ndarray:
-        """Hermitian matrix h(e_a, conj(e_b))."""
-        return self.comp[(1, 1)]
-
-    @property
-    def h_pure(self) -> np.ndarray:
-        """Symmetric matrix h(e_a, e_b); vanishes iff F comes from a Hermitian metric."""
-        return self.comp[(2, 0)]
-
-
-def forms_at(prog: MetricProgram, z, v, frame=None, max_order: int = 4) -> FinslerForms:
-    """Fiber forms at (z, v) in the given frame (coordinate frame if omitted)."""
-    z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+def forms_at(prog: MetricProgram, z, v, frame=None, max_order: int = 4) -> dict:
+    """(p, q) -> the fiber form of type (p, q) at (z, v) on the columns of
+    frame (the coordinate frame if omitted), for p + q <= max_order."""
     n = prog.dim
-    if frame is None:
-        frame = np.eye(n, dtype=complex)
-    frame = np.asarray(frame, dtype=complex)
+    frame = np.eye(n, dtype=complex) if frame is None else np.asarray(frame, dtype=complex)
     if np.linalg.matrix_rank(frame) < n:
         raise FinslerError("frame columns are linearly dependent")
-    return FinslerForms(z=z, v=v, frame=frame,
-                        comp=raw_fiber_tensors(prog, z, v, max_order, frame))
+    return raw_fiber_tensors(prog, z, v, max_order, frame)
 
 
 # --------------------------------------------------------------------------

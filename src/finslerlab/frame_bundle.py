@@ -95,14 +95,6 @@ def gram_derivative(jet: Jet, delta, A) -> np.ndarray:
     return out[0] if np.ndim(delta) == 1 else out
 
 
-def gram_rows(jet: Jet, delta, A) -> np.ndarray:
-    """The Gram derivative along each of K stacked frame increments as a
-    real row, the real parts of its entries, then the imaginary parts:
-    shape (K, 2 n^2)."""
-    gd = gram_derivative(jet, delta, A).reshape(len(delta), -1)
-    return np.concatenate([gd.real, gd.imag], axis=1)
-
-
 def verify_tangent(prog: MetricProgram, p: BundlePoint, t: AmbientTangent,
                    jet: Jet | None = None) -> float:
     """Max-abs derivative of the Gram map along the ambient tangent t, or

@@ -101,7 +101,6 @@ class GeodesicPath:
     ts: np.ndarray
     zs: np.ndarray        # (steps+1, n)
     frames: np.ndarray    # (steps+1, n, n)
-    speeds: np.ndarray    # F of the base velocity, ~1 in this gauge
     speed0: float         # F(v0) of the requested initial velocity
     max_gram_drift: float
     max_speed_drift: float
@@ -133,8 +132,7 @@ def integrate_geodesic(prog: MetricProgram, z0, v0, t_max: float, dt: float,
     ts = np.zeros(nsteps + 1)
     zs = np.zeros((nsteps + 1, n), dtype=complex)
     frames = np.zeros((nsteps + 1, n, n), dtype=complex)
-    speeds = np.zeros(nsteps + 1)
-    zs[0], frames[0], speeds[0] = p.z, p.U, 1.0
+    zs[0], frames[0] = p.z, p.U
     max_gram = 0.0
     max_speed = 0.0
 
@@ -179,8 +177,7 @@ def integrate_geodesic(prog: MetricProgram, z0, v0, t_max: float, dt: float,
         max_speed = max(max_speed, drift[1])
         ts[k + 1] = ts[k] + h
         zs[k + 1], frames[k + 1] = p.z, p.U
-        speeds[k + 1] = prog.norm(p.z, p.U[:, 0])
-    return GeodesicPath(ts=ts, zs=zs, frames=frames, speeds=speeds, speed0=speed0,
+    return GeodesicPath(ts=ts, zs=zs, frames=frames, speed0=speed0,
                         max_gram_drift=max_gram, max_speed_drift=max_speed)
 
 

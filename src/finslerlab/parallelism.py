@@ -10,8 +10,8 @@ and the frame forms C(2, 0), C(2, 1).  The bracket table
 increments: the fields' derivatives along each other are order 1 of the
 one routine for every order (``_field_derivative``), one matmul per
 direction, so that a direction's bits do not depend on its stack.  The
-components of the brackets in the parallelism basis,
-``bracket_coefficients``, are the structure functions, the complete local
+components of the brackets in the parallelism basis, the table's
+structure coefficients c, are the structure functions, the complete local
 isometry invariants.  They are the values of the coframe (theta, varpi)
 dual to the parallelism on the brackets: on frame increments (delta, A)
 the coframe needs no inverse of the frame, theta = delta and omega = A -
@@ -222,6 +222,7 @@ class FieldTable:
     frame: FrameData = field(repr=False, compare=False)
     coframe: np.ndarray  # (N, M) the fields' left inverse on increment coordinates (_coframe_matrix)
     br: np.ndarray       # (N, N, M) the coordinates of br[a, b] = D_a X_b - D_b X_a
+    c: np.ndarray        # (N, N, N) c[a, b, i]: the coframe on br[a, b], its component on field i
     fields: tuple        # (W, G): the frame increments of the fields, as one stack; G (N, n, n)
     cache: dict = field(default_factory=dict, repr=False, compare=False)  # structure_derivative's
 
@@ -237,14 +238,16 @@ def _bracket_table(fd: FrameData) -> FieldTable:
     per direction, so the brackets' bits are those of each field alone.  A
     report builds it once per point, and it carries the frame data; every
     derivative along the fields there is read from it, and every
-    decomposition on the fields is a product with its coframe.
+    decomposition on the fields is a product with its coframe; the
+    brackets', the structure coefficients c, is taken here, once.
     """
     fields = (_stack_layout(fd.n)[1], _generators(fd))
-    table = FieldTable(frame=fd, coframe=_coframe_matrix(fd), br=None, fields=fields)
+    table = FieldTable(frame=fd, coframe=_coframe_matrix(fd), br=None, c=None, fields=fields)
     _generator_derivative(table, (fields,))
     N = len(fields[1])
     D = _iterated_table(table, 2).reshape(N, N, -1)
-    return replace(table, br=D - D.swapaxes(0, 1))  # the same cache, with br
+    br = D - D.swapaxes(0, 1)
+    return replace(table, br=br, c=br @ table.coframe.T)  # the same cache, with br and c
 
 
 def _generator_derivatives(derivs) -> np.ndarray:
@@ -254,13 +257,6 @@ def _generator_derivatives(derivs) -> np.ndarray:
     n = dE.shape[-1]
     G = np.zeros(dE.shape[:-3] + (n * n + 2 * n, n, n), dtype=complex)
     return _fill_generators(G, *derivs)
-
-
-def bracket_coefficients(table: FieldTable) -> np.ndarray:
-    """c[a, b, i]: the component of the bracket of real fields a and b on
-    real field i, the coframe's value on the exact bracket, from the
-    bracket table at a point."""
-    return table.br @ table.coframe.T
 
 
 # --------------------------------------------------------------------------
@@ -428,10 +424,10 @@ def _iterated_table(table: FieldTable, j: int) -> np.ndarray:
 
 def structure_derivative(table: FieldTable, order: int = 1, fields=None) -> np.ndarray:
     """dc[s_k, .., s_1, p, i] = Y_{s_k} .. Y_{s_1} c: the exact order-k
-    derivative along the real fields of bracket_coefficients c[a, b, i] at
-    the point of the bracket table, for the pairs p = (a, b), a < b, of
-    np.triu_indices, every s_j, a and b over fields (positions in it; all
-    when None) and i over every field.  Order 0 is c itself.
+    derivative along the real fields of the bracket table's structure
+    coefficients c[a, b, i], at its point, for the pairs p = (a, b), a < b,
+    of np.triu_indices, every s_j, a and b over fields (positions in it;
+    all when None) and i over every field.  Order 0 is c itself.
 
     B c = br, B the matrix of the fields, holds along the bundle, to which
     they are tangent, so by Leibniz, with S = (s_1, .., s_k) and S1 not
@@ -455,7 +451,7 @@ def structure_derivative(table: FieldTable, order: int = 1, fields=None) -> np.n
     F = len(every)
     a, b = np.triu_indices(F, 1)
     tiers = [structure_derivative(table, j, fields) for j in range(k)]
-    dc = bracket_coefficients(table)[np.ix_(every, every)][a, b] if k == 0 else None
+    dc = table.c[np.ix_(every, every)][a, b] if k == 0 else None
     done = 0
     for chunk in _chunks(F, F ** (k + 1) * (n + n * n)) if k else ():
         x = _iterated(table, k + 1, chunk, fields)
@@ -560,15 +556,14 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     K = _complex_combination_matrix(n)
     N = len(K)
 
-    c = bracket_coefficients(table)
-    resid = table.br - c @ _increment_coordinates(*table.fields)
+    resid = table.br - table.c @ _increment_coordinates(*table.fields)
     scale = np.maximum(1.0, np.linalg.norm(table.br, axis=2))
     worst = float(np.max(np.linalg.norm(resid, axis=2) / scale))
     if worst > DECOMPOSITION_TOL:
         raise FinslerError(f"bracket decomposition residual {worst:.2e} exceeds tolerance")
 
     G0, W = _stack_layout(n)
-    on = _carry(K, c @ np.concatenate([W, G0.reshape(N, -1)], axis=1))
+    on = _carry(K, table.c @ np.concatenate([W, G0.reshape(N, -1)], axis=1))
     bth, bw = on[..., :n], on[..., n:].reshape(N, N, n, n)
     eh, ehb, ev, evb = (slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m),
                         slice(2 * n + m, 2 * n + 2 * m))

@@ -13,7 +13,7 @@ from finslerlab.frame_bundle import (
     BundlePoint,
     adapted_frame,
     complexify,
-    gram_rows,
+    gram_derivative,
 )
 from finslerlab.geodesics import spray_coefficients
 from finslerlab.jets import V, VBAR, Z, ZBAR, Jet, JetError, jet_space
@@ -32,7 +32,6 @@ from finslerlab.parallelism import (
     _stack_layout,
     _sup,
     _varpi,
-    bracket_coefficients,
     extract_structure,
     structure_derivative,
 )
@@ -728,7 +727,7 @@ def structure_checks(sf) -> dict:
     n, m = fd.n, fd.n - 1
     # the components on the complexified basis, c carried by K and K^-1
     K = _complex_combination_matrix(n)
-    coeff = _carry(K, bracket_coefficients(sf.table) @ np.linalg.inv(K))
+    coeff = _carry(K, sf.table.c @ np.linalg.inv(K))
     N = len(coeff)
     t = 2 * n + 2 * m
     eh, ehb, ev, evb = slice(0, n), slice(n, 2 * n), slice(2 * n, t - m), slice(t - m, t)
@@ -764,7 +763,8 @@ def tangency_kernel_dimension(prog, p) -> int:
     n = p.n
     dim_amb = 2 * n + 2 * n * n
     inc = frame_increments(p.U, *unpack_real(np.eye(dim_amb), n))
-    mat = gram_rows(prog.jet_unchecked(p.z, p.e0, 4, 1, p.U), *inc).T
+    gd = gram_derivative(prog.jet_unchecked(p.z, p.e0, 4, 1, p.U), *inc).reshape(dim_amb, -1)
+    mat = np.concatenate([gd.real, gd.imag], axis=1).T  # one real row a Gram entry
     sv = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(sv > KERNEL_REL_TOL * sv[0]))
     return dim_amb - rank

@@ -67,7 +67,7 @@ def test_check_reads_sigma0_at_every_sample(tmp_path, capsys, twisted):
     sigma0 = []
     for z, v in sample_points(twisted, None, 10, 0):
         p = adapted_frame(twisted, z, v)
-        sigma0.append(float(np.max(np.abs(forms_at(twisted, p.z, p.e0, p.U).h_pure[1:, 1:]))))
+        sigma0.append(float(np.max(np.abs(forms_at(twisted, p.z, p.e0, p.U)[(2, 0)][1:, 1:]))))
     assert int(np.argmax(sigma0)) == 7 and max(sigma0[:3]) < max(sigma0) - 2e-4
     assert abs(rep["sigma0_norm"] - max(sigma0)) <= 1e-12
     dichotomy = next(c for c in rep["checks"] if c["name"] == "hermitian_dichotomy")
@@ -246,6 +246,24 @@ def test_geodesic_csv_svg(tmp_path, capsys):
     rep = load(out)
     assert abs(rep["endpoint"][0][0] - np.tanh(1.0)) < 1e-4
     capsys.readouterr()
+
+
+def test_geodesic_csv_speed_is_f_of_each_row_frame(tmp_path, capsys, progs):
+    # F_speed is F of each row frame's first vector as evaluated, row 0
+    # included: there F(e_0) = 0.9999999999999999, not a literal 1
+    from finslerlab.geodesics import integrate_geodesic
+
+    csv = tmp_path / "g.csv"
+    assert run(["geodesic", "--metric", "poincare_disc", "--from", "0.1", "--dir", "1",
+                "--t-max", "0.5", "--dt", "0.01", "--csv", str(csv)]) == 0
+    capsys.readouterr()
+    prog = progs["poincare_disc"]
+    path = integrate_geodesic(prog, [0.1], [1.0], 0.5, 0.01)
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert len(rows) == len(path.ts) == 51
+    speeds = [row[3] for row in rows]
+    assert speeds == [f"{prog.norm(z, U[:, 0]):.16g}" for z, U in zip(path.zs, path.frames)]
+    assert speeds[0] != "1"
 
 
 def test_compare_command(tmp_path, capsys):
@@ -644,7 +662,7 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
     (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
       "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
       "--order", "1"], (8, 24, 2, 2)),
-    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (6, 22, 2, 2)),
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (6, 20, 2, 2)),
 ])
 def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # (frame_derivatives misses, tensor_derivative, jet(2, 0), _coframe)
@@ -654,9 +672,10 @@ def test_report_work_counts(capsys, monkeypatch, argv, counts):
     # takes the derivatives along the fields, the increment basis and pairs
     # of lifts, whose order-1 derivative is read off the fields' (a table of
     # the lifts alone took 4 for structure): 3 for structure, 3 at each of
-    # check's two points (whose two form_derivative calls a point, the
-    # tangency system and the lifts', make the other 4 tensor_derivative
-    # calls), and compare 3 at each frame and 2 more for tier 2 at frame A.
+    # check's two points (whose one form_derivative call a point, the
+    # tangency system, whose residual at the closed form is the lifts'
+    # tangency, makes the other 2 tensor_derivative calls), and compare 3 at
+    # each frame and 2 more for tier 2 at frame A.
     # check reads one jet(2, 0) a point, in its Levi check, and the coframe
     # is evaluated once a point, for the bracket table's coframe matrix.
     calls = {}

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from finslerlab import MetricSource, parse_metric
 from finslerlab.connection import (
     FrameData,
     covariant_derivative,
@@ -15,12 +16,14 @@ from finslerlab.connection import (
 from finslerlab.frame_bundle import (
     AmbientTangent,
     adapted_frame,
+    gram_derivative,
     group_act,
     verify_tangent,
 )
 from finslerlab.equivalence import _haar_group_element
-from finslerlab.parallelism import extract_structure
-from finslerlab.registry import sample_points
+from finslerlab.parallelism import _generators, _stack_layout, extract_structure
+from finslerlab.registry import catalog, sample_points
+from conftest import NEAR_DEGENERATE
 from oracles import frame_increments
 
 
@@ -52,6 +55,36 @@ def test_closed_form_agrees_with_solve(progs, entries):
             cm = solve_connection(prog, p)
             assert cm.closed_form_gap < 1e-8
             assert cm.min_singular_ratio > 1e-6
+
+
+@pytest.mark.parametrize("mid", [e.id for e in catalog()]
+                         + ["warped", "twisted"] + sorted(NEAR_DEGENERATE))
+def test_closed_form_tangency_is_the_lifts_gram_derivative(progs, entries, warped, twisted,
+                                                          mid):
+    # the tangency system's residual at the closed form is the Gram
+    # derivative along the 2n lifts of the parallelism's generator stack
+    # (3.5e-15 apart at most, on warped); scaling the closed form by
+    # 1 + 1e-9 moves it by at least 1.4e-9 max |E| (measured), so it reads
+    # the closed form and not the least-squares solution
+    fixtures = {"warped": warped, "twisted": twisted}
+    fixtures.update({name: parse_metric(MetricSource(2, f2))
+                     for name, f2 in NEAR_DEGENERATE.items()})
+    prog = fixtures[mid] if mid in fixtures else progs[mid]
+    n = prog.dim
+    controls = 0
+    for z, v in sample_points(prog, entries.get(mid), 20, seed=5):
+        p = adapted_frame(prog, z, v)
+        fd = frame_data(prog, p.z, p.U)
+        got = solve_connection(prog, p, fd).closed_form_tangency
+        lifts = gram_derivative(fd.jet, _stack_layout(n)[1][:2 * n], _generators(fd)[:2 * n])
+        assert abs(got - float(np.max(np.abs(lifts)))) <= 1e-14
+        if np.max(np.abs(fd.E)) >= 0.1:
+            scaled = frame_data(prog, p.z, p.U)
+            scaled._E = fd.E * (1 + 1e-9)
+            moved = solve_connection(prog, p, scaled).closed_form_tangency
+            assert moved > max(1e-10, 10 * got)
+            controls += 1
+    assert controls > 0 or mid in ("flat_1", "flat_2", "flat_3", "l4_finsler")  # E = 0 there
 
 
 def test_lift_tangency_and_theta(progs):

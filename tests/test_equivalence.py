@@ -19,7 +19,6 @@ from finslerlab.jets import Jet
 from finslerlab.metric_dsl import MetricProgram, MetricSource, parse_metric
 from finslerlab.parallelism import (
     _real_field_matrix,
-    bracket_coefficients,
     labels_real,
     structure_derivative,
 )
@@ -494,8 +493,7 @@ def test_tier_2_satisfies_the_commutator_identity(progs, entries, warped, mid):
         table = table_at(prog, adapted_frame(prog, z, v))
         t1, t2 = structure_derivative(table, 1).reshape(N, -1), \
             structure_derivative(table, 2).reshape(N, N, -1)
-        c = bracket_coefficients(table)
-        gap = t2 - t2.swapaxes(0, 1) - np.einsum("mki,ix->mkx", c, t1)
+        gap = t2 - t2.swapaxes(0, 1) - np.einsum("mki,ix->mkx", table.c, t1)
         assert np.max(np.abs(gap)) <= 1e-12 * max(1.0, np.max(np.abs(t2)))
 
 
@@ -575,8 +573,7 @@ def test_tier_3_satisfies_the_commutator_identity(progs, entries, warped, twiste
         table = table_at(prog, adapted_frame(prog, z, v))
         t2, t3 = structure_derivative(table, 2).reshape(N, N, -1), \
             structure_derivative(table, 3).reshape(N, N, N, -1)
-        c = bracket_coefficients(table)
-        gap = t3 - t3.swapaxes(0, 1) - np.einsum("lmi,ikx->lmkx", c, t2)
+        gap = t3 - t3.swapaxes(0, 1) - np.einsum("lmi,ikx->lmkx", table.c, t2)
         assert np.max(np.abs(gap)) <= 1e-12 * max(1.0, np.max(np.abs(t3)))
 
 

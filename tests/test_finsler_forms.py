@@ -21,16 +21,16 @@ def hermitian_metric(prog, z, v):
     """The candidate Hermitian metric g_ij = d^2 F^2 / dv^i dvbar^j at (z, v),
     the mixed fiber form in the coordinate frame; independent of v for a
     metric with vanishing cubic form."""
-    return forms_at(prog, z, v, max_order=2).h_mixed
+    return forms_at(prog, z, v, max_order=2)[(1, 1)]
 
 
 def test_flat_forms_in_coordinate_frame(progs):
     prog = progs["flat_2"]
     forms = forms_at(prog, [0, 0], [1.0, 0.5j])
-    assert np.allclose(forms.h_mixed, np.eye(2), atol=1e-14)
-    assert np.allclose(forms.h_pure, 0, atol=1e-14)
-    assert abs(forms.comp[(2, 1)][0, 1, 0]) < 1e-14  # H(0, 1, bar 0)
-    assert abs(forms.comp[(2, 2)][0, 1, 0, 1]) < 1e-14  # HH(0, 1, bar 0, bar 1)
+    assert np.allclose(forms[(1, 1)], np.eye(2), atol=1e-14)
+    assert np.allclose(forms[(2, 0)], 0, atol=1e-14)
+    assert abs(forms[(2, 1)][0, 1, 0]) < 1e-14  # H(0, 1, bar 0)
+    assert abs(forms[(2, 2)][0, 1, 0, 1]) < 1e-14  # HH(0, 1, bar 0, bar 1)
 
 
 def test_hermitian_metrics_have_no_cubic_form(progs, entries):
@@ -45,7 +45,7 @@ def test_quartic_norm_has_cubic_form(progs):
     prog = progs["l4_finsler"]
     v = np.array([1.0, 1.0]) / prog.norm([0, 0], [1.0, 1.0])
     forms = forms_at(prog, [0, 0], v)
-    vals = [abs(forms.comp[(2, 1)][1, 1, 1]), abs(forms.h_pure[1, 1])]
+    vals = [abs(forms[(2, 1)][1, 1, 1]), abs(forms[(2, 0)][1, 1])]
     assert max(vals) > 1e-3
     # finite-difference oracle confirms a nonzero third mixed fiber derivative
     fd = fd_derivative(prog, [0, 0], v, v_idx=(1, 1), vbar_idx=(1,), richardson=True)
@@ -236,7 +236,7 @@ def test_radial_pairing_identity(progs, entries):
         for z, v in sample_points(prog, entries[mid], 5, seed=6):
             forms = forms_at(prog, z, v)
             n = prog.dim
-            val = sum(v[a] * np.conj(v[b]) * forms.comp[(1, 1)][a, b]
+            val = sum(v[a] * np.conj(v[b]) * forms[(1, 1)][a, b]
                       for a in range(n) for b in range(n))
             assert abs(val - prog.eval(z, v)) < 1e-10 * max(1, abs(val))
 
@@ -250,7 +250,7 @@ def test_sphere_point_block_decomposition(progs):
     vhat = v / prog.norm(z, v)
     rep = levi_check(prog, z, v)
     forms = forms_at(prog, z, vhat)
-    g = forms.comp[(1, 1)]
+    g = forms[(1, 1)]
     assert vhat @ g @ np.conj(vhat) == pytest.approx(1.0, abs=1e-10)
     for k in range(rep.basis.shape[1]):
         x = rep.basis[:, k]

@@ -96,8 +96,8 @@ def test_non_geodesic_has_nonzero_variation(progs):
     ts = np.linspace(0, 1, 201)
     zs = np.exp(1j * ts)[:, None]
     frames = (1j * np.exp(1j * ts))[:, None, None]
-    arc = GeodesicPath(ts=ts, zs=zs, frames=frames, speeds=np.ones_like(ts),
-                       speed0=1.0, max_gram_drift=0, max_speed_drift=0)
+    arc = GeodesicPath(ts=ts, zs=zs, frames=frames, speed0=1.0, max_gram_drift=0,
+                       max_speed_drift=0)
     pert = lambda t: np.array([np.sin(np.pi * t)])
     assert abs(energy_first_variation(prog, arc, pert)) > 1e-2
 
@@ -153,8 +153,8 @@ def test_bent_curve_violates_conditions(progs):
         adapted_frame(prog, zs2[i],
                       zs2[min(i + 1, len(path.ts) - 1)] - zs2[max(i - 1, 0)]).U
         for i in range(len(path.ts))])
-    bent = GeodesicPath(ts=path.ts, zs=zs2, frames=frames2, speeds=path.speeds,
-                        speed0=1.0, max_gram_drift=0, max_speed_drift=0)
+    bent = GeodesicPath(ts=path.ts, zs=zs2, frames=frames2, speed0=1.0, max_gram_drift=0,
+                        max_speed_drift=0)
     res = geodesic_condition_residuals(prog, bent)
     assert res["A"] > 1e-2
 
@@ -471,7 +471,7 @@ def test_geodesic_step_work_counts(entries, monkeypatch):
     assert jets.count((4, 1)) == 40
     assert jets.count((2, 0)) == 10 + 1  # + levi_check, whose jet adapted_frame reads
     assert len(jets) == 51
-    assert len(evals) == 2 + 10  # speed0 and levi_check, then one a step
+    assert len(evals) == 2  # speed0 and levi_check; no step evaluates F
     assert products.count(35) == 40 * 4  # in the jets(4, 1), of 35 coefficients
     assert products.count(6) == 11 * 2  # in the jets(2, 0), of 6
     assert len(products) == 2 + 10 * 18  # levi_check's jet(2, 0), then 18 a step
