@@ -28,7 +28,7 @@ from .finsler_forms import (
     homogeneity_identities,
     levi_check,
 )
-from .frame_bundle import BundlePoint, adapted_frame, gram_residual
+from .frame_bundle import adapted_frame, gram_matrix, gram_residual
 from .geodesics import classify, integrate_geodesic
 from .metric_dsl import FinslerError
 from .parallelism import (
@@ -288,8 +288,8 @@ def cmd_check(args) -> int:
         checks.append({"name": name, "residual": float(residual),
                        "tolerance": float(tol), "pass": bool(residual < tol)})
 
-    # the structure functions of the first three points, whose bracket
-    # tables carry the frame data the point block reads
+    # the structure functions of the first three points, read off the
+    # frame data the point block builds
     structures = []
 
     def point_block(zv):
@@ -298,29 +298,26 @@ def cmd_check(args) -> int:
         # one jet(5, 0) a point serves the homogeneity identities and the
         # Hermitian test, which reads its cubic tensors
         jet = prog.jet_unchecked(z, v, 5, 0)
-        out["homogeneity"] = homogeneity_identities(prog, z, v, jet)["max"]
+        out["homogeneity"] = homogeneity_identities(jet, v)["max"]
         out["cubic_peak"] = cubic_form_peak(jet)
         rep = levi_check(prog, z, v)
         out["levi_min_eig"] = float(np.min(rep.eigenvalues)) if rep.eigenvalues.size \
             else 1.0
         p = adapted_frame(prog, z, v, rep)
+        fd = frame_data(prog, p.z, p.U)
         if len(structures) < 3:
-            sf = extract_structure(prog, p)
-            structures.append(sf)
-            fd = sf.table.frame
-        else:
-            fd = frame_data(prog, p.z, p.U)
-        out["gram"] = gram_residual(prog, p, fd.C(1, 1))
+            structures.append(extract_structure(fd))
+        out["gram"] = gram_residual(fd.C(1, 1))
         # the pure quadratic form on the block e_1..e_{n-1}, which the
         # Hermitian dichotomy reads at every point
         out["sigma0"] = float(np.max(np.abs(fd.C(2, 0)[1:, 1:]), initial=0.0))
-        cm = solve_connection(prog, p, fd)
+        cm = solve_connection(fd)
         out["closed_form_gap"] = cm.closed_form_gap
         out["tangency"] = cm.closed_form_tangency
         return out
 
     per_point = [point_block(zv) for zv in points]
-    herm, _ = hermitian_test(prog, points, [b["cubic_peak"] for b in per_point])
+    herm, _ = hermitian_test(points, [b["cubic_peak"] for b in per_point])
     add("homogeneity_identities", max(b["homogeneity"] for b in per_point), 1e-8 * scale)
     lev = min(b["levi_min_eig"] for b in per_point)
     checks.append({"name": "levi_strong_pseudoconvexity", "residual": float(lev),
@@ -373,7 +370,7 @@ def _tensors_at(prog, z, v) -> dict:
 
 def _connection_at(prog, z, v) -> dict:
     p = adapted_frame(prog, z, v)
-    cm = solve_connection(prog, p)
+    cm = solve_connection(frame_data(prog, p.z, p.U))
     return {
         "z": z, "v": v, "frame": p.U, "E": cm.E,
         "index_legend": "E[a][b][g]: row a, column b, direction g; "
@@ -386,10 +383,10 @@ def _connection_at(prog, z, v) -> dict:
 
 def _structure_at(prog, z, v) -> dict:
     p = adapted_frame(prog, z, v)
-    sf = extract_structure(prog, p)
+    sf = extract_structure(frame_data(prog, p.z, p.U))
     res = structure_equation_residuals(sf)
     bia = bianchi_residuals(sf)
-    qgap = float(np.max(np.abs(sf.Q - closed_form_Q(sf.table.frame)))) if prog.dim > 1 else 0.0
+    qgap = float(np.max(np.abs(sf.Q - closed_form_Q(sf.table.frame)), initial=0.0))
     ph, pH = closed_form_P(sf.table)
     pgap = max(float(np.max(np.abs(sf.P_h - ph), initial=0.0)),
                float(np.max(np.abs(sf.P_H - pH), initial=0.0)))
@@ -447,7 +444,7 @@ def cmd_geodesic(args) -> int:
             row = [f"{t:.10g}"]
             for zk in z:
                 row += [f"{zk.real:.16g}", f"{zk.imag:.16g}"]
-            gram = gram_residual(prog, BundlePoint(z, U))
+            gram = gram_residual(gram_matrix(prog, z, U))
             # F of the row frame's first vector, ~1 in the unit-speed gauge
             row += [f"{prog.norm(z, U[:, 0]):.16g}", f"{gram:.3e}"]
             lines.append(",".join(row))
@@ -499,10 +496,10 @@ def cmd_compare(args) -> int:
     pB = adapted_frame(progB, zB, vB)
     # frame A's tiers, which the comparison and the ranks read alike
     table_a = _bracket_table(frame_data(progA, pA.z, pA.U))
-    rep = compare_signatures(progA, pA, progB, pB, order=args.order,
-                             tol=args.tol, fiber_samples=args.fiber_samples,
-                             seed=args.seed, table_a=table_a)
-    rA = regularity(progA, pA, alpha_max=min(args.order + 1, 2), table=table_a)
+    table_b = _bracket_table(frame_data(progB, pB.z, pB.U))
+    rep = compare_signatures(table_a, table_b, order=args.order, tol=args.tol,
+                             fiber_samples=args.fiber_samples, seed=args.seed)
+    rA = regularity(table_a, alpha_max=min(args.order + 1, 2))
     report = {"command": "compare", "metric_a": args.metric_a,
               "metric_b": args.metric_b, "comparison": rep,
               "regularity_a": {"ranks": rA.ranks, "order": rA.order,

@@ -229,21 +229,18 @@ class ConnectionMap:
     closed_form_tangency: float  # max |Gram derivative| along the closed-form lifts
 
 
-def solve_connection(prog: MetricProgram, p: BundlePoint,
-                     fd: FrameData | None = None) -> ConnectionMap:
-    """Solve the tangency conditions for the vertical corrections.
+def solve_connection(fd: FrameData) -> ConnectionMap:
+    """Solve the tangency conditions for the vertical corrections at the
+    point of fd.
 
     For each frame direction the corrections to the flat lifts of the two
     underlying real directions must keep the Gram map constant; this is a
     full-rank real-linear system A x = b whose unique solution is the
     connection.  A x - b at the closed form fd.E is the Gram derivative
     along the 2n closed-form lifts, the tangency of the connection that
-    every other stage reads.  fd is the frame data at p, built here when
-    not given.
+    every other stage reads.
     """
-    if fd is None:
-        fd = frame_data(prog, p.z, p.U)
-    n = p.n
+    n = fd.n
     nn = n * n
     # one stacked Gram derivative along frame increments: the vertical
     # responses to U D and U (i D) for the units D, which do not depend on

@@ -57,15 +57,13 @@ class Signature:
         return float(np.max(np.abs(self.vector - other.vector)))
 
 
-def signature(prog: MetricProgram, p: BundlePoint, order: int = 0,
-              table: FieldTable | None = None) -> Signature:
-    """Invariant signature at a bundle point up to the given derivative
-    order, read from the frame's bracket table when given."""
+def signature(table: FieldTable, order: int = 0) -> Signature:
+    """Invariant signature at the frame of a bracket table up to the given
+    derivative order, read off the table's tiers."""
     if order > 2:
         raise FinslerError("signature derivative order is limited to 2")
-    table = _bracket_table(frame_data(prog, p.z, p.U)) if table is None else table
     tiers = [structure_derivative(table, k).ravel() for k in range(order + 1)]
-    return Signature(order=order, dim=prog.dim, tiers=tiers,
+    return Signature(order=order, dim=table.frame.n, tiers=tiers,
                      vector=np.concatenate(tiers))
 
 
@@ -77,15 +75,13 @@ class RegularityReport:
     rank: int | None
 
 
-def regularity(prog: MetricProgram, p: BundlePoint, alpha_max: int = 2,
-               table: FieldTable | None = None) -> RegularityReport:
-    """Numerical rank of the invariant families along the parallelism,
-    with early stop at rank stabilization; the tiers are read from the
-    frame's bracket table when given."""
+def regularity(table: FieldTable, alpha_max: int = 2) -> RegularityReport:
+    """Numerical rank of the invariant families along the parallelism at
+    the frame of a bracket table, with early stop at rank stabilization;
+    the tiers are read off the table."""
     if alpha_max > 2:
         raise FinslerError("regularity order is limited to 2")
-    N = len(labels_real(prog.dim))
-    table = _bracket_table(frame_data(prog, p.z, p.U)) if table is None else table
+    N = len(labels_real(table.frame.n))
 
     def jac_rank(alpha: int) -> int:
         # row m: the derivative of tiers 0..alpha along field m, which is the
@@ -113,31 +109,31 @@ def _haar_group_element(n: int, rng) -> np.ndarray:
     return g
 
 
-def compare(progA: MetricProgram, pA: BundlePoint,
-            progB: MetricProgram, pB: BundlePoint,
-            order: int = 0, tol: float = 1e-3,
-            fiber_samples: int = 0, seed: int = 0, table_a: FieldTable | None = None) -> dict:
-    """Frame-pointwise signature comparison.
+def compare(table_a: FieldTable, table_b: FieldTable, order: int = 0, tol: float = 1e-3,
+            fiber_samples: int = 0, seed: int = 0) -> dict:
+    """Frame-pointwise signature comparison of the frames of two bracket
+    tables.
 
     A verdict of "differ" excludes a local isometry matching the two
     frames; "match" is a necessary condition only.  With fiber_samples > 0
-    the frame at pB is additionally rotated through random structure-group
-    elements and the best match is reported (no completeness claim).
-    table_a is the bracket table at pA, when the caller reads its tiers
-    too.  Metrics of different chart dimensions differ with no distance
-    (None), since their signatures have different lengths.
+    frame B is additionally rotated through random structure-group
+    elements, each rotated frame's table built from table_b's frame, and
+    the best match is reported (no completeness claim).  Metrics of
+    different chart dimensions differ with no distance (None), since their
+    signatures have different lengths.
     """
-    if progA.dim != progB.dim:
+    fb = table_b.frame
+    if table_a.frame.n != fb.n:
         return {"verdict": "differ", "reason": "different chart dimensions",
                 "distance": None, "order": order}
-    sigA = signature(progA, pA, order, table_a)
-    sigB = signature(progB, pB, order)
-    best = sigA.distance(sigB)
+    sigA = signature(table_a, order)
+    best = sigA.distance(signature(table_b, order))
     best_g = None
     rng = np.random.default_rng(seed)
     for _ in range(fiber_samples):
-        g = _haar_group_element(progA.dim, rng)
-        sigBg = signature(progB, group_act(pB, g), order)
+        g = _haar_group_element(fb.n, rng)
+        pg = group_act(BundlePoint(fb.z, fb.U), g)
+        sigBg = signature(_bracket_table(frame_data(fb.prog, pg.z, pg.U)), order)
         d = sigA.distance(sigBg)
         if d < best:
             best, best_g = d, g

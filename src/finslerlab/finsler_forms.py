@@ -222,7 +222,7 @@ def forms_at(prog: MetricProgram, z, v, frame=None, max_order: int = 4) -> dict:
 # homogeneity identities
 # --------------------------------------------------------------------------
 
-def homogeneity_identities(prog: MetricProgram, z, v, jet: Jet | None = None) -> dict:
+def homogeneity_identities(jet: Jet, v) -> dict:
     """Residuals of the Euler identities of the fiber tensors, satisfied by
     any metric with F(lambda v) = |lambda| F(v).
 
@@ -232,11 +232,10 @@ def homogeneity_identities(prog: MetricProgram, z, v, jet: Jet | None = None) ->
     v contracted into a holomorphic slot, vbar into a conjugate one.  Key
     "v pq" (and "vbar pq") is the largest entry of the first identity's
     (the second's) difference, relative to max(1, |F^2|, max |T_pq|); "max"
-    is the largest.  jet is the coordinate jet(5, 0) of F^2 at (z, v),
-    evaluated here when not given.
+    is the largest.  jet is the coordinate jet(5, 0) of F^2 at (z, v).
     """
     v = np.asarray(v, dtype=complex)
-    T = raw_fiber_tensors(prog, z, v, 5) if jet is None else fiber_tensors(jet, 5)
+    T = fiber_tensors(jet, 5)
     f2 = abs(T[(0, 0)])
     res = {}
     for (p, q), t in T.items():
@@ -311,20 +310,17 @@ def cubic_form_peak(jet: Jet) -> tuple:
     return peak
 
 
-def hermitian_test(prog: MetricProgram, points, peaks=None):
+def hermitian_test(points, peaks):
     """True iff the cubic fiber form vanishes on all sample points.
 
     Returns (is_hermitian, witness); the witness is (z, v, indices, value)
     for the largest offending component, or None.  peaks[i] is
-    cubic_form_peak at points[i]; without them each point's is read off a
-    jet(3, 0) evaluated here.  A jet of higher fiber order at the point
-    holds the same cubic tensors bit for bit, so its peak gives the same
-    verdict and witness.
+    cubic_form_peak at points[i], read off a coordinate jet of fiber order
+    >= 3 there: every such jet holds the same cubic tensors bit for bit,
+    so its peak gives the same verdict and witness.
     """
     if not points:
         raise FinslerError("hermitian_test requires a nonempty sample set")
-    if peaks is None:
-        peaks = [cubic_form_peak(prog.jet_unchecked(z, v, 3, 0)) for z, v in points]
     worst = (0.0, None)
     for (z, v), (modulus, indices, val) in zip(points, peaks):
         if modulus > worst[0]:

@@ -72,13 +72,10 @@ def gram_matrix(prog: MetricProgram, z, U) -> np.ndarray:
     return frame_gram(gram_jet(prog, z, U), U)
 
 
-def gram_residual(prog: MetricProgram, p: BundlePoint, gram: np.ndarray | None = None) -> float:
-    """Distance of the frame's Gram matrix from the identity; gram is that
-    matrix when the caller holds it (the C(1, 1) of a FrameData at p), else
-    it is evaluated here."""
-    if gram is None:
-        gram = gram_matrix(prog, p.z, p.U)
-    return float(np.linalg.norm(gram - np.eye(p.n)))
+def gram_residual(gram: np.ndarray) -> float:
+    """Distance of a frame's Gram matrix (gram_matrix, or the C(1, 1) of a
+    FrameData) from the identity."""
+    return float(np.linalg.norm(gram - np.eye(len(gram))))
 
 
 def gram_derivative(jet: Jet, delta, A) -> np.ndarray:
@@ -181,19 +178,16 @@ def adapted_frame(prog: MetricProgram, z, v, report: LeviReport | None = None) -
     raise DegenerateMetricError("Gram-Schmidt pivot breakdown while adapting the frame")
 
 
-def reproject_frame(prog: MetricProgram, z, U, jet: Jet | None = None) -> BundlePoint:
+def reproject_frame(z, U, jet: Jet) -> BundlePoint:
     """Re-orthonormalize existing frame columns (gauge-continuous projection).
 
     Used by the geodesic integrator: e_0 is renormalized to the unit fiber
-    direction by F from the value of the gram_jet at (z, U), and the
+    direction by F from the value of jet, the gram_jet at (z, U), and the
     remaining columns are re-orthonormalized in place in its Levi form.
-    The jet is evaluated here unless the caller passes it.
     """
     z = np.asarray(z, dtype=complex)
     U = np.asarray(U, dtype=complex)
-    n = prog.dim
-    if jet is None:
-        jet = gram_jet(prog, z, U)
+    n = len(z)
     e0 = U[:, 0] / norm_of_f2(jet.value)
     G = jet.fiber_tensor(1, 1)
     cols = [e0]

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connection import frame_data
-from .finsler_forms import hermitian_test
+from .finsler_forms import cubic_form_peak, hermitian_test
 from .frame_bundle import (
     AmbientTangent,
-    BundlePoint,
     DegenerateMetricError,
     adapted_frame,
     frame_gram,
@@ -76,19 +75,19 @@ def spray_coefficients(fd) -> np.ndarray:
             "geodesic correction solve is singular (degenerate pairing)") from exc
 
 
-def geodesic_spray(prog: MetricProgram, p: BundlePoint) -> AmbientTangent:
-    """Unit-speed geodesic field at p: the first horizontal lift plus the
-    vertical correction solving the energy-stationarity conditions.
+def geodesic_spray(fd) -> AmbientTangent:
+    """Unit-speed geodesic field at the point of fd: the first horizontal
+    lift plus the vertical correction solving the energy-stationarity
+    conditions.
 
     Only the fields it uses are built: the lift f_0 = (U e_0, U E(e_0)),
     and for n > 1 the vertical pairs e_{2 lam}, e_{2 lam + 1}, added with
     weights Re a_lam, Im a_lam one field at a time, as the parallelism's
     field stack would give them."""
-    fd = frame_data(prog, p.z, p.U)
     dU = fd.U @ fd.E[:, :, 0]
     n = fd.n
-    a = spray_coefficients(fd) if n > 1 else None  # n = 1 has no vertical fields
-    if a is not None and a.any():
+    a = spray_coefficients(fd)
+    if any(a):  # the builtin: cheaper than a.any() on n - 1 entries
         X = fd.U @ _generators(fd)[2 * n:4 * n - 2]
         for lam, w in enumerate(a):
             dU = dU + X[2 * lam] * float(w.real)
@@ -137,7 +136,7 @@ def integrate_geodesic(prog: MetricProgram, z0, v0, t_max: float, dt: float,
     max_speed = 0.0
 
     def rhs(z, U):
-        t = geodesic_spray(prog, BundlePoint(z, U))
+        t = geodesic_spray(frame_data(prog, z, U))
         return t.dz, t.dU
 
     def substeps(p, h, count, t):
@@ -161,7 +160,7 @@ def integrate_geodesic(prog: MetricProgram, z0, v0, t_max: float, dt: float,
                 raise IntegrationError(f"geodesic left the admissible region at t={t:.3f}")
             worst_gram = max(worst_gram, gram)
             worst_speed = max(worst_speed, abs(norm_of_f2(jet.value) - 1.0))
-            p = reproject_frame(prog, zn, Un, jet)
+            p = reproject_frame(zn, Un, jet)
         return p, (worst_gram, worst_speed)
 
     for k in range(nsteps):
@@ -216,14 +215,15 @@ def classify(prog: MetricProgram, points) -> ClassificationReport:
     ``points`` is a list of (z, v) pairs.  Curvature values are reported in
     the holomorphic-sectional-curvature normalization.
     """
-    herm, witness = hermitian_test(prog, points)
+    herm, witness = hermitian_test(
+        points, [cubic_form_peak(prog.jet_unchecked(z, v, 3, 0)) for z, v in points])
     max_T = 0.0
     max_off = 0.0
     hsc_vals = []
     worst_T_point = None
     for z, v in points:
         p = adapted_frame(prog, z, v)
-        sf = extract_structure(prog, p)
+        sf = extract_structure(frame_data(prog, p.z, p.U))
         n = prog.dim
         tval = max((abs(sf.T[0, lam, 0]) for lam in range(1, n)), default=0.0)
         if tval >= max_T:

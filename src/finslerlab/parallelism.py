@@ -48,7 +48,7 @@ from functools import cache
 import numpy as np
 
 from .connection import FrameData, Rows, frame_data, frame_derivatives
-from .frame_bundle import BundlePoint, complexify, vertical_relations_residual
+from .frame_bundle import complexify, vertical_relations_residual
 from .metric_dsl import FinslerError, MetricProgram
 
 HSC_NORMALIZATION = 2.0  # reported curvature = raw bracket coefficient * this
@@ -496,7 +496,6 @@ class StructureFunctions:
     equations read it with the coframe on the fields, their layout.
     """
 
-    point: BundlePoint
     T: np.ndarray          # (n, n, n)  T^a_{bg}, antisymmetric in (b, g)
     R_raw: np.ndarray      # (n, n, n, n)  R^a_{b g dbar}
     Q: np.ndarray          # (m, m, m, m) Q^rho_{sig lam mubar}, m = n-1
@@ -539,19 +538,18 @@ def _relative(block, *terms) -> float:
     return _sup(sum(parts)) / max(1.0, _sup(*parts))
 
 
-def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions:
-    """Read the structure functions off the coframe on the exact brackets:
-    each is a slice of its values on the brackets of the complexified basis
-    (in the order of _complex_combination_matrix), T = -theta on [eh, eh],
-    R_raw = -varpi on [eh, ehb], Q = varpi[1:, 1:] on [ev, evb] plus I, and
-    P_h, P_H = varpi[1:, 0], varpi[1:, 1:] on [evb, eh]: c carried to the
-    pairs by K and contracted with the coframe on the real fields, which
-    is their layout (W, G0).  The residual is the part of each bracket off
-    the fields: br less c times the fields' coordinates, relative to
-    max(1, |br|)."""
-    n = prog.dim
+def extract_structure(fd: FrameData) -> StructureFunctions:
+    """Read the structure functions at the point of fd off the coframe on
+    the exact brackets: each is a slice of its values on the brackets of
+    the complexified basis (in the order of _complex_combination_matrix),
+    T = -theta on [eh, eh], R_raw = -varpi on [eh, ehb], Q = varpi[1:, 1:]
+    on [ev, evb] plus I, and P_h, P_H = varpi[1:, 0], varpi[1:, 1:] on
+    [evb, eh]: c carried to the pairs by K and contracted with the coframe
+    on the real fields, which is their layout (W, G0).  The residual is the
+    part of each bracket off the fields: br less c times the fields'
+    coordinates, relative to max(1, |br|)."""
+    n = fd.n
     m = n - 1
-    fd = frame_data(prog, p.z, p.U)
     table = _bracket_table(fd)
     K = _complex_combination_matrix(n)
     N = len(K)
@@ -576,7 +574,7 @@ def extract_structure(prog: MetricProgram, p: BundlePoint) -> StructureFunctions
     C20 = fd.C(2, 0)
     C21 = fd.C(2, 1)
     return StructureFunctions(
-        point=p, T=T, R_raw=R_raw, Q=Q, P_h=P_h, P_H=P_H, brackets=(bth, bw),
+        T=T, R_raw=R_raw, Q=Q, P_h=P_h, P_H=P_H, brackets=(bth, bw),
         h_vert=C20[1:, 1:].copy(), H_vert=C21[1:, 1:, 1:].copy(),
         residual=worst, table=table,
     )

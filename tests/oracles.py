@@ -7,7 +7,8 @@ import re
 import numpy as np
 
 from finslerlab.connection import frame_data, frame_derivatives
-from finslerlab.finsler_forms import form_derivative
+from finslerlab import finsler_forms
+from finslerlab.finsler_forms import cubic_form_peak, form_derivative
 from finslerlab.frame_bundle import (
     AmbientTangent,
     BundlePoint,
@@ -630,10 +631,32 @@ def pullback(f2: str, substitutions: dict) -> str:
     return re.sub(pattern, lambda m: f"({substitutions[m.group(1)]})", f2)
 
 
+def frame_at(prog, p):
+    """A new FrameData at the frame p."""
+    return frame_data(prog, p.z, p.U)
+
+
 def table_at(prog, p):
     """A new bracket table at the frame p, whose whole orders are the
     signature tiers there."""
-    return _bracket_table(frame_data(prog, p.z, p.U))
+    return _bracket_table(frame_at(prog, p))
+
+
+def structure_at(prog, p):
+    """The structure functions at the frame p, off a new FrameData there."""
+    return extract_structure(frame_at(prog, p))
+
+
+def homogeneity_at(prog, z, v) -> dict:
+    """finsler_forms.homogeneity_identities at (z, v), off a new coordinate
+    jet(5, 0) there."""
+    return finsler_forms.homogeneity_identities(prog.jet_unchecked(z, v, 5, 0), v)
+
+
+def cubic_peaks(prog, points) -> list:
+    """finsler_forms.cubic_form_peak at each (z, v) of points, off a new
+    coordinate jet(3, 0) there, as hermitian_test reads them."""
+    return [cubic_form_peak(prog.jet_unchecked(z, v, 3, 0)) for z, v in points]
 
 
 def tier(prog, z, U, k: int) -> np.ndarray:
@@ -850,7 +873,7 @@ def e_manifold_closed_forms(prog, p, c: float) -> dict:
     holomorphic sectional curvature c (given in the -4 normalization;
     identities are checked in the bracket normalization)."""
     n = prog.dim
-    sf = extract_structure(prog, p)
+    sf = structure_at(prog, p)
     R = sf.R_raw
     T = sf.T
     craw = c / HSC_NORMALIZATION

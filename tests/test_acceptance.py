@@ -12,7 +12,7 @@ import pytest
 from finslerlab.cli import main as cli_main
 from finslerlab.connection import frame_data, horizontal_lift, solve_connection
 from finslerlab.equivalence import compare, regularity, signature
-from finslerlab.finsler_forms import hermitian_test, homogeneity_identities
+from finslerlab.finsler_forms import hermitian_test
 from finslerlab.frame_bundle import BundlePoint, adapted_frame, gram_residual, group_act
 from finslerlab.geodesics import classify, integrate_geodesic
 from finslerlab.equivalence import _haar_group_element
@@ -21,12 +21,12 @@ from finslerlab.parallelism import (
     bianchi_residuals,
     closed_form_P,
     closed_form_Q,
-    extract_structure,
     labels_real,
     structure_equation_residuals,
 )
 from finslerlab.registry import sample_points
-from oracles import e_manifold_closed_forms, energy_first_variation, structure_checks
+from oracles import (cubic_peaks, e_manifold_closed_forms, energy_first_variation, frame_at,
+                     homogeneity_at, structure_at, structure_checks, table_at)
 
 HERMITIAN_IDS = ("flat_1", "flat_2", "flat_3", "poincare_disc", "poincare_ball_2",
                  "poincare_ball_3", "fubini_study_1", "fubini_study_2",
@@ -45,7 +45,7 @@ def test_criterion_01_homogeneity(progs, entries):
     worst = 0.0
     for mid, prog in progs.items():
         for z, v in sample_points(prog, entries[mid], 50, seed=101):
-            worst = max(worst, homogeneity_identities(prog, z, v)["max"])
+            worst = max(worst, homogeneity_at(prog, z, v)["max"])
     report(1, "homogeneity identities, 50 pts/metric", worst < 1e-8,
            f"worst residual {worst:.2e}")
 
@@ -56,7 +56,7 @@ def test_criterion_02_hermitian_dichotomy(progs, entries):
     for mid in HERMITIAN_IDS:
         prog = progs[mid]
         pts = sample_points(prog, entries[mid], 8, seed=102)
-        herm, _ = hermitian_test(prog, pts)
+        herm, _ = hermitian_test(pts, cubic_peaks(prog, pts))
         sigma = 0.0
         for z, v in pts[:4]:
             p = adapted_frame(prog, z, v)
@@ -68,7 +68,7 @@ def test_criterion_02_hermitian_dichotomy(progs, entries):
         detail.append(f"{mid}: sigma={sigma:.1e}")
     prog = progs["l4_finsler"]
     pts = sample_points(prog, entries["l4_finsler"], 8, seed=102)
-    herm, witness = hermitian_test(prog, pts)
+    herm, witness = hermitian_test(pts, cubic_peaks(prog, pts))
     sigma0 = 0.0
     for z, v in pts[:4]:
         p = adapted_frame(prog, z, v)
@@ -88,14 +88,14 @@ def test_criterion_03_connection_uniqueness(progs, entries):
         pts = sample_points(prog, entries[mid], 20, seed=103)
         for z, v in pts:
             p = adapted_frame(prog, z, v)
-            cm = solve_connection(prog, p)
+            cm = solve_connection(frame_at(prog, p))
             worst_gap = max(worst_gap, cm.closed_form_gap)
             min_ratio = min(min_ratio, cm.min_singular_ratio)
         p = adapted_frame(prog, *pts[0])
-        E = solve_connection(prog, p).E
+        E = solve_connection(frame_at(prog, p)).E
         for _ in range(10):
             g = _haar_group_element(prog.dim, rng)
-            Eg = solve_connection(prog, group_act(p, g)).E
+            Eg = solve_connection(frame_at(prog, group_act(p, g))).E
             pred = np.einsum("aA,Abc,bB,cC->aBC", np.conj(g).T, E, g, g)
             worst_equiv = max(worst_equiv, float(np.max(np.abs(Eg - pred))))
     ok = worst_gap < 1e-8 and min_ratio > 1e-6 and worst_equiv < 1e-8
@@ -127,7 +127,7 @@ def test_criterion_05_bracket_relations(progs, entries):
         pts = sample_points(prog, entries[mid], 10, seed=105)
         for z, v in pts:
             p = adapted_frame(prog, z, v)
-            sf = extract_structure(prog, p)
+            sf = structure_at(prog, p)
             checks = structure_checks(sf)
             worst_rel = max(worst_rel,
                             checks["rotation_horizontal"],
@@ -153,14 +153,14 @@ def test_criterion_06_structure_equations(progs, entries):
         pts = sample_points(prog, entries[mid], 2, seed=106)
         for z, v in pts:
             p = adapted_frame(prog, z, v)
-            r = structure_equation_residuals(extract_structure(prog, p))
+            r = structure_equation_residuals(structure_at(prog, p))
             res = max(r["eq529"], r["eq533"], r["eq534"], r["eq535"], r["eq536"])
             if mid == "l4_finsler":
                 worst_l4 = max(worst_l4, res)
             else:
                 worst_h = max(worst_h, res)
         z, v = pts[0]
-        b = bianchi_residuals(extract_structure(prog, adapted_frame(prog, z, v)))
+        b = bianchi_residuals(structure_at(prog, adapted_frame(prog, z, v)))
         worst_b = max(worst_b, max(b.values()))
     ok = worst_h <= 1e-12 and worst_l4 <= 1e-12 and worst_b < 1e-3
     report(6, "structure equations + Bianchi", ok,
@@ -172,7 +172,7 @@ def test_criterion_07_curvature_values(progs, entries):
         prog = progs[mid]
         vals = []
         for z, v in sample_points(prog, entries[mid], k, seed=seed):
-            sf = extract_structure(prog, adapted_frame(prog, z, v))
+            sf = structure_at(prog, adapted_frame(prog, z, v))
             vals.append(complex(sf.R[0, 0, 0, 0]))
         return np.array(vals)
 
@@ -256,8 +256,8 @@ def test_criterion_09_geodesics(progs):
 def test_criterion_10_equivalence(progs):
     flat = progs["flat_1"]
     disc = progs["poincare_disc"]
-    rep = compare(flat, adapted_frame(flat, [0.0], [1.0]),
-                  disc, adapted_frame(disc, [0.0], [1.0]), order=0)
+    rep = compare(table_at(flat, adapted_frame(flat, [0.0], [1.0])),
+                  table_at(disc, adapted_frame(disc, [0.0], [1.0])), order=0)
     differ_ok = rep["verdict"] == "differ" and rep["distance"] > 1.0
 
     ball = progs["poincare_ball_2"]
@@ -278,10 +278,10 @@ def test_criterion_10_equivalence(progs):
                             for e in np.eye(2)])
     pA = adapted_frame(ball, z, v)
     pB = BundlePoint(np.asarray(phi(z)), dphi @ pA.U)
-    dist = signature(ball, pA, 1).distance(signature(ball, pB, 1))
+    dist = signature(table_at(ball, pA), 1).distance(signature(table_at(ball, pB), 1))
     match_ok = dist < 1e-3
 
-    reg = regularity(flat, adapted_frame(flat, [0.1], [1.0]), alpha_max=2)
+    reg = regularity(table_at(flat, adapted_frame(flat, [0.1], [1.0])), alpha_max=2)
     rank_ok = reg.rank == 0 and reg.stabilized
 
     ok = differ_ok and match_ok and rank_ok

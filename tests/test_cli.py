@@ -594,9 +594,9 @@ def test_structure_extracts_once_at_the_point(capsys, monkeypatch):
     points = []
     extract = parallelism.extract_structure
 
-    def counted(prog, p):
-        points.append(p.z.tobytes() + p.U.tobytes())
-        return extract(prog, p)
+    def counted(fd):
+        points.append(fd.z.tobytes() + fd.U.tobytes())
+        return extract(fd)
 
     monkeypatch.setattr(parallelism, "extract_structure", counted)
     monkeypatch.setattr(cli, "extract_structure", counted)
@@ -611,9 +611,9 @@ def test_check_extracts_once_at_each_frame(capsys, monkeypatch):
     points = []
     extract = parallelism.extract_structure
 
-    def counted(prog, p):
-        points.append(p.z.tobytes() + p.U.tobytes())
-        return extract(prog, p)
+    def counted(fd):
+        points.append(fd.z.tobytes() + fd.U.tobytes())
+        return extract(fd)
 
     monkeypatch.setattr(parallelism, "extract_structure", counted)
     monkeypatch.setattr(cli, "extract_structure", counted)
@@ -623,18 +623,26 @@ def test_check_extracts_once_at_each_frame(capsys, monkeypatch):
     assert [points.count(k) for k in points[:3]] == [1, 1, 1]
 
 
-@pytest.mark.parametrize("argv, points", [
-    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], 2),
+@pytest.mark.parametrize("argv, counts", [
+    (["check", "--metric", "l4_finsler", "--samples", "2", "--seed", "1"], (2, 2)),
     (["structure", "--metric", "poincare_ball_3",
-      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], 1),
+      "--at", "z=0.1+0.2i,0.05-0.1i,0.2i;v=0.5,0.3+0.2i,-0.4i"], (1, 1)),
     (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
       "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
-      "--order", "1"], 2),
+      "--order", "1"], (2, 2)),
+    (["connection", "--metric", "l4_finsler", "--samples", "2"], (2, 0)),
+    (["classify", "--metric", "l4_finsler", "--samples", "2"], (2, 2)),
+    # frame B and its two rotations
+    (["compare", "--metric-a", "poincare_ball_2", "--metric-b", "fubini_study_2",
+      "--at-a", "z=0.1+0.2i,0.3i;v=1,0.5", "--at-b", "z=-0.2,0.1+0.1i;v=0.3,1i",
+      "--fiber-samples", "2"], (4, 4)),
 ])
 def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatch, argv,
-                                                                points):
-    # a point's frame data is built once and handed down to every stage that
-    # works there, its bracket table with it; no stage builds them elsewhere
+                                                                counts):
+    # (frame data, bracket tables) a report builds: a point's frame data is
+    # built once and handed down to every stage that works there, its
+    # bracket table with it where a stage reads one; no stage builds them
+    # elsewhere
     frames, tables = [], []
     init, table = connection.FrameData.__init__, parallelism._bracket_table
 
@@ -652,8 +660,8 @@ def test_report_builds_frame_data_and_brackets_once_per_point(capsys, monkeypatc
         monkeypatch.setattr(module, "_bracket_table", counted_table)
     assert run(argv) == 0
     capsys.readouterr()
-    assert len(frames) == len(set(frames)) == points
-    assert len(tables) == len(set(tables)) == points
+    assert (len(frames), len(tables)) == counts
+    assert len(set(frames)) == len(frames) and len(set(tables)) == len(tables)
 
 
 @pytest.mark.parametrize("argv, counts", [

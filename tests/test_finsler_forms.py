@@ -7,14 +7,13 @@ from finslerlab.finsler_forms import (
     form_derivative,
     forms_at,
     hermitian_test,
-    homogeneity_identities,
     levi_check,
 )
 from finslerlab.frame_bundle import adapted_frame, gram_derivative
 from finslerlab.registry import sample_points
 
 import oracles
-from oracles import fd_derivative, frame_contract, frame_increments
+from oracles import cubic_peaks, fd_derivative, frame_contract, frame_increments, homogeneity_at
 
 
 def hermitian_metric(prog, z, v):
@@ -37,7 +36,7 @@ def test_hermitian_metrics_have_no_cubic_form(progs, entries):
     for mid in ("poincare_ball_2", "fubini_study_2", "hermitian_nonconstant"):
         prog = progs[mid]
         pts = sample_points(prog, entries[mid], 5, seed=2)
-        ok, witness = hermitian_test(prog, pts)
+        ok, witness = hermitian_test(pts, cubic_peaks(prog, pts))
         assert ok and witness is None
 
 
@@ -56,7 +55,8 @@ def test_quartic_norm_has_cubic_form(progs):
 
 def test_hermitian_test_witness(progs):
     prog = progs["l4_finsler"]
-    ok, witness = hermitian_test(prog, [([0, 0], [1.0, 0.7])])
+    pts = [([0, 0], [1.0, 0.7])]
+    ok, witness = hermitian_test(pts, cubic_peaks(prog, pts))
     assert not ok
     z, v, indices, value = witness
     assert abs(value) > 1e-3
@@ -79,7 +79,7 @@ def test_hermitian_test_reads_the_homogeneity_jet(progs, entries, warped, twiste
             assert np.array_equal(jet5.fiber_tensor(*pq), jet3.fiber_tensor(*pq))
         peaks.append(cubic_form_peak(jet5))
         assert peaks[-1] == cubic_form_peak(jet3)
-    (ok5, w5), (ok3, w3) = hermitian_test(prog, pts, peaks), hermitian_test(prog, pts)
+    (ok5, w5), (ok3, w3) = hermitian_test(pts, peaks), hermitian_test(pts, cubic_peaks(prog, pts))
     assert ok5 == ok3 and (w5 is None) == (w3 is None)
     if w3 is not None:
         assert all(np.array_equal(a, b) for a, b in zip(w5, w3))
@@ -91,7 +91,7 @@ def test_hermitian_test_reads_the_homogeneity_jet(progs, entries, warped, twiste
     ("l4_finsler", [0.2, 0.1], [1.0, 0.8 + 0.3j], 1e-8),
 ])
 def test_homogeneity_identities(progs, metric_id, z, v, tol):
-    assert homogeneity_identities(progs[metric_id], z, v)["max"] < tol
+    assert homogeneity_at(progs[metric_id], z, v)["max"] < tol
 
 
 # F^2 of no homogeneity: every Euler identity fails at O(1), so a comparison
@@ -108,12 +108,12 @@ def _homogeneity_cases(progs, entries, warped, twisted):
 
 def test_homogeneity_identities_match_the_loop_oracle(progs, entries, warped, twisted):
     for prog, z, v in _homogeneity_cases(progs, entries, warped, twisted):
-        new, old = homogeneity_identities(prog, z, v), oracles.euler_identities(prog, z, v)
+        new, old = homogeneity_at(prog, z, v), oracles.euler_identities(prog, z, v)
         assert list(new) == list(old)
         for key in old:
             assert abs(new[key] - old[key]) < 1e-12, (prog.source.f2_expr, key)
     inhomogeneous = parse_metric(INHOMOGENEOUS)
-    new = homogeneity_identities(inhomogeneous, [0.3, 0.1], [1.0, 0.7 - 0.4j])
+    new = homogeneity_at(inhomogeneous, [0.3, 0.1], [1.0, 0.7 - 0.4j])
     old = oracles.euler_identities(inhomogeneous, [0.3, 0.1], [1.0, 0.7 - 0.4j])
     assert old["max"] > 1e-3
     for key in old:
@@ -121,12 +121,12 @@ def test_homogeneity_identities_match_the_loop_oracle(progs, entries, warped, tw
 
 
 def test_homogeneity_identities_hold_on_fifty_points_a_metric(progs, entries, warped, twisted):
-    worst = max(homogeneity_identities(prog, z, v)["max"] for mid, prog in progs.items()
+    worst = max(homogeneity_at(prog, z, v)["max"] for mid, prog in progs.items()
                 for z, v in sample_points(prog, entries[mid], 50, seed=101))
     assert worst <= 1e-12
     for prog in (warped, twisted):
         for z, v in sample_points(prog, entries["l4_finsler"], 10, seed=101):
-            assert homogeneity_identities(prog, z, v)["max"] <= 1e-12
+            assert homogeneity_at(prog, z, v)["max"] <= 1e-12
 
 
 def test_euler_and_direction_checks_agree_on_every_verdict(progs, entries, warped, twisted):
@@ -138,7 +138,7 @@ def test_euler_and_direction_checks_agree_on_every_verdict(progs, entries, warpe
         cases += [(_MutatedJets(progs[mid], mutate), z, v) for mid, z, v in MUTATED_POINTS]
     verdicts = []
     for prog, z, v in cases:
-        new = homogeneity_identities(prog, z, v)["max"]
+        new = homogeneity_at(prog, z, v)["max"]
         old = oracles.homogeneity_identities(prog, z, v)["max"]
         assert (new <= 1e-12 and old <= 1e-12) or (new > 1e-3 and old > 1e-3), (new, old)
         verdicts.append(new <= 1e-12)
@@ -191,7 +191,7 @@ MUTATED_POINTS = [
 @pytest.mark.parametrize("metric_id, z, v", MUTATED_POINTS)
 def test_homogeneity_identities_catch_jet_mutations(progs, mutation, metric_id, z, v):
     mutated = _MutatedJets(progs[metric_id], MUTATIONS[mutation])
-    res, ref = homogeneity_identities(mutated, z, v), oracles.euler_identities(mutated, z, v)
+    res, ref = homogeneity_at(mutated, z, v), oracles.euler_identities(mutated, z, v)
     assert res["max"] > 1e-3
     assert list(res) == list(ref)
     for key in ref:

@@ -7,6 +7,7 @@ from oracles import (
     derivative,
     e_manifold_closed_forms,
     energy_first_variation,
+    frame_at,
     full_stack_spray,
     geodesic_condition_residuals,
     tangent_norm,
@@ -14,7 +15,13 @@ from oracles import (
 
 from finslerlab import geodesics
 from finslerlab.connection import FrameData, frame_data
-from finslerlab.frame_bundle import BundlePoint, adapted_frame, group_act, reproject_frame
+from finslerlab.frame_bundle import (
+    BundlePoint,
+    adapted_frame,
+    gram_jet,
+    group_act,
+    reproject_frame,
+)
 from finslerlab.geodesics import (
     GeodesicPath,
     IntegrationError,
@@ -36,7 +43,7 @@ def test_spray_is_horizontal_for_kaehler(progs):
     from finslerlab.connection import frame_data
     from oracles import field_stack
 
-    G = geodesic_spray(prog, p)
+    G = geodesic_spray(frame_at(prog, p))
     dz, dU = field_stack(frame_data(prog, p.z, p.U))
     assert tangent_norm(G.dz - dz[0], G.dU - dU[0]) < 1e-9
 
@@ -128,15 +135,16 @@ def test_gauge_independence(progs):
             z, U = p.z, p.U
 
             def rhs(z, U):
-                t = geodesic_spray(prog, BundlePoint(z, U))
+                t = geodesic_spray(frame_data(prog, z, U))
                 return t.dz, t.dU
 
             k1z, k1U = rhs(z, U)
             k2z, k2U = rhs(z + dt / 2 * k1z, U + dt / 2 * k1U)
             k3z, k3U = rhs(z + dt / 2 * k2z, U + dt / 2 * k2U)
             k4z, k4U = rhs(z + dt * k3z, U + dt * k3U)
-            p = reproject_frame(prog, z + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z),
-                                U + dt / 6 * (k1U + 2 * k2U + 2 * k3U + k4U))
+            zn = z + dt / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
+            Un = U + dt / 6 * (k1U + 2 * k2U + 2 * k3U + k4U)
+            p = reproject_frame(zn, Un, gram_jet(prog, zn, Un))
             zs.append(p.z.copy())
         return np.array(zs)
 
@@ -420,7 +428,7 @@ def test_spray_matches_full_stack_oracle(progs, entries, warped, twisted, mid, p
         prog = {"warped": warped, "twisted": twisted}[mid]
         z, v = point
     for p in _spray_frames(prog, z, v):
-        got, want = geodesic_spray(prog, p), full_stack_spray(prog, p)
+        got, want = geodesic_spray(frame_at(prog, p)), full_stack_spray(prog, p)
         if prog.dim == 1:
             assert np.array_equal(got.dz, want.dz) and np.array_equal(got.dU, want.dU)
         else:
@@ -488,9 +496,9 @@ def test_halved_step_covers_dt(progs, monkeypatch):
     calls = []
     spray = geodesics.geodesic_spray
 
-    def counted(prog, p):
-        calls.append(p)
-        return spray(prog, p)
+    def counted(fd):
+        calls.append(fd)
+        return spray(fd)
 
     monkeypatch.setattr(geodesics, "geodesic_spray", counted)
     path = integrate_geodesic(prog, [0.2], [1], 0.9, 0.3)

@@ -27,7 +27,6 @@ from finslerlab.parallelism import (
     bianchi_residuals,
     closed_form_P,
     closed_form_Q,
-    extract_structure,
     labels_real,
     structure_derivative,
     structure_equation_residuals,
@@ -38,7 +37,7 @@ from finslerlab.registry import catalog, sample_points
 
 import oracles
 from conftest import NEAR_DEGENERATE
-from oracles import along, pack_real
+from oracles import along, pack_real, structure_at
 
 SE_KEYS = ("eq529", "eq533", "eq534", "eq535", "eq536")
 
@@ -132,7 +131,7 @@ def test_rotation_bracket_values(progs):
                       ("l4_finsler", [0.1, 0.2], [1.0, 0.8])]:
         prog = progs[mid]
         p = adapted_frame(prog, z, v)
-        checks = oracles.structure_checks(extract_structure(prog, p))
+        checks = oracles.structure_checks(structure_at(prog, p))
         assert checks["rotation_horizontal"] < 1e-6
         assert checks["rotation_vertical"] < 1e-6
         assert checks["vertical_holomorphic_brackets"] < 1e-6
@@ -141,7 +140,7 @@ def test_rotation_bracket_values(progs):
 
 def test_torsion_matches_connection_antisymmetrization(progs, twisted):
     p = adapted_frame(twisted, [0.4 + 0.1j, -0.2 + 0.3j], [1.0, 0.7 + 0.2j])
-    sf = extract_structure(twisted, p)
+    sf = structure_at(twisted, p)
     assert oracles.structure_checks(sf)["torsion_vs_connection"] < 1e-8
     assert np.max(np.abs(sf.T + np.transpose(sf.T, (0, 2, 1)))) < 1e-12
 
@@ -149,7 +148,7 @@ def test_torsion_matches_connection_antisymmetrization(progs, twisted):
 def test_flat_structure_functions_vanish(progs):
     prog = progs["flat_2"]
     p = adapted_frame(prog, [0.1, -0.2], [1.0, 0.5])
-    sf = extract_structure(prog, p)
+    sf = structure_at(prog, p)
     for arr in (sf.T, sf.R_raw, sf.Q, sf.P_h, sf.P_H, sf.h_vert, sf.H_vert):
         assert np.max(np.abs(arr), initial=0.0) < 1e-9
 
@@ -158,21 +157,21 @@ def test_kaehler_metrics_are_torsion_free(progs, entries):
     for mid in ("poincare_ball_2", "hermitian_nonconstant", "fubini_study_2"):
         prog = progs[mid]
         z, v = sample_points(prog, entries[mid], 1, seed=13)[0]
-        sf = extract_structure(prog, adapted_frame(prog, z, v))
+        sf = structure_at(prog, adapted_frame(prog, z, v))
         assert np.max(np.abs(sf.T)) < 1e-7
 
 
 def test_ball_curvature_anchor(progs):
     prog = progs["poincare_ball_2"]
     p = adapted_frame(prog, [0.3, 0.1], [0.5, 1.0])
-    sf = extract_structure(prog, p)
+    sf = structure_at(prog, p)
     assert sf.R[0, 0, 0, 0] == pytest.approx(-4.0, abs=1e-4)
     assert sf.R_raw[0, 0, 0, 0] == pytest.approx(-2.0, abs=1e-4)
 
 
 def test_curvature_skew_hermitian_symmetry(progs, twisted):
     p = adapted_frame(twisted, [0.4 + 0.1j, -0.2], [1.0, 0.7])
-    sf = extract_structure(twisted, p)
+    sf = structure_at(twisted, p)
     sym = np.conj(np.transpose(sf.R_raw, (1, 0, 3, 2)))
     assert np.max(np.abs(sf.R_raw - sym)) < 1e-8
 
@@ -186,7 +185,7 @@ def test_closed_form_Q_and_P(progs, twisted):
             if min(abs(v)) / np.linalg.norm(v) < 0.35:
                 continue
             p = adapted_frame(prog, z, v)
-            sf = extract_structure(prog, p)
+            sf = structure_at(prog, p)
             assert np.max(np.abs(sf.Q - closed_form_Q(sf.table.frame))) < 1e-5
             ph, pH = closed_form_P(sf.table)
             assert np.max(np.abs(sf.P_h - ph)) < 1e-5
@@ -198,7 +197,7 @@ def test_structure_equations_hermitian(progs, entries):
         prog = progs[mid]
         z, v = sample_points(prog, entries[mid], 1, seed=21)[0]
         p = adapted_frame(prog, z, v)
-        r = structure_equation_residuals(extract_structure(prog, p))
+        r = structure_equation_residuals(structure_at(prog, p))
         assert max(r[k] for k in SE_KEYS) <= 1e-12
         norms = r["finsler_norms"]
         assert max(norms["sigma"], norms["pi"], norms["phi"]) < 1e-6
@@ -207,7 +206,7 @@ def test_structure_equations_hermitian(progs, entries):
 def test_structure_equations_quartic_norm(progs):
     prog = progs["l4_finsler"]
     for z, v in [([0.1, 0.2], [1.0, 0.8]), ([0.3 - 0.1j, 0.2 + 0.2j], [1.0, 0.5 - 0.3j])]:
-        r = structure_equation_residuals(extract_structure(prog, adapted_frame(prog, z, v)))
+        r = structure_equation_residuals(structure_at(prog, adapted_frame(prog, z, v)))
         assert max(r[k] for k in SE_KEYS) <= 1e-12
         assert r["finsler_norms"]["sigma0"] > 1e-3
 
@@ -219,7 +218,7 @@ def test_structure_equations_oblique_forms(warped, twisted3):
     for prog, z, v in [(warped, [0.3 + 0.1j, -0.2], [1.0, 0.6 + 0.3j]),
                        (twisted3, [0.2 + 0.1j, -0.1, 0.3j], [1.0, 0.8 - 0.3j, 0.6 + 0.5j])]:
         p = adapted_frame(prog, z, v)
-        r = structure_equation_residuals(extract_structure(prog, p))
+        r = structure_equation_residuals(structure_at(prog, p))
         assert max(r[k] for k in SE_KEYS) <= 1e-12
         # pi and phi are the largest coefficients of Pi and Phi: those of
         # the P families and of Q
@@ -241,7 +240,7 @@ def test_bianchi_identities(progs, twisted):
     ]
     for prog, z, v in cases:
         p = adapted_frame(prog, z, v)
-        b = bianchi_residuals(extract_structure(prog, p))
+        b = bianchi_residuals(structure_at(prog, p))
         # every derivative along the lifts is exact, the curvature's too
         assert max(b.values()) <= 1e-12
 
@@ -268,7 +267,7 @@ def test_contractions_match_the_loops(progs, entries, warped, twisted, mid):
     prog, points = _metric_points(progs, entries, warped, twisted, mid)
     for z, v in points:
         p = adapted_frame(prog, z, v)
-        sf = extract_structure(prog, p)
+        sf = structure_at(prog, p)
         got, want = bianchi_residuals(sf), oracles.bianchi_residuals(prog, p, sf)
         assert got.keys() == want.keys()
         for key in want:
@@ -283,7 +282,7 @@ def test_curvature_identities_hold_to_round_off(progs, entries, warped, twisted,
     # measured; 3.1e-7 when they were one central difference)
     prog, points = _metric_points(progs, entries, warped, twisted, mid)
     for z, v in points:
-        b = bianchi_residuals(extract_structure(prog, adapted_frame(prog, z, v)))
+        b = bianchi_residuals(structure_at(prog, adapted_frame(prog, z, v)))
         assert max(b["b543"], b["b544"]) <= 1e-12
 
 
@@ -296,10 +295,10 @@ def test_curvature_lift_derivatives_match_the_central_difference(progs, entries,
     # 3.7e-7 relative measured, the difference's own error)
     prog, points = _metric_points(progs, entries, warped, twisted, mid)
     for z, v in points:
-        sf = extract_structure(prog, adapted_frame(prog, z, v))
+        sf = structure_at(prog, adapted_frame(prog, z, v))
         exact = _lift_derivative_of(sf)
         diff = oracles.lift_difference_of(
-            sf.table, lambda z, U: extract_structure(prog, BundlePoint(z, U)).R_raw)
+            sf.table, lambda z, U: structure_at(prog, BundlePoint(z, U)).R_raw)
         scale = max(1.0, max(float(np.max(np.abs(d))) for d in exact))
         for e, d in zip(exact, diff):
             assert e.shape == d.shape == (prog.dim,) * 5
@@ -350,7 +349,7 @@ def test_lift_derivatives_match_the_whole_tier_1(progs, entries, warped, twisted
     prog = fixtures[mid] if mid in fixtures else progs[mid]
     for z, v in sample_points(prog, entries.get(mid), 3, seed=5):
         p = adapted_frame(prog, z, v)
-        got = _lift_derivative_of(extract_structure(prog, p))
+        got = _lift_derivative_of(structure_at(prog, p))
         want = oracles.lift_derivative_reference(oracles.table_at(prog, p))
         scale = max(1.0, max(float(np.max(np.abs(d))) for d in got))
         for g, w in zip(got, want):
@@ -364,7 +363,7 @@ def test_bianchi_leaves_no_view_in_the_memos(progs, entries, warped, twisted, mi
     # are dropped from the frame data's memo when the call ends, and none
     # enters the table's cache, so neither keeps one alive
     prog, points = _metric_points(progs, entries, warped, twisted, mid)
-    sf = extract_structure(prog, adapted_frame(prog, *points[0]))
+    sf = structure_at(prog, adapted_frame(prog, *points[0]))
     views = []
 
     class Recorded(Rows):
@@ -489,7 +488,7 @@ def test_increment_coframe_matches_the_inverse_frame_oracle(progs, entries, warp
     n = prog.dim
     K = _complex_combination_matrix(n)
     for z, v in points:
-        sf = extract_structure(prog, adapted_frame(prog, z, v))
+        sf = structure_at(prog, adapted_frame(prog, z, v))
         table = sf.table
         fd = table.frame
         ref = oracles.Coframe(fd)
@@ -578,7 +577,7 @@ def test_decomposition_matches_a_complex_solve(progs, entries, twisted, warped, 
         prog = progs[mid]
         z, v = sample_points(prog, entries[mid], 1, seed=3)[0]
     p = adapted_frame(prog, z, v)
-    sf = extract_structure(prog, p)
+    sf = structure_at(prog, p)
     for got, ref in zip((sf.T, sf.R_raw, sf.Q, sf.P_h, sf.P_H), _complex_solve_structure(prog, p)):
         assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12
 
@@ -596,7 +595,7 @@ def test_extract_structure_makes_no_solve(progs, twisted, monkeypatch):
             calls.append(_name)
             return _f(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recorded)
-    extract_structure(twisted, p)
+    structure_at(twisted, p)
     table = oracles.table_at(prog, pc)
     for k in range(4):
         structure_derivative(table, k)
@@ -651,7 +650,7 @@ def test_bracket_residual_guard(progs):
     p = adapted_frame(prog, [0.2, 0.1], [1.0, 0.3])
     br = _bracket_table(frame_data(prog, p.z, p.U)).br
     assert np.isfinite(br).all()
-    sf = extract_structure(prog, p)
+    sf = structure_at(prog, p)
     assert sf.residual < 1e-5
 
 
@@ -716,7 +715,7 @@ def test_structure_builds_frame_data_and_jets_only_at_the_point(entries, monkeyp
 
     monkeypatch.setattr(FrameData, "__init__", counted_init)
     monkeypatch.setattr(MetricProgram, "jet_unchecked", counted_jet)
-    sf = extract_structure(prog, p)
+    sf = structure_at(prog, p)
     structure_equation_residuals(sf)  # reads the frame data sf carries
     assert len(frames) == 1
     assert np.array_equal(frames[0][0], p.z) and np.array_equal(frames[0][1], p.U)
@@ -763,5 +762,5 @@ def test_generator_derivative_along_rows_is_read_off_the_kept_one(progs, entries
 def test_ball_curvature_to_round_off(progs, entries, mid):
     prog = progs[mid]
     for z, v in sample_points(prog, entries[mid], 2, seed=3):
-        sf = extract_structure(prog, adapted_frame(prog, z, v))
+        sf = structure_at(prog, adapted_frame(prog, z, v))
         assert abs(sf.R[0, 0, 0, 0] - (-4.0)) <= 1e-11

@@ -7,13 +7,20 @@ checkout it lives in, and the workload generators from its ``perfbench``.
 Every report is one in-process call of ``finslerlab.cli.main(argv)`` with
 one BLAS thread.  Each prints one line, ``sha1  exit-code  argv``: the
 SHA-1 of the report's JSON with its ``timestamp`` removed, followed, for a
-``--csv`` run, by the CSV's text.  The set is
+``--csv`` run, by the CSV's text, and then by what the report wrote to
+stderr.  The set is
 
 - the benchmark's workload rounds at rng seed 4242: 60 ``structure_ball3``,
   20 ``check_l4``, 20 ``compare_ball2`` and 2 ``geodesic_disc``;
 - ``structure``, ``check``, ``classify``, ``tensors`` and ``connection``
   with default arguments on every catalog metric;
-- three ``geodesic --csv`` runs.
+- three ``geodesic --csv`` runs;
+- five ``compare`` runs off the workloads' path: order 2 on
+  ``l4_finsler`` (its ranks read tier 3), a fiber search on a
+  ``hermitian_nonconstant`` pair whose frames differ by a structure-group
+  element, order 1 on two ``poincare_ball_3`` frames, a cross-dimension
+  pair and a degenerate ``l4_finsler`` point, which exits 3;
+- ``classify`` and ``connection`` at 3 samples.
 
 To see which reports a change moves, copy this script into a checkout of
 each version and diff the two outputs.
@@ -52,6 +59,19 @@ GEODESIC_CSV = (
     ["--metric", "l4_finsler", "--from", "0.1,0.2", "--dir", "1,0.5i",
      "--t-max", "0.3", "--dt", "0.01"],
 )
+COMPARE = (
+    ["--metric-a", "l4_finsler", "--metric-b", "l4_finsler", "--at-a", "z=0.1,0.2;v=1,0.5",
+     "--at-b", "z=0.1,-0.4;v=1,0.5i", "--order", "2"],
+    ["--metric-a", "hermitian_nonconstant", "--metric-b", "hermitian_nonconstant",
+     "--at-a", "z=0.1,0.2;v=1,0.5", "--at-b", "z=0.1,0.2;v=1j,0.5j", "--order", "1",
+     "--fiber-samples", "3", "--seed", "1"],
+    ["--metric-a", "poincare_ball_3", "--metric-b", "poincare_ball_3",
+     "--at-a", "z=0.1,0.2i,0;v=1,0,0.5", "--at-b", "z=0,-0.3,0.1;v=0,1,1j", "--order", "1"],
+    ["--metric-a", "poincare_ball_3", "--metric-b", "fubini_study_2",
+     "--at-a", "z=0.1,0.2i,0;v=1,0,0.5", "--at-b", "z=0.1,0.2;v=1,0.5"],
+    ["--metric-a", "l4_finsler", "--metric-b", "l4_finsler", "--at-a", "z=0,0;v=1,0",
+     "--at-b", "z=0.1,0;v=1,0.5"],
+)
 
 
 def report_set() -> list:
@@ -65,14 +85,18 @@ def report_set() -> list:
             argvs.append([command, "--metric", entry.id])
     for i, args in enumerate(GEODESIC_CSV):
         argvs.append(["geodesic"] + args + ["--csv", f"geodesic_{i}.csv"])
+    argvs += [["compare"] + args for args in COMPARE]
+    argvs += [["classify", "--metric", "l4_finsler", "--samples", "3"],
+              ["connection", "--metric", "hermitian_nonconstant", "--samples", "3"]]
     return argvs
 
 
 def digest(argv: list) -> tuple:
     """(sha1, exit code) of one report: its JSON without the timestamp,
-    then the text of its --csv file, if any."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    then the text of its --csv file, if any, then what it wrote to stderr
+    (the diagnostic of a failed report)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -87,6 +111,7 @@ def digest(argv: list) -> tuple:
     if "--csv" in argv:
         path = Path(argv[argv.index("--csv") + 1])
         text += path.read_text() if path.exists() else ""
+    text += err.getvalue()
     return hashlib.sha1(text.encode()).hexdigest(), code
 
 
